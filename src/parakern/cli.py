@@ -158,8 +158,7 @@ def cmd_solve(args) -> int:
     fld = KernelField(pf.pc, pf.warp, pf.order_K, pf.degree_D)
     points = lattice(pf.ps, 41 if pf.pc.n == 1 else 9)
     if pf.ps.kind == "cauchy":
-        sol = solve_cauchy(pf.ps, fld, pf.quad, points=points,
-                           threads=args.threads)
+        sol = solve_cauchy(pf.ps, fld, pf.quad, points=points)
     elif pf.ps.kind == "ibvp2":
         sol, dens = solve_ibvp2(pf.ps, fld, pf.quad.steps, pf.quad)
         dens.to_csv(f"{base}_density.csv")
@@ -348,7 +347,8 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--tol", type=float, default=1e-12,
                    help="tolerance for adaptive quadratures")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker cap for batch evaluation")
+                   help="accepted and ignored; kept so existing command "
+                        "lines still parse")
     p.add_argument("--out", help="output path (or base path for solve)")
 
 

@@ -4,19 +4,21 @@ Evaluates the Gaussian-times-exponential-series ansatz in log space, its
 analytic gradient, PDE residuals, normalization and short-time
 (Varadhan-type) diagnostics.  Multi-center helpers live on
 :class:`KernelField`, which caches one coefficient expansion per
-quadrature center.
+quadrature center.  Every Gauss-Hermite integral over expansion centers
+(normalization, the delta property, the solvers' convolutions) runs
+through :func:`_gh_integrals`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ParameterError, StructureError
+from .errors import ParameterError, ScalingError, StructureError
 from .polyalg import jet_dt, jet_eval, jet_partial
 from .recursion import (ExpansionCoeffs, ProblemCoefficients, WarpParams,
                         expand, t_of_tau)
@@ -47,12 +49,6 @@ def _effective_time(warp: WarpParams, time: float) -> tuple[float, float]:
     return t_of_tau(time, warp.beta), warp.beta / (1.0 - time)
 
 
-def _physical_time(warp: WarpParams, time: float) -> float:
-    """Physical t corresponding to the mode's own time variable."""
-    t_eff, _ = _effective_time(warp, time)
-    return t_eff
-
-
 def _check_center(exp: ExpansionCoeffs, y) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.shape != (exp.dim,):
@@ -61,6 +57,17 @@ def _check_center(exp: ExpansionCoeffs, y) -> np.ndarray:
         raise StructureError(
             f"expansion is centered at {exp.center}, got y={tuple(y)}")
     return y
+
+
+def _kernel_exp(logp: float, dx: np.ndarray) -> float:
+    """exp(logp); a log value of 700 or more cannot be a kernel value."""
+    if logp >= 700.0:
+        raise ScalingError(
+            f"log kernel value {logp:.3g} at |x - y| = "
+            f"{float(np.linalg.norm(dx)):.3g} overflows: the truncated "
+            f"expansion does not hold this far from its center; keep "
+            f"|x - y| within the trust radius (KernelField.trust_radius)")
+    return math.exp(logp)
 
 
 def log_correction(exp: ExpansionCoeffs, time: float, x, j: int) -> float:
@@ -80,6 +87,8 @@ def eval_kernel(exp: ExpansionCoeffs, time: float, x, y=None,
     scaled/warped tau otherwise.  ``y`` must match the expansion center
     when given.  Validity windows are advisory; callers probing beyond
     them get honest values and can consult the residual diagnostics.
+    A log value of 700 or more cannot be a kernel value and raises
+    :class:`ScalingError`.
     """
     if y is not None:
         _check_center(exp, y)
@@ -90,8 +99,8 @@ def eval_kernel(exp: ExpansionCoeffs, time: float, x, y=None,
     log_g = -0.5 * n * math.log(4.0 * math.pi * t_eff) \
         - float(np.dot(dx, dx)) / (4.0 * t_eff)
     logp = log_g + log_correction(exp, time, x, j)
+    value = _kernel_exp(logp, dx)
     grad = kernel_log_gradient(exp, time, x, j)
-    value = math.exp(logp) if logp < 700.0 else math.inf
     return KernelValue(value, logp, grad * value, j)
 
 
@@ -133,6 +142,7 @@ def residual(exp: ExpansionCoeffs, pc: ProblemCoefficients, time: float,
     with m = 1, beta, beta/(1-tau).  Returns (raw, relative) where the
     relative residual is scaled by p_i; the cross-component coupling uses
     the honest ratio p_j/p_i, so system-mode defects show up here.
+    An overflowing p_i raises :class:`ScalingError`, as in eval_kernel.
     """
     if y is not None:
         _check_center(exp, y)
@@ -186,7 +196,7 @@ def residual(exp: ExpansionCoeffs, pc: ProblemCoefficients, time: float,
             vterm = pc.potential[i].eval(t_phys, x)
         r_over_p = time_term - mult * (lap + coupling + vterm)
         rel[i] = r_over_p
-        p_i = math.exp(log_g + logw[i])
+        p_i = _kernel_exp(log_g + logw[i], dx)
         raw[i] = r_over_p * p_i
     return raw, rel
 
@@ -218,8 +228,7 @@ class KernelField:
 
     Quadrature-based operations (normalization, convolution against
     initial data) need one expansion per quadrature node y; this class
-    owns that cache.  Reads and inserts are lock-protected so parallel
-    batch evaluation stays deterministic.
+    owns that cache.
     """
 
     def __init__(self, pc: ProblemCoefficients, warp: WarpParams = WarpParams(),
@@ -229,7 +238,6 @@ class KernelField:
         self.K = K
         self.D = D if D is not None else 2 * K + 2
         self._cache: dict = {}
-        self._lock = threading.Lock()
         # zero drift and potential: the correction factor is identically 1
         self._trivial = not pc.drift and not pc.potential
         self.trust_radius = self._trust_radius()
@@ -261,15 +269,12 @@ class KernelField:
     def expansion(self, y, s_origin: float = 0.0) -> ExpansionCoeffs:
         key = (tuple(round(float(v), 14) for v in np.atleast_1d(y)),
                round(float(s_origin), 14))
-        with self._lock:
-            hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        pc = self.pc.shifted_origin(s_origin)
-        exp = expand(pc, np.atleast_1d(y), self.K, self.warp, self.D)
-        with self._lock:
-            self._cache.setdefault(key, exp)
-            return self._cache[key]
+        exp = self._cache.get(key)
+        if exp is None:
+            pc = self.pc.shifted_origin(s_origin)
+            exp = self._cache[key] = expand(pc, np.atleast_1d(y), self.K,
+                                            self.warp, self.D)
+        return exp
 
     def log_value(self, time: float, x, y, j: int = 0,
                   s_origin: float = 0.0) -> float:
@@ -340,32 +345,68 @@ class KernelField:
         return kernel_log_gradient(exp, self.mode_time(sigma), x, j)
 
 
-def normalization_check(field: KernelField, time: float, x,
-                        order: int = 40, j: int = 0) -> float:
-    """``int p_j(time, x, y) dy`` by tensor Gauss-Hermite centered at x.
-
-    The Gaussian factor of the kernel is the quadrature weight; the
-    correction factor is evaluated with a fresh expansion per node.
-    Returns the integral; callers assert how close to 1 it must be.
-    """
-    if time <= 0:
-        raise ParameterError("time must be positive")
-    x = np.asarray(x, dtype=float)
-    n = field.pc.n
-    t_eff, _ = _effective_time(field.warp, time)
-    root = 2.0 * math.sqrt(t_eff)
+@functools.lru_cache(maxsize=None)
+def _gh_table(order: int, n: int):
+    """Tensor Gauss-Hermite nodes, weights and node norms, read-only."""
     z, w = np.polynomial.hermite.hermgauss(order)
     grids = np.meshgrid(*([z] * n), indexing="ij")
     wgrids = np.meshgrid(*([w] * n), indexing="ij")
     zs = np.stack([g.ravel() for g in grids], axis=1)
     ws = np.prod(np.stack([g.ravel() for g in wgrids], axis=1), axis=1)
-    total = 0.0
-    for zi, wi in zip(zs, ws):
-        if root * float(np.linalg.norm(zi)) > field.trust_radius:
+    norms = np.array([float(np.linalg.norm(zi)) for zi in zs])
+    for a in (zs, ws, norms):
+        a.flags.writeable = False
+    return zs, ws, norms
+
+
+def _gh_integrals(field: KernelField, t: float, s: float, x, g: Callable,
+                  components: Sequence[int] = (0,), order: int = 40,
+                  gradient: bool = False):
+    """``int p_j(t, x; s, y) g(y) dy`` for every j in ``components``.
+
+    Physical times t > s.  Substituting y = x + 2 sqrt(t - s) z makes the
+    kernel's Gaussian the Hermite weight; the per-node factor is the
+    expansion correction at the warp's own time, re-anchored at s for
+    time-dependent coefficients.  Nodes past ``field.trust_radius`` are
+    dropped, as are nodes where g vanishes.
+    Returns the integrals, shape (len(components),), and with
+    ``gradient`` also the x-gradients ``int grad_x p_j g dy``, shape
+    (len(components), n), else None.
+    """
+    sigma = t - s
+    n = field.pc.n
+    x = np.asarray(x, dtype=float)
+    zs, ws, norms = _gh_table(order, n)
+    time = field.mode_time(sigma)
+    origin = s if field.pc.time_dependent else 0.0
+    root = 2.0 * math.sqrt(sigma)
+    vals = np.zeros(len(components))
+    grads = np.zeros((len(components), n)) if gradient else None
+    for zi, wi, norm in zip(zs, ws, norms):
+        if root * norm > field.trust_radius:
             continue
         y = x + root * zi
-        total += wi * field.correction(time, x, y, j)
-    return total / math.pi ** (n / 2.0)
+        gval = g(y)
+        if gval == 0.0:
+            continue
+        for i, j in enumerate(components):
+            weight = wi * field.correction(time, x, y, j, origin) * gval
+            vals[i] += weight
+            if gradient:
+                grads[i] += weight * field.log_gradient(time, x, y, j, origin)
+    scale = math.pi ** (n / 2.0)
+    return vals / scale, (grads / scale if gradient else None)
+
+
+def normalization_check(field: KernelField, time: float, x,
+                        order: int = 40, j: int = 0) -> float:
+    """``int p_j(time, x, y) dy`` by tensor Gauss-Hermite centered at x.
+
+    The Gaussian factor of the kernel is the quadrature weight; the
+    correction factor is evaluated with one expansion per node.
+    Returns the integral; callers assert how close to 1 it must be.
+    """
+    return delta_property(field, lambda y: 1.0, time, x, order, j)
 
 
 def delta_property(field: KernelField, f, time: float, x,
@@ -373,19 +414,6 @@ def delta_property(field: KernelField, f, time: float, x,
     """``int p_j(time, x, y) f(y) dy`` by Gauss-Hermite centered at x."""
     if time <= 0:
         raise ParameterError("time must be positive")
-    x = np.asarray(x, dtype=float)
-    n = field.pc.n
     t_eff, _ = _effective_time(field.warp, time)
-    root = 2.0 * math.sqrt(t_eff)
-    z, w = np.polynomial.hermite.hermgauss(order)
-    grids = np.meshgrid(*([z] * n), indexing="ij")
-    wgrids = np.meshgrid(*([w] * n), indexing="ij")
-    zs = np.stack([g.ravel() for g in grids], axis=1)
-    ws = np.prod(np.stack([g.ravel() for g in wgrids], axis=1), axis=1)
-    total = 0.0
-    for zi, wi in zip(zs, ws):
-        if root * float(np.linalg.norm(zi)) > field.trust_radius:
-            continue
-        y = x + root * zi
-        total += wi * field.correction(time, x, y, j) * f(y)
-    return total / math.pi ** (n / 2.0)
+    vals, _ = _gh_integrals(field, t_eff, 0.0, x, f, (j,), order)
+    return float(vals[0])

@@ -20,6 +20,7 @@ solve becomes a triangular jet inversion.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -29,9 +30,10 @@ import numpy as np
 from .errors import ParameterError, SequencingError
 from .polyalg import (CoefficientEntry, MultiIndex, TaylorPoly, TimeEntry,
                       TimeJet, index_table, jet_add, jet_compose_time, jet_dt,
-                      jet_laplacian, jet_mul, jet_partial, jet_scale,
-                      jet_scale_series, poly_shift_up, series_reciprocal,
-                      taylorize)
+                      jet_eval_poly, jet_laplacian, jet_mul, jet_partial,
+                      jet_scale, jet_scale_series, poly_eval_many,
+                      poly_shift_up, series_reciprocal, taylorize,
+                      _series_mul)
 
 SAMPLE_LATTICE = 17      # points per axis when sampling sup norms
 BETA_FLOOR = 1e-6
@@ -115,9 +117,7 @@ class ProblemCoefficients:
 
         A return value <= 1 means the declared bound holds at the probes.
         """
-        xs = np.linspace(-self.domain_radius_R, self.domain_radius_R, samples)
-        grids = np.meshgrid(*([xs] * self.n), indexing="ij")
-        points = np.stack([g.ravel() for g in grids], axis=1)
+        points = _lattice(self.n, self.domain_radius_R, samples)
         worst = 0.0
         alphas = [tuple(a) for a in index_table(self.n, max_order)[0]]
         for entry in list(self.drift.values()) + list(self.potential.values()):
@@ -169,7 +169,11 @@ class ExpansionDiagnostics:
 
 @dataclass(frozen=True)
 class ExpansionCoeffs:
-    """Computed coefficient jets c^j_0 ... c^j_K for one center."""
+    """Computed coefficient jets c^j_0 ... c^j_K for one center.
+
+    ``truncated`` records whether the degree cap cut any term;
+    ``domain_radius_R`` sizes the lattice the diagnostics sample.
+    """
 
     center: tuple[float, ...]
     warp: WarpParams
@@ -177,11 +181,17 @@ class ExpansionCoeffs:
     degree_D: int
     components: int
     coeffs: tuple[tuple[TimeJet, ...], ...]   # [component][k]
-    diagnostics: ExpansionDiagnostics
+    truncated: bool = False
+    domain_radius_R: float = 1.0
 
     @property
     def dim(self) -> int:
         return len(self.center)
+
+    @functools.cached_property
+    def diagnostics(self) -> ExpansionDiagnostics:
+        """Sup-norm diagnostics, sampled on first access."""
+        return _diagnostics(self)
 
     def component(self, j: int) -> tuple[TimeJet, ...]:
         return self.coeffs[j]
@@ -309,20 +319,6 @@ def _series_t_of_tau(beta: float, order: int) -> np.ndarray:
     out = np.zeros(order + 1)
     for m in range(1, order + 1):
         out[m] = beta / m
-    return out
-
-
-def _series_power(s: np.ndarray, p: int, order: int) -> np.ndarray:
-    out = np.zeros(order + 1)
-    out[0] = 1.0
-    for _ in range(p):
-        nxt = np.zeros(order + 1)
-        for i, v in enumerate(out):
-            if v == 0.0:
-                continue
-            top = min(len(s), order + 1 - i)
-            nxt[i:i + top] += v * s[:top]
-        out = nxt
     return out
 
 
@@ -480,8 +476,11 @@ def compute_R(k: int, prior: Sequence[Sequence[TimeJet]],
         else:
             # V_l t^l sits at explicit grade l = k-1 with the jet factor
             # sigma(tau) (t(tau)/tau)^l carried along.
-            warp_pow = _series_power(_series_g(ws.jet_cap) * wp.beta,
-                                     k - 1, ws.jet_cap)
+            g = _series_g(ws.jet_cap) * wp.beta
+            warp_pow = np.zeros(ws.jet_cap + 1)
+            warp_pow[0] = 1.0
+            for _ in range(k - 1):
+                warp_pow = _series_mul(warp_pow, g, ws.jet_cap)
             sigma = _series_sigma(wp.beta, ws.jet_cap)
             vjet = jet_scale_series(
                 jet_scale_series(TimeJet.of_poly(vpoly, ws.var), warp_pow,
@@ -527,8 +526,9 @@ def expand(pc: ProblemCoefficients, y, K: int,
     """Full coefficient recursion c_0 ... c_K about one center.
 
     ``D`` defaults to 2K + 2; gradient products densify the polynomials
-    quickly, so the dense cap is sized for the worst order.  Non-decaying
-    diagnostics are reported, never raised.
+    quickly, so the dense cap is sized for the worst order.  Only the
+    coefficients are built here; ``diagnostics`` samples them on demand
+    and reports non-decay, never raises.
     """
     if K < 0:
         raise ParameterError("K must be >= 0")
@@ -546,33 +546,34 @@ def expand(pc: ProblemCoefficients, y, K: int,
             R = compute_R(k, coeffs, pc, j, wp, _ws=ws)
             coeffs[j].append(_solve_order(R, k, wp, ws.jet_cap))
 
-    sup, weighted = _diagnostics(coeffs, pc, ws)
-    diag = ExpansionDiagnostics(tuple(sup), tuple(weighted), DIAG_TAU_REF,
-                                ws.truncated or any(
-                                    c.truncated for cj in coeffs for c in cj))
+    truncated = ws.truncated or any(c.truncated for cj in coeffs for c in cj)
     return ExpansionCoeffs(ws.y, wp, K, D, pc.components,
-                           tuple(tuple(cj) for cj in coeffs), diag)
+                           tuple(tuple(cj) for cj in coeffs), truncated,
+                           pc.domain_radius_R)
 
 
-def _diagnostics(coeffs, pc, ws):
+def _lattice(n: int, R: float, per_axis: int) -> np.ndarray:
+    """Tensor lattice of per_axis^n points on [-R, R]^n."""
+    axis = np.linspace(-R, R, per_axis)
+    grids = np.meshgrid(*([axis] * n), indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
+
+
+def _diagnostics(exp: ExpansionCoeffs) -> ExpansionDiagnostics:
     """Sample sup norms of each c_k over a lattice in the domain ball."""
-    R = pc.domain_radius_R
-    axis = np.linspace(-R, R, SAMPLE_LATTICE)
-    grids = np.meshgrid(*([axis] * pc.n), indexing="ij")
-    points = np.stack([g.ravel() for g in grids], axis=1)
+    points = _lattice(exp.dim, exp.domain_radius_R, SAMPLE_LATTICE)
     tau_ref = DIAG_TAU_REF
-    K = len(coeffs[0]) - 1
     sup, weighted = [], []
-    from .polyalg import jet_eval_poly, poly_eval_many
-    for k in range(K + 1):
+    for k in range(exp.order_K + 1):
         worst = 0.0
-        for j in range(pc.components):
-            frozen = jet_eval_poly(coeffs[j][k], tau_ref)
+        for j in range(exp.components):
+            frozen = jet_eval_poly(exp.coeffs[j][k], tau_ref)
             vals = poly_eval_many(frozen, points)
             worst = max(worst, float(np.max(np.abs(vals))))
         sup.append(worst)
         weighted.append(worst * tau_ref ** k)
-    return sup, weighted
+    return ExpansionDiagnostics(tuple(sup), tuple(weighted), tau_ref,
+                                exp.truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -604,10 +605,7 @@ def select_beta(pc: ProblemCoefficients, K_probe: int = 0) -> WarpParams:
     if pc.is_zero_drift():
         return WarpParams(mode="beta", beta=1.0)
     R = pc.domain_radius_R
-    axis = np.linspace(-R, R, SAMPLE_LATTICE)
-    grids = np.meshgrid(*([axis] * pc.n), indexing="ij")
-    points = np.stack([g.ravel() for g in grids], axis=1)
-    from .polyalg import jet_eval_poly, poly_eval_many
+    points = _lattice(pc.n, R, SAMPLE_LATTICE)
     worst = 0.0
     D = max(6, 2 * K_probe + 2)
     for y in points:
@@ -715,8 +713,11 @@ def expansion_from_dict(data: dict) -> ExpansionCoeffs:
             jets.append(TimeJet(var, tuple(terms)))
         comps.append(tuple(jets))
     diag = data["diagnostics"]
-    return ExpansionCoeffs(
-        center, wp, int(data["order_K"]), D, int(data["components"]),
-        tuple(comps),
-        ExpansionDiagnostics(tuple(diag["sup_norms"]), tuple(diag["weighted"]),
-                             float(diag["tau_ref"]), bool(diag["truncated"])))
+    exp = ExpansionCoeffs(center, wp, int(data["order_K"]), D,
+                          int(data["components"]), tuple(comps),
+                          bool(diag["truncated"]))
+    # the sampled diagnostics travel with the file; seed the lazy value
+    vars(exp)["diagnostics"] = ExpansionDiagnostics(
+        tuple(diag["sup_norms"]), tuple(diag["weighted"]),
+        float(diag["tau_ref"]), bool(diag["truncated"]))
+    return exp

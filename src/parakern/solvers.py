@@ -14,17 +14,18 @@
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import (ConditioningError, ParameterError, ScalingError,
                      UnsupportedSpecError)
 from .funcspec import FunctionSpec, ZeroFunc
-from .kernel import KernelField
+from .kernel import KernelField, _gh_integrals
 from .polyalg import PolyEntry
 from .recursion import ProblemCoefficients, WarpParams
 
@@ -139,59 +140,23 @@ def lattice(ps: ProblemSpec, per_axis: int = 41) -> np.ndarray:
 # Gauss quadrature helpers
 # ---------------------------------------------------------------------------
 
-def _gh_points(order: int, n: int):
-    z, w = np.polynomial.hermite.hermgauss(order)
-    if n == 1:
-        return z[:, None], w
-    grids = np.meshgrid(*([z] * n), indexing="ij")
-    wgrids = np.meshgrid(*([w] * n), indexing="ij")
-    zs = np.stack([g.ravel() for g in grids], axis=1)
-    ws = np.prod(np.stack([g.ravel() for g in wgrids], axis=1), axis=1)
-    return zs, ws
+@functools.lru_cache(maxsize=None)
+def _gl_nodes(order: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 def _gl_rule(lo: float, hi: float, order: int, panels: int):
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = _gl_nodes(order)
     xs, ws = [], []
     edges = np.linspace(lo, hi, panels + 1)
     for a, b in zip(edges[:-1], edges[1:]):
         xs.append(0.5 * (b - a) * nodes + 0.5 * (b + a))
         ws.append(0.5 * (b - a) * weights)
     return np.concatenate(xs), np.concatenate(ws)
-
-
-def _gh_convolve_field(fld: KernelField, t_phys: float, s: float, x,
-                       g: Callable, quad: QuadratureConfig, j: int = 0,
-                       gradient: bool = False):
-    """``int p_j(t, x; s, y) g(y) dy`` (or its x-gradient) by Gauss-Hermite.
-
-    The kernel's Gaussian is the quadrature weight after substituting
-    y = x + 2 sqrt(t - s) z; the per-node factor is the expansion
-    correction, with the center re-anchored at s for time-dependent
-    coefficients.
-    """
-    sigma = t_phys - s
-    n = fld.pc.n
-    x = np.asarray(x, dtype=float)
-    zs, ws = _gh_points(quad.gh_order, n)
-    origin = s if fld.pc.time_dependent else 0.0
-    tau = fld.mode_time(sigma)
-    root = 2.0 * math.sqrt(sigma)
-    total = np.zeros(n) if gradient else 0.0
-    for zi, wi in zip(zs, ws):
-        if root * float(np.linalg.norm(zi)) > fld.trust_radius:
-            continue
-        y = x + root * zi
-        corr = fld.correction(tau, x, y, j, origin)
-        gval = g(y)
-        if gval == 0.0:
-            continue
-        if gradient:
-            lg = fld.log_gradient(tau, x, y, j, origin)
-            total = total + wi * corr * gval * lg
-        else:
-            total += wi * corr * gval
-    return total / math.pi ** (n / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -201,16 +166,15 @@ def _gh_convolve_field(fld: KernelField, t_phys: float, s: float, x,
 def solve_cauchy(ps: ProblemSpec, fld: KernelField,
                  quad: QuadratureConfig = QuadratureConfig(),
                  points: np.ndarray | None = None,
-                 sample_times: Sequence[float] | None = None,
-                 threads: int = 1) -> GridSolution:
+                 sample_times: Sequence[float] | None = None) -> GridSolution:
     """Kernel representation of the Cauchy solution.
 
     u_i(t, x) = int p_i(t, x; 0, y) phi(y) dy
               + int_0^t int p_i(t, x; s, y) f(s, y) dy ds.
 
     Spatial integrals use Gauss-Hermite centered at x (the kernel's
-    Gaussian is the weight); the source's time integral uses composite
-    Gauss-Legendre.  System problems share a single scalar phi across
+    Gaussian is the weight), one pass over the nodes for all components;
+    the source's time integral uses composite Gauss-Legendre.  System problems share a single scalar phi across
     components: the vectorial kernel pairs every component with the same
     delta datum, so genuinely vector-valued initial data has no
     representation here and is rejected.
@@ -223,33 +187,24 @@ def solve_cauchy(ps: ProblemSpec, fld: KernelField,
     pts = points if points is not None else lattice(ps)
     pts = np.asarray(pts, dtype=float).reshape(-1, ps.dim)
     times = sorted(sample_times or [ps.horizon])
-    m = ps.coefficients.components
+    comps = range(ps.coefficients.components)
     has_source = not isinstance(ps.source, ZeroFunc)
 
-    def one_point(task):
-        t, x = task
-        row = np.zeros(m)
-        for j in range(m):
-            u = _gh_convolve_field(fld, t, 0.0, x,
-                                   lambda y: ps.phi.eval(0.0, y), quad, j)
-            if has_source:
-                snodes, sweights = _gl_rule(0.0, t, quad.gl_order,
-                                            quad.gl_panels)
-                for s, w in zip(snodes, sweights):
-                    u += w * _gh_convolve_field(
-                        fld, t, s, x,
-                        lambda y, s=s: ps.source.eval(s, y), quad, j)
-            row[j] = u
-        return row
+    def phi(y):
+        return ps.phi.eval(0.0, y)
 
-    tasks = [(t, x) for t in times for x in pts]
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one_point, tasks))
-    else:
-        rows = [one_point(task) for task in tasks]
-    values = np.array(rows).reshape(len(times), len(pts), m)
+    values = np.zeros((len(times), len(pts), len(comps)))
+    for it, t in enumerate(times):
+        if has_source:
+            snodes, sweights = _gl_rule(0.0, t, quad.gl_order, quad.gl_panels)
+        for ip, x in enumerate(pts):
+            u, _ = _gh_integrals(fld, t, 0.0, x, phi, comps, quad.gh_order)
+            if has_source:
+                for s, w in zip(snodes, sweights):
+                    u += w * _gh_integrals(
+                        fld, t, s, x, lambda y, s=s: ps.source.eval(s, y),
+                        comps, quad.gh_order)[0]
+            values[it, ip] = u
     return GridSolution(np.array(times, dtype=float), pts, values,
                         {"kind": ps.kind, "K": fld.K, "D": fld.D,
                          "gh_order": quad.gh_order, "gl_order": quad.gl_order})
@@ -399,9 +354,12 @@ def solve_ibvp2(ps: ProblemSpec, fld: KernelField, steps: int = 64,
                 kappa = mach.kernel_k(t_m, e, mids[mstep - 1], ep) * \
                     math.sqrt(t_m - mids[mstep - 1])
                 A[e, ep] += wts[mstep - 1] * kappa
-        if abs(np.linalg.det(A)) < 1e-10:
+        # scale-free: the smallest singular value against the largest and
+        # against the identity part 0.5/sqrt(t_m), which sets A's scale
+        sv = np.linalg.svd(A, compute_uv=False)
+        if not sv[-1] > 1e-10 * max(sv[0], 0.5 / math.sqrt(t_m)):
             raise ConditioningError(
-                f"singular marching step at t={t_m}: |det|={np.linalg.det(A)}")
+                f"singular marching step at t={t_m}: singular values {sv}")
         gvals[mstep - 1] = np.linalg.solve(A, rhs)
 
     # reconstruction on the interior lattice; the layer integrand is
@@ -489,10 +447,9 @@ def burgers_demo(ps: ProblemSpec, K: int = 4,
     for it, t in enumerate(times):
         s_heat = nu * t
         for ip, x in enumerate(pts):
-            psi = _gh_convolve_field(fld, s_heat, 0.0, x, psi0, quad)
-            grad = _gh_convolve_field(fld, s_heat, 0.0, x, psi0, quad,
-                                      gradient=True)
-            values[it, ip, :] = -2.0 * nu * grad / psi
+            psi, grad = _gh_integrals(fld, s_heat, 0.0, x, psi0,
+                                      order=quad.gh_order, gradient=True)
+            values[it, ip, :] = -2.0 * nu * grad[0] / psi[0]
     return GridSolution(np.array(times, dtype=float), pts, values,
                         {"kind": "burgers", "nu": nu, "K": K,
                          "gh_order": quad.gh_order})

@@ -97,6 +97,29 @@ def test_eval_csv_deterministic(tmp_path):
     assert header.startswith("t,x1,component,value,log_value,grad1")
 
 
+def test_eval_overflow_exits_numeric(tmp_path, capsys):
+    pts = tmp_path / "far.csv"
+    pts.write_text("x1\n20.0\n")
+    rc = main(["eval", problem("sin_drift.json"), "--points", str(pts),
+               "--out", str(tmp_path / "far_out.csv")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "numeric error" in err and "trust radius" in err
+    assert "inf" not in (tmp_path / "far_out.csv").read_text()
+
+
+def test_solve_threads_flag_is_ignored(tmp_path):
+    # --threads is accepted for old command lines and changes nothing
+    for base, extra in ((tmp_path / "a", []), (tmp_path / "b",
+                                               ["--threads", "4"])):
+        rc = main(["solve", problem("sin_drift.json"), "--gh-order", "10",
+                   "--out", str(base)] + extra)
+        assert rc == 0
+    for suffix in (".csv", ".json"):
+        a = (tmp_path / ("a" + suffix)).read_bytes()
+        assert a == (tmp_path / ("b" + suffix)).read_bytes()
+
+
 def test_solve_writes_outputs(tmp_path):
     base = tmp_path / "sol"
     rc = main(["solve", problem("burgers_selfsim.json"), "--out", str(base)])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from parakern import oracle
-from parakern.errors import ParameterError, StructureError
+from parakern.errors import ParameterError, ScalingError, StructureError
 from parakern.kernel import (KernelField, delta_property, eval_kernel,
                              kernel_gradient, kernel_log_gradient,
                              normal_derivative, normalization_check, residual,
@@ -22,6 +22,17 @@ PC_CONST = ProblemCoefficients(1, 1, {(0, 0, 0): PolyEntry(1, ((0.7, (0,)),))})
 # ---------------------------------------------------------------------------
 # eval_kernel
 # ---------------------------------------------------------------------------
+
+def test_eval_overflow_raises_scaling_error():
+    # far outside the trust radius the degree-12 Taylor tail of sin(x)
+    # dominates; the log value reaches ~3.7e6 and must not become inf
+    exp = expand(PC_SIN, [0.0], 6, WarpParams(), 12)
+    assert 20.0 > KernelField(PC_SIN, WarpParams(), K=6, D=12).trust_radius
+    for x in (-20.0, 20.0):
+        with pytest.raises(ScalingError, match="trust radius"):
+            eval_kernel(exp, 0.1, [x])
+    assert math.isfinite(eval_kernel(exp, 0.1, [1.0]).value)
+
 
 def test_gaussian_normalization_point():
     exp = expand(PC_ZERO, [0.0], 0)

@@ -1,0 +1,91 @@
+"""Property tests for the Gauss-Hermite loop and the lazy diagnostics."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from parakern import recursion
+from parakern.funcspec import GaussianMix
+from parakern.kernel import (KernelField, delta_property, eval_kernel,
+                             normalization_check)
+from parakern.polyalg import FourierEntry, PolyEntry
+from parakern.recursion import (ProblemCoefficients, WarpParams, expand,
+                                expansion_from_dict, expansion_to_dict)
+from parakern.solvers import ProblemSpec, QuadratureConfig, solve_cauchy
+
+SIN_DRIFT = FourierEntry(1, ((0.3, (1.0,), 0.0),))
+PC_SIN = ProblemCoefficients(1, 1, {(0, 0, 0): SIN_DRIFT})
+# 2D two-component system with cross-component coupling
+PC_SYS = ProblemCoefficients(2, 2, {
+    (0, 0, 0): PolyEntry(2, ((0.4, (0, 0)), (0.2, (0, 1)))),
+    (0, 1, 1): PolyEntry(2, ((0.1, (1, 0)),)),
+    (1, 1, 1): PolyEntry(2, ((-0.3, (0, 0)),)),
+    (1, 0, 0): PolyEntry(2, ((0.15, (0, 0)),)),
+})
+GH = 20
+FEW = settings(max_examples=8, deadline=None)
+
+times = st.floats(0.01, 0.3)
+points = st.floats(-0.5, 0.5)
+
+
+@FEW
+@given(t=times, beta=st.floats(0.2, 1.0), x=points)
+def test_normalization_plain_equals_beta_at_scaled_time(t, beta, x):
+    plain = KernelField(PC_SIN, WarpParams(), K=4, D=10)
+    scaled = KernelField(PC_SIN, WarpParams(mode="beta", beta=beta), K=4, D=10)
+    a = normalization_check(plain, t, [x], GH)
+    b = normalization_check(scaled, t / beta, [x], GH)
+    assert abs(a - b) <= 1e-13
+
+
+@FEW
+@given(t=times, x=points, mode=st.sampled_from(["plain", "beta", "tau"]))
+def test_delta_property_of_one_is_normalization(t, x, mode):
+    wp = WarpParams() if mode == "plain" else WarpParams(mode=mode, beta=0.5)
+    fld = KernelField(PC_SIN, wp, K=4, D=10)
+    assert delta_property(fld, lambda y: 1.0, t, [x], GH) == \
+        normalization_check(fld, t, [x], GH)
+
+
+@FEW
+@given(t=st.floats(0.02, 0.2), x=points, y=points)
+def test_system_solve_equals_each_component_alone(t, x, y):
+    phi = GaussianMix(((1.0, 1.0, (0.1, -0.2)),))
+    ps = ProblemSpec("cauchy", (-1.0, -1.0), (1.0, 1.0), t, PC_SYS, phi=phi)
+    fld = KernelField(PC_SYS, WarpParams(), K=2, D=6)
+    quad = QuadratureConfig(gh_order=6)
+    sol = solve_cauchy(ps, fld, quad, points=np.array([[x, y]]))
+    for j in range(2):
+        alone = delta_property(fld, lambda z: phi.eval(0.0, z), t, [x, y],
+                               quad.gh_order, j)
+        assert sol.values[0, 0, j] == alone
+
+
+@FEW
+@given(K=st.integers(1, 4), y=points,
+       mode=st.sampled_from(["plain", "beta", "tau"]))
+def test_diagnostics_survive_serialization(K, y, mode):
+    wp = WarpParams() if mode == "plain" else WarpParams(mode=mode, beta=0.5)
+    exp = expand(PC_SIN, [y], K, wp, 2 * K + 2)
+    clone = expansion_from_dict(json.loads(json.dumps(expansion_to_dict(exp))))
+    assert clone.diagnostics == exp.diagnostics
+    assert clone.truncated == exp.truncated
+
+
+def test_expand_and_solve_never_compute_diagnostics(monkeypatch):
+    def forbidden(exp):
+        raise AssertionError("diagnostics computed outside explicit access")
+
+    monkeypatch.setattr(recursion, "_diagnostics", forbidden)
+    exp = expand(PC_SIN, [0.0], 4, WarpParams(mode="tau", beta=0.5), 10)
+    assert math.isfinite(eval_kernel(exp, 0.2, [0.3]).value)
+    fld = KernelField(PC_SIN, WarpParams(), K=4, D=10)
+    assert normalization_check(fld, 0.1, [0.0], GH) == \
+        pytest.approx(1.0, abs=1e-4)
+    with pytest.raises(AssertionError, match="explicit access"):
+        exp.diagnostics

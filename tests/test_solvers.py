@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from parakern.errors import ScalingError, UnsupportedSpecError
+from parakern.errors import (ConditioningError, ScalingError,
+                             UnsupportedSpecError)
 from parakern.funcspec import (CallableFunc, ExpTime, GaussianMix,
                                GridSamples, SpaceFourier, SpacePoly,
                                SpacePolyFourier, TimePolyFunc, ZeroFunc)
@@ -158,15 +159,6 @@ def test_cauchy_rejects_vector_initial_data():
         solve_cauchy(ps, fld, QUAD, points=np.array([[0.0]]))
 
 
-def test_threads_do_not_change_results():
-    ps = ProblemSpec("cauchy", (-1.0,), (1.0,), 0.15, PC_SIN, phi=gauss_phi())
-    fld = KernelField(PC_SIN, WarpParams(), K=4, D=10)
-    pts = np.linspace(-0.5, 0.5, 5)[:, None]
-    a = solve_cauchy(ps, fld, QUAD, points=pts, threads=1).values
-    b = solve_cauchy(ps, fld, QUAD, points=pts, threads=4).values
-    assert np.array_equal(a, b)
-
-
 # ---------------------------------------------------------------------------
 # solve_ibvp2
 # ---------------------------------------------------------------------------
@@ -183,6 +175,27 @@ def test_ibvp2_trivial_zero():
                             points=np.array([[0.3], [0.7]]))
     assert np.max(np.abs(sol.values)) <= 1e-14
     assert np.max(np.abs(dens.values)) <= 1e-14
+
+
+def test_ibvp2_long_horizon_is_not_singular():
+    # the march matrix is about 0.5 I / sqrt(t_m): tiny at t_m = 5e9 but
+    # perfectly conditioned, so the singularity test must be scale-free
+    ps = make_ibvp(ZeroFunc(), ZeroFunc(), ZeroFunc(), T=1e10)
+    fld = KernelField(PC_ZERO, WarpParams(), K=1)
+    sol, dens = solve_ibvp2(ps, fld, steps=2, quad=QUAD)
+    assert np.max(np.abs(sol.values)) == 0.0
+    assert np.max(np.abs(dens.values)) == 0.0
+
+
+def test_ibvp2_singular_step_raises():
+    # at the first step A_ee = 0.5/sqrt(t_1) + sqrt(pi) alpha / 2 and the
+    # off-diagonal coupling is ~1e-20, so this alpha makes A vanish
+    t1 = 0.01
+    alpha = SpacePoly(((-1.0 / math.sqrt(math.pi * t1), (0,)),))
+    ps = make_ibvp(ZeroFunc(), alpha, SpacePoly(((1.0, (0,)),)), T=2 * t1)
+    fld = KernelField(PC_ZERO, WarpParams(), K=1)
+    with pytest.raises(ConditioningError, match="singular marching step"):
+        solve_ibvp2(ps, fld, steps=2, quad=QUAD)
 
 
 MANUFACTURED = [
