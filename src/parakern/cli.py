@@ -124,24 +124,26 @@ def cmd_eval(args) -> int:
     else:
         pts = lattice(pf.ps, 11)
     times = [float(v) for v in args.t.split(",")] if args.t else [0.1]
+    # every row is computed before --out is opened, so a numeric failure
+    # leaves no file behind and an existing one untouched
+    rows = [["t"] + [f"x{i+1}" for i in range(pf.pc.n)]
+            + ["component", "value", "log_value"]
+            + [f"grad{i+1}" for i in range(pf.pc.n)] + ["residual_rel"]]
+    for t in times:
+        for x in pts:
+            _, rel = residual(exp, pf.pc, t, x)
+            for j in range(pf.pc.components):
+                kv = eval_kernel(exp, t, x, j=j)
+                rows.append(
+                    [repr(float(t))] + [repr(float(v)) for v in x]
+                    + [j, repr(kv.value), repr(kv.log_value)]
+                    + [repr(float(g)) for g in kv.gradient]
+                    + [repr(float(rel[j]))])
     out = sys.stdout if not args.out else open(args.out, "w", newline="")
     try:
         writer = csv.writer(out)
-        header = (["t"] + [f"x{i+1}" for i in range(pf.pc.n)] + ["component",
-                  "value", "log_value"]
-                  + [f"grad{i+1}" for i in range(pf.pc.n)]
-                  + ["residual_rel"])
-        writer.writerow(header)
-        for t in times:
-            for x in pts:
-                _, rel = residual(exp, pf.pc, t, x)
-                for j in range(pf.pc.components):
-                    kv = eval_kernel(exp, t, x, j=j)
-                    writer.writerow(
-                        [repr(float(t))] + [repr(float(v)) for v in x]
-                        + [j, repr(kv.value), repr(kv.log_value)]
-                        + [repr(float(g)) for g in kv.gradient]
-                        + [repr(float(rel[j]))])
+        for row in rows:
+            writer.writerow(row)
     finally:
         if args.out:
             out.close()

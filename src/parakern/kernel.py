@@ -2,11 +2,12 @@
 
 Evaluates the Gaussian-times-exponential-series ansatz in log space, its
 analytic gradient, PDE residuals, normalization and short-time
-(Varadhan-type) diagnostics.  Multi-center helpers live on
-:class:`KernelField`, which caches one coefficient expansion per
-quadrature center.  Every Gauss-Hermite integral over expansion centers
-(normalization, the delta property, the solvers' convolutions) runs
-through :func:`_gh_integrals`.
+(Varadhan-type) diagnostics.  Every Gauss-Hermite integral over expansion
+centers (normalization, the delta property, the solvers' convolutions)
+runs through :func:`_gh_integrals`, which builds the expansions of all of
+a pass's nodes with one ``expand_batch`` call.  :class:`KernelField`
+holds the problem and expansion settings and caches single-center
+expansions for the two-parameter ``pair_*`` calls.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ParameterError, ScalingError, StructureError
-from .polyalg import jet_dt, jet_eval, jet_partial
+from .polyalg import _partial_tables, index_table, jet_dt, jet_eval, jet_partial
 from .recursion import (ExpansionCoeffs, ProblemCoefficients, WarpParams,
-                        expand, t_of_tau)
+                        expand, expand_batch, t_of_tau)
 
 
 @dataclass(frozen=True)
@@ -224,11 +225,13 @@ def varadhan_diag(exp: ExpansionCoeffs, ts: Sequence[float], x, y=None,
 # ---------------------------------------------------------------------------
 
 class KernelField:
-    """Kernel evaluations with expansions cached per center.
+    """A problem's kernel at fixed warp, order K and degree cap D.
 
-    Quadrature-based operations (normalization, convolution against
-    initial data) need one expansion per quadrature node y; this class
-    owns that cache.
+    Gauss-Hermite passes (:func:`_gh_integrals`) expand all their nodes
+    in one batch.  The two-parameter calls (``pair_log_value``,
+    ``pair_log_gradient``), which the boundary march makes one point at
+    a time, reuse single-center expansions from a cache keyed by center
+    and time origin.
     """
 
     def __init__(self, pc: ProblemCoefficients, warp: WarpParams = WarpParams(),
@@ -284,24 +287,6 @@ class KernelField:
     def value(self, time: float, x, y, j: int = 0,
               s_origin: float = 0.0) -> float:
         return math.exp(self.log_value(time, x, y, j, s_origin))
-
-    def correction(self, time: float, x, y, j: int = 0,
-                   s_origin: float = 0.0) -> float:
-        """exp(sum_k c_k time^k), the non-Gaussian factor."""
-        if self._trivial:
-            return 1.0
-        exp = self.expansion(y, s_origin)
-        return math.exp(log_correction(exp, time, x, j))
-
-    def log_gradient(self, time: float, x, y, j: int = 0,
-                     s_origin: float = 0.0) -> np.ndarray:
-        if self._trivial:
-            t_eff, _ = _effective_time(self.warp, time)
-            dx = np.asarray(x, dtype=float) - np.atleast_1d(
-                np.asarray(y, dtype=float))
-            return -dx / (2.0 * t_eff)
-        exp = self.expansion(y, s_origin)
-        return kernel_log_gradient(exp, time, x, j)
 
     def mode_time(self, t_phys: float) -> float:
         """Map physical elapsed time to the warp's own time variable."""
@@ -368,7 +353,8 @@ def _gh_integrals(field: KernelField, t: float, s: float, x, g: Callable,
     kernel's Gaussian the Hermite weight; the per-node factor is the
     expansion correction at the warp's own time, re-anchored at s for
     time-dependent coefficients.  Nodes past ``field.trust_radius`` are
-    dropped, as are nodes where g vanishes.
+    dropped, as are nodes where g vanishes; the rest are expanded in one
+    ``expand_batch`` call.
     Returns the integrals, shape (len(components),), and with
     ``gradient`` also the x-gradients ``int grad_x p_j g dy``, shape
     (len(components), n), else None.
@@ -378,24 +364,64 @@ def _gh_integrals(field: KernelField, t: float, s: float, x, g: Callable,
     x = np.asarray(x, dtype=float)
     zs, ws, norms = _gh_table(order, n)
     time = field.mode_time(sigma)
-    origin = s if field.pc.time_dependent else 0.0
     root = 2.0 * math.sqrt(sigma)
-    vals = np.zeros(len(components))
-    grads = np.zeros((len(components), n)) if gradient else None
-    for zi, wi, norm in zip(zs, ws, norms):
-        if root * norm > field.trust_radius:
-            continue
-        y = x + root * zi
-        gval = g(y)
-        if gval == 0.0:
-            continue
-        for i, j in enumerate(components):
-            weight = wi * field.correction(time, x, y, j, origin) * gval
-            vals[i] += weight
-            if gradient:
-                grads[i] += weight * field.log_gradient(time, x, y, j, origin)
+    keep = ~(root * norms > field.trust_radius)
+    ys = x + root * zs[keep]
+    gvals = np.array([g(y) for y in ys], dtype=float)
+    live = gvals != 0.0
+    ys, weights, gvals = ys[live], ws[keep][live], gvals[live]
+    comps = list(components)
     scale = math.pi ** (n / 2.0)
-    return vals / scale, (grads / scale if gradient else None)
+    if not len(ys):
+        return np.zeros(len(comps)), (np.zeros((len(comps), n))
+                                      if gradient else None)
+    dx = x - ys
+    if gradient:
+        t_eff, _ = _effective_time(field.warp, time)
+        gauss = -dx / (2.0 * t_eff)
+        grad = np.broadcast_to(gauss, (len(comps),) + dx.shape)
+    if field._trivial:
+        corr = np.ones((len(comps), len(ys)))
+    else:
+        origin = s if field.pc.time_dependent else 0.0
+        batch = expand_batch(field.pc.shifted_origin(origin), ys, field.K,
+                             field.warp, field.D)
+        exps = index_table(n, field.D)[0]
+        mono = np.prod(dx[:, None, :] ** exps[None, :, :], axis=2)
+        coeffs = batch.coeffs[comps]
+        corr = np.exp(_sum_terms(coeffs, mono, time, 0.0))
+        if gradient:
+            grad = np.empty(grad.shape)
+            for axis, (src, dst, sc) in enumerate(
+                    _partial_tables(n, field.D)):
+                dcoeffs = np.zeros_like(coeffs)
+                dcoeffs[..., dst] = sc * coeffs[..., src]
+                grad[..., axis] = _sum_terms(dcoeffs, mono, time,
+                                             gauss[:, axis])
+    weight = weights * corr * gvals
+    vals = weight.sum(axis=1) / scale
+    if not gradient:
+        return vals, None
+    return vals, (weight[:, :, None] * grad).sum(axis=1) / scale
+
+
+def _sum_terms(coeffs: np.ndarray, mono: np.ndarray, time: float,
+               start) -> np.ndarray:
+    """``start + sum_k c_k(time, x) time^k`` per component and center.
+
+    ``coeffs`` is shaped (components, K + 1, T, B, N) and ``mono`` holds
+    the monomials of x - y_b, shape (B, N).  Each jet is Horner-evaluated
+    in time and the orders are summed in ascending k, as
+    :func:`log_correction` does for one center.
+    """
+    vals = (coeffs * mono).sum(axis=-1)
+    total = start
+    for k in range(vals.shape[1]):
+        horner = 0.0
+        for l in reversed(range(vals.shape[2])):
+            horner = horner * time + vals[:, k, l]
+        total = total + horner * time ** k
+    return total
 
 
 def normalization_check(field: KernelField, time: float, x,

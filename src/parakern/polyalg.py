@@ -10,17 +10,23 @@ three value types:
   coefficients are ``TaylorPoly`` values.
 
 All values are immutable after construction and all operations are pure,
-so results can be shared freely across workers.
+so results can be shared freely across workers.  The private column
+helpers (``_mul_cols``, ``_overflow_cols`` and the entries'
+``_taylor_cols``) do the same arithmetic on bare coefficient arrays with
+any number of columns, one per expansion centre; ``poly_mul`` and
+``taylor_coeffs`` are their one-column case.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .errors import ParameterError, StructureError, UnsupportedSpecError
 
@@ -149,6 +155,66 @@ def _partial_tables(dim: int, cap: int):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _scatter(dim: int, cap: int):
+    """CSR matrix adding the in-cap products of ``_mul_tables`` onto rows.
+
+    Each row sums its products in pair order, as ``np.add.at`` would, so
+    the scatter reproduces the sequential sum bit for bit.
+    """
+    n = len(index_table(dim, cap)[0])
+    tt = _mul_tables(dim, cap)[2]
+    return sparse.csr_matrix(
+        (np.ones(len(tt)), (tt, np.arange(len(tt)))), shape=(n, len(tt)))
+
+
+@lru_cache(maxsize=None)
+def _factorials(dim: int, cap: int) -> np.ndarray:
+    """gamma! per row of ``index_table(dim, cap)``, as floats."""
+    exps, _, _ = index_table(dim, cap)
+    fact = np.array([math.prod(math.factorial(int(e)) for e in row)
+                     for row in exps], dtype=float)
+    fact.flags.writeable = False
+    return fact
+
+
+def _mul_cols(a: np.ndarray, b: np.ndarray, dim: int, cap: int) -> np.ndarray:
+    """Truncated products of coefficient columns.
+
+    ``a`` and ``b`` hold table rows on axis 0 and any number of columns
+    (centres, time orders, ...) behind it; each column multiplies on its
+    own, so a column's result does not depend on the others.
+    """
+    ii, jj, _, _, _ = _mul_tables(dim, cap)
+    prod = (a[ii] * b[jj]).reshape(len(ii), -1)
+    return (_scatter(dim, cap) @ prod).reshape(a.shape)
+
+
+def _overflow_cols(a: np.ndarray, b: np.ndarray, dim: int,
+                   cap: int) -> np.ndarray:
+    """Per column: does the product discard a nonzero term above the cap?
+
+    Exactly ``any(a[oi] * b[oj] != 0)``.  A finite product can be nonzero
+    only if both factors are, so columns whose highest nonzero orders sum
+    to at most the cap are settled without forming the products.
+    """
+    _, _, _, oi, oj = _mul_tables(dim, cap)
+    shape = a.shape[1:]
+    a = a.reshape(len(a), -1)
+    b = b.reshape(len(b), -1)
+    flags = np.zeros(a.shape[1], dtype=bool)
+    if len(oi):
+        orders = index_table(dim, cap)[2][:, None]
+        top_a = np.where(a != 0.0, orders, -1).max(axis=0)
+        top_b = np.where(b != 0.0, orders, -1).max(axis=0)
+        maybe = (top_a + top_b > cap) | ~np.isfinite(a).all(axis=0) \
+            | ~np.isfinite(b).all(axis=0)
+        if maybe.any():
+            flags[maybe] = np.any(a[oi][:, maybe] * b[oj][:, maybe] != 0.0,
+                                  axis=0)
+    return flags.reshape(shape)
+
+
 # ---------------------------------------------------------------------------
 # TaylorPoly
 # ---------------------------------------------------------------------------
@@ -264,10 +330,8 @@ def poly_add(a: TaylorPoly, b: TaylorPoly) -> TaylorPoly:
 def poly_mul(a: TaylorPoly, b: TaylorPoly) -> TaylorPoly:
     """Truncated product; discarded above-cap terms raise the flag."""
     a._check_mate(b)
-    ii, jj, tt, oi, oj = _mul_tables(a.dim, a.cap)
-    out = np.zeros_like(a.coeffs)
-    np.add.at(out, tt, a.coeffs[ii] * b.coeffs[jj])
-    overflow = bool(len(oi)) and bool(np.any(a.coeffs[oi] * b.coeffs[oj] != 0.0))
+    out = _mul_cols(a.coeffs, b.coeffs, a.dim, a.cap)
+    overflow = bool(_overflow_cols(a.coeffs, b.coeffs, a.dim, a.cap))
     return a._like(out, a.truncated or b.truncated or overflow)
 
 
@@ -339,6 +403,16 @@ class CoefficientEntry:
         raise NotImplementedError
 
     def taylor_coeffs(self, y: Sequence[float], cap: int) -> TaylorPoly:
+        y = np.asarray(y, dtype=float)
+        coeffs, truncated = self._taylor_cols(y.reshape(1, -1), cap)
+        return TaylorPoly(self.dim, tuple(y), cap, coeffs[:, 0], truncated)
+
+    def _taylor_cols(self, ys: np.ndarray, cap: int) -> tuple[np.ndarray, bool]:
+        """Taylor coefficients about each row of ``ys`` (shape (B, dim)).
+
+        Returns the coefficients as columns, shape (N, B), and whether
+        the cap cut a term (the same for every centre).
+        """
         raise NotImplementedError
 
     def bound_constants(self) -> tuple[float, float]:
@@ -384,34 +458,22 @@ class PolyEntry(CoefficientEntry):
                 new_terms.append((c, tuple(e)))
         return PolyEntry(self.dim, tuple(new_terms))
 
-    def taylor_coeffs(self, y, cap):
+    def _taylor_cols(self, ys, cap):
         # exact binomial re-centering: x^m = sum_k C(m,k) y^(m-k) dx^k
-        y = np.asarray(y, dtype=float)
-        out = TaylorPoly.zero(self.dim, tuple(y), cap)
         _, pos, _ = index_table(self.dim, cap)
+        out = np.zeros((len(pos), len(ys)))
         truncated = False
         for coef, exps in self.terms:
-            idx = [0] * self.dim
-            while True:
-                k = tuple(idx)
-                if sum(k) <= cap:
-                    w = coef
-                    for a in range(self.dim):
-                        w *= math.comb(exps[a], k[a]) * y[a] ** (exps[a] - k[a])
-                    out.coeffs[pos[k]] += w
-                else:
+            for k in itertools.product(*(range(e + 1) for e in exps)):
+                if sum(k) > cap:
                     truncated = True
-                # odometer over the per-axis ranges
-                axis = 0
-                while axis < self.dim:
-                    idx[axis] += 1
-                    if idx[axis] <= exps[axis]:
-                        break
-                    idx[axis] = 0
-                    axis += 1
-                if axis == self.dim:
-                    break
-        return TaylorPoly(self.dim, tuple(y), cap, out.coeffs, truncated)
+                    continue
+                w = coef
+                for a in range(self.dim):
+                    w = w * (math.comb(exps[a], k[a])
+                             * ys[:, a] ** (exps[a] - k[a]))
+                out[pos[k]] += w
+        return out, truncated
 
     def max_degree(self) -> int:
         return max((sum(e) for _, e in self.terms), default=0)
@@ -446,20 +508,19 @@ class FourierEntry(CoefficientEntry):
             new_terms.append((amp * scale, wavevec, phase + order * math.pi / 2))
         return FourierEntry(self.dim, tuple(new_terms))
 
-    def taylor_coeffs(self, y, cap):
-        y = np.asarray(y, dtype=float)
-        out = TaylorPoly.zero(self.dim, tuple(y), cap)
-        exps, _, _ = index_table(self.dim, cap)
+    def _taylor_cols(self, ys, cap):
+        exps, _, orders = index_table(self.dim, cap)
+        fact = _factorials(self.dim, cap)[:, None]
+        out = np.zeros((len(exps), len(ys)))
         for amp, wavevec, phase in self.terms:
-            ky = float(np.dot(wavevec, y))
+            ky = wavevec[0] * ys[:, 0]
+            for a in range(1, self.dim):
+                ky = ky + wavevec[a] * ys[:, a]
             kpow = np.prod(np.asarray(wavevec)[None, :] ** exps, axis=1)
-            orders = exps.sum(axis=1)
-            fact = np.array([MultiIndex(tuple(e)).factorial() for e in exps],
-                            dtype=float)
-            vals = amp * kpow * np.sin(ky + phase + orders * math.pi / 2) / fact
-            out.coeffs[:] += vals
+            out += amp * kpow[:, None] * np.sin(
+                ky[None, :] + phase + (orders * math.pi / 2)[:, None]) / fact
         # the analytic tail beyond the cap is nonzero by construction
-        return TaylorPoly(self.dim, tuple(y), cap, out.coeffs, True)
+        return out, True
 
     def bound_constants(self):
         amp = sum(abs(a) for a, _, _ in self.terms)

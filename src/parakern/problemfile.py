@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -34,6 +35,15 @@ def _schema() -> dict:
     text = resources.files("parakern").joinpath(
         "schemas/problem.schema.json").read_text()
     return json.loads(text)
+
+
+@functools.lru_cache(maxsize=None)
+def _validator():
+    """Validator for the packaged schema, checked against its metaschema once."""
+    schema = _schema()
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def _reject_nonfinite(value: str):
@@ -77,11 +87,10 @@ def _default_bound_c(entries) -> float:
 
 
 def load_problem_dict(data: dict) -> ProblemFile:
-    try:
-        jsonschema.validate(data, _schema())
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise SchemaError(f"at {path}: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_validator().iter_errors(data))
+    if error is not None:
+        path = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        raise SchemaError(f"at {path}: {error.message}") from error
 
     dim = data["dimension"]
     components = data["components"]

@@ -16,6 +16,10 @@ the dx^gamma coefficient of c_k is the matching coefficient of R_{k-1}
 scaled by 1/(k + |gamma|).  In tau mode the gradient term carries the
 analytic multiplier nu(tau) = tau / ((1 - tau)(-ln(1 - tau))) and the
 solve becomes a triangular jet inversion.
+
+``expand_batch`` runs the recursion for many centres at once on arrays;
+``expand`` is its one-centre case.  ``compute_c0`` and ``compute_R`` build
+the same orders one centre at a time with TimeJets.
 """
 
 from __future__ import annotations
@@ -27,12 +31,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ParameterError, SequencingError
+from .errors import ParameterError, SequencingError, StructureError
 from .polyalg import (CoefficientEntry, MultiIndex, TaylorPoly, TimeEntry,
                       TimeJet, index_table, jet_add, jet_compose_time, jet_dt,
                       jet_eval_poly, jet_laplacian, jet_mul, jet_partial,
                       jet_scale, jet_scale_series, poly_eval_many,
                       poly_shift_up, series_reciprocal, taylorize,
+                      _mul_cols, _overflow_cols, _partial_tables,
                       _series_mul)
 
 SAMPLE_LATTICE = 17      # points per axis when sampling sup norms
@@ -314,6 +319,16 @@ def _series_nu(order: int) -> np.ndarray:
     return series_reciprocal(h, order)
 
 
+def _warp_power(l: int, beta: float, order: int) -> np.ndarray:
+    """(t(tau)/tau)^l = (beta g(tau))^l, the grade-l factor of V_l t^l."""
+    g = _series_g(order) * beta
+    out = np.zeros(order + 1)
+    out[0] = 1.0
+    for _ in range(l):
+        out = _series_mul(out, g, order)
+    return out
+
+
 def _series_t_of_tau(beta: float, order: int) -> np.ndarray:
     """t(tau) = beta(tau + tau^2/2 + ...), no constant term."""
     out = np.zeros(order + 1)
@@ -476,11 +491,7 @@ def compute_R(k: int, prior: Sequence[Sequence[TimeJet]],
         else:
             # V_l t^l sits at explicit grade l = k-1 with the jet factor
             # sigma(tau) (t(tau)/tau)^l carried along.
-            g = _series_g(ws.jet_cap) * wp.beta
-            warp_pow = np.zeros(ws.jet_cap + 1)
-            warp_pow[0] = 1.0
-            for _ in range(k - 1):
-                warp_pow = _series_mul(warp_pow, g, ws.jet_cap)
+            warp_pow = _warp_power(k - 1, wp.beta, ws.jet_cap)
             sigma = _series_sigma(wp.beta, ws.jet_cap)
             vjet = jet_scale_series(
                 jet_scale_series(TimeJet.of_poly(vpoly, ws.var), warp_pow,
@@ -490,66 +501,346 @@ def compute_R(k: int, prior: Sequence[Sequence[TimeJet]],
     return ws.clip(out)
 
 
-def _solve_order(R: TimeJet, k: int, wp: WarpParams,
-                 jet_cap: int | None) -> TimeJet:
-    """Solve k c + (gradient term) c = R for the order-k coefficient."""
-    if wp.mode in ("plain", "beta"):
-        return jet_ray(R, float(k))
-    # tau mode: (k + |gamma| nu(tau)) acts per multi-index as a scalar jet
-    cap = jet_cap if jet_cap is not None else R.order
+class _BatchWorkspace:
+    """Mode-resolved drift/potential jets about B centres, as arrays.
+
+    A jet is a pair (coefficients of shape (N, order + 1, B), flags of
+    shape (B,)): table rows, time orders, centres.  The methods mirror the
+    TimeJet algebra of ``compute_c0``/``compute_R`` term for term, in the
+    same order of floating-point operations, and carry the ``truncated``
+    flag per centre the way the polynomial operations do.
+    """
+
+    def __init__(self, pc: ProblemCoefficients, ys: np.ndarray,
+                 wp: WarpParams, D: int, jet_cap: int | None):
+        self.n, self.D, self.wp, self.jet_cap = pc.n, D, wp, jet_cap
+        self.orders = index_table(pc.n, D)[2]
+        self.N, self.B = len(self.orders), len(ys)
+        self.truncated = False
+        self.drift_jets = {key: self._entry_jet(entry, ys)
+                           for key, entry in pc.drift.items()}
+        self.vpart_polys = {i: {l: self._tay(part, ys)
+                                for l, part in entry.parts}
+                            for i, entry in pc.potential.items()}
+
+    def _tay(self, part: CoefficientEntry, ys: np.ndarray):
+        coeffs, truncated = part._taylor_cols(ys, self.D)
+        self.truncated |= truncated
+        return coeffs[:, None, :], np.full(self.B, truncated)
+
+    def _entry_jet(self, entry: TimeEntry, ys: np.ndarray):
+        """b as a jet in the mode's own time variable."""
+        terms = np.zeros((self.N, entry.max_order + 1, self.B))
+        flags = np.zeros((entry.max_order + 1, self.B), dtype=bool)
+        for l, part in entry.parts:
+            terms[:, l:l + 1], flags[l] = self._tay(part, ys)
+        if self.wp.mode == "plain":
+            return terms, flags.any(axis=0)
+        if self.wp.mode == "beta":
+            # t = beta tau: scale jet order l by beta^l
+            for l in range(terms.shape[1]):
+                terms[:, l] *= self.wp.beta ** l
+            return terms, flags.any(axis=0)
+        # tau: substitute t = t(tau); terms that vanish at a centre are
+        # skipped there, so they leave its flag alone
+        cap = self.jet_cap
+        inner = _series_t_of_tau(self.wp.beta, cap)
+        out = np.zeros((self.N, cap + 1, self.B))
+        out_flags = np.zeros(self.B, dtype=bool)
+        power = np.zeros(cap + 1)
+        power[0] = 1.0
+        for l in range(terms.shape[1]):
+            if l > 0:
+                power = _series_mul(power, inner, cap)
+            p = terms[:, l]
+            out_flags |= flags[l] & np.any(p != 0.0, axis=0)
+            ms = np.nonzero(power)[0]
+            out[:, ms] += p[:, None, :] * power[ms][None, :, None]
+        return out, out_flags
+
+    # -- the jet algebra -----------------------------------------------------
+
+    def zero(self):
+        return np.zeros((self.N, 1, self.B)), np.zeros(self.B, dtype=bool)
+
+    def delta_x(self, axis: int):
+        """The monomial dx_axis, unflagged."""
+        x = np.zeros((self.N, 1, self.B))
+        x[index_table(self.n, self.D)[1][
+            tuple(int(a == axis) for a in range(self.n))]] = 1.0
+        return x, np.zeros(self.B, dtype=bool)
+
+    @staticmethod
+    def add(a, b):
+        (x, fx), (y, fy) = a, b
+        if x.shape == y.shape:
+            return x + y, fx | fy
+        out = np.zeros((len(x), max(x.shape[1], y.shape[1]), x.shape[2]))
+        out[:, :x.shape[1]] = x
+        out[:, :y.shape[1]] += y
+        return out, fx | fy
+
+    def mul(self, a, b):
+        """jet_mul, capped at the jet cap, with per-centre overflow flags."""
+        (x, fx), (y, fy) = a, b
+        ia, ib, ranks = _pair_plan(x.shape[1] - 1, y.shape[1] - 1,
+                                   self.jet_cap)
+        xa, yb = x[:, ia], y[:, ib]
+        prods = _mul_cols(xa, yb, self.n, self.D)
+        ls, ss = ranks[0]
+        out = prods[:, ss]
+        for ls, ss in ranks[1:]:
+            out[:, ls] += prods[:, ss]
+        flags = fx | fy
+        need = ~flags
+        if need.any():
+            flags[need] = _overflow_cols(xa[..., need], yb[..., need],
+                                         self.n, self.D).any(axis=0)
+        return out, flags
+
+    def partial(self, a, axis: int):
+        x, f = a
+        src, dst, scale = _partial_tables(self.n, self.D)[axis]
+        out = np.zeros_like(x)
+        if len(src):
+            out[dst] = scale[:, None, None] * x[src]
+        return out, f
+
+    def laplacian(self, a):
+        out = None
+        for i in range(self.n):
+            d2 = self.partial(self.partial(a, i), i)
+            out = d2 if out is None else self.add(out, d2)
+        return out
+
+    def ray(self, a, s: float):
+        x, f = a
+        return x / (self.orders + s)[:, None, None], f
+
+    @staticmethod
+    def scale(a, c: float):
+        return a[0] * c, a[1]
+
+    def scale_series(self, a, series: np.ndarray):
+        """jet_scale_series capped at the jet cap."""
+        x, f = a
+        n = min(x.shape[1] - 1 + len(series) - 1, self.jet_cap)
+        out = np.zeros((len(x), n + 1, x.shape[2]))
+        ms = np.nonzero(series)[0]
+        for i in range(min(x.shape[1] - 1, n) + 1):
+            mi = ms[ms <= n - i]
+            out[:, i + mi] += x[:, i:i + 1] * series[mi][None, :, None]
+        return out, f
+
+    def dt(self, a):
+        x, f = a
+        if x.shape[1] == 1:
+            return self.zero()
+        return x[:, 1:] * np.arange(1.0, x.shape[1])[None, :, None], f
+
+    def tau_solve(self, R, k: int):
+        """(k + |gamma| nu(tau)) c = R, a triangular jet inversion."""
+        x, f = R
+        cap = self.jet_cap
+        w = _tau_weights(k, cap, self.n, self.D)
+        out = np.zeros((len(x), cap + 1, x.shape[2]))
+        for l in range(min(x.shape[1] - 1, cap) + 1):
+            out[:, l:] += x[:, l:l + 1] * w[:, :cap + 1 - l, None]
+        return out, f
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_plan(La: int, Lb: int, cap: int | None):
+    """Term pairs (i, l - i) of a jet product, grouped by rank.
+
+    Pairs are listed by output order l and ascending i; rank r collects
+    the r-th pair of every l, so adding the ranks in turn sums each output
+    term in the order jet_mul does.
+    """
+    n = La + Lb if cap is None else min(La + Lb, cap)
+    ia, ib, ranks = [], [], []
+    for l in range(n + 1):
+        for r, i in enumerate(range(max(0, l - Lb), min(l, La) + 1)):
+            if r == len(ranks):
+                ranks.append(([], []))
+            ranks[r][0].append(l)
+            ranks[r][1].append(len(ia))
+            ia.append(i)
+            ib.append(l - i)
+    plan = [np.array(ia), np.array(ib)] + [np.array(v) for r in ranks for v in r]
+    for a in plan:
+        a.flags.writeable = False
+    return plan[0], plan[1], tuple(zip(plan[2::2], plan[3::2]))
+
+
+@functools.lru_cache(maxsize=None)
+def _tau_weights(k: int, cap: int, n: int, D: int) -> np.ndarray:
+    """Series of 1/(k + |gamma| nu(tau)) per table row, shape (N, cap + 1)."""
     nu = _series_nu(cap)
-    dim, center, D = R.dim, R.center, R.cap
-    _, _, orders = index_table(dim, D)
-    weights = {}
+    orders = index_table(n, D)[2]
+    per_order = {}
     for go in sorted(set(int(o) for o in orders)):
         op = go * nu.copy()
         op[0] += k
-        weights[go] = series_reciprocal(op, cap)
-    terms = [TaylorPoly.zero(dim, center, D) for _ in range(cap + 1)]
-    trunc = R.truncated
-    for l in range(min(R.order, cap) + 1):
-        src = R.terms[l].coeffs
-        for go, w in weights.items():
-            mask = orders == go
-            if not np.any(mask):
+        per_order[go] = series_reciprocal(op, cap)
+    w = np.array([per_order[int(o)] for o in orders])
+    w.flags.writeable = False
+    return w
+
+
+@dataclass(frozen=True)
+class ExpansionBatch:
+    """Coefficients c^j_0 ... c^j_K about B centres, as arrays.
+
+    ``coeffs[j, k, l, b]`` holds the coefficients of c^j_k's time^l term
+    about centre b, one per row of ``index_table(n, degree_D)``, and is
+    zero above ``jet_order[j, k]``.  ``jet_truncated[j, k, b]`` is that
+    jet's ``truncated`` flag and ``truncated[b]`` the expansion's.
+    """
+
+    centers: np.ndarray          # (B, n)
+    warp: WarpParams
+    degree_D: int
+    coeffs: np.ndarray           # (components, K + 1, T, B, N)
+    jet_order: np.ndarray        # (components, K + 1)
+    jet_truncated: np.ndarray    # (components, K + 1, B)
+    truncated: np.ndarray        # (B,)
+
+
+# bound, in floats, on a product's pair temporaries for one chunk of centres
+_CHUNK_FLOATS = 1 << 22
+
+
+def expand_batch(pc: ProblemCoefficients, ys, K: int,
+                 wp: WarpParams = WarpParams(),
+                 D: int | None = None) -> ExpansionBatch:
+    """The coefficient recursion c_0 ... c_K about every row of ``ys``.
+
+    ``ys`` has shape (B, n).  The recursion runs once, on arrays with the
+    centres as the last axis; each centre's coefficients, jet orders and
+    flags are those ``compute_c0``/``compute_R`` and the order-k ray
+    solve give at that centre alone.  ``D`` defaults to 2K + 2.
+    """
+    if K < 0:
+        raise ParameterError("K must be >= 0")
+    if D is None:
+        D = 2 * K + 2
+    ys = np.asarray(ys, dtype=float)
+    if ys.ndim != 2 or ys.shape[1] != pc.n or not len(ys):
+        raise StructureError(
+            f"centres of shape {ys.shape}, expected (B, {pc.n}) with B >= 1")
+    jet_cap = max(K, pc.max_time_order) if wp.mode == "tau" else None
+    # c_k has time order at most (k + 1) times the coefficients' order
+    T = jet_cap + 1 if jet_cap is not None else \
+        (K + 1) * pc.max_time_order + 1
+    per_centre = len(index_table(pc.n, D)[0]) ** 2 * T * (T + 1) // 2
+    step = max(1, _CHUNK_FLOATS // per_centre)
+    chunks = [_expand_chunk(pc, ys[i:i + step], K, wp, D, jet_cap)
+              for i in range(0, len(ys), step)]
+    coeffs, orders, jet_flags, truncated = zip(*chunks)
+    return ExpansionBatch(ys, wp, D, np.concatenate(coeffs, axis=3),
+                          orders[0], np.concatenate(jet_flags, axis=2),
+                          np.concatenate(truncated))
+
+
+def _expand_chunk(pc, ys, K, wp, D, jet_cap):
+    """``expand_batch``'s arrays for one chunk of centres."""
+    ws = _BatchWorkspace(pc, ys, wp, D, jet_cap)
+    jets = []
+    for j in range(pc.components):
+        total = ws.zero()
+        for m in range(pc.n):
+            rows = [ws.drift_jets[(j, l, m)] for l in range(pc.components)
+                    if (j, l, m) in ws.drift_jets]
+            if not rows:
                 continue
-            for m in range(cap + 1 - l):
-                if w[m] == 0.0:
-                    continue
-                terms[l + m].coeffs[mask] += src[mask] * w[m]
-    return TimeJet(R.var, tuple(
-        TaylorPoly(dim, center, D, p.coeffs, trunc) for p in terms))
+            row = ws.zero()
+            for jet in rows:
+                row = ws.add(row, jet)
+            shifted = ws.mul(ws.ray(row, 1.0), ws.delta_x(m))
+            total = ws.add(total, shifted)
+        jets.append([ws.scale(total, -0.5)])
+    grads = [[[ws.partial(cj[0], a) for a in range(pc.n)]] for cj in jets]
+    for k in range(1, K + 1):
+        for j in range(pc.components):
+            R = _batch_R(ws, pc, k, j, jets, grads)
+            if wp.mode in ("plain", "beta"):
+                jets[j].append(ws.ray(R, float(k)))
+            else:
+                jets[j].append(ws.tau_solve(R, k))
+        for j in range(pc.components):
+            grads[j].append([ws.partial(jets[j][k], a)
+                             for a in range(pc.n)])
+    orders = np.array([[x.shape[1] - 1 for x, _ in cj] for cj in jets])
+    coeffs = np.zeros((pc.components, K + 1, orders.max() + 1, ws.B, ws.N))
+    for j, cj in enumerate(jets):
+        for k, (x, _) in enumerate(cj):
+            coeffs[j, k, :x.shape[1]] = x.transpose(1, 2, 0)
+    jet_flags = np.array([[f for _, f in cj] for cj in jets])
+    return (coeffs, orders, jet_flags,
+            ws.truncated | jet_flags.any(axis=(0, 1)))
+
+
+def _batch_R(ws: _BatchWorkspace, pc: ProblemCoefficients, k: int, j: int,
+             coeffs, grads):
+    """compute_R on arrays; ``grads[j][r][l]`` is d_l c^j_r."""
+    wp = ws.wp
+    prev = coeffs[j][k - 1]
+    spatial = ws.laplacian(prev)
+    for l in range(pc.n):
+        for r in range(k):
+            spatial = ws.add(spatial, ws.mul(grads[j][r][l],
+                                             grads[j][k - 1 - r][l]))
+    for lcomp in range(pc.components):
+        for m in range(pc.n):
+            bjet = ws.drift_jets.get((j, lcomp, m))
+            if bjet is not None:
+                spatial = ws.add(spatial, ws.mul(bjet, grads[lcomp][k - 1][m]))
+    if wp.mode == "plain":
+        out = spatial
+    elif wp.mode == "beta":
+        out = ws.scale(spatial, wp.beta)
+    else:
+        out = ws.scale_series(spatial, _series_sigma(wp.beta, ws.jet_cap))
+    out = ws.add(out, ws.scale(ws.dt(prev), -1.0))
+    vparts = ws.vpart_polys.get(j)
+    if vparts and (k - 1) in vparts:
+        vpoly = vparts[k - 1]
+        if wp.mode == "plain":
+            vjet = vpoly
+        elif wp.mode == "beta":
+            vjet = ws.scale(vpoly, wp.beta ** k)
+        else:
+            warp_pow = _warp_power(k - 1, wp.beta, ws.jet_cap)
+            sigma = _series_sigma(wp.beta, ws.jet_cap)
+            vjet = ws.scale_series(ws.scale_series(vpoly, warp_pow), sigma)
+        out = ws.add(out, vjet)
+    return out
 
 
 def expand(pc: ProblemCoefficients, y, K: int,
            wp: WarpParams = WarpParams(), D: int | None = None) -> ExpansionCoeffs:
     """Full coefficient recursion c_0 ... c_K about one center.
 
-    ``D`` defaults to 2K + 2; gradient products densify the polynomials
-    quickly, so the dense cap is sized for the worst order.  Only the
-    coefficients are built here; ``diagnostics`` samples them on demand
-    and reports non-decay, never raises.
+    ``expand_batch`` at B = 1, wrapped as TimeJets.  ``D`` defaults to
+    2K + 2; gradient products densify the polynomials quickly, so the
+    dense cap is sized for the worst order.  Only the coefficients are
+    built here; ``diagnostics`` samples them on demand and reports
+    non-decay, never raises.
     """
-    if K < 0:
-        raise ParameterError("K must be >= 0")
-    if D is None:
-        D = 2 * K + 2
-    jet_cap = None
-    if wp.mode == "tau":
-        jet_cap = max(K, pc.max_time_order)
-    ws = _Workspace(pc, y, wp, D, jet_cap)
-    coeffs: list[list[TimeJet]] = []
-    for j in range(pc.components):
-        coeffs.append([compute_c0(pc, y, j, D, wp, jet_cap, _ws=ws)])
-    for k in range(1, K + 1):
-        for j in range(pc.components):
-            R = compute_R(k, coeffs, pc, j, wp, _ws=ws)
-            coeffs[j].append(_solve_order(R, k, wp, ws.jet_cap))
-
-    truncated = ws.truncated or any(c.truncated for cj in coeffs for c in cj)
-    return ExpansionCoeffs(ws.y, wp, K, D, pc.components,
-                           tuple(tuple(cj) for cj in coeffs), truncated,
-                           pc.domain_radius_R)
+    batch = expand_batch(pc, np.reshape(np.asarray(y, dtype=float), (1, -1)),
+                         K, wp, D)
+    center = tuple(float(v) for v in batch.centers[0])
+    D = batch.degree_D
+    coeffs = tuple(
+        tuple(TimeJet(wp.time_var, tuple(
+            TaylorPoly(pc.n, center, D, batch.coeffs[j, k, l, 0].copy(),
+                       bool(batch.jet_truncated[j, k, 0]))
+            for l in range(batch.jet_order[j, k] + 1)))
+            for k in range(K + 1))
+        for j in range(pc.components))
+    return ExpansionCoeffs(center, wp, K, D, pc.components, coeffs,
+                           bool(batch.truncated[0]), pc.domain_radius_R)
 
 
 def _lattice(n: int, R: float, per_axis: int) -> np.ndarray:

@@ -2,9 +2,11 @@ import json
 import math
 import os
 
+import jsonschema
 import numpy as np
 import pytest
 
+from parakern import problemfile
 from parakern.cli import main
 from parakern.oracle import const_drift_series_coeffs
 
@@ -99,13 +101,21 @@ def test_eval_csv_deterministic(tmp_path):
 
 def test_eval_overflow_exits_numeric(tmp_path, capsys):
     pts = tmp_path / "far.csv"
-    pts.write_text("x1\n20.0\n")
+    pts.write_text("x1\n0.1\n20.0\n")
+    out = tmp_path / "far_out.csv"
     rc = main(["eval", problem("sin_drift.json"), "--points", str(pts),
-               "--out", str(tmp_path / "far_out.csv")])
+               "--out", str(out)])
     assert rc == 3
     err = capsys.readouterr().err
     assert "numeric error" in err and "trust radius" in err
-    assert "inf" not in (tmp_path / "far_out.csv").read_text()
+    # no partial CSV: the file is not created ...
+    assert not out.exists()
+    # ... and an existing one keeps its bytes
+    out.write_bytes(b"earlier,output\n1,2\n")
+    rc = main(["eval", problem("sin_drift.json"), "--points", str(pts),
+               "--out", str(out)])
+    assert rc == 3
+    assert out.read_bytes() == b"earlier,output\n1,2\n"
 
 
 def test_solve_threads_flag_is_ignored(tmp_path):
@@ -179,6 +189,12 @@ def test_validate_detects_injected_fault(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # schema errors -> exit 2 with a JSON path
 # ---------------------------------------------------------------------------
+
+def test_packaged_schema_is_valid():
+    # loads check it once per process; the suite checks it on every run
+    schema = problemfile._schema()
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+
 
 def test_schema_missing_field(tmp_path, capsys):
     bad = dict(MINIMAL)

@@ -1,4 +1,5 @@
-"""Property tests for the Gauss-Hermite loop and the lazy diagnostics."""
+"""Property tests: the Gauss-Hermite pass, the lazy diagnostics and the
+translation covariance of the batched expansion."""
 
 import json
 import math
@@ -14,7 +15,8 @@ from parakern.kernel import (KernelField, delta_property, eval_kernel,
                              normalization_check)
 from parakern.polyalg import FourierEntry, PolyEntry
 from parakern.recursion import (ProblemCoefficients, WarpParams, expand,
-                                expansion_from_dict, expansion_to_dict)
+                                expand_batch, expansion_from_dict,
+                                expansion_to_dict)
 from parakern.solvers import ProblemSpec, QuadratureConfig, solve_cauchy
 
 SIN_DRIFT = FourierEntry(1, ((0.3, (1.0,), 0.0),))
@@ -89,3 +91,31 @@ def test_expand_and_solve_never_compute_diagnostics(monkeypatch):
         pytest.approx(1.0, abs=1e-4)
     with pytest.raises(AssertionError, match="explicit access"):
         exp.diagnostics
+
+
+SEEDED = settings(max_examples=10, deadline=None, derandomize=True)
+coords = st.floats(-0.8, 0.8)
+
+
+@SEEDED
+@given(n=st.sampled_from([1, 2]), mode=st.sampled_from(["plain", "beta", "tau"]),
+       k=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+       phi=st.floats(-math.pi, math.pi), y=st.tuples(coords, coords),
+       amps=st.tuples(st.floats(0.05, 0.5), st.floats(-0.5, 0.5)))
+def test_expansion_is_translation_covariant(n, mode, k, phi, y, amps):
+    # b(x) = a sin(k.x + phi) about y has the dx-expansion of
+    # a sin(k.x + phi + k.y) about 0
+    k, y = k[:n], np.array(y[:n])
+    ky = sum(ki * yi for ki, yi in zip(k, y))
+
+    def pc(phase):
+        return ProblemCoefficients(n, 1, {
+            (0, 0, m): FourierEntry(n, ((amps[m], k, phase),))
+            for m in range(n)})
+
+    wp = WarpParams() if mode == "plain" else WarpParams(mode=mode, beta=0.5)
+    about_y = expand_batch(pc(phi), y[None, :], 3, wp, 8)
+    about_0 = expand_batch(pc(phi + ky), np.zeros((1, n)), 3, wp, 8)
+    assert np.array_equal(about_y.jet_order, about_0.jet_order)
+    scale = max(1.0, float(np.max(np.abs(about_0.coeffs))))
+    assert np.max(np.abs(about_y.coeffs - about_0.coeffs)) <= 1e-13 * scale
