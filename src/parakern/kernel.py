@@ -2,12 +2,14 @@
 
 Evaluates the Gaussian-times-exponential-series ansatz in log space, its
 analytic gradient, PDE residuals, normalization and short-time
-(Varadhan-type) diagnostics.  Every Gauss-Hermite integral over expansion
-centers (normalization, the delta property, the solvers' convolutions)
-runs through :func:`_gh_integrals`, which builds the expansions of all of
-a pass's nodes with one ``expand_batch`` call.  :class:`KernelField`
-holds the problem and expansion settings and caches single-center
-expansions for the two-parameter ``pair_*`` calls.
+(Varadhan-type) diagnostics.  One evaluator, :func:`_log_terms`, reads
+the coefficient arrays back: :func:`eval_points` runs it once per time
+over all points of one expansion (the single-point calls and ``parakern
+eval`` go through it), and :func:`_gh_integrals` over all nodes of a
+Gauss-Hermite pass (normalization, the delta property, the solvers'
+convolutions), expanded with one ``expand_batch`` call.
+:class:`KernelField` holds the problem and expansion settings and caches
+single-center expansions for the two-parameter ``pair_*`` calls.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ParameterError, ScalingError, StructureError
-from .polyalg import _partial_tables, index_table, jet_dt, jet_eval, jet_partial
+from .polyalg import _monomials, _partial_tables
 from .recursion import (ExpansionCoeffs, ProblemCoefficients, WarpParams,
-                        expand, expand_batch, t_of_tau)
+                        expand, expand_batch, t_of_tau, _CHUNK_FLOATS)
 
 
 @dataclass(frozen=True)
@@ -60,24 +62,88 @@ def _check_center(exp: ExpansionCoeffs, y) -> np.ndarray:
     return y
 
 
-def _kernel_exp(logp: float, dx: np.ndarray) -> float:
-    """exp(logp); a log value of 700 or more cannot be a kernel value."""
-    if logp >= 700.0:
-        raise ScalingError(
-            f"log kernel value {logp:.3g} at |x - y| = "
-            f"{float(np.linalg.norm(dx)):.3g} overflows: the truncated "
-            f"expansion does not hold this far from its center; keep "
-            f"|x - y| within the trust radius (KernelField.trust_radius)")
-    return math.exp(logp)
+def _point_terms(exp: ExpansionCoeffs, time: float, xs, comps,
+                 t_eff: float | None = None, second: bool = False):
+    """``(x - y, *_log_terms(...))`` for one expansion at rows of ``xs``,
+    in chunks of points that bound the coefficient-monomial products."""
+    if xs.ndim != 2 or xs.shape[1] != exp.dim:
+        raise StructureError(
+            f"points of shape {xs.shape}, expected (P, {exp.dim})")
+    dx = xs - np.asarray(exp.center)
+    coeffs = exp.coeff_array[list(comps)][..., None, :]
+    step = max(1, _CHUNK_FLOATS // coeffs.size)
+    parts = [_log_terms(coeffs, dx[i:i + step], exp.degree_D, time, t_eff,
+                        second) for i in range(0, max(len(dx), 1), step)]
+    return (dx,) + tuple(np.concatenate(out, axis=1) for out in zip(*parts))
 
 
 def log_correction(exp: ExpansionCoeffs, time: float, x, j: int) -> float:
     """``sum_k c^j_k(time, x) time^k`` summed in ascending k."""
-    x = np.asarray(x, dtype=float)
-    total = 0.0
-    for k, jet in enumerate(exp.coeffs[j]):
-        total += jet_eval(jet, time, x) * time ** k
-    return total
+    return float(_point_terms(exp, time, np.asarray(x, dtype=float)[None],
+                              (j,))[1][0, 0])
+
+
+@dataclass(frozen=True)
+class KernelPoints:
+    """[component, point] arrays at one time; ``gradient`` adds the
+    spatial axis, ``residual_rel`` is None unless the problem was given."""
+
+    value: np.ndarray
+    log_value: np.ndarray
+    gradient: np.ndarray
+    residual_rel: np.ndarray | None
+
+
+def eval_points(exp: ExpansionCoeffs, time: float, xs,
+                pc: ProblemCoefficients | None = None,
+                components: Sequence[int] | None = None) -> KernelPoints:
+    """Kernel values, log values and gradients at every row of ``xs``.
+
+    One pass over the points, shape (P, n), at one mode time (as in
+    :func:`eval_kernel`) for the listed components (default all; all
+    with ``pc``, which adds the relative residuals).  A tau above a
+    nonzero ``warp.tau_max`` raises :class:`ParameterError`; the first
+    point in row order whose log value reaches 700 raises
+    :class:`ScalingError` for its first such component.
+    """
+    t_eff, dteff = _effective_time(exp.warp, time)
+    xs = np.asarray(xs, dtype=float)
+    if exp.warp.mode == "tau" and 0.0 < exp.warp.tau_max < time:
+        raise ParameterError(
+            f"tau = {time} exceeds the warp's tau_max = {exp.warp.tau_max}")
+    if components is None or pc is not None:
+        components = range(exp.components)
+    dx, corr, dtime, grad, lap = _point_terms(exp, time, xs, components,
+                                              t_eff, pc is not None)
+    n, r2 = exp.dim, (dx * dx).sum(axis=1)
+    logp = -0.5 * n * math.log(4.0 * math.pi * t_eff) - r2 / (4.0 * t_eff) \
+        + corr
+    bad = logp >= 700.0
+    if bad.any():
+        p = int(np.flatnonzero(bad.any(axis=0))[0])
+        raise ScalingError(
+            f"log kernel value {float(logp[bad[:, p].argmax(), p]):.3g} at "
+            f"|x - y| = {float(np.linalg.norm(dx[p])):.3g} overflows: the "
+            f"truncated expansion does not hold this far from its center; "
+            f"keep |x - y| within the trust radius (KernelField.trust_radius)")
+    value = np.exp(logp)
+    rel = None
+    if pc is not None:
+        # Lap p_i / p_i, then the couplings through the ratios p_l / p_i
+        # and the potential; the mode's multiplier m is d t_eff / d time
+        lap = lap + (-0.5 / t_eff + grad ** 2).sum(axis=-1)
+        for (i, l, axis), entry in pc.drift.items():
+            with np.errstate(over="ignore"):
+                ratio = np.exp(corr[l] - corr[i])
+            if np.isinf(ratio).any():
+                raise ScalingError(f"kernel ratio p_{l}/p_{i} overflows")
+            lap[i] = lap[i] + np.array([entry.eval(t_eff, x) for x in xs]) \
+                * ratio * grad[l, :, axis]
+        for i, entry in pc.potential.items():
+            lap[i] = lap[i] + np.array([entry.eval(t_eff, x) for x in xs])
+        rel = (-0.5 * n / t_eff + r2 / (4.0 * t_eff ** 2)) * dteff + dtime \
+            - dteff * lap
+    return KernelPoints(value, logp, grad * value[..., None], rel)
 
 
 def eval_kernel(exp: ExpansionCoeffs, time: float, x, y=None,
@@ -89,33 +155,22 @@ def eval_kernel(exp: ExpansionCoeffs, time: float, x, y=None,
     when given.  Validity windows are advisory; callers probing beyond
     them get honest values and can consult the residual diagnostics.
     A log value of 700 or more cannot be a kernel value and raises
-    :class:`ScalingError`.
+    :class:`ScalingError`.  The one-point case of :func:`eval_points`.
     """
     if y is not None:
         _check_center(exp, y)
-    x = np.asarray(x, dtype=float)
-    t_eff, _ = _effective_time(exp.warp, time)
-    n = exp.dim
-    dx = x - np.asarray(exp.center)
-    log_g = -0.5 * n * math.log(4.0 * math.pi * t_eff) \
-        - float(np.dot(dx, dx)) / (4.0 * t_eff)
-    logp = log_g + log_correction(exp, time, x, j)
-    value = _kernel_exp(logp, dx)
-    grad = kernel_log_gradient(exp, time, x, j)
-    return KernelValue(value, logp, grad * value, j)
+    kp = eval_points(exp, time, np.asarray(x, dtype=float)[None],
+                     components=(j,))
+    return KernelValue(float(kp.value[0, 0]), float(kp.log_value[0, 0]),
+                       kp.gradient[0, 0], j)
 
 
 def kernel_log_gradient(exp: ExpansionCoeffs, time: float, x,
                         j: int = 0) -> np.ndarray:
     """grad_x log p = -dx/(2 t_eff) + sum_k grad c_k * time^k."""
-    x = np.asarray(x, dtype=float)
     t_eff, _ = _effective_time(exp.warp, time)
-    dx = x - np.asarray(exp.center)
-    grad = -dx / (2.0 * t_eff)
-    for k, jet in enumerate(exp.coeffs[j]):
-        for axis in range(exp.dim):
-            grad[axis] += jet_eval(jet_partial(jet, axis), time, x) * time ** k
-    return grad
+    return _point_terms(exp, time, np.asarray(x, dtype=float)[None], (j,),
+                        t_eff)[3][0, 0]
 
 
 def kernel_gradient(exp: ExpansionCoeffs, time: float, x, y=None,
@@ -144,62 +199,13 @@ def residual(exp: ExpansionCoeffs, pc: ProblemCoefficients, time: float,
     relative residual is scaled by p_i; the cross-component coupling uses
     the honest ratio p_j/p_i, so system-mode defects show up here.
     An overflowing p_i raises :class:`ScalingError`, as in eval_kernel.
+    The one-point case of :func:`eval_points`.
     """
     if y is not None:
         _check_center(exp, y)
-    x = np.asarray(x, dtype=float)
-    warp = exp.warp
-    t_eff, dteff = _effective_time(warp, time)
-    t_phys = t_eff
-    n = exp.dim
-    m = exp.components
-    dx = x - np.asarray(exp.center)
-    mult = {"plain": 1.0, "beta": warp.beta,
-            "tau": warp.beta / (1.0 - time) if warp.mode == "tau" else None}[warp.mode]
-
-    logw = np.zeros(m)
-    dtw = np.zeros(m)
-    grads = np.zeros((m, n))
-    lap_part = np.zeros(m)
-    for j in range(m):
-        for k, jet in enumerate(exp.coeffs[j]):
-            tv = time ** k
-            logw[j] += jet_eval(jet, time, x) * tv
-            dtw[j] += jet_eval(jet_dt(jet), time, x) * tv
-            if k >= 1:
-                dtw[j] += k * jet_eval(jet, time, x) * time ** (k - 1)
-            for axis in range(n):
-                djet = jet_partial(jet, axis)
-                grads[j, axis] += jet_eval(djet, time, x) * tv
-                lap_part[j] += jet_eval(jet_partial(djet, axis), time, x) * tv
-
-    gauss_dt = (-0.5 * n / t_eff + float(np.dot(dx, dx)) / (4.0 * t_eff ** 2)) \
-        * dteff
-    raw = np.zeros(m)
-    rel = np.zeros(m)
-    log_g = -0.5 * n * math.log(4.0 * math.pi * t_eff) \
-        - float(np.dot(dx, dx)) / (4.0 * t_eff)
-    for i in range(m):
-        time_term = gauss_dt + dtw[i]
-        lap = lap_part[i]
-        for axis in range(n):
-            gl = -dx[axis] / (2.0 * t_eff) + grads[i, axis]
-            lap += -0.5 / t_eff + gl * gl
-        coupling = 0.0
-        for (ei, fj, ax), entry in pc.drift.items():
-            if ei != i:
-                continue
-            ratio = math.exp(logw[fj] - logw[i])
-            gl = -dx[ax] / (2.0 * t_eff) + grads[fj, ax]
-            coupling += entry.eval(t_phys, x) * ratio * gl
-        vterm = 0.0
-        if i in pc.potential:
-            vterm = pc.potential[i].eval(t_phys, x)
-        r_over_p = time_term - mult * (lap + coupling + vterm)
-        rel[i] = r_over_p
-        p_i = _kernel_exp(log_g + logw[i], dx)
-        raw[i] = r_over_p * p_i
-    return raw, rel
+    kp = eval_points(exp, time, np.asarray(x, dtype=float)[None], pc)
+    rel = kp.residual_rel[:, 0]
+    return rel * kp.value[:, 0], rel
 
 
 def varadhan_diag(exp: ExpansionCoeffs, ts: Sequence[float], x, y=None,
@@ -230,8 +236,8 @@ class KernelField:
     Gauss-Hermite passes (:func:`_gh_integrals`) expand all their nodes
     in one batch.  The two-parameter calls (``pair_log_value``,
     ``pair_log_gradient``), which the boundary march makes one point at
-    a time, reuse single-center expansions from a cache keyed by center
-    and time origin.
+    a time, reuse single-center expansions, and their coefficient
+    arrays, from a cache keyed by center and time origin.
     """
 
     def __init__(self, pc: ProblemCoefficients, warp: WarpParams = WarpParams(),
@@ -278,15 +284,6 @@ class KernelField:
             exp = self._cache[key] = expand(pc, np.atleast_1d(y), self.K,
                                             self.warp, self.D)
         return exp
-
-    def log_value(self, time: float, x, y, j: int = 0,
-                  s_origin: float = 0.0) -> float:
-        exp = self.expansion(y, s_origin)
-        return eval_kernel(exp, time, x, j=j).log_value
-
-    def value(self, time: float, x, y, j: int = 0,
-              s_origin: float = 0.0) -> float:
-        return math.exp(self.log_value(time, x, y, j, s_origin))
 
     def mode_time(self, t_phys: float) -> float:
         """Map physical elapsed time to the warp's own time variable."""
@@ -376,28 +373,18 @@ def _gh_integrals(field: KernelField, t: float, s: float, x, g: Callable,
         return np.zeros(len(comps)), (np.zeros((len(comps), n))
                                       if gradient else None)
     dx = x - ys
-    if gradient:
-        t_eff, _ = _effective_time(field.warp, time)
-        gauss = -dx / (2.0 * t_eff)
-        grad = np.broadcast_to(gauss, (len(comps),) + dx.shape)
+    t_eff = _effective_time(field.warp, time)[0] if gradient else None
     if field._trivial:
         corr = np.ones((len(comps), len(ys)))
+        grad = np.broadcast_to(-dx / (2.0 * t_eff), (len(comps),) + dx.shape) \
+            if gradient else None
     else:
         origin = s if field.pc.time_dependent else 0.0
         batch = expand_batch(field.pc.shifted_origin(origin), ys, field.K,
                              field.warp, field.D)
-        exps = index_table(n, field.D)[0]
-        mono = np.prod(dx[:, None, :] ** exps[None, :, :], axis=2)
-        coeffs = batch.coeffs[comps]
-        corr = np.exp(_sum_terms(coeffs, mono, time, 0.0))
-        if gradient:
-            grad = np.empty(grad.shape)
-            for axis, (src, dst, sc) in enumerate(
-                    _partial_tables(n, field.D)):
-                dcoeffs = np.zeros_like(coeffs)
-                dcoeffs[..., dst] = sc * coeffs[..., src]
-                grad[..., axis] = _sum_terms(dcoeffs, mono, time,
-                                             gauss[:, axis])
+        logc, _, grad, _ = _log_terms(batch.coeffs[comps], dx, field.D, time,
+                                      t_eff)
+        corr = np.exp(logc)
     weight = weights * corr * gvals
     vals = weight.sum(axis=1) / scale
     if not gradient:
@@ -405,22 +392,52 @@ def _gh_integrals(field: KernelField, t: float, s: float, x, g: Callable,
     return vals, (weight[:, :, None] * grad).sum(axis=1) / scale
 
 
+def _log_terms(coeffs: np.ndarray, dx: np.ndarray, D: int, time: float,
+               t_eff: float | None = None, second: bool = False):
+    """The correction ``sum_k c_k(time, x) time^k`` and its derivatives.
+
+    ``coeffs`` (components, K + 1, T, B, N) about centers y_b and ``dx``
+    = x - y_b (B, n), or B = 1 and one ``dx`` row per point.  Returns
+    (correction, its time derivative, log-gradient, its Laplacian); the
+    log-gradient adds -dx / (2 t_eff) and needs ``t_eff`` (else it has no
+    axes), the time derivative and Laplacian need ``second`` (else 0).
+    """
+    mono = _monomials(dx, D)
+    corr = _sum_terms(coeffs, mono, time, 0.0)
+    tables = _partial_tables(dx.shape[1], D) if t_eff else ()
+    grad = np.empty(corr.shape + (len(tables),))
+    lap = dtime = np.zeros_like(corr)
+    for axis, (src, dst, scale) in enumerate(tables):
+        dcoeffs = np.zeros_like(coeffs)
+        dcoeffs[..., dst] = scale * coeffs[..., src]
+        grad[..., axis] = _sum_terms(dcoeffs, mono, time,
+                                     -dx[:, axis] / (2.0 * t_eff))
+        if second:
+            d2coeffs = np.zeros_like(coeffs)
+            d2coeffs[..., dst] = scale * dcoeffs[..., src]
+            lap = lap + _sum_terms(d2coeffs, mono, time, 0.0)
+    if second:
+        # d/dtime sum c_kl time^(k+l) = sum (k + l) c_kl time^(k+l) / time
+        kl = np.add.outer(*map(np.arange, coeffs.shape[1:3]))[:, :, None, None]
+        dtime = _sum_terms(coeffs * kl, mono, time, 0.0) / time
+    return corr, dtime, grad, lap
+
+
 def _sum_terms(coeffs: np.ndarray, mono: np.ndarray, time: float,
                start) -> np.ndarray:
     """``start + sum_k c_k(time, x) time^k`` per component and center.
 
-    ``coeffs`` is shaped (components, K + 1, T, B, N) and ``mono`` holds
-    the monomials of x - y_b, shape (B, N).  Each jet is Horner-evaluated
-    in time and the orders are summed in ascending k, as
-    :func:`log_correction` does for one center.
+    ``coeffs`` as in :func:`_log_terms`, ``mono`` the monomials of its
+    ``dx``.  Each jet is Horner-evaluated in time and the orders are
+    summed in ascending k.
     """
     vals = (coeffs * mono).sum(axis=-1)
+    horner = 0.0
+    for l in reversed(range(vals.shape[2])):
+        horner = horner * time + vals[:, :, l]
     total = start
     for k in range(vals.shape[1]):
-        horner = 0.0
-        for l in reversed(range(vals.shape[2])):
-            horner = horner * time + vals[:, k, l]
-        total = total + horner * time ** k
+        total = total + horner[:, k] * time ** k
     return total
 
 
@@ -428,9 +445,8 @@ def normalization_check(field: KernelField, time: float, x,
                         order: int = 40, j: int = 0) -> float:
     """``int p_j(time, x, y) dy`` by tensor Gauss-Hermite centered at x.
 
-    The Gaussian factor of the kernel is the quadrature weight; the
-    correction factor is evaluated with one expansion per node.
-    Returns the integral; callers assert how close to 1 it must be.
+    The Gaussian factor of the kernel is the quadrature weight.  Returns
+    the integral; callers assert how close to 1 it must be.
     """
     return delta_property(field, lambda y: 1.0, time, x, order, j)
 

@@ -369,19 +369,20 @@ def poly_eval(p: TaylorPoly, x: Sequence[float]) -> float:
     x = np.asarray(x, dtype=float)
     if x.shape != (p.dim,):
         raise StructureError(f"point of shape {x.shape}, expected ({p.dim},)")
-    exps, _, _ = index_table(p.dim, p.cap)
     dx = x - np.asarray(p.center)
-    monomials = np.prod(dx[None, :] ** exps, axis=1)
-    return float(np.sum(p.coeffs * monomials))
+    return float(np.sum(p.coeffs * _monomials(dx, p.cap)))
 
 
-def poly_eval_many(p: TaylorPoly, xs: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation over points of shape ``(m, dim)``."""
-    xs = np.asarray(xs, dtype=float).reshape(-1, p.dim)
-    exps, _, _ = index_table(p.dim, p.cap)
-    dx = xs - np.asarray(p.center)[None, :]
-    monomials = np.prod(dx[:, None, :] ** exps[None, :, :], axis=2)
-    return monomials @ p.coeffs
+def _monomials(dx: np.ndarray, cap: int) -> np.ndarray:
+    """``dx^gamma`` per row gamma of ``index_table(dim, cap)``, replacing
+    the last axis of ``dx`` (shape (dim,) or (m, dim))."""
+    exps = index_table(dx.shape[-1], cap)[0]
+    # per-axis power tables, multiplied left to right as np.prod would
+    powers = dx[..., None] ** np.arange(cap + 1)
+    out = 1.0
+    for axis in range(dx.shape[-1]):
+        out = out * np.take(powers[..., axis, :], exps[:, axis], axis=-1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -674,14 +675,6 @@ class TimeJet:
     def max_abs(self) -> float:
         return max(p.max_abs() for p in self.terms)
 
-    def trimmed(self) -> "TimeJet":
-        """Drop zero trailing terms (canonical form for comparisons)."""
-        last = 0
-        for l, p in enumerate(self.terms):
-            if p.max_abs() != 0.0:
-                last = l
-        return TimeJet(self.var, self.terms[:last + 1])
-
     def _check_var(self, other: "TimeJet"):
         if self.var != other.var:
             raise StructureError(f"mixed time variables {self.var}/{other.var}")
@@ -750,14 +743,6 @@ def jet_eval(a: TimeJet, time: float, x: Sequence[float]) -> float:
     out = 0.0
     for v in reversed(vals):
         out = out * time + v
-    return out
-
-
-def jet_eval_poly(a: TimeJet, time: float) -> TaylorPoly:
-    """Collapse the time dependence at a fixed time, keeping the polynomial."""
-    out = TaylorPoly.zero(a.dim, a.center, a.cap)
-    for l, p in enumerate(a.terms):
-        out = poly_add(out, p * (time ** l))
     return out
 
 

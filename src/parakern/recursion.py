@@ -34,11 +34,10 @@ import numpy as np
 from .errors import ParameterError, SequencingError, StructureError
 from .polyalg import (CoefficientEntry, MultiIndex, TaylorPoly, TimeEntry,
                       TimeJet, index_table, jet_add, jet_compose_time, jet_dt,
-                      jet_eval_poly, jet_laplacian, jet_mul, jet_partial,
-                      jet_scale, jet_scale_series, poly_eval_many,
-                      poly_shift_up, series_reciprocal, taylorize,
-                      _mul_cols, _overflow_cols, _partial_tables,
-                      _series_mul)
+                      jet_laplacian, jet_mul, jet_partial, jet_scale,
+                      jet_scale_series, poly_shift_up, series_reciprocal,
+                      taylorize, _monomials, _mul_cols, _overflow_cols,
+                      _partial_tables, _series_mul)
 
 SAMPLE_LATTICE = 17      # points per axis when sampling sup norms
 BETA_FLOOR = 1e-6
@@ -198,8 +197,15 @@ class ExpansionCoeffs:
         """Sup-norm diagnostics, sampled on first access."""
         return _diagnostics(self)
 
-    def component(self, j: int) -> tuple[TimeJet, ...]:
-        return self.coeffs[j]
+    @functools.cached_property
+    def coeff_array(self) -> np.ndarray:
+        """The jets stacked once, read-only: (component, k, time order, N)
+        with rows as in ``index_table``, zero above each jet's order."""
+        T = max(jet.order for cj in self.coeffs for jet in cj) + 1
+        out = np.array([[[jet.term(l).coeffs for l in range(T)] for jet in cj]
+                        for cj in self.coeffs])
+        out.flags.writeable = False
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -853,18 +859,16 @@ def _lattice(n: int, R: float, per_axis: int) -> np.ndarray:
 def _diagnostics(exp: ExpansionCoeffs) -> ExpansionDiagnostics:
     """Sample sup norms of each c_k over a lattice in the domain ball."""
     points = _lattice(exp.dim, exp.domain_radius_R, SAMPLE_LATTICE)
+    mono = _monomials(points - np.asarray(exp.center), exp.degree_D)
     tau_ref = DIAG_TAU_REF
-    sup, weighted = [], []
-    for k in range(exp.order_K + 1):
-        worst = 0.0
-        for j in range(exp.components):
-            frozen = jet_eval_poly(exp.coeffs[j][k], tau_ref)
-            vals = poly_eval_many(frozen, points)
-            worst = max(worst, float(np.max(np.abs(vals))))
-        sup.append(worst)
-        weighted.append(worst * tau_ref ** k)
-    return ExpansionDiagnostics(tuple(sup), tuple(weighted), tau_ref,
-                                exp.truncated)
+    # every jet at tau_ref, summed in ascending time order
+    frozen = sum(exp.coeff_array[:, :, l] * tau_ref ** l
+                 for l in range(exp.coeff_array.shape[2]))
+    sup = [max(0.0, *(float(np.max(np.abs(mono @ frozen[j, k])))
+                      for j in range(exp.components)))
+           for k in range(exp.order_K + 1)]
+    return ExpansionDiagnostics(tuple(sup), tuple(
+        w * tau_ref ** k for k, w in enumerate(sup)), tau_ref, exp.truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -889,8 +893,10 @@ def beta_from_bound(n: int, C: float, c0_up: float) -> float:
 def select_beta(pc: ProblemCoefficients, K_probe: int = 0) -> WarpParams:
     """Estimate c_0^up on a lattice over Omega x Omega and pick beta.
 
-    The sampled sup is capped at the analytic bound n^2 R C (it cannot
-    honestly exceed it when the declared constants hold).  Zero drift
+    One ``expand_batch`` call builds c_0 about every lattice centre; each
+    is evaluated at every lattice point.  The sampled sup is capped at the
+    analytic bound n^2 R C (it cannot honestly exceed it when the declared
+    constants hold).  Zero drift
     returns beta = 1: the expansion terminates anyway.
     """
     if pc.is_zero_drift():
@@ -899,13 +905,12 @@ def select_beta(pc: ProblemCoefficients, K_probe: int = 0) -> WarpParams:
     points = _lattice(pc.n, R, SAMPLE_LATTICE)
     worst = 0.0
     D = max(6, 2 * K_probe + 2)
-    for y in points:
-        ws = _Workspace(pc, y, WarpParams(), D, None)
+    # c_0 at time 0 about every lattice centre: (components, centres, N)
+    c0 = expand_batch(pc, points, 0, WarpParams(), D).coeffs[:, 0, 0]
+    for b, y in enumerate(points):
+        mono = _monomials(points - y, D)
         for j in range(pc.components):
-            c0 = compute_c0(pc, y, j, D, _ws=ws)
-            frozen = jet_eval_poly(c0, 0.0)
-            vals = poly_eval_many(frozen, points)
-            worst = max(worst, float(np.max(np.abs(vals))))
+            worst = max(worst, float(np.max(np.abs(mono @ c0[j, b]))))
     analytic = pc.components ** 2 * R * pc.bound_C
     c0_up = min(worst, analytic)
     return WarpParams(mode="beta", beta=beta_from_bound(pc.n, pc.bound_C, c0_up))

@@ -6,6 +6,7 @@ at a time with TimeJets.  Every problem file is checked in every mode.
 """
 
 import glob
+import json
 import math
 import os
 
@@ -17,7 +18,7 @@ from parakern.kernel import (KernelField, _gh_integrals, kernel_log_gradient,
                              log_correction)
 from parakern.polyalg import (FourierEntry, PolyEntry, TaylorPoly, TimeEntry,
                               TimeJet, index_table)
-from parakern.problemfile import load_problem_file
+from parakern.problemfile import load_problem_dict, load_problem_file
 from parakern.recursion import (ProblemCoefficients, WarpParams, _series_nu,
                                 _Workspace, compute_c0, compute_R, expand,
                                 expand_batch, jet_ray)
@@ -193,3 +194,43 @@ def test_chunked_batch_equals_one_chunk(monkeypatch):
     assert np.array_equal(split.jet_order, whole.jet_order)
     assert np.array_equal(split.jet_truncated, whole.jet_truncated)
     assert np.array_equal(split.truncated, whole.truncated)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_select_beta_matches_object_reference(case, monkeypatch):
+    # a problem file loaded in beta and tau mode without a beta selects
+    # beta from c_0 sampled over a lattice; the sampled sup must equal,
+    # bit for bit, the one compute_c0 gives centre by centre
+    sampled = []
+    real = recursion.beta_from_bound
+    monkeypatch.setattr(recursion, "beta_from_bound",
+                        lambda n, C, c0: sampled.append(c0) or real(n, C, c0))
+    if isinstance(CASES[case], tuple):
+        pc = CASES[case][0]
+        betas = [recursion.select_beta(pc).beta] * 2
+        sampled *= 2
+    else:
+        with open(CASES[case]) as fh:
+            data = json.load(fh)
+        betas = []
+        for mode in ("beta", "tau"):
+            data["expansion"] = {"order_K": data["expansion"]["order_K"],
+                                 "mode": mode}
+            betas.append(load_problem_dict(data).warp.beta)
+        pc = load_problem_file(CASES[case]).pc
+    if pc.is_zero_drift():
+        assert betas == [1.0, 1.0] and not sampled
+        return
+    R, D = pc.domain_radius_R, 6
+    points = recursion._lattice(pc.n, R, recursion.SAMPLE_LATTICE)
+    exps = index_table(pc.n, D)[0]
+    worst = 0.0
+    for y in points:
+        ws = _Workspace(pc, y, WarpParams(), D, None)
+        mono = np.prod((points - y)[:, None, :] ** exps[None], axis=2)
+        for j in range(pc.components):
+            c0 = compute_c0(pc, y, j, D, _ws=ws).terms[0].coeffs
+            worst = max(worst, float(np.max(np.abs(mono @ c0))))
+    c0_up = min(worst, pc.components ** 2 * R * pc.bound_C)
+    assert [c.hex() for c in sampled] == [c0_up.hex()] * 2
+    assert betas == [real(pc.n, pc.bound_C, c0_up)] * 2

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -8,7 +9,9 @@ import pytest
 
 from parakern import problemfile
 from parakern.cli import main
+from parakern.kernel import eval_kernel, residual
 from parakern.oracle import const_drift_series_coeffs
+from parakern.recursion import WarpParams, expand
 
 PROBLEMS = os.path.join(os.path.dirname(__file__), "..", "problems")
 
@@ -116,6 +119,45 @@ def test_eval_overflow_exits_numeric(tmp_path, capsys):
                "--out", str(out)])
     assert rc == 3
     assert out.read_bytes() == b"earlier,output\n1,2\n"
+
+
+def test_eval_rows_match_a_per_point_loop(tmp_path):
+    # one evaluation per time over all points writes the rows a loop of
+    # single-point residual and eval_kernel calls would, in that order
+    pts = [[0.3, 0.1], [-0.7, 0.2], [0.05, -0.5], [0.9, -0.9]]
+    times = (0.05, 0.2, 0.4)
+    path = tmp_path / "pts.csv"
+    path.write_text("x1,x2\n" + "".join(f"{a},{b}\n" for a, b in pts))
+    out = tmp_path / "k.csv"
+    rc = main(["eval", problem("coupled_system.json"), "--mode", "tau",
+               "--beta", "0.5", "--center", "0.1,-0.2", "--points",
+               str(path), "--t", ",".join(map(str, times)), "--out",
+               str(out)])
+    assert rc == 0
+    pf = problemfile.load_problem_file(problem("coupled_system.json"))
+    exp = expand(pf.pc, [0.1, -0.2], pf.order_K,
+                 WarpParams(mode="tau", beta=0.5), pf.degree_D)
+    rows = []
+    for t in times:
+        for x in pts:
+            _, rel = residual(exp, pf.pc, t, x)
+            for j in range(pf.pc.components):
+                kv = eval_kernel(exp, t, x, j=j)
+                rows.append([repr(t)] + [repr(v) for v in x]
+                            + [str(j), repr(kv.value), repr(kv.log_value)]
+                            + [repr(float(g)) for g in kv.gradient]
+                            + [repr(float(rel[j]))])
+    with open(out, newline="") as fh:
+        assert list(csv.reader(fh))[1:] == rows
+
+
+def test_eval_rejects_tau_beyond_tau_max(tmp_path, capsys):
+    # a --c-target schedule sets tau_max = 1 - 1/e
+    args = ["eval", problem("sin_drift.json"), "--mode", "tau",
+            "--c-target", "1.0", "--out", str(tmp_path / "k.csv")]
+    assert main(args + ["--t", "0.6"]) == 0
+    assert main(args + ["--t", "0.6,0.7"]) == 3
+    assert "exceeds the warp's tau_max" in capsys.readouterr().err
 
 
 def test_solve_threads_flag_is_ignored(tmp_path):

@@ -1,17 +1,21 @@
+import glob
 import math
+import os
 
 import numpy as np
 import pytest
 
-from parakern import oracle
+from parakern import kernel, oracle
 from parakern.errors import ParameterError, ScalingError, StructureError
 from parakern.kernel import (KernelField, delta_property, eval_kernel,
-                             kernel_gradient, kernel_log_gradient,
-                             normal_derivative, normalization_check, residual,
-                             varadhan_diag)
-from parakern.polyalg import FourierEntry, PolyEntry, TimeEntry
+                             eval_points, kernel_gradient, kernel_log_gradient,
+                             log_correction, normal_derivative,
+                             normalization_check, residual, varadhan_diag)
+from parakern.polyalg import (FourierEntry, PolyEntry, TimeEntry, jet_dt,
+                              jet_eval, jet_partial)
+from parakern.problemfile import load_problem_file
 from parakern.recursion import (ProblemCoefficients, WarpParams, expand,
-                                select_beta, tau_of_t)
+                                select_beta, t_of_tau, tau_of_t)
 
 SIN_DRIFT = FourierEntry(1, ((0.3, (1.0,), 0.0),))
 PC_SIN = ProblemCoefficients(1, 1, {(0, 0, 0): SIN_DRIFT})
@@ -259,3 +263,167 @@ def test_mode_equivalence_plain_tau():
         v1 = eval_kernel(plain, t, [x]).log_value
         v2 = eval_kernel(texp, tau, [x]).log_value
         assert abs(math.exp(v2 - v1) - 1.0) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the array evaluator against a per-point TimeJet reference
+# ---------------------------------------------------------------------------
+
+PROBLEMS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..",
+                                         "problems", "*.json")))
+WARPS = {"plain": WarpParams(), "beta": WarpParams(mode="beta", beta=0.5),
+         "tau": WarpParams(mode="tau", beta=0.5)}
+
+
+def _per_point(exp, pc, time, x):
+    """Log-correction, log value, log-gradient and relative residual of
+    every component at one point, one ``jet_eval`` per jet."""
+    x = np.asarray(x, dtype=float)
+    n, m, beta = exp.dim, exp.components, exp.warp.beta
+    if exp.warp.mode == "plain":
+        t_eff, dteff = time, 1.0
+    elif exp.warp.mode == "beta":
+        t_eff, dteff = beta * time, beta
+    else:
+        t_eff, dteff = t_of_tau(time, beta), beta / (1.0 - time)
+    dx = x - np.asarray(exp.center)
+    r2 = float(np.dot(dx, dx))
+    logw, dtw, lap = np.zeros(m), np.zeros(m), np.zeros(m)
+    grad = np.tile(-dx / (2.0 * t_eff), (m, 1))
+    for j in range(m):
+        for k, jet in enumerate(exp.coeffs[j]):
+            tv = time ** k
+            logw[j] += jet_eval(jet, time, x) * tv
+            dtw[j] += jet_eval(jet_dt(jet), time, x) * tv
+            if k >= 1:
+                dtw[j] += k * jet_eval(jet, time, x) * time ** (k - 1)
+            for axis in range(n):
+                djet = jet_partial(jet, axis)
+                grad[j, axis] += jet_eval(djet, time, x) * tv
+                lap[j] += jet_eval(jet_partial(djet, axis), time, x) * tv
+    logp = -0.5 * n * math.log(4.0 * math.pi * t_eff) - r2 / (4.0 * t_eff) \
+        + logw
+    rel = np.zeros(m)
+    for i in range(m):
+        total = lap[i] + sum(-0.5 / t_eff + g * g for g in grad[i])
+        for (ei, fj, ax), entry in pc.drift.items():
+            if ei == i:
+                total += entry.eval(t_eff, x) * math.exp(logw[fj] - logw[i]) \
+                    * grad[fj, ax]
+        if i in pc.potential:
+            total += pc.potential[i].eval(t_eff, x)
+        rel[i] = (-0.5 * n / t_eff + r2 / (4.0 * t_eff ** 2)) * dteff \
+            + dtw[i] - dteff * total
+    return logw, logp, grad, rel
+
+
+@pytest.mark.parametrize("mode", sorted(WARPS))
+@pytest.mark.parametrize("path", PROBLEMS, ids=os.path.basename)
+def test_eval_points_matches_per_point_reference(path, mode):
+    pf = load_problem_file(path)
+    center = np.full(pf.pc.n, 0.1)
+    exp = expand(pf.pc, center, pf.order_K, WARPS[mode], pf.degree_D)
+    xs = np.random.default_rng(4).uniform(-0.9, 0.9, (4, pf.pc.n))
+    for t in (0.05, 0.1, 0.3):
+        kp = eval_points(exp, t, xs, pf.pc)
+        for p, x in enumerate(xs):
+            logw, logp, log_grad, rel = _per_point(exp, pf.pc, t, x)
+            value = np.exp(logp)
+            for got, ref in ((kp.value[:, p], value),
+                             (kp.log_value[:, p], logp),
+                             (kp.gradient[:, p], log_grad * value[:, None])):
+                assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
+            assert np.all(np.abs(kp.residual_rel[:, p] - rel) <= 1e-12)
+            # the one-point calls give the same rows
+            raw, one_rel = residual(exp, pf.pc, t, x)
+            assert np.array_equal(one_rel, kp.residual_rel[:, p])
+            assert np.array_equal(raw, one_rel * kp.value[:, p])
+            for j in range(pf.pc.components):
+                kv = eval_kernel(exp, t, x, j=j)
+                assert (kv.value, kv.log_value) == \
+                    (kp.value[j, p], kp.log_value[j, p])
+                assert np.array_equal(kv.gradient, kp.gradient[j, p])
+                assert abs(log_correction(exp, t, x, j) - logw[j]) <= \
+                    1e-13 * abs(logw[j])
+                assert np.all(np.abs(kernel_log_gradient(exp, t, x, j)
+                                     - log_grad[j])
+                              <= 1e-13 * np.abs(log_grad[j]))
+
+
+def test_eval_points_in_chunks_equals_one_pass(monkeypatch):
+    pf = load_problem_file(PROBLEMS[[os.path.basename(p) for p in PROBLEMS]
+                                    .index("coupled_system.json")])
+    exp = expand(pf.pc, [0.1, -0.2], 4, WARPS["tau"], 10)
+    xs = np.random.default_rng(6).uniform(-0.9, 0.9, (7, 2))
+    whole = eval_points(exp, 0.2, xs, pf.pc)
+    monkeypatch.setattr(kernel, "_CHUNK_FLOATS", 1)     # one point each
+    split = eval_points(exp, 0.2, xs, pf.pc)
+    for name in ("value", "log_value", "gradient", "residual_rel"):
+        assert getattr(split, name).tobytes() == \
+            getattr(whole, name).tobytes()
+    assert eval_points(exp, 0.2, np.empty((0, 2))).value.shape == (2, 0)
+
+
+def test_overflow_raises_at_the_first_failing_row_and_component():
+    # only component 1 has drift, so only it overflows far out
+    pc = ProblemCoefficients(2, 2, {
+        (1, 1, 0): FourierEntry(2, ((0.3, (1.0, 0.5), 0.0),))})
+    exp = expand(pc, [0.0, 0.0], 6, WarpParams(), 12)
+    xs = np.array([[0.2, 0.1], [0.5, -0.4], [-25.0, 3.0], [25.0, 0.0]])
+    t = 0.1
+    first = None
+    for p, x in enumerate(xs):
+        logp = _per_point(exp, pc, t, x)[1]
+        if first is None and (logp >= 700.0).any():
+            first = (p, int(np.argmax(logp >= 700.0)), logp)
+    p, j, logp = first
+    assert (p, j) == (2, 1) and logp[0] < 700.0
+    expected = (f"log kernel value {logp[j]:.3g} at |x - y| = "
+                f"{float(np.linalg.norm(xs[p])):.3g} overflows")
+    for call in (lambda: eval_points(exp, t, xs, pc),
+                 lambda: eval_points(exp, t, xs),
+                 lambda: residual(exp, pc, t, xs[p]),
+                 lambda: eval_kernel(exp, t, xs[p], j=1)):
+        with pytest.raises(ScalingError, match="trust radius") as err:
+            call()
+        assert str(err.value).startswith(expected)
+    # component 0 alone is finite there
+    assert math.isfinite(eval_kernel(exp, t, xs[p], j=0).log_value)
+
+
+def test_residual_raises_when_a_coupling_ratio_overflows():
+    # p_1 / p_0 = exp(c_1 - c_0) ~ exp(1000) at x - y = (-20, 0) for t =
+    # 0.01, while both log values stay far below 700
+    pc = ProblemCoefficients(2, 2, {
+        (0, 1, 0): PolyEntry(2, ((0.1, (0, 0)),)),
+        (1, 1, 0): PolyEntry(2, ((100.0, (0, 0)),))})
+    exp = expand(pc, [0.0, 0.0], 2, WarpParams(), 6)
+    far, near = [-20.0, 0.0], [-0.2, 0.1]
+    assert (eval_points(exp, 0.01, [far]).log_value < 0.0).all()
+    with pytest.raises(ScalingError, match="ratio p_1/p_0 overflows"):
+        residual(exp, pc, 0.01, far)
+    assert np.isfinite(residual(exp, pc, 0.01, near)[1]).all()
+
+
+def test_tau_max_is_enforced_by_the_point_evaluator():
+    wp = WarpParams(mode="tau", beta=0.5, tau_max=0.6)
+    exp = expand(PC_SIN, [0.0], 4, wp, 10)
+    assert math.isfinite(eval_kernel(exp, 0.6, [0.2]).value)
+    for call in (lambda: eval_kernel(exp, 0.61, [0.2]),
+                 lambda: residual(exp, PC_SIN, 0.61, [0.2]),
+                 lambda: eval_points(exp, 0.61, [[0.2], [0.3]])):
+        with pytest.raises(ParameterError, match="tau_max = 0.6"):
+            call()
+    # tau_max = 0 means unset; tau >= 1 is still the mode's own error
+    unset = expand(PC_SIN, [0.0], 4, WarpParams(mode="tau", beta=0.5), 10)
+    assert math.isfinite(eval_kernel(unset, 0.9, [0.2]).value)
+    with pytest.raises(ParameterError, match=r"\(0, 1\)"):
+        eval_kernel(exp, 1.0, [0.2])
+
+
+def test_eval_points_rejects_misshapen_points():
+    exp = expand(PC_ZERO, [0.0], 1)
+    with pytest.raises(StructureError):
+        eval_points(exp, 0.1, [0.1, 0.2])
+    with pytest.raises(StructureError):
+        eval_kernel(exp, 0.1, [0.1, 0.2])

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from parakern import recursion
 from parakern.funcspec import GaussianMix
 from parakern.kernel import (KernelField, delta_property, eval_kernel,
-                             normalization_check)
+                             eval_points, normalization_check, residual)
 from parakern.polyalg import FourierEntry, PolyEntry
 from parakern.recursion import (ProblemCoefficients, WarpParams, expand,
                                 expand_batch, expansion_from_dict,
@@ -119,3 +119,25 @@ def test_expansion_is_translation_covariant(n, mode, k, phi, y, amps):
     assert np.array_equal(about_y.jet_order, about_0.jet_order)
     scale = max(1.0, float(np.max(np.abs(about_0.coeffs))))
     assert np.max(np.abs(about_y.coeffs - about_0.coeffs)) <= 1e-13 * scale
+
+
+@SEEDED
+@given(system=st.booleans(), mode=st.sampled_from(["plain", "beta", "tau"]),
+       t=st.floats(0.02, 0.5),
+       xs=st.lists(st.tuples(coords, coords), min_size=1, max_size=6))
+def test_eval_points_rows_equal_single_point_calls(system, mode, t, xs):
+    # each row of one pass over many points is the single-point result,
+    # bit for bit: no row depends on the others
+    pc = PC_SYS if system else PC_SIN
+    wp = WarpParams() if mode == "plain" else WarpParams(mode=mode, beta=0.5)
+    exp = expand(pc, [0.1] * pc.n, 3, wp, 8)
+    xs = np.array(xs)[:, :pc.n]
+    kp = eval_points(exp, t, xs, pc)
+    for p, x in enumerate(xs):
+        raw, rel = residual(exp, pc, t, x)
+        assert np.array_equal(rel, kp.residual_rel[:, p])
+        for j in range(pc.components):
+            kv = eval_kernel(exp, t, x, j=j)
+            assert (kv.value, kv.log_value) == \
+                (kp.value[j, p], kp.log_value[j, p])
+            assert np.array_equal(kv.gradient, kp.gradient[j, p])
