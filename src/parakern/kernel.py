@@ -8,8 +8,10 @@ over all points of one expansion (the single-point calls and ``parakern
 eval`` go through it), and :func:`_gh_integrals` over all nodes of a
 Gauss-Hermite pass (normalization, the delta property, the solvers'
 convolutions), expanded with one ``expand_batch`` call.
-:class:`KernelField` holds the problem and expansion settings and caches
-single-center expansions for the two-parameter ``pair_*`` calls.
+:class:`KernelField` holds the problem and expansion settings; its
+:meth:`~KernelField.pair_log_terms` runs the evaluator over rows of
+centres of the two-parameter kernel p(t, x; s, y), and the ``pair_*``
+calls are its one-point case.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from .errors import ParameterError, ScalingError, StructureError
 from .polyalg import _monomials, _partial_tables
 from .recursion import (ExpansionCoeffs, ProblemCoefficients, WarpParams,
-                        expand, expand_batch, t_of_tau, _CHUNK_FLOATS)
+                        expand_batch, t_of_tau, _CHUNK_FLOATS)
 
 
 @dataclass(frozen=True)
@@ -234,10 +236,10 @@ class KernelField:
     """A problem's kernel at fixed warp, order K and degree cap D.
 
     Gauss-Hermite passes (:func:`_gh_integrals`) expand all their nodes
-    in one batch.  The two-parameter calls (``pair_log_value``,
-    ``pair_log_gradient``), which the boundary march makes one point at
-    a time, reuse single-center expansions, and their coefficient
-    arrays, from a cache keyed by center and time origin.
+    in one batch.  The two-parameter kernel p(t, x; s, y) is evaluated
+    over rows of centres by :meth:`pair_log_terms`, from coefficients
+    :meth:`pair_coeffs` builds in one batch per time origin; the caller
+    holds them as long as it needs them.
     """
 
     def __init__(self, pc: ProblemCoefficients, warp: WarpParams = WarpParams(),
@@ -246,7 +248,6 @@ class KernelField:
         self.warp = warp
         self.K = K
         self.D = D if D is not None else 2 * K + 2
-        self._cache: dict = {}
         # zero drift and potential: the correction factor is identically 1
         self._trivial = not pc.drift and not pc.potential
         self.trust_radius = self._trust_radius()
@@ -275,56 +276,84 @@ class KernelField:
                 r = min(r, r_part)
         return r
 
-    def expansion(self, y, s_origin: float = 0.0) -> ExpansionCoeffs:
-        key = (tuple(round(float(v), 14) for v in np.atleast_1d(y)),
-               round(float(s_origin), 14))
-        exp = self._cache.get(key)
-        if exp is None:
-            pc = self.pc.shifted_origin(s_origin)
-            exp = self._cache[key] = expand(pc, np.atleast_1d(y), self.K,
-                                            self.warp, self.D)
-        return exp
-
-    def mode_time(self, t_phys: float) -> float:
-        """Map physical elapsed time to the warp's own time variable."""
+    def mode_time(self, t_phys):
+        """Map physical elapsed time to the warp's own time variable
+        (elementwise for an array)."""
         if self.warp.mode == "plain":
             return t_phys
         if self.warp.mode == "beta":
             return t_phys / self.warp.beta
+        if isinstance(t_phys, np.ndarray):
+            return -np.expm1(-t_phys / self.warp.beta)
         return -math.expm1(-t_phys / self.warp.beta)
 
     # -- two-parameter kernel p(t, x; s, y) ---------------------------------
 
-    def pair_log_value(self, t: float, s: float, x, y, j: int = 0) -> float:
-        """log p(t, x; s, y): expansion re-anchored at s when needed."""
-        sigma = t - s
-        if sigma <= 0:
-            raise ParameterError("need t > s")
-        x = np.asarray(x, dtype=float)
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        dx = x - y
-        n = self.pc.n
-        log_g = -0.5 * n * math.log(4.0 * math.pi * sigma) \
-            - float(np.dot(dx, dx)) / (4.0 * sigma)
+    def pair_coeffs(self, ys, s: float = 0.0) -> np.ndarray | None:
+        """Coefficients of p(., .; s, y) about every row of ``ys`` (B, n).
+
+        Shaped as ``ExpansionBatch.coeffs``; the recursion is re-anchored
+        at s for time-dependent coefficients.  None for a trivial field,
+        whose kernel is the Gaussian.
+        """
         if self._trivial:
-            return log_g
+            return None
         origin = s if self.pc.time_dependent else 0.0
-        exp = self.expansion(y, origin)
-        return log_g + log_correction(exp, self.mode_time(sigma), x, j)
+        ys = np.asarray(ys, dtype=float).reshape(-1, self.pc.n)
+        return expand_batch(self.pc.shifted_origin(origin), ys, self.K,
+                            self.warp, self.D).coeffs
+
+    def pair_log_terms(self, sigma, dx, coeffs: np.ndarray | None = None,
+                       centre=None, j: int = 0, gradient: bool = False):
+        """log p(s + sigma, y + dx; s, y) and grad_x log p at every row.
+
+        ``sigma`` (R,) holds physical elapsed times t - s > 0 and ``dx``
+        (R, n) the offsets x - y; row r reads centre ``centre[r]`` of
+        ``coeffs`` (from :meth:`pair_coeffs`, unused for a trivial
+        field).  The Gaussian factor is taken at sigma, the correction at
+        the warp's own time.  Returns (log p, shape (R,); grad_x log p,
+        shape (R, n), or None without ``gradient``).  Rows are taken in
+        chunks that bound the coefficient-monomial products.
+        """
+        sigma = np.asarray(sigma, dtype=float)
+        dx = np.asarray(dx, dtype=float)
+        if not (sigma > 0).all():
+            raise ParameterError("need t > s")
+        logp = -0.5 * dx.shape[1] * np.log(4.0 * math.pi * sigma) \
+            - (dx * dx).sum(axis=1) / (4.0 * sigma)
+        grad = -dx / (2.0 * sigma[:, None]) if gradient else None
+        if self._trivial:
+            return logp, grad
+        cj = coeffs[j:j + 1]
+        time = self.mode_time(sigma)
+        step = max(1, _CHUNK_FLOATS // cj[:, :, :, 0].size)
+        for lo in range(0, len(sigma), step):
+            rows = slice(lo, lo + step)
+            corr, _, g, _ = _log_terms(
+                cj[:, :, :, np.asarray(centre)[rows]], dx[rows], self.D,
+                time[rows], sigma[rows] if gradient else None)
+            logp[rows] += corr[0]
+            if gradient:
+                grad[rows] = g[0]
+        return logp, grad
+
+    def pair_log_value(self, t: float, s: float, x, y, j: int = 0) -> float:
+        """log p(t, x; s, y), the one-point case of :meth:`pair_log_terms`."""
+        return float(self._pair(t, s, x, y, j, False)[0][0])
 
     def pair_value(self, t: float, s: float, x, y, j: int = 0) -> float:
         return math.exp(self.pair_log_value(t, s, x, y, j))
 
     def pair_log_gradient(self, t: float, s: float, x, y,
                           j: int = 0) -> np.ndarray:
-        sigma = t - s
-        if self._trivial:
-            dx = np.asarray(x, dtype=float) - np.atleast_1d(
-                np.asarray(y, dtype=float))
-            return -dx / (2.0 * sigma)
-        origin = s if self.pc.time_dependent else 0.0
-        exp = self.expansion(y, origin)
-        return kernel_log_gradient(exp, self.mode_time(sigma), x, j)
+        """grad_x log p(t, x; s, y), the one-point case."""
+        return self._pair(t, s, x, y, j, True)[1][0]
+
+    def _pair(self, t, s, x, y, j, gradient):
+        y = np.atleast_1d(np.asarray(y, dtype=float))
+        dx = np.asarray(x, dtype=float) - y
+        return self.pair_log_terms([t - s], dx[None], self.pair_coeffs(y, s),
+                                   [0], j, gradient)
 
 
 @functools.lru_cache(maxsize=None)
@@ -397,14 +426,15 @@ def _log_terms(coeffs: np.ndarray, dx: np.ndarray, D: int, time: float,
     """The correction ``sum_k c_k(time, x) time^k`` and its derivatives.
 
     ``coeffs`` (components, K + 1, T, B, N) about centers y_b and ``dx``
-    = x - y_b (B, n), or B = 1 and one ``dx`` row per point.  Returns
+    = x - y_b (B, n), or B = 1 and one ``dx`` row per point; ``time``
+    and ``t_eff`` are scalars or hold one value per center.  Returns
     (correction, its time derivative, log-gradient, its Laplacian); the
     log-gradient adds -dx / (2 t_eff) and needs ``t_eff`` (else it has no
     axes), the time derivative and Laplacian need ``second`` (else 0).
     """
     mono = _monomials(dx, D)
     corr = _sum_terms(coeffs, mono, time, 0.0)
-    tables = _partial_tables(dx.shape[1], D) if t_eff else ()
+    tables = _partial_tables(dx.shape[1], D) if t_eff is not None else ()
     grad = np.empty(corr.shape + (len(tables),))
     lap = dtime = np.zeros_like(corr)
     for axis, (src, dst, scale) in enumerate(tables):

@@ -217,97 +217,111 @@ def solve_cauchy(ps: ProblemSpec, fld: KernelField,
 def _double_sqrt_weights(t_m: float, edges: np.ndarray) -> np.ndarray:
     """Exact integrals of 1/sqrt(s (t_m - s)) over the marching intervals.
 
-    Antiderivative 2 arcsin(sqrt(s/t)).  These weights absorb both the
-    kernel singularity at s -> t and the startup singularity of the
-    boundary density at s -> 0 (the restricted initial-data potential
-    delivers only half the data on the boundary; the missing half enters
-    through a density transient ~ s^(-1/2)).
+    Antiderivative 2 arcsin(sqrt(s/t)), along the last axis of ``edges``.
+    These weights absorb both the kernel singularity at s -> t and the
+    startup singularity of the boundary density at s -> 0 (the
+    restricted initial-data potential
+    delivers only half the data on the boundary; the missing half
+    enters through a density transient ~ s^(-1/2)).
     """
     ratios = np.clip(edges / t_m, 0.0, 1.0)
     anti = 2.0 * np.arcsin(np.sqrt(ratios))
-    return anti[1:] - anti[:-1]
+    return anti[..., 1:] - anti[..., :-1]
 
 
 class _Ibvp2Machine:
-    """Shared quadrature machinery for the Volterra march and rebuild."""
+    """Kernel sums and quadrature of one Robin solve, on arrays.
+
+    Every kernel value is a row (origin s, time t, point x, centre) of a
+    ``KernelField.pair_log_terms`` call.  The centres are the two
+    endpoints and the domain rules' nodes.  For autonomous coefficients
+    their expansions are built in one batch at origin 0 and held for the
+    solve; time-dependent ones take one batch per origin and call.
+    """
 
     def __init__(self, ps: ProblemSpec, fld: KernelField,
                  quad: QuadratureConfig):
         self.ps = ps
         self.fld = fld
-        self.quad = quad
-        self.a = ps.domain_lo[0]
-        self.b = ps.domain_hi[0]
-        self.ends = np.array([self.a, self.b])
-        self.normals = np.array([-1.0, 1.0])
+        a, b = ps.domain_lo[0], ps.domain_hi[0]
+        self.ends = np.array([a, b])
         self.has_source = not isinstance(ps.source, ZeroFunc)
-
-    def kernel_k(self, t: float, e: int, s: float, eprime: int) -> float:
-        """K = [dp/dnu + alpha p](t, x_e; s, y_e'), the jump-equation kernel."""
-        xe = np.array([self.ends[e]])
-        ye = np.array([self.ends[eprime]])
-        lp = self.fld.pair_log_value(t, s, xe, ye)
-        lg = self.fld.pair_log_gradient(t, s, xe, ye)
-        p = math.exp(lp)
-        alpha = self.ps.alpha.eval(t, xe)
-        return self.normals[e] * lg[0] * p + alpha * p
-
-    def layer_value(self, t: float, x: np.ndarray, s: float,
-                    eprime: int) -> float:
-        ye = np.array([self.ends[eprime]])
-        return math.exp(self.fld.pair_log_value(t, s, x, ye))
-
-    def domain_term(self, t: float, x: np.ndarray, with_nu: int | None):
-        """phi and source contributions (value or normal derivative at x).
-
-        ``with_nu`` is None for plain values or the endpoint index whose
-        outward normal direction to differentiate along.
-        """
-        quad = self.quad
-        ys, ws = _gl_rule(self.a, self.b, quad.gl_order,
-                          max(quad.gl_panels, 8))
-
-        def kernel_factor(t_, s_, y):
-            lp = self.fld.pair_log_value(t_, s_, x, np.array([y]))
-            p = math.exp(lp)
-            if with_nu is None:
-                return p
-            lg = self.fld.pair_log_gradient(t_, s_, x, np.array([y]))
-            return self.normals[with_nu] * lg[0] * p
-
-        total = 0.0
-        for y, w in zip(ys, ws):
-            fv = self.ps.phi.eval(0.0, np.array([y]))
-            if fv != 0.0:
-                total += w * kernel_factor(t, 0.0, y) * fv
+        # phi at the domain nodes once per solve; where it vanishes a node
+        # carries nothing
+        ys, ws = _gl_rule(a, b, quad.gl_order, max(quad.gl_panels, 8))
+        fv = np.array([ps.phi.eval(0.0, ys[i:i + 1]) for i in range(len(ys))])
+        live = fv != 0.0
+        self.phi_c = 2 + np.arange(live.sum())
+        self.phi_w = ws[live] * fv[live]
+        centres = [self.ends, ys[live]]
         if self.has_source:
             # s = t - r^2 flattens the (t-s)^(-1/2) endpoint behavior; the
             # time integral smooths the spatial one, so coarser rules do
-            yg, wg = _gl_rule(self.a, self.b, quad.gl_order, 4)
-            rs, rw = _gl_rule(0.0, math.sqrt(t), max(8, quad.gl_order // 2), 1)
-            for r, wr in zip(rs, rw):
-                s = t - r * r
-                inner = 0.0
-                for y, w in zip(yg, wg):
-                    fv = self.ps.source.eval(s, np.array([y]))
-                    if fv != 0.0:
-                        inner += w * kernel_factor(t, s, y) * fv
-                total += 2.0 * r * wr * inner
-        return total
+            self.src_y, self.src_w = _gl_rule(a, b, quad.gl_order, 4)
+            self.src_c = 2 + len(self.phi_c) + np.arange(len(self.src_y))
+            self.r_rule = _gl_nodes(max(8, quad.gl_order // 2))
+            centres.append(self.src_y)
+        self.centres = np.concatenate(centres)
+        self.coeffs0 = None if fld.pc.time_dependent else \
+            fld.pair_coeffs(self.centres[:, None])
 
-    def forcing(self, t: float, e: int) -> float:
-        """h(t, x_e) = psi - [d/dnu + alpha](phi-term + f-term).
+    def integrate(self, s, t, x, centre, weight, gradient=False):
+        """Sums over the last axis of weight * p(t, x; s, y) and, with
+        ``gradient``, of weight * dp/dx, for y = ``centres[centre]``.
 
-        Derived from the inside limit of the single-layer normal
-        derivative (+gamma/2 with outward normal); the layer ansatz then
-        satisfies the Robin condition iff
-        gamma/2 + int K gamma = h.
+        The arguments broadcast together; rows of zero weight are skipped.
         """
-        xe = np.array([self.ends[e]])
-        alpha = self.ps.alpha.eval(t, xe)
-        val = self.domain_term(t, xe, None)
-        dnu = self.domain_term(t, xe, e)
-        return self.ps.psi.eval(t, xe) - dnu - alpha * val
+        fld = self.fld
+        shape = np.broadcast_shapes(*map(np.shape, (s, t, x, centre, weight)))
+        live = np.broadcast_to(weight, shape) != 0.0
+        s, t, x, centre, w = (np.broadcast_to(v, shape)[live]
+                              for v in (s, t, x, centre, weight))
+        dx = (x - self.centres[centre])[:, None]
+        if not fld.pc.time_dependent:
+            logp, g = fld.pair_log_terms(t - s, dx, self.coeffs0, centre,
+                                         gradient=gradient)
+        else:
+            logp, g = np.empty(len(s)), np.empty_like(dx)
+            origins, group = np.unique(s, return_inverse=True)
+            for o, origin in enumerate(origins):
+                rows = group == o
+                used, local = np.unique(centre[rows], return_inverse=True)
+                logp[rows], g[rows] = fld.pair_log_terms(
+                    t[rows] - origin, dx[rows],
+                    fld.pair_coeffs(self.centres[used, None], origin),
+                    local, gradient=True)
+        out = np.zeros(shape)
+        out[live] = w * np.exp(logp)
+        if not gradient:
+            return out.sum(axis=-1), None
+        dout = np.zeros(shape)
+        dout[live] = out[live] * g[:, 0]
+        return out.sum(axis=-1), dout.sum(axis=-1)
+
+    def domain_term(self, ts, xs, gradient=False):
+        """phi and source contributions at every (time, point), shape
+        (len(ts), len(xs)); with ``gradient`` also their x-derivatives.
+        The source's (r, node) rows follow phi's nodes on the last axis."""
+        ts = np.asarray(ts, dtype=float)[:, None]
+        s = np.zeros((len(ts), len(self.phi_c)))
+        weight, centre = np.broadcast_to(self.phi_w, s.shape), self.phi_c
+        if self.has_source:
+            # s = t - r^2, r by Gauss-Legendre on [0, sqrt(t)]
+            nodes, wr = self.r_rule
+            root = np.sqrt(ts)
+            r = 0.5 * root * nodes + 0.5 * root
+            sr = ts - r * r
+            fv = np.array([[[self.ps.source.eval(si, np.array([y]))
+                             for y in self.src_y] for si in row]
+                           for row in sr])
+            rw = 2.0 * r * (0.5 * root * wr)
+            s = np.hstack([s, np.repeat(sr, len(self.src_y), axis=1)])
+            weight = np.hstack([weight, (rw[:, :, None] * self.src_w
+                                         * fv).reshape(len(ts), -1)])
+            centre = np.concatenate([centre, np.tile(self.src_c, len(nodes))])
+        return self.integrate(s[:, None], ts[:, None],
+                              np.asarray(xs, dtype=float)[:, None], centre,
+                              weight[:, None], gradient)
 
 
 def solve_ibvp2(ps: ProblemSpec, fld: KernelField, steps: int = 64,
@@ -320,40 +334,63 @@ def solve_ibvp2(ps: ProblemSpec, fld: KernelField, steps: int = 64,
     The solution ansatz adds a boundary layer to the Cauchy terms:
     u = phi-term + f-term + sum_e int_0^t p(t, x; s, x_e) gamma(s, e) ds.
     The density gamma solves the second-kind Volterra system
-    gamma/2 + int_0^t K gamma ds = h, marched on a uniform grid with
-    gamma represented as a piecewise-constant factor over 1/sqrt(s) and
-    product weights that integrate 1/sqrt(s (t - s)) exactly, absorbing
-    the kernel singularity and the density's startup transient at once.
-    Sample times should sit on the marching grid.
+    gamma/2 + int_0^t K gamma ds = h, K = [dp/dnu + alpha p] and
+    h = psi - [d/dnu + alpha](phi-term + f-term) at the endpoints,
+    marched on a uniform grid with gamma represented as a
+    piecewise-constant factor over 1/sqrt(s) and product weights that
+    integrate 1/sqrt(s (t - s)) exactly, absorbing the kernel
+    singularity and the density's startup transient at once.
+    K is evaluated once per lag t - s for autonomous coefficients, once
+    per origin s_i otherwise.  Sample times must lie in (0, horizon] and
+    should sit on the marching grid.
     """
     if ps.kind != "ibvp2":
         raise ParameterError("solve_ibvp2 expects an ibvp2 problem spec")
     if steps < 2:
         raise ParameterError("need at least 2 marching steps")
-    mach = _Ibvp2Machine(ps, fld, quad)
     T = ps.horizon
+    times = sorted(sample_times or [T])
+    if not (0.0 < times[0] and times[-1] <= T):
+        raise ParameterError(f"sample times must lie in (0, {T}], where "
+                             f"the density is marched; got {times}")
+    mach = _Ibvp2Machine(ps, fld, quad)
+    ends, normals = mach.ends, np.array([-1.0, 1.0])
     edges = np.linspace(0.0, T, steps + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
+    tm = edges[1:]
+
+    # forcing h(t_m, x_e) from one kernel evaluation per row, value and
+    # normal derivative together
+    alpha, psi = (np.array([[f.eval(t, ends[e:e + 1]) for e in range(2)]
+                            for t in tm]) for f in (ps.alpha, ps.psi))
+    val, dx_val = mach.domain_term(tm, ends, gradient=True)
+    h = psi - normals * dx_val - alpha * val
+
+    # jump kernel times sqrt(t_m - s_i) for the endpoint pairs (e, e'): P
+    # for p, G for n_e dp/dx.  Autonomous coefficients: one row per lag
+    # L = m - 1 - i, where t_m - s_i = mids[L]; time-dependent: rows
+    # (m - 1, i), zero for i >= m
+    if fld.pc.time_dependent:
+        s_, t_ = mids[None, :], tm[:, None]
+    else:
+        s_, t_ = np.zeros(steps), mids
+    s_, t_ = s_[..., None, None, None], t_[..., None, None, None]
+    P, dP = mach.integrate(s_, t_, ends[:, None, None], np.arange(2)[:, None],
+                           np.sqrt(np.maximum(t_ - s_, 0.0)), gradient=True)
+    G = normals[:, None] * dP
+
     # gamma(s) = g(s) / sqrt(s) with g piecewise constant; the 1/sqrt(s)
     # factor carries the startup transient exactly
     gvals = np.zeros((steps, 2))
-
     for mstep in range(1, steps + 1):
         t_m = edges[mstep]
         wts = _double_sqrt_weights(t_m, edges[:mstep + 1])
-        rhs = np.array([mach.forcing(t_m, e) for e in range(2)])
-        for i in range(mstep - 1):
-            for e in range(2):
-                for ep in range(2):
-                    kappa = mach.kernel_k(t_m, e, mids[i], ep) * \
-                        math.sqrt(t_m - mids[i])
-                    rhs[e] -= wts[i] * kappa * gvals[i, ep]
-        A = 0.5 * np.eye(2) / math.sqrt(t_m)
-        for e in range(2):
-            for ep in range(2):
-                kappa = mach.kernel_k(t_m, e, mids[mstep - 1], ep) * \
-                    math.sqrt(t_m - mids[mstep - 1])
-                A[e, ep] += wts[mstep - 1] * kappa
+        rows = (mstep - 1, slice(mstep)) if fld.pc.time_dependent \
+            else slice(mstep - 1, None, -1)
+        kappa = G[rows] + alpha[mstep - 1][:, None] * P[rows]
+        rhs = h[mstep - 1] - np.einsum("i,ief,if->e", wts[:-1], kappa[:-1],
+                                       gvals[:mstep - 1])
+        A = 0.5 * np.eye(2) / math.sqrt(t_m) + wts[-1] * kappa[-1]
         # scale-free: the smallest singular value against the largest and
         # against the identity part 0.5/sqrt(t_m), which sets A's scale
         sv = np.linalg.svd(A, compute_uv=False)
@@ -365,33 +402,27 @@ def solve_ibvp2(ps: ProblemSpec, fld: KernelField, steps: int = 64,
     # reconstruction on the interior lattice; the layer integrand is
     # resolved on subdivided intervals, the density itself is not refined
     if points is None:
-        xs = np.linspace(ps.domain_lo[0], ps.domain_hi[0], 23)[1:-1]
-        points = xs[:, None]
+        points = np.linspace(ps.domain_lo[0], ps.domain_hi[0], 23)[1:-1]
     points = np.asarray(points, dtype=float).reshape(-1, 1)
-    times = sorted(sample_times or [T])
     nsub = 4
     values = np.zeros((len(times), len(points), 1))
     for it, t in enumerate(times):
-        mlast = int(round(t / (T / steps)))
-        mlast = max(1, min(steps, mlast))
-        for ip, x in enumerate(points):
-            u = mach.domain_term(t, x, None)
-            for i in range(mlast):
-                subs = np.linspace(edges[i], edges[i + 1], nsub + 1)
-                wts = _double_sqrt_weights(t, subs)
-                smids = 0.5 * (subs[:-1] + subs[1:])
-                for sm, wi in zip(smids, wts):
-                    sm = min(sm, t - 1e-13)
-                    for ep in range(2):
-                        rho = mach.layer_value(t, x, sm, ep) * \
-                            math.sqrt(t - sm)
-                        u += wi * rho * gvals[i, ep]
-            values[it, ip, 0] = u
+        mlast = max(1, min(steps, int(round(t / (T / steps)))))
+        subs = np.linspace(edges[:mlast], edges[1:mlast + 1], nsub + 1,
+                           axis=1)
+        wts = _double_sqrt_weights(t, subs)
+        sm = np.minimum(0.5 * (subs[:, :-1] + subs[:, 1:]), t - 1e-13)
+        # rows (x, i, sub, e')
+        weight = wts[:, :, None] * np.sqrt(t - sm)[:, :, None] \
+            * gvals[:mlast, None, :]
+        layer, _ = mach.integrate(sm[:, :, None], t,
+                                  points[:, :, None, None], np.arange(2),
+                                  weight)
+        values[it, :, 0] = mach.domain_term([t], points[:, 0])[0][0] \
+            + layer.sum(axis=(1, 2))
     sol = GridSolution(np.array(times, dtype=float), points, values,
                        {"kind": "ibvp2", "steps": steps, "K": fld.K})
-    dens = BoundaryDensity(mids, mach.ends,
-                           gvals / np.sqrt(mids)[:, None])
-    return sol, dens
+    return sol, BoundaryDensity(mids, ends, gvals / np.sqrt(mids)[:, None])
 
 
 # ---------------------------------------------------------------------------

@@ -427,3 +427,51 @@ def test_eval_points_rejects_misshapen_points():
         eval_points(exp, 0.1, [0.1, 0.2])
     with pytest.raises(StructureError):
         eval_kernel(exp, 0.1, [0.1, 0.2])
+
+
+@pytest.mark.parametrize("mode", ["plain", "beta", "tau"])
+def test_pair_log_terms_rows_equal_one_point_calls(monkeypatch, mode):
+    # rows of several centres, in one pass and in one-row chunks, equal
+    # the one-point pair_* calls bit for bit, time-dependent origin included
+    entry = TimeEntry(((0, PolyEntry(1, ((0.3, (0,)), (0.2, (1,))))),
+                       (1, PolyEntry(1, ((0.5, (0,)),)))))
+    pc = ProblemCoefficients(1, 1, {(0, 0, 0): entry})
+    fld = KernelField(pc, WARPS[mode], K=4)
+    s, ys = 0.1, np.array([[-0.2], [0.1], [0.4]])
+    centre = np.array([0, 2, 1, 0, 2])
+    t = s + np.array([0.05, 0.2, 0.1, 0.3, 0.01])
+    sigma = t - s
+    xs = np.array([[0.1], [0.3], [-0.4], [0.0], [0.45]])
+    coeffs = fld.pair_coeffs(ys, s)
+    whole = fld.pair_log_terms(sigma, xs - ys[centre], coeffs, centre,
+                               gradient=True)
+    monkeypatch.setattr(kernel, "_CHUNK_FLOATS", 1)     # one row each
+    split = fld.pair_log_terms(sigma, xs - ys[centre], coeffs, centre,
+                               gradient=True)
+    for a, b in zip(whole, split):
+        assert a.tobytes() == b.tobytes()
+    for r, c in enumerate(centre):
+        assert fld.pair_log_value(t[r], s, xs[r], ys[c]) == whole[0][r]
+        assert np.array_equal(fld.pair_log_gradient(t[r], s, xs[r], ys[c]),
+                              whole[1][r])
+        # and the single-center expansion read by the point evaluator
+        exp = expand(pc.shifted_origin(s), ys[c], 4, WARPS[mode], 10)
+        time, dx = fld.mode_time(sigma[r]), xs[r] - ys[c]
+        log_g = -0.5 * math.log(4 * math.pi * sigma[r]) \
+            - dx[0] ** 2 / (4 * sigma[r])
+        assert whole[0][r] == pytest.approx(
+            log_g + log_correction(exp, time, xs[r], 0), rel=1e-13)
+        assert whole[1][r] == pytest.approx(
+            kernel_log_gradient(exp, time, xs[r]), rel=1e-13)
+    with pytest.raises(ParameterError, match="need t > s"):
+        fld.pair_log_terms([0.1, 0.0], np.zeros((2, 1)), coeffs, [0, 1])
+
+
+def test_pair_log_terms_of_a_trivial_field_is_the_gaussian():
+    fld = KernelField(PC_ZERO, WarpParams(), K=1)
+    assert fld.pair_coeffs([[0.0]]) is None
+    sigma, dx = np.array([0.1, 0.4]), np.array([[0.3], [-0.2]])
+    logp, grad = fld.pair_log_terms(sigma, dx, gradient=True)
+    assert np.allclose(logp, -0.5 * np.log(4 * math.pi * sigma)
+                       - dx[:, 0] ** 2 / (4 * sigma), rtol=1e-15, atol=0)
+    assert np.array_equal(grad, -dx / (2 * sigma[:, None]))

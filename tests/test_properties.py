@@ -141,3 +141,21 @@ def test_eval_points_rows_equal_single_point_calls(system, mode, t, xs):
             assert (kv.value, kv.log_value) == \
                 (kp.value[j, p], kp.log_value[j, p])
             assert np.array_equal(kv.gradient, kp.gradient[j, p])
+
+
+@SEEDED
+@given(lam=st.floats(0.5, 1.5), c=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+       t=st.floats(0.01, 0.3), x=coords, y=coords)
+def test_kernel_has_parabolic_scaling(lam, c, t, x, y):
+    # v(t, x) = u(lam^2 t, lam x) turns u_t = u_xx + b(x) u_x into
+    # v_t = v_xx + lam b(lam x) v_x, and the kernel's delta scales by
+    # 1/lam: log p_b(lam^2 t, lam x; lam y) + log lam = log p_b~(t, x; y)
+    def field(c0, c1, c2):
+        drift = PolyEntry(1, ((c0, (0,)), (c1, (1,)), (c2, (2,))))
+        return KernelField(ProblemCoefficients(1, 1, {(0, 0, 0): drift}),
+                           WarpParams(), K=6, D=14)
+
+    scaled = field(*c).pair_log_value(lam * lam * t, 0.0, [lam * x], [lam * y])
+    tilde = field(lam * c[0], lam ** 2 * c[1], lam ** 3 * c[2]) \
+        .pair_log_value(t, 0.0, [x], [y])
+    assert abs(scaled + math.log(lam) - tilde) <= 1e-13

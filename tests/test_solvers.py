@@ -1,20 +1,25 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
-from parakern.errors import (ConditioningError, ScalingError,
+from parakern.errors import (ConditioningError, ParameterError, ScalingError,
                              UnsupportedSpecError)
 from parakern.funcspec import (CallableFunc, ExpTime, GaussianMix,
                                GridSamples, SpaceFourier, SpacePoly,
                                SpacePolyFourier, TimePolyFunc, ZeroFunc)
-from parakern.kernel import KernelField
+from parakern.kernel import KernelField, kernel_log_gradient, log_correction
 from parakern.oracle import FDConfig, fd_solve, fd_solve_burgers
 from parakern.polyalg import FourierEntry, PolyEntry, TimeEntry
-from parakern.recursion import ProblemCoefficients, WarpParams
+from parakern.problemfile import load_problem_file
+from parakern.recursion import ProblemCoefficients, WarpParams, expand
 from parakern.solvers import (GridSolution, ProblemSpec,
-                              QuadratureConfig, burgers_demo, solve_cauchy,
+                              QuadratureConfig, _double_sqrt_weights,
+                              _gl_rule, burgers_demo, solve_cauchy,
                               solve_ibvp2)
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SIN_DRIFT = FourierEntry(1, ((0.3, (1.0,), 0.0),))
 PC_SIN = ProblemCoefficients(1, 1, {(0, 0, 0): SIN_DRIFT})
@@ -240,6 +245,248 @@ def test_ibvp2_manufactured_family(member):
     exact = np.array([rec["exact"](0.5, x) for x in xs[:, 0]])
     assert np.max(np.abs(sol.values[0, :, 0] - exact)) <= 3e-2
     assert np.all(np.isfinite(dens.values))
+
+
+def test_ibvp2_rejects_sample_times_outside_the_horizon():
+    # the density is marched only to the horizon: later times used to
+    # return a silently wrong value, t <= 0 has no kernel value at all
+    rec = MANUFACTURED[0]
+    ps = make_ibvp(rec["phi"], rec["alpha"], rec["psi"], T=0.5)
+    fld = KernelField(PC_ZERO, WarpParams(), K=2)
+    pts = np.array([[0.5]])
+    for bad in ([0.7], [0.25, 0.5000001], [0.0], [-0.1, 0.5]):
+        with pytest.raises(ParameterError, match="sample times"):
+            solve_ibvp2(ps, fld, steps=8, quad=QUAD, points=pts,
+                        sample_times=bad)
+    sol, _ = solve_ibvp2(ps, fld, steps=8, quad=QUAD, points=pts,
+                         sample_times=[0.0625, 0.5])
+    assert np.all(np.isfinite(sol.values))
+
+
+def test_ibvp2_constant_drift_converges_to_fd():
+    # the first Robin solve through the drift kernel path: b = 0.5 with
+    # the data of MANUFACTURED[0], against the Crank-Nicolson oracle on
+    # the same interval with the same Robin data
+    rec = MANUFACTURED[0]
+    pc = ProblemCoefficients(1, 1, {(0, 0, 0): PolyEntry(1, ((0.5, (0,)),))})
+    ps = ProblemSpec("ibvp2", (0.0,), (1.0,), 0.5, pc, phi=rec["phi"],
+                     alpha=rec["alpha"], psi=rec["psi"])
+    fld = KernelField(pc, WarpParams(), K=4)
+    xs = np.array([[0.25], [0.5], [0.75]])
+    ref = fd_solve(ps, FDConfig(h=1 / 128, dt=1 / 1024))
+    idx = np.searchsorted(ref.points[:, 0], xs[:, 0])
+    assert np.allclose(ref.points[idx, 0], xs[:, 0], rtol=0, atol=1e-12)
+    errs = []
+    for steps in (16, 32):
+        sol, dens = solve_ibvp2(ps, fld, steps=steps,
+                                quad=QuadratureConfig(gl_order=8),
+                                points=xs)
+        assert np.all(np.isfinite(dens.values))
+        errs.append(float(np.max(np.abs(sol.values[0, :, 0]
+                                        - ref.values[-1][idx, 0]))))
+    assert errs[0] <= 2.5e-2
+    assert errs[1] / errs[0] <= 0.7
+
+
+# ---------------------------------------------------------------------------
+# the per-scalar march, kept as the reference for the array march
+# ---------------------------------------------------------------------------
+
+class _ScalarMarch:
+    """The Robin march one kernel value at a time.
+
+    Each value is a scalar log p(t, x; s, y) or d/dx log p from a
+    single-center ``expand`` about y (re-anchored at s for
+    time-dependent coefficients, memoized per center and origin) read by
+    ``log_correction`` and ``kernel_log_gradient``; the Gaussian is
+    closed form for a trivial field.  Quadratures, loops and summation
+    order are those of the march before it moved onto arrays.
+    """
+
+    def __init__(self, ps, fld, quad):
+        self.ps, self.fld, self.quad = ps, fld, quad
+        self.a, self.b = ps.domain_lo[0], ps.domain_hi[0]
+        self.ends = np.array([self.a, self.b])
+        self.normals = np.array([-1.0, 1.0])
+        self.has_source = not isinstance(ps.source, ZeroFunc)
+        self.exps = {}
+
+    def _expansion(self, y, s):
+        fld = self.fld
+        origin = s if fld.pc.time_dependent else 0.0
+        key = (float(y[0]), origin)
+        if key not in self.exps:
+            self.exps[key] = expand(fld.pc.shifted_origin(origin), y, fld.K,
+                                    fld.warp, fld.D)
+        return self.exps[key]
+
+    def log_value(self, t, s, x, y):
+        sigma = t - s
+        dx = x - y
+        log_g = -0.5 * math.log(4.0 * math.pi * sigma) \
+            - float(np.dot(dx, dx)) / (4.0 * sigma)
+        if self.fld._trivial:
+            return log_g
+        return log_g + log_correction(self._expansion(y, s),
+                                      self.fld.mode_time(sigma), x, 0)
+
+    def log_gradient(self, t, s, x, y):
+        sigma = t - s
+        if self.fld._trivial:
+            return -(x - y) / (2.0 * sigma)
+        return kernel_log_gradient(self._expansion(y, s),
+                                   self.fld.mode_time(sigma), x, 0)
+
+    def kernel_k(self, t, e, s, eprime):
+        xe = np.array([self.ends[e]])
+        ye = np.array([self.ends[eprime]])
+        p = math.exp(self.log_value(t, s, xe, ye))
+        lg = self.log_gradient(t, s, xe, ye)
+        return self.normals[e] * lg[0] * p + self.ps.alpha.eval(t, xe) * p
+
+    def layer_value(self, t, x, s, eprime):
+        return math.exp(self.log_value(t, s, x,
+                                       np.array([self.ends[eprime]])))
+
+    def domain_term(self, t, x, with_nu):
+        quad = self.quad
+        ys, ws = _gl_rule(self.a, self.b, quad.gl_order,
+                          max(quad.gl_panels, 8))
+
+        def kernel_factor(t_, s_, y):
+            p = math.exp(self.log_value(t_, s_, x, np.array([y])))
+            if with_nu is None:
+                return p
+            lg = self.log_gradient(t_, s_, x, np.array([y]))
+            return self.normals[with_nu] * lg[0] * p
+
+        total = 0.0
+        for y, w in zip(ys, ws):
+            fv = self.ps.phi.eval(0.0, np.array([y]))
+            if fv != 0.0:
+                total += w * kernel_factor(t, 0.0, y) * fv
+        if self.has_source:
+            yg, wg = _gl_rule(self.a, self.b, quad.gl_order, 4)
+            rs, rw = _gl_rule(0.0, math.sqrt(t), max(8, quad.gl_order // 2), 1)
+            for r, wr in zip(rs, rw):
+                s = t - r * r
+                inner = 0.0
+                for y, w in zip(yg, wg):
+                    fv = self.ps.source.eval(s, np.array([y]))
+                    if fv != 0.0:
+                        inner += w * kernel_factor(t, s, y) * fv
+                total += 2.0 * r * wr * inner
+        return total
+
+    def forcing(self, t, e):
+        xe = np.array([self.ends[e]])
+        alpha = self.ps.alpha.eval(t, xe)
+        val = self.domain_term(t, xe, None)
+        dnu = self.domain_term(t, xe, e)
+        return self.ps.psi.eval(t, xe) - dnu - alpha * val
+
+    def solve(self, steps, points, sample_times):
+        T = self.ps.horizon
+        edges = np.linspace(0.0, T, steps + 1)
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        gvals = np.zeros((steps, 2))
+        for mstep in range(1, steps + 1):
+            t_m = edges[mstep]
+            wts = _double_sqrt_weights(t_m, edges[:mstep + 1])
+            rhs = np.array([self.forcing(t_m, e) for e in range(2)])
+            for i in range(mstep - 1):
+                for e in range(2):
+                    for ep in range(2):
+                        kappa = self.kernel_k(t_m, e, mids[i], ep) * \
+                            math.sqrt(t_m - mids[i])
+                        rhs[e] -= wts[i] * kappa * gvals[i, ep]
+            A = 0.5 * np.eye(2) / math.sqrt(t_m)
+            for e in range(2):
+                for ep in range(2):
+                    kappa = self.kernel_k(t_m, e, mids[mstep - 1], ep) * \
+                        math.sqrt(t_m - mids[mstep - 1])
+                    A[e, ep] += wts[mstep - 1] * kappa
+            gvals[mstep - 1] = np.linalg.solve(A, rhs)
+        if points is None:
+            points = np.linspace(self.a, self.b, 23)[1:-1, None]
+        times = sorted(sample_times or [T])
+        nsub = 4
+        values = np.zeros((len(times), len(points), 1))
+        for it, t in enumerate(times):
+            mlast = max(1, min(steps, int(round(t / (T / steps)))))
+            for ip, x in enumerate(points):
+                u = self.domain_term(t, x, None)
+                for i in range(mlast):
+                    subs = np.linspace(edges[i], edges[i + 1], nsub + 1)
+                    wts = _double_sqrt_weights(t, subs)
+                    smids = 0.5 * (subs[:-1] + subs[1:])
+                    for sm, wi in zip(smids, wts):
+                        sm = min(sm, t - 1e-13)
+                        for ep in range(2):
+                            rho = self.layer_value(t, x, sm, ep) * \
+                                math.sqrt(t - sm)
+                            u += wi * rho * gvals[i, ep]
+                values[it, ip, 0] = u
+        return values, gvals / np.sqrt(mids)[:, None]
+
+
+def _drift_spec(member, pc):
+    rec = MANUFACTURED[member]
+    return ProblemSpec("ibvp2", (0.0,), (1.0,), 0.5, pc, phi=rec["phi"],
+                       alpha=rec["alpha"], psi=rec["psi"],
+                       source=rec["source"] or ZeroFunc())
+
+
+CONST_DRIFT = ProblemCoefficients(1, 1, {(0, 0, 0): PolyEntry(1, ((0.5, (0,)),))})
+TIME_DRIFT = ProblemCoefficients(1, 1, {(0, 0, 0): TimeEntry((
+    (0, PolyEntry(1, ((0.3, (0,)),))), (1, PolyEntry(1, ((0.5, (0,)),)))))})
+PIN_POINTS = np.array([[0.1], [0.5], [0.85]])
+COARSE = QuadratureConfig(gl_order=8, gl_panels=2)
+
+
+def _pin_case(name):
+    """(problem, field, steps, quadrature, points, sample times)."""
+    if name == "manufactured_ibvp2.json":
+        pf = load_problem_file(os.path.join(ROOT, "problems", name))
+        return (pf.ps, KernelField(pf.pc, pf.warp, pf.order_K, pf.degree_D),
+                64, pf.quad, None, None)
+    if name.startswith("member"):
+        member = int(name[-1])
+        return (_drift_spec(member, PC_ZERO),
+                KernelField(PC_ZERO, WarpParams(), K=2), 16, QUAD,
+                PIN_POINTS, None)
+    if name == "on_grid_times":
+        return (_drift_spec(0, PC_ZERO), KernelField(PC_ZERO, WarpParams(), K=2),
+                16, QUAD, PIN_POINTS, [0.5, 0.125])
+    if name == "alpha_in_time_and_space":
+        # alpha = 1 + x + t differs between the ends and the steps
+        alpha = TimePolyFunc(((0, SpacePoly(((1.0, (0,)), (1.0, (1,))))),
+                              (1, SpacePoly(((1.0, (0,)),)))))
+        rec = MANUFACTURED[1]
+        ps = ProblemSpec("ibvp2", (0.0,), (1.0,), 0.5, CONST_DRIFT,
+                         phi=rec["phi"], alpha=alpha, psi=rec["psi"])
+        return (ps, KernelField(CONST_DRIFT, WarpParams(), K=4), 8, COARSE,
+                PIN_POINTS, None)
+    pc = {"const_drift": CONST_DRIFT, "time_drift": TIME_DRIFT,
+          "time_drift_source": TIME_DRIFT}[name]
+    member = 2 if name.endswith("source") else 0
+    steps = 4 if name.endswith("source") else 8
+    return (_drift_spec(member, pc), KernelField(pc, WarpParams(), K=4),
+            steps, COARSE, PIN_POINTS, [0.25, 0.5])
+
+
+@pytest.mark.parametrize("name", [
+    "manufactured_ibvp2.json", "member0", "member1", "member2",
+    "const_drift", "time_drift", "time_drift_source", "on_grid_times",
+    "alpha_in_time_and_space"])
+def test_ibvp2_array_march_matches_per_scalar_reference(name):
+    ps, fld, steps, quad, pts, times = _pin_case(name)
+    sol, dens = solve_ibvp2(ps, fld, steps=steps, quad=quad, points=pts,
+                            sample_times=times)
+    values, density = _ScalarMarch(ps, fld, quad).solve(steps, pts, times)
+    for new, ref in ((sol.values, values), (dens.values, density)):
+        assert new.shape == ref.shape
+        assert np.all(np.abs(new - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
 
 
 def test_ibvp2_rejects_higher_dimensions():
