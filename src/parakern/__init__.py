@@ -2,7 +2,7 @@
 
 Core layers:
 
-* :mod:`parakern.polyalg`   -- truncated Taylor/jet algebra.
+* :mod:`parakern.polyalg`   -- truncated Taylor-coefficient arrays and entries.
 * :mod:`parakern.recursion` -- expansion-coefficient recursions and warps.
 * :mod:`parakern.kernel`    -- kernel assembly and diagnostics.
 * :mod:`parakern.solvers`   -- Cauchy, second-type boundary and Burgers

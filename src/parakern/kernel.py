@@ -72,7 +72,7 @@ def _point_terms(exp: ExpansionCoeffs, time: float, xs, comps,
         raise StructureError(
             f"points of shape {xs.shape}, expected (P, {exp.dim})")
     dx = xs - np.asarray(exp.center)
-    coeffs = exp.coeff_array[list(comps)][..., None, :]
+    coeffs = exp.coeffs[list(comps)][..., None, :]
     step = max(1, _CHUNK_FLOATS // coeffs.size)
     parts = [_log_terms(coeffs, dx[i:i + step], exp.degree_D, time, t_eff,
                         second) for i in range(0, max(len(dx), 1), step)]
@@ -312,8 +312,9 @@ class KernelField:
         ``coeffs`` (from :meth:`pair_coeffs`, unused for a trivial
         field).  The Gaussian factor is taken at sigma, the correction at
         the warp's own time.  Returns (log p, shape (R,); grad_x log p,
-        shape (R, n), or None without ``gradient``).  Rows are taken in
-        chunks that bound the coefficient-monomial products.
+        shape (R, n), or None without ``gradient``).  The rows of each
+        centre read its one coefficient column, in chunks that bound the
+        coefficient-monomial products.
         """
         sigma = np.asarray(sigma, dtype=float)
         dx = np.asarray(dx, dtype=float)
@@ -324,17 +325,19 @@ class KernelField:
         grad = -dx / (2.0 * sigma[:, None]) if gradient else None
         if self._trivial:
             return logp, grad
-        cj = coeffs[j:j + 1]
         time = self.mode_time(sigma)
-        step = max(1, _CHUNK_FLOATS // cj[:, :, :, 0].size)
-        for lo in range(0, len(sigma), step):
-            rows = slice(lo, lo + step)
-            corr, _, g, _ = _log_terms(
-                cj[:, :, :, np.asarray(centre)[rows]], dx[rows], self.D,
-                time[rows], sigma[rows] if gradient else None)
-            logp[rows] += corr[0]
-            if gradient:
-                grad[rows] = g[0]
+        centre = np.asarray(centre)
+        step = max(1, _CHUNK_FLOATS // coeffs[j, :, :, 0].size)
+        for b in np.unique(centre):
+            cb = coeffs[j:j + 1, :, :, b:b + 1]
+            at_b = np.flatnonzero(centre == b)
+            for lo in range(0, len(at_b), step):
+                rows = at_b[lo:lo + step]
+                corr, _, g, _ = _log_terms(cb, dx[rows], self.D, time[rows],
+                                           sigma[rows] if gradient else None)
+                logp[rows] += corr[0]
+                if gradient:
+                    grad[rows] = g[0]
         return logp, grad
 
     def pair_log_value(self, t: float, s: float, x, y, j: int = 0) -> float:

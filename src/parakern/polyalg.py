@@ -1,20 +1,19 @@
 """Truncated multivariate Taylor-polynomial algebra.
 
-Everything downstream (coefficient recursions, kernel assembly) is built on
-three value types:
+Everything downstream (coefficient recursions, kernel assembly) works on
+bare coefficient arrays indexed by one table:
 
 * :class:`MultiIndex` -- exponent tuples with order and factorial helpers.
-* :class:`TaylorPoly` -- a dense polynomial in ``dx = x - center`` truncated
-  at a fixed total degree, stored in graded-lexicographic order.
-* :class:`TimeJet` -- a truncated polynomial in a time variable whose
-  coefficients are ``TaylorPoly`` values.
+* :func:`index_table` -- every exponent of total degree <= cap, in
+  graded-lexicographic order; row ``i`` of a coefficient array pairs
+  with row ``i`` of the table.
+* :class:`TaylorPoly` -- one such array about a center, as a plain
+  record (``taylorize``, ``ray_integrate`` and ``pk_gamma`` return one).
 
-All values are immutable after construction and all operations are pure,
-so results can be shared freely across workers.  The private column
-helpers (``_mul_cols``, ``_overflow_cols`` and the entries'
-``_taylor_cols``) do the same arithmetic on bare coefficient arrays with
-any number of columns, one per expansion centre; ``poly_mul`` and
-``taylor_coeffs`` are their one-column case.
+The private column helpers (``_mul_cols``, ``_overflow_cols``,
+``_partial_tables`` and the entries' ``_taylor_cols``) do the arithmetic
+on coefficient arrays with any number of columns, one per expansion
+centre; ``taylor_coeffs`` is the one-column case of ``_taylor_cols``.
 """
 
 from __future__ import annotations
@@ -224,8 +223,7 @@ class TaylorPoly:
     """Dense truncated polynomial in ``dx = x - center``.
 
     ``coeffs[i]`` pairs with row ``i`` of ``index_table(dim, cap)``.  The
-    ``truncated`` flag records that some operation discarded a nonzero
-    coefficient beyond the cap; it propagates through the algebra.
+    ``truncated`` flag records that the cap cut a nonzero coefficient.
     """
 
     dim: int
@@ -243,134 +241,16 @@ class TaylorPoly:
         if len(self.center) != self.dim:
             raise StructureError("center length does not match dimension")
 
-    # -- constructors ------------------------------------------------------
-
     @staticmethod
     def zero(dim: int, center: Sequence[float], cap: int) -> "TaylorPoly":
         exps, _, _ = index_table(dim, cap)
         return TaylorPoly(dim, tuple(float(c) for c in center), cap,
                           np.zeros(len(exps)))
 
-    @staticmethod
-    def constant(value: float, dim: int, center: Sequence[float],
-                 cap: int) -> "TaylorPoly":
-        p = TaylorPoly.zero(dim, center, cap)
-        p.coeffs[0] = value
-        return p
-
-    @staticmethod
-    def delta_x(i: int, dim: int, center: Sequence[float],
-                cap: int) -> "TaylorPoly":
-        """The monomial dx_i."""
-        if cap < 1:
-            raise ParameterError("cap must be >= 1 to hold dx")
-        p = TaylorPoly.zero(dim, center, cap)
-        _, pos, _ = index_table(dim, cap)
-        key = tuple(1 if a == i else 0 for a in range(dim))
-        p.coeffs[pos[key]] = 1.0
-        return p
-
-    @staticmethod
-    def from_coeff_dict(coeffs: dict, dim: int, center: Sequence[float],
-                        cap: int) -> "TaylorPoly":
-        p = TaylorPoly.zero(dim, center, cap)
-        _, pos, _ = index_table(dim, cap)
-        for key, val in coeffs.items():
-            entries = key.entries if isinstance(key, MultiIndex) else tuple(key)
-            if sum(entries) > cap:
-                raise StructureError(f"index {entries} exceeds cap {cap}")
-            p.coeffs[pos[entries]] = val
-        return p
-
-    # -- accessors -----------------------------------------------------------
-
     def coeff(self, gamma) -> float:
         entries = gamma.entries if isinstance(gamma, MultiIndex) else tuple(gamma)
         _, pos, _ = index_table(self.dim, self.cap)
         return float(self.coeffs[pos[entries]])
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.coeffs))) if len(self.coeffs) else 0.0
-
-    def _like(self, coeffs: np.ndarray, truncated: bool) -> "TaylorPoly":
-        return TaylorPoly(self.dim, self.center, self.cap, coeffs, truncated)
-
-    def _check_mate(self, other: "TaylorPoly"):
-        if (self.dim != other.dim or self.cap != other.cap
-                or self.center != other.center):
-            raise StructureError(
-                f"mismatched polynomials: dim {self.dim}/{other.dim}, "
-                f"cap {self.cap}/{other.cap}, center {self.center}/{other.center}")
-
-    # -- operator sugar (delegates to the module-level ops) ------------------
-
-    def __add__(self, other):
-        return poly_add(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, TaylorPoly):
-            return poly_mul(self, other)
-        return self._like(self.coeffs * float(other), self.truncated)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return poly_add(self, other * -1.0)
-
-    def __neg__(self):
-        return self * -1.0
-
-
-def poly_add(a: TaylorPoly, b: TaylorPoly) -> TaylorPoly:
-    """Coefficient-wise sum; operands must share dim, center and cap."""
-    a._check_mate(b)
-    return a._like(a.coeffs + b.coeffs, a.truncated or b.truncated)
-
-
-def poly_mul(a: TaylorPoly, b: TaylorPoly) -> TaylorPoly:
-    """Truncated product; discarded above-cap terms raise the flag."""
-    a._check_mate(b)
-    out = _mul_cols(a.coeffs, b.coeffs, a.dim, a.cap)
-    overflow = bool(_overflow_cols(a.coeffs, b.coeffs, a.dim, a.cap))
-    return a._like(out, a.truncated or b.truncated or overflow)
-
-
-def poly_partial(p: TaylorPoly, i: int) -> TaylorPoly:
-    """d/dx_i, coefficient shift-and-scale."""
-    if not 0 <= i < p.dim:
-        raise ParameterError(f"coordinate {i} out of range for dim {p.dim}")
-    src, dst, scale = _partial_tables(p.dim, p.cap)[i]
-    out = np.zeros_like(p.coeffs)
-    if len(src):
-        out[dst] = scale * p.coeffs[src]
-    return p._like(out, p.truncated)
-
-
-def poly_laplacian(p: TaylorPoly) -> TaylorPoly:
-    out = TaylorPoly.zero(p.dim, p.center, p.cap)
-    for i in range(p.dim):
-        out = poly_add(out, poly_partial(poly_partial(p, i), i))
-    return out._like(out.coeffs, p.truncated)
-
-
-def poly_euler(p: TaylorPoly) -> TaylorPoly:
-    """dx . grad p, which acts diagonally as multiplication by |gamma|."""
-    _, _, orders = index_table(p.dim, p.cap)
-    return p._like(p.coeffs * orders, p.truncated)
-
-
-def poly_shift_up(p: TaylorPoly, i: int) -> TaylorPoly:
-    """Multiply by the monomial dx_i (exact, flags on overflow)."""
-    return poly_mul(p, TaylorPoly.delta_x(i, p.dim, p.center, p.cap))
-
-
-def poly_eval(p: TaylorPoly, x: Sequence[float]) -> float:
-    """Evaluate at a point, summing in graded-lexicographic order."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (p.dim,):
-        raise StructureError(f"point of shape {x.shape}, expected ({p.dim},)")
-    dx = x - np.asarray(p.center)
-    return float(np.sum(p.coeffs * _monomials(dx, p.cap)))
 
 
 def _monomials(dx: np.ndarray, cap: int) -> np.ndarray:
@@ -615,163 +495,7 @@ def taylorize(entry: CoefficientEntry, y: Sequence[float],
 
 
 # ---------------------------------------------------------------------------
-# TimeJet
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TimeJet:
-    """``sum_l P_l(x) * time^l`` with TaylorPoly coefficients.
-
-    ``var`` tags the time variable ('t' for plain/physical time, 'tau' for
-    the warped variable).  Terms all share dim, center and cap.
-    """
-
-    var: str
-    terms: tuple[TaylorPoly, ...]
-
-    def __post_init__(self):
-        if not self.terms:
-            raise StructureError("a TimeJet needs at least the order-0 term")
-        head = self.terms[0]
-        for p in self.terms[1:]:
-            head._check_mate(p)
-
-    @property
-    def order(self) -> int:
-        return len(self.terms) - 1
-
-    @property
-    def dim(self) -> int:
-        return self.terms[0].dim
-
-    @property
-    def center(self) -> tuple[float, ...]:
-        return self.terms[0].center
-
-    @property
-    def cap(self) -> int:
-        return self.terms[0].cap
-
-    @property
-    def truncated(self) -> bool:
-        return any(p.truncated for p in self.terms)
-
-    @staticmethod
-    def of_poly(p: TaylorPoly, var: str = "t") -> "TimeJet":
-        return TimeJet(var, (p,))
-
-    @staticmethod
-    def zero(dim: int, center, cap: int, var: str = "t") -> "TimeJet":
-        return TimeJet(var, (TaylorPoly.zero(dim, center, cap),))
-
-    def term(self, l: int) -> TaylorPoly:
-        if l <= self.order:
-            return self.terms[l]
-        return TaylorPoly.zero(self.dim, self.center, self.cap)
-
-    def is_time_constant(self, tol: float = 0.0) -> bool:
-        return all(p.max_abs() <= tol for p in self.terms[1:])
-
-    def max_abs(self) -> float:
-        return max(p.max_abs() for p in self.terms)
-
-    def _check_var(self, other: "TimeJet"):
-        if self.var != other.var:
-            raise StructureError(f"mixed time variables {self.var}/{other.var}")
-
-
-def jet_add(a: TimeJet, b: TimeJet) -> TimeJet:
-    a._check_var(b)
-    n = max(a.order, b.order)
-    return TimeJet(a.var,
-                   tuple(poly_add(a.term(l), b.term(l)) for l in range(n + 1)))
-
-
-def jet_mul(a: TimeJet, b: TimeJet, max_order: int | None = None) -> TimeJet:
-    a._check_var(b)
-    n = a.order + b.order
-    if max_order is not None:
-        n = min(n, max_order)
-    terms = []
-    for l in range(n + 1):
-        acc = TaylorPoly.zero(a.dim, a.center, a.cap)
-        for i in range(max(0, l - b.order), min(l, a.order) + 1):
-            acc = poly_add(acc, poly_mul(a.terms[i], b.terms[l - i]))
-        terms.append(acc)
-    return TimeJet(a.var, tuple(terms))
-
-
-def jet_scale(a: TimeJet, s: float) -> TimeJet:
-    return TimeJet(a.var, tuple(p * s for p in a.terms))
-
-
-def jet_scale_series(a: TimeJet, series: np.ndarray,
-                     max_order: int | None = None) -> TimeJet:
-    """Multiply by a scalar power series in the jet's time variable."""
-    n = a.order + len(series) - 1
-    if max_order is not None:
-        n = min(n, max_order)
-    terms = []
-    for l in range(n + 1):
-        acc = TaylorPoly.zero(a.dim, a.center, a.cap)
-        for i in range(max(0, l - len(series) + 1), min(l, a.order) + 1):
-            if series[l - i] != 0.0:
-                acc = poly_add(acc, a.terms[i] * float(series[l - i]))
-        terms.append(acc)
-    return TimeJet(a.var, tuple(terms))
-
-
-def jet_dt(a: TimeJet) -> TimeJet:
-    """Time derivative: lowers the jet order by one, scales by l."""
-    if a.order == 0:
-        return TimeJet.zero(a.dim, a.center, a.cap, a.var)
-    return TimeJet(a.var,
-                   tuple(a.terms[l] * float(l) for l in range(1, a.order + 1)))
-
-
-def jet_partial(a: TimeJet, i: int) -> TimeJet:
-    return TimeJet(a.var, tuple(poly_partial(p, i) for p in a.terms))
-
-
-def jet_laplacian(a: TimeJet) -> TimeJet:
-    return TimeJet(a.var, tuple(poly_laplacian(p) for p in a.terms))
-
-
-def jet_eval(a: TimeJet, time: float, x: Sequence[float]) -> float:
-    """Horner evaluation in time of the spatially evaluated terms."""
-    vals = [poly_eval(p, x) for p in a.terms]
-    out = 0.0
-    for v in reversed(vals):
-        out = out * time + v
-    return out
-
-
-def jet_compose_time(a: TimeJet, inner: np.ndarray, var: str,
-                     max_order: int) -> TimeJet:
-    """Substitute ``time = inner(s)`` where ``inner`` has no constant term.
-
-    Used to re-express t-jets in the warped variable, e.g. b(t(tau)).
-    """
-    if len(inner) and inner[0] != 0.0:
-        raise ParameterError("inner series must vanish at 0")
-    zero = TaylorPoly.zero(a.dim, a.center, a.cap)
-    terms = [zero] * (max_order + 1)
-    # powers of the inner series, truncated
-    power = np.zeros(max_order + 1)
-    power[0] = 1.0
-    for l, p in enumerate(a.terms):
-        if l > 0:
-            power = _series_mul(power, inner, max_order)
-        if p.max_abs() == 0.0:
-            continue
-        for m in range(max_order + 1):
-            if power[m] != 0.0:
-                terms[m] = poly_add(terms[m], p * float(power[m]))
-    return TimeJet(var, tuple(terms))
-
-
-# ---------------------------------------------------------------------------
-# scalar power-series helpers (shared with the recursion module)
+# scalar power-series helpers (used by the recursion module)
 # ---------------------------------------------------------------------------
 
 def _series_mul(a: np.ndarray, b: np.ndarray, max_order: int) -> np.ndarray:

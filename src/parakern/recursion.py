@@ -18,8 +18,8 @@ analytic multiplier nu(tau) = tau / ((1 - tau)(-ln(1 - tau))) and the
 solve becomes a triangular jet inversion.
 
 ``expand_batch`` runs the recursion for many centres at once on arrays;
-``expand`` is its one-centre case.  ``compute_c0`` and ``compute_R`` build
-the same orders one centre at a time with TimeJets.
+``expand`` is its one-centre case and keeps the arrays in an
+:class:`ExpansionCoeffs`.
 """
 
 from __future__ import annotations
@@ -31,13 +31,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ParameterError, SequencingError, StructureError
+from .errors import ParameterError, StructureError
 from .polyalg import (CoefficientEntry, MultiIndex, TaylorPoly, TimeEntry,
-                      TimeJet, index_table, jet_add, jet_compose_time, jet_dt,
-                      jet_laplacian, jet_mul, jet_partial, jet_scale,
-                      jet_scale_series, poly_shift_up, series_reciprocal,
-                      taylorize, _monomials, _mul_cols, _overflow_cols,
-                      _partial_tables, _series_mul)
+                      index_table, series_reciprocal, _monomials, _mul_cols,
+                      _overflow_cols, _partial_tables, _series_mul)
 
 SAMPLE_LATTICE = 17      # points per axis when sampling sup norms
 BETA_FLOOR = 1e-6
@@ -173,10 +170,14 @@ class ExpansionDiagnostics:
 
 @dataclass(frozen=True)
 class ExpansionCoeffs:
-    """Computed coefficient jets c^j_0 ... c^j_K for one center.
+    """Computed coefficients c^j_0 ... c^j_K about one center.
 
-    ``truncated`` records whether the degree cap cut any term;
-    ``domain_radius_R`` sizes the lattice the diagnostics sample.
+    ``coeffs`` is ``ExpansionBatch.coeffs`` without the centre axis,
+    read-only: ``coeffs[j, k, l]`` holds the coefficients of c^j_k's
+    time^l term, one per row of ``index_table(dim, degree_D)``, and is
+    zero above ``jet_order[j, k]``.  ``truncated`` records whether the
+    degree cap cut any term; ``domain_radius_R`` sizes the lattice the
+    diagnostics sample.
     """
 
     center: tuple[float, ...]
@@ -184,7 +185,8 @@ class ExpansionCoeffs:
     order_K: int
     degree_D: int
     components: int
-    coeffs: tuple[tuple[TimeJet, ...], ...]   # [component][k]
+    coeffs: np.ndarray           # (components, K + 1, T, N)
+    jet_order: np.ndarray        # (components, K + 1)
     truncated: bool = False
     domain_radius_R: float = 1.0
 
@@ -196,16 +198,6 @@ class ExpansionCoeffs:
     def diagnostics(self) -> ExpansionDiagnostics:
         """Sup-norm diagnostics, sampled on first access."""
         return _diagnostics(self)
-
-    @functools.cached_property
-    def coeff_array(self) -> np.ndarray:
-        """The jets stacked once, read-only: (component, k, time order, N)
-        with rows as in ``index_table``, zero above each jet's order."""
-        T = max(jet.order for cj in self.coeffs for jet in cj) + 1
-        out = np.array([[[jet.term(l).coeffs for l in range(T)] for jet in cj]
-                        for cj in self.coeffs])
-        out.flags.writeable = False
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +216,6 @@ def ray_integrate(p: TaylorPoly, a: float) -> TaylorPoly:
     _, _, orders = index_table(p.dim, p.cap)
     return TaylorPoly(p.dim, p.center, p.cap, p.coeffs / (orders + a),
                       p.truncated)
-
-
-def jet_ray(jet: TimeJet, a: float) -> TimeJet:
-    return TimeJet(jet.var, tuple(ray_integrate(p, a) for p in jet.terms))
 
 
 def mode_ray_exponent(k: int, wp: WarpParams, tau: float = 0.0) -> float:
@@ -347,174 +335,15 @@ def _series_t_of_tau(beta: float, order: int) -> np.ndarray:
 # the recursion proper
 # ---------------------------------------------------------------------------
 
-class _Workspace:
-    """Mode-resolved drift/potential jets about one center."""
-
-    def __init__(self, pc: ProblemCoefficients, y, wp: WarpParams,
-                 D: int, jet_cap: int | None):
-        self.pc = pc
-        self.y = tuple(float(v) for v in y)
-        self.wp = wp
-        self.D = D
-        if wp.mode == "tau" and jet_cap is None:
-            jet_cap = max(6, pc.max_time_order)
-        self.jet_cap = jet_cap
-        self.var = wp.time_var
-        self.truncated = False
-        self.drift_jets = {}
-        for key, entry in pc.drift.items():
-            self.drift_jets[key] = self._entry_jet(entry)
-        self.vpart_polys = {}
-        for i, entry in pc.potential.items():
-            self.vpart_polys[i] = {
-                l: self._tay(part) for l, part in entry.parts}
-
-    def _tay(self, part: CoefficientEntry) -> TaylorPoly:
-        poly = taylorize(part, self.y, self.D).poly
-        self.truncated |= poly.truncated
-        return poly
-
-    def _entry_jet(self, entry: TimeEntry) -> TimeJet:
-        """b as a jet in the mode's own time variable."""
-        zero = TaylorPoly.zero(self.pc.n, self.y, self.D)
-        terms = [zero] * (entry.max_order + 1)
-        for l, part in entry.parts:
-            terms[l] = self._tay(part)
-        tjet = TimeJet("t", tuple(terms))
-        if self.wp.mode == "plain":
-            return tjet
-        if self.wp.mode == "beta":
-            # t = beta tau: scale jet order l by beta^l
-            scaled = tuple(p * (self.wp.beta ** l)
-                           for l, p in enumerate(tjet.terms))
-            return TimeJet("tau", scaled)
-        inner = _series_t_of_tau(self.wp.beta, self.jet_cap)
-        return jet_compose_time(tjet, inner, "tau", self.jet_cap)
-
-    def zero_jet(self) -> TimeJet:
-        return TimeJet.zero(self.pc.n, self.y, self.D, self.var)
-
-    def clip(self, jet: TimeJet) -> TimeJet:
-        if self.jet_cap is None or jet.order <= self.jet_cap:
-            return jet
-        return TimeJet(jet.var, jet.terms[:self.jet_cap + 1])
-
-
-def compute_c0(pc: ProblemCoefficients, y, j: int,
-               D: int, wp: WarpParams = WarpParams(),
-               jet_cap: int | None = None,
-               _ws: _Workspace | None = None) -> TimeJet:
-    """Order-zero coefficient of component j about center y.
-
-    Solves dx . grad c_0 = -(1/2) sum_lm b^j_{lm} dx_m, i.e. the ray
-    integral of the drift row scaled by one half.  The half is forced by
-    the t^(-1) balance of the ansatz (the Gaussian cross term enters with
-    coefficient one) and is confirmed by the constant-drift kernel, whose
-    exponent carries -b0 dx / 2.
-    """
-    ws = _ws or _Workspace(pc, y, wp, D, jet_cap)
-    if not 0 <= j < pc.components:
-        raise ParameterError(f"component {j} out of range")
-    total = ws.zero_jet()
-    for m in range(pc.n):
-        row = ws.zero_jet()
-        found = False
-        for l in range(pc.components):
-            jet = ws.drift_jets.get((j, l, m))
-            if jet is not None:
-                row = jet_add(row, jet)
-                found = True
-        if not found:
-            continue
-        integrated = jet_ray(row, 1.0)
-        shifted = TimeJet(row.var,
-                          tuple(poly_shift_up(p, m) for p in integrated.terms))
-        total = jet_add(total, shifted)
-    return ws.clip(jet_scale(total, -0.5))
-
-
-def compute_R(k: int, prior: Sequence[Sequence[TimeJet]],
-              pc: ProblemCoefficients, j: int, wp: WarpParams,
-              _ws: _Workspace | None = None,
-              y=None, D: int | None = None,
-              jet_cap: int | None = None) -> TimeJet:
-    """Right-hand side R_{k-1} feeding the order-k ray solve.
-
-    Assembles  -d/dtime c_{k-1}  +  m(time) [ Lap c_{k-1}
-    + sum_l sum_r d_l c_r d_l c_{k-1-r} + sum_lm b^j_lm d_m c^l_{k-1} ]
-    plus the potential jet term of matching explicit order, where the
-    spatial multiplier m is 1 (plain), beta (beta mode) or beta/(1-tau)
-    (tau mode, as a jet).  The time-derivative term enters unscaled; it
-    originates on the other side of the graded identity.
-    """
-    if k < 1:
-        raise ParameterError("k must be >= 1")
-    if len(prior) < pc.components or any(len(cj) < k for cj in prior):
-        raise SequencingError(
-            f"compute_R(k={k}) needs c_0..c_{k - 1} for every component")
-    if _ws is None:
-        if y is None or D is None:
-            head = prior[j][0]
-            y, D = head.center, head.cap
-        _ws = _Workspace(pc, y, wp, D, jet_cap)
-    ws = _ws
-    prev = prior[j][k - 1]
-
-    spatial = jet_laplacian(prev)
-    for l in range(pc.n):
-        for r in range(k):
-            term = jet_mul(jet_partial(prior[j][r], l),
-                           jet_partial(prior[j][k - 1 - r], l),
-                           max_order=ws.jet_cap)
-            spatial = jet_add(spatial, term)
-    for lcomp in range(pc.components):
-        for m in range(pc.n):
-            bjet = ws.drift_jets.get((j, lcomp, m))
-            if bjet is None:
-                continue
-            spatial = jet_add(spatial,
-                              jet_mul(bjet, jet_partial(prior[lcomp][k - 1], m),
-                                      max_order=ws.jet_cap))
-
-    if wp.mode == "plain":
-        out = spatial
-    elif wp.mode == "beta":
-        out = jet_scale(spatial, wp.beta)
-    else:
-        sigma = _series_sigma(wp.beta, ws.jet_cap)
-        out = jet_scale_series(spatial, sigma, max_order=ws.jet_cap)
-
-    out = jet_add(out, jet_scale(jet_dt(prev), -1.0))
-
-    # potential: the explicit-order-(k-1) term of V_j enters R_{k-1}
-    vparts = ws.vpart_polys.get(j)
-    if vparts and (k - 1) in vparts:
-        vpoly = vparts[k - 1]
-        if wp.mode == "plain":
-            vjet = TimeJet.of_poly(vpoly, ws.var)
-        elif wp.mode == "beta":
-            vjet = TimeJet.of_poly(vpoly * (wp.beta ** k), ws.var)
-        else:
-            # V_l t^l sits at explicit grade l = k-1 with the jet factor
-            # sigma(tau) (t(tau)/tau)^l carried along.
-            warp_pow = _warp_power(k - 1, wp.beta, ws.jet_cap)
-            sigma = _series_sigma(wp.beta, ws.jet_cap)
-            vjet = jet_scale_series(
-                jet_scale_series(TimeJet.of_poly(vpoly, ws.var), warp_pow,
-                                 max_order=ws.jet_cap),
-                sigma, max_order=ws.jet_cap)
-        out = jet_add(out, vjet)
-    return ws.clip(out)
-
-
 class _BatchWorkspace:
     """Mode-resolved drift/potential jets about B centres, as arrays.
 
     A jet is a pair (coefficients of shape (N, order + 1, B), flags of
     shape (B,)): table rows, time orders, centres.  The methods mirror the
-    TimeJet algebra of ``compute_c0``/``compute_R`` term for term, in the
-    same order of floating-point operations, and carry the ``truncated``
-    flag per centre the way the polynomial operations do.
+    one-centre time-jet algebra the tests keep as their reference
+    (``tests/objalg.py``) term for term, in the same order of
+    floating-point operations, and carry the ``truncated`` flag per
+    centre the way the polynomial operations do.
     """
 
     def __init__(self, pc: ProblemCoefficients, ys: np.ndarray,
@@ -587,7 +416,8 @@ class _BatchWorkspace:
         return out, fx | fy
 
     def mul(self, a, b):
-        """jet_mul, capped at the jet cap, with per-centre overflow flags."""
+        """The jet product, capped at the jet cap, with per-centre overflow
+        flags."""
         (x, fx), (y, fy) = a, b
         ia, ib, ranks = _pair_plan(x.shape[1] - 1, y.shape[1] - 1,
                                    self.jet_cap)
@@ -628,7 +458,7 @@ class _BatchWorkspace:
         return a[0] * c, a[1]
 
     def scale_series(self, a, series: np.ndarray):
-        """jet_scale_series capped at the jet cap."""
+        """Times a scalar power series in time, capped at the jet cap."""
         x, f = a
         n = min(x.shape[1] - 1 + len(series) - 1, self.jet_cap)
         out = np.zeros((len(x), n + 1, x.shape[2]))
@@ -661,7 +491,7 @@ def _pair_plan(La: int, Lb: int, cap: int | None):
 
     Pairs are listed by output order l and ascending i; rank r collects
     the r-th pair of every l, so adding the ranks in turn sums each output
-    term in the order jet_mul does.
+    term in the order the one-centre jet product does.
     """
     n = La + Lb if cap is None else min(La + Lb, cap)
     ia, ib, ranks = [], [], []
@@ -724,8 +554,8 @@ def expand_batch(pc: ProblemCoefficients, ys, K: int,
 
     ``ys`` has shape (B, n).  The recursion runs once, on arrays with the
     centres as the last axis; each centre's coefficients, jet orders and
-    flags are those ``compute_c0``/``compute_R`` and the order-k ray
-    solve give at that centre alone.  ``D`` defaults to 2K + 2.
+    flags are those the recursion gives at that centre alone.  ``D``
+    defaults to 2K + 2.
     """
     if K < 0:
         raise ParameterError("K must be >= 0")
@@ -789,7 +619,15 @@ def _expand_chunk(pc, ys, K, wp, D, jet_cap):
 
 def _batch_R(ws: _BatchWorkspace, pc: ProblemCoefficients, k: int, j: int,
              coeffs, grads):
-    """compute_R on arrays; ``grads[j][r][l]`` is d_l c^j_r."""
+    """R_{k-1} feeding the order-k ray solve; ``grads[j][r][l]`` is d_l c^j_r.
+
+    Assembles  -d/dtime c_{k-1}  +  m(time) [ Lap c_{k-1}
+    + sum_l sum_r d_l c_r d_l c_{k-1-r} + sum_lm b^j_lm d_m c^l_{k-1} ]
+    plus the potential term of explicit order k - 1, where the spatial
+    multiplier m is 1 (plain), beta (beta mode) or beta/(1-tau) (tau
+    mode, as a jet).  The time-derivative term enters unscaled; it
+    originates on the other side of the graded identity.
+    """
     wp = ws.wp
     prev = coeffs[j][k - 1]
     spatial = ws.laplacian(prev)
@@ -828,25 +666,27 @@ def expand(pc: ProblemCoefficients, y, K: int,
            wp: WarpParams = WarpParams(), D: int | None = None) -> ExpansionCoeffs:
     """Full coefficient recursion c_0 ... c_K about one center.
 
-    ``expand_batch`` at B = 1, wrapped as TimeJets.  ``D`` defaults to
-    2K + 2; gradient products densify the polynomials quickly, so the
-    dense cap is sized for the worst order.  Only the coefficients are
-    built here; ``diagnostics`` samples them on demand and reports
-    non-decay, never raises.
+    ``expand_batch`` at B = 1.  ``D`` defaults to 2K + 2; gradient
+    products densify the polynomials quickly, so the dense cap is sized
+    for the worst order.  Only the coefficients are built here;
+    ``diagnostics`` samples them on demand and reports non-decay, never
+    raises.
     """
     batch = expand_batch(pc, np.reshape(np.asarray(y, dtype=float), (1, -1)),
                          K, wp, D)
-    center = tuple(float(v) for v in batch.centers[0])
-    D = batch.degree_D
-    coeffs = tuple(
-        tuple(TimeJet(wp.time_var, tuple(
-            TaylorPoly(pc.n, center, D, batch.coeffs[j, k, l, 0].copy(),
-                       bool(batch.jet_truncated[j, k, 0]))
-            for l in range(batch.jet_order[j, k] + 1)))
-            for k in range(K + 1))
-        for j in range(pc.components))
-    return ExpansionCoeffs(center, wp, K, D, pc.components, coeffs,
-                           bool(batch.truncated[0]), pc.domain_radius_R)
+    return _expansion(tuple(float(v) for v in batch.centers[0]), wp, K,
+                      batch.degree_D, batch.coeffs[:, :, :, 0],
+                      batch.jet_order, bool(batch.truncated[0]),
+                      pc.domain_radius_R)
+
+
+def _expansion(center, wp, K, D, coeffs, jet_order, truncated,
+               domain_radius_R=1.0) -> ExpansionCoeffs:
+    """An ExpansionCoeffs holding its arrays read-only."""
+    for a in (coeffs, jet_order):
+        a.flags.writeable = False
+    return ExpansionCoeffs(center, wp, K, D, len(coeffs), coeffs, jet_order,
+                           truncated, domain_radius_R)
 
 
 def _lattice(n: int, R: float, per_axis: int) -> np.ndarray:
@@ -862,8 +702,8 @@ def _diagnostics(exp: ExpansionCoeffs) -> ExpansionDiagnostics:
     mono = _monomials(points - np.asarray(exp.center), exp.degree_D)
     tau_ref = DIAG_TAU_REF
     # every jet at tau_ref, summed in ascending time order
-    frozen = sum(exp.coeff_array[:, :, l] * tau_ref ** l
-                 for l in range(exp.coeff_array.shape[2]))
+    frozen = sum(exp.coeffs[:, :, l] * tau_ref ** l
+                 for l in range(exp.coeffs.shape[2]))
     sup = [max(0.0, *(float(np.max(np.abs(mono @ frozen[j, k])))
                       for j in range(exp.components)))
            for k in range(exp.order_K + 1)]
@@ -957,16 +797,17 @@ def expansion_to_dict(exp: ExpansionCoeffs) -> dict:
     comps = []
     for j in range(exp.components):
         orders = []
-        for k, jet in enumerate(exp.coeffs[j]):
+        for k in range(exp.coeffs.shape[1]):
             terms = []
-            for l, poly in enumerate(jet.terms):
-                nz = np.nonzero(poly.coeffs)[0]
+            for l in range(exp.jet_order[j, k] + 1):
+                row = exp.coeffs[j, k, l]
                 terms.append({
                     "l": l,
-                    "coeffs": [[list(map(int, exps[i])), float(poly.coeffs[i])]
-                               for i in nz],
+                    "coeffs": [[list(map(int, exps[i])), float(row[i])]
+                               for i in np.nonzero(row)[0]],
                 })
-            orders.append({"k": k, "jet_order": jet.order, "terms": terms})
+            orders.append({"k": k, "jet_order": int(exp.jet_order[j, k]),
+                           "terms": terms})
         comps.append(orders)
     return {
         "center": list(exp.center),
@@ -987,31 +828,25 @@ def expansion_to_dict(exp: ExpansionCoeffs) -> dict:
 
 
 def expansion_from_dict(data: dict) -> ExpansionCoeffs:
+    """The inverse of :func:`expansion_to_dict`; a jet's order is its
+    number of terms less one (an empty list reads as a zero jet)."""
     center = tuple(float(v) for v in data["center"])
-    dim = len(center)
     D = int(data["degree_D"])
     wp = WarpParams(mode=data["mode"], beta=float(data["beta"]),
                     tau_max=float(data["tau_max"]))
-    _, pos, _ = index_table(dim, D)
-    comps = []
-    var = wp.time_var
-    for orders in data["coefficients"]:
-        jets = []
-        for rec in orders:
-            terms = []
-            for tdata in rec["terms"]:
-                p = TaylorPoly.zero(dim, center, D)
+    _, pos, _ = index_table(len(center), D)
+    comps = data["coefficients"]
+    jet_order = np.array([[max(len(rec["terms"]) - 1, 0) for rec in orders]
+                          for orders in comps])
+    coeffs = np.zeros(jet_order.shape + (jet_order.max() + 1, len(pos)))
+    for j, orders in enumerate(comps):
+        for k, rec in enumerate(orders):
+            for l, tdata in enumerate(rec["terms"]):
                 for exps_list, val in tdata["coeffs"]:
-                    p.coeffs[pos[tuple(exps_list)]] = val
-                terms.append(p)
-            if not terms:
-                terms = [TaylorPoly.zero(dim, center, D)]
-            jets.append(TimeJet(var, tuple(terms)))
-        comps.append(tuple(jets))
+                    coeffs[j, k, l, pos[tuple(exps_list)]] = val
     diag = data["diagnostics"]
-    exp = ExpansionCoeffs(center, wp, int(data["order_K"]), D,
-                          int(data["components"]), tuple(comps),
-                          bool(diag["truncated"]))
+    exp = _expansion(center, wp, int(data["order_K"]), D, coeffs, jet_order,
+                     bool(diag["truncated"]))
     # the sampled diagnostics travel with the file; seed the lazy value
     vars(exp)["diagnostics"] = ExpansionDiagnostics(
         tuple(diag["sup_norms"]), tuple(diag["weighted"]),

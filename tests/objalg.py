@@ -1,0 +1,499 @@
+"""The one-centre object algebra, kept as the tests' reference.
+
+``parakern`` runs the coefficient recursion on arrays only
+(``recursion.expand_batch``, whose ``_BatchWorkspace`` mirrors this
+module term for term).  Here the same recursion runs one centre at a
+time on values: a :class:`TaylorPoly` with constructors and operators,
+a :class:`TimeJet` of them (a truncated polynomial in time), the jet
+arithmetic, and ``compute_c0``/``compute_R``.  ``poly_mul`` calls the
+shipped ``_mul_cols``/``_overflow_cols``, so product tests still exercise
+the kernel the package uses.  :func:`jets_of` reads an expansion's
+coefficient array back as TimeJets.
+
+Not a test module: pytest does not collect it; tests import it.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+
+from parakern import polyalg
+from parakern.errors import ParameterError, SequencingError, StructureError
+from parakern.polyalg import (CoefficientEntry, MultiIndex, TimeEntry,
+                              index_table, taylorize, _monomials, _mul_cols,
+                              _overflow_cols, _partial_tables, _series_mul)
+from parakern.recursion import (ExpansionCoeffs, ProblemCoefficients,
+                                WarpParams, ray_integrate, _series_sigma,
+                                _series_t_of_tau, _warp_power)
+
+
+# ---------------------------------------------------------------------------
+# TaylorPoly with operators
+# ---------------------------------------------------------------------------
+
+class TaylorPoly(polyalg.TaylorPoly):
+    """``parakern.polyalg.TaylorPoly`` with the algebra's constructors and
+    operators.  The module functions accept either class and return this
+    one."""
+
+    @staticmethod
+    def zero(dim: int, center: Sequence[float], cap: int) -> "TaylorPoly":
+        exps, _, _ = index_table(dim, cap)
+        return TaylorPoly(dim, tuple(float(c) for c in center), cap,
+                          np.zeros(len(exps)))
+
+    @staticmethod
+    def delta_x(i: int, dim: int, center: Sequence[float],
+                cap: int) -> "TaylorPoly":
+        """The monomial dx_i."""
+        if cap < 1:
+            raise ParameterError("cap must be >= 1 to hold dx")
+        p = TaylorPoly.zero(dim, center, cap)
+        _, pos, _ = index_table(dim, cap)
+        key = tuple(1 if a == i else 0 for a in range(dim))
+        p.coeffs[pos[key]] = 1.0
+        return p
+
+    @staticmethod
+    def from_coeff_dict(coeffs: dict, dim: int, center: Sequence[float],
+                        cap: int) -> "TaylorPoly":
+        p = TaylorPoly.zero(dim, center, cap)
+        _, pos, _ = index_table(dim, cap)
+        for key, val in coeffs.items():
+            entries = key.entries if isinstance(key, MultiIndex) else tuple(key)
+            if sum(entries) > cap:
+                raise StructureError(f"index {entries} exceeds cap {cap}")
+            p.coeffs[pos[entries]] = val
+        return p
+
+    def max_abs(self) -> float:
+        return _max_abs(self)
+
+    def __add__(self, other):
+        return poly_add(self, other)
+
+    def __mul__(self, other):
+        if isinstance(other, polyalg.TaylorPoly):
+            return poly_mul(self, other)
+        return _like(self, self.coeffs * float(other), self.truncated)
+
+    __rmul__ = __mul__
+
+    def __sub__(self, other):
+        return poly_add(self, other * -1.0)
+
+    def __neg__(self):
+        return self * -1.0
+
+
+def _like(p, coeffs: np.ndarray, truncated: bool) -> TaylorPoly:
+    return TaylorPoly(p.dim, p.center, p.cap, coeffs, truncated)
+
+
+def _ref(p) -> TaylorPoly:
+    """A package TaylorPoly as this module's class."""
+    return p if isinstance(p, TaylorPoly) else _like(p, p.coeffs, p.truncated)
+
+
+def _max_abs(p) -> float:
+    return float(np.max(np.abs(p.coeffs))) if len(p.coeffs) else 0.0
+
+
+def _check_mate(a, b):
+    if a.dim != b.dim or a.cap != b.cap or a.center != b.center:
+        raise StructureError(
+            f"mismatched polynomials: dim {a.dim}/{b.dim}, "
+            f"cap {a.cap}/{b.cap}, center {a.center}/{b.center}")
+
+
+def poly_add(a, b) -> TaylorPoly:
+    """Coefficient-wise sum; operands must share dim, center and cap."""
+    _check_mate(a, b)
+    return _like(a, a.coeffs + b.coeffs, a.truncated or b.truncated)
+
+
+def poly_mul(a, b) -> TaylorPoly:
+    """Truncated product; discarded above-cap terms raise the flag."""
+    _check_mate(a, b)
+    out = _mul_cols(a.coeffs, b.coeffs, a.dim, a.cap)
+    overflow = bool(_overflow_cols(a.coeffs, b.coeffs, a.dim, a.cap))
+    return _like(a, out, a.truncated or b.truncated or overflow)
+
+
+def poly_partial(p, i: int) -> TaylorPoly:
+    """d/dx_i, coefficient shift-and-scale."""
+    if not 0 <= i < p.dim:
+        raise ParameterError(f"coordinate {i} out of range for dim {p.dim}")
+    src, dst, scale = _partial_tables(p.dim, p.cap)[i]
+    out = np.zeros_like(p.coeffs)
+    if len(src):
+        out[dst] = scale * p.coeffs[src]
+    return _like(p, out, p.truncated)
+
+
+def poly_laplacian(p) -> TaylorPoly:
+    out = TaylorPoly.zero(p.dim, p.center, p.cap)
+    for i in range(p.dim):
+        out = poly_add(out, poly_partial(poly_partial(p, i), i))
+    return _like(out, out.coeffs, p.truncated)
+
+
+def poly_euler(p) -> TaylorPoly:
+    """dx . grad p, which acts diagonally as multiplication by |gamma|."""
+    _, _, orders = index_table(p.dim, p.cap)
+    return _like(p, p.coeffs * orders, p.truncated)
+
+
+def poly_shift_up(p, i: int) -> TaylorPoly:
+    """Multiply by the monomial dx_i (exact, flags on overflow)."""
+    return poly_mul(p, TaylorPoly.delta_x(i, p.dim, p.center, p.cap))
+
+
+def poly_eval(p, x: Sequence[float]) -> float:
+    """Evaluate at a point, summing in graded-lexicographic order."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (p.dim,):
+        raise StructureError(f"point of shape {x.shape}, expected ({p.dim},)")
+    dx = x - np.asarray(p.center)
+    return float(np.sum(p.coeffs * _monomials(dx, p.cap)))
+
+
+# ---------------------------------------------------------------------------
+# TimeJet
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class TimeJet:
+    """``sum_l P_l(x) * time^l`` with TaylorPoly coefficients.
+
+    ``var`` tags the time variable ('t' for plain/physical time, 'tau' for
+    the warped variable).  Terms all share dim, center and cap.
+    """
+
+    var: str
+    terms: tuple[TaylorPoly, ...]
+
+    def __post_init__(self):
+        if not self.terms:
+            raise StructureError("a TimeJet needs at least the order-0 term")
+        for p in self.terms[1:]:
+            _check_mate(self.terms[0], p)
+
+    @property
+    def order(self) -> int:
+        return len(self.terms) - 1
+
+    @property
+    def dim(self) -> int:
+        return self.terms[0].dim
+
+    @property
+    def center(self) -> tuple[float, ...]:
+        return self.terms[0].center
+
+    @property
+    def cap(self) -> int:
+        return self.terms[0].cap
+
+    @property
+    def truncated(self) -> bool:
+        return any(p.truncated for p in self.terms)
+
+    @staticmethod
+    def of_poly(p, var: str = "t") -> "TimeJet":
+        return TimeJet(var, (p,))
+
+    @staticmethod
+    def zero(dim: int, center, cap: int, var: str = "t") -> "TimeJet":
+        return TimeJet(var, (TaylorPoly.zero(dim, center, cap),))
+
+    def term(self, l: int) -> TaylorPoly:
+        if l <= self.order:
+            return self.terms[l]
+        return TaylorPoly.zero(self.dim, self.center, self.cap)
+
+    def is_time_constant(self, tol: float = 0.0) -> bool:
+        return all(_max_abs(p) <= tol for p in self.terms[1:])
+
+    def max_abs(self) -> float:
+        return max(_max_abs(p) for p in self.terms)
+
+    def _check_var(self, other: "TimeJet"):
+        if self.var != other.var:
+            raise StructureError(f"mixed time variables {self.var}/{other.var}")
+
+
+def jet_add(a: TimeJet, b: TimeJet) -> TimeJet:
+    a._check_var(b)
+    n = max(a.order, b.order)
+    return TimeJet(a.var,
+                   tuple(poly_add(a.term(l), b.term(l)) for l in range(n + 1)))
+
+
+def jet_mul(a: TimeJet, b: TimeJet, max_order: int | None = None) -> TimeJet:
+    a._check_var(b)
+    n = a.order + b.order
+    if max_order is not None:
+        n = min(n, max_order)
+    terms = []
+    for l in range(n + 1):
+        acc = TaylorPoly.zero(a.dim, a.center, a.cap)
+        for i in range(max(0, l - b.order), min(l, a.order) + 1):
+            acc = poly_add(acc, poly_mul(a.terms[i], b.terms[l - i]))
+        terms.append(acc)
+    return TimeJet(a.var, tuple(terms))
+
+
+def jet_scale(a: TimeJet, s: float) -> TimeJet:
+    return TimeJet(a.var, tuple(p * s for p in a.terms))
+
+
+def jet_scale_series(a: TimeJet, series: np.ndarray,
+                     max_order: int | None = None) -> TimeJet:
+    """Multiply by a scalar power series in the jet's time variable."""
+    n = a.order + len(series) - 1
+    if max_order is not None:
+        n = min(n, max_order)
+    terms = []
+    for l in range(n + 1):
+        acc = TaylorPoly.zero(a.dim, a.center, a.cap)
+        for i in range(max(0, l - len(series) + 1), min(l, a.order) + 1):
+            if series[l - i] != 0.0:
+                acc = poly_add(acc, a.terms[i] * float(series[l - i]))
+        terms.append(acc)
+    return TimeJet(a.var, tuple(terms))
+
+
+def jet_dt(a: TimeJet) -> TimeJet:
+    """Time derivative: lowers the jet order by one, scales by l."""
+    if a.order == 0:
+        return TimeJet.zero(a.dim, a.center, a.cap, a.var)
+    return TimeJet(a.var,
+                   tuple(a.terms[l] * float(l) for l in range(1, a.order + 1)))
+
+
+def jet_partial(a: TimeJet, i: int) -> TimeJet:
+    return TimeJet(a.var, tuple(poly_partial(p, i) for p in a.terms))
+
+
+def jet_laplacian(a: TimeJet) -> TimeJet:
+    return TimeJet(a.var, tuple(poly_laplacian(p) for p in a.terms))
+
+
+def jet_eval(a: TimeJet, time: float, x: Sequence[float]) -> float:
+    """Horner evaluation in time of the spatially evaluated terms."""
+    vals = [poly_eval(p, x) for p in a.terms]
+    out = 0.0
+    for v in reversed(vals):
+        out = out * time + v
+    return out
+
+
+def jet_compose_time(a: TimeJet, inner: np.ndarray, var: str,
+                     max_order: int) -> TimeJet:
+    """Substitute ``time = inner(s)`` where ``inner`` has no constant term.
+
+    Used to re-express t-jets in the warped variable, e.g. b(t(tau)).
+    """
+    if len(inner) and inner[0] != 0.0:
+        raise ParameterError("inner series must vanish at 0")
+    zero = TaylorPoly.zero(a.dim, a.center, a.cap)
+    terms = [zero] * (max_order + 1)
+    # powers of the inner series, truncated
+    power = np.zeros(max_order + 1)
+    power[0] = 1.0
+    for l, p in enumerate(a.terms):
+        if l > 0:
+            power = _series_mul(power, inner, max_order)
+        if _max_abs(p) == 0.0:
+            continue
+        for m in range(max_order + 1):
+            if power[m] != 0.0:
+                terms[m] = poly_add(terms[m], p * float(power[m]))
+    return TimeJet(var, tuple(terms))
+
+
+def jet_ray(jet: TimeJet, a: float) -> TimeJet:
+    return TimeJet(jet.var, tuple(_ref(ray_integrate(p, a))
+                                  for p in jet.terms))
+
+
+def jets_of(exp: ExpansionCoeffs) -> tuple[tuple[TimeJet, ...], ...]:
+    """``exp.coeffs`` as TimeJets, indexed [component][k], each cut at its
+    jet order.  The array keeps one truncation flag for the whole
+    expansion (``exp.truncated``), so the terms carry none."""
+    var = exp.warp.time_var
+    return tuple(
+        tuple(TimeJet(var, tuple(
+            TaylorPoly(exp.dim, exp.center, exp.degree_D,
+                       exp.coeffs[j, k, l].copy())
+            for l in range(exp.jet_order[j, k] + 1)))
+            for k in range(exp.coeffs.shape[1]))
+        for j in range(exp.components))
+
+
+# ---------------------------------------------------------------------------
+# the one-centre recursion
+# ---------------------------------------------------------------------------
+
+class _Workspace:
+    """Mode-resolved drift/potential jets about one center."""
+
+    def __init__(self, pc: ProblemCoefficients, y, wp: WarpParams,
+                 D: int, jet_cap: int | None):
+        self.pc = pc
+        self.y = tuple(float(v) for v in y)
+        self.wp = wp
+        self.D = D
+        if wp.mode == "tau" and jet_cap is None:
+            jet_cap = max(6, pc.max_time_order)
+        self.jet_cap = jet_cap
+        self.var = wp.time_var
+        self.truncated = False
+        self.drift_jets = {}
+        for key, entry in pc.drift.items():
+            self.drift_jets[key] = self._entry_jet(entry)
+        self.vpart_polys = {}
+        for i, entry in pc.potential.items():
+            self.vpart_polys[i] = {
+                l: self._tay(part) for l, part in entry.parts}
+
+    def _tay(self, part: CoefficientEntry) -> TaylorPoly:
+        poly = taylorize(part, self.y, self.D).poly
+        self.truncated |= poly.truncated
+        return _ref(poly)
+
+    def _entry_jet(self, entry: TimeEntry) -> TimeJet:
+        """b as a jet in the mode's own time variable."""
+        zero = TaylorPoly.zero(self.pc.n, self.y, self.D)
+        terms = [zero] * (entry.max_order + 1)
+        for l, part in entry.parts:
+            terms[l] = self._tay(part)
+        tjet = TimeJet("t", tuple(terms))
+        if self.wp.mode == "plain":
+            return tjet
+        if self.wp.mode == "beta":
+            # t = beta tau: scale jet order l by beta^l
+            scaled = tuple(p * (self.wp.beta ** l)
+                           for l, p in enumerate(tjet.terms))
+            return TimeJet("tau", scaled)
+        inner = _series_t_of_tau(self.wp.beta, self.jet_cap)
+        return jet_compose_time(tjet, inner, "tau", self.jet_cap)
+
+    def zero_jet(self) -> TimeJet:
+        return TimeJet.zero(self.pc.n, self.y, self.D, self.var)
+
+    def clip(self, jet: TimeJet) -> TimeJet:
+        if self.jet_cap is None or jet.order <= self.jet_cap:
+            return jet
+        return TimeJet(jet.var, jet.terms[:self.jet_cap + 1])
+
+
+def compute_c0(pc: ProblemCoefficients, y, j: int,
+               D: int, wp: WarpParams = WarpParams(),
+               jet_cap: int | None = None,
+               _ws: _Workspace | None = None) -> TimeJet:
+    """Order-zero coefficient of component j about center y.
+
+    Solves dx . grad c_0 = -(1/2) sum_lm b^j_{lm} dx_m, i.e. the ray
+    integral of the drift row scaled by one half.  The half is forced by
+    the t^(-1) balance of the ansatz (the Gaussian cross term enters with
+    coefficient one) and is confirmed by the constant-drift kernel, whose
+    exponent carries -b0 dx / 2.
+    """
+    ws = _ws or _Workspace(pc, y, wp, D, jet_cap)
+    if not 0 <= j < pc.components:
+        raise ParameterError(f"component {j} out of range")
+    total = ws.zero_jet()
+    for m in range(pc.n):
+        row = ws.zero_jet()
+        found = False
+        for l in range(pc.components):
+            jet = ws.drift_jets.get((j, l, m))
+            if jet is not None:
+                row = jet_add(row, jet)
+                found = True
+        if not found:
+            continue
+        integrated = jet_ray(row, 1.0)
+        shifted = TimeJet(row.var,
+                          tuple(poly_shift_up(p, m) for p in integrated.terms))
+        total = jet_add(total, shifted)
+    return ws.clip(jet_scale(total, -0.5))
+
+
+def compute_R(k: int, prior: Sequence[Sequence[TimeJet]],
+              pc: ProblemCoefficients, j: int, wp: WarpParams,
+              _ws: _Workspace | None = None,
+              y=None, D: int | None = None,
+              jet_cap: int | None = None) -> TimeJet:
+    """Right-hand side R_{k-1} feeding the order-k ray solve.
+
+    Assembles  -d/dtime c_{k-1}  +  m(time) [ Lap c_{k-1}
+    + sum_l sum_r d_l c_r d_l c_{k-1-r} + sum_lm b^j_lm d_m c^l_{k-1} ]
+    plus the potential jet term of matching explicit order, where the
+    spatial multiplier m is 1 (plain), beta (beta mode) or beta/(1-tau)
+    (tau mode, as a jet).  The time-derivative term enters unscaled; it
+    originates on the other side of the graded identity.
+    """
+    if k < 1:
+        raise ParameterError("k must be >= 1")
+    if len(prior) < pc.components or any(len(cj) < k for cj in prior):
+        raise SequencingError(
+            f"compute_R(k={k}) needs c_0..c_{k - 1} for every component")
+    if _ws is None:
+        if y is None or D is None:
+            head = prior[j][0]
+            y, D = head.center, head.cap
+        _ws = _Workspace(pc, y, wp, D, jet_cap)
+    ws = _ws
+    prev = prior[j][k - 1]
+
+    spatial = jet_laplacian(prev)
+    for l in range(pc.n):
+        for r in range(k):
+            term = jet_mul(jet_partial(prior[j][r], l),
+                           jet_partial(prior[j][k - 1 - r], l),
+                           max_order=ws.jet_cap)
+            spatial = jet_add(spatial, term)
+    for lcomp in range(pc.components):
+        for m in range(pc.n):
+            bjet = ws.drift_jets.get((j, lcomp, m))
+            if bjet is None:
+                continue
+            spatial = jet_add(spatial,
+                              jet_mul(bjet, jet_partial(prior[lcomp][k - 1], m),
+                                      max_order=ws.jet_cap))
+
+    if wp.mode == "plain":
+        out = spatial
+    elif wp.mode == "beta":
+        out = jet_scale(spatial, wp.beta)
+    else:
+        sigma = _series_sigma(wp.beta, ws.jet_cap)
+        out = jet_scale_series(spatial, sigma, max_order=ws.jet_cap)
+
+    out = jet_add(out, jet_scale(jet_dt(prev), -1.0))
+
+    # potential: the explicit-order-(k-1) term of V_j enters R_{k-1}
+    vparts = ws.vpart_polys.get(j)
+    if vparts and (k - 1) in vparts:
+        vpoly = vparts[k - 1]
+        if wp.mode == "plain":
+            vjet = TimeJet.of_poly(vpoly, ws.var)
+        elif wp.mode == "beta":
+            vjet = TimeJet.of_poly(vpoly * (wp.beta ** k), ws.var)
+        else:
+            # V_l t^l sits at explicit grade l = k-1 with the jet factor
+            # sigma(tau) (t(tau)/tau)^l carried along.
+            warp_pow = _warp_power(k - 1, wp.beta, ws.jet_cap)
+            sigma = _series_sigma(wp.beta, ws.jet_cap)
+            vjet = jet_scale_series(
+                jet_scale_series(TimeJet.of_poly(vpoly, ws.var), warp_pow,
+                                 max_order=ws.jet_cap),
+                sigma, max_order=ws.jet_cap)
+        out = jet_add(out, vjet)
+    return ws.clip(out)

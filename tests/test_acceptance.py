@@ -24,6 +24,8 @@ from parakern.solvers import ProblemSpec, QuadratureConfig, burgers_demo, \
     solve_cauchy, solve_ibvp2
 from parakern.funcspec import ExpTime, SpaceFourier, SpacePolyFourier
 
+from objalg import jets_of
+
 SIN_DRIFT = FourierEntry(1, ((0.3, (1.0,), 0.0),))
 PC_SIN = ProblemCoefficients(1, 1, {(0, 0, 0): SIN_DRIFT}, bound_C=1.0,
                              domain_radius_R=1.0)
@@ -45,7 +47,7 @@ def test_criterion_01_constant_drift_exactness():
     tail = 0.0
     for y in xs:
         exp = expand(pc, [y], 2)
-        tail = max(tail, max((exp.coeffs[0][k].max_abs()
+        tail = max(tail, max((jets_of(exp)[0][k].max_abs()
                               for k in range(2, 3)), default=0.0))
         for t in (0.1, 0.5, 1.0):
             for x in xs:
@@ -70,7 +72,7 @@ def test_criterion_02_time_dependent_drift():
     ref = oracle.const_drift_series_coeffs(b0, b1)
     coeff_dev = 0.0
     for k, table in enumerate(ref):
-        jet = exp.coeffs[0][k]
+        jet = jets_of(exp)[0][k]
         for (g, l), val in table.items():
             coeff_dev = max(coeff_dev, abs(jet.term(l).coeff((g,)) - val))
     kernel_dev = 0.0
@@ -90,9 +92,9 @@ def test_criterion_03_potential_term():
     v0 = 0.4
     pc = ProblemCoefficients(1, 1, {}, {0: PolyEntry(1, ((v0, (0,)),))})
     exp = expand(pc, [0.0], 3)
-    c1 = exp.coeffs[0][1].terms[0]
+    c1 = jets_of(exp)[0][1].terms[0]
     c1_dev = abs(c1.coeff((0,)) - v0)
-    others = max(exp.coeffs[0][k].max_abs() for k in (0, 2, 3))
+    others = max(jets_of(exp)[0][k].max_abs() for k in (0, 2, 3))
     kernel_dev = 0.0
     for t in (0.1, 0.5, 1.0):
         for x in np.linspace(-1, 1, 9):
@@ -226,7 +228,7 @@ def test_criterion_08_warp_equivalences():
         v1 = eval_kernel(plain, t, [x]).log_value
         v2 = eval_kernel(texp, tau, [x]).log_value
         tau_dev = max(tau_dev, abs(math.exp(v2 - v1) - 1.0))
-    c0_constant = texp.coeffs[0][0].is_time_constant(tol=0.0)
+    c0_constant = jets_of(texp)[0][0].is_time_constant(tol=0.0)
     ok = beta_dev <= 1e-10 and tau_dev <= 1e-6 and c0_constant
     report("8", "warp equivalences", ok,
            f"beta dev {beta_dev:.2e}, tau dev {tau_dev:.2e}, "
@@ -307,8 +309,8 @@ def test_criterion_12_system_mode():
                                             if k[0] == j})
         exp_one = expand(pc_one, [0.1, -0.1], 4, WarpParams(), 8)
         for k in range(5):
-            a = exp_sys.coeffs[j][k].terms[0].coeffs
-            b = exp_one.coeffs[j][k].terms[0].coeffs
+            a = exp_sys.coeffs[j, k, 0]
+            b = exp_one.coeffs[j, k, 0]
             dev_a = max(dev_a, float(np.max(np.abs(a - b))))
 
     # (b) genuinely coupled pair: equation 0 driven by component 1's

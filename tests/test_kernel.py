@@ -11,11 +11,12 @@ from parakern.kernel import (KernelField, delta_property, eval_kernel,
                              eval_points, kernel_gradient, kernel_log_gradient,
                              log_correction, normal_derivative,
                              normalization_check, residual, varadhan_diag)
-from parakern.polyalg import (FourierEntry, PolyEntry, TimeEntry, jet_dt,
-                              jet_eval, jet_partial)
+from parakern.polyalg import FourierEntry, PolyEntry, TimeEntry
 from parakern.problemfile import load_problem_file
 from parakern.recursion import (ProblemCoefficients, WarpParams, expand,
                                 select_beta, t_of_tau, tau_of_t)
+
+from objalg import jet_dt, jet_eval, jet_partial, jets_of
 
 SIN_DRIFT = FourierEntry(1, ((0.3, (1.0,), 0.0),))
 PC_SIN = ProblemCoefficients(1, 1, {(0, 0, 0): SIN_DRIFT})
@@ -291,7 +292,7 @@ def _per_point(exp, pc, time, x):
     logw, dtw, lap = np.zeros(m), np.zeros(m), np.zeros(m)
     grad = np.tile(-dx / (2.0 * t_eff), (m, 1))
     for j in range(m):
-        for k, jet in enumerate(exp.coeffs[j]):
+        for k, jet in enumerate(jets_of(exp)[j]):
             tv = time ** k
             logw[j] += jet_eval(jet, time, x) * tv
             dtw[j] += jet_eval(jet_dt(jet), time, x) * tv

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from parakern.errors import ParameterError, StructureError, UnsupportedSpecError
-from parakern.polyalg import (FourierEntry, MultiIndex, PolyEntry, TaylorPoly,
-                              TimeEntry, TimeJet, index_table,
-                              jet_compose_time, jet_dt, jet_eval, jet_mul,
-                              poly_add, poly_eval, poly_laplacian, poly_mul,
-                              poly_partial, taylorize)
+from parakern.polyalg import (FourierEntry, MultiIndex, PolyEntry, TimeEntry,
+                              index_table, taylorize)
+
+from objalg import (TaylorPoly, TimeJet, jet_compose_time, jet_dt, jet_eval,
+                    jet_mul, poly_add, poly_eval, poly_laplacian, poly_mul,
+                    poly_partial)
 
 
 def P(dim, cap, coeffs, center=None):

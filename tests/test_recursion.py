@@ -1,22 +1,28 @@
+import glob
+import json
 import math
+import os
 
 import numpy as np
 import pytest
 
 from parakern import oracle
 from parakern.errors import ParameterError, SequencingError
-from parakern.polyalg import (FourierEntry, PolyEntry, TaylorPoly, TimeEntry,
-                              jet_eval, poly_add, poly_euler, poly_eval,
-                              taylorize)
+from parakern.polyalg import FourierEntry, PolyEntry, TimeEntry, taylorize
+from parakern.problemfile import load_problem_file
 from parakern.recursion import (ProblemCoefficients,
                                 WarpParams, beta_from_bound,
-                                beta_upper_bound, compute_R, compute_c0,
-                                expand, expansion_from_dict,
+                                beta_upper_bound, expand, expansion_from_dict,
                                 expansion_to_dict, mode_ray_weight, pk_gamma,
                                 ray_integrate, select_beta, t_of_tau,
                                 tau_of_t, warp_schedule)
 
+from objalg import (TaylorPoly, compute_R, compute_c0, jet_eval, jets_of,
+                    poly_add, poly_euler, poly_eval)
+
 SIN_DRIFT = FourierEntry(1, ((0.3, (1.0,), 0.0),))
+PROBLEMS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..",
+                                         "problems", "*.json")))
 
 
 def scalar_pc(entry, potential=None, n=1):
@@ -115,27 +121,27 @@ def test_R_zero_for_zero_coefficients():
     pc = scalar_pc(None)
     exp = expand(pc, [0.0], 3)
     for k in range(1, 4):
-        R = compute_R(k, exp.coeffs, pc, 0, exp.warp)
+        R = compute_R(k, jets_of(exp), pc, 0, exp.warp)
         assert R.max_abs() == 0.0
 
 
 def test_R_constant_drift_first_order():
     pc = scalar_pc(PolyEntry(1, ((0.7, (0,)),)))
     exp = expand(pc, [0.0], 1)
-    R0 = compute_R(1, exp.coeffs, pc, 0, exp.warp)
+    R0 = compute_R(1, jets_of(exp), pc, 0, exp.warp)
     assert R0.terms[0].coeff((0,)) == pytest.approx(-0.7 ** 2 / 4, abs=1e-15)
-    assert exp.coeffs[0][1].terms[0].coeff((0,)) == \
+    assert jets_of(exp)[0][1].terms[0].coeff((0,)) == \
         pytest.approx(-0.7 ** 2 / 4, abs=1e-15)
 
 
 def test_R_potential_enters_first_order():
     pc = scalar_pc(None, potential=PolyEntry(1, ((0.4, (0,)),)))
     exp = expand(pc, [0.0], 2)
-    R0 = compute_R(1, exp.coeffs, pc, 0, exp.warp)
+    R0 = compute_R(1, jets_of(exp), pc, 0, exp.warp)
     assert R0.terms[0].coeff((0,)) == pytest.approx(0.4, abs=1e-16)
-    assert exp.coeffs[0][1].terms[0].coeff((0,)) == \
+    assert jets_of(exp)[0][1].terms[0].coeff((0,)) == \
         pytest.approx(0.4, abs=1e-16)
-    assert exp.coeffs[0][2].max_abs() == 0.0
+    assert jets_of(exp)[0][2].max_abs() == 0.0
 
 
 def test_time_dependent_potential_closed_form():
@@ -143,9 +149,9 @@ def test_time_dependent_potential_closed_form():
     entry = TimeEntry(((0, PolyEntry(1, ((0.4, (0,)),))),
                        (1, PolyEntry(1, ((0.2, (0,)),)))))
     exp = expand(scalar_pc(None, potential=entry), [0.0], 3)
-    assert exp.coeffs[0][1].terms[0].coeff((0,)) == pytest.approx(0.4)
-    assert exp.coeffs[0][2].terms[0].coeff((0,)) == pytest.approx(0.1)
-    assert exp.coeffs[0][3].max_abs() <= 1e-15
+    assert jets_of(exp)[0][1].terms[0].coeff((0,)) == pytest.approx(0.4)
+    assert jets_of(exp)[0][2].terms[0].coeff((0,)) == pytest.approx(0.1)
+    assert jets_of(exp)[0][3].max_abs() <= 1e-15
 
 
 def test_potential_in_warped_modes_matches_plain():
@@ -156,12 +162,12 @@ def test_potential_in_warped_modes_matches_plain():
     texp = expand(pc, [0.0], 6, WarpParams(mode="tau", beta=1.0), 12)
     t = 0.1
     for x in (-0.3, 0.4):
-        w_plain = sum(jet_eval(plain.coeffs[0][k], t, [x]) * t ** k
+        w_plain = sum(jet_eval(jets_of(plain)[0][k], t, [x]) * t ** k
                       for k in range(7))
-        w_beta = sum(jet_eval(bexp.coeffs[0][k], t / beta, [x])
+        w_beta = sum(jet_eval(jets_of(bexp)[0][k], t / beta, [x])
                      * (t / beta) ** k for k in range(7))
         tau = tau_of_t(t, 1.0)
-        w_tau = sum(jet_eval(texp.coeffs[0][k], tau, [x]) * tau ** k
+        w_tau = sum(jet_eval(jets_of(texp)[0][k], tau, [x]) * tau ** k
                     for k in range(7))
         assert w_beta == pytest.approx(w_plain, abs=1e-12)
         assert w_tau == pytest.approx(w_plain, abs=1e-8)
@@ -171,7 +177,7 @@ def test_R_requires_prior_orders():
     pc = scalar_pc(SIN_DRIFT)
     exp = expand(pc, [0.0], 1)
     with pytest.raises(SequencingError):
-        compute_R(3, exp.coeffs, pc, 0, exp.warp)
+        compute_R(3, jets_of(exp), pc, 0, exp.warp)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +189,7 @@ def test_expand_zero_drift_all_modes():
     for wp in (WarpParams(), WarpParams(mode="beta", beta=0.3),
                WarpParams(mode="tau", beta=0.5)):
         exp = expand(pc, [0.0], 4, wp)
-        assert all(c.max_abs() == 0.0 for c in exp.coeffs[0])
+        assert all(c.max_abs() == 0.0 for c in jets_of(exp)[0])
         assert all(s == 0.0 for s in exp.diagnostics.sup_norms)
 
 
@@ -194,25 +200,25 @@ def test_expand_time_dependent_closed_forms():
     exp = expand(scalar_pc(entry), [0.0], 4)
     ref = oracle.const_drift_series_coeffs(b0, b1)
     for k, table in enumerate(ref):
-        jet = exp.coeffs[0][k]
+        jet = jets_of(exp)[0][k]
         for (g, l), val in table.items():
             assert jet.term(l).coeff((g,)) == pytest.approx(val, abs=1e-12)
-    assert exp.coeffs[0][4].max_abs() <= 1e-15
+    assert jets_of(exp)[0][4].max_abs() <= 1e-15
 
 
 def test_expand_beta_example_and_scaling():
     pc = scalar_pc(PolyEntry(1, ((0.7, (0,)),)))
     beta = 0.5
     bexp = expand(pc, [0.0], 2, WarpParams(mode="beta", beta=beta))
-    assert bexp.coeffs[0][1].terms[0].coeff((0,)) == \
+    assert jets_of(bexp)[0][1].terms[0].coeff((0,)) == \
         pytest.approx(-beta * 0.7 ** 2 / 4, abs=1e-15)
     # general drift: c_{k,beta} = beta^k c_k coefficient-wise
     pcs = scalar_pc(SIN_DRIFT)
     plain = expand(pcs, [0.1], 5, WarpParams(), 12)
     scaled = expand(pcs, [0.1], 5, WarpParams(mode="beta", beta=beta), 12)
     for k in range(6):
-        a = plain.coeffs[0][k].terms[0].coeffs * beta ** k
-        b = scaled.coeffs[0][k].terms[0].coeffs
+        a = plain.coeffs[0, k, 0] * beta ** k
+        b = scaled.coeffs[0, k, 0]
         assert np.max(np.abs(a - b)) <= 1e-14
 
 
@@ -221,8 +227,8 @@ def test_plain_operator_identity():
     pc = scalar_pc(SIN_DRIFT)
     exp = expand(pc, [0.2], 5, WarpParams(), 12)
     for k in range(1, 6):
-        R = compute_R(k, exp.coeffs, pc, 0, exp.warp)
-        ck = exp.coeffs[0][k]
+        R = compute_R(k, jets_of(exp), pc, 0, exp.warp)
+        ck = jets_of(exp)[0][k]
         for l in range(max(ck.order, R.order) + 1):
             lhs = poly_add(ck.term(l) * float(k), poly_euler(ck.term(l)))
             gap = np.max(np.abs(lhs.coeffs - R.term(l).coeffs))
@@ -237,8 +243,8 @@ def test_beta_operator_identity_carries_beta():
     wp = WarpParams(mode="beta", beta=beta)
     exp = expand(pc, [0.0], 4, wp, 10)
     for k in range(1, 5):
-        R = compute_R(k, exp.coeffs, pc, 0, wp)
-        ck = exp.coeffs[0][k]
+        R = compute_R(k, jets_of(exp), pc, 0, wp)
+        ck = jets_of(exp)[0][k]
         lhs = poly_add(ck.term(0) * float(k), poly_euler(ck.term(0)))
         gap = np.max(np.abs(lhs.coeffs - R.term(0).coeffs))
         assert gap <= 1e-13
@@ -265,7 +271,7 @@ def test_c0_has_no_time_dependence_for_homogeneous_drift():
     pc = scalar_pc(SIN_DRIFT)
     for wp in (WarpParams(), WarpParams(mode="tau", beta=0.7)):
         exp = expand(pc, [0.3], 3, wp)
-        assert exp.coeffs[0][0].is_time_constant()
+        assert jets_of(exp)[0][0].is_time_constant()
 
 
 def test_decoupled_system_matches_scalar():
@@ -286,8 +292,8 @@ def test_decoupled_system_matches_scalar():
         2, 2, {(0, 0, 0): sys_entries[(0, 0, 0)]})
     exp_s0 = expand(pc_scalar0, [0.1, -0.2], 4, WarpParams(), 8)
     for k in range(5):
-        a = exp_sys.coeffs[0][k].terms[0].coeffs
-        b = exp_s0.coeffs[0][k].terms[0].coeffs
+        a = exp_sys.coeffs[0, k, 0]
+        b = exp_s0.coeffs[0, k, 0]
         assert np.max(np.abs(a - b)) <= 1e-13
 
 
@@ -298,6 +304,21 @@ def test_sin_testbed_weighted_sup_norms_decay():
     exp = expand(pc, [0.0], 8, WarpParams(mode="beta", beta=wp.beta), 12)
     assert exp.diagnostics.tau_ref == 0.5
     assert exp.diagnostics.monotone_from(2)
+
+
+def test_diagnostics_sample_every_time_order():
+    # tau-mode jets with time-dependent drift have terms above time order
+    # 0; the sampled sup of c_k at tau_ref against one jet_eval per point
+    entry = TimeEntry(((0, SIN_DRIFT), (1, PolyEntry(1, ((0.5, (1,)),)))))
+    pc = ProblemCoefficients(1, 1, {(0, 0, 0): entry}, domain_radius_R=0.8)
+    exp = expand(pc, [0.1], 4, WarpParams(mode="tau", beta=0.5), 10)
+    diag = exp.diagnostics
+    xs = np.linspace(-0.8, 0.8, 17)
+    for k, jet in enumerate(jets_of(exp)[0]):
+        assert jet.order > 0
+        ref = max(abs(jet_eval(jet, diag.tau_ref, [x])) for x in xs)
+        assert diag.sup_norms[k] == pytest.approx(ref, rel=1e-12, abs=1e-15)
+        assert diag.weighted[k] == diag.sup_norms[k] * diag.tau_ref ** k
 
 
 # ---------------------------------------------------------------------------
@@ -355,15 +376,38 @@ def test_warp_schedule_examples():
 # serialization and validation bookkeeping
 # ---------------------------------------------------------------------------
 
+def _assert_roundtrip(exp):
+    data = json.loads(json.dumps(expansion_to_dict(exp)))
+    clone = expansion_from_dict(data)
+    assert expansion_to_dict(clone) == data
+    # bit for bit, except that the file lists nonzero coefficients only,
+    # so a signed zero comes back as +0.0
+    unsigned = np.where(exp.coeffs == 0.0, 0.0, exp.coeffs)
+    assert clone.coeffs.shape == exp.coeffs.shape
+    assert clone.coeffs.tobytes() == unsigned.tobytes()
+    assert np.array_equal(clone.jet_order, exp.jet_order)
+    assert clone.jet_order.dtype == exp.jet_order.dtype
+    for e in (exp, clone):
+        assert not e.coeffs.flags.writeable
+
+
 def test_expansion_roundtrip_is_exact():
     pc = scalar_pc(SIN_DRIFT)
     exp = expand(pc, [0.1], 4, WarpParams(mode="tau", beta=0.8), 10)
     clone = expansion_from_dict(expansion_to_dict(exp))
     for k in range(5):
-        for l in range(exp.coeffs[0][k].order + 1):
-            a = exp.coeffs[0][k].term(l).coeffs
-            b = clone.coeffs[0][k].term(l).coeffs
+        for l in range(jets_of(exp)[0][k].order + 1):
+            a = jets_of(exp)[0][k].term(l).coeffs
+            b = jets_of(clone)[0][k].term(l).coeffs
             assert np.array_equal(a, b)
+    _assert_roundtrip(exp)
+    # every problem file in every mode, at the file's order and degree
+    for path in PROBLEMS:
+        pf = load_problem_file(path)
+        for wp in (WarpParams(), WarpParams(mode="beta", beta=0.5),
+                   WarpParams(mode="tau", beta=0.5)):
+            _assert_roundtrip(expand(pf.pc, np.zeros(pf.pc.n), pf.order_K,
+                                     wp, pf.degree_D))
 
 
 def test_spot_check_bounds_on_testbed():
