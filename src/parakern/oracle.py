@@ -2,8 +2,12 @@
 
 Exact kernels, adaptive ray quadrature, Gauss-Hermite convolution and a
 Crank-Nicolson reference solver.  Nothing here imports the expansion
-modules: agreement between this module and the expansion machinery is
-evidence, not tautology.
+modules but ``GridSolution``, the result container: agreement between
+this module and the expansion machinery is evidence, not tautology.
+``fd_solve`` reads a problem duck-typed.  Each part (l, e_l) of a drift or
+potential entry sum_l t^l e_l(x) is read through ``parts`` and evaluated
+on the grid once per solve, and so is a source whose ``time_dependent``
+is false; a time-dependent source is evaluated at every step.
 """
 
 from __future__ import annotations
@@ -184,6 +188,10 @@ def _check_explicit_stability(cfg: FDConfig, n: int):
             f"{cfg.h * cfg.h / (2 * n)}")
 
 
+def _fd_grid(lo: float, hi: float, h: float) -> np.ndarray:
+    return lo + h * np.arange(int(round((hi - lo) / h)) + 1)
+
+
 def fd_solve_linear(lo: float, hi: float, horizon: float, cfg: FDConfig,
                     phi: Callable, drift=None, potential=None, source=None,
                     components: int = 1,
@@ -202,52 +210,55 @@ def fd_solve_linear(lo: float, hi: float, horizon: float, cfg: FDConfig,
     Boundary handling: homogeneous Dirichlet on a deliberately oversized
     box, or Robin rows du/dnu + alpha u = psi via ghost-point elimination.
     """
-    nx = int(round((hi - lo) / cfg.h)) + 1
-    grid = lo + cfg.h * np.arange(nx)
+    grid = _fd_grid(lo, hi, cfg.h)
+    nx = len(grid)
     nsteps = int(round(horizon / cfg.dt))
     if abs(nsteps * cfg.dt - horizon) > 1e-12 * max(1.0, horizon):
         nsteps = int(math.ceil(horizon / cfg.dt))
     dt = horizon / nsteps
 
     m = components
-    u = np.zeros((nx, m))
-    for j in range(m):
-        u[:, j] = np.array([phi(xi, j) for xi in grid]) if m > 1 else \
-            np.array([phi(xi) for xi in grid])
+    u = np.array([[phi(xi, j) if m > 1 else phi(xi) for j in range(m)]
+                  for xi in grid], dtype=float)
 
     sample_times = sorted(sample_times or [horizon])
     out_times, out_vals = [], []
 
     time_dependent = getattr(drift, "time_dependent", False) or \
         getattr(potential, "time_dependent", False)
+    inv_h2 = 1.0 / (cfg.h * cfg.h)
+    inv_2h = 1.0 / (2.0 * cfg.h)
+    inner = np.arange(1, nx - 1)
 
     def assemble(t_mid):
-        """Operator L u = u_xx + sum_j b^i_j du_j/dx + V_i u_i, row-blocked."""
-        n_all = nx * m
-        A = scipy.sparse.lil_matrix((n_all, n_all))
-        inv_h2 = 1.0 / (cfg.h * cfg.h)
-        inv_2h = 1.0 / (2.0 * cfg.h)
+        """Operator L u = u_xx + sum_j b^i_j du_j/dx + V_i u_i, row-blocked.
+
+        Boundary rows stay empty; a cross-component entry is stored only
+        where its b is nonzero."""
+        entries = []
         for i in range(m):
-            base = i * nx
-            rows = np.arange(1, nx - 1)
-            A[base + rows, base + rows - 1] = inv_h2
-            A[base + rows, base + rows] = -2.0 * inv_h2
-            A[base + rows, base + rows + 1] = inv_h2
+            r = i * nx + inner
+            diag = np.full(nx - 2, -2.0 * inv_h2)
             if potential is not None:
                 v = potential(i, t_mid, grid)
-                A[base + rows, base + rows] += v[1:-1] if np.ndim(v) else v
-            if drift is not None:
-                for j in range(m):
-                    b = drift(i, j, t_mid, grid)
-                    if b is None:
-                        continue
-                    b = np.broadcast_to(np.asarray(b, dtype=float), (nx,))
-                    off = j * nx
-                    for r in rows:
-                        if b[r] != 0.0:
-                            A[base + r, off + r + 1] += b[r] * inv_2h
-                            A[base + r, off + r - 1] -= b[r] * inv_2h
-        return A.tocsr()
+                diag = diag + (v[1:-1] if np.ndim(v) else v)
+            b_ii = np.zeros(nx - 2)
+            for j in range(m if drift is not None else 0):
+                b = drift(i, j, t_mid, grid)
+                if b is None:
+                    continue
+                b = np.broadcast_to(np.asarray(b, dtype=float), (nx,))[1:-1]
+                if j == i:
+                    b_ii = b
+                    continue
+                keep = b != 0.0
+                c, bk = j * nx + inner[keep], b[keep] * inv_2h
+                entries += [(r[keep], c - 1, -bk), (r[keep], c + 1, bk)]
+            entries += [(r, r - 1, inv_h2 - b_ii * inv_2h), (r, r, diag),
+                        (r, r + 1, inv_h2 + b_ii * inv_2h)]
+        rows, cols, vals = (np.concatenate(a) for a in zip(*entries))
+        return scipy.sparse.csr_matrix((vals, (rows, cols)),
+                                       shape=(nx * m, nx * m))
 
     def robin_terms(t):
         """Ghost-point corrections for du/dnu + alpha u = psi at both ends.
@@ -255,18 +266,14 @@ def fd_solve_linear(lo: float, hi: float, horizon: float, cfg: FDConfig,
         Outward normal: -d/dx at lo, +d/dx at hi.  The ghost value is
         eliminated into the boundary row of the standard 3-point stencil.
         """
-        al_lo = robin_alpha(t, lo)
-        al_hi = robin_alpha(t, hi)
-        ps_lo = robin_psi(t, lo)
-        ps_hi = robin_psi(t, hi)
-        return al_lo, al_hi, ps_lo, ps_hi
+        return (robin_alpha(t, lo), robin_alpha(t, hi), robin_psi(t, lo),
+                robin_psi(t, hi))
 
     if cfg.scheme != "crank_nicolson":
         raise ParameterError("linear reference solver is Crank-Nicolson only")
 
     ident = scipy.sparse.identity(nx * m, format="csr")
-    lu = None
-    A_cached = None
+    A = None
 
     t = 0.0
     next_sample = 0
@@ -278,33 +285,25 @@ def fd_solve_linear(lo: float, hi: float, horizon: float, cfg: FDConfig,
 
     for step in range(nsteps):
         t_mid = t + dt / 2.0
-        if lu is None or time_dependent:
-            A_cached = assemble(t_mid)
-            M1 = (ident - (dt / 2.0) * A_cached).tolil()
-            M2 = (ident + (dt / 2.0) * A_cached).tocsr()
+        if A is None or time_dependent:
+            # the boundary rows of A are empty, so those of ident - dt/2 A
+            # are already the Dirichlet unit rows
+            A = assemble(t_mid)
+            M2 = ident + (dt / 2.0) * A
             if cfg.boundary == "large_box_dirichlet":
-                for i in range(m):
-                    for r in (i * nx, i * nx + nx - 1):
-                        M1.rows[r] = [r]
-                        M1.data[r] = [1.0]
-            lu = scipy.sparse.linalg.splu(M1.tocsc())
-            M2_cached = M2
+                lu = scipy.sparse.linalg.splu((ident - (dt / 2.0) * A).tocsc())
 
-        rhs = M2_cached @ u.T.ravel()
+        rhs = M2 @ u.T.ravel()
         if source is not None:
             for i in range(m):
                 rhs[i * nx:(i + 1) * nx] += dt * np.asarray(
                     source(i, t_mid, grid), dtype=float)
 
         if cfg.boundary == "large_box_dirichlet":
-            for i in range(m):
-                rhs[i * nx] = 0.0
-                rhs[i * nx + nx - 1] = 0.0
+            rhs[::nx] = rhs[nx - 1::nx] = 0.0
             new = lu.solve(rhs)
         else:
-            # Robin: fold the ghost elimination into an explicit correction.
-            # For desk-scale use we re-assemble dense boundary rows each step.
-            new = _robin_cn_step(u.T.ravel(), A_cached, dt, grid, cfg.h, m, nx,
+            new = _robin_cn_step(u.T.ravel(), A, dt, grid, cfg.h, m, nx,
                                  robin_terms, t, source)
         u = new.reshape(m, nx).T
         t += dt
@@ -321,32 +320,27 @@ def _robin_cn_step(uvec, A, dt, grid, h, m, nx, robin_terms, t, source):
     """One CN step with Robin rows built by ghost-point elimination.
 
     At x_lo: -u_x + a u = psi  =>  ghost u_{-1} = u_1 - 2h(a u_0 - psi).
-    The second-difference row at the boundary then closes.  Scalar only.
+    The second-difference row at the boundary then closes; the two rows
+    are added to A, whose boundary rows are empty.  Scalar only.
     """
     if m != 1:
         raise ParameterError("Robin reference rows support scalar problems")
     inv_h2 = 1.0 / (h * h)
-    A = A.tolil(copy=True)
     al_lo0, al_hi0, ps_lo0, ps_hi0 = robin_terms(t)
     al_lo1, al_hi1, ps_lo1, ps_hi1 = robin_terms(t + dt)
 
     def boundary_rows(al_lo, al_hi):
-        B = A.copy()
-        B[0, 0] = (-2.0 - 2.0 * h * al_lo) * inv_h2
-        B[0, 1] = 2.0 * inv_h2
-        B[nx - 1, nx - 1] = (-2.0 - 2.0 * h * al_hi) * inv_h2
-        B[nx - 1, nx - 2] = 2.0 * inv_h2
-        return B.tocsr()
+        vals = [(-2.0 - 2.0 * h * al_lo) * inv_h2, 2.0 * inv_h2,
+                2.0 * inv_h2, (-2.0 - 2.0 * h * al_hi) * inv_h2]
+        return A + scipy.sparse.csr_matrix((vals, (
+            [0, 0, nx - 1, nx - 1], [0, 1, nx - 2, nx - 1])), shape=A.shape)
 
     B0 = boundary_rows(al_lo0, al_hi0)
     B1 = boundary_rows(al_lo1, al_hi1)
     ident = scipy.sparse.identity(nx, format="csr")
-    g0 = np.zeros(nx)
-    g1 = np.zeros(nx)
-    g0[0] = 2.0 * ps_lo0 / h
-    g0[-1] = 2.0 * ps_hi0 / h
-    g1[0] = 2.0 * ps_lo1 / h
-    g1[-1] = 2.0 * ps_hi1 / h
+    g0, g1 = np.zeros(nx), np.zeros(nx)
+    g0[[0, -1]] = 2.0 * ps_lo0 / h, 2.0 * ps_hi0 / h
+    g1[[0, -1]] = 2.0 * ps_lo1 / h, 2.0 * ps_hi1 / h
     rhs = (ident + (dt / 2.0) * B0) @ uvec + (dt / 2.0) * (g0 + g1)
     if source is not None:
         rhs += dt * np.asarray(source(0, t + dt / 2.0, grid), dtype=float)
@@ -382,29 +376,41 @@ def fd_solve(ps, cfg: FDConfig, sample_times: Sequence[float] | None = None):
                             {"kind": "burgers", "scheme": cfg.scheme})
 
     m = pc.components
+    grid = _fd_grid(lo, hi, cfg.h)
+
+    def on_grid(f):
+        return np.array([f(np.array([xi])) for xi in grid])
+
+    def in_time(entry):
+        # the summation order of TimeEntry.eval, so values match it exactly
+        parts = [(l, on_grid(e.eval)) for l, e in entry.parts]
+        return lambda t: sum(v * t ** l for l, v in parts)
+
+    drifts = {(i, j): in_time(e) for (i, j, _), e in pc.drift.items()}
 
     def drift(i, j, t, grid):
-        entry = pc.drift.get((i, j, 0))
-        if entry is None:
-            return None
-        return np.array([entry.eval(t, np.array([xi])) for xi in grid])
+        return drifts[i, j](t) if (i, j) in drifts else None
 
     drift.time_dependent = pc.time_dependent
 
     potential = None
     if pc.potential:
+        potentials = {i: in_time(e) for i, e in pc.potential.items()}
+
         def potential(i, t, grid):
-            entry = pc.potential.get(i)
-            if entry is None:
-                return np.zeros_like(grid)
-            return np.array([entry.eval(t, np.array([xi])) for xi in grid])
+            return potentials[i](t) if i in potentials else np.zeros_like(grid)
         potential.time_dependent = pc.time_dependent
 
     source = None
     if not _is_zero_spec(ps.source):
-        def source(i, t, grid):
-            return np.array([ps.source.eval(t, np.array([xi]))
-                             for xi in grid])
+        if getattr(ps.source, "time_dependent", True):
+            def source(i, t, grid):
+                return on_grid(lambda x: ps.source.eval(t, x))
+        else:
+            fixed = on_grid(lambda x: ps.source.eval(0.0, x))
+
+            def source(i, t, grid):
+                return fixed
 
     def phi(x, j=0):
         return ps.phi.eval(0.0, np.array([x]))
@@ -441,11 +447,11 @@ def fd_solve_burgers(lo: float, hi: float, horizon: float, cfg: FDConfig,
     if cfg.scheme != "explicit":
         raise ParameterError("Burgers reference uses the explicit scheme")
     _check_explicit_stability(cfg, 1)
-    nx = int(round((hi - lo) / cfg.h)) + 1
-    grid = lo + cfg.h * np.arange(nx)
+    grid = _fd_grid(lo, hi, cfg.h)
     nsteps = int(math.ceil(horizon / cfg.dt))
     dt = horizon / nsteps
     v = np.array([v0(xi) for xi in grid], dtype=float)
+    ends = v0(grid[0]), v0(grid[-1])
     sample_times = sorted(sample_times or [horizon])
     out_t, out_v = [], []
     t = 0.0
@@ -456,8 +462,7 @@ def fd_solve_burgers(lo: float, hi: float, horizon: float, cfg: FDConfig,
         vx[1:-1] = (v[2:] - v[:-2]) / (2 * cfg.h)
         vxx[1:-1] = (v[2:] - 2 * v[1:-1] + v[:-2]) / (cfg.h * cfg.h)
         v = v + dt * (nu * vxx - v * vx)
-        v[0] = v0(grid[0])
-        v[-1] = v0(grid[-1])
+        v[[0, -1]] = ends
         t += dt
         while k < len(sample_times) and sample_times[k] <= t + 1e-12:
             out_t.append(t)

@@ -194,6 +194,16 @@ class ExpansionCoeffs:
     def dim(self) -> int:
         return len(self.center)
 
+    def __eq__(self, other):
+        """All but ``domain_radius_R``, which files do not store."""
+        if not isinstance(other, ExpansionCoeffs):
+            return NotImplemented
+        scalars = ("center", "warp", "order_K", "degree_D", "components",
+                   "truncated")
+        return all(getattr(self, f) == getattr(other, f) for f in scalars) \
+            and np.array_equal(self.coeffs, other.coeffs) \
+            and np.array_equal(self.jet_order, other.jet_order)
+
     @functools.cached_property
     def diagnostics(self) -> ExpansionDiagnostics:
         """Sup-norm diagnostics, sampled on first access."""

@@ -9,6 +9,8 @@ from parakern.oracle import (FDConfig, exact_const_drift_kernel,
                              fd_solve_burgers, fd_solve_linear, gh_convolve,
                              quad_ray)
 
+import fdref
+
 
 # ---------------------------------------------------------------------------
 # exact kernels
@@ -205,3 +207,248 @@ def test_fd_robin_manufactured():
                                     robin_alpha=alpha, robin_psi=psi)
     exact = math.exp(-0.5) * np.cos(grid)
     assert np.max(np.abs(vals[-1][:, 0] - exact)) < 2e-4
+
+
+# ---------------------------------------------------------------------------
+# pin: the array-assembled oracle against the per-point reference
+# ---------------------------------------------------------------------------
+
+def _pin_specs():
+    from parakern.funcspec import (ExpTime, GaussianMix, SpaceFourier,
+                                   SpacePoly, SpacePolyFourier)
+    from parakern.polyalg import FourierEntry, PolyEntry, TimeEntry
+    from parakern.recursion import ProblemCoefficients
+    from parakern.solvers import ProblemSpec
+
+    def time_drift(b0, b1):
+        return TimeEntry(((0, PolyEntry(1, ((b0, (0,)),))),
+                          (1, PolyEntry(1, ((b1, (0,)),)))))
+
+    bump = GaussianMix(((1.1, 2.5, (0.2,)),))
+    box = ((-4.0,), (4.0,), 0.2)
+    sin_drift = ProblemCoefficients(1, 1, {(0, 0, 0): FourierEntry(
+        1, ((0.3, (1.0,), 0.0),))})
+    potential = ProblemCoefficients(1, 1, {(0, 0, 0): time_drift(0.2, -0.5)},
+                                    {0: TimeEntry((
+                                        (0, PolyEntry(1, ((-0.3, (0,)),
+                                                          (0.1, (2,))))),
+                                        (1, FourierEntry(
+                                            1, ((0.4, (2.0,), 0.3),))),
+                                        (2, PolyEntry(1, ((0.7, (1,)),)))))})
+    return {
+        "time_drift": ProblemSpec("cauchy", *box,
+                                  ProblemCoefficients(1, 1, {
+                                      (0, 0, 0): time_drift(0.6, -1.3)}),
+                                  phi=bump),
+        # sin vanishes exactly at the node x = 0
+        "sin_drift": ProblemSpec("cauchy", *box, sin_drift, phi=bump),
+        "time_potential": ProblemSpec("cauchy", *box, potential, phi=bump),
+        "gaussian_source": ProblemSpec(
+            "cauchy", *box, sin_drift, phi=bump,
+            source=GaussianMix(((0.7, 1.5, (-0.4,)),))),
+        "exptime_source": ProblemSpec(
+            "cauchy", *box, potential, phi=bump,
+            source=ExpTime(-2.0, SpaceFourier(((0.5, (1.0,), 0.1),)))),
+        "robin": ProblemSpec(
+            "ibvp2", (0.0,), (1.0,), 0.2,
+            ProblemCoefficients(1, 1, {(0, 0, 0): time_drift(0.3, 0.5)}),
+            phi=SpaceFourier(((1.0, (1.0,), math.pi / 2),)),
+            alpha=SpacePoly(((1.0, (0,)),)),
+            psi=ExpTime(-1.0, SpacePolyFourier((
+                (1.0, (0,), (1.0,), math.pi / 2),
+                (-1.0, (1,), (1.0,), 0.0))))),
+        "burgers": ProblemSpec("burgers", (-2.0,), (2.0,), 0.05,
+                               ProblemCoefficients(1, 1, {}), nu=0.1,
+                               phi0=GaussianMix(((0.075, 1.0, (0.0,)),))),
+    }
+
+
+@pytest.mark.parametrize("case", ["time_drift", "sin_drift", "time_potential",
+                                  "gaussian_source", "exptime_source", "robin",
+                                  "burgers"])
+def test_fd_solve_is_bit_identical_to_per_point_reference(case):
+    ps = _pin_specs()[case]
+    if case == "burgers":
+        cfg = FDConfig(h=1 / 25, dt=5e-4, scheme="explicit")
+    else:
+        cfg = FDConfig(h=1 / 16, dt=0.01)
+    times = [0.05, ps.horizon]
+    new, ref = fd_solve(ps, cfg, times), fdref.fd_solve(ps, cfg, times)
+    assert np.array_equal(new.times, ref.times)
+    assert np.array_equal(new.points, ref.points)
+    assert np.array_equal(new.values, ref.values)
+    assert new.metadata == ref.metadata
+
+
+def _two_component_case():
+    # b^0_1 vanishes on x <= 0, so its block keeps only the x > 0 entries
+    def drift(i, j, t, grid):
+        if (i, j) == (0, 1):
+            return np.where(grid > 0.0, 0.4 * np.sin(grid), 0.0) * (1 + t)
+        if i == j:
+            return 0.3 - 0.2 * i + 0.1 * t
+        return None
+
+    def potential(i, t, grid):
+        return -0.2 * (i + 1) * np.cos(grid) * (1 - t)
+
+    def source(i, t, grid):
+        return 0.1 * (1 + i) * np.exp(-grid * grid) * t
+
+    def phi(x, j):
+        return math.exp(-(x - 0.3 * j) ** 2 * (2 + j))
+
+    for f in (drift, potential):
+        f.time_dependent = True
+    return (-3.0, 3.0, 0.1, FDConfig(h=1 / 16, dt=0.01), phi), \
+        {"drift": drift, "potential": potential, "source": source,
+         "components": 2, "sample_times": [0.02, 0.1]}
+
+
+def test_fd_two_component_coupling_is_bit_identical_to_reference():
+    args, kwargs = _two_component_case()
+    new = fd_solve_linear(*args, **kwargs)
+    ref = fdref.fd_solve_linear(*args, **kwargs)
+    assert new[2].shape == (2, 97, 2)
+    for a, b in zip(new, ref):
+        assert np.array_equal(a, b)
+    # the coupling moved component 0 away from its uncoupled march
+    coupled = kwargs["drift"]
+
+    def uncoupled(i, j, t, grid):
+        return coupled(i, j, t, grid) if i == j else None
+
+    uncoupled.time_dependent = True
+    kwargs["drift"] = uncoupled
+    assert not np.allclose(fd_solve_linear(*args, **kwargs)[2][..., 0],
+                           new[2][..., 0])
+
+
+def test_fd_robin_manufactured_is_bit_identical_to_reference():
+    def alpha(t, x):
+        return 1.0 + 0.5 * t
+
+    def psi(t, x):
+        nu_dir = -1.0 if x < 0.5 else 1.0
+        return math.exp(-t) * (nu_dir * (-math.sin(x))
+                               + (1.0 + 0.5 * t) * math.cos(x))
+
+    def drift(i, j, t, grid):
+        return 0.2 * np.cos(grid)
+
+    cfg = FDConfig(h=1 / 32, dt=1e-2, boundary="exact_robin")
+    for extra in ({}, {"drift": drift}):
+        args = (0.0, 1.0, 0.3, cfg, lambda x: math.cos(x))
+        kwargs = dict(robin_alpha=alpha, robin_psi=psi,
+                      sample_times=[0.1, 0.3], **extra)
+        new = fd_solve_linear(*args, **kwargs)
+        ref = fdref.fd_solve_linear(*args, **kwargs)
+        for a, b in zip(new, ref):
+            assert np.array_equal(a, b)
+
+
+def test_fd_solve_evaluates_coefficients_once_per_solve():
+    from dataclasses import dataclass
+
+    from parakern.funcspec import GaussianMix
+    from parakern.polyalg import FourierEntry, TimeEntry
+    from parakern.recursion import ProblemCoefficients
+    from parakern.solvers import ProblemSpec
+
+    calls = {"drift": 0, "source": 0}
+
+    @dataclass(frozen=True)
+    class CountedEntry(FourierEntry):
+        def eval(self, x):
+            calls["drift"] += 1
+            return super().eval(x)
+
+    @dataclass(frozen=True)
+    class CountedSource(GaussianMix):
+        def eval(self, t, x):
+            calls["source"] += 1
+            return super().eval(t, x)
+
+    part = CountedEntry(1, ((0.3, (1.0,), 0.0),))
+    pc = ProblemCoefficients(1, 1, {(0, 0, 0): TimeEntry(((0, part),
+                                                          (1, part)))})
+    ps = ProblemSpec("cauchy", (-2.0,), (2.0,), 0.1, pc,
+                     phi=GaussianMix(((1.0, 2.0, (0.0,)),)),
+                     source=CountedSource(((0.5, 1.0, (0.0,)),)))
+    sol = fd_solve(ps, FDConfig(h=1 / 8, dt=0.01))
+    nx = len(sol.points)
+    # ten time-dependent steps, yet each part and the source once per node
+    assert calls == {"drift": 2 * nx, "source": nx}
+
+
+@pytest.mark.parametrize("case", ["time_drift", "time_potential",
+                                  "gaussian_source", "exptime_source"])
+def test_fd_solve_grid_values_equal_per_point_eval(case, monkeypatch):
+    # the march rounds last-bit changes in b and V away against 1/h^2, so
+    # pin the coefficient arrays themselves against TimeEntry.eval
+    from parakern import oracle
+
+    ps = _pin_specs()[case]
+    seen = {}
+
+    def spy(*args, **kwargs):
+        seen.update(kwargs)
+        return fd_solve_linear(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "fd_solve_linear", spy)
+    sol = oracle.fd_solve(ps, FDConfig(h=1 / 16, dt=0.05))
+    grid = sol.points[:, 0]
+    pc = ps.coefficients
+    for t in (0.0, 0.013, 0.37, 1.9):
+        def per_point(f):
+            return np.array([f(t, np.array([x])) for x in grid])
+
+        assert np.array_equal(seen["drift"](0, 0, t, grid),
+                              per_point(pc.drift[0, 0, 0].eval))
+        if pc.potential:
+            assert np.array_equal(seen["potential"](0, t, grid),
+                                  per_point(pc.potential[0].eval))
+        if seen["source"] is not None:
+            assert np.array_equal(seen["source"](0, t, grid),
+                                  per_point(ps.source.eval))
+
+
+# ---------------------------------------------------------------------------
+# independence
+# ---------------------------------------------------------------------------
+
+def _imports(tree):
+    """(module, name, enclosing function) for every import in a module."""
+    import ast
+
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                found.extend((a.name, None, func) for a in child.names)
+            elif isinstance(child, ast.ImportFrom):
+                module = "." * child.level + (child.module or "")
+                found.extend((module, a.name, func) for a in child.names)
+            visit(child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func)
+
+    visit(tree, None)
+    return found
+
+
+def test_oracle_imports_nothing_from_the_expansion_side():
+    import ast
+    import sys
+
+    from parakern import oracle
+
+    with open(oracle.__file__) as fh:
+        found = _imports(ast.parse(fh.read()))
+    assert found
+    for module, name, func in found:
+        if (module, name, func) == (".solvers", "GridSolution", "fd_solve"):
+            continue    # the result container, imported lazily
+        top = module.split(".")[0]
+        assert module == ".errors" or top in ("numpy", "scipy") or \
+            top in sys.stdlib_module_names, (module, name, func)

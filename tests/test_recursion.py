@@ -389,6 +389,7 @@ def _assert_roundtrip(exp):
     assert clone.jet_order.dtype == exp.jet_order.dtype
     for e in (exp, clone):
         assert not e.coeffs.flags.writeable
+    assert clone == exp and exp == clone and not clone != exp
 
 
 def test_expansion_roundtrip_is_exact():
@@ -423,3 +424,17 @@ def test_mode_ray_weight_closed_forms():
         pytest.approx(0.25)
     assert mode_ray_weight(2, 4, wp_tau, tau=0.5) == \
         pytest.approx(0.1 / ((1 - 0.5) * 4 + 0.1 * 2))
+
+
+def test_expansion_equality_answers_without_raising():
+    pc = scalar_pc(SIN_DRIFT)
+    wp = WarpParams(mode="beta", beta=0.5)
+    exp = expand(pc, [0.1], 4, wp, 10)
+    clone = expansion_from_dict(json.loads(json.dumps(expansion_to_dict(exp))))
+    other = expand(pc, [0.3], 4, wp, 10)
+    assert exp == clone
+    assert exp != other and not exp == other
+    # same centre, different coefficients: the arrays decide
+    assert expand(scalar_pc(PolyEntry(1, ((0.7, (0,)),))), [0.1], 4, wp,
+                  10) != exp
+    assert exp != "not an expansion"
