@@ -306,7 +306,7 @@ def cmd_validate(args) -> int:
     if pf.pc.drift or pf.pc.potential:
         checks.append(_check("coefficient_bounds",
                              pf.pc.spot_check_bounds(), 1.0 + 1e-12))
-    if pf.pc.is_zero_drift() and not pf.pc.potential:
+    if pf.pc.is_zero_drift():
         checks.append(_zero_drift_check(pf))
     elif _is_const_drift(pf):
         checks.extend(_const_drift_check(pf))

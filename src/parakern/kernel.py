@@ -10,8 +10,9 @@ Gauss-Hermite pass (normalization, the delta property, the solvers'
 convolutions), expanded with one ``expand_batch`` call.
 :class:`KernelField` holds the problem and expansion settings; its
 :meth:`~KernelField.pair_log_terms` runs the evaluator over rows of
-centres of the two-parameter kernel p(t, x; s, y), and the ``pair_*``
-calls are its one-point case.
+(origin s, centre y) pairs of the two-parameter kernel p(t, x; s, y),
+whose coefficients :meth:`~KernelField.pair_coeffs` builds in one batch
+with an origin per centre; the ``pair_*`` calls are its one-point case.
 """
 
 from __future__ import annotations
@@ -237,9 +238,9 @@ class KernelField:
 
     Gauss-Hermite passes (:func:`_gh_integrals`) expand all their nodes
     in one batch.  The two-parameter kernel p(t, x; s, y) is evaluated
-    over rows of centres by :meth:`pair_log_terms`, from coefficients
-    :meth:`pair_coeffs` builds in one batch per time origin; the caller
-    holds them as long as it needs them.
+    over rows of (origin, centre) pairs by :meth:`pair_log_terms`, from
+    coefficients :meth:`pair_coeffs` builds in one batch with an origin
+    per centre; the caller holds them as long as it needs them.
     """
 
     def __init__(self, pc: ProblemCoefficients, warp: WarpParams = WarpParams(),
@@ -249,7 +250,7 @@ class KernelField:
         self.K = K
         self.D = D if D is not None else 2 * K + 2
         # zero drift and potential: the correction factor is identically 1
-        self._trivial = not pc.drift and not pc.potential
+        self._trivial = pc.is_zero_drift()
         self.trust_radius = self._trust_radius()
 
     def _trust_radius(self) -> float:
@@ -289,19 +290,17 @@ class KernelField:
 
     # -- two-parameter kernel p(t, x; s, y) ---------------------------------
 
-    def pair_coeffs(self, ys, s: float = 0.0) -> np.ndarray | None:
+    def pair_coeffs(self, ys, s=0.0) -> np.ndarray | None:
         """Coefficients of p(., .; s, y) about every row of ``ys`` (B, n).
 
-        Shaped as ``ExpansionBatch.coeffs``; the recursion is re-anchored
-        at s for time-dependent coefficients.  None for a trivial field,
-        whose kernel is the Gaussian.
+        ``s`` is one origin for all rows or one per row, shape (B,).
+        Shaped as ``ExpansionBatch.coeffs``, from one ``expand_batch``
+        call.  None for a trivial field, whose kernel is the Gaussian.
         """
         if self._trivial:
             return None
-        origin = s if self.pc.time_dependent else 0.0
         ys = np.asarray(ys, dtype=float).reshape(-1, self.pc.n)
-        return expand_batch(self.pc.shifted_origin(origin), ys, self.K,
-                            self.warp, self.D).coeffs
+        return expand_batch(self.pc, ys, self.K, self.warp, self.D, s).coeffs
 
     def pair_log_terms(self, sigma, dx, coeffs: np.ndarray | None = None,
                        centre=None, j: int = 0, gradient: bool = False):
@@ -312,9 +311,9 @@ class KernelField:
         ``coeffs`` (from :meth:`pair_coeffs`, unused for a trivial
         field).  The Gaussian factor is taken at sigma, the correction at
         the warp's own time.  Returns (log p, shape (R,); grad_x log p,
-        shape (R, n), or None without ``gradient``).  The rows of each
-        centre read its one coefficient column, in chunks that bound the
-        coefficient-monomial products.
+        shape (R, n), or None without ``gradient``).  Chunks of rows
+        gather their coefficient columns; a chunk has no more rows than
+        ``coeffs`` has centres, nor gathers over ``_CHUNK_FLOATS`` floats.
         """
         sigma = np.asarray(sigma, dtype=float)
         dx = np.asarray(dx, dtype=float)
@@ -327,17 +326,16 @@ class KernelField:
             return logp, grad
         time = self.mode_time(sigma)
         centre = np.asarray(centre)
-        step = max(1, _CHUNK_FLOATS // coeffs[j, :, :, 0].size)
-        for b in np.unique(centre):
-            cb = coeffs[j:j + 1, :, :, b:b + 1]
-            at_b = np.flatnonzero(centre == b)
-            for lo in range(0, len(at_b), step):
-                rows = at_b[lo:lo + step]
-                corr, _, g, _ = _log_terms(cb, dx[rows], self.D, time[rows],
-                                           sigma[rows] if gradient else None)
-                logp[rows] += corr[0]
-                if gradient:
-                    grad[rows] = g[0]
+        step = max(1, min(coeffs.shape[3],
+                          _CHUNK_FLOATS // coeffs[j, :, :, 0].size))
+        for lo in range(0, len(sigma), step):
+            rows = slice(lo, lo + step)
+            corr, _, g, _ = _log_terms(coeffs[j:j + 1, :, :, centre[rows]],
+                                       dx[rows], self.D, time[rows],
+                                       sigma[rows] if gradient else None)
+            logp[rows] += corr[0]
+            if gradient:
+                grad[rows] = g[0]
         return logp, grad
 
     def pair_log_value(self, t: float, s: float, x, y, j: int = 0) -> float:
@@ -380,10 +378,9 @@ def _gh_integrals(field: KernelField, t: float, s: float, x, g: Callable,
 
     Physical times t > s.  Substituting y = x + 2 sqrt(t - s) z makes the
     kernel's Gaussian the Hermite weight; the per-node factor is the
-    expansion correction at the warp's own time, re-anchored at s for
-    time-dependent coefficients.  Nodes past ``field.trust_radius`` are
-    dropped, as are nodes where g vanishes; the rest are expanded in one
-    ``expand_batch`` call.
+    expansion correction at the warp's own time, about origin s.  Nodes
+    past ``field.trust_radius`` are dropped, as are nodes where g
+    vanishes; the rest are expanded in one ``expand_batch`` call.
     Returns the integrals, shape (len(components),), and with
     ``gradient`` also the x-gradients ``int grad_x p_j g dy``, shape
     (len(components), n), else None.
@@ -411,9 +408,7 @@ def _gh_integrals(field: KernelField, t: float, s: float, x, g: Callable,
         grad = np.broadcast_to(-dx / (2.0 * t_eff), (len(comps),) + dx.shape) \
             if gradient else None
     else:
-        origin = s if field.pc.time_dependent else 0.0
-        batch = expand_batch(field.pc.shifted_origin(origin), ys, field.K,
-                             field.warp, field.D)
+        batch = expand_batch(field.pc, ys, field.K, field.warp, field.D, s)
         logc, _, grad, _ = _log_terms(batch.coeffs[comps], dx, field.D, time,
                                       t_eff)
         corr = np.exp(logc)

@@ -423,43 +423,6 @@ class TimeEntry:
     def eval(self, t: float, x) -> float:
         return sum(e.eval(x) * t ** l for l, e in self.parts)
 
-    def part(self, l: int) -> CoefficientEntry | None:
-        for ll, e in self.parts:
-            if ll == l:
-                return e
-        return None
-
-    def shifted(self, s0: float) -> "TimeEntry":
-        """Re-expand around a shifted time origin: t -> s0 + t."""
-        if not self.parts:
-            return self
-        dim = self.parts[0][1].dim
-        acc: dict[int, list] = {}
-        for l, e in self.parts:
-            for m in range(l + 1):
-                acc.setdefault(m, []).append((math.comb(l, m) * s0 ** (l - m), e))
-        parts = []
-        for m, pieces in sorted(acc.items()):
-            parts.append((m, _scaled_sum(dim, pieces)))
-        return TimeEntry(tuple(parts))
-
-
-def _scaled_sum(dim: int, pieces) -> CoefficientEntry:
-    """Combine (scale, entry) pieces into one entry of a uniform kind."""
-    polys = [(s, e) for s, e in pieces if isinstance(e, PolyEntry)]
-    fours = [(s, e) for s, e in pieces if isinstance(e, FourierEntry)]
-    if polys and fours:
-        raise UnsupportedSpecError("cannot mix poly and fourier in one entry")
-    if fours:
-        terms = []
-        for s, e in fours:
-            terms.extend((s * a, w, p) for a, w, p in e.terms)
-        return FourierEntry(dim, tuple(terms))
-    terms = []
-    for s, e in polys:
-        terms.extend((s * c, ex) for c, ex in e.terms)
-    return PolyEntry(dim, tuple(terms))
-
 
 @dataclass(frozen=True)
 class TaylorExpansion:

@@ -17,7 +17,8 @@ scaled by 1/(k + |gamma|).  In tau mode the gradient term carries the
 analytic multiplier nu(tau) = tau / ((1 - tau)(-ln(1 - tau))) and the
 solve becomes a triangular jet inversion.
 
-``expand_batch`` runs the recursion for many centres at once on arrays;
+``expand_batch`` runs the recursion for many centres at once on arrays,
+each centre with its own time origin s for the kernel p(s + t, x; s, y);
 ``expand`` is its one-centre case and keeps the arrays in an
 :class:`ExpansionCoeffs`.
 """
@@ -101,17 +102,8 @@ class ProblemCoefficients:
         return max((e.max_order for e in entries), default=0)
 
     def is_zero_drift(self) -> bool:
+        """No drift and no potential: the kernel is the heat kernel."""
         return not self.drift and not self.potential
-
-    def shifted_origin(self, s0: float) -> "ProblemCoefficients":
-        """Coefficients re-expanded around time origin s0 (for p(t,x;s,y))."""
-        if s0 == 0.0 or not self.time_dependent:
-            return self
-        return ProblemCoefficients(
-            self.n, self.components,
-            {k: v.shifted(s0) for k, v in self.drift.items()},
-            {k: v.shifted(s0) for k, v in self.potential.items()},
-            self.bound_C, self.domain_radius_R)
 
     def spot_check_bounds(self, max_order: int = 4, samples: int = 5) -> float:
         """Largest ratio |d^a entry| / C^|a| over a sample lattice.
@@ -195,11 +187,11 @@ class ExpansionCoeffs:
         return len(self.center)
 
     def __eq__(self, other):
-        """All but ``domain_radius_R``, which files do not store."""
+        """Field by field, the arrays by value."""
         if not isinstance(other, ExpansionCoeffs):
             return NotImplemented
         scalars = ("center", "warp", "order_K", "degree_D", "components",
-                   "truncated")
+                   "truncated", "domain_radius_R")
         return all(getattr(self, f) == getattr(other, f) for f in scalars) \
             and np.array_equal(self.coeffs, other.coeffs) \
             and np.array_equal(self.jet_order, other.jet_order)
@@ -353,32 +345,52 @@ class _BatchWorkspace:
     one-centre time-jet algebra the tests keep as their reference
     (``tests/objalg.py``) term for term, in the same order of
     floating-point operations, and carry the ``truncated`` flag per
-    centre the way the polynomial operations do.
+    centre the way the polynomial operations do.  ``origins`` (B,) holds
+    each centre's time origin s, or is None for origin 0 everywhere.
     """
 
     def __init__(self, pc: ProblemCoefficients, ys: np.ndarray,
-                 wp: WarpParams, D: int, jet_cap: int | None):
+                 origins: np.ndarray | None, wp: WarpParams, D: int,
+                 jet_cap: int | None):
         self.n, self.D, self.wp, self.jet_cap = pc.n, D, wp, jet_cap
         self.orders = index_table(pc.n, D)[2]
         self.N, self.B = len(self.orders), len(ys)
         self.truncated = False
-        self.drift_jets = {key: self._entry_jet(entry, ys)
-                           for key, entry in pc.drift.items()}
-        self.vpart_polys = {i: {l: self._tay(part, ys)
-                                for l, part in entry.parts}
-                            for i, entry in pc.potential.items()}
+        self.drift_jets = {
+            key: self._entry_jet(*self._entry_terms(entry, ys, origins))
+            for key, entry in pc.drift.items()}
+        self.vpart_polys = {}
+        for i, entry in pc.potential.items():
+            terms, flags = self._entry_terms(entry, ys, origins)
+            orders = [l for l, _ in entry.parts] if origins is None \
+                else range(len(flags))
+            self.vpart_polys[i] = {l: (terms[:, l:l + 1], flags[l])
+                                   for l in orders}
 
-    def _tay(self, part: CoefficientEntry, ys: np.ndarray):
-        coeffs, truncated = part._taylor_cols(ys, self.D)
-        self.truncated |= truncated
-        return coeffs[:, None, :], np.full(self.B, truncated)
+    def _entry_terms(self, entry: TimeEntry, ys: np.ndarray,
+                     origins: np.ndarray | None):
+        """An entry's time terms about every centre, re-anchored at its
+        origin: coefficients (N, order + 1, B) and flags (order + 1, B).
 
-    def _entry_jet(self, entry: TimeEntry, ys: np.ndarray):
-        """b as a jet in the mode's own time variable."""
+        Each part is Taylor-expanded once and flags its own order.  About
+        origin s, t -> s + t makes the order-m term
+        sum_{l >= m} C(l, m) s^(l - m) part_l.
+        """
         terms = np.zeros((self.N, entry.max_order + 1, self.B))
         flags = np.zeros((entry.max_order + 1, self.B), dtype=bool)
         for l, part in entry.parts:
-            terms[:, l:l + 1], flags[l] = self._tay(part, ys)
+            coeffs, truncated = part._taylor_cols(ys, self.D)
+            self.truncated |= truncated
+            flags[l] = truncated
+            if origins is None:
+                terms[:, l] = coeffs
+                continue
+            for m in range(l + 1):
+                terms[:, m] += math.comb(l, m) * origins ** (l - m) * coeffs
+        return terms, flags
+
+    def _entry_jet(self, terms: np.ndarray, flags: np.ndarray):
+        """b's time terms as a jet in the mode's own time variable."""
         if self.wp.mode == "plain":
             return terms, flags.any(axis=0)
         if self.wp.mode == "beta":
@@ -558,14 +570,18 @@ _CHUNK_FLOATS = 1 << 22
 
 
 def expand_batch(pc: ProblemCoefficients, ys, K: int,
-                 wp: WarpParams = WarpParams(),
-                 D: int | None = None) -> ExpansionBatch:
+                 wp: WarpParams = WarpParams(), D: int | None = None,
+                 origins=0.0) -> ExpansionBatch:
     """The coefficient recursion c_0 ... c_K about every row of ``ys``.
 
-    ``ys`` has shape (B, n).  The recursion runs once, on arrays with the
-    centres as the last axis; each centre's coefficients, jet orders and
-    flags are those the recursion gives at that centre alone.  ``D``
-    defaults to 2K + 2.
+    ``ys`` has shape (B, n).  ``origins``, a scalar or shape (B,), is
+    each centre's time origin s: its coefficients are those of the kernel
+    p(s + time, x; s, y), the recursion run on the drift and potential
+    re-anchored by t -> s + t.  Origin 0, and any origin of autonomous
+    coefficients, leaves them as they are.  The recursion runs once, on
+    arrays with the centres as the last axis; each centre's coefficients,
+    jet orders and flags are those the recursion gives at that centre
+    alone.  ``D`` defaults to 2K + 2.
     """
     if K < 0:
         raise ParameterError("K must be >= 0")
@@ -575,13 +591,21 @@ def expand_batch(pc: ProblemCoefficients, ys, K: int,
     if ys.ndim != 2 or ys.shape[1] != pc.n or not len(ys):
         raise StructureError(
             f"centres of shape {ys.shape}, expected (B, {pc.n}) with B >= 1")
+    origins = np.asarray(origins, dtype=float)
+    if origins.shape not in ((), (len(ys),)):
+        raise StructureError(
+            f"origins of shape {origins.shape}, expected () or ({len(ys)},)")
+    origins = np.broadcast_to(origins, (len(ys),)) \
+        if pc.time_dependent and origins.any() else None
     jet_cap = max(K, pc.max_time_order) if wp.mode == "tau" else None
     # c_k has time order at most (k + 1) times the coefficients' order
     T = jet_cap + 1 if jet_cap is not None else \
         (K + 1) * pc.max_time_order + 1
     per_centre = len(index_table(pc.n, D)[0]) ** 2 * T * (T + 1) // 2
     step = max(1, _CHUNK_FLOATS // per_centre)
-    chunks = [_expand_chunk(pc, ys[i:i + step], K, wp, D, jet_cap)
+    chunks = [_expand_chunk(pc, ys[i:i + step],
+                            None if origins is None else origins[i:i + step],
+                            K, wp, D, jet_cap)
               for i in range(0, len(ys), step)]
     coeffs, orders, jet_flags, truncated = zip(*chunks)
     return ExpansionBatch(ys, wp, D, np.concatenate(coeffs, axis=3),
@@ -589,9 +613,9 @@ def expand_batch(pc: ProblemCoefficients, ys, K: int,
                           np.concatenate(truncated))
 
 
-def _expand_chunk(pc, ys, K, wp, D, jet_cap):
+def _expand_chunk(pc, ys, origins, K, wp, D, jet_cap):
     """``expand_batch``'s arrays for one chunk of centres."""
-    ws = _BatchWorkspace(pc, ys, wp, D, jet_cap)
+    ws = _BatchWorkspace(pc, ys, origins, wp, D, jet_cap)
     jets = []
     for j in range(pc.components):
         total = ws.zero()
@@ -827,6 +851,7 @@ def expansion_to_dict(exp: ExpansionCoeffs) -> dict:
         "order_K": exp.order_K,
         "degree_D": exp.degree_D,
         "components": exp.components,
+        "domain_radius_R": exp.domain_radius_R,
         "coefficients": comps,
         "diagnostics": {
             "sup_norms": list(exp.diagnostics.sup_norms),
@@ -839,7 +864,8 @@ def expansion_to_dict(exp: ExpansionCoeffs) -> dict:
 
 def expansion_from_dict(data: dict) -> ExpansionCoeffs:
     """The inverse of :func:`expansion_to_dict`; a jet's order is its
-    number of terms less one (an empty list reads as a zero jet)."""
+    number of terms less one (an empty list reads as a zero jet), and a
+    file without ``domain_radius_R`` reads as radius 1."""
     center = tuple(float(v) for v in data["center"])
     D = int(data["degree_D"])
     wp = WarpParams(mode=data["mode"], beta=float(data["beta"]),
@@ -856,7 +882,8 @@ def expansion_from_dict(data: dict) -> ExpansionCoeffs:
                     coeffs[j, k, l, pos[tuple(exps_list)]] = val
     diag = data["diagnostics"]
     exp = _expansion(center, wp, int(data["order_K"]), D, coeffs, jet_order,
-                     bool(diag["truncated"]))
+                     bool(diag["truncated"]),
+                     float(data.get("domain_radius_R", 1.0)))
     # the sampled diagnostics travel with the file; seed the lazy value
     vars(exp)["diagnostics"] = ExpansionDiagnostics(
         tuple(diag["sup_norms"]), tuple(diag["weighted"]),

@@ -236,7 +236,10 @@ class _Ibvp2Machine:
     ``KernelField.pair_log_terms`` call.  The centres are the two
     endpoints and the domain rules' nodes.  For autonomous coefficients
     their expansions are built in one batch at origin 0 and held for the
-    solve; time-dependent ones take one batch per origin and call.
+    solve.  Time-dependent ones are built per call for its distinct
+    (origin, centre) pairs, with an origin per centre of a batch; each
+    batch holds no more pairs than there are centres, so it peaks like
+    the autonomous batch.
     """
 
     def __init__(self, ps: ProblemSpec, fld: KernelField,
@@ -281,15 +284,23 @@ class _Ibvp2Machine:
             logp, g = fld.pair_log_terms(t - s, dx, self.coeffs0, centre,
                                          gradient=gradient)
         else:
-            logp, g = np.empty(len(s)), np.empty_like(dx)
-            origins, group = np.unique(s, return_inverse=True)
-            for o, origin in enumerate(origins):
-                rows = group == o
-                used, local = np.unique(centre[rows], return_inverse=True)
-                logp[rows], g[rows] = fld.pair_log_terms(
-                    t[rows] - origin, dx[rows],
-                    fld.pair_coeffs(self.centres[used, None], origin),
-                    local, gradient=True)
+            logp = np.empty(len(s))
+            g = np.empty_like(dx) if gradient else None
+            # distinct (origin, centre) pairs, as many per batch as the
+            # autonomous solve's one batch has centres
+            keys, key = np.unique(np.stack([s, centre], axis=1), axis=0,
+                                  return_inverse=True)
+            step = len(self.centres)
+            for lo in range(0, len(keys), step):
+                rows = (key >= lo) & (key < lo + step)
+                chunk = keys[lo:lo + step]
+                coeffs = fld.pair_coeffs(
+                    self.centres[chunk[:, 1].astype(int), None], chunk[:, 0])
+                logp[rows], g_rows = fld.pair_log_terms(
+                    t[rows] - s[rows], dx[rows], coeffs, key[rows] - lo,
+                    gradient=gradient)
+                if gradient:
+                    g[rows] = g_rows
         out = np.zeros(shape)
         out[live] = w * np.exp(logp)
         if not gradient:

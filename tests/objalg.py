@@ -8,13 +8,17 @@ a :class:`TimeJet` of them (a truncated polynomial in time), the jet
 arithmetic, and ``compute_c0``/``compute_R``.  ``poly_mul`` calls the
 shipped ``_mul_cols``/``_overflow_cols``, so product tests still exercise
 the kernel the package uses.  :func:`jets_of` reads an expansion's
-coefficient array back as TimeJets.
+coefficient array back as TimeJets.  :func:`shifted_origin` re-anchors a
+problem's coefficients at a time origin by rewriting its entries (an
+:class:`EntrySum` holds a re-anchored part that mixes polynomial and
+Fourier terms), the reference for ``expand_batch``'s ``origins``.
 
 Not a test module: pytest does not collect it; tests import it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,9 +26,10 @@ import numpy as np
 
 from parakern import polyalg
 from parakern.errors import ParameterError, SequencingError, StructureError
-from parakern.polyalg import (CoefficientEntry, MultiIndex, TimeEntry,
-                              index_table, taylorize, _monomials, _mul_cols,
-                              _overflow_cols, _partial_tables, _series_mul)
+from parakern.polyalg import (CoefficientEntry, FourierEntry, MultiIndex,
+                              PolyEntry, TimeEntry, index_table, taylorize,
+                              _monomials, _mul_cols, _overflow_cols,
+                              _partial_tables, _series_mul)
 from parakern.recursion import (ExpansionCoeffs, ProblemCoefficients,
                                 WarpParams, ray_integrate, _series_sigma,
                                 _series_t_of_tau, _warp_power)
@@ -497,3 +502,71 @@ def compute_R(k: int, prior: Sequence[Sequence[TimeJet]],
                 sigma, max_order=ws.jet_cap)
         out = jet_add(out, vjet)
     return ws.clip(out)
+
+
+# ---------------------------------------------------------------------------
+# re-anchoring at a time origin by rewriting the entries
+# ---------------------------------------------------------------------------
+
+def shifted_origin(pc: ProblemCoefficients, s0: float) -> ProblemCoefficients:
+    """Coefficients re-expanded around time origin s0 (for p(t,x;s,y))."""
+    if s0 == 0.0 or not pc.time_dependent:
+        return pc
+    return ProblemCoefficients(
+        pc.n, pc.components,
+        {k: shifted_entry(v, s0) for k, v in pc.drift.items()},
+        {k: shifted_entry(v, s0) for k, v in pc.potential.items()},
+        pc.bound_C, pc.domain_radius_R)
+
+
+def shifted_entry(entry: TimeEntry, s0: float) -> TimeEntry:
+    """Re-expand around a shifted time origin: t -> s0 + t."""
+    if not entry.parts:
+        return entry
+    dim = entry.parts[0][1].dim
+    acc: dict[int, list] = {}
+    for l, e in entry.parts:
+        for m in range(l + 1):
+            acc.setdefault(m, []).append((math.comb(l, m) * s0 ** (l - m), e))
+    return TimeEntry(tuple((m, _scaled_sum(dim, pieces))
+                           for m, pieces in sorted(acc.items())))
+
+
+def _scaled_sum(dim: int, pieces) -> CoefficientEntry:
+    """Combine (scale, entry) pieces into one entry: a PolyEntry or a
+    FourierEntry of the scaled terms, or their :class:`EntrySum`."""
+    poly = PolyEntry(dim, tuple((s * c, ex) for s, e in pieces
+                                if isinstance(e, PolyEntry)
+                                for c, ex in e.terms))
+    fourier = FourierEntry(dim, tuple((s * a, w, p) for s, e in pieces
+                                      if isinstance(e, FourierEntry)
+                                      for a, w, p in e.terms))
+    if not fourier.terms:
+        return poly
+    return EntrySum(dim, poly, fourier) if poly.terms else fourier
+
+
+@dataclass(frozen=True)
+class EntrySum(CoefficientEntry):
+    """A polynomial plus a Fourier entry, which neither class holds."""
+
+    dim: int
+    poly: PolyEntry
+    fourier: FourierEntry
+
+    def eval(self, x):
+        return self.poly.eval(x) + self.fourier.eval(x)
+
+    def derivative(self, alpha):
+        return EntrySum(self.dim, self.poly.derivative(alpha),
+                        self.fourier.derivative(alpha))
+
+    def _taylor_cols(self, ys, cap):
+        a, cut_a = self.poly._taylor_cols(ys, cap)
+        b, cut_b = self.fourier._taylor_cols(ys, cap)
+        return a + b, cut_a or cut_b
+
+    def bound_constants(self):
+        (pa, pr), (fa, fr) = (self.poly.bound_constants(),
+                              self.fourier.bound_constants())
+        return pa + fa, max(pr, fr)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from parakern import recursion
+from parakern.errors import StructureError
 from parakern.kernel import (KernelField, _gh_integrals, kernel_log_gradient,
                              log_correction)
 from parakern.polyalg import FourierEntry, PolyEntry, TimeEntry, index_table
@@ -23,7 +24,7 @@ from parakern.recursion import (ProblemCoefficients, WarpParams, _series_nu,
                                 expand, expand_batch)
 
 from objalg import (TaylorPoly, TimeJet, _Workspace, compute_c0, compute_R,
-                    jet_ray)
+                    jet_ray, shifted_origin)
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 PROBLEMS = sorted(glob.glob(os.path.join(HERE, "..", "problems", "*.json")))
@@ -185,6 +186,36 @@ def test_gh_pass_matches_per_centre_sum(mode):
     scale = math.sqrt(math.pi)
     assert vals[0] == pytest.approx(ref / scale, rel=1e-13)
     assert grads[0, 0] == pytest.approx(ref_grad / scale, rel=1e-12)
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_per_row_origins_equal_the_shifted_problem(mode):
+    # one batch with an origin per centre: each row is the expansion of the
+    # problem rewritten about its origin, and the rows at origin 0 are the
+    # origin-free ones.  RICH's potential mixes polynomial and Fourier
+    # parts; a drift with a t^2 part brings binomial weights above 1
+    pc, wp, K, D, ys = _setup("rich_system", mode)
+    pc = ProblemCoefficients(2, 2, {**pc.drift, (1, 1, 1): TimeEntry((
+        (0, PolyEntry(2, ((0.1, (0, 1)),))),
+        (2, FourierEntry(2, ((0.3, (0.5, 1.0), 0.1),)))))}, pc.potential)
+    origins = np.array([0.0, 0.3, 0.0, 0.05, 0.7, 0.0, 1.2, 0.3])
+    batch = expand_batch(pc, ys, K, wp, D, origins)
+    free = expand_batch(pc, ys, K, wp, D)
+    assert np.array_equal(batch.jet_order, free.jet_order)
+    for b, (y, s) in enumerate(zip(ys, origins)):
+        ref = expand(shifted_origin(pc, s), y, K, wp, D)
+        row = batch.coeffs[:, :, :, b]
+        assert row.shape == ref.coeffs.shape
+        assert np.all(np.abs(row - ref.coeffs)
+                      <= 1e-13 * max(1.0, float(np.abs(ref.coeffs).max())))
+        assert batch.truncated[b] == ref.truncated
+        if s == 0.0:
+            # == compares -0.0 and 0.0 equal: bit for bit up to their sign
+            assert np.array_equal(row, free.coeffs[:, :, :, b])
+            assert np.array_equal(batch.jet_truncated[..., b],
+                                  free.jet_truncated[..., b])
+    with pytest.raises(StructureError, match="origins of shape"):
+        expand_batch(pc, ys, K, wp, D, origins[:3])
 
 
 def test_chunked_batch_equals_one_chunk(monkeypatch):

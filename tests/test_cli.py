@@ -195,6 +195,16 @@ def test_solve_ibvp2_writes_density(tmp_path):
     assert val == pytest.approx(math.exp(-1.0) * math.cos(0.5), abs=3e-2)
 
 
+def test_solve_time_dependent_mixed_kind_drift(tmp_path):
+    # time_poly parts mixing poly and fourier, re-anchored at every origin
+    # of the march and of the source's time rule
+    base = tmp_path / "td"
+    rc = main(["solve", problem("time_drift_ibvp2.json"), "--out", str(base)])
+    assert rc == 0
+    rows = (tmp_path / "td.csv").read_text().splitlines()[1:]
+    assert rows and all(math.isfinite(float(r.split(",")[3])) for r in rows)
+
+
 # ---------------------------------------------------------------------------
 # validate
 # ---------------------------------------------------------------------------

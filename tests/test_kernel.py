@@ -16,7 +16,7 @@ from parakern.problemfile import load_problem_file
 from parakern.recursion import (ProblemCoefficients, WarpParams, expand,
                                 select_beta, t_of_tau, tau_of_t)
 
-from objalg import jet_dt, jet_eval, jet_partial, jets_of
+from objalg import jet_dt, jet_eval, jet_partial, jets_of, shifted_origin
 
 SIN_DRIFT = FourierEntry(1, ((0.3, (1.0,), 0.0),))
 PC_SIN = ProblemCoefficients(1, 1, {(0, 0, 0): SIN_DRIFT})
@@ -456,7 +456,7 @@ def test_pair_log_terms_rows_equal_one_point_calls(monkeypatch, mode):
         assert np.array_equal(fld.pair_log_gradient(t[r], s, xs[r], ys[c]),
                               whole[1][r])
         # and the single-center expansion read by the point evaluator
-        exp = expand(pc.shifted_origin(s), ys[c], 4, WARPS[mode], 10)
+        exp = expand(shifted_origin(pc, s), ys[c], 4, WARPS[mode], 10)
         time, dx = fld.mode_time(sigma[r]), xs[r] - ys[c]
         log_g = -0.5 * math.log(4 * math.pi * sigma[r]) \
             - dx[0] ** 2 / (4 * sigma[r])

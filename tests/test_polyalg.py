@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from parakern.errors import ParameterError, StructureError, UnsupportedSpecError
-from parakern.polyalg import (FourierEntry, MultiIndex, PolyEntry, TimeEntry,
+from parakern.polyalg import (FourierEntry, MultiIndex, PolyEntry,
                               index_table, taylorize)
 
 from objalg import (TaylorPoly, TimeJet, jet_compose_time, jet_dt, jet_eval,
@@ -303,10 +303,3 @@ def test_jet_compose_time_rescale():
     assert out.terms[0].coeff((0,)) == 1.0
     assert out.terms[1].coeff((0,)) == 0.5
     assert out.terms[2].max_abs() == 0.0
-
-
-def test_time_entry_shift():
-    # b(t) = t^2 shifted by s0: (s0 + t)^2
-    entry = TimeEntry(((2, PolyEntry(1, ((1.0, (0,)),))),))
-    shifted = entry.shifted(0.3)
-    assert shifted.eval(0.2, np.array([0.0])) == pytest.approx(0.25, abs=1e-15)

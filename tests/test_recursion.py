@@ -387,6 +387,7 @@ def _assert_roundtrip(exp):
     assert clone.coeffs.tobytes() == unsigned.tobytes()
     assert np.array_equal(clone.jet_order, exp.jet_order)
     assert clone.jet_order.dtype == exp.jet_order.dtype
+    assert clone.domain_radius_R == exp.domain_radius_R
     for e in (exp, clone):
         assert not e.coeffs.flags.writeable
     assert clone == exp and exp == clone and not clone != exp
@@ -409,6 +410,20 @@ def test_expansion_roundtrip_is_exact():
                    WarpParams(mode="tau", beta=0.5)):
             _assert_roundtrip(expand(pf.pc, np.zeros(pf.pc.n), pf.order_K,
                                      wp, pf.degree_D))
+
+
+def test_expansion_files_keep_the_domain_radius():
+    # the radius sizes the diagnostics' lattice; coupled_system.json's is
+    # sqrt(2), and a file written before the field existed reads as 1
+    path = [p for p in PROBLEMS if p.endswith("coupled_system.json")][0]
+    pf = load_problem_file(path)
+    exp = expand(pf.pc, np.zeros(pf.pc.n), 2, WarpParams(), 6)
+    assert exp.domain_radius_R == math.sqrt(2.0)
+    data = expansion_to_dict(exp)
+    assert expansion_from_dict(data).domain_radius_R == math.sqrt(2.0)
+    del data["domain_radius_R"]
+    older = expansion_from_dict(data)
+    assert older.domain_radius_R == 1.0 and older != exp
 
 
 def test_spot_check_bounds_on_testbed():

@@ -19,6 +19,8 @@ from parakern.solvers import (GridSolution, ProblemSpec,
                               _gl_rule, burgers_demo, solve_cauchy,
                               solve_ibvp2)
 
+from objalg import shifted_origin
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SIN_DRIFT = FourierEntry(1, ((0.3, (1.0,), 0.0),))
@@ -88,21 +90,23 @@ def test_cauchy_source_term_matches_duhamel():
 
 
 def test_two_time_kernel_matches_characteristics_oracle():
-    # time-dependent drift forces re-expansion about the source time s
+    # time-dependent drift forces re-expansion about the source time s;
+    # b = b0 + b1 t, with b1 also written as a Fourier part sin(0 x + pi/2)
     b0, b1 = 0.3, 0.5
-    entry = TimeEntry(((0, PolyEntry(1, ((b0, (0,)),))),
-                       (1, PolyEntry(1, ((b1, (0,)),)))))
-    pc = ProblemCoefficients(1, 1, {(0, 0, 0): entry})
-    fld = KernelField(pc, WarpParams(), K=4)
-    for s in (0.0, 0.1, 0.3):
-        for t in (s + 0.05, s + 0.2, s + 0.5):
-            for x, y in ((0.4, -0.1), (-0.2, 0.3)):
-                sig = t - s
-                shift = b0 * sig + b1 * (t * t - s * s) / 2
-                ref = math.exp(-((x - y) + shift) ** 2 / (4 * sig)) \
-                    / math.sqrt(4 * math.pi * sig)
-                assert fld.pair_value(t, s, [x], [y]) == \
-                    pytest.approx(ref, rel=1e-12)
+    for part1 in (PolyEntry(1, ((b1, (0,)),)),
+                  FourierEntry(1, ((b1, (0.0,), math.pi / 2),))):
+        entry = TimeEntry(((0, PolyEntry(1, ((b0, (0,)),))), (1, part1)))
+        pc = ProblemCoefficients(1, 1, {(0, 0, 0): entry})
+        fld = KernelField(pc, WarpParams(), K=4)
+        for s in (0.0, 0.1, 0.3):
+            for t in (s + 0.05, s + 0.2, s + 0.5):
+                for x, y in ((0.4, -0.1), (-0.2, 0.3)):
+                    sig = t - s
+                    shift = b0 * sig + b1 * (t * t - s * s) / 2
+                    ref = math.exp(-((x - y) + shift) ** 2 / (4 * sig)) \
+                        / math.sqrt(4 * math.pi * sig)
+                    assert fld.pair_value(t, s, [x], [y]) == \
+                        pytest.approx(ref, rel=1e-12)
 
 
 def test_cauchy_source_with_time_dependent_drift_vs_fd():
@@ -263,15 +267,9 @@ def test_ibvp2_rejects_sample_times_outside_the_horizon():
     assert np.all(np.isfinite(sol.values))
 
 
-def test_ibvp2_constant_drift_converges_to_fd():
-    # the first Robin solve through the drift kernel path: b = 0.5 with
-    # the data of MANUFACTURED[0], against the Crank-Nicolson oracle on
-    # the same interval with the same Robin data
-    rec = MANUFACTURED[0]
-    pc = ProblemCoefficients(1, 1, {(0, 0, 0): PolyEntry(1, ((0.5, (0,)),))})
-    ps = ProblemSpec("ibvp2", (0.0,), (1.0,), 0.5, pc, phi=rec["phi"],
-                     alpha=rec["alpha"], psi=rec["psi"])
-    fld = KernelField(pc, WarpParams(), K=4)
+def _fd_errors(ps, fld):
+    """Max error at x = 1/4, 1/2, 3/4 after 16 and 32 steps, against the
+    Crank-Nicolson oracle on the same interval with the same Robin data."""
     xs = np.array([[0.25], [0.5], [0.75]])
     ref = fd_solve(ps, FDConfig(h=1 / 128, dt=1 / 1024))
     idx = np.searchsorted(ref.points[:, 0], xs[:, 0])
@@ -284,6 +282,29 @@ def test_ibvp2_constant_drift_converges_to_fd():
         assert np.all(np.isfinite(dens.values))
         errs.append(float(np.max(np.abs(sol.values[0, :, 0]
                                         - ref.values[-1][idx, 0]))))
+    return errs
+
+
+def test_ibvp2_constant_drift_converges_to_fd():
+    # the first Robin solve through the drift kernel path: b = 0.5 with
+    # the data of MANUFACTURED[0]
+    rec = MANUFACTURED[0]
+    pc = ProblemCoefficients(1, 1, {(0, 0, 0): PolyEntry(1, ((0.5, (0,)),))})
+    ps = ProblemSpec("ibvp2", (0.0,), (1.0,), 0.5, pc, phi=rec["phi"],
+                     alpha=rec["alpha"], psi=rec["psi"])
+    errs = _fd_errors(ps, KernelField(pc, WarpParams(), K=4))
+    assert errs[0] <= 2.5e-2
+    assert errs[1] / errs[0] <= 0.7
+
+
+def test_ibvp2_time_drift_file_converges_to_fd():
+    # a time-dependent drift whose parts mix poly (0.3) and fourier
+    # (0.2 sin x, times t), with a source; the constant-drift bounds
+    pf = load_problem_file(os.path.join(ROOT, "problems",
+                                        "time_drift_ibvp2.json"))
+    assert pf.pc.time_dependent
+    errs = _fd_errors(pf.ps, KernelField(pf.pc, pf.warp, pf.order_K,
+                                         pf.degree_D))
     assert errs[0] <= 2.5e-2
     assert errs[1] / errs[0] <= 0.7
 
@@ -316,7 +337,7 @@ class _ScalarMarch:
         origin = s if fld.pc.time_dependent else 0.0
         key = (float(y[0]), origin)
         if key not in self.exps:
-            self.exps[key] = expand(fld.pc.shifted_origin(origin), y, fld.K,
+            self.exps[key] = expand(shifted_origin(fld.pc, origin), y, fld.K,
                                     fld.warp, fld.D)
         return self.exps[key]
 
