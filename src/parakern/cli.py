@@ -21,7 +21,6 @@ import numpy as np
 from . import __version__
 from .errors import ParakernError, SchemaError
 from .kernel import KernelField, eval_points
-from .oracle import exact_const_drift_kernel, quad_ray
 from .polyalg import PolyEntry, taylorize
 from .problemfile import ProblemFile, load_problem_file
 from .recursion import (WarpParams, expand, expansion_from_dict,
@@ -187,6 +186,7 @@ def _ray_weight_checks(fault: str | None, tol: float = 1e-13):
     (1-tau)k/beta) each produce a diagonal weight 1/(a + |gamma|); every
     one is compared with quad_ray on the monomial of matching order.
     """
+    from .oracle import quad_ray
     beta, tau = 0.1, 0.5
     tol = min(tol, 1e-13)
     results = []
@@ -240,6 +240,7 @@ def _roundtrip_check(pf: ProblemFile):
 
 
 def _const_drift_check(pf: ProblemFile):
+    from .oracle import exact_const_drift_kernel
     entry = pf.pc.drift.get((0, 0, 0))
     parts = dict(entry.parts)
     b0 = parts[0].terms[0][0] if 0 in parts else 0.0

@@ -14,6 +14,10 @@ The private column helpers (``_mul_cols``, ``_overflow_cols``,
 ``_partial_tables`` and the entries' ``_taylor_cols``) do the arithmetic
 on coefficient arrays with any number of columns, one per expansion
 centre; ``taylor_coeffs`` is the one-column case of ``_taylor_cols``.
+Because the table is graded, the rows of degree <= d are its first
+``_rows(dim, d)`` rows, so an array may stop at its degree: products
+take their pair table for the operands' degrees (``_mul_tables``, keyed
+by dim, cap and both degrees) and form no pair of rows known to be zero.
 """
 
 from __future__ import annotations
@@ -113,27 +117,39 @@ def index_table(dim: int, cap: int):
     return exps, pos, orders
 
 
-@lru_cache(maxsize=None)
-def _mul_tables(dim: int, cap: int):
-    """Precomputed index pairs for truncated convolution.
+def _rows(dim: int, degree: int) -> int:
+    """Rows of total degree <= ``degree``: a prefix of every table with a
+    larger cap, since the table is graded."""
+    return math.comb(dim + degree, dim)
 
-    ``(ii, jj, tt)`` enumerate products landing inside the cap and
-    ``(oi, oj)`` those that would exceed it (used for the truncation flag).
+
+@lru_cache(maxsize=None)
+def _degree(rows: int, dim: int, cap: int) -> int:
+    """The degree of a column of ``rows`` rows, a prefix of the table."""
+    return int(index_table(dim, cap)[2][rows - 1])
+
+
+@lru_cache(maxsize=None)
+def _mul_tables(dim: int, cap: int, da: int, db: int):
+    """Index pairs of the truncated product of a degree-da column by a
+    degree-db column, both indexed by ``index_table(dim, cap)``.
+
+    ``(ii, jj)`` enumerate the products landing inside the cap, in
+    row-major pair order, and ``scatter`` is the CSR matrix adding them
+    onto the min(da + db, cap) rows of the result; each row sums its
+    products in pair order, as ``np.add.at`` would, so the scatter
+    reproduces the sequential sum bit for bit.  ``(oi, oj)`` are the pairs
+    that would exceed the cap (used for the truncation flag).
     """
     exps, pos, orders = index_table(dim, cap)
-    n = len(exps)
-    ii, jj, tt, oi, oj = [], [], [], [], []
-    for i in range(n):
-        for j in range(n):
-            if orders[i] + orders[j] <= cap:
-                ii.append(i)
-                jj.append(j)
-                tt.append(pos[tuple(exps[i] + exps[j])])
-            else:
-                oi.append(i)
-                oj.append(j)
-    return (np.array(ii), np.array(jj), np.array(tt),
-            np.array(oi, dtype=np.int64), np.array(oj, dtype=np.int64))
+    i, j = np.divmod(np.arange(_rows(dim, da) * _rows(dim, db)), _rows(dim, db))
+    inside = orders[i] + orders[j] <= cap
+    ii, jj = i[inside], j[inside]
+    tt = [pos[tuple(e)] for e in (exps[ii] + exps[jj]).tolist()]
+    scatter = sparse.csr_matrix(
+        (np.ones(len(tt)), (tt, np.arange(len(tt)))),
+        shape=(_rows(dim, min(da + db, cap)), len(tt)))
+    return ii, jj, scatter, i[~inside], j[~inside]
 
 
 @lru_cache(maxsize=None)
@@ -155,19 +171,6 @@ def _partial_tables(dim: int, cap: int):
 
 
 @lru_cache(maxsize=None)
-def _scatter(dim: int, cap: int):
-    """CSR matrix adding the in-cap products of ``_mul_tables`` onto rows.
-
-    Each row sums its products in pair order, as ``np.add.at`` would, so
-    the scatter reproduces the sequential sum bit for bit.
-    """
-    n = len(index_table(dim, cap)[0])
-    tt = _mul_tables(dim, cap)[2]
-    return sparse.csr_matrix(
-        (np.ones(len(tt)), (tt, np.arange(len(tt)))), shape=(n, len(tt)))
-
-
-@lru_cache(maxsize=None)
 def _factorials(dim: int, cap: int) -> np.ndarray:
     """gamma! per row of ``index_table(dim, cap)``, as floats."""
     exps, _, _ = index_table(dim, cap)
@@ -182,11 +185,15 @@ def _mul_cols(a: np.ndarray, b: np.ndarray, dim: int, cap: int) -> np.ndarray:
 
     ``a`` and ``b`` hold table rows on axis 0 and any number of columns
     (centres, time orders, ...) behind it; each column multiplies on its
-    own, so a column's result does not depend on the others.
+    own, so a column's result does not depend on the others.  A column
+    holds the rows up to its degree (``_rows(dim, da)`` of them), so the
+    pair table is the one for the operands' degrees; the result holds the
+    rows up to min(da + db, cap).
     """
-    ii, jj, _, _, _ = _mul_tables(dim, cap)
+    ii, jj, scatter, _, _ = _mul_tables(dim, cap, _degree(len(a), dim, cap),
+                                        _degree(len(b), dim, cap))
     prod = (a[ii] * b[jj]).reshape(len(ii), -1)
-    return (_scatter(dim, cap) @ prod).reshape(a.shape)
+    return (scatter @ prod).reshape(scatter.shape[:1] + a.shape[1:])
 
 
 def _overflow_cols(a: np.ndarray, b: np.ndarray, dim: int,
@@ -197,15 +204,16 @@ def _overflow_cols(a: np.ndarray, b: np.ndarray, dim: int,
     only if both factors are, so columns whose highest nonzero orders sum
     to at most the cap are settled without forming the products.
     """
-    _, _, _, oi, oj = _mul_tables(dim, cap)
+    orders = index_table(dim, cap)[2][:, None]
+    _, _, _, oi, oj = _mul_tables(dim, cap, _degree(len(a), dim, cap),
+                                  _degree(len(b), dim, cap))
     shape = a.shape[1:]
     a = a.reshape(len(a), -1)
     b = b.reshape(len(b), -1)
     flags = np.zeros(a.shape[1], dtype=bool)
     if len(oi):
-        orders = index_table(dim, cap)[2][:, None]
-        top_a = np.where(a != 0.0, orders, -1).max(axis=0)
-        top_b = np.where(b != 0.0, orders, -1).max(axis=0)
+        top_a = np.where(a != 0.0, orders[:len(a)], -1).max(axis=0)
+        top_b = np.where(b != 0.0, orders[:len(b)], -1).max(axis=0)
         maybe = (top_a + top_b > cap) | ~np.isfinite(a).all(axis=0) \
             | ~np.isfinite(b).all(axis=0)
         if maybe.any():

@@ -34,8 +34,9 @@ import numpy as np
 
 from .errors import ParameterError, StructureError
 from .polyalg import (CoefficientEntry, MultiIndex, TaylorPoly, TimeEntry,
-                      index_table, series_reciprocal, _monomials, _mul_cols,
-                      _overflow_cols, _partial_tables, _series_mul)
+                      index_table, series_reciprocal, _degree, _monomials,
+                      _mul_cols, _overflow_cols, _partial_tables, _rows,
+                      _series_mul)
 
 SAMPLE_LATTICE = 17      # points per axis when sampling sup norms
 BETA_FLOOR = 1e-6
@@ -340,9 +341,16 @@ def _series_t_of_tau(beta: float, order: int) -> np.ndarray:
 class _BatchWorkspace:
     """Mode-resolved drift/potential jets about B centres, as arrays.
 
-    A jet is a pair (coefficients of shape (N, order + 1, B), flags of
-    shape (B,)): table rows, time orders, centres.  The methods mirror the
-    one-centre time-jet algebra the tests keep as their reference
+    A jet is a pair (coefficients of shape (rows, order + 1, B), flags
+    of shape (B,)): table rows, time orders, centres.  A jet's rows stop
+    at its spatial degree d, the first ``_rows(n, d)`` rows of the graded
+    table, so the shape carries the degree.  Entry jets are cut after
+    their last nonzero row over the chunk; every other degree follows
+    from the algebra: a sum takes the larger, a product the sum (capped
+    at D), a derivative one less, the monomial dx degree 1, and the rest
+    keep theirs.  Only rows of exact zeros are dropped, so the values
+    equal the full-row ones up to the sign of zero.  The methods mirror
+    the one-centre time-jet algebra the tests keep as their reference
     (``tests/objalg.py``) term for term, in the same order of
     floating-point operations, and carry the ``truncated`` flag per
     centre the way the polynomial operations do.  ``origins`` (B,) holds
@@ -370,7 +378,8 @@ class _BatchWorkspace:
     def _entry_terms(self, entry: TimeEntry, ys: np.ndarray,
                      origins: np.ndarray | None):
         """An entry's time terms about every centre, re-anchored at its
-        origin: coefficients (N, order + 1, B) and flags (order + 1, B).
+        origin: coefficients (rows, order + 1, B), cut after the last row
+        nonzero at any order and centre, and flags (order + 1, B).
 
         Each part is Taylor-expanded once and flags its own order.  About
         origin s, t -> s + t makes the order-m term
@@ -387,7 +396,9 @@ class _BatchWorkspace:
                 continue
             for m in range(l + 1):
                 terms[:, m] += math.comb(l, m) * origins ** (l - m) * coeffs
-        return terms, flags
+        nonzero = np.flatnonzero(terms.any(axis=(1, 2)))
+        top = int(self.orders[nonzero[-1]]) if len(nonzero) else 0
+        return terms[:_rows(self.n, top)], flags
 
     def _entry_jet(self, terms: np.ndarray, flags: np.ndarray):
         """b's time terms as a jet in the mode's own time variable."""
@@ -402,7 +413,7 @@ class _BatchWorkspace:
         # skipped there, so they leave its flag alone
         cap = self.jet_cap
         inner = _series_t_of_tau(self.wp.beta, cap)
-        out = np.zeros((self.N, cap + 1, self.B))
+        out = np.zeros((len(terms), cap + 1, self.B))
         out_flags = np.zeros(self.B, dtype=bool)
         power = np.zeros(cap + 1)
         power[0] = 1.0
@@ -418,11 +429,11 @@ class _BatchWorkspace:
     # -- the jet algebra -----------------------------------------------------
 
     def zero(self):
-        return np.zeros((self.N, 1, self.B)), np.zeros(self.B, dtype=bool)
+        return np.zeros((1, 1, self.B)), np.zeros(self.B, dtype=bool)
 
     def delta_x(self, axis: int):
         """The monomial dx_axis, unflagged."""
-        x = np.zeros((self.N, 1, self.B))
+        x = np.zeros((_rows(self.n, 1), 1, self.B))
         x[index_table(self.n, self.D)[1][
             tuple(int(a == axis) for a in range(self.n))]] = 1.0
         return x, np.zeros(self.B, dtype=bool)
@@ -432,9 +443,14 @@ class _BatchWorkspace:
         (x, fx), (y, fy) = a, b
         if x.shape == y.shape:
             return x + y, fx | fy
-        out = np.zeros((len(x), max(x.shape[1], y.shape[1]), x.shape[2]))
-        out[:, :x.shape[1]] = x
-        out[:, :y.shape[1]] += y
+        if len(x) < len(y):
+            x, y = y, x                 # the sum commutes, bit for bit
+        if x.shape[1] >= y.shape[1]:
+            out = x.copy()
+        else:
+            out = np.zeros((len(x), y.shape[1], x.shape[2]))
+            out[:, :x.shape[1]] = x
+        out[:len(y), :y.shape[1]] += y
         return out, fx | fy
 
     def mul(self, a, b):
@@ -451,15 +467,18 @@ class _BatchWorkspace:
             out[:, ls] += prods[:, ss]
         flags = fx | fy
         need = ~flags
-        if need.any():
+        # below the cap in degree, no column can overflow
+        if need.any() and _degree(len(x), self.n, self.D) \
+                + _degree(len(y), self.n, self.D) > self.D:
             flags[need] = _overflow_cols(xa[..., need], yb[..., need],
                                          self.n, self.D).any(axis=0)
         return out, flags
 
     def partial(self, a, axis: int):
         x, f = a
-        src, dst, scale = _partial_tables(self.n, self.D)[axis]
-        out = np.zeros_like(x)
+        d = _degree(len(x), self.n, self.D)
+        src, dst, scale = _partial_tables(self.n, d)[axis]
+        out = np.zeros((_rows(self.n, max(d - 1, 0)),) + x.shape[1:])
         if len(src):
             out[dst] = scale[:, None, None] * x[src]
         return out, f
@@ -473,7 +492,7 @@ class _BatchWorkspace:
 
     def ray(self, a, s: float):
         x, f = a
-        return x / (self.orders + s)[:, None, None], f
+        return x / (self.orders[:len(x)] + s)[:, None, None], f
 
     @staticmethod
     def scale(a, c: float):
@@ -500,7 +519,7 @@ class _BatchWorkspace:
         """(k + |gamma| nu(tau)) c = R, a triangular jet inversion."""
         x, f = R
         cap = self.jet_cap
-        w = _tau_weights(k, cap, self.n, self.D)
+        w = _tau_weights(k, cap, self.n, self.D)[:len(x)]
         out = np.zeros((len(x), cap + 1, x.shape[2]))
         for l in range(min(x.shape[1] - 1, cap) + 1):
             out[:, l:] += x[:, l:l + 1] * w[:, :cap + 1 - l, None]
@@ -601,7 +620,10 @@ def expand_batch(pc: ProblemCoefficients, ys, K: int,
     # c_k has time order at most (k + 1) times the coefficients' order
     T = jet_cap + 1 if jet_cap is not None else \
         (K + 1) * pc.max_time_order + 1
-    per_centre = len(index_table(pc.n, D)[0]) ** 2 * T * (T + 1) // 2
+    # a dense product's temporaries: both gathered operands and their
+    # product, per pair of time orders and in-cap pair of rows (as many as
+    # the exponents of degree <= D in 2n variables)
+    per_centre = 3 * _rows(2 * pc.n, D) * T * (T + 1) // 2
     step = max(1, _CHUNK_FLOATS // per_centre)
     chunks = [_expand_chunk(pc, ys[i:i + step],
                             None if origins is None else origins[i:i + step],
@@ -645,7 +667,7 @@ def _expand_chunk(pc, ys, origins, K, wp, D, jet_cap):
     coeffs = np.zeros((pc.components, K + 1, orders.max() + 1, ws.B, ws.N))
     for j, cj in enumerate(jets):
         for k, (x, _) in enumerate(cj):
-            coeffs[j, k, :x.shape[1]] = x.transpose(1, 2, 0)
+            coeffs[j, k, :x.shape[1], :, :len(x)] = x.transpose(1, 2, 0)
     jet_flags = np.array([[f for _, f in cj] for cj in jets])
     return (coeffs, orders, jet_flags,
             ws.truncated | jet_flags.any(axis=(0, 1)))

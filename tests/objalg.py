@@ -12,6 +12,9 @@ coefficient array back as TimeJets.  :func:`shifted_origin` re-anchors a
 problem's coefficients at a time origin by rewriting its entries (an
 :class:`EntrySum` holds a re-anchored part that mixes polynomial and
 Fourier terms), the reference for ``expand_batch``'s ``origins``.
+:func:`dense_mul_cols` multiplies full columns over every in-cap pair of
+the table, and :class:`DenseWorkspace` runs ``expand_batch`` with it on
+full-row jets: the reference for the degree-trimmed jets and products.
 
 Not a test module: pytest does not collect it; tests import it.
 """
@@ -20,9 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
+from scipy import sparse
 
 from parakern import polyalg
 from parakern.errors import ParameterError, SequencingError, StructureError
@@ -31,8 +36,9 @@ from parakern.polyalg import (CoefficientEntry, FourierEntry, MultiIndex,
                               _monomials, _mul_cols, _overflow_cols,
                               _partial_tables, _series_mul)
 from parakern.recursion import (ExpansionCoeffs, ProblemCoefficients,
-                                WarpParams, ray_integrate, _series_sigma,
-                                _series_t_of_tau, _warp_power)
+                                WarpParams, ray_integrate, _BatchWorkspace,
+                                _pair_plan, _series_sigma, _series_t_of_tau,
+                                _warp_power)
 
 
 # ---------------------------------------------------------------------------
@@ -570,3 +576,133 @@ class EntrySum(CoefficientEntry):
         (pa, pr), (fa, fr) = (self.poly.bound_constants(),
                               self.fourier.bound_constants())
         return pa + fa, max(pr, fr)
+
+
+# ---------------------------------------------------------------------------
+# the dense full-table product, the reference for degree-trimmed jets
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _dense_mul_tables(dim: int, cap: int):
+    """Index pairs of the truncated product of two full columns: ``(ii,
+    jj, tt)`` in-cap pairs and their target rows, ``(oi, oj)`` the pairs
+    above the cap."""
+    exps, pos, orders = index_table(dim, cap)
+    n = len(exps)
+    ii, jj, tt, oi, oj = [], [], [], [], []
+    for i in range(n):
+        for j in range(n):
+            if orders[i] + orders[j] <= cap:
+                ii.append(i)
+                jj.append(j)
+                tt.append(pos[tuple(exps[i] + exps[j])])
+            else:
+                oi.append(i)
+                oj.append(j)
+    return (np.array(ii), np.array(jj), np.array(tt),
+            np.array(oi, dtype=np.int64), np.array(oj, dtype=np.int64))
+
+
+@lru_cache(maxsize=None)
+def _dense_scatter(dim: int, cap: int):
+    """CSR matrix adding the in-cap products onto rows in pair order."""
+    n = len(index_table(dim, cap)[0])
+    tt = _dense_mul_tables(dim, cap)[2]
+    return sparse.csr_matrix(
+        (np.ones(len(tt)), (tt, np.arange(len(tt)))), shape=(n, len(tt)))
+
+
+def dense_mul_cols(a: np.ndarray, b: np.ndarray, dim: int,
+                   cap: int) -> np.ndarray:
+    """Truncated products of full coefficient columns: every pair of the
+    table, zero or not."""
+    ii, jj, _, _, _ = _dense_mul_tables(dim, cap)
+    prod = (a[ii] * b[jj]).reshape(len(ii), -1)
+    return (_dense_scatter(dim, cap) @ prod).reshape(a.shape)
+
+
+def dense_overflow_cols(a: np.ndarray, b: np.ndarray, dim: int,
+                        cap: int) -> np.ndarray:
+    """Per full column: does the product discard a nonzero term above the
+    cap?  Exactly ``any(a[oi] * b[oj] != 0)``."""
+    _, _, _, oi, oj = _dense_mul_tables(dim, cap)
+    shape = a.shape[1:]
+    a = a.reshape(len(a), -1)
+    b = b.reshape(len(b), -1)
+    flags = np.zeros(a.shape[1], dtype=bool)
+    if len(oi):
+        orders = index_table(dim, cap)[2][:, None]
+        top_a = np.where(a != 0.0, orders, -1).max(axis=0)
+        top_b = np.where(b != 0.0, orders, -1).max(axis=0)
+        maybe = (top_a + top_b > cap) | ~np.isfinite(a).all(axis=0) \
+            | ~np.isfinite(b).all(axis=0)
+        if maybe.any():
+            flags[maybe] = np.any(a[oi][:, maybe] * b[oj][:, maybe] != 0.0,
+                                  axis=0)
+    return flags.reshape(shape)
+
+
+def pad_rows(x: np.ndarray, rows: int) -> np.ndarray:
+    """``x`` with zero rows appended up to ``rows``."""
+    out = np.zeros((rows,) + x.shape[1:])
+    out[:len(x)] = x
+    return out
+
+
+class DenseWorkspace(_BatchWorkspace):
+    """``expand_batch``'s workspace with every jet on all N table rows.
+
+    Entry jets keep their zero rows, and ``zero``, ``delta_x``, ``mul``
+    and ``partial`` build full-row arrays, ``mul`` over every in-cap pair
+    of the table; the other operations act row by row and need no copy.
+    Substituted for ``recursion._BatchWorkspace``, it runs the dense
+    recursion the degree-trimmed one must equal.
+    """
+
+    def _entry_terms(self, entry, ys, origins):
+        terms = np.zeros((self.N, entry.max_order + 1, self.B))
+        flags = np.zeros((entry.max_order + 1, self.B), dtype=bool)
+        for l, part in entry.parts:
+            coeffs, truncated = part._taylor_cols(ys, self.D)
+            self.truncated |= truncated
+            flags[l] = truncated
+            if origins is None:
+                terms[:, l] = coeffs
+                continue
+            for m in range(l + 1):
+                terms[:, m] += math.comb(l, m) * origins ** (l - m) * coeffs
+        return terms, flags
+
+    def zero(self):
+        return np.zeros((self.N, 1, self.B)), np.zeros(self.B, dtype=bool)
+
+    def delta_x(self, axis: int):
+        x = np.zeros((self.N, 1, self.B))
+        x[index_table(self.n, self.D)[1][
+            tuple(int(a == axis) for a in range(self.n))]] = 1.0
+        return x, np.zeros(self.B, dtype=bool)
+
+    def mul(self, a, b):
+        (x, fx), (y, fy) = a, b
+        ia, ib, ranks = _pair_plan(x.shape[1] - 1, y.shape[1] - 1,
+                                   self.jet_cap)
+        xa, yb = x[:, ia], y[:, ib]
+        prods = dense_mul_cols(xa, yb, self.n, self.D)
+        ls, ss = ranks[0]
+        out = prods[:, ss]
+        for ls, ss in ranks[1:]:
+            out[:, ls] += prods[:, ss]
+        flags = fx | fy
+        need = ~flags
+        if need.any():
+            flags[need] = dense_overflow_cols(xa[..., need], yb[..., need],
+                                              self.n, self.D).any(axis=0)
+        return out, flags
+
+    def partial(self, a, axis: int):
+        x, f = a
+        src, dst, scale = _partial_tables(self.n, self.D)[axis]
+        out = np.zeros_like(x)
+        if len(src):
+            out[dst] = scale[:, None, None] * x[src]
+        return out, f

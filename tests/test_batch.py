@@ -10,6 +10,7 @@ import glob
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,8 +24,8 @@ from parakern.problemfile import load_problem_dict, load_problem_file
 from parakern.recursion import (ProblemCoefficients, WarpParams, _series_nu,
                                 expand, expand_batch)
 
-from objalg import (TaylorPoly, TimeJet, _Workspace, compute_c0, compute_R,
-                    jet_ray, shifted_origin)
+from objalg import (DenseWorkspace, TaylorPoly, TimeJet, _Workspace,
+                    compute_c0, compute_R, jet_ray, shifted_origin)
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 PROBLEMS = sorted(glob.glob(os.path.join(HERE, "..", "problems", "*.json")))
@@ -47,8 +48,18 @@ RICH = ProblemCoefficients(2, 2, {
 OVERFLOW = ProblemCoefficients(1, 1, {
     (0, 0, 0): PolyEntry(1, ((0.5, (2,)), (0.1, (1,))))},
     {0: TimeEntry(((1, PolyEntry(1, ((0.3, (1,)),))),))})
+# a 2D two-component Ornstein-Uhlenbeck system: linear drift, a constant
+# cross coupling and a linear potential, so every jet stays low in degree
+OU = ProblemCoefficients(2, 2, {
+    (0, 0, 0): PolyEntry(2, ((-0.5, (1, 0)), (0.2, (0, 1)))),
+    (0, 0, 1): PolyEntry(2, ((0.1, (1, 0)), (-0.4, (0, 1)))),
+    (0, 1, 0): PolyEntry(2, ((0.2, (0, 0)),)),
+    (1, 1, 0): PolyEntry(2, ((-0.3, (1, 0)),)),
+    (1, 1, 1): PolyEntry(2, ((-0.3, (0, 1)), (0.05, (0, 0)))),
+}, {1: PolyEntry(2, ((0.1, (1, 0)),))})
 CASES = {os.path.basename(p): p for p in PROBLEMS}
-CASES.update({"rich_system": (RICH, 3, 6), "poly_overflow": (OVERFLOW, 3, 4)})
+CASES.update({"rich_system": (RICH, 3, 6), "poly_overflow": (OVERFLOW, 3, 4),
+              "ou_system": (OU, 4, 10)})
 
 
 def _setup(case, mode):
@@ -216,6 +227,58 @@ def test_per_row_origins_equal_the_shifted_problem(mode):
                                   free.jet_truncated[..., b])
     with pytest.raises(StructureError, match="origins of shape"):
         expand_batch(pc, ys, K, wp, D, origins[:3])
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+@pytest.mark.parametrize("case", sorted(CASES) + ["rich_system_origins"])
+def test_degree_trimmed_batch_equals_dense_reference(case, mode, monkeypatch):
+    # jets hold only the rows up to their degree, and products form only
+    # the pairs of those rows; the dense workspace keeps all N rows and
+    # multiplies every in-cap pair.  Only exact zeros are dropped, so the
+    # coefficients are equal up to the sign of zero and the flags exactly
+    origins = 0.0
+    if case == "rich_system_origins":
+        case = "rich_system"
+        origins = np.array([0.2, 0.0, 0.9, 0.0, 0.4, 1.1, 0.0, 0.05])
+    pc, wp, K, D, ys = _setup(case, mode)
+    trimmed = expand_batch(pc, ys, K, wp, D, origins)
+    monkeypatch.setattr(recursion, "_BatchWorkspace", DenseWorkspace)
+    dense = expand_batch(pc, ys, K, wp, D, origins)
+    # adding +0.0 maps -0.0 to +0.0 and leaves every other value alone
+    assert (trimmed.coeffs + 0.0).tobytes() == (dense.coeffs + 0.0).tobytes()
+    assert np.array_equal(trimmed.jet_order, dense.jet_order)
+    assert np.array_equal(trimmed.jet_truncated, dense.jet_truncated)
+    assert np.array_equal(trimmed.truncated, dense.truncated)
+
+
+def test_one_chunk_peaks_within_the_chunk_bound(monkeypatch):
+    # a dense 1D problem with time-dependent drift and potential: its
+    # Fourier entries fill every row, so each product takes the full pair
+    # table, and tau mode has the most time pairs per order
+    pc = ProblemCoefficients(1, 1, {(0, 0, 0): TimeEntry((
+        (0, FourierEntry(1, ((0.3, (1.0,), 0.0),))),
+        (1, FourierEntry(1, ((0.5, (2.0,), 0.1),)))))},
+        {0: TimeEntry(((1, FourierEntry(1, ((0.2, (1.0,), 0.3),))),))})
+    peaks, sizes = [], []
+    real = recursion._expand_chunk
+
+    def traced(pc, ys, *args):
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = real(pc, ys, *args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        sizes.append(len(ys))
+        return out
+
+    monkeypatch.setattr(recursion, "_expand_chunk", traced)
+    ys = np.linspace(-0.5, 0.5, 3000)[:, None]
+    tracemalloc.start()
+    try:
+        expand_batch(pc, ys, 4, WarpParams(mode="tau", beta=0.5), 10)
+    finally:
+        tracemalloc.stop()
+    assert len(sizes) > 1 and sizes[0] > 1      # at least one full chunk
+    assert max(peaks) <= 2 * recursion._CHUNK_FLOATS * 8
 
 
 def test_chunked_batch_equals_one_chunk(monkeypatch):

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parakern.errors import ParameterError, StructureError, UnsupportedSpecError
 from parakern.polyalg import (FourierEntry, MultiIndex, PolyEntry,
-                              index_table, taylorize)
+                              index_table, taylorize, _mul_cols,
+                              _overflow_cols, _rows)
 
-from objalg import (TaylorPoly, TimeJet, jet_compose_time, jet_dt, jet_eval,
-                    jet_mul, poly_add, poly_eval, poly_laplacian, poly_mul,
+from objalg import (TaylorPoly, TimeJet, dense_mul_cols, dense_overflow_cols,
+                    jet_compose_time, jet_dt, jet_eval, jet_mul, pad_rows,
+                    poly_add, poly_eval, poly_laplacian, poly_mul,
                     poly_partial)
 
 
@@ -212,6 +216,37 @@ def test_structural_mismatch_raises():
     c = P(1, 3, {(0,): 1.0}, center=(0.5,))
     with pytest.raises(StructureError):
         poly_mul(a, c)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), dim=st.integers(1, 3), cap=st.integers(0, 8),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_trimmed_product_equals_full_table_product(data, dim, cap, seed):
+    # columns of degree da and db hold only the rows up to their degree;
+    # their product forms only those rows' pairs and must equal the
+    # full-table product up to the sign of zero, with the same overflow
+    # flags.  Some columns are zero at their top degree, or everywhere
+    da = data.draw(st.integers(0, cap), label="da")
+    db = data.draw(st.integers(0, cap), label="db")
+    rng = np.random.default_rng(seed)
+
+    def columns(d):
+        x = rng.standard_normal((_rows(dim, d), 2, 3))
+        x[rng.random(x.shape) < 0.3] = 0.0
+        x[_rows(dim, d - 1) if d else 0:, 0, 0] = 0.0
+        x[:, 1, 1] = 0.0
+        return x
+
+    a, b = columns(da), columns(db)
+    n = len(index_table(dim, cap)[0])
+    prod = _mul_cols(a, b, dim, cap)
+    assert prod.shape == (_rows(dim, min(da + db, cap)), 2, 3)
+    full = dense_mul_cols(pad_rows(a, n), pad_rows(b, n), dim, cap)
+    # adding +0.0 maps -0.0 to +0.0 and leaves every other value alone
+    assert (pad_rows(prod, n) + 0.0).tobytes() == (full + 0.0).tobytes()
+    assert np.array_equal(_overflow_cols(a, b, dim, cap),
+                          dense_overflow_cols(pad_rows(a, n), pad_rows(b, n),
+                                              dim, cap))
 
 
 # ---------------------------------------------------------------------------
