@@ -1,35 +1,53 @@
 """Function specs for initial data, sources and boundary data.
 
 Solvers consume these instead of bare callables so problem files can
-describe them declaratively.  Every spec evaluates as f(t, x) with x a
-length-n array; space-only kinds ignore t.
+describe them declaratively.  Every spec evaluates as f(t, x) on whole
+arrays of points: ``x`` has shape (..., n), one point per row, and ``t``
+is a scalar or an array that broadcasts against the leading shape of
+``x``.  The value has the broadcast shape of ``t`` and ``x[..., 0]``
+(space-only kinds ignore t and have the shape of ``x[..., 0]``); one
+point, shape (n,), gives a scalar.  Each kind has one implementation, and
+one point gives the same bits as its row of a batched call.  Only
+:class:`CallableFunc`, which wraps a per-point user callable, loops over
+the rows.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import UnsupportedSpecError
+from .errors import ScalingError, UnsupportedSpecError
+from .polyalg import monomial, zeros_at
 
 
 class FunctionSpec:
     time_dependent = False
 
-    def eval(self, t: float, x: np.ndarray) -> float:
+    def eval(self, t, x: np.ndarray):
         raise NotImplementedError
 
-    def __call__(self, t: float, x) -> float:
+    def __call__(self, t, x):
         return self.eval(t, np.atleast_1d(np.asarray(x, dtype=float)))
+
+
+def _exp(z, what: str):
+    """``np.exp(z)``; where it overflows, a :class:`ScalingError` rather
+    than inf."""
+    with np.errstate(over="ignore"):
+        out = np.exp(z)
+    if np.isinf(out).any():
+        raise ScalingError(f"{what} overflows: exponent up to "
+                           f"{float(np.max(z)):.6g}")
+    return out
 
 
 @dataclass(frozen=True)
 class ZeroFunc(FunctionSpec):
     def eval(self, t, x):
-        return 0.0
+        return zeros_at(np.asarray(x, dtype=float))[()]
 
 
 @dataclass(frozen=True)
@@ -39,8 +57,11 @@ class SpacePoly(FunctionSpec):
     terms: tuple[tuple[float, tuple[int, ...]], ...]
 
     def eval(self, t, x):
-        return sum(c * float(np.prod(x ** np.asarray(e)))
-                   for c, e in self.terms)
+        x = np.asarray(x, dtype=float)
+        total = zeros_at(x)
+        for c, e in self.terms:
+            total = total + c * monomial(x, e)
+        return total[()]
 
 
 @dataclass(frozen=True)
@@ -50,8 +71,11 @@ class SpaceFourier(FunctionSpec):
     terms: tuple[tuple[float, tuple[float, ...], float], ...]
 
     def eval(self, t, x):
-        return sum(a * math.sin(float(np.dot(k, x)) + p)
-                   for a, k, p in self.terms)
+        x = np.asarray(x, dtype=float)
+        total = zeros_at(x)
+        for a, k, p in self.terms:
+            total = total + a * np.sin(np.vecdot(x, np.asarray(k)) + p)
+        return total[()]
 
 
 @dataclass(frozen=True)
@@ -61,11 +85,12 @@ class SpacePolyFourier(FunctionSpec):
     terms: tuple[tuple[float, tuple[int, ...], tuple[float, ...], float], ...]
 
     def eval(self, t, x):
-        total = 0.0
+        x = np.asarray(x, dtype=float)
+        total = zeros_at(x)
         for c, e, k, p in self.terms:
-            total += c * float(np.prod(x ** np.asarray(e))) * \
-                math.sin(float(np.dot(k, x)) + p)
-        return total
+            total = total + c * monomial(x, e) \
+                * np.sin(np.vecdot(x, np.asarray(k)) + p)
+        return total[()]
 
 
 @dataclass(frozen=True)
@@ -75,11 +100,12 @@ class GaussianMix(FunctionSpec):
     terms: tuple[tuple[float, float, tuple[float, ...]], ...]
 
     def eval(self, t, x):
-        total = 0.0
+        x = np.asarray(x, dtype=float)
+        total = zeros_at(x)
         for a, b, c in self.terms:
             d = x - np.asarray(c)
-            total += a * math.exp(-b * float(np.dot(d, d)))
-        return total
+            total = total + a * _exp(-b * np.vecdot(d, d), "gaussian_mix")
+        return total[()]
 
 
 @dataclass(frozen=True)
@@ -98,7 +124,7 @@ class GridSamples(FunctionSpec):
         return cached
 
     def eval(self, t, x):
-        return float(self._spline()(float(x[0])))
+        return self._spline()(np.asarray(x, dtype=float)[..., 0])[()]
 
 
 @dataclass(frozen=True)
@@ -109,7 +135,11 @@ class TimePolyFunc(FunctionSpec):
     time_dependent = True
 
     def eval(self, t, x):
-        return sum(t ** l * s.eval(t, x) for l, s in self.parts)
+        x = np.asarray(x, dtype=float)
+        total = zeros_at(x, t)
+        for l, s in self.parts:
+            total = total + np.power(t, l) * s.eval(t, x)
+        return total[()]
 
 
 @dataclass(frozen=True)
@@ -121,18 +151,26 @@ class ExpTime(FunctionSpec):
     time_dependent = True
 
     def eval(self, t, x):
-        return math.exp(self.rate * t) * self.space.eval(t, x)
+        return _exp(self.rate * t, "expt") * self.space.eval(t, x)
 
 
 @dataclass(frozen=True)
 class CallableFunc(FunctionSpec):
-    """Wrap an arbitrary callable f(t, x); for in-process use only."""
+    """Wrap an arbitrary callable f(t, x) of one point; for in-process use
+    only.  The one kind that loops over the rows of a batch."""
 
     fn: Callable
     time_dependent = True
 
     def eval(self, t, x):
-        return float(self.fn(t, x))
+        x = np.asarray(x, dtype=float)
+        shape = np.broadcast_shapes(np.shape(t), x.shape[:-1])
+        if not shape:
+            return float(self.fn(t, x))
+        ts = np.broadcast_to(t, shape).ravel()
+        xs = np.broadcast_to(x, shape + x.shape[-1:]).reshape(-1, x.shape[-1])
+        return np.array([float(self.fn(ti, xi))
+                         for ti, xi in zip(ts, xs)]).reshape(shape)
 
 
 def constant(value: float) -> SpacePoly:

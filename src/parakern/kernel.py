@@ -140,10 +140,9 @@ def eval_points(exp: ExpansionCoeffs, time: float, xs,
                 ratio = np.exp(corr[l] - corr[i])
             if np.isinf(ratio).any():
                 raise ScalingError(f"kernel ratio p_{l}/p_{i} overflows")
-            lap[i] = lap[i] + np.array([entry.eval(t_eff, x) for x in xs]) \
-                * ratio * grad[l, :, axis]
+            lap[i] = lap[i] + entry.eval(t_eff, xs) * ratio * grad[l, :, axis]
         for i, entry in pc.potential.items():
-            lap[i] = lap[i] + np.array([entry.eval(t_eff, x) for x in xs])
+            lap[i] = lap[i] + entry.eval(t_eff, xs)
         rel = (-0.5 * n / t_eff + r2 / (4.0 * t_eff ** 2)) * dteff + dtime \
             - dteff * lap
     return KernelPoints(value, logp, grad * value[..., None], rel)
@@ -379,8 +378,10 @@ def _gh_integrals(field: KernelField, t: float, s: float, x, g: Callable,
     Physical times t > s.  Substituting y = x + 2 sqrt(t - s) z makes the
     kernel's Gaussian the Hermite weight; the per-node factor is the
     expansion correction at the warp's own time, about origin s.  Nodes
-    past ``field.trust_radius`` are dropped, as are nodes where g
-    vanishes; the rest are expanded in one ``expand_batch`` call.
+    past ``field.trust_radius`` are dropped; ``g`` is called once, on the
+    array of kept nodes (P, n), and returns their values (P,).  Nodes
+    where g vanishes are dropped too, and the rest are expanded in one
+    ``expand_batch`` call.
     Returns the integrals, shape (len(components),), and with
     ``gradient`` also the x-gradients ``int grad_x p_j g dy``, shape
     (len(components), n), else None.
@@ -393,7 +394,7 @@ def _gh_integrals(field: KernelField, t: float, s: float, x, g: Callable,
     root = 2.0 * math.sqrt(sigma)
     keep = ~(root * norms > field.trust_radius)
     ys = x + root * zs[keep]
-    gvals = np.array([g(y) for y in ys], dtype=float)
+    gvals = np.asarray(g(ys), dtype=float)
     live = gvals != 0.0
     ys, weights, gvals = ys[live], ws[keep][live], gvals[live]
     comps = list(components)
@@ -481,9 +482,11 @@ def normalization_check(field: KernelField, time: float, x,
 
 def delta_property(field: KernelField, f, time: float, x,
                    order: int = 40, j: int = 0) -> float:
-    """``int p_j(time, x, y) f(y) dy`` by Gauss-Hermite centered at x."""
+    """``int p_j(time, x, y) f(y) dy`` by Gauss-Hermite centered at x,
+    for ``f`` of one point y."""
     if time <= 0:
         raise ParameterError("time must be positive")
     t_eff, _ = _effective_time(field.warp, time)
-    vals, _ = _gh_integrals(field, t_eff, 0.0, x, f, (j,), order)
+    vals, _ = _gh_integrals(field, t_eff, 0.0, x,
+                            lambda ys: [f(y) for y in ys], (j,), order)
     return float(vals[0])

@@ -6,8 +6,9 @@ modules but ``GridSolution``, the result container: agreement between
 this module and the expansion machinery is evidence, not tautology.
 ``fd_solve`` reads a problem duck-typed.  Each part (l, e_l) of a drift or
 potential entry sum_l t^l e_l(x) is read through ``parts`` and evaluated
-on the grid once per solve, and so is a source whose ``time_dependent``
-is false; a time-dependent source is evaluated at every step.
+on the grid once per solve, in one call on the array of grid points, and
+so are the initial data and a source whose ``time_dependent`` is false;
+a time-dependent source is evaluated on the grid at every step.
 """
 
 from __future__ import annotations
@@ -362,29 +363,25 @@ def fd_solve(ps, cfg: FDConfig, sample_times: Sequence[float] | None = None):
     if len(ps.domain_lo) != 1:
         raise ParameterError("the reference solver is desk-scale 1D only")
     pc = ps.coefficients
+    grid = _fd_grid(lo, hi, cfg.h)
+    points = grid[:, None]
 
     if ps.kind == "burgers":
         h = 1e-5
-
-        def v0(x):
-            return -(ps.phi0.eval(0.0, np.array([x + h]))
-                     - ps.phi0.eval(0.0, np.array([x - h]))) / (2 * h)
-
+        v0 = _grid_lookup(grid, -(ps.phi0.eval(0.0, (grid + h)[:, None])
+                                  - ps.phi0.eval(0.0, (grid - h)[:, None]))
+                          / (2 * h))
         ts, grid, vals = fd_solve_burgers(lo, hi, ps.horizon, cfg, v0, ps.nu,
                                           sample_times)
         return GridSolution(ts, grid[:, None], vals[:, :, None],
                             {"kind": "burgers", "scheme": cfg.scheme})
 
     m = pc.components
-    grid = _fd_grid(lo, hi, cfg.h)
-
-    def on_grid(f):
-        return np.array([f(np.array([xi])) for xi in grid])
 
     def in_time(entry):
-        # the summation order of TimeEntry.eval, so values match it exactly
-        parts = [(l, on_grid(e.eval)) for l, e in entry.parts]
-        return lambda t: sum(v * t ** l for l, v in parts)
+        # the arithmetic of TimeEntry.eval, so values match it exactly
+        parts = [(l, e.eval(points)) for l, e in entry.parts]
+        return lambda t: sum(v * np.power(t, l) for l, v in parts)
 
     drifts = {(i, j): in_time(e) for (i, j, _), e in pc.drift.items()}
 
@@ -405,16 +402,14 @@ def fd_solve(ps, cfg: FDConfig, sample_times: Sequence[float] | None = None):
     if not _is_zero_spec(ps.source):
         if getattr(ps.source, "time_dependent", True):
             def source(i, t, grid):
-                return on_grid(lambda x: ps.source.eval(t, x))
+                return ps.source.eval(t, points)
         else:
-            fixed = on_grid(lambda x: ps.source.eval(0.0, x))
+            fixed = ps.source.eval(0.0, points)
 
             def source(i, t, grid):
                 return fixed
 
-    def phi(x, j=0):
-        return ps.phi.eval(0.0, np.array([x]))
-
+    phi = _grid_lookup(grid, ps.phi.eval(0.0, points))
     kwargs = {}
     if ps.kind == "ibvp2":
         cfg = FDConfig(cfg.h, cfg.dt, cfg.scheme, "exact_robin")
@@ -429,6 +424,13 @@ def fd_solve(ps, cfg: FDConfig, sample_times: Sequence[float] | None = None):
     return GridSolution(ts, grid[:, None], vals,
                         {"kind": ps.kind, "scheme": cfg.scheme,
                          "boundary": cfg.boundary})
+
+
+def _grid_lookup(grid: np.ndarray, values: np.ndarray) -> Callable:
+    """The per-point callable f(x) (or f(x, j)) that reads ``values`` at
+    the nodes of ``grid``, evaluated there in one call."""
+    table = dict(zip(grid.tolist(), values.tolist()))
+    return lambda x, j=0: table[x]
 
 
 def _is_zero_spec(spec) -> bool:

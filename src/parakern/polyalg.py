@@ -273,6 +273,25 @@ def _monomials(dx: np.ndarray, cap: int) -> np.ndarray:
     return out
 
 
+def monomial(x: np.ndarray, exps: Sequence[int]) -> np.ndarray:
+    """``prod_a x[..., a] ** exps[a]`` at every point of ``x`` (..., n).
+
+    The exponents are laid out over the whole array, so every power runs
+    through numpy's general pow loop, as in a one-point call: an exponent
+    broadcast over the points would let an exponent of 2 take the
+    squaring shortcut, which rounds differently, and a point's bits would
+    depend on the shape of its batch.
+    """
+    e = np.broadcast_to(np.asarray(exps), x.shape).copy()
+    return np.prod(x ** e, axis=-1)
+
+
+def zeros_at(x: np.ndarray, t=0.0) -> np.ndarray:
+    """Zeros shaped like a value at the points ``x`` (..., n) and time
+    ``t``, a scalar or broadcasting against the points' leading shape."""
+    return np.zeros(np.broadcast_shapes(np.shape(t), x.shape[:-1]))
+
+
 # ---------------------------------------------------------------------------
 # coefficient-entry specs (admissible b, V and friends)
 # ---------------------------------------------------------------------------
@@ -283,9 +302,11 @@ class CoefficientEntry:
     Supported classes are multivariate polynomials and finite Fourier
     series; both satisfy a derivative bound ``|d^a f| <= A c^|a|`` which is
     what the expansion theory requires of drift and potential entries.
+    ``eval`` takes points of shape (..., n) and returns shape (...), a
+    scalar for one point, with the bits of that point's row in a batch.
     """
 
-    def eval(self, x: np.ndarray) -> float:
+    def eval(self, x: np.ndarray):
         raise NotImplementedError
 
     def derivative(self, alpha: Sequence[int]) -> "CoefficientEntry":
@@ -323,10 +344,10 @@ class PolyEntry(CoefficientEntry):
 
     def eval(self, x):
         x = np.asarray(x, dtype=float)
-        total = 0.0
+        total = zeros_at(x)
         for coef, exps in self.terms:
-            total += coef * float(np.prod(x ** np.asarray(exps)))
-        return total
+            total = total + coef * monomial(x, exps)
+        return total[()]
 
     def derivative(self, alpha):
         new_terms = []
@@ -381,10 +402,11 @@ class FourierEntry(CoefficientEntry):
 
     def eval(self, x):
         x = np.asarray(x, dtype=float)
-        total = 0.0
+        total = zeros_at(x)
         for amp, wavevec, phase in self.terms:
-            total += amp * math.sin(float(np.dot(wavevec, x)) + phase)
-        return total
+            total = total + amp * np.sin(np.vecdot(x, np.asarray(wavevec))
+                                         + phase)
+        return total[()]
 
     def derivative(self, alpha):
         # d^a sin(k.x + p) = (prod k_i^a_i) sin(k.x + p + |a| pi/2)
@@ -420,7 +442,11 @@ class FourierEntry(CoefficientEntry):
 
 @dataclass(frozen=True)
 class TimeEntry:
-    """Polynomial time dependence: ``sum_l entry_l(x) * t^l``."""
+    """Polynomial time dependence: ``sum_l entry_l(x) * t^l``.
+
+    ``eval`` takes points (..., n) and a time that is a scalar or
+    broadcasts against their leading shape.
+    """
 
     parts: tuple[tuple[int, CoefficientEntry], ...]
 
@@ -428,8 +454,12 @@ class TimeEntry:
     def max_order(self) -> int:
         return max((l for l, _ in self.parts), default=0)
 
-    def eval(self, t: float, x) -> float:
-        return sum(e.eval(x) * t ** l for l, e in self.parts)
+    def eval(self, t, x):
+        x = np.asarray(x, dtype=float)
+        total = zeros_at(x, t)
+        for l, e in self.parts:
+            total = total + e.eval(x) * np.power(t, l)
+        return total[()]
 
 
 @dataclass(frozen=True)

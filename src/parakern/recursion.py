@@ -119,8 +119,8 @@ class ProblemCoefficients:
                 for alpha in alphas:
                     d = part.derivative(alpha)
                     bound = self.bound_C ** sum(alpha)
-                    for p in points:
-                        worst = max(worst, abs(d.eval(p)) / bound)
+                    worst = max(worst, float(np.max(np.abs(d.eval(points))))
+                                / bound)
         return worst
 
 
@@ -630,6 +630,10 @@ def expand_batch(pc: ProblemCoefficients, ys, K: int,
                             K, wp, D, jet_cap)
               for i in range(0, len(ys), step)]
     coeffs, orders, jet_flags, truncated = zip(*chunks)
+    if len(chunks) == 1:
+        # one chunk's arrays are handed over as they are, without a copy
+        return ExpansionBatch(ys, wp, D, coeffs[0], orders[0], jet_flags[0],
+                              truncated[0])
     return ExpansionBatch(ys, wp, D, np.concatenate(coeffs, axis=3),
                           orders[0], np.concatenate(jet_flags, axis=2),
                           np.concatenate(truncated))

@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import functools
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -190,8 +189,8 @@ def solve_cauchy(ps: ProblemSpec, fld: KernelField,
     comps = range(ps.coefficients.components)
     has_source = not isinstance(ps.source, ZeroFunc)
 
-    def phi(y):
-        return ps.phi.eval(0.0, y)
+    def phi(ys):
+        return ps.phi.eval(0.0, ys)
 
     values = np.zeros((len(times), len(pts), len(comps)))
     for it, t in enumerate(times):
@@ -202,7 +201,7 @@ def solve_cauchy(ps: ProblemSpec, fld: KernelField,
             if has_source:
                 for s, w in zip(snodes, sweights):
                     u += w * _gh_integrals(
-                        fld, t, s, x, lambda y, s=s: ps.source.eval(s, y),
+                        fld, t, s, x, lambda ys, s=s: ps.source.eval(s, ys),
                         comps, quad.gh_order)[0]
             values[it, ip] = u
     return GridSolution(np.array(times, dtype=float), pts, values,
@@ -214,10 +213,11 @@ def solve_cauchy(ps: ProblemSpec, fld: KernelField,
 # second-type initial-boundary problems (1D)
 # ---------------------------------------------------------------------------
 
-def _double_sqrt_weights(t_m: float, edges: np.ndarray) -> np.ndarray:
+def _double_sqrt_weights(t_m, edges: np.ndarray) -> np.ndarray:
     """Exact integrals of 1/sqrt(s (t_m - s)) over the marching intervals.
 
-    Antiderivative 2 arcsin(sqrt(s/t)), along the last axis of ``edges``.
+    Antiderivative 2 arcsin(sqrt(s/t)), along the last axis of ``edges``;
+    ``t_m`` broadcasts against ``edges``, and intervals past t_m get 0.
     These weights absorb both the kernel singularity at s -> t and the
     startup singularity of the boundary density at s -> 0 (the
     restricted initial-data potential
@@ -252,7 +252,7 @@ class _Ibvp2Machine:
         # phi at the domain nodes once per solve; where it vanishes a node
         # carries nothing
         ys, ws = _gl_rule(a, b, quad.gl_order, max(quad.gl_panels, 8))
-        fv = np.array([ps.phi.eval(0.0, ys[i:i + 1]) for i in range(len(ys))])
+        fv = ps.phi.eval(0.0, ys[:, None])
         live = fv != 0.0
         self.phi_c = 2 + np.arange(live.sum())
         self.phi_w = ws[live] * fv[live]
@@ -322,9 +322,7 @@ class _Ibvp2Machine:
             root = np.sqrt(ts)
             r = 0.5 * root * nodes + 0.5 * root
             sr = ts - r * r
-            fv = np.array([[[self.ps.source.eval(si, np.array([y]))
-                             for y in self.src_y] for si in row]
-                           for row in sr])
+            fv = self.ps.source.eval(sr[:, :, None], self.src_y[:, None])
             rw = 2.0 * r * (0.5 * root * wr)
             s = np.hstack([s, np.repeat(sr, len(self.src_y), axis=1)])
             weight = np.hstack([weight, (rw[:, :, None] * self.src_w
@@ -372,8 +370,8 @@ def solve_ibvp2(ps: ProblemSpec, fld: KernelField, steps: int = 64,
 
     # forcing h(t_m, x_e) from one kernel evaluation per row, value and
     # normal derivative together
-    alpha, psi = (np.array([[f.eval(t, ends[e:e + 1]) for e in range(2)]
-                            for t in tm]) for f in (ps.alpha, ps.psi))
+    alpha, psi = (np.broadcast_to(f.eval(tm[:, None], ends[:, None]),
+                                  (steps, 2)) for f in (ps.alpha, ps.psi))
     val, dx_val = mach.domain_term(tm, ends, gradient=True)
     h = psi - normals * dx_val - alpha * val
 
@@ -391,24 +389,30 @@ def solve_ibvp2(ps: ProblemSpec, fld: KernelField, steps: int = 64,
     G = normals[:, None] * dP
 
     # gamma(s) = g(s) / sqrt(s) with g piecewise constant; the 1/sqrt(s)
-    # factor carries the startup transient exactly
+    # factor carries the startup transient exactly.  Row m - 1 of wts
+    # weighs the intervals up to t_m; the step matrices
+    # A_m = I / (2 sqrt(t_m)) + w_m kappa_m do not depend on the density,
+    # so all of them are built and checked before the march
+    wts = _double_sqrt_weights(tm[:, None], edges)
+    diag = np.arange(steps)
+    lag0 = (diag, diag) if fld.pc.time_dependent else 0
+    kappa0 = G[lag0] + alpha[:, :, None] * P[lag0]
+    A = 0.5 * np.eye(2) / np.sqrt(tm)[:, None, None] \
+        + wts[diag, diag, None, None] * kappa0
+    # scale-free: the smallest singular value against the largest and
+    # against the identity part 0.5/sqrt(t_m), which sets A's scale
+    sv = np.linalg.svd(A, compute_uv=False)
+    singular = ~(sv[:, -1] > 1e-10 * np.maximum(sv[:, 0], 0.5 / np.sqrt(tm)))
+    if singular.any():
+        m = int(singular.argmax())
+        raise ConditioningError(
+            f"singular marching step at t={tm[m]}: singular values {sv[m]}")
     gvals = np.zeros((steps, 2))
-    for mstep in range(1, steps + 1):
-        t_m = edges[mstep]
-        wts = _double_sqrt_weights(t_m, edges[:mstep + 1])
-        rows = (mstep - 1, slice(mstep)) if fld.pc.time_dependent \
-            else slice(mstep - 1, None, -1)
-        kappa = G[rows] + alpha[mstep - 1][:, None] * P[rows]
-        rhs = h[mstep - 1] - np.einsum("i,ief,if->e", wts[:-1], kappa[:-1],
-                                       gvals[:mstep - 1])
-        A = 0.5 * np.eye(2) / math.sqrt(t_m) + wts[-1] * kappa[-1]
-        # scale-free: the smallest singular value against the largest and
-        # against the identity part 0.5/sqrt(t_m), which sets A's scale
-        sv = np.linalg.svd(A, compute_uv=False)
-        if not sv[-1] > 1e-10 * max(sv[0], 0.5 / math.sqrt(t_m)):
-            raise ConditioningError(
-                f"singular marching step at t={t_m}: singular values {sv}")
-        gvals[mstep - 1] = np.linalg.solve(A, rhs)
+    for m in range(steps):
+        rows = (m, slice(m)) if fld.pc.time_dependent else slice(m, 0, -1)
+        kappa = G[rows] + alpha[m][:, None] * P[rows]
+        rhs = h[m] - np.einsum("i,ief,if->e", wts[m, :m], kappa, gvals[:m])
+        gvals[m] = np.linalg.solve(A[m], rhs)
 
     # reconstruction on the interior lattice; the layer integrand is
     # resolved on subdivided intervals, the density itself is not refined
@@ -460,13 +464,22 @@ def burgers_demo(ps: ProblemSpec, K: int = 4,
     pts = points if points is not None else lattice(ps)
     pts = np.asarray(pts, dtype=float).reshape(-1, n)
 
-    # psi_0 = exp(Phi_0 / (2 nu)); fail loudly on underflow
-    log_psi0 = np.array([ps.phi0.eval(0.0, p) / (2.0 * nu) for p in pts])
-    if np.min(log_psi0) < -700.0:
-        shift = float(np.max([ps.phi0.eval(0.0, p) for p in pts]))
-        raise ScalingError(
-            "psi0 underflows; Phi_0 is defined up to a constant, subtract "
-            f"about {shift:.3g} before running")
+    def psi0(ys):
+        """psi_0 = exp(Phi_0 / (2 nu)) at rows of ``ys``; fails loudly
+        where it overflows."""
+        phi0 = ps.phi0.eval(0.0, ys)
+        with np.errstate(over="ignore"):
+            vals = np.exp(phi0 / (2.0 * nu))
+        if np.isinf(vals).any():
+            raise _psi0_scaling("overflows", phi0)
+        return vals
+
+    # on the lattice psi_0 must neither under- nor overflow; at the nodes
+    # it must not overflow
+    phi0 = ps.phi0.eval(0.0, pts)
+    if np.min(phi0 / (2.0 * nu)) < -700.0:
+        raise _psi0_scaling("underflows", phi0)
+    psi0(pts)
 
     potential = {}
     if not isinstance(ps.source, ZeroFunc):
@@ -480,10 +493,6 @@ def burgers_demo(ps: ProblemSpec, K: int = 4,
                                   bound_C=ps.coefficients.bound_C,
                                   domain_radius_R=ps.coefficients.domain_radius_R)
     fld = KernelField(pc_heat, WarpParams(), K=K)
-
-    def psi0(y):
-        return math.exp(ps.phi0.eval(0.0, y) / (2.0 * nu))
-
     times = sorted(sample_times or [ps.horizon])
     values = np.zeros((len(times), len(pts), n))
     for it, t in enumerate(times):
@@ -495,3 +504,11 @@ def burgers_demo(ps: ProblemSpec, K: int = 4,
     return GridSolution(np.array(times, dtype=float), pts, values,
                         {"kind": "burgers", "nu": nu, "K": K,
                          "gh_order": quad.gh_order})
+
+
+def _psi0_scaling(what: str, phi0: np.ndarray) -> ScalingError:
+    """psi_0 = exp(Phi_0 / (2 nu)) leaves the float range; Phi_0 is defined
+    up to a constant, so name the shift that brings its maximum to 0."""
+    return ScalingError(
+        f"psi0 {what}; Phi_0 is defined up to a constant, subtract "
+        f"about {float(np.max(phi0)):.3g} before running")

@@ -180,8 +180,9 @@ def test_gh_pass_matches_per_centre_sum(mode):
     fld = KernelField(pf.pc, wp, 4, 10)
     t, x, order = 0.2, np.array([0.3]), 12
     g = lambda y: math.exp(-float(y[0]) ** 2)
-    vals, grads = _gh_integrals(fld, t, 0.0, x, g, (0,), order,
-                                gradient=True)
+    # the pass evaluates g once, on the array of kept nodes
+    vals, grads = _gh_integrals(fld, t, 0.0, x, lambda ys: [g(y) for y in ys],
+                                (0,), order, gradient=True)
     z, w = np.polynomial.hermite.hermgauss(order)
     time = fld.mode_time(t)
     root = 2.0 * math.sqrt(t)

@@ -296,6 +296,21 @@ def test_numeric_failure_exit_code(tmp_path, capsys):
     assert "numeric error" in capsys.readouterr().err
 
 
+def test_burgers_overflow_exits_numeric(tmp_path, capsys):
+    # burgers_selfsim.json with Phi_0 = 400 - x^2: exp(Phi_0 / (2 nu))
+    # leaves the float range, which is a numeric error, not a crash
+    with open(problem("burgers_selfsim.json")) as fh:
+        data = json.load(fh)
+    data["problem"]["phi0"] = {"kind": "poly",
+                               "terms": [[400.0, [0]], [-1.0, [2]]]}
+    rc = main(["solve", write_json(tmp_path, "of.json", data),
+               "--out", str(tmp_path / "x")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "numeric error: psi0 overflows" in err
+    assert "subtract about 400" in err
+
+
 def test_coupled_system_through_cli(tmp_path):
     out = tmp_path / "sys.json"
     rc = main(["expand", problem("coupled_system.json"), "--order", "4",

@@ -356,17 +356,20 @@ def test_fd_solve_evaluates_coefficients_once_per_solve():
     from parakern.solvers import ProblemSpec
 
     calls = {"drift": 0, "source": 0}
+    nodes = {"drift": 0, "source": 0}
 
     @dataclass(frozen=True)
     class CountedEntry(FourierEntry):
         def eval(self, x):
             calls["drift"] += 1
+            nodes["drift"] += np.shape(x)[0]
             return super().eval(x)
 
     @dataclass(frozen=True)
     class CountedSource(GaussianMix):
         def eval(self, t, x):
             calls["source"] += 1
+            nodes["source"] += np.shape(x)[0]
             return super().eval(t, x)
 
     part = CountedEntry(1, ((0.3, (1.0,), 0.0),))
@@ -377,8 +380,10 @@ def test_fd_solve_evaluates_coefficients_once_per_solve():
                      source=CountedSource(((0.5, 1.0, (0.0,)),)))
     sol = fd_solve(ps, FDConfig(h=1 / 8, dt=0.01))
     nx = len(sol.points)
-    # ten time-dependent steps, yet each part and the source once per node
-    assert calls == {"drift": 2 * nx, "source": nx}
+    # ten time-dependent steps, yet each part and the source once per node,
+    # in one call on the whole grid
+    assert nodes == {"drift": 2 * nx, "source": nx}
+    assert calls == {"drift": 2, "source": 1}
 
 
 @pytest.mark.parametrize("case", ["time_drift", "time_potential",

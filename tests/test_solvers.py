@@ -168,6 +168,37 @@ def test_cauchy_rejects_vector_initial_data():
         solve_cauchy(ps, fld, QUAD, points=np.array([[0.0]]))
 
 
+class CountedGaussian(GaussianMix):
+    """A GaussianMix that records the shape of every ``eval`` call."""
+
+    def eval(self, t, x):
+        self.calls.append(np.shape(x))
+        return super().eval(t, x)
+
+
+def counted_gaussian(*terms):
+    spec = CountedGaussian(terms)
+    object.__setattr__(spec, "calls", [])
+    return spec
+
+
+def test_cauchy_evaluates_data_once_per_gauss_hermite_pass():
+    phi = counted_gaussian((1.0, 1.0, (0.0,)))
+    source = counted_gaussian((0.5, 2.0, (0.3,)))
+    ps = ProblemSpec("cauchy", (-1.0,), (1.0,), 0.2, PC_SIN, phi=phi,
+                     source=source)
+    fld = KernelField(PC_SIN, WarpParams(), K=2)
+    quad = QuadratureConfig(gh_order=12, gl_order=4, gl_panels=1)
+    pts = np.array([[-0.5], [0.0], [0.5]])
+    solve_cauchy(ps, fld, quad, points=pts, sample_times=[0.1, 0.2])
+    # one call per pass, on the array of its kept nodes (nodes past the
+    # trust radius are dropped first)
+    assert len(phi.calls) == 2 * 3
+    assert len(source.calls) == 2 * 3 * 4
+    assert all(len(shape) == 2 and 1 < shape[0] <= 12 and shape[1] == 1
+               for shape in phi.calls + source.calls)
+
+
 # ---------------------------------------------------------------------------
 # solve_ibvp2
 # ---------------------------------------------------------------------------
@@ -510,6 +541,21 @@ def test_ibvp2_array_march_matches_per_scalar_reference(name):
         assert np.all(np.abs(new - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
 
 
+def test_ibvp2_time_dependent_source_evaluated_once_per_kernel_pass():
+    # drift 0.3 + 0.5 t with a source, 32 steps: the source is sampled at
+    # every (time, r node, spatial node) of a pass in one call
+    pc = ProblemCoefficients(1, 1, {(0, 0, 0): TimeEntry((
+        (0, PolyEntry(1, ((0.3, (0,)),))), (1, PolyEntry(1, ((0.5, (0,)),)))))})
+    source = counted_gaussian((1.0, 2.0, (0.5,)))
+    ps = ProblemSpec("ibvp2", (0.0,), (1.0,), 0.5, pc, phi=COS_SPEC,
+                     source=source, alpha=SpacePoly(((1.0, (0,)),)))
+    fld = KernelField(pc, WarpParams(), K=4)
+    solve_ibvp2(ps, fld, steps=32, quad=QUAD,
+                points=np.array([[0.25], [0.5], [0.75]]))
+    # the forcing pass at the 32 step times and the reconstruction at T
+    assert source.calls == [(QUAD.gl_order * 4, 1)] * 2
+
+
 def test_ibvp2_rejects_higher_dimensions():
     pc2 = ProblemCoefficients(2, 1, {})
     with pytest.raises(UnsupportedSpecError):
@@ -592,6 +638,21 @@ def test_burgers_underflow_raises_scaling_error():
                      phi0=SpacePoly(((-5.0, (2,)),)))
     with pytest.raises(ScalingError, match="subtract"):
         burgers_demo(ps, K=2, points=np.array([[0.9]]))
+
+
+@pytest.mark.parametrize("phi0, shift", [
+    # 400 - x^2: psi0 = exp(2000) already at the lattice point
+    (SpacePoly(((400.0, (0,)), (-1.0, (2,)))), "400"),
+    # 70 x^2: psi0 = exp(31.5) at x = 0.3, but past exp(709) at the far
+    # Gauss-Hermite nodes y = x + 2 sqrt(nu t) z
+    (SpacePoly(((70.0, (2,)),)), None),
+])
+def test_burgers_overflow_raises_scaling_error(phi0, shift):
+    ps = ProblemSpec("burgers", (-1.0,), (1.0,), 0.5, PC_ZERO, nu=0.1,
+                     phi0=phi0)
+    with pytest.raises(ScalingError,
+                       match=f"psi0 overflows.*subtract about {shift or ''}"):
+        burgers_demo(ps, K=2, points=np.array([[0.3]]))
 
 
 # ---------------------------------------------------------------------------
