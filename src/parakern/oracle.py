@@ -9,6 +9,14 @@ potential entry sum_l t^l e_l(x) is read through ``parts`` and evaluated
 on the grid once per solve, in one call on the array of grid points, and
 so are the initial data and a source whose ``time_dependent`` is false;
 a time-dependent source is evaluated on the grid at every step.
+
+The Crank-Nicolson operator has one sparsity pattern per solve: the
+identity, each component's 3-point stencil, the bands of each coupled
+drift pair and the Robin boundary slots, held as one CSR matrix (for the
+explicit half-step) and one CSC matrix (for the factor).  Each step
+writes ident +- (dt/2) A into them entry by entry; on a step where an
+entry is exactly zero, a pruned copy drops it, as scipy's sparse sums
+would, so the factor and the output match ``tests/fdref.py`` bit for bit.
 """
 
 from __future__ import annotations
@@ -193,6 +201,35 @@ def _fd_grid(lo: float, hi: float, h: float) -> np.ndarray:
     return lo + h * np.arange(int(round((hi - lo) / h)) + 1)
 
 
+def _sampler(sample_times: Sequence[float] | None, horizon: float):
+    """``take(t, u)``, which keeps (t, a copy of u) once for each sample
+    time up to t + tol, and the two lists it fills.  Each sample time
+    must lie in [0, horizon]."""
+    times = sorted(sample_times or [horizon])
+    if times[0] < 0.0 or times[-1] > horizon:
+        raise ParameterError(
+            f"sample times must lie in [0, {horizon}], got {times}")
+    out_t, out_u = [], []
+
+    def take(t, u, tol=1e-12):
+        while len(out_t) < len(times) and times[len(out_t)] <= t + tol:
+            out_t.append(t)
+            out_u.append(u.copy())
+    return take, out_t, out_u
+
+
+def _refreshed(M, values: np.ndarray):
+    """``M`` with ``values`` written into its fixed pattern.  Where a value
+    is exactly zero, a copy with that entry dropped: scipy's sparse sums
+    drop exact zeros, and the pattern decides SuperLU's column order."""
+    M.data[:] = values
+    if values.all():
+        return M
+    M = M.copy()
+    M.eliminate_zeros()
+    return M
+
+
 def fd_solve_linear(lo: float, hi: float, horizon: float, cfg: FDConfig,
                     phi: Callable, drift=None, potential=None, source=None,
                     components: int = 1,
@@ -204,9 +241,14 @@ def fd_solve_linear(lo: float, hi: float, horizon: float, cfg: FDConfig,
 
     ``drift(i, j, t, xgrid)`` returns the coefficient array of
     b^i_j d u_j/dx in equation i (components coupling, one spatial
-    direction).  ``potential(i, t, xgrid)`` and ``source(i, t, xgrid)``
-    follow the same convention.  Returns (times, grid, values) with values
-    of shape (ntimes, npoints, components).
+    direction), or None where u_j does not enter equation i.  Which pairs
+    are None must not change with t: the first assembly fixes the
+    operator's sparsity pattern, a pair that later returns None
+    contributes zeros, and one that was None and later returns an array
+    raises ParameterError.  ``potential(i, t, xgrid)`` and
+    ``source(i, t, xgrid)`` follow the same convention.  Returns
+    (times, grid, values) with values of shape (ntimes, npoints,
+    components); each sample time must lie in [0, horizon].
 
     Boundary handling: homogeneous Dirichlet on a deliberately oversized
     box, or Robin rows du/dnu + alpha u = psi via ghost-point elimination.
@@ -222,23 +264,28 @@ def fd_solve_linear(lo: float, hi: float, horizon: float, cfg: FDConfig,
     u = np.array([[phi(xi, j) if m > 1 else phi(xi) for j in range(m)]
                   for xi in grid], dtype=float)
 
-    sample_times = sorted(sample_times or [horizon])
-    out_times, out_vals = [], []
+    take, out_times, out_vals = _sampler(sample_times, horizon)
 
     time_dependent = getattr(drift, "time_dependent", False) or \
         getattr(potential, "time_dependent", False)
-    inv_h2 = 1.0 / (cfg.h * cfg.h)
-    inv_2h = 1.0 / (2.0 * cfg.h)
+    robin = cfg.boundary == "exact_robin"
+    if robin and m != 1:
+        raise ParameterError("Robin reference rows support scalar problems")
+    h = cfg.h
+    inv_h2 = 1.0 / (h * h)
+    inv_2h = 1.0 / (2.0 * h)
     inner = np.arange(1, nx - 1)
+    pairs = None    # the coupled (i, j), j != i, fixed by the first assembly
+    if cfg.scheme != "crank_nicolson":
+        raise ParameterError("linear reference solver is Crank-Nicolson only")
 
     def assemble(t_mid):
-        """Operator L u = u_xx + sum_j b^i_j du_j/dx + V_i u_i, row-blocked.
-
-        Boundary rows stay empty; a cross-component entry is stored only
-        where its b is nonzero."""
-        entries = []
+        """Operator L u = u_xx + sum_j b^i_j du_j/dx + V_i u_i on the inner
+        rows: each component's 3-point stencil, then the -1 and the +1
+        band of every coupled pair."""
+        nonlocal pairs
+        stencil, cross = [], {}
         for i in range(m):
-            r = i * nx + inner
             diag = np.full(nx - 2, -2.0 * inv_h2)
             if potential is not None:
                 v = potential(i, t_mid, grid)
@@ -251,102 +298,83 @@ def fd_solve_linear(lo: float, hi: float, horizon: float, cfg: FDConfig,
                 b = np.broadcast_to(np.asarray(b, dtype=float), (nx,))[1:-1]
                 if j == i:
                     b_ii = b
-                    continue
-                keep = b != 0.0
-                c, bk = j * nx + inner[keep], b[keep] * inv_2h
-                entries += [(r[keep], c - 1, -bk), (r[keep], c + 1, bk)]
-            entries += [(r, r - 1, inv_h2 - b_ii * inv_2h), (r, r, diag),
-                        (r, r + 1, inv_h2 + b_ii * inv_2h)]
-        rows, cols, vals = (np.concatenate(a) for a in zip(*entries))
-        return scipy.sparse.csr_matrix((vals, (rows, cols)),
-                                       shape=(nx * m, nx * m))
+                else:
+                    cross[i, j] = b * inv_2h
+            stencil += [inv_h2 - b_ii * inv_2h, diag, inv_h2 + b_ii * inv_2h]
+        pairs = list(cross) if pairs is None else pairs
+        if not cross.keys() <= set(pairs):
+            raise ParameterError(
+                f"drift pairs {sorted(cross.keys() - set(pairs))} were None "
+                "at the first assembly; the pattern cannot grow")
+        bands = [cross.get(p, np.zeros(nx - 2)) for p in pairs]
+        return np.concatenate(stencil + [-b for b in bands] + bands)
 
-    def robin_terms(t):
-        """Ghost-point corrections for du/dnu + alpha u = psi at both ends.
+    def edges(t):
+        """Boundary-row entries (zero for Dirichlet) and Robin psi terms.
+        For du/dnu + alpha u = psi, du/dnu = -u_x at lo, the ghost value
+        u_{-1} = u_1 - 2h(a u_0 - psi) closes the 3-point stencil."""
+        if not robin:
+            return np.zeros(2 * m), 0.0
+        al_lo, al_hi = robin_alpha(t, lo), robin_alpha(t, hi)
+        g = np.array([2.0 * robin_psi(t, lo) / h, 2.0 * robin_psi(t, hi) / h])
+        return np.array([(-2.0 - 2.0 * h * al_lo) * inv_h2,
+                         (-2.0 - 2.0 * h * al_hi) * inv_h2,
+                         2.0 * inv_h2, 2.0 * inv_h2]), g
 
-        Outward normal: -d/dx at lo, +d/dx at hi.  The ghost value is
-        eliminated into the boundary row of the standard 3-point stencil.
-        """
-        return (robin_alpha(t, lo), robin_alpha(t, hi), robin_psi(t, lo),
-                robin_psi(t, hi))
-
-    if cfg.scheme != "crank_nicolson":
-        raise ParameterError("linear reference solver is Crank-Nicolson only")
-
-    ident = scipy.sparse.identity(nx * m, format="csr")
-    A = None
+    # the pattern, once per solve: stencils, coupled bands, boundary slots
+    values = assemble(dt / 2.0)
+    rows = [i * nx + inner for i in range(m) for _ in range(3)]
+    cols = [i * nx + inner + s for i in range(m) for s in (-1, 0, 1)]
+    for s in (-1, 1):
+        rows += [i * nx + inner for i, _ in pairs]
+        cols += [j * nx + inner + s for _, j in pairs]
+    ends = np.ravel([[i * nx, i * nx + nx - 1] for i in range(m)])
+    rows, cols = rows + [ends], cols + [ends]
+    if robin:
+        rows, cols = rows + [[0, nx - 1]], cols + [[1, nx - 2]]
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    # CSR for the M2 @ u product, CSC for the factor: number the slots
+    # 1..nnz, and the numbers each form stores say where each value goes
+    slots = scipy.sparse.coo_matrix((np.arange(1.0, len(rows) + 1), (
+        rows, cols)), shape=(nx * m, nx * m))
+    M2_full, M1_full = slots.tocsr(), slots.tocsc()
+    to_csr, to_csc = (M.data.astype(int) - 1 for M in (M2_full, M1_full))
+    eye = (rows == cols) * 1.0
+    eye_csr, eye_csc = eye[to_csr], eye[to_csc]
 
     t = 0.0
-    next_sample = 0
-    # record t=0 if requested
-    while next_sample < len(sample_times) and sample_times[next_sample] <= 1e-14:
-        out_times.append(0.0)
-        out_vals.append(u.copy())
-        next_sample += 1
-
+    take(t, u, tol=1e-14)
+    c = dt / 2.0
     for step in range(nsteps):
-        t_mid = t + dt / 2.0
-        if A is None or time_dependent:
-            # the boundary rows of A are empty, so those of ident - dt/2 A
-            # are already the Dirichlet unit rows
-            A = assemble(t_mid)
-            M2 = ident + (dt / 2.0) * A
-            if cfg.boundary == "large_box_dirichlet":
-                lu = scipy.sparse.linalg.splu((ident - (dt / 2.0) * A).tocsc())
+        t_mid = t + c
+        if step and time_dependent:
+            values = assemble(t_mid)
+        if robin or step == 0 or time_dependent:
+            # ident +- (dt/2) A entry by entry, as scipy's sum would
+            (e0, g0), (e1, g1) = edges(t), edges(t + dt)
+            a0, a1 = (np.concatenate([values, e]) for e in (e0, e1))
+            M2 = _refreshed(M2_full, eye_csr + c * a0[to_csr])
+            M1 = _refreshed(M1_full, eye_csc - c * a1[to_csc])
+            if not robin:
+                lu = scipy.sparse.linalg.splu(M1)
 
         rhs = M2 @ u.T.ravel()
+        if robin:
+            rhs[[0, -1]] += c * (g0 + g1)
         if source is not None:
             for i in range(m):
                 rhs[i * nx:(i + 1) * nx] += dt * np.asarray(
                     source(i, t_mid, grid), dtype=float)
 
-        if cfg.boundary == "large_box_dirichlet":
+        if robin:
+            new = scipy.sparse.linalg.spsolve(M1, rhs)
+        else:
             rhs[::nx] = rhs[nx - 1::nx] = 0.0
             new = lu.solve(rhs)
-        else:
-            new = _robin_cn_step(u.T.ravel(), A, dt, grid, cfg.h, m, nx,
-                                 robin_terms, t, source)
         u = new.reshape(m, nx).T
         t += dt
-        while (next_sample < len(sample_times)
-               and sample_times[next_sample] <= t + 1e-12):
-            out_times.append(t)
-            out_vals.append(u.copy())
-            next_sample += 1
-
+        take(t, u)
     return np.array(out_times), grid, np.array(out_vals)
-
-
-def _robin_cn_step(uvec, A, dt, grid, h, m, nx, robin_terms, t, source):
-    """One CN step with Robin rows built by ghost-point elimination.
-
-    At x_lo: -u_x + a u = psi  =>  ghost u_{-1} = u_1 - 2h(a u_0 - psi).
-    The second-difference row at the boundary then closes; the two rows
-    are added to A, whose boundary rows are empty.  Scalar only.
-    """
-    if m != 1:
-        raise ParameterError("Robin reference rows support scalar problems")
-    inv_h2 = 1.0 / (h * h)
-    al_lo0, al_hi0, ps_lo0, ps_hi0 = robin_terms(t)
-    al_lo1, al_hi1, ps_lo1, ps_hi1 = robin_terms(t + dt)
-
-    def boundary_rows(al_lo, al_hi):
-        vals = [(-2.0 - 2.0 * h * al_lo) * inv_h2, 2.0 * inv_h2,
-                2.0 * inv_h2, (-2.0 - 2.0 * h * al_hi) * inv_h2]
-        return A + scipy.sparse.csr_matrix((vals, (
-            [0, 0, nx - 1, nx - 1], [0, 1, nx - 2, nx - 1])), shape=A.shape)
-
-    B0 = boundary_rows(al_lo0, al_hi0)
-    B1 = boundary_rows(al_lo1, al_hi1)
-    ident = scipy.sparse.identity(nx, format="csr")
-    g0, g1 = np.zeros(nx), np.zeros(nx)
-    g0[[0, -1]] = 2.0 * ps_lo0 / h, 2.0 * ps_hi0 / h
-    g1[[0, -1]] = 2.0 * ps_lo1 / h, 2.0 * ps_hi1 / h
-    rhs = (ident + (dt / 2.0) * B0) @ uvec + (dt / 2.0) * (g0 + g1)
-    if source is not None:
-        rhs += dt * np.asarray(source(0, t + dt / 2.0, grid), dtype=float)
-    M = (ident - (dt / 2.0) * B1).tocsc()
-    return scipy.sparse.linalg.spsolve(M, rhs)
 
 
 def fd_solve(ps, cfg: FDConfig, sample_times: Sequence[float] | None = None):
@@ -444,7 +472,7 @@ def fd_solve_burgers(lo: float, hi: float, horizon: float, cfg: FDConfig,
 
     Central differences, forward Euler; Dirichlet values pinned to the
     initial profile (adequate for desk-scale comparisons away from the
-    boundary).
+    boundary).  Each sample time must lie in [0, horizon].
     """
     if cfg.scheme != "explicit":
         raise ParameterError("Burgers reference uses the explicit scheme")
@@ -454,10 +482,9 @@ def fd_solve_burgers(lo: float, hi: float, horizon: float, cfg: FDConfig,
     dt = horizon / nsteps
     v = np.array([v0(xi) for xi in grid], dtype=float)
     ends = v0(grid[0]), v0(grid[-1])
-    sample_times = sorted(sample_times or [horizon])
-    out_t, out_v = [], []
+    take, out_t, out_v = _sampler(sample_times, horizon)
     t = 0.0
-    k = 0
+    take(t, v, tol=1e-14)
     for step in range(nsteps):
         vx = np.zeros_like(v)
         vxx = np.zeros_like(v)
@@ -466,8 +493,5 @@ def fd_solve_burgers(lo: float, hi: float, horizon: float, cfg: FDConfig,
         v = v + dt * (nu * vxx - v * vx)
         v[[0, -1]] = ends
         t += dt
-        while k < len(sample_times) and sample_times[k] <= t + 1e-12:
-            out_t.append(t)
-            out_v.append(v.copy())
-            k += 1
+        take(t, v)
     return np.array(out_t), grid, np.array(out_v)

@@ -347,6 +347,128 @@ def test_fd_robin_manufactured_is_bit_identical_to_reference():
             assert np.array_equal(a, b)
 
 
+def _exact_zero_case(robin):
+    # b = 2/h makes the (r, r-1) entry 1/h^2 - b/(2h) vanish: on x < lo + 1/4
+    # at every step, on x > hi - 1/4 only at the midpoint t_star of the
+    # fourth step; in the two-component case the coupling b^0_1 vanishes
+    # there too.  dt = 1/64 keeps the step midpoints exact.
+    h, dt = 1 / 16, 1 / 64
+    lo, hi = (0.0, 1.0) if robin else (-2.0, 2.0)
+    t_star = 3 * dt + dt / 2
+
+    def drift(i, j, t, grid):
+        if i == j:
+            return np.where(grid < lo + 0.25, 2 / h, np.where(
+                grid > hi - 0.25, (2 / h) * (1 + (t - t_star)),
+                0.3 * np.cos(grid)))
+        return 0.4 * np.sin(grid) * (t - t_star) if (i, j) == (0, 1) else None
+
+    def phi(x, j=0):
+        return math.cos(x + 0.3 * j)
+
+    drift.time_dependent = True
+    kwargs = {"drift": drift, "sample_times": [3 * dt, 8 * dt]}
+    if robin:
+        kwargs.update(robin_alpha=lambda t, x: 1.0 + t,
+                      robin_psi=lambda t, x: 0.5 * x - t)
+    else:
+        kwargs["components"] = 2
+    cfg = FDConfig(h=h, dt=dt, boundary="exact_robin" if robin else
+                   "large_box_dirichlet")
+    return (lo, hi, 8 * dt, cfg, phi), kwargs
+
+
+@pytest.mark.parametrize("robin", [False, True], ids=["dirichlet", "robin"])
+def test_fd_exact_zero_entries_are_bit_identical_to_reference(robin):
+    # scipy's sparse sums drop exact zeros, which changes the pattern
+    # SuperLU orders; the fixed-pattern assembly must drop the same ones
+    args, kwargs = _exact_zero_case(robin)
+    new = fd_solve_linear(*args, **kwargs)
+    ref = fdref.fd_solve_linear(*args, **kwargs)
+    assert len(new[0]) == 2
+    for a, b in zip(new, ref):
+        assert np.array_equal(a, b)
+
+
+def test_fd_drift_pair_that_turns_none_contributes_zeros():
+    args, kwargs = _two_component_case()
+    coupled = kwargs["drift"]
+
+    def fading(i, j, t, grid):
+        return None if (i, j) == (0, 1) and t > 0.05 else \
+            coupled(i, j, t, grid)
+
+    fading.time_dependent = True
+    kwargs["drift"] = fading
+    new = fd_solve_linear(*args, **kwargs)
+    ref = fdref.fd_solve_linear(*args, **kwargs)
+    for a, b in zip(new, ref):
+        assert np.array_equal(a, b)
+
+
+def test_fd_drift_pair_that_appears_later_is_rejected():
+    args, kwargs = _two_component_case()
+    coupled = kwargs["drift"]
+
+    def appearing(i, j, t, grid):
+        return None if (i, j) == (0, 1) and t < 0.05 else \
+            coupled(i, j, t, grid)
+
+    appearing.time_dependent = True
+    kwargs["drift"] = appearing
+    with pytest.raises(ParameterError, match="pattern"):
+        fd_solve_linear(*args, **kwargs)
+
+
+@pytest.mark.parametrize("boundary", ["large_box_dirichlet", "exact_robin"])
+def test_fd_sparse_matrices_made_do_not_grow_with_steps(boundary, monkeypatch):
+    from scipy.sparse._compressed import _cs_matrix
+
+    made = [0]
+    init = _cs_matrix.__init__
+
+    def counted(self, *args, **kwargs):
+        made[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_cs_matrix, "__init__", counted)
+
+    def drift(i, j, t, grid):
+        return 0.5 + 0.3 * t    # time-dependent, no entry exactly zero
+
+    drift.time_dependent = True
+
+    def made_in(nsteps):
+        made[0] = 0
+        fd_solve_linear(0.0, 1.0, nsteps * 0.01,
+                        FDConfig(h=1 / 16, dt=0.01, boundary=boundary),
+                        math.cos, drift=drift,
+                        robin_alpha=lambda t, x: 1.0 + t,
+                        robin_psi=lambda t, x: 0.5 * t)
+        return made[0]
+
+    assert made_in(10) == made_in(40) > 0
+
+
+@pytest.mark.parametrize("times", [[0.05, 0.3], [-0.01, 0.05]])
+def test_fd_sample_times_outside_the_horizon_are_rejected(times):
+    with pytest.raises(ParameterError, match="sample times"):
+        fd_solve_linear(-2.0, 2.0, 0.1, FDConfig(h=1 / 8, dt=0.01),
+                        lambda x: 1.0, sample_times=times)
+    with pytest.raises(ParameterError, match="sample times"):
+        fd_solve_burgers(-2.0, 2.0, 0.1,
+                         FDConfig(h=1 / 8, dt=0.005, scheme="explicit"),
+                         math.sin, nu=1.0, sample_times=times)
+
+
+def test_fd_burgers_sample_at_zero_is_the_initial_profile():
+    ts, grid, vals = fd_solve_burgers(
+        -2.0, 2.0, 0.1, FDConfig(h=1 / 8, dt=0.005, scheme="explicit"),
+        math.sin, nu=1.0, sample_times=[0.0, 0.1])
+    assert ts[0] == 0.0 and ts[1] == pytest.approx(0.1)
+    assert np.array_equal(vals[0], [math.sin(x) for x in grid])
+
+
 def test_fd_solve_evaluates_coefficients_once_per_solve():
     from dataclasses import dataclass
 
