@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -34,10 +36,25 @@ EXIT_SCHEMA = 2
 EXIT_NUMERIC = 3
 
 
+def _parse_floats(values, where: str) -> list[float]:
+    """Finite floats from strings; anything else is a :class:`SchemaError`
+    naming ``where`` (a flag or a file)."""
+    out = []
+    for v in values:
+        try:
+            f = float(v)
+        except ValueError:
+            raise SchemaError(f"{where}: {v!r} is not a number") from None
+        if not math.isfinite(f):
+            raise SchemaError(f"{where}: {v!r} is not finite")
+        out.append(f)
+    return out
+
+
 def _parse_center(text: str | None, dim: int) -> np.ndarray:
     if not text:
         return np.zeros(dim)
-    vals = [float(v) for v in text.split(",")]
+    vals = _parse_floats(text.split(","), "--center")
     if len(vals) != dim:
         raise SchemaError(f"--center needs {dim} comma-separated values")
     return np.array(vals)
@@ -103,11 +120,17 @@ def cmd_expand(args) -> int:
 
 def _read_points(path: str, dim: int) -> np.ndarray:
     rows = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].startswith("#") or row[0].startswith("x"):
-                continue
-            rows.append([float(v) for v in row[:dim]])
+    try:
+        with open(path, newline="") as fh:
+            for line, row in enumerate(csv.reader(fh), 1):
+                if not row or row[0].startswith("#") or row[0].startswith("x"):
+                    continue
+                if len(row) < dim:
+                    raise SchemaError(
+                        f"{path}, line {line}: {len(row)} values, need {dim}")
+                rows.append(_parse_floats(row[:dim], f"{path}, line {line}"))
+    except OSError as exc:
+        raise SchemaError(f"cannot read points file: {exc}") from None
     if not rows:
         raise SchemaError(f"no points found in {path}")
     return np.array(rows)
@@ -115,26 +138,27 @@ def _read_points(path: str, dim: int) -> np.ndarray:
 
 def cmd_eval(args) -> int:
     pf = _apply_overrides(load_problem_file(args.file), args)
+    # every argument is checked before the expansion is built
     y = _parse_center(args.center, pf.pc.n)
+    pts = _read_points(args.points, pf.pc.n) if args.points \
+        else lattice(pf.ps, 11)
+    times = _parse_floats(args.t.split(","), "--t") if args.t else [0.1]
     exp = expand(pf.pc, y, pf.order_K, pf.warp, pf.degree_D)
-    if args.points:
-        pts = _read_points(args.points, pf.pc.n)
-    else:
-        pts = lattice(pf.ps, 11)
-    times = [float(v) for v in args.t.split(",")] if args.t else [0.1]
     # every row is computed before --out is opened, so a numeric failure
     # leaves no file behind and an existing one untouched
+    kp = eval_points(exp, times, pts, pf.pc)
+    # [time, point, component, column]: value, log value, gradient, residual
+    table = np.concatenate(
+        [kp.value[..., None], kp.log_value[..., None], kp.gradient,
+         kp.residual_rel[..., None]], axis=-1).transpose(1, 2, 0, 3).tolist()
     rows = [["t"] + [f"x{i+1}" for i in range(pf.pc.n)]
             + ["component", "value", "log_value"]
             + [f"grad{i+1}" for i in range(pf.pc.n)] + ["residual_rel"]]
-    for t in times:
-        kp = eval_points(exp, t, pts, pf.pc)
-        for p, x in enumerate(pts):
-            for j in range(pf.pc.components):
-                values = (kp.value[j, p], kp.log_value[j, p],
-                          *kp.gradient[j, p], kp.residual_rel[j, p])
-                rows.append([repr(float(t))] + [repr(float(v)) for v in x]
-                            + [j] + [repr(float(v)) for v in values])
+    for t, at_t in zip(times, table):
+        for x, at_x in zip(pts.tolist(), at_t):
+            head = [repr(t)] + [repr(v) for v in x]
+            rows.extend(head + [j] + [repr(v) for v in values]
+                        for j, values in enumerate(at_x))
     out = sys.stdout if not args.out else open(args.out, "w", newline="")
     try:
         writer = csv.writer(out)
@@ -348,7 +372,9 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--out", help="output path (or base path for solve)")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     ap = argparse.ArgumentParser(
         prog="parakern",
         description="analytic kernel expansions for drift-coupled "

@@ -3,11 +3,13 @@
 Evaluates the Gaussian-times-exponential-series ansatz in log space, its
 analytic gradient, PDE residuals, normalization and short-time
 (Varadhan-type) diagnostics.  One evaluator, :func:`_log_terms`, reads
-the coefficient arrays back: :func:`eval_points` runs it once per time
-over all points of one expansion (the single-point calls and ``parakern
-eval`` go through it), and :func:`_gh_integrals` over all nodes of a
-Gauss-Hermite pass (normalization, the delta property, the solvers'
-convolutions), expanded with one ``expand_batch`` call.
+the coefficient arrays back, contracting only the table rows up to their
+last nonzero one: :func:`eval_points` runs it once over the (time,
+point) rows of one expansion, for one time or an array of them (the
+single-point calls and ``parakern eval`` go through it), and
+:func:`_gh_integrals` over all nodes of a Gauss-Hermite pass
+(normalization, the delta property, the solvers' convolutions),
+expanded with one ``expand_batch`` call.
 :class:`KernelField` holds the problem and expansion settings; its
 :meth:`~KernelField.pair_log_terms` runs the evaluator over rows of
 (origin s, centre y) pairs of the two-parameter kernel p(t, x; s, y),
@@ -25,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ParameterError, ScalingError, StructureError
-from .polyalg import _monomials, _partial_tables
+from .polyalg import _degree, _monomials, _partial_tables
 from .recursion import (ExpansionCoeffs, ProblemCoefficients, WarpParams,
                         expand_batch, t_of_tau, _CHUNK_FLOATS)
 
@@ -42,6 +44,8 @@ class KernelValue:
 
 def _effective_time(warp: WarpParams, time: float) -> tuple[float, float]:
     """(t_eff, d t_eff / d time) for the Gaussian factor of each mode."""
+    if not math.isfinite(time):
+        raise ParameterError(f"time must be finite, got {time}")
     if time <= 0:
         raise ParameterError(
             "time must be positive; the t -> 0 limit of the kernel is the "
@@ -65,18 +69,31 @@ def _check_center(exp: ExpansionCoeffs, y) -> np.ndarray:
     return y
 
 
-def _point_terms(exp: ExpansionCoeffs, time: float, xs, comps,
-                 t_eff: float | None = None, second: bool = False):
-    """``(x - y, *_log_terms(...))`` for one expansion at rows of ``xs``,
-    in chunks of points that bound the coefficient-monomial products."""
+def _check_points(exp: ExpansionCoeffs, xs) -> np.ndarray:
+    xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != exp.dim:
         raise StructureError(
             f"points of shape {xs.shape}, expected (P, {exp.dim})")
-    dx = xs - np.asarray(exp.center)
+    return xs
+
+
+def _point_terms(exp: ExpansionCoeffs, time, xs, comps, t_eff=None,
+                 second: bool = False, powers=None):
+    """``(x - y, *_log_terms(...))`` for one expansion at rows of ``xs``,
+    in chunks of rows that bound the coefficient-monomial products.
+    ``time``, ``t_eff`` and each of ``powers`` are scalars or hold one
+    value per row."""
+    dx = _check_points(exp, xs) - np.asarray(exp.center)
     coeffs = exp.coeffs[list(comps)][..., None, :]
     step = max(1, _CHUNK_FLOATS // coeffs.size)
-    parts = [_log_terms(coeffs, dx[i:i + step], exp.degree_D, time, t_eff,
-                        second) for i in range(0, max(len(dx), 1), step)]
+
+    def rows(v, i):
+        return v[i:i + step] if np.ndim(v) else v
+
+    parts = [_log_terms(coeffs, dx[i:i + step], exp.degree_D, rows(time, i),
+                        rows(t_eff, i), second,
+                        powers and [rows(p, i) for p in powers])
+             for i in range(0, max(len(dx), 1), step)]
     return (dx,) + tuple(np.concatenate(out, axis=1) for out in zip(*parts))
 
 
@@ -88,8 +105,9 @@ def log_correction(exp: ExpansionCoeffs, time: float, x, j: int) -> float:
 
 @dataclass(frozen=True)
 class KernelPoints:
-    """[component, point] arrays at one time; ``gradient`` adds the
-    spatial axis, ``residual_rel`` is None unless the problem was given."""
+    """[component, point] arrays at one time, [component, time, point]
+    over an array of times; ``gradient`` adds the spatial axis,
+    ``residual_rel`` is None unless the problem was given."""
 
     value: np.ndarray
     log_value: np.ndarray
@@ -97,30 +115,53 @@ class KernelPoints:
     residual_rel: np.ndarray | None
 
 
-def eval_points(exp: ExpansionCoeffs, time: float, xs,
+def eval_points(exp: ExpansionCoeffs, time, xs,
                 pc: ProblemCoefficients | None = None,
                 components: Sequence[int] | None = None) -> KernelPoints:
     """Kernel values, log values and gradients at every row of ``xs``.
 
-    One pass over the points, shape (P, n), at one mode time (as in
-    :func:`eval_kernel`) for the listed components (default all; all
-    with ``pc``, which adds the relative residuals).  A tau above a
-    nonzero ``warp.tau_max`` raises :class:`ParameterError`; the first
-    point in row order whose log value reaches 700 raises
-    :class:`ScalingError` for its first such component.
+    One pass over the points, shape (P, n), for the listed components
+    (default all; all with ``pc``, which adds the relative residuals).
+    ``time`` is one mode time (as in :func:`eval_kernel`), or a 1-D array
+    of them, which adds a time axis after the component axis; a scalar is
+    the one-time case of the same pass.  The rows are the (time, point)
+    pairs in time-major order, evaluated by one :func:`_log_terms` pass
+    with a time and ``t_eff`` per row; each time's powers are Python
+    float powers, so a row has the bits of a call at its time alone.
+    The times are checked in order: a tau above a nonzero
+    ``warp.tau_max`` raises :class:`ParameterError`; then the first row
+    whose log value reaches 700 raises :class:`ScalingError` for its
+    first such component.
     """
-    t_eff, dteff = _effective_time(exp.warp, time)
-    xs = np.asarray(xs, dtype=float)
-    if exp.warp.mode == "tau" and 0.0 < exp.warp.tau_max < time:
-        raise ParameterError(
-            f"tau = {time} exceeds the warp's tau_max = {exp.warp.tau_max}")
+    if np.ndim(time) > 1:
+        raise StructureError(
+            f"times of shape {np.shape(time)}, expected a scalar or (T,)")
+    ts = [time] if np.ndim(time) == 0 else [float(t) for t in time]
+    modes = []
+    for t in ts:
+        modes.append(_effective_time(exp.warp, t))
+        if exp.warp.mode == "tau" and 0.0 < exp.warp.tau_max < t:
+            raise ParameterError(
+                f"tau = {t} exceeds the warp's tau_max = {exp.warp.tau_max}")
+    xs = _check_points(exp, xs)
     if components is None or pc is not None:
         components = range(exp.components)
-    dx, corr, dtime, grad, lap = _point_terms(exp, time, xs, components,
-                                              t_eff, pc is not None)
+
+    def per_row(vals):
+        """One value per time, repeated over that time's points."""
+        return np.repeat(np.array(vals, dtype=float), len(xs))
+
+    t_effs = [te for te, _ in modes]
+    t_eff, dteff = per_row(t_effs), per_row([m for _, m in modes])
+    powers = [per_row([t ** k for t in ts])
+              for k in range(exp.coeffs.shape[1])]
+    row_xs = np.tile(xs, (len(ts), 1))
+    dx, corr, dtime, grad, lap = _point_terms(
+        exp, per_row(ts), row_xs, components, t_eff, pc is not None, powers)
     n, r2 = exp.dim, (dx * dx).sum(axis=1)
-    logp = -0.5 * n * math.log(4.0 * math.pi * t_eff) - r2 / (4.0 * t_eff) \
-        + corr
+    logp = per_row([-0.5 * n * math.log(4.0 * math.pi * te)
+                    for te in t_effs]) \
+        - r2 / per_row([4.0 * te for te in t_effs]) + corr
     bad = logp >= 700.0
     if bad.any():
         p = int(np.flatnonzero(bad.any(axis=0))[0])
@@ -134,18 +175,26 @@ def eval_points(exp: ExpansionCoeffs, time: float, xs,
     if pc is not None:
         # Lap p_i / p_i, then the couplings through the ratios p_l / p_i
         # and the potential; the mode's multiplier m is d t_eff / d time
-        lap = lap + (-0.5 / t_eff + grad ** 2).sum(axis=-1)
+        lap = lap + (per_row([-0.5 / te for te in t_effs])[:, None]
+                     + grad ** 2).sum(axis=-1)
         for (i, l, axis), entry in pc.drift.items():
             with np.errstate(over="ignore"):
                 ratio = np.exp(corr[l] - corr[i])
             if np.isinf(ratio).any():
                 raise ScalingError(f"kernel ratio p_{l}/p_{i} overflows")
-            lap[i] = lap[i] + entry.eval(t_eff, xs) * ratio * grad[l, :, axis]
+            lap[i] = lap[i] + entry.eval(t_eff, row_xs) * ratio \
+                * grad[l, :, axis]
         for i, entry in pc.potential.items():
-            lap[i] = lap[i] + entry.eval(t_eff, xs)
-        rel = (-0.5 * n / t_eff + r2 / (4.0 * t_eff ** 2)) * dteff + dtime \
-            - dteff * lap
-    return KernelPoints(value, logp, grad * value[..., None], rel)
+            lap[i] = lap[i] + entry.eval(t_eff, row_xs)
+        rel = (per_row([-0.5 * n / te for te in t_effs])
+               + r2 / per_row([4.0 * te ** 2 for te in t_effs])) * dteff \
+            + dtime - dteff * lap
+    grad = grad * value[..., None]
+    shape = (len(value),) + ((len(xs),) if np.ndim(time) == 0
+                             else (len(ts), len(xs)))
+    return KernelPoints(value.reshape(shape), logp.reshape(shape),
+                        grad.reshape(shape + (n,)),
+                        None if rel is None else rel.reshape(shape))
 
 
 def eval_kernel(exp: ExpansionCoeffs, time: float, x, y=None,
@@ -381,7 +430,9 @@ def _gh_integrals(field: KernelField, t: float, s: float, x, g: Callable,
     past ``field.trust_radius`` are dropped; ``g`` is called once, on the
     array of kept nodes (P, n), and returns their values (P,).  Nodes
     where g vanishes are dropped too, and the rest are expanded in one
-    ``expand_batch`` call.
+    ``expand_batch`` call.  A kept node whose log correction is not
+    finite or reaches 700 raises :class:`ScalingError` naming K, D, t
+    and its |x - y|: the integral would be inf or NaN.
     Returns the integrals, shape (len(components),), and with
     ``gradient`` also the x-gradients ``int grad_x p_j g dy``, shape
     (len(components), n), else None.
@@ -412,6 +463,15 @@ def _gh_integrals(field: KernelField, t: float, s: float, x, g: Callable,
         batch = expand_batch(field.pc, ys, field.K, field.warp, field.D, s)
         logc, _, grad, _ = _log_terms(batch.coeffs[comps], dx, field.D, time,
                                       t_eff)
+        bad = ~((logc > -np.inf) & (logc < 700.0))
+        if bad.any():
+            b = int(np.flatnonzero(bad.any(axis=0))[0])
+            raise ScalingError(
+                f"log correction {float(logc[bad[:, b].argmax(), b]):.3g} "
+                f"at a Gauss-Hermite node with t = {t:.6g}, |x - y| = "
+                f"{float(np.linalg.norm(dx[b])):.3g} is not finite or "
+                f"reaches 700: the K = {field.K}, D = {field.D} expansion "
+                f"does not hold there; lower K and D or the horizon")
         corr = np.exp(logc)
     weight = weights * corr * gvals
     vals = weight.sum(axis=1) / scale
@@ -420,45 +480,80 @@ def _gh_integrals(field: KernelField, t: float, s: float, x, g: Callable,
     return vals, (weight[:, :, None] * grad).sum(axis=1) / scale
 
 
-def _log_terms(coeffs: np.ndarray, dx: np.ndarray, D: int, time: float,
-               t_eff: float | None = None, second: bool = False):
+def _live_rows(coeffs: np.ndarray) -> int:
+    """How many leading table rows a contraction of ``coeffs`` must read.
+
+    The rows up to the last one nonzero anywhere in ``coeffs`` (at least
+    one), rounded up to a multiple of 8 and capped at N.  numpy's pairwise
+    sum gives each of 8 accumulators every eighth term of a block of at
+    most 128, and splits a longer row at a multiple of 8 near its middle;
+    a prefix that keeps those blocks therefore adds the same nonzero
+    terms in the same order, and the sum over it equals the sum over all
+    N rows bit for bit (both start from +0.0, so even the sign of a zero
+    agrees).
+    """
+    n = coeffs.shape[-1]
+    live = np.flatnonzero(coeffs.any(axis=tuple(range(coeffs.ndim - 1))))
+    last = int(live[-1]) if len(live) else 0
+    while n > 128:
+        half = n // 2 - (n // 2) % 8
+        if last >= half:
+            return n
+        n = half
+    return min(n, (last + 8) // 8 * 8)
+
+
+def _log_terms(coeffs: np.ndarray, dx: np.ndarray, D: int, time,
+               t_eff=None, second: bool = False, powers=None):
     """The correction ``sum_k c_k(time, x) time^k`` and its derivatives.
 
     ``coeffs`` (components, K + 1, T, B, N) about centers y_b and ``dx``
     = x - y_b (B, n), or B = 1 and one ``dx`` row per point; ``time``
-    and ``t_eff`` are scalars or hold one value per center.  Returns
-    (correction, its time derivative, log-gradient, its Laplacian); the
-    log-gradient adds -dx / (2 t_eff) and needs ``t_eff`` (else it has no
-    axes), the time derivative and Laplacian need ``second`` (else 0).
+    and ``t_eff`` are scalars or hold one value per row.  ``powers``
+    holds ``time ** k`` for each order k (default: that expression).
+    Only the :func:`_live_rows` leading table rows are contracted, with
+    the differentiation maps cut to them; the result equals the
+    full-row one bit for bit wherever the monomials of the dropped rows
+    are finite.  Returns (correction, its time derivative,
+    log-gradient, its Laplacian); the log-gradient adds -dx / (2 t_eff)
+    and needs ``t_eff`` (else it has no axes), the time derivative and
+    Laplacian need ``second`` (else 0).
     """
-    mono = _monomials(dx, D)
-    corr = _sum_terms(coeffs, mono, time, 0.0)
+    rows = _live_rows(coeffs)
+    coeffs = coeffs[..., :rows]
+    mono = _monomials(dx, _degree(rows, dx.shape[1], D))[:, :rows]
+    if powers is None:
+        powers = [time ** k for k in range(coeffs.shape[1])]
+    corr = _sum_terms(coeffs, mono, time, powers, 0.0)
     tables = _partial_tables(dx.shape[1], D) if t_eff is not None else ()
     grad = np.empty(corr.shape + (len(tables),))
     lap = dtime = np.zeros_like(corr)
     for axis, (src, dst, scale) in enumerate(tables):
+        # the maps run in ascending source row, so the live ones lead
+        cut = np.searchsorted(src, rows)
+        src, dst, scale = src[:cut], dst[:cut], scale[:cut]
         dcoeffs = np.zeros_like(coeffs)
         dcoeffs[..., dst] = scale * coeffs[..., src]
-        grad[..., axis] = _sum_terms(dcoeffs, mono, time,
+        grad[..., axis] = _sum_terms(dcoeffs, mono, time, powers,
                                      -dx[:, axis] / (2.0 * t_eff))
         if second:
             d2coeffs = np.zeros_like(coeffs)
             d2coeffs[..., dst] = scale * dcoeffs[..., src]
-            lap = lap + _sum_terms(d2coeffs, mono, time, 0.0)
+            lap = lap + _sum_terms(d2coeffs, mono, time, powers, 0.0)
     if second:
         # d/dtime sum c_kl time^(k+l) = sum (k + l) c_kl time^(k+l) / time
         kl = np.add.outer(*map(np.arange, coeffs.shape[1:3]))[:, :, None, None]
-        dtime = _sum_terms(coeffs * kl, mono, time, 0.0) / time
+        dtime = _sum_terms(coeffs * kl, mono, time, powers, 0.0) / time
     return corr, dtime, grad, lap
 
 
-def _sum_terms(coeffs: np.ndarray, mono: np.ndarray, time: float,
+def _sum_terms(coeffs: np.ndarray, mono: np.ndarray, time, powers,
                start) -> np.ndarray:
-    """``start + sum_k c_k(time, x) time^k`` per component and center.
+    """``start + sum_k c_k(time, x) time^k`` per component and row.
 
     ``coeffs`` as in :func:`_log_terms`, ``mono`` the monomials of its
-    ``dx``.  Each jet is Horner-evaluated in time and the orders are
-    summed in ascending k.
+    ``dx`` and ``powers[k]`` = ``time ** k``.  Each jet is
+    Horner-evaluated in time and the orders are summed in ascending k.
     """
     vals = (coeffs * mono).sum(axis=-1)
     horner = 0.0
@@ -466,7 +561,7 @@ def _sum_terms(coeffs: np.ndarray, mono: np.ndarray, time: float,
         horner = horner * time + vals[:, :, l]
     total = start
     for k in range(vals.shape[1]):
-        total = total + horner[:, k] * time ** k
+        total = total + horner[:, k] * powers[k]
     return total
 
 

@@ -188,8 +188,13 @@ def _mul_cols(a: np.ndarray, b: np.ndarray, dim: int, cap: int) -> np.ndarray:
     own, so a column's result does not depend on the others.  A column
     holds the rows up to its degree (``_rows(dim, da)`` of them), so the
     pair table is the one for the operands' degrees; the result holds the
-    rows up to min(da + db, cap).
+    rows up to min(da + db, cap).  A degree-0 operand (one row) pairs
+    each row of the other with itself alone, so its product is the
+    broadcast one; the ``+ 0.0`` gives the scatter's ``0 + 1 * p`` bits,
+    -0.0 turned into 0.0 included.
     """
+    if len(a) == 1 or len(b) == 1:
+        return a * b + 0.0
     ii, jj, scatter, _, _ = _mul_tables(dim, cap, _degree(len(a), dim, cap),
                                         _degree(len(b), dim, cap))
     prod = (a[ii] * b[jj]).reshape(len(ii), -1)

@@ -461,10 +461,9 @@ class _BatchWorkspace:
                                    self.jet_cap)
         xa, yb = x[:, ia], y[:, ib]
         prods = _mul_cols(xa, yb, self.n, self.D)
-        ls, ss = ranks[0]
-        out = prods[:, ss]
-        for ls, ss in ranks[1:]:
-            out[:, ls] += prods[:, ss]
+        out = prods[:, :ranks[0][1]]
+        for lo, hi, start in ranks[1:]:
+            out[:, lo:hi] += prods[:, start:start + hi - lo]
         flags = fx | fy
         need = ~flags
         # below the cap in degree, no column can overflow
@@ -530,24 +529,25 @@ class _BatchWorkspace:
 def _pair_plan(La: int, Lb: int, cap: int | None):
     """Term pairs (i, l - i) of a jet product, grouped by rank.
 
-    Pairs are listed by output order l and ascending i; rank r collects
-    the r-th pair of every l, so adding the ranks in turn sums each output
-    term in the order the one-centre jet product does.
+    Rank r collects the r-th pair, in ascending i, of every output order
+    l that has one.  Those orders form one run lo <= l < hi, so the pairs
+    are listed rank after rank, each rank a slice of them starting at
+    ``start``; adding the ranks in turn sums each output term in the
+    order the one-centre jet product does.  Returns (ia, ib, ranks), a
+    rank as (lo, hi, start); rank 0 holds every order.
     """
     n = La + Lb if cap is None else min(La + Lb, cap)
+    per_l = [range(max(0, l - Lb), min(l, La) + 1) for l in range(n + 1)]
     ia, ib, ranks = [], [], []
-    for l in range(n + 1):
-        for r, i in enumerate(range(max(0, l - Lb), min(l, La) + 1)):
-            if r == len(ranks):
-                ranks.append(([], []))
-            ranks[r][0].append(l)
-            ranks[r][1].append(len(ia))
-            ia.append(i)
-            ib.append(l - i)
-    plan = [np.array(ia), np.array(ib)] + [np.array(v) for r in ranks for v in r]
-    for a in plan:
+    for r in range(max(map(len, per_l))):
+        ls = [l for l in range(n + 1) if len(per_l[l]) > r]
+        ranks.append((ls[0], ls[-1] + 1, len(ia)))
+        ia.extend(per_l[l][r] for l in ls)
+        ib.extend(l - per_l[l][r] for l in ls)
+    ia, ib = np.array(ia), np.array(ib)
+    for a in (ia, ib):
         a.flags.writeable = False
-    return plan[0], plan[1], tuple(zip(plan[2::2], plan[3::2]))
+    return ia, ib, tuple(ranks)
 
 
 @functools.lru_cache(maxsize=None)

@@ -37,7 +37,7 @@ from parakern.polyalg import (CoefficientEntry, FourierEntry, MultiIndex,
                               _partial_tables, _series_mul)
 from parakern.recursion import (ExpansionCoeffs, ProblemCoefficients,
                                 WarpParams, ray_integrate, _BatchWorkspace,
-                                _pair_plan, _series_sigma, _series_t_of_tau,
+                                _series_sigma, _series_t_of_tau,
                                 _warp_power)
 
 
@@ -684,14 +684,21 @@ class DenseWorkspace(_BatchWorkspace):
 
     def mul(self, a, b):
         (x, fx), (y, fy) = a, b
-        ia, ib, ranks = _pair_plan(x.shape[1] - 1, y.shape[1] - 1,
-                                   self.jet_cap)
+        La, Lb = x.shape[1] - 1, y.shape[1] - 1
+        top = La + Lb if self.jet_cap is None else min(La + Lb, self.jet_cap)
+        # every term pair (i, l - i) of the jet product, by l and then i
+        pairs = [(i, l - i) for l in range(top + 1)
+                 for i in range(max(0, l - Lb), min(l, La) + 1)]
+        ia, ib = (np.array(v) for v in zip(*pairs))
         xa, yb = x[:, ia], y[:, ib]
         prods = dense_mul_cols(xa, yb, self.n, self.D)
-        ls, ss = ranks[0]
-        out = prods[:, ss]
-        for ls, ss in ranks[1:]:
-            out[:, ls] += prods[:, ss]
+        # each output order adds its pairs in ascending i
+        out = np.empty((len(prods), top + 1, prods.shape[2]))
+        for l in range(top + 1):
+            first, *rest = [p for p, (i, j) in enumerate(pairs) if i + j == l]
+            out[:, l] = prods[:, first]
+            for p in rest:
+                out[:, l] += prods[:, p]
         flags = fx | fy
         need = ~flags
         if need.any():

@@ -17,8 +17,8 @@ import pytest
 
 from parakern import recursion
 from parakern.errors import StructureError
-from parakern.kernel import (KernelField, _gh_integrals, kernel_log_gradient,
-                             log_correction)
+from parakern.kernel import (KernelField, _gh_integrals, eval_points,
+                             kernel_log_gradient, log_correction)
 from parakern.polyalg import FourierEntry, PolyEntry, TimeEntry, index_table
 from parakern.problemfile import load_problem_dict, load_problem_file
 from parakern.recursion import (ProblemCoefficients, WarpParams, _series_nu,
@@ -170,6 +170,25 @@ def test_expand_is_the_single_centre_batch(mode):
         assert order == batch.jet_order[0, k]
         assert np.array_equal(exp.coeffs[0, k, :order + 1],
                               batch.coeffs[0, k, :order + 1, 0])
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_eval_points_over_times_equals_one_call_per_time(case, mode):
+    # one pass over the (time, point) rows gives each time's own call bit
+    # for bit: values, log values, gradients and residuals
+    pc, wp, K, D, ys = _setup(case, mode)
+    exp = expand(pc, ys[0], K, wp, D)
+    times = (0.05, 0.1, 0.3)
+    whole = eval_points(exp, np.array(times), ys, pc)
+    assert whole.value.shape == (pc.components, len(times), B)
+    some = eval_points(exp, list(times), ys, components=(pc.components - 1,))
+    for i, t in enumerate(times):
+        one = eval_points(exp, t, ys, pc)
+        for name in ("value", "log_value", "gradient", "residual_rel"):
+            assert getattr(whole, name)[:, i].tobytes() == \
+                getattr(one, name).tobytes()
+        assert some.gradient[:, i].tobytes() == one.gradient[-1:].tobytes()
 
 
 @pytest.mark.parametrize("mode", sorted(MODES))

@@ -7,7 +7,9 @@ import jsonschema
 import numpy as np
 import pytest
 
-from parakern import problemfile
+from parakern.errors import SchemaError
+
+from parakern import cli, problemfile
 from parakern.cli import main
 from parakern.kernel import eval_kernel, residual
 from parakern.oracle import const_drift_series_coeffs
@@ -158,6 +160,93 @@ def test_eval_rejects_tau_beyond_tau_max(tmp_path, capsys):
     assert main(args + ["--t", "0.6"]) == 0
     assert main(args + ["--t", "0.6,0.7"]) == 3
     assert "exceeds the warp's tau_max" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["plain", "beta", "tau"])
+def test_eval_over_times_writes_the_rows_of_one_run_per_time(tmp_path, mode):
+    args = ["eval", problem("coupled_system.json"), "--mode", mode,
+            "--center", "0.1,-0.2"]
+    whole = tmp_path / "all.csv"
+    assert main(args + ["--t", "0.05,0.1,0.2", "--out", str(whole)]) == 0
+    lines = whole.read_text().splitlines()
+    expected = lines[:1]
+    for t in ("0.05", "0.1", "0.2"):
+        one = tmp_path / f"{t}.csv"
+        assert main(args + ["--t", t, "--out", str(one)]) == 0
+        expected += one.read_text().splitlines()[1:]
+    assert lines == expected
+
+
+@pytest.mark.parametrize("extra, where", [
+    (["--t", "0.1,abc"], "--t: 'abc' is not a number"),
+    (["--t", "0.1,"], "--t: '' is not a number"),
+    (["--t", "0.1,nan"], "--t: 'nan' is not finite"),
+    (["--t", "inf"], "--t: 'inf' is not finite"),
+    (["--center", "x"], "--center: 'x' is not a number"),
+    (["--center=-inf"], "--center: '-inf' is not finite"),
+    (["--center", "0.1,0.2"], "--center needs 1 comma-separated values"),
+])
+def test_eval_rejects_bad_arguments_before_expanding(extra, where, tmp_path,
+                                                     capsys, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("expanded before the arguments were checked")
+
+    monkeypatch.setattr(cli, "expand", forbidden)
+    out = tmp_path / "k.csv"
+    rc = main(["eval", problem("sin_drift.json"), "--out", str(out)] + extra)
+    assert rc == 2
+    assert where in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_rejects_bad_points_files(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "expand", None)    # never reached
+    cases = {"word.csv": ("x1,x2\n0.1,0.2\n0.3,abc\n",
+                          "word.csv, line 3: 'abc' is not a number"),
+             "short.csv": ("x1,x2\n0.1,0.2\n0.3\n",
+                           "short.csv, line 3: 1 values, need 2"),
+             "nan.csv": ("0.1,nan\n", "nan.csv, line 1: 'nan' is not finite"),
+             "empty.csv": ("x1,x2\n", "no points found")}
+    for name, (text, where) in cases.items():
+        path = tmp_path / name
+        path.write_text(text)
+        rc = main(["eval", problem("coupled_system.json"), "--points",
+                   str(path)])
+        assert rc == 2
+        assert where in capsys.readouterr().err
+    rc = main(["eval", problem("coupled_system.json"), "--points",
+               str(tmp_path / "missing.csv")])
+    assert rc == 2
+    assert "cannot read points file" in capsys.readouterr().err
+
+
+def test_argument_parsers_raise_schema_errors():
+    assert cli._parse_floats(["0.5", " 2"], "--t") == [0.5, 2.0]
+    for values in (["0.1", ""], ["1e400"], ["nan"], ["one"]):
+        with pytest.raises(SchemaError, match="^--t: "):
+            cli._parse_floats(values, "--t")
+    assert np.array_equal(cli._parse_center(None, 2), [0.0, 0.0])
+    with pytest.raises(SchemaError, match="--center"):
+        cli._parse_center("0.1,x", 2)
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+    args = cli.build_parser().parse_args(["eval", "f.json", "--t", "0.1"])
+    again = cli.build_parser().parse_args(["solve", "g.json"])
+    assert (args.command, args.t, again.command, again.file) == \
+        ("eval", "0.1", "solve", "g.json")
+
+
+def test_solve_exits_numeric_where_a_node_overflows(tmp_path, capsys):
+    # K = 10, D = 22 on sin_drift.json wrote inf for 22 of its 41 values
+    base = tmp_path / "sol"
+    rc = main(["solve", problem("sin_drift.json"), "--order", "10",
+               "--degree", "22", "--out", str(base)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "numeric error" in err and "K = 10, D = 22" in err
+    assert not os.path.exists(f"{base}.csv")
 
 
 def test_solve_threads_flag_is_ignored(tmp_path):

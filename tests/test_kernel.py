@@ -4,16 +4,19 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from parakern import kernel, oracle
+from parakern import kernel, oracle, solvers
 from parakern.errors import ParameterError, ScalingError, StructureError
 from parakern.kernel import (KernelField, delta_property, eval_kernel,
                              eval_points, kernel_gradient, kernel_log_gradient,
                              log_correction, normal_derivative,
                              normalization_check, residual, varadhan_diag)
-from parakern.polyalg import FourierEntry, PolyEntry, TimeEntry
+from parakern.polyalg import FourierEntry, PolyEntry, TimeEntry, index_table
 from parakern.problemfile import load_problem_file
-from parakern.recursion import (ProblemCoefficients, WarpParams, expand,
+from parakern.recursion import (ExpansionCoeffs, ProblemCoefficients,
+                                WarpParams, expand,
                                 select_beta, t_of_tau, tau_of_t)
 
 from objalg import jet_dt, jet_eval, jet_partial, jets_of, shifted_origin
@@ -351,6 +354,21 @@ def test_eval_points_matches_per_point_reference(path, mode):
                               <= 1e-13 * np.abs(log_grad[j]))
 
 
+@pytest.mark.parametrize("k, t", [(3, 0.02), (4, 0.3), (5, 0.08)])
+def test_eval_points_over_times_takes_python_float_powers(k, t):
+    # a correction c t^k alone, large enough that its last bit shows in
+    # the log value; numpy's power rounds t ** k otherwise at these t on
+    # some builds
+    coeffs = np.zeros((1, 6, 1, 3))
+    coeffs[0, k, 0, 0] = c = 100.0 / t ** k
+    coeffs.flags.writeable = False
+    exp = ExpansionCoeffs((0.0,), WarpParams(), 5, 2, 1, coeffs,
+                          np.zeros((1, 6), dtype=int))
+    kp = eval_points(exp, [0.5 * t, t], [[0.0]])
+    gauss = -0.5 * math.log(4.0 * math.pi * t) - 0.0 / (4.0 * t)
+    assert kp.log_value[0, 1, 0] == gauss + c * t ** k
+
+
 def test_eval_points_in_chunks_equals_one_pass(monkeypatch):
     pf = load_problem_file(PROBLEMS[[os.path.basename(p) for p in PROBLEMS]
                                     .index("coupled_system.json")])
@@ -476,3 +494,124 @@ def test_pair_log_terms_of_a_trivial_field_is_the_gaussian():
     assert np.allclose(logp, -0.5 * np.log(4 * math.pi * sigma)
                        - dx[:, 0] ** 2 / (4 * sigma), rtol=1e-15, atol=0)
     assert np.array_equal(grad, -dx / (2 * sigma[:, None]))
+
+
+def test_eval_points_over_times_reports_the_first_failure_in_time_order():
+    # only component 1 has drift; at t = 0.02 the last point overflows,
+    # at t = 0.05 the middle one too: the (time, point) rows run
+    # time-major, so the first failing row is (0.02, last point)
+    pc = ProblemCoefficients(2, 2, {
+        (1, 1, 0): FourierEntry(2, ((0.3, (1.0, 0.5), 0.0),))})
+    exp = expand(pc, [0.0, 0.0], 6, WarpParams(), 12)
+    xs = np.array([[0.2, 0.1], [-12.0, 0.0], [14.0, 2.0]])
+    with pytest.raises(ScalingError) as first:
+        eval_points(exp, 0.02, xs)
+    eval_points(exp, 0.02, xs[:2])
+    with pytest.raises(ScalingError) as both:
+        eval_points(exp, [0.02, 0.05], xs, pc)
+    assert str(both.value) == str(first.value)
+    assert "|x - y| = 14.1" in str(first.value)
+
+
+def test_eval_points_over_times_checks_each_time_in_order():
+    wp = WarpParams(mode="tau", beta=0.5, tau_max=0.6)
+    exp = expand(PC_SIN, [0.0], 4, wp, 10)
+    xs = [[0.2], [0.3]]
+    with pytest.raises(ParameterError, match="tau = 0.61 exceeds"):
+        eval_points(exp, [0.5, 0.61, 0.7], xs)
+    with pytest.raises(ParameterError, match="delta"):
+        eval_points(exp, np.array([0.1, 0.0]), xs)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ParameterError, match="finite"):
+            eval_points(exp, [0.1, bad], xs)
+    with pytest.raises(StructureError, match="times of shape"):
+        eval_points(exp, [[0.1, 0.2]], xs)
+    kp = eval_points(exp, np.array([0.1, 0.2]), xs, PC_SIN)
+    assert kp.value.shape == kp.residual_rel.shape == (1, 2, 2)
+    assert kp.gradient.shape == (1, 2, 2, 1)
+    empty = eval_points(exp, [], xs)
+    assert empty.value.shape == (1, 0, 2)
+
+
+# ---------------------------------------------------------------------------
+# the contraction over the live table rows
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("N, last, rows", [
+    (5, 2, 5), (13, 0, 8), (13, 7, 8), (13, 8, 13), (120, 3, 8),
+    (120, 6, 8), (120, 8, 16), (120, 119, 120), (128, 120, 128),
+    (153, 71, 72), (153, 72, 153), (300, 100, 144), (300, 150, 300)])
+def test_live_rows_keep_numpy_pairwise_blocks(N, last, rows):
+    coeffs = np.zeros((2, 3, N))
+    coeffs[1, 2, last] = -1.0
+    coeffs[0, 0, 0] = 2.0
+    assert kernel._live_rows(coeffs) == rows
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data(),
+       nd=st.sampled_from([(1, 4), (1, 12), (1, 22), (2, 6), (2, 14),
+                           (2, 16), (3, 6)]),
+       seed=st.integers(0, 2 ** 32 - 1), per_row=st.booleans())
+def test_trimmed_contraction_equals_full_rows(data, nd, seed, per_row):
+    # rows past the last nonzero one are dropped, in blocks that keep
+    # numpy's pairwise summation; the result is the full-row one bit for
+    # bit, signed zeros included.  The last live row is drawn over the
+    # whole table, often among rows 4-7, where a plain cut regroups the sum
+    n, D = nd
+    N = len(index_table(n, D)[0])
+    last = data.draw(st.one_of(st.integers(3, min(6, N - 1)),
+                               st.integers(0, N - 1)), label="last")
+    rng = np.random.default_rng(seed)
+    coeffs = rng.standard_normal((2, 3, 2, 4, N))
+    coeffs[rng.random(coeffs.shape) < 0.3] = 0.0
+    coeffs[rng.random(coeffs.shape) < 0.2] = -0.0
+    coeffs[..., last + 1:] = np.where(rng.random(coeffs[..., last + 1:].shape)
+                                      < 0.5, 0.0, -0.0)
+    coeffs[1, 2, 1, 3, last] = 0.7
+    dx = rng.uniform(-1.0, 1.0, (4, n))
+    dx[0] = data.draw(st.sampled_from([0.0, -0.0, 0.25]), label="dx[0]")
+    time = rng.uniform(0.05, 0.5, 4) if per_row else 0.3
+    t_eff = 2.0 * time
+    out = kernel._log_terms(coeffs, dx, D, time, t_eff, second=True)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel, "_live_rows", lambda c: c.shape[-1])
+        full = kernel._log_terms(coeffs, dx, D, time, t_eff, second=True)
+    for got, ref in zip(out, full):
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_constant_drift_system_reads_one_table_row():
+    # the benchmark's shape: a 2D two-component constant-drift system in
+    # tau mode has one nonzero row of 120, so the evaluator reads 8
+    pc = ProblemCoefficients(2, 2, {
+        (c, c, k): PolyEntry(2, ((0.3 - 0.2 * c + 0.1 * k, (0, 0)),))
+        for c in range(2) for k in range(2)})
+    exp = expand(pc, [0.1, -0.2], 6, WarpParams(mode="tau", beta=0.5), 14)
+    assert exp.coeffs.shape[-1] == 120
+    assert kernel._live_rows(exp.coeffs) == 8
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Hermite passes fail loudly
+# ---------------------------------------------------------------------------
+
+SIN_FILE = os.path.join(os.path.dirname(__file__), "..", "problems",
+                        "sin_drift.json")
+
+
+def test_gh_pass_raises_where_the_correction_overflows():
+    # K = 10, D = 22 over T = 0.25: from x = 0.5, the node at |x - y| =
+    # 8.1 carries a log correction past 700, which would be an inf in the
+    # integral
+    pf = load_problem_file(SIN_FILE)
+    fld = KernelField(pf.pc, WarpParams(), K=10, D=22)
+    expected = r"K = 10, D = 22 expansion does not hold"
+    with pytest.raises(ScalingError, match=expected) as err:
+        normalization_check(fld, pf.ps.horizon, [0.5], 40)
+    assert "t = 0.25, |x - y| = 8.1" in str(err.value)
+    with pytest.raises(ScalingError, match=expected):
+        solvers.solve_cauchy(pf.ps, fld, pf.quad, points=np.array([[0.5]]))
+    # the file's own K and D stay finite at the same horizon
+    fld = KernelField(pf.pc, WarpParams(), pf.order_K, pf.degree_D)
+    assert math.isfinite(normalization_check(fld, pf.ps.horizon, [0.0], 40))

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from parakern.errors import ParameterError, StructureError, UnsupportedSpecError
 from parakern.polyalg import (FourierEntry, MultiIndex, PolyEntry,
                               index_table, taylorize, _mul_cols,
-                              _overflow_cols, _rows)
+                              _mul_tables, _overflow_cols, _rows)
 
 from objalg import (TaylorPoly, TimeJet, dense_mul_cols, dense_overflow_cols,
                     jet_compose_time, jet_dt, jet_eval, jet_mul, pad_rows,
@@ -247,6 +247,36 @@ def test_trimmed_product_equals_full_table_product(data, dim, cap, seed):
     assert np.array_equal(_overflow_cols(a, b, dim, cap),
                           dense_overflow_cols(pad_rows(a, n), pad_rows(b, n),
                                               dim, cap))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(dim=st.integers(1, 3), cap=st.integers(0, 8), data=st.data(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_degree_zero_product_equals_scatter_product(dim, cap, data, seed):
+    # a one-row operand takes the broadcast product; it must give the CSR
+    # scatter's bits exactly, signed zeros, infinities and NaNs included
+    d = data.draw(st.integers(0, cap), label="d")
+    first = data.draw(st.booleans(), label="degree-0 operand first")
+    rng = np.random.default_rng(seed)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -2.0])
+
+    def column(rows):
+        x = rng.standard_normal((rows, 4, 3))
+        pick = rng.random(x.shape) < 0.4
+        x[pick] = rng.choice(special, pick.sum())
+        return x
+
+    a, b = column(1), column(_rows(dim, d))
+    if not first:
+        a, b = b, a
+    ii, jj, scatter, _, _ = _mul_tables(dim, cap, 0 if first else d,
+                                        d if first else 0)
+    with np.errstate(invalid="ignore"):     # inf * 0
+        ref = (scatter @ (a[ii] * b[jj]).reshape(len(ii), -1)).reshape(
+            scatter.shape[:1] + a.shape[1:])
+        got = _mul_cols(a, b, dim, cap)
+    assert got.shape == ref.shape == (_rows(dim, d), 4, 3)
+    assert got.tobytes() == ref.tobytes()
 
 
 # ---------------------------------------------------------------------------
