@@ -14,7 +14,7 @@ expanded with one ``expand_batch`` call.
 :meth:`~KernelField.pair_log_terms` runs the evaluator over rows of
 (origin s, centre y) pairs of the two-parameter kernel p(t, x; s, y),
 whose coefficients :meth:`~KernelField.pair_coeffs` builds in one batch
-with an origin per centre; the ``pair_*`` calls are its one-point case.
+with an origin per centre; ``pair_log_value`` is its one-point case.
 """
 
 from __future__ import annotations
@@ -231,15 +231,6 @@ def kernel_gradient(exp: ExpansionCoeffs, time: float, x, y=None,
     return kv.gradient
 
 
-def normal_derivative(exp: ExpansionCoeffs, time: float, x, y, nu,
-                      j: int = 0) -> float:
-    """nu . grad_x p for a unit normal nu."""
-    nu = np.asarray(nu, dtype=float)
-    if abs(float(np.dot(nu, nu)) - 1.0) > 1e-12:
-        raise ParameterError("nu must be a unit vector")
-    return float(np.dot(nu, kernel_gradient(exp, time, x, y, j)))
-
-
 def residual(exp: ExpansionCoeffs, pc: ProblemCoefficients, time: float,
              x, y=None) -> tuple[np.ndarray, np.ndarray]:
     """PDE residual of the assembled kernel, per component.
@@ -388,21 +379,10 @@ class KernelField:
 
     def pair_log_value(self, t: float, s: float, x, y, j: int = 0) -> float:
         """log p(t, x; s, y), the one-point case of :meth:`pair_log_terms`."""
-        return float(self._pair(t, s, x, y, j, False)[0][0])
-
-    def pair_value(self, t: float, s: float, x, y, j: int = 0) -> float:
-        return math.exp(self.pair_log_value(t, s, x, y, j))
-
-    def pair_log_gradient(self, t: float, s: float, x, y,
-                          j: int = 0) -> np.ndarray:
-        """grad_x log p(t, x; s, y), the one-point case."""
-        return self._pair(t, s, x, y, j, True)[1][0]
-
-    def _pair(self, t, s, x, y, j, gradient):
         y = np.atleast_1d(np.asarray(y, dtype=float))
         dx = np.asarray(x, dtype=float) - y
-        return self.pair_log_terms([t - s], dx[None], self.pair_coeffs(y, s),
-                                   [0], j, gradient)
+        return float(self.pair_log_terms([t - s], dx[None],
+                                         self.pair_coeffs(y, s), [0], j)[0][0])
 
 
 @functools.lru_cache(maxsize=None)

@@ -119,14 +119,16 @@ def index_table(dim: int, cap: int):
 
 def _rows(dim: int, degree: int) -> int:
     """Rows of total degree <= ``degree``: a prefix of every table with a
-    larger cap, since the table is graded."""
+    larger cap, since the table is graded.  Degree -1, the zero
+    polynomial's, has none."""
     return math.comb(dim + degree, dim)
 
 
 @lru_cache(maxsize=None)
 def _degree(rows: int, dim: int, cap: int) -> int:
-    """The degree of a column of ``rows`` rows, a prefix of the table."""
-    return int(index_table(dim, cap)[2][rows - 1])
+    """The degree of a column of ``rows`` rows, a prefix of the table;
+    -1 for no rows, the zero polynomial."""
+    return int(index_table(dim, cap)[2][rows - 1]) if rows else -1
 
 
 @lru_cache(maxsize=None)
@@ -474,16 +476,6 @@ class TaylorExpansion:
     poly: TaylorPoly
     amplitude: float
     rate: float
-
-    def remainder_bound(self, radius: float) -> float:
-        """Rigorous sup of |f - poly| on the ball of the given radius.
-
-        Directional (D+1)-st derivatives of a Fourier term are bounded by
-        ``amp * |k|^(D+1)``, giving the Lagrange form below.  Polynomial
-        entries inside their degree have zero tail.
-        """
-        d1 = self.poly.cap + 1
-        return self.amplitude * self.rate ** d1 * radius ** d1 / math.factorial(d1)
 
 
 def taylorize(entry: CoefficientEntry, y: Sequence[float],

@@ -344,14 +344,17 @@ class _BatchWorkspace:
     A jet is a pair (coefficients of shape (rows, order + 1, B), flags
     of shape (B,)): table rows, time orders, centres.  A jet's rows stop
     at its spatial degree d, the first ``_rows(n, d)`` rows of the graded
-    table, so the shape carries the degree.  Entry jets are cut after
-    their last nonzero row over the chunk; every other degree follows
-    from the algebra: a sum takes the larger, a product the sum (capped
-    at D), a derivative one less, the monomial dx degree 1, and the rest
-    keep theirs.  Only rows of exact zeros are dropped, so the values
-    equal the full-row ones up to the sign of zero.  The methods mirror
-    the one-centre time-jet algebra the tests keep as their reference
-    (``tests/objalg.py``) term for term, in the same order of
+    table, so the shape carries the degree; no rows (degree -1) is the
+    zero polynomial, its time orders kept so no jet order depends on
+    which values vanish.  Entry jets and each stored c_k are cut after
+    their last row nonzero at any order and centre of the chunk
+    (:meth:`cut`); every other degree follows from the algebra: a sum
+    takes the larger, a product the sum (capped at D; -1 with a zero
+    factor), a derivative one less, the monomial dx degree 1, and the
+    rest keep theirs.  Only rows of exact zeros are dropped, so the
+    values equal the full-row ones up to the sign of zero.  The methods
+    mirror the one-centre time-jet algebra the tests keep as their
+    reference (``tests/objalg.py``) term for term, in the same order of
     floating-point operations, and carry the ``truncated`` flag per
     centre the way the polynomial operations do.  ``origins`` (B,) holds
     each centre's time origin s, or is None for origin 0 everywhere.
@@ -396,9 +399,7 @@ class _BatchWorkspace:
                 continue
             for m in range(l + 1):
                 terms[:, m] += math.comb(l, m) * origins ** (l - m) * coeffs
-        nonzero = np.flatnonzero(terms.any(axis=(1, 2)))
-        top = int(self.orders[nonzero[-1]]) if len(nonzero) else 0
-        return terms[:_rows(self.n, top)], flags
+        return self.cut((terms, flags))
 
     def _entry_jet(self, terms: np.ndarray, flags: np.ndarray):
         """b's time terms as a jet in the mode's own time variable."""
@@ -429,7 +430,20 @@ class _BatchWorkspace:
     # -- the jet algebra -----------------------------------------------------
 
     def zero(self):
-        return np.zeros((1, 1, self.B)), np.zeros(self.B, dtype=bool)
+        return np.zeros((0, 1, self.B)), np.zeros(self.B, dtype=bool)
+
+    def cut(self, a):
+        """``a`` without its rows after the last one nonzero at any time
+        order and centre; NaN and inf count as nonzero.  The top degree's
+        rows are tested first, so a jet that fills them costs one ``any``.
+        """
+        x, f = a
+        d = _degree(len(x), self.n, self.D)
+        if d < 0 or x[_rows(self.n, d - 1):].any():
+            return a
+        nonzero = np.flatnonzero(x.any(axis=(1, 2)))
+        top = int(self.orders[nonzero[-1]]) if len(nonzero) else -1
+        return x[:_rows(self.n, top)], f
 
     def delta_x(self, axis: int):
         """The monomial dx_axis, unflagged."""
@@ -446,6 +460,8 @@ class _BatchWorkspace:
         if len(x) < len(y):
             x, y = y, x                 # the sum commutes, bit for bit
         if x.shape[1] >= y.shape[1]:
+            if not len(y):
+                return x, fx | fy       # plus the zero polynomial
             out = x.copy()
         else:
             out = np.zeros((len(x), y.shape[1], x.shape[2]))
@@ -455,16 +471,18 @@ class _BatchWorkspace:
 
     def mul(self, a, b):
         """The jet product, capped at the jet cap, with per-centre overflow
-        flags."""
+        flags; a zero factor gives the zero jet at once, flagged fx | fy."""
         (x, fx), (y, fy) = a, b
+        flags = fx | fy
         ia, ib, ranks = _pair_plan(x.shape[1] - 1, y.shape[1] - 1,
                                    self.jet_cap)
+        if not len(x) or not len(y):
+            return np.zeros((0, ranks[0][1], self.B)), flags
         xa, yb = x[:, ia], y[:, ib]
         prods = _mul_cols(xa, yb, self.n, self.D)
         out = prods[:, :ranks[0][1]]
         for lo, hi, start in ranks[1:]:
             out[:, lo:hi] += prods[:, start:start + hi - lo]
-        flags = fx | fy
         need = ~flags
         # below the cap in degree, no column can overflow
         if need.any() and _degree(len(x), self.n, self.D) \
@@ -474,12 +492,14 @@ class _BatchWorkspace:
         return out, flags
 
     def partial(self, a, axis: int):
+        """d/dx_axis: the zero jet for a jet of degree <= 0."""
         x, f = a
         d = _degree(len(x), self.n, self.D)
+        if d <= 0:
+            return x[:0], f
         src, dst, scale = _partial_tables(self.n, d)[axis]
-        out = np.zeros((_rows(self.n, max(d - 1, 0)),) + x.shape[1:])
-        if len(src):
-            out[dst] = scale[:, None, None] * x[src]
+        out = np.zeros((_rows(self.n, d - 1),) + x.shape[1:])
+        out[dst] = scale[:, None, None] * x[src]
         return out, f
 
     def laplacian(self, a):
@@ -502,6 +522,8 @@ class _BatchWorkspace:
         x, f = a
         n = min(x.shape[1] - 1 + len(series) - 1, self.jet_cap)
         out = np.zeros((len(x), n + 1, x.shape[2]))
+        if not len(x):
+            return out, f
         ms = np.nonzero(series)[0]
         for i in range(min(x.shape[1] - 1, n) + 1):
             mi = ms[ms <= n - i]
@@ -520,6 +542,8 @@ class _BatchWorkspace:
         cap = self.jet_cap
         w = _tau_weights(k, cap, self.n, self.D)[:len(x)]
         out = np.zeros((len(x), cap + 1, x.shape[2]))
+        if not len(x):
+            return out, f
         for l in range(min(x.shape[1] - 1, cap) + 1):
             out[:, l:] += x[:, l:l + 1] * w[:, :cap + 1 - l, None]
         return out, f
@@ -606,6 +630,9 @@ def expand_batch(pc: ProblemCoefficients, ys, K: int,
         raise ParameterError("K must be >= 0")
     if D is None:
         D = 2 * K + 2
+    if D < 1 and pc.drift:
+        raise ParameterError(f"degree_D = {D} is too small for a drift: "
+                             "c_0 = -1/2 b.(x - y) needs degree >= 1")
     ys = np.asarray(ys, dtype=float)
     if ys.ndim != 2 or ys.shape[1] != pc.n or not len(ys):
         raise StructureError(
@@ -655,15 +682,14 @@ def _expand_chunk(pc, ys, origins, K, wp, D, jet_cap):
                 row = ws.add(row, jet)
             shifted = ws.mul(ws.ray(row, 1.0), ws.delta_x(m))
             total = ws.add(total, shifted)
-        jets.append([ws.scale(total, -0.5)])
+        jets.append([ws.cut(ws.scale(total, -0.5))])
     grads = [[[ws.partial(cj[0], a) for a in range(pc.n)]] for cj in jets]
     for k in range(1, K + 1):
         for j in range(pc.components):
             R = _batch_R(ws, pc, k, j, jets, grads)
-            if wp.mode in ("plain", "beta"):
-                jets[j].append(ws.ray(R, float(k)))
-            else:
-                jets[j].append(ws.tau_solve(R, k))
+            jets[j].append(ws.cut(ws.ray(R, float(k))
+                                  if wp.mode in ("plain", "beta")
+                                  else ws.tau_solve(R, k)))
         for j in range(pc.components):
             grads[j].append([ws.partial(jets[j][k], a)
                              for a in range(pc.n)])

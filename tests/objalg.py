@@ -8,10 +8,12 @@ a :class:`TimeJet` of them (a truncated polynomial in time), the jet
 arithmetic, and ``compute_c0``/``compute_R``.  ``poly_mul`` calls the
 shipped ``_mul_cols``/``_overflow_cols``, so product tests still exercise
 the kernel the package uses.  :func:`jets_of` reads an expansion's
-coefficient array back as TimeJets.  :func:`shifted_origin` re-anchors a
-problem's coefficients at a time origin by rewriting its entries (an
-:class:`EntrySum` holds a re-anchored part that mixes polynomial and
-Fourier terms), the reference for ``expand_batch``'s ``origins``.
+coefficient array back as TimeJets; :func:`remainder_bound` and
+:func:`normal_derivative` are one-line helpers the package does not
+need.  :func:`shifted_origin` re-anchors a problem's coefficients at a
+time origin by rewriting its entries (an :class:`EntrySum` holds a
+re-anchored part that mixes polynomial and Fourier terms), the
+reference for ``expand_batch``'s ``origins``.
 :func:`dense_mul_cols` multiplies full columns over every in-cap pair of
 the table, and :class:`DenseWorkspace` runs ``expand_batch`` with it on
 full-row jets: the reference for the degree-trimmed jets and products.
@@ -31,6 +33,7 @@ from scipy import sparse
 
 from parakern import polyalg
 from parakern.errors import ParameterError, SequencingError, StructureError
+from parakern.kernel import kernel_gradient
 from parakern.polyalg import (CoefficientEntry, FourierEntry, MultiIndex,
                               PolyEntry, TimeEntry, index_table, taylorize,
                               _monomials, _mul_cols, _overflow_cols,
@@ -170,6 +173,27 @@ def poly_eval(p, x: Sequence[float]) -> float:
         raise StructureError(f"point of shape {x.shape}, expected ({p.dim},)")
     dx = x - np.asarray(p.center)
     return float(np.sum(p.coeffs * _monomials(dx, p.cap)))
+
+
+def remainder_bound(res, radius: float) -> float:
+    """Rigorous sup of |f - poly| on the ball of the given radius for a
+    ``taylorize`` result.
+
+    Directional (D+1)-st derivatives of a Fourier term are bounded by
+    ``amp * |k|^(D+1)``, giving the Lagrange form below.  Polynomial
+    entries inside their degree have zero tail.
+    """
+    d1 = res.poly.cap + 1
+    return res.amplitude * res.rate ** d1 * radius ** d1 / math.factorial(d1)
+
+
+def normal_derivative(exp: ExpansionCoeffs, time: float, x, y, nu,
+                      j: int = 0) -> float:
+    """nu . grad_x p for a unit normal nu."""
+    nu = np.asarray(nu, dtype=float)
+    if abs(float(np.dot(nu, nu)) - 1.0) > 1e-12:
+        raise ParameterError("nu must be a unit vector")
+    return float(np.dot(nu, kernel_gradient(exp, time, x, y, j)))
 
 
 # ---------------------------------------------------------------------------
@@ -652,26 +676,16 @@ def pad_rows(x: np.ndarray, rows: int) -> np.ndarray:
 class DenseWorkspace(_BatchWorkspace):
     """``expand_batch``'s workspace with every jet on all N table rows.
 
-    Entry jets keep their zero rows, and ``zero``, ``delta_x``, ``mul``
-    and ``partial`` build full-row arrays, ``mul`` over every in-cap pair
-    of the table; the other operations act row by row and need no copy.
-    Substituted for ``recursion._BatchWorkspace``, it runs the dense
-    recursion the degree-trimmed one must equal.
+    ``cut`` keeps every row, so entry jets and stored coefficients keep
+    their zero rows, and ``zero``, ``delta_x``, ``mul`` and ``partial``
+    build full-row arrays, ``mul`` over every in-cap pair of the table;
+    the other operations act row by row and need no copy.  Substituted
+    for ``recursion._BatchWorkspace``, it runs the dense recursion the
+    degree-trimmed one must equal.
     """
 
-    def _entry_terms(self, entry, ys, origins):
-        terms = np.zeros((self.N, entry.max_order + 1, self.B))
-        flags = np.zeros((entry.max_order + 1, self.B), dtype=bool)
-        for l, part in entry.parts:
-            coeffs, truncated = part._taylor_cols(ys, self.D)
-            self.truncated |= truncated
-            flags[l] = truncated
-            if origins is None:
-                terms[:, l] = coeffs
-                continue
-            for m in range(l + 1):
-                terms[:, m] += math.comb(l, m) * origins ** (l - m) * coeffs
-        return terms, flags
+    def cut(self, a):
+        return a
 
     def zero(self):
         return np.zeros((self.N, 1, self.B)), np.zeros(self.B, dtype=bool)

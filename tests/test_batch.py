@@ -16,10 +16,11 @@ import numpy as np
 import pytest
 
 from parakern import recursion
-from parakern.errors import StructureError
+from parakern.errors import ParameterError, StructureError
 from parakern.kernel import (KernelField, _gh_integrals, eval_points,
                              kernel_log_gradient, log_correction)
-from parakern.polyalg import FourierEntry, PolyEntry, TimeEntry, index_table
+from parakern.polyalg import (FourierEntry, PolyEntry, TimeEntry, index_table,
+                              _rows)
 from parakern.problemfile import load_problem_dict, load_problem_file
 from parakern.recursion import (ProblemCoefficients, WarpParams, _series_nu,
                                 expand, expand_batch)
@@ -57,9 +58,17 @@ OU = ProblemCoefficients(2, 2, {
     (1, 1, 0): PolyEntry(2, ((-0.3, (1, 0)),)),
     (1, 1, 1): PolyEntry(2, ((-0.3, (0, 1)), (0.05, (0, 0)))),
 }, {1: PolyEntry(2, ((0.1, (1, 0)),))})
+# the eval benchmark's shape: a 2D two-component system, each component
+# with its own constant drift, so c_0 is linear and every later c_k is
+# constant in space
+CONST2 = ProblemCoefficients(2, 2, {
+    (0, 0, 0): PolyEntry(2, ((0.3, (0, 0)),)),
+    (0, 0, 1): PolyEntry(2, ((-0.4, (0, 0)),)),
+    (1, 1, 0): PolyEntry(2, ((-0.2, (0, 0)),)),
+    (1, 1, 1): PolyEntry(2, ((0.35, (0, 0)),))})
 CASES = {os.path.basename(p): p for p in PROBLEMS}
 CASES.update({"rich_system": (RICH, 3, 6), "poly_overflow": (OVERFLOW, 3, 4),
-              "ou_system": (OU, 4, 10)})
+              "ou_system": (OU, 4, 10), "const_system_2d": (CONST2, 6, 14)})
 
 
 def _setup(case, mode):
@@ -269,6 +278,107 @@ def test_degree_trimmed_batch_equals_dense_reference(case, mode, monkeypatch):
     assert np.array_equal(trimmed.jet_order, dense.jet_order)
     assert np.array_equal(trimmed.jet_truncated, dense.jet_truncated)
     assert np.array_equal(trimmed.truncated, dense.truncated)
+
+
+def test_a_mixed_chunk_keeps_rows_live_at_any_centre(monkeypatch):
+    # b = x^2 about y is y^2 + 2y dx + dx^2, so c_0's top row (dx^2 at
+    # D = 2) is -y/2: zero at the first centre only.  The chunk keeps the
+    # row for all; the first centre alone cuts it.  Both equal the dense
+    # reference up to the sign of zero
+    pc = ProblemCoefficients(1, 1, {(0, 0, 0): PolyEntry(1, ((1.0, (2,)),))})
+    ys = np.array([[0.0], [0.3], [-0.5]])
+    for wp in MODES.values():
+        batch = expand_batch(pc, ys, 3, wp, 2)
+        top = batch.coeffs[0, 0, :, :, 2]
+        assert not top[:, 0].any() and top[0, 1:].all()
+        for b in range(len(ys)):
+            alone = expand_batch(pc, ys[b:b + 1], 3, wp, 2)
+            assert (batch.coeffs[..., b:b + 1, :] + 0.0).tobytes() \
+                == (alone.coeffs + 0.0).tobytes()
+            assert np.array_equal(batch.jet_order, alone.jet_order)
+            assert np.array_equal(batch.jet_truncated[..., b:b + 1],
+                                  alone.jet_truncated)
+        with monkeypatch.context() as m:
+            m.setattr(recursion, "_BatchWorkspace", DenseWorkspace)
+            dense = expand_batch(pc, ys, 3, wp, 2)
+        assert (batch.coeffs + 0.0).tobytes() == (dense.coeffs + 0.0).tobytes()
+        assert np.array_equal(batch.jet_truncated, dense.jet_truncated)
+
+
+def test_cut_drops_only_rows_of_exact_zeros():
+    ws = recursion._BatchWorkspace(ProblemCoefficients(2, 1, {}),
+                                   np.zeros((3, 2)), None, WarpParams(), 4,
+                                   None)
+    flags = np.array([False, True, False])
+    x = np.zeros((_rows(2, 3), 2, 3))       # degree 3, two time orders
+    x[0] = 1.0
+    x[_rows(2, 2) + 1, 1, 2] = 0.5          # one degree-3 entry, one centre
+    assert ws.cut((x, flags))[0] is x
+    x[_rows(2, 2) + 1, 1, 2] = 0.0
+    x[4, 0, 1] = 2.0                        # a degree-2 entry, one centre
+    cut, f = ws.cut((x, flags))
+    assert cut.shape == (_rows(2, 2), 2, 3) and f is flags
+    assert np.array_equal(cut, x[:_rows(2, 2)])
+    # NaN and inf are never cut: they count as nonzero
+    for bad in (np.nan, np.inf, -np.inf):
+        y = np.zeros_like(x)
+        y[-1, 0, 0] = bad
+        assert ws.cut((y, flags))[0] is y
+        y[-1, 0, 0] = 0.0
+        y[1, 1, 2] = bad
+        assert np.array_equal(ws.cut((y, flags))[0], y[:_rows(2, 1)],
+                              equal_nan=True)
+    # all zeros: the zero jet, no rows, the time orders kept
+    assert ws.cut((np.zeros_like(x), flags))[0].shape == (0, 2, 3)
+    assert ws.cut((x[:0], flags))[0].shape == (0, 2, 3)
+
+
+def test_zero_jets_keep_time_orders_and_flags():
+    ws = recursion._BatchWorkspace(ProblemCoefficients(1, 1, {}),
+                                   np.zeros((2, 1)), None,
+                                   WarpParams(mode="tau", beta=0.5), 4, 3)
+    zero = (np.zeros((0, 2, 2)), np.array([True, False]))
+    dense = (np.full((_rows(1, 2), 3, 2), np.inf), np.array([False, True]))
+    out, f = ws.mul(zero, dense)
+    assert out.shape == (0, 4, 2) and f.tolist() == [True, True]
+    assert ws.mul(dense, zero)[0].shape == (0, 4, 2)
+    const = (np.ones((1, 1, 2)), np.zeros(2, dtype=bool))
+    assert ws.partial(const, 0)[0].shape == (0, 1, 2)
+    assert ws.partial(zero, 0)[0].shape == (0, 2, 2)
+    assert ws.tau_solve(zero, 2)[0].shape == (0, 4, 2)
+    assert ws.scale_series(zero, np.ones(4))[0].shape == (0, 4, 2)
+    out, f = ws.add(const, zero)
+    assert out.shape == (1, 2, 2) and np.array_equal(out[:, 0], const[0][:, 0])
+
+
+def test_zero_products_skip_the_column_kernel(monkeypatch):
+    # on the benchmark-shaped system every gradient past c_0's is zero,
+    # so 100 of the 112 jet products have a zero factor
+    calls = []
+    real = recursion._mul_cols
+    monkeypatch.setattr(recursion, "_mul_cols",
+                        lambda *a: calls.append(1) or real(*a))
+    pc, K, D = CASES["const_system_2d"]
+    batch = expand_batch(pc, [[0.1, -0.2]], K, MODES["tau"], D)
+    assert len(calls) == 12
+    # c_0 is linear, every later c_k constant in space
+    live = np.flatnonzero(batch.coeffs.any(axis=(0, 1, 2, 3)))
+    assert live.tolist() == [0, 1, 2]
+    assert not batch.coeffs[:, 1:, :, :, 1:].any()
+
+
+def test_degree_zero_rejects_a_drift():
+    # c_0 = -1/2 b.(x - y) has degree 1, so a drift needs D >= 1
+    pc = load_problem_file(SIN_DRIFT).pc
+    with pytest.raises(ParameterError, match="degree_D = 0"):
+        expand_batch(pc, [[0.1]], 2, WarpParams(), 0)
+    with pytest.raises(ParameterError, match="degree_D = 0"):
+        expand(pc, [0.1], 2, WarpParams(), 0)
+    # without a drift, D = 0 holds the whole expansion
+    pot = ProblemCoefficients(1, 1, {}, {0: PolyEntry(1, ((0.3, (0,)),))})
+    for pc in (ProblemCoefficients(1, 1, {}), pot):
+        batch = expand_batch(pc, [[0.1]], 2, WarpParams(), 0)
+        assert batch.coeffs.shape[-1] == 1
 
 
 def test_one_chunk_peaks_within_the_chunk_bound(monkeypatch):

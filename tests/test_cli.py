@@ -104,6 +104,19 @@ def test_eval_csv_deterministic(tmp_path):
     assert header.startswith("t,x1,component,value,log_value,grad1")
 
 
+@pytest.mark.parametrize("command", ["expand", "solve"])
+def test_degree_zero_with_a_drift_exits_numeric(command, tmp_path, capsys):
+    # c_0 = -1/2 b.(x - y) has degree 1: D = 0 cannot hold it
+    rc = main([command, problem("sin_drift.json"), "--degree", "0",
+               "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert "degree_D = 0" in capsys.readouterr().err
+    # the heat kernel needs no degree
+    rc = main([command, problem("zero_drift.json"), "--degree", "0",
+               "--out", str(tmp_path / "out")])
+    assert rc == 0
+
+
 def test_eval_overflow_exits_numeric(tmp_path, capsys):
     pts = tmp_path / "far.csv"
     pts.write_text("x1\n0.1\n20.0\n")

@@ -11,15 +11,16 @@ from parakern import kernel, oracle, solvers
 from parakern.errors import ParameterError, ScalingError, StructureError
 from parakern.kernel import (KernelField, delta_property, eval_kernel,
                              eval_points, kernel_gradient, kernel_log_gradient,
-                             log_correction, normal_derivative,
-                             normalization_check, residual, varadhan_diag)
+                             log_correction, normalization_check, residual,
+                             varadhan_diag)
 from parakern.polyalg import FourierEntry, PolyEntry, TimeEntry, index_table
 from parakern.problemfile import load_problem_file
 from parakern.recursion import (ExpansionCoeffs, ProblemCoefficients,
                                 WarpParams, expand,
                                 select_beta, t_of_tau, tau_of_t)
 
-from objalg import jet_dt, jet_eval, jet_partial, jets_of, shifted_origin
+from objalg import (jet_dt, jet_eval, jet_partial, jets_of, normal_derivative,
+                    shifted_origin)
 
 SIN_DRIFT = FourierEntry(1, ((0.3, (1.0,), 0.0),))
 PC_SIN = ProblemCoefficients(1, 1, {(0, 0, 0): SIN_DRIFT})
@@ -471,8 +472,10 @@ def test_pair_log_terms_rows_equal_one_point_calls(monkeypatch, mode):
         assert a.tobytes() == b.tobytes()
     for r, c in enumerate(centre):
         assert fld.pair_log_value(t[r], s, xs[r], ys[c]) == whole[0][r]
-        assert np.array_equal(fld.pair_log_gradient(t[r], s, xs[r], ys[c]),
-                              whole[1][r])
+        one = fld.pair_log_terms([t[r] - s], (xs[r] - ys[c])[None],
+                                 fld.pair_coeffs(ys[c], s), [0],
+                                 gradient=True)
+        assert np.array_equal(one[1][0], whole[1][r])
         # and the single-center expansion read by the point evaluator
         exp = expand(shifted_origin(pc, s), ys[c], 4, WARPS[mode], 10)
         time, dx = fld.mode_time(sigma[r]), xs[r] - ys[c]

@@ -5,13 +5,13 @@ from hypothesis import strategies as st
 
 from parakern.errors import ParameterError, StructureError, UnsupportedSpecError
 from parakern.polyalg import (FourierEntry, MultiIndex, PolyEntry,
-                              index_table, taylorize, _mul_cols,
+                              index_table, taylorize, _degree, _mul_cols,
                               _mul_tables, _overflow_cols, _rows)
 
 from objalg import (TaylorPoly, TimeJet, dense_mul_cols, dense_overflow_cols,
                     jet_compose_time, jet_dt, jet_eval, jet_mul, pad_rows,
                     poly_add, poly_eval, poly_laplacian, poly_mul,
-                    poly_partial)
+                    poly_partial, remainder_bound)
 
 
 def P(dim, cap, coeffs, center=None):
@@ -218,6 +218,16 @@ def test_structural_mismatch_raises():
         poly_mul(a, c)
 
 
+def test_degree_and_rows_are_total():
+    # no rows is the zero polynomial, of degree -1, and back
+    for dim in (1, 2, 3):
+        for cap in (0, 1, 4):
+            assert _degree(0, dim, cap) == -1
+            assert _rows(dim, -1) == 0
+            for d in range(cap + 1):
+                assert _degree(_rows(dim, d), dim, cap) == d
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(data=st.data(), dim=st.integers(1, 3), cap=st.integers(0, 8),
        seed=st.integers(0, 2 ** 32 - 1))
@@ -287,7 +297,7 @@ def test_taylorize_constant():
     entry = PolyEntry(1, ((5.0, (0,)),))
     res = taylorize(entry, [0.3], 4)
     assert res.poly.coeff((0,)) == 5.0
-    assert res.remainder_bound(1.0) == 0.0
+    assert remainder_bound(res, 1.0) == 0.0
 
 
 def test_taylorize_sine_series_and_fd_crosscheck():
@@ -320,7 +330,7 @@ def test_remainder_bound_is_a_bound():
     entry = FourierEntry(1, ((0.7, (2.0,), 0.4),))
     radius = 0.8
     res = taylorize(entry, [0.2], 6)
-    bound = res.remainder_bound(radius)
+    bound = remainder_bound(res, radius)
     rng = np.random.default_rng(8)
     worst = 0.0
     for _ in range(1000):
