@@ -14,7 +14,7 @@ expanded with one ``expand_batch`` call.
 :meth:`~KernelField.pair_log_terms` runs the evaluator over rows of
 (origin s, centre y) pairs of the two-parameter kernel p(t, x; s, y),
 whose coefficients :meth:`~KernelField.pair_coeffs` builds in one batch
-with an origin per centre; ``pair_log_value`` is its one-point case.
+with an origin per centre.
 """
 
 from __future__ import annotations
@@ -376,13 +376,6 @@ class KernelField:
             if gradient:
                 grad[rows] = g[0]
         return logp, grad
-
-    def pair_log_value(self, t: float, s: float, x, y, j: int = 0) -> float:
-        """log p(t, x; s, y), the one-point case of :meth:`pair_log_terms`."""
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        dx = np.asarray(x, dtype=float) - y
-        return float(self.pair_log_terms([t - s], dx[None],
-                                         self.pair_coeffs(y, s), [0], j)[0][0])
 
 
 @functools.lru_cache(maxsize=None)

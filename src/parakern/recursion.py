@@ -72,6 +72,10 @@ class ProblemCoefficients:
     potential: dict = field(default_factory=dict)
     bound_C: float = 1.0
     domain_radius_R: float = 1.0
+    # the entries' highest time order, and whether it is positive; set once
+    # the entries are normalised
+    max_time_order: int = field(init=False, repr=False, compare=False)
+    time_dependent: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -91,16 +95,11 @@ class ProblemCoefficients:
         for i in self.potential:
             if not 0 <= i < self.components:
                 raise ParameterError(f"potential index {i} out of range")
-
-    @property
-    def time_dependent(self) -> bool:
-        entries = list(self.drift.values()) + list(self.potential.values())
-        return any(e.max_order > 0 for e in entries)
-
-    @property
-    def max_time_order(self) -> int:
-        entries = list(self.drift.values()) + list(self.potential.values())
-        return max((e.max_order for e in entries), default=0)
+        order = max((e.max_order for e in (*self.drift.values(),
+                                           *self.potential.values())),
+                    default=0)
+        object.__setattr__(self, "max_time_order", order)
+        object.__setattr__(self, "time_dependent", order > 0)
 
     def is_zero_drift(self) -> bool:
         """No drift and no potential: the kernel is the heat kernel."""
@@ -474,10 +473,13 @@ class _BatchWorkspace:
         flags; a zero factor gives the zero jet at once, flagged fx | fy."""
         (x, fx), (y, fy) = a, b
         flags = fx | fy
+        if not len(x) or not len(y):
+            top = x.shape[1] + y.shape[1] - 2
+            if self.jet_cap is not None:
+                top = min(top, self.jet_cap)
+            return np.zeros((0, top + 1, self.B)), flags
         ia, ib, ranks = _pair_plan(x.shape[1] - 1, y.shape[1] - 1,
                                    self.jet_cap)
-        if not len(x) or not len(y):
-            return np.zeros((0, ranks[0][1], self.B)), flags
         xa, yb = x[:, ia], y[:, ib]
         prods = _mul_cols(xa, yb, self.n, self.D)
         out = prods[:, :ranks[0][1]]
@@ -502,10 +504,11 @@ class _BatchWorkspace:
         out[dst] = scale[:, None, None] * x[src]
         return out, f
 
-    def laplacian(self, a):
+    def laplacian(self, grad):
+        """The Laplacian of a jet from its gradient ``grad[i]`` = d_i."""
         out = None
         for i in range(self.n):
-            d2 = self.partial(self.partial(a, i), i)
+            d2 = self.partial(grad[i], i)
             out = d2 if out is None else self.add(out, d2)
         return out
 
@@ -712,15 +715,19 @@ def _batch_R(ws: _BatchWorkspace, pc: ProblemCoefficients, k: int, j: int,
     plus the potential term of explicit order k - 1, where the spatial
     multiplier m is 1 (plain), beta (beta mode) or beta/(1-tau) (tau
     mode, as a jet).  The time-derivative term enters unscaled; it
-    originates on the other side of the graded identity.
+    originates on the other side of the graded identity.  The gradient
+    sum is a Cauchy square: per axis, each distinct pair r < k-1-r is
+    formed once and doubled, in ascending r, then the middle square when
+    k is odd.  Lap c_{k-1} is taken from its stored gradients.
     """
     wp = ws.wp
     prev = coeffs[j][k - 1]
-    spatial = ws.laplacian(prev)
+    spatial = ws.laplacian(grads[j][k - 1])
     for l in range(pc.n):
-        for r in range(k):
-            spatial = ws.add(spatial, ws.mul(grads[j][r][l],
-                                             grads[j][k - 1 - r][l]))
+        for r in range((k + 1) // 2):
+            term = ws.mul(grads[j][r][l], grads[j][k - 1 - r][l])
+            spatial = ws.add(spatial, term if 2 * r == k - 1
+                             else ws.scale(term, 2.0))
     for lcomp in range(pc.components):
         for m in range(pc.n):
             bjet = ws.drift_jets.get((j, lcomp, m))

@@ -8,12 +8,12 @@ a :class:`TimeJet` of them (a truncated polynomial in time), the jet
 arithmetic, and ``compute_c0``/``compute_R``.  ``poly_mul`` calls the
 shipped ``_mul_cols``/``_overflow_cols``, so product tests still exercise
 the kernel the package uses.  :func:`jets_of` reads an expansion's
-coefficient array back as TimeJets; :func:`remainder_bound` and
-:func:`normal_derivative` are one-line helpers the package does not
-need.  :func:`shifted_origin` re-anchors a problem's coefficients at a
-time origin by rewriting its entries (an :class:`EntrySum` holds a
-re-anchored part that mixes polynomial and Fourier terms), the
-reference for ``expand_batch``'s ``origins``.
+coefficient array back as TimeJets; :func:`remainder_bound`,
+:func:`normal_derivative` and :func:`pair_log_value` are one-line
+helpers the package does not need.  :func:`shifted_origin` re-anchors a
+problem's coefficients at a time origin by rewriting its entries (an
+:class:`EntrySum` holds a re-anchored part that mixes polynomial and
+Fourier terms), the reference for ``expand_batch``'s ``origins``.
 :func:`dense_mul_cols` multiplies full columns over every in-cap pair of
 the table, and :class:`DenseWorkspace` runs ``expand_batch`` with it on
 full-row jets: the reference for the degree-trimmed jets and products.
@@ -194,6 +194,13 @@ def normal_derivative(exp: ExpansionCoeffs, time: float, x, y, nu,
     if abs(float(np.dot(nu, nu)) - 1.0) > 1e-12:
         raise ParameterError("nu must be a unit vector")
     return float(np.dot(nu, kernel_gradient(exp, time, x, y, j)))
+
+
+def pair_log_value(fld, t: float, s: float, x, y, j: int = 0) -> float:
+    """log p(t, x; s, y) through a one-row ``fld.pair_log_terms`` call."""
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    return float(fld.pair_log_terms([t - s], (np.asarray(x, float) - y)[None],
+                                    fld.pair_coeffs(y, s), [0], j)[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +471,7 @@ def compute_R(k: int, prior: Sequence[Sequence[TimeJet]],
               pc: ProblemCoefficients, j: int, wp: WarpParams,
               _ws: _Workspace | None = None,
               y=None, D: int | None = None,
-              jet_cap: int | None = None) -> TimeJet:
+              jet_cap: int | None = None, ordered: bool = False) -> TimeJet:
     """Right-hand side R_{k-1} feeding the order-k ray solve.
 
     Assembles  -d/dtime c_{k-1}  +  m(time) [ Lap c_{k-1}
@@ -472,7 +479,11 @@ def compute_R(k: int, prior: Sequence[Sequence[TimeJet]],
     plus the potential jet term of matching explicit order, where the
     spatial multiplier m is 1 (plain), beta (beta mode) or beta/(1-tau)
     (tau mode, as a jet).  The time-derivative term enters unscaled; it
-    originates on the other side of the graded identity.
+    originates on the other side of the graded identity.  The gradient
+    sum is summed as ``expand_batch`` sums it: per axis, each distinct
+    pair r < k-1-r once and doubled, in ascending r, then the middle
+    square when k is odd.  ``ordered`` sums all k ordered pairs instead,
+    each formed as its own product: the same value in another order.
     """
     if k < 1:
         raise ParameterError("k must be >= 1")
@@ -489,10 +500,12 @@ def compute_R(k: int, prior: Sequence[Sequence[TimeJet]],
 
     spatial = jet_laplacian(prev)
     for l in range(pc.n):
-        for r in range(k):
+        for r in range(k if ordered else (k + 1) // 2):
             term = jet_mul(jet_partial(prior[j][r], l),
                            jet_partial(prior[j][k - 1 - r], l),
                            max_order=ws.jet_cap)
+            if not ordered and 2 * r != k - 1:
+                term = jet_scale(term, 2.0)
             spatial = jet_add(spatial, term)
     for lcomp in range(pc.components):
         for m in range(pc.n):

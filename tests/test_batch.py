@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from parakern import recursion
+from parakern import kernel, recursion
 from parakern.errors import ParameterError, StructureError
 from parakern.kernel import (KernelField, _gh_integrals, eval_points,
                              kernel_log_gradient, log_correction)
@@ -24,6 +24,7 @@ from parakern.polyalg import (FourierEntry, PolyEntry, TimeEntry, index_table,
 from parakern.problemfile import load_problem_dict, load_problem_file
 from parakern.recursion import (ProblemCoefficients, WarpParams, _series_nu,
                                 expand, expand_batch)
+from parakern.solvers import solve_cauchy
 
 from objalg import (DenseWorkspace, TaylorPoly, TimeJet, _Workspace,
                     compute_c0, compute_R, jet_ray, shifted_origin)
@@ -148,6 +149,38 @@ def test_batch_matches_object_reference(case, mode):
                     # same operations in the same order: equal values
                     ref = jet_ray(R, float(k))
                     assert all(np.array_equal(p.coeffs, q.coeffs)
+                               for p, q in zip(c.terms, ref.terms))
+        assert batch.truncated[b] == (ws.truncated or any(flags))
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_batch_matches_the_ordered_gradient_sum(case, mode):
+    # the batch forms each distinct gradient pair once and doubles it; the
+    # full ordered double sum, each of its k pairs a product of its own,
+    # gives the same c_k up to rounding and the same flags
+    pc, wp, K, D, ys = _setup(case, mode)
+    jet_cap = max(K, pc.max_time_order) if mode == "tau" else None
+    batch = expand_batch(pc, ys, K, wp, D)
+    for b, y in enumerate(ys):
+        center = tuple(float(v) for v in y)
+        ws = _Workspace(pc, y, wp, D, jet_cap)
+        flags = list(batch.jet_truncated[:, 0, b])
+        for k in range(1, K + 1):
+            prior = [[_jet(batch, j, r, b, center) for r in range(k)]
+                     for j in range(pc.components)]
+            for j in range(pc.components):
+                R = compute_R(k, prior, pc, j, wp, _ws=ws, ordered=True)
+                assert batch.jet_order[j, k] == R.order
+                assert batch.jet_truncated[j, k, b] == R.truncated
+                flags.append(R.truncated)
+                c = _jet(batch, j, k, b, center)
+                tol = 1e-14 * R.max_abs()
+                if mode == "tau":
+                    assert _solve_residual(c, R, k, wp, jet_cap) <= tol
+                else:
+                    ref = jet_ray(R, float(k))
+                    assert all(np.max(np.abs(p.coeffs - q.coeffs)) <= tol
                                for p, q in zip(c.terms, ref.terms))
         assert batch.truncated[b] == (ws.truncated or any(flags))
 
@@ -351,6 +384,26 @@ def test_zero_jets_keep_time_orders_and_flags():
     assert out.shape == (1, 2, 2) and np.array_equal(out[:, 0], const[0][:, 0])
 
 
+def test_a_zero_product_needs_no_pair_plan(monkeypatch):
+    # the zero jet returns before the product's pair plan is looked up,
+    # with time orders min(La + Lb, cap) + 1 and flags fx | fy
+    def no_plan(*args):
+        raise AssertionError("pair plan looked up for a zero product")
+    monkeypatch.setattr(recursion, "_pair_plan", no_plan)
+    zero = (np.zeros((0, 2, 2)), np.array([True, False]))       # La = 1
+    dense = (np.ones((_rows(1, 2), 3, 2)), np.array([False, True]))
+    # (jet cap, orders of zero x dense, orders of zero x zero)
+    for jet_cap, mixed, both in ((None, 4, 3), (2, 3, 3), (0, 1, 1)):
+        ws = recursion._BatchWorkspace(ProblemCoefficients(1, 1, {}),
+                                       np.zeros((2, 1)), None, MODES["tau"],
+                                       4, jet_cap)
+        for a, b, orders in ((zero, dense, mixed), (dense, zero, mixed),
+                             (zero, zero, both)):
+            out, f = ws.mul(a, b)
+            assert out.shape == (0, orders, 2)
+            assert f.tolist() == (a[1] | b[1]).tolist()
+
+
 def test_zero_products_skip_the_column_kernel(monkeypatch):
     # on the benchmark-shaped system every gradient past c_0's is zero,
     # so 100 of the 112 jet products have a zero factor
@@ -365,6 +418,25 @@ def test_zero_products_skip_the_column_kernel(monkeypatch):
     live = np.flatnonzero(batch.coeffs.any(axis=(0, 1, 2, 3)))
     assert live.tolist() == [0, 1, 2]
     assert not batch.coeffs[:, 1:, :, :, 1:].any()
+
+
+def test_gradient_square_forms_each_distinct_pair_once(monkeypatch):
+    # one sin_drift.json expansion, as a Gauss-Hermite pass of the file's
+    # solve builds it: order k forms ceil(k/2) gradient products and one
+    # drift product, and c_0 one, so 12 + 6 + 1 = 19 (all k ordered
+    # pairs would make 21 + 6 + 1 = 28)
+    calls, centres = [], []
+    real, real_expand = recursion._mul_cols, kernel.expand_batch
+    monkeypatch.setattr(recursion, "_mul_cols",
+                        lambda *a: calls.append(1) or real(*a))
+    monkeypatch.setattr(kernel, "expand_batch", lambda pc, ys, *a, **kw:
+                        centres.append(len(ys)) or real_expand(pc, ys, *a,
+                                                               **kw))
+    pf = load_problem_file(SIN_DRIFT)
+    assert (pf.order_K, pf.degree_D, pf.ps.horizon) == (6, 12, 0.25)
+    fld = KernelField(pf.pc, WarpParams(), pf.order_K, pf.degree_D)
+    solve_cauchy(pf.ps, fld, pf.quad, points=np.array([[0.0]]))
+    assert centres == [28] and len(calls) == 19
 
 
 def test_degree_zero_rejects_a_drift():

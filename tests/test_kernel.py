@@ -20,7 +20,7 @@ from parakern.recursion import (ExpansionCoeffs, ProblemCoefficients,
                                 select_beta, t_of_tau, tau_of_t)
 
 from objalg import (jet_dt, jet_eval, jet_partial, jets_of, normal_derivative,
-                    shifted_origin)
+                    pair_log_value, shifted_origin)
 
 SIN_DRIFT = FourierEntry(1, ((0.3, (1.0,), 0.0),))
 PC_SIN = ProblemCoefficients(1, 1, {(0, 0, 0): SIN_DRIFT})
@@ -471,7 +471,7 @@ def test_pair_log_terms_rows_equal_one_point_calls(monkeypatch, mode):
     for a, b in zip(whole, split):
         assert a.tobytes() == b.tobytes()
     for r, c in enumerate(centre):
-        assert fld.pair_log_value(t[r], s, xs[r], ys[c]) == whole[0][r]
+        assert pair_log_value(fld, t[r], s, xs[r], ys[c]) == whole[0][r]
         one = fld.pair_log_terms([t[r] - s], (xs[r] - ys[c])[None],
                                  fld.pair_coeffs(ys[c], s), [0],
                                  gradient=True)

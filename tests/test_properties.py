@@ -19,6 +19,8 @@ from parakern.recursion import (ProblemCoefficients, WarpParams, expand,
                                 expansion_to_dict)
 from parakern.solvers import ProblemSpec, QuadratureConfig, solve_cauchy
 
+from objalg import pair_log_value
+
 SIN_DRIFT = FourierEntry(1, ((0.3, (1.0,), 0.0),))
 PC_SIN = ProblemCoefficients(1, 1, {(0, 0, 0): SIN_DRIFT})
 # 2D two-component system with cross-component coupling
@@ -155,7 +157,8 @@ def test_kernel_has_parabolic_scaling(lam, c, t, x, y):
         return KernelField(ProblemCoefficients(1, 1, {(0, 0, 0): drift}),
                            WarpParams(), K=6, D=14)
 
-    scaled = field(*c).pair_log_value(lam * lam * t, 0.0, [lam * x], [lam * y])
-    tilde = field(lam * c[0], lam ** 2 * c[1], lam ** 3 * c[2]) \
-        .pair_log_value(t, 0.0, [x], [y])
+    scaled = pair_log_value(field(*c), lam * lam * t, 0.0, [lam * x],
+                            [lam * y])
+    tilde = pair_log_value(field(lam * c[0], lam ** 2 * c[1], lam ** 3 * c[2]),
+                           t, 0.0, [x], [y])
     assert abs(scaled + math.log(lam) - tilde) <= 1e-13

@@ -180,6 +180,19 @@ def test_R_requires_prior_orders():
         compute_R(3, jets_of(exp), pc, 0, exp.warp)
 
 
+def test_time_order_is_stored_from_the_normalised_entries():
+    # max_time_order and time_dependent are plain attributes, set once
+    # every drift and potential entry is a TimeEntry
+    quadratic = TimeEntry(((0, SIN_DRIFT), (2, PolyEntry(1, ((0.5, (1,)),)))))
+    linear = TimeEntry(((1, PolyEntry(1, ((0.2, (0,)),))),))
+    cases = [(scalar_pc(None), 0), (scalar_pc(SIN_DRIFT), 0),
+             (scalar_pc(quadratic, SIN_DRIFT), 2),
+             (scalar_pc(SIN_DRIFT, linear), 1)]
+    for pc, order in cases:
+        assert vars(pc)["max_time_order"] == pc.max_time_order == order
+        assert vars(pc)["time_dependent"] == pc.time_dependent == (order > 0)
+
+
 # ---------------------------------------------------------------------------
 # expand: closed forms and identities
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from parakern.solvers import (GridSolution, ProblemSpec,
                               _gl_rule, burgers_demo, solve_cauchy,
                               solve_ibvp2)
 
-from objalg import shifted_origin
+from objalg import pair_log_value, shifted_origin
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -105,7 +105,7 @@ def test_two_time_kernel_matches_characteristics_oracle():
                     shift = b0 * sig + b1 * (t * t - s * s) / 2
                     ref = math.exp(-((x - y) + shift) ** 2 / (4 * sig)) \
                         / math.sqrt(4 * math.pi * sig)
-                    assert math.exp(fld.pair_log_value(t, s, [x], [y])) \
+                    assert math.exp(pair_log_value(fld, t, s, [x], [y])) \
                         == pytest.approx(ref, rel=1e-12)
 
 
