@@ -79,11 +79,16 @@ def _apply_overrides(pf: ProblemFile, args) -> ProblemFile:
             raise SchemaError("--beta requires --mode beta or --mode tau")
         warp = WarpParams(mode=warp.mode, beta=args.beta,
                           tau_max=warp.tau_max)
-    quad = QuadratureConfig(
-        gh_order=args.gh_order or pf.quad.gh_order,
-        gl_order=args.gl_order or pf.quad.gl_order,
-        steps=args.steps or pf.quad.steps)
-    return ProblemFile(pf.pc, pf.ps, order, degree, warp, quad, pf.raw)
+    quad = {}
+    for name in ("gh_order", "gl_order", "steps"):
+        value = getattr(args, name)
+        if value is not None and value < 2:
+            # the schema's minimum for the file's quadrature settings
+            flag = "--" + name.replace("_", "-")
+            raise SchemaError(f"{flag} must be at least 2, got {value}")
+        quad[name] = getattr(pf.quad, name) if value is None else value
+    return ProblemFile(pf.pc, pf.ps, order, degree, warp,
+                       QuadratureConfig(**quad), pf.raw)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 from dataclasses import dataclass, field
@@ -87,17 +86,17 @@ class GridSolution:
     metadata: dict = field(default_factory=dict)
 
     def to_csv(self, path: str):
-        n = self.points.shape[1]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t"] + [f"x{i + 1}" for i in range(n)]
-                            + ["component", "value"])
-            for it, t in enumerate(self.times):
-                for ip, p in enumerate(self.points):
-                    for c in range(self.values.shape[2]):
-                        writer.writerow([repr(float(t))]
-                                        + [repr(float(v)) for v in p]
-                                        + [c, repr(float(self.values[it, ip, c]))])
+        """One row per (time, point, component), written at once."""
+        nt, npts, nc = self.values.shape
+        table = np.column_stack([
+            np.repeat(self.times, npts * nc),
+            np.tile(np.repeat(self.points, nc, axis=0), (nt, 1)),
+            self.values.reshape(-1)]).tolist()
+        header = ["t", *(f"x{i + 1}" for i in range(self.points.shape[1])),
+                  "component", "value"]
+        _write_csv(path, [",".join(header)] + [
+            ",".join(map(repr, row[:-1])) + f",{c},{row[-1]!r}"
+            for row, c in zip(table, np.tile(np.arange(nc), nt * npts))])
 
     def to_json(self, path: str):
         with open(path, "w") as fh:
@@ -119,13 +118,19 @@ class BoundaryDensity:
     values: np.ndarray               # (steps, 2)
 
     def to_csv(self, path: str):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "x", "density"])
-            for it, t in enumerate(self.times):
-                for ip, x in enumerate(self.points):
-                    writer.writerow([repr(float(t)), repr(float(x)),
-                                     repr(float(self.values[it, ip]))])
+        """One row per (time, endpoint), written at once."""
+        table = np.column_stack([
+            np.repeat(self.times, len(self.points)),
+            np.tile(self.points, len(self.times)),
+            self.values.reshape(-1)]).tolist()
+        _write_csv(path, ["t,x,density"]
+                   + [",".join(map(repr, row)) for row in table])
+
+
+def _write_csv(path: str, lines: list[str]):
+    """Write ``lines`` at once, each ended by CRLF as ``csv.writer`` does."""
+    with open(path, "w", newline="") as fh:
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def lattice(ps: ProblemSpec, per_axis: int = 41) -> np.ndarray:
@@ -150,12 +155,10 @@ def _gl_nodes(order: int):
 
 def _gl_rule(lo: float, hi: float, order: int, panels: int):
     nodes, weights = _gl_nodes(order)
-    xs, ws = [], []
     edges = np.linspace(lo, hi, panels + 1)
-    for a, b in zip(edges[:-1], edges[1:]):
-        xs.append(0.5 * (b - a) * nodes + 0.5 * (b + a))
-        ws.append(0.5 * (b - a) * weights)
-    return np.concatenate(xs), np.concatenate(ws)
+    a, b = edges[:-1, None], edges[1:, None]
+    return ((0.5 * (b - a) * nodes + 0.5 * (b + a)).ravel(),
+            (0.5 * (b - a) * weights).ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -229,17 +232,25 @@ def _double_sqrt_weights(t_m, edges: np.ndarray) -> np.ndarray:
     return anti[..., 1:] - anti[..., :-1]
 
 
+def _expand(v, shape) -> np.ndarray:
+    """``v`` broadcast to ``shape``, as a new array; for the small arrays
+    of a solve about half the cost of masking ``np.broadcast_to``'s view."""
+    out = np.empty(shape, np.result_type(v))
+    out[...] = v
+    return out
+
+
 class _Ibvp2Machine:
     """Kernel sums and quadrature of one Robin solve, on arrays.
 
     Every kernel value is a row (origin s, time t, point x, centre) of a
-    ``KernelField.pair_log_terms`` call.  The centres are the two
-    endpoints and the domain rules' nodes.  For autonomous coefficients
-    their expansions are built in one batch at origin 0 and held for the
-    solve.  Time-dependent ones are built per call for its distinct
-    (origin, centre) pairs, with an origin per centre of a batch; each
-    batch holds no more pairs than there are centres, so it peaks like
-    the autonomous batch.
+    ``KernelField.pair_log_terms`` pass.  The centres are the two
+    endpoints and the domain rules' nodes.  A solve hands all its sums to
+    one :meth:`integrate` call.  For autonomous coefficients the centres'
+    expansions are built in one batch at origin 0.  Time-dependent ones
+    are built once for each distinct (origin, centre) pair of the rows,
+    in batches of no more pairs than there are centres, so each batch
+    peaks like the autonomous one.
     """
 
     def __init__(self, ps: ProblemSpec, fld: KernelField,
@@ -265,54 +276,12 @@ class _Ibvp2Machine:
             self.r_rule = _gl_nodes(max(8, quad.gl_order // 2))
             centres.append(self.src_y)
         self.centres = np.concatenate(centres)
-        self.coeffs0 = None if fld.pc.time_dependent else \
-            fld.pair_coeffs(self.centres[:, None])
 
-    def integrate(self, s, t, x, centre, weight, gradient=False):
-        """Sums over the last axis of weight * p(t, x; s, y) and, with
-        ``gradient``, of weight * dp/dx, for y = ``centres[centre]``.
-
-        The arguments broadcast together; rows of zero weight are skipped.
-        """
-        fld = self.fld
-        shape = np.broadcast_shapes(*map(np.shape, (s, t, x, centre, weight)))
-        live = np.broadcast_to(weight, shape) != 0.0
-        s, t, x, centre, w = (np.broadcast_to(v, shape)[live]
-                              for v in (s, t, x, centre, weight))
-        dx = (x - self.centres[centre])[:, None]
-        if not fld.pc.time_dependent:
-            logp, g = fld.pair_log_terms(t - s, dx, self.coeffs0, centre,
-                                         gradient=gradient)
-        else:
-            logp = np.empty(len(s))
-            g = np.empty_like(dx) if gradient else None
-            # distinct (origin, centre) pairs, as many per batch as the
-            # autonomous solve's one batch has centres
-            keys, key = np.unique(np.stack([s, centre], axis=1), axis=0,
-                                  return_inverse=True)
-            step = len(self.centres)
-            for lo in range(0, len(keys), step):
-                rows = (key >= lo) & (key < lo + step)
-                chunk = keys[lo:lo + step]
-                coeffs = fld.pair_coeffs(
-                    self.centres[chunk[:, 1].astype(int), None], chunk[:, 0])
-                logp[rows], g_rows = fld.pair_log_terms(
-                    t[rows] - s[rows], dx[rows], coeffs, key[rows] - lo,
-                    gradient=gradient)
-                if gradient:
-                    g[rows] = g_rows
-        out = np.zeros(shape)
-        out[live] = w * np.exp(logp)
-        if not gradient:
-            return out.sum(axis=-1), None
-        dout = np.zeros(shape)
-        dout[live] = out[live] * g[:, 0]
-        return out.sum(axis=-1), dout.sum(axis=-1)
-
-    def domain_term(self, ts, xs, gradient=False):
-        """phi and source contributions at every (time, point), shape
-        (len(ts), len(xs)); with ``gradient`` also their x-derivatives.
-        The source's (r, node) rows follow phi's nodes on the last axis."""
+    def domain_rows(self, ts):
+        """Origins, centres and weights of the phi and source terms at
+        every time of ``ts``: shapes (len(ts), nodes), (nodes,) and
+        (len(ts), nodes).  The source's (r, node) columns follow phi's
+        nodes; it is evaluated once, on all of them."""
         ts = np.asarray(ts, dtype=float)[:, None]
         s = np.zeros((len(ts), len(self.phi_c)))
         weight, centre = np.broadcast_to(self.phi_w, s.shape), self.phi_c
@@ -328,9 +297,58 @@ class _Ibvp2Machine:
             weight = np.hstack([weight, (rw[:, :, None] * self.src_w
                                          * fv).reshape(len(ts), -1)])
             centre = np.concatenate([centre, np.tile(self.src_c, len(nodes))])
-        return self.integrate(s[:, None], ts[:, None],
-                              np.asarray(xs, dtype=float)[:, None], centre,
-                              weight[:, None], gradient)
+        return s, centre, weight
+
+    def integrate(self, terms) -> list:
+        """Sums over the last axis of weight * p(t, x; s, y) and of
+        weight * dp/dx, y = ``centres[centre]``, for each term (s, t, x,
+        centre, weight) of ``terms``, whose arguments broadcast together.
+        The rows of all terms are evaluated in one pass; rows of zero
+        weight are skipped.  Returns a (sum, derivative sum) per term."""
+        fld = self.fld
+        terms = [(s, t - s, x - self.centres[centre], centre, weight)
+                 for s, t, x, centre, weight in terms]
+        shapes = [np.broadcast(*term).shape for term in terms]
+        lives = [_expand(term[-1] != 0.0, shape)
+                 for term, shape in zip(terms, shapes)]
+        # (s, t - s, x - y, centre, weight) at the live rows of all terms
+        s, sigma, dx, centre, weight = (
+            np.concatenate([_expand(term[k], shape)[live] for term, shape,
+                            live in zip(terms, shapes, lives)])
+            for k in range(5))
+        dx = dx[:, None]
+        if not fld.pc.time_dependent:
+            logp, g = fld.pair_log_terms(
+                sigma, dx, fld.pair_coeffs(self.centres[:, None]), centre,
+                gradient=True)
+        else:
+            logp, g = np.empty(len(s)), np.empty_like(dx)
+            # distinct (origin, centre) pairs in sorted order, as many per
+            # batch as the autonomous solve's one batch has centres
+            keys, key = np.unique(np.stack([s, centre], axis=1), axis=0,
+                                  return_inverse=True)
+            order = np.argsort(key, kind="stable")
+            step = len(self.centres)
+            cuts = np.searchsorted(key[order],
+                                   range(0, len(keys) + step, step))
+            for lo, a, b in zip(range(0, len(keys), step), cuts, cuts[1:]):
+                rows, chunk = order[a:b], keys[lo:lo + step]
+                coeffs = fld.pair_coeffs(
+                    self.centres[chunk[:, 1].astype(int), None], chunk[:, 0])
+                logp[rows], g[rows] = fld.pair_log_terms(
+                    sigma[rows], dx[rows], coeffs, key[rows] - lo,
+                    gradient=True)
+        val = weight * np.exp(logp)
+        dval = val * g[:, 0]
+        del s, sigma, dx, centre, weight, logp, g   # before the sums' arrays
+        sums, lo = [], 0
+        for shape, live in zip(shapes, lives):
+            hi = lo + np.count_nonzero(live)
+            out = np.zeros((2,) + shape)
+            out[0][live], out[1][live] = val[lo:hi], dval[lo:hi]
+            sums.append(out.sum(axis=-1))
+            lo = hi
+        return sums
 
 
 def solve_ibvp2(ps: ProblemSpec, fld: KernelField, steps: int = 64,
@@ -350,8 +368,10 @@ def solve_ibvp2(ps: ProblemSpec, fld: KernelField, steps: int = 64,
     integrate 1/sqrt(s (t - s)) exactly, absorbing the kernel
     singularity and the density's startup transient at once.
     K is evaluated once per lag t - s for autonomous coefficients, once
-    per origin s_i otherwise.  Sample times must lie in (0, horizon] and
-    should sit on the marching grid.
+    per origin s_i otherwise.  Every kernel row of the solve is evaluated
+    in one pass before the march, which is one forward substitution.
+    Sample times must lie in (0, horizon] and should sit on the marching
+    grid.
     """
     if ps.kind != "ibvp2":
         raise ParameterError("solve_ibvp2 expects an ibvp2 problem spec")
@@ -367,32 +387,58 @@ def solve_ibvp2(ps: ProblemSpec, fld: KernelField, steps: int = 64,
     edges = np.linspace(0.0, T, steps + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
     tm = edges[1:]
+    if points is None:
+        points = np.linspace(ps.domain_lo[0], ps.domain_hi[0], 23)[1:-1]
+    points = np.asarray(points, dtype=float).reshape(-1, 1)
 
-    # forcing h(t_m, x_e) from one kernel evaluation per row, value and
-    # normal derivative together
-    alpha, psi = (np.broadcast_to(f.eval(tm[:, None], ends[:, None]),
-                                  (steps, 2)) for f in (ps.alpha, ps.psi))
-    val, dx_val = mach.domain_term(tm, ends, gradient=True)
-    h = psi - normals * dx_val - alpha * val
+    # every kernel row of the solve is known before the march, so all are
+    # evaluated in one pass: the domain terms at the step times (the
+    # forcing, value and normal derivative together) and at the sample
+    # times, the jump kernel, and the layer rows of the reconstruction
+    s, centre, weight = mach.domain_rows(np.concatenate([tm, times]))
+    terms = [(s[:steps, None], tm[:, None, None], ends[:, None], centre,
+              weight[:steps, None]),
+             (s[steps:, None], np.array(times)[:, None, None], points, centre,
+              weight[steps:, None])]
 
     # jump kernel times sqrt(t_m - s_i) for the endpoint pairs (e, e'): P
-    # for p, G for n_e dp/dx.  Autonomous coefficients: one row per lag
-    # L = m - 1 - i, where t_m - s_i = mids[L]; time-dependent: rows
-    # (m - 1, i), zero for i >= m
+    # for p, G for n_e dp/dx.  Step m = 0, 1, ... reaches t_m = tm[m].
+    # Autonomous coefficients: one row per lag L = m - i, where
+    # t_m - s_i = mids[L]; time-dependent: rows (m, i), zero for i > m
     if fld.pc.time_dependent:
         s_, t_ = mids[None, :], tm[:, None]
     else:
         s_, t_ = np.zeros(steps), mids
     s_, t_ = s_[..., None, None, None], t_[..., None, None, None]
-    P, dP = mach.integrate(s_, t_, ends[:, None, None], np.arange(2)[:, None],
-                           np.sqrt(np.maximum(t_ - s_, 0.0)), gradient=True)
+    terms.append((s_, t_, ends[:, None, None], np.arange(2)[:, None],
+                  np.sqrt(np.maximum(t_ - s_, 0.0))))
+
+    # the layer at a sample time t, one row (x, i, e', sub) per subdivision
+    # of the intervals up to t; the integrand is resolved on the
+    # subdivisions, the density itself is not refined.  Summed over them,
+    # the rows give the layer's weight on each density value g_i
+    nsub = 4
+    mlasts = [max(1, min(steps, int(round(t / (T / steps))))) for t in times]
+    for t, mlast in zip(times, mlasts):
+        subs = np.linspace(edges[:mlast], edges[1:mlast + 1], nsub + 1,
+                           axis=1)
+        wts = _double_sqrt_weights(t, subs)
+        sm = np.minimum(0.5 * (subs[:, :-1] + subs[:, 1:]), t - 1e-13)
+        terms.append((sm[:, None, :], t, points[:, :, None, None],
+                      np.arange(2)[:, None],
+                      (wts * np.sqrt(t - sm))[:, None, :]))
+    (val, dx_val), (dom, _), (P, dP), *layers = mach.integrate(terms)
+
+    alpha, psi = (np.broadcast_to(f.eval(tm[:, None], ends[:, None]),
+                                  (steps, 2)) for f in (ps.alpha, ps.psi))
+    h = psi - normals * dx_val - alpha * val
     G = normals[:, None] * dP
 
     # gamma(s) = g(s) / sqrt(s) with g piecewise constant; the 1/sqrt(s)
-    # factor carries the startup transient exactly.  Row m - 1 of wts
-    # weighs the intervals up to t_m; the step matrices
+    # factor carries the startup transient exactly.  Row m of wts weighs
+    # the intervals up to t_m; the step matrices
     # A_m = I / (2 sqrt(t_m)) + w_m kappa_m do not depend on the density,
-    # so all of them are built and checked before the march
+    # so all of them are built, checked and inverted before the march
     wts = _double_sqrt_weights(tm[:, None], edges)
     diag = np.arange(steps)
     lag0 = (diag, diag) if fld.pc.time_dependent else 0
@@ -407,34 +453,33 @@ def solve_ibvp2(ps: ProblemSpec, fld: KernelField, steps: int = 64,
         m = int(singular.argmax())
         raise ConditioningError(
             f"singular marching step at t={tm[m]}: singular values {sv[m]}")
-    gvals = np.zeros((steps, 2))
-    for m in range(steps):
-        rows = (m, slice(m)) if fld.pc.time_dependent else slice(m, 0, -1)
-        kappa = G[rows] + alpha[m][:, None] * P[rows]
-        rhs = h[m] - np.einsum("i,ief,if->e", wts[m, :m], kappa, gvals[:m])
-        gvals[m] = np.linalg.solve(A[m], rhs)
+    inv = np.linalg.inv(A)
 
-    # reconstruction on the interior lattice; the layer integrand is
-    # resolved on subdivided intervals, the density itself is not refined
-    if points is None:
-        points = np.linspace(ps.domain_lo[0], ps.domain_hi[0], 23)[1:-1]
-    points = np.asarray(points, dtype=float).reshape(-1, 1)
-    nsub = 4
+    # the history blocks w_{m,i} kappa_{m,i}, i < m, in row order and
+    # transposed: step m's are rows m(m-1) to m(m+1) of one (., 2) array,
+    # and its history sum is one product with g_0 ... g_{m-1} flattened
+    below = np.tri(steps, k=-1, dtype=bool)
+    w = wts[below]
+    del wts
+    rows = below if fld.pc.time_dependent else (diag[:, None] - diag)[below]
+    Pt, Gt = (np.ascontiguousarray(np.swapaxes(a, -1, -2)) for a in (P, G))
+    hist = Pt[rows]
+    hist *= np.repeat(alpha, diag, axis=0)[:, None, :]
+    for ep in range(2):
+        # a row of the blocks at a time halves the gathered temporary
+        hist[:, ep] += Gt[..., ep, :][rows]
+    hist *= w[:, None, None]
+    hist = hist.reshape(-1, 2)
+    gvals = np.zeros((steps, 2))
+    flat = gvals.reshape(-1)
+    for m in range(steps):
+        lo = m * (m - 1)
+        gvals[m] = inv[m] @ (h[m] - flat[:2 * m] @ hist[lo:lo + 2 * m])
+
     values = np.zeros((len(times), len(points), 1))
-    for it, t in enumerate(times):
-        mlast = max(1, min(steps, int(round(t / (T / steps)))))
-        subs = np.linspace(edges[:mlast], edges[1:mlast + 1], nsub + 1,
-                           axis=1)
-        wts = _double_sqrt_weights(t, subs)
-        sm = np.minimum(0.5 * (subs[:, :-1] + subs[:, 1:]), t - 1e-13)
-        # rows (x, i, sub, e')
-        weight = wts[:, :, None] * np.sqrt(t - sm)[:, :, None] \
-            * gvals[:mlast, None, :]
-        layer, _ = mach.integrate(sm[:, :, None], t,
-                                  points[:, :, None, None], np.arange(2),
-                                  weight)
-        values[it, :, 0] = mach.domain_term([t], points[:, 0])[0][0] \
-            + layer.sum(axis=(1, 2))
+    for it, ((layer, _), mlast) in enumerate(zip(layers, mlasts)):
+        values[it, :, 0] = dom[it] + layer.reshape(len(points), -1) \
+            @ flat[:2 * mlast]
     sol = GridSolution(np.array(times, dtype=float), points, values,
                        {"kind": "ibvp2", "steps": steps, "K": fld.K})
     return sol, BoundaryDensity(mids, ends, gvals / np.sqrt(mids)[:, None])

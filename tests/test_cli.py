@@ -297,6 +297,23 @@ def test_solve_ibvp2_writes_density(tmp_path):
     assert val == pytest.approx(math.exp(-1.0) * math.cos(0.5), abs=3e-2)
 
 
+@pytest.mark.parametrize("flag,name", [
+    ("--steps", "manufactured_ibvp2.json"),
+    ("--gl-order", "manufactured_ibvp2.json"),
+    ("--gh-order", "sin_drift.json")])
+@pytest.mark.parametrize("value", ["0", "1"])
+def test_solve_rejects_quadrature_flags_below_two(tmp_path, capsys, flag,
+                                                  name, value):
+    # a zero used to fall back to the file's value and exit 0; both
+    # values are below the schema's minimum of 2
+    base = tmp_path / "sol"
+    rc = main(["solve", problem(name), flag, value, "--out", str(base)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "problem-file error" in err and flag in err
+    assert os.listdir(tmp_path) == []
+
+
 def test_solve_time_dependent_mixed_kind_drift(tmp_path):
     # time_poly parts mixing poly and fourier, re-anchored at every origin
     # of the march and of the source's time rule

@@ -1,3 +1,4 @@
+import csv
 import math
 import os
 
@@ -14,7 +15,7 @@ from parakern.oracle import FDConfig, fd_solve, fd_solve_burgers
 from parakern.polyalg import FourierEntry, PolyEntry, TimeEntry
 from parakern.problemfile import load_problem_file
 from parakern.recursion import ProblemCoefficients, WarpParams, expand
-from parakern.solvers import (GridSolution, ProblemSpec,
+from parakern.solvers import (BoundaryDensity, GridSolution, ProblemSpec,
                               QuadratureConfig, _double_sqrt_weights,
                               _gl_rule, burgers_demo, solve_cauchy,
                               solve_ibvp2)
@@ -527,10 +528,12 @@ def _pin_case(name):
             steps, COARSE, PIN_POINTS, [0.25, 0.5])
 
 
-@pytest.mark.parametrize("name", [
-    "manufactured_ibvp2.json", "member0", "member1", "member2",
-    "const_drift", "time_drift", "time_drift_source", "on_grid_times",
-    "alpha_in_time_and_space"])
+PIN_CASES = ["manufactured_ibvp2.json", "member0", "member1", "member2",
+             "const_drift", "time_drift", "time_drift_source", "on_grid_times",
+             "alpha_in_time_and_space"]
+
+
+@pytest.mark.parametrize("name", PIN_CASES)
 def test_ibvp2_array_march_matches_per_scalar_reference(name):
     ps, fld, steps, quad, pts, times = _pin_case(name)
     sol, dens = solve_ibvp2(ps, fld, steps=steps, quad=quad, points=pts,
@@ -541,19 +544,59 @@ def test_ibvp2_array_march_matches_per_scalar_reference(name):
         assert np.all(np.abs(new - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
 
 
-def test_ibvp2_time_dependent_source_evaluated_once_per_kernel_pass():
-    # drift 0.3 + 0.5 t with a source, 32 steps: the source is sampled at
-    # every (time, r node, spatial node) of a pass in one call
+def _time_drift_source_solve(source):
+    """The 32-step Robin solve with drift 0.3 + 0.5 t and ``source``."""
     pc = ProblemCoefficients(1, 1, {(0, 0, 0): TimeEntry((
         (0, PolyEntry(1, ((0.3, (0,)),))), (1, PolyEntry(1, ((0.5, (0,)),)))))})
-    source = counted_gaussian((1.0, 2.0, (0.5,)))
     ps = ProblemSpec("ibvp2", (0.0,), (1.0,), 0.5, pc, phi=COS_SPEC,
                      source=source, alpha=SpacePoly(((1.0, (0,)),)))
     fld = KernelField(pc, WarpParams(), K=4)
     solve_ibvp2(ps, fld, steps=32, quad=QUAD,
                 points=np.array([[0.25], [0.5], [0.75]]))
-    # the forcing pass at the 32 step times and the reconstruction at T
-    assert source.calls == [(QUAD.gl_order * 4, 1)] * 2
+
+
+def test_ibvp2_time_dependent_source_evaluated_once_per_kernel_pass():
+    # the source is sampled at every (time, r node, spatial node) of the
+    # solve's one kernel pass in one call: the 32 step times and the
+    # sample time T together
+    source = counted_gaussian((1.0, 2.0, (0.5,)))
+    _time_drift_source_solve(source)
+    assert source.calls == [(QUAD.gl_order * 4, 1)]
+
+
+def test_ibvp2_time_dependent_expansions_built_once_per_solve(monkeypatch):
+    # every (origin, centre) row handed to pair_coeffs over the whole
+    # solve: forcing, jump kernel, domain term and layer at the sample time
+    built = []
+    pair_coeffs = KernelField.pair_coeffs
+
+    def recording(self, ys, s=0.0):
+        ys = np.asarray(ys, dtype=float).reshape(-1)
+        built.extend(zip(np.broadcast_to(s, ys.shape).tolist(), ys.tolist()))
+        return pair_coeffs(self, ys[:, None], s)
+
+    monkeypatch.setattr(KernelField, "pair_coeffs", recording)
+    _time_drift_source_solve(GaussianMix(((1.0, 2.0, (0.5,)),)))
+    assert len(built) > 10_000
+    assert len(set(built)) == len(built)
+
+
+def test_ibvp2_march_makes_no_per_step_linear_solve(monkeypatch):
+    # the step matrices are inverted in one batch before the march, so a
+    # solve per step would fail here; every pinned case still marches
+    import parakern.solvers as solvers
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called by the march")
+
+    for name in PIN_CASES:
+        ps, fld, steps, quad, pts, times = _pin_case(name)
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers.np.linalg, "solve", refuse)
+            sol, dens = solve_ibvp2(ps, fld, steps=steps, quad=quad,
+                                    points=pts, sample_times=times)
+        assert np.all(np.isfinite(sol.values))
+        assert np.all(np.isfinite(dens.values))
 
 
 def test_ibvp2_rejects_higher_dimensions():
@@ -667,3 +710,60 @@ def test_grid_solution_csv_roundtrip(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "t,x1,component,value"
     assert lines[1].split(",") == ["0.1", "0.0", "0", "1.5"]
+
+
+class _CsvReference:
+    """The ``csv.writer`` emitters the one-write ``to_csv`` methods
+    replaced, row by row, kept as their byte-level reference."""
+
+    @staticmethod
+    def grid(sol, path):
+        n = sol.points.shape[1]
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t"] + [f"x{i + 1}" for i in range(n)]
+                            + ["component", "value"])
+            for it, t in enumerate(sol.times):
+                for ip, p in enumerate(sol.points):
+                    for c in range(sol.values.shape[2]):
+                        writer.writerow([repr(float(t))]
+                                        + [repr(float(v)) for v in p]
+                                        + [c, repr(float(sol.values[it, ip, c]))])
+
+    @staticmethod
+    def density(dens, path):
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t", "x", "density"])
+            for it, t in enumerate(dens.times):
+                for ip, x in enumerate(dens.points):
+                    writer.writerow([repr(float(t)), repr(float(x)),
+                                     repr(float(dens.values[it, ip]))])
+
+
+ODD_FLOATS = [-0.0, 5e-324, math.inf, -math.inf, math.nan, 0.1, -2.5e300]
+
+
+def test_grid_solution_csv_bytes_match_csv_writer(tmp_path):
+    # 2 times, 3 points in 2D, 2 components, with -0.0, a subnormal, +-inf
+    # and NaN among the times, coordinates and values
+    values = np.array(ODD_FLOATS * 2)[:12].reshape(2, 3, 2)
+    sol = GridSolution(np.array([-0.0, 5e-324]),
+                       np.array([[0.0, -0.0], [math.inf, 1e-310],
+                                 [math.nan, -math.inf]]), values)
+    sol.to_csv(str(tmp_path / "new.csv"))
+    _CsvReference.grid(sol, str(tmp_path / "ref.csv"))
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new == (tmp_path / "ref.csv").read_bytes()
+    assert new.count(b"\r\n") == 1 + 2 * 3 * 2
+
+
+def test_boundary_density_csv_bytes_match_csv_writer(tmp_path):
+    dens = BoundaryDensity(np.array([0.25, -0.0, 5e-324, math.inf]),
+                           np.array([-0.0, 1.0]),
+                           np.array(ODD_FLOATS + [1.0]).reshape(4, 2))
+    dens.to_csv(str(tmp_path / "new.csv"))
+    _CsvReference.density(dens, str(tmp_path / "ref.csv"))
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new == (tmp_path / "ref.csv").read_bytes()
+    assert new.count(b"\r\n") == 1 + 4 * 2
