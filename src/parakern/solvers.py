@@ -87,16 +87,17 @@ class GridSolution:
 
     def to_csv(self, path: str):
         """One row per (time, point, component), written at once."""
-        nt, npts, nc = self.values.shape
-        table = np.column_stack([
-            np.repeat(self.times, npts * nc),
-            np.tile(np.repeat(self.points, nc, axis=0), (nt, 1)),
-            self.values.reshape(-1)]).tolist()
-        header = ["t", *(f"x{i + 1}" for i in range(self.points.shape[1])),
-                  "component", "value"]
-        _write_csv(path, [",".join(header)] + [
-            ",".join(map(repr, row[:-1])) + f",{c},{row[-1]!r}"
-            for row, c in zip(table, np.tile(np.arange(nc), nt * npts))])
+        times, points, values = (np.asarray(a, dtype=float).tolist()
+                                 for a in (self.times, self.points,
+                                           self.values))
+        n = self.points.shape[1]
+        lines = [",".join(["t", *(f"x{i + 1}" for i in range(n)),
+                           "component", "value"])]
+        for t, row in zip(times, values):
+            for p, comps in zip(points, row):
+                head = ",".join(map(repr, [t, *p]))
+                lines += [f"{head},{c},{v!r}" for c, v in enumerate(comps)]
+        _write_csv(path, lines)
 
     def to_json(self, path: str):
         with open(path, "w") as fh:
@@ -119,12 +120,12 @@ class BoundaryDensity:
 
     def to_csv(self, path: str):
         """One row per (time, endpoint), written at once."""
-        table = np.column_stack([
-            np.repeat(self.times, len(self.points)),
-            np.tile(self.points, len(self.times)),
-            self.values.reshape(-1)]).tolist()
-        _write_csv(path, ["t,x,density"]
-                   + [",".join(map(repr, row)) for row in table])
+        times, points, values = (np.asarray(a, dtype=float).tolist()
+                                 for a in (self.times, self.points,
+                                           self.values))
+        _write_csv(path, ["t,x,density"] + [
+            f"{t!r},{x!r},{v!r}"
+            for t, row in zip(times, values) for x, v in zip(points, row)])
 
 
 def _write_csv(path: str, lines: list[str]):

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from parakern import solvers
 from parakern.errors import (ConditioningError, ParameterError, ScalingError,
                              UnsupportedSpecError)
 from parakern.funcspec import (CallableFunc, ExpTime, GaussianMix,
@@ -584,8 +585,6 @@ def test_ibvp2_time_dependent_expansions_built_once_per_solve(monkeypatch):
 def test_ibvp2_march_makes_no_per_step_linear_solve(monkeypatch):
     # the step matrices are inverted in one batch before the march, so a
     # solve per step would fail here; every pinned case still marches
-    import parakern.solvers as solvers
-
     def refuse(*args, **kwargs):
         raise AssertionError("np.linalg.solve called by the march")
 
