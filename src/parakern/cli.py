@@ -62,6 +62,9 @@ def _parse_center(text: str | None, dim: int) -> np.ndarray:
 
 def _apply_overrides(pf: ProblemFile, args) -> ProblemFile:
     order = args.order if args.order is not None else pf.order_K
+    if args.degree is not None and args.degree < 0:
+        # the schema's minimum for the file's degree_D
+        raise SchemaError(f"--degree must be at least 0, got {args.degree}")
     degree = args.degree if args.degree is not None else pf.degree_D
     warp = pf.warp
     if args.mode:

@@ -4,17 +4,13 @@ Evaluates the Gaussian-times-exponential-series ansatz in log space, its
 analytic gradient, PDE residuals, normalization and short-time
 (Varadhan-type) diagnostics.  One evaluator, :func:`_log_terms`, reads
 the coefficient arrays back, contracting only the table rows up to their
-last nonzero one: :func:`eval_points` runs it once over the (time,
-point) rows of one expansion, for one time or an array of them (the
-single-point calls and ``parakern eval`` go through it), and
-:func:`_gh_integrals` over all nodes of a Gauss-Hermite pass
-(normalization, the delta property, the solvers' convolutions),
-expanded with one ``expand_batch`` call.
-:class:`KernelField` holds the problem and expansion settings; its
-:meth:`~KernelField.pair_log_terms` runs the evaluator over rows of
-(origin s, centre y) pairs of the two-parameter kernel p(t, x; s, y),
-whose coefficients :meth:`~KernelField.pair_coeffs` builds in one batch
-with an origin per centre.
+last nonzero one.  :func:`eval_points` runs it over the (time, point)
+rows of one expansion (the single-point calls and ``parakern eval`` go
+through it).  :meth:`KernelField.integrate` is the one place that turns
+rows (origin s, time t, point x, centre y, weight) of the two-parameter
+kernel p(t, x; s, y) into sums: Gauss-Hermite convolutions
+(:meth:`KernelField.gauss_hermite`: normalization, the delta property,
+the Cauchy and Burgers solves) and the Robin solve's kernel sums.
 """
 
 from __future__ import annotations
@@ -22,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -272,14 +268,68 @@ def varadhan_diag(exp: ExpansionCoeffs, ts: Sequence[float], x, y=None,
 # multi-center evaluation
 # ---------------------------------------------------------------------------
 
+# centres per expand_batch call of KernelField.integrate; in 1D and 2D
+# solves of thousands of centres, larger batches held larger arrays and
+# gained little time
+_BATCH_CENTRES = 256
+
+
+class Rows(NamedTuple):
+    """One sum of :meth:`KernelField.integrate`: ``weight * p_j(t, x; s,
+    y) * data(s, y)`` over the last axis of the broadcast of origins
+    ``s``, times ``t``, centre indices ``centre``, ``weight`` and
+    ``x[..., 0]`` (points x have a trailing axis n).  ``data`` is called
+    once, on the origins (R,) and centres (R, n) of the rows kept so far.
+    ``gradient`` adds the sums of grad_x p_j.  ``hermite`` marks
+    Gauss-Hermite passes: the kernel's Gaussian is the weight, and each
+    element of ``t - s`` before broadcasting (one per pass) takes its
+    mode time and powers as Python floats, as a call for that pass alone
+    would."""
+
+    s: object
+    t: object
+    x: object
+    centre: object
+    weight: object
+    data: Callable | None = None
+    gradient: bool = False
+    hermite: bool = False
+
+
+def _expand(v, shape) -> np.ndarray:
+    """``v`` broadcast to ``shape``, as a new array; for the small arrays
+    of a solve about half the cost of masking ``np.broadcast_to``'s view."""
+    v = np.asarray(v)
+    out = np.empty(shape, v.dtype)
+    out[...] = v
+    return out
+
+
+def _segment_sums(a: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Sums over axis 1 of ``a`` in consecutive segments of ``counts``
+    entries, each by a numpy sum over a contiguous copy of the segment:
+    the bits of a sum over that segment alone."""
+    flat = counts.ravel()
+    if flat.size and (flat == flat[0]).all():
+        # one count: the segments are the rows of a reshape
+        return a.reshape(a.shape[:1] + (flat.size, int(flat[0]))
+                         + a.shape[2:]).sum(axis=2).reshape(
+                             a.shape[:1] + counts.shape + a.shape[2:])
+    out = np.zeros(a.shape[:1] + flat.shape + a.shape[2:])
+    starts = np.cumsum(flat) - flat
+    for c in sorted(set(flat.tolist()) - {0}):
+        segs = np.flatnonzero(flat == c)
+        out[:, segs] = np.take(a, starts[segs, None] + np.arange(c),
+                               axis=1).sum(axis=2)
+    return out.reshape(a.shape[:1] + counts.shape + a.shape[2:])
+
+
 class KernelField:
     """A problem's kernel at fixed warp, order K and degree cap D.
 
-    Gauss-Hermite passes (:func:`_gh_integrals`) expand all their nodes
-    in one batch.  The two-parameter kernel p(t, x; s, y) is evaluated
-    over rows of (origin, centre) pairs by :meth:`pair_log_terms`, from
-    coefficients :meth:`pair_coeffs` builds in one batch with an origin
-    per centre; the caller holds them as long as it needs them.
+    :meth:`integrate` turns rows (origin s, time t, point x, centre y,
+    weight) of the two-parameter kernel p(t, x; s, y) into sums;
+    :meth:`gauss_hermite` writes convolutions with data as such rows.
     """
 
     def __init__(self, pc: ProblemCoefficients, warp: WarpParams = WarpParams(),
@@ -288,6 +338,8 @@ class KernelField:
         self.warp = warp
         self.K = K
         self.D = D if D is not None else 2 * K + 2
+        if self.D < 0:
+            raise ParameterError(f"degree_D must be >= 0, got {self.D}")
         # zero drift and potential: the correction factor is identically 1
         self._trivial = pc.is_zero_drift()
         self.trust_radius = self._trust_radius()
@@ -327,130 +379,198 @@ class KernelField:
             return -np.expm1(-t_phys / self.warp.beta)
         return -math.expm1(-t_phys / self.warp.beta)
 
-    # -- two-parameter kernel p(t, x; s, y) ---------------------------------
+    def integrate(self, centres, terms: Sequence[Rows]) -> list:
+        """Every sum of ``terms`` (see :class:`Rows`), from one pass.
 
-    def pair_coeffs(self, ys, s=0.0) -> np.ndarray | None:
-        """Coefficients of p(., .; s, y) about every row of ``ys`` (B, n).
-
-        ``s`` is one origin for all rows or one per row, shape (B,).
-        Shaped as ``ExpansionBatch.coeffs``, from one ``expand_batch``
-        call.  None for a trivial field, whose kernel is the Gaussian.
+        ``centres`` (C, n) is the table the terms' indices read.  A row is
+        dropped where its weight or data is 0 or |x - y| exceeds
+        :attr:`trust_radius`; a kept row needs t > s.  The kept rows'
+        expansions, one per centre (per distinct (origin, centre) pair for
+        time-dependent coefficients), are built by ``expand_batch`` calls
+        of one chunk of centres each; the x-gradient is taken only on rows
+        of terms that ask for it.  Returns per term the sums over each
+        segment of its last axis, one per component, shape (components,)
+        + its leading shape, and the gradient sums (a trailing axis n) or None.
         """
-        if self._trivial:
-            return None
-        ys = np.asarray(ys, dtype=float).reshape(-1, self.pc.n)
-        return expand_batch(self.pc, ys, self.K, self.warp, self.D, s).coeffs
-
-    def pair_log_terms(self, sigma, dx, coeffs: np.ndarray | None = None,
-                       centre=None, j: int = 0, gradient: bool = False):
-        """log p(s + sigma, y + dx; s, y) and grad_x log p at every row.
-
-        ``sigma`` (R,) holds physical elapsed times t - s > 0 and ``dx``
-        (R, n) the offsets x - y; row r reads centre ``centre[r]`` of
-        ``coeffs`` (from :meth:`pair_coeffs`, unused for a trivial
-        field).  The Gaussian factor is taken at sigma, the correction at
-        the warp's own time.  Returns (log p, shape (R,); grad_x log p,
-        shape (R, n), or None without ``gradient``).  Chunks of rows
-        gather their coefficient columns; a chunk has no more rows than
-        ``coeffs`` has centres, nor gathers over ``_CHUNK_FLOATS`` floats.
-        """
-        sigma = np.asarray(sigma, dtype=float)
-        dx = np.asarray(dx, dtype=float)
+        n = self.pc.n
+        centres = np.asarray(centres, dtype=float).reshape(-1, n)
+        parts = [self._kept_rows(centres, term) for term in terms]
+        sizes = [int(counts.sum()) for _, _, counts in parts]
+        rows = {}
+        for key in list(parts[0][0]):   # each key's pieces dropped once joined
+            pieces = [p.pop(key) for p, _, _ in parts]
+            rows[key] = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+        dx = rows["dx"]
+        sigma = rows["sigma"] = rows["t"] - rows["s"]
         if not (sigma > 0).all():
             raise ParameterError("need t > s")
-        logp = -0.5 * dx.shape[1] * np.log(4.0 * math.pi * sigma) \
-            - (dx * dx).sum(axis=1) / (4.0 * sigma)
-        grad = -dx / (2.0 * sigma[:, None]) if gradient else None
-        if self._trivial:
-            return logp, grad
-        time = self.mode_time(sigma)
-        centre = np.asarray(centre)
-        step = max(1, min(coeffs.shape[3],
-                          _CHUNK_FLOATS // coeffs[j, :, :, 0].size))
-        for lo in range(0, len(sigma), step):
-            rows = slice(lo, lo + step)
-            corr, _, g, _ = _log_terms(coeffs[j:j + 1, :, :, centre[rows]],
-                                       dx[rows], self.D, time[rows],
-                                       sigma[rows] if gradient else None)
-            logp[rows] += corr[0]
-            if gradient:
-                grad[rows] = g[0]
-        return logp, grad
+        # log p less the correction; a Gauss-Hermite weight holds it
+        logp = np.zeros(len(sigma))
+        if not all(t.hermite for t in terms):
+            logp = -0.5 * n * np.log(4.0 * math.pi * sigma) \
+                - (dx * dx).sum(axis=1) / (4.0 * sigma)
+            logp[np.repeat([t.hermite for t in terms], sizes)] = 0.0
+        gradient = any(t.gradient for t in terms)
+        if self._trivial or not len(sigma):
+            grad = np.broadcast_to(-dx / (2.0 * sigma[:, None]), (
+                self.pc.components,) + dx.shape) if gradient else None
+        else:
+            want = np.repeat([t.gradient for t in terms], sizes)
+            logc, grad = self._corrections(centres, rows, want)
+            logp = logp + logc
+        value = rows["weight"] * np.exp(logp)
+        if value.ndim == 1:     # a trivial field: the same for all components
+            value = value[None].repeat(self.pc.components, axis=0)
+        del rows, logp, dx, sigma      # before the sums' arrays
+        out, lo = [], 0
+        for term, (_, data, counts), size in zip(terms, parts, sizes):
+            v = value[:, lo:lo + size]
+            v = v if data is None else v * data
+            sums = [v, v[..., None] * grad[:, lo:lo + size]] \
+                if term.gradient else [v]
+            sums = [_segment_sums(a, counts) for a in sums]
+            out.append((sums[0], sums[1] if term.gradient else None))
+            lo += size
+        return out
+
+    def _kept_rows(self, centres: np.ndarray, term: Rows):
+        """The rows of ``term`` the filters keep, flat and in order, their
+        data (None without), and how many rows each segment of its last
+        axis keeps (segment-shaped)."""
+        x = np.asarray(term.x, dtype=float)
+        n = x.shape[-1]
+        shape = np.broadcast(x[..., 0], term.s, term.t, term.centre,
+                             term.weight).shape
+        rows = {key: _expand(getattr(term, key), shape).ravel()
+                for key in ("s", "t", "centre", "weight")}
+        rows["dx"] = _expand(x - centres[np.asarray(term.centre)],
+                             shape + (n,)).reshape(-1, n)
+        keep = rows["weight"] != 0.0
+        if self.trust_radius < math.inf:
+            keep &= ~((rows["dx"] ** 2).sum(axis=1) > self.trust_radius ** 2)
+        data = None
+        if term.data is not None:
+            # evaluated on the rows kept so far; where it vanishes, dropped
+            data = np.asarray(term.data(rows["s"][keep],
+                                        centres[rows["centre"][keep]]),
+                              dtype=float)
+            live = data != 0.0
+            if not live.all():
+                keep[keep], data = live, data[live]
+        if not keep.all():
+            for key in rows:
+                rows[key] = rows[key][keep]
+        if not self._trivial:
+            ks = range(self.K + 1)
+            if term.hermite:
+                passes = np.asarray(term.t, dtype=float) - term.s
+                table = np.array([[tm] + [tm ** k for k in ks] for tm in map(
+                    self.mode_time, passes.ravel().tolist())])
+                table = np.broadcast_to(table.reshape(passes.shape + (-1,)),
+                                        shape + table.shape[1:])[
+                                            keep.reshape(shape)]
+                rows["time"], rows["powers"] = table[:, 0], table[:, 1:]
+            else:
+                rows["time"] = self.mode_time(rows["t"] - rows["s"])
+                rows["powers"] = np.array([rows["time"] ** k
+                                           for k in ks]).T
+        counts = keep.reshape(-1, shape[-1]).sum(axis=1)
+        return rows, data, counts.reshape(shape[:-1])
+
+    def _corrections(self, centres: np.ndarray, rows: dict,
+                     want: np.ndarray):
+        """The log corrections of all rows and grad_x log p on the rows
+        ``want`` marks, from their expansions, one chunk at a time.  A log
+        correction that is not finite or reaches 700 raises
+        :class:`ScalingError`: the sums would be inf or NaN."""
+        logc = np.zeros((self.pc.components, len(want)))
+        grad = np.zeros(logc.shape + (self.pc.n,)) if want.any() else None
+        if self.pc.time_dependent:
+            keys, key = np.unique(np.stack([rows["s"], rows["centre"]], axis=1),
+                                  axis=0, return_inverse=True)
+            origins, cols = keys[:, 0], keys[:, 1].astype(int)
+        else:
+            used = np.zeros(len(centres), dtype=bool)
+            used[rows["centre"]] = True
+            cols, origins = np.flatnonzero(used), np.zeros(used.sum())
+            key = (np.cumsum(used) - 1)[rows["centre"]]
+        # the rows of each chunk of expansions
+        step = _BATCH_CENTRES
+        order, cuts = np.arange(len(key)), [0, len(key)]
+        if len(cols) > step:
+            order = np.argsort(key, kind="stable")
+            cuts = np.searchsorted(key[order], range(0, len(cols) + step, step))
+        dx = rows["dx"]
+        for lo, a, b in zip(range(0, len(cols), step), cuts, cuts[1:]):
+            coeffs = expand_batch(self.pc, centres[cols[lo:lo + step]], self.K,
+                                  self.warp, self.D,
+                                  origins[lo:lo + step]).coeffs
+            # a chunk of rows gathers no more columns than there are
+            # centres, nor over _CHUNK_FLOATS floats
+            per = max(1, min(coeffs.shape[3],
+                             _CHUNK_FLOATS // coeffs[:, :, :, 0].size))
+            chunk = order[a:b]
+            for grow, sel in ((True, chunk[want[chunk]]),
+                              (False, chunk[~want[chunk]])):
+                for r in (sel[i:i + per] for i in range(0, len(sel), per)):
+                    corr, _, g, _ = _log_terms(
+                        coeffs[:, :, :, key[r] - lo], dx[r], self.D,
+                        rows["time"][r], rows["sigma"][r] if grow else None,
+                        powers=list(rows["powers"][r].T))
+                    logc[:, r] = corr
+                    if grow:
+                        grad[:, r] = g
+        bad = ~(np.isfinite(logc) & (logc < 700.0))
+        if bad.any():
+            r = int(np.flatnonzero(bad.any(axis=0))[0])
+            raise ScalingError(
+                f"log correction {logc[bad[:, r].argmax(), r]:.3g} at t = "
+                f"{rows['t'][r]:.6g}, |x - y| = {np.linalg.norm(dx[r]):.3g} "
+                f"is not finite or reaches 700: the K = {self.K}, D = "
+                f"{self.D} expansion does not hold there; lower K and D or "
+                f"the horizon")
+        return logc, grad
+
+    def gauss_hermite(self, order: int, passes,
+                      gradient: bool = False) -> list:
+        """``int p_j(t, x; s, y) g(s, y) dy`` by tensor Gauss-Hermite for
+        each (t, s, x, g) of ``passes``, in one :meth:`integrate` call.
+
+        t, s and x[..., 0] broadcast to the entry's passes.  A pass puts
+        its nodes at y = x + 2 sqrt(t - s) z, which makes the kernel's
+        Gaussian the Hermite weight; the sums are divided by pi^(n/2).
+        Returns per entry the integrals, shape (components,) + its passes'
+        shape, and the x-gradients with ``gradient`` (a trailing axis n),
+        else None.
+        """
+        n = self.pc.n
+        zs, ws = _gh_table(order, n)
+        centres, terms = [], []
+        for t, s, x, g in passes:
+            t, s, x = (np.asarray(a, dtype=float) for a in (t, s, x))
+            ys = x[..., None, :] + 2.0 * np.sqrt(t - s)[..., None, None] * zs
+            first = sum(map(len, centres))
+            centres.append(ys.reshape(-1, n))
+            terms.append(Rows(
+                s[..., None], t[..., None], x[..., None, :],
+                first + np.arange(len(centres[-1])).reshape(ys.shape[:-1]),
+                ws, g, gradient, hermite=True))
+        scale = math.pi ** (n / 2.0)
+        return [(v / scale, None if g is None else g / scale)
+                for v, g in self.integrate(np.concatenate(centres), terms)]
 
 
 @functools.lru_cache(maxsize=None)
 def _gh_table(order: int, n: int):
-    """Tensor Gauss-Hermite nodes, weights and node norms, read-only."""
+    """Tensor Gauss-Hermite nodes and weights, read-only."""
     z, w = np.polynomial.hermite.hermgauss(order)
     grids = np.meshgrid(*([z] * n), indexing="ij")
     wgrids = np.meshgrid(*([w] * n), indexing="ij")
     zs = np.stack([g.ravel() for g in grids], axis=1)
     ws = np.prod(np.stack([g.ravel() for g in wgrids], axis=1), axis=1)
-    norms = np.array([float(np.linalg.norm(zi)) for zi in zs])
-    for a in (zs, ws, norms):
+    for a in (zs, ws):
         a.flags.writeable = False
-    return zs, ws, norms
-
-
-def _gh_integrals(field: KernelField, t: float, s: float, x, g: Callable,
-                  components: Sequence[int] = (0,), order: int = 40,
-                  gradient: bool = False):
-    """``int p_j(t, x; s, y) g(y) dy`` for every j in ``components``.
-
-    Physical times t > s.  Substituting y = x + 2 sqrt(t - s) z makes the
-    kernel's Gaussian the Hermite weight; the per-node factor is the
-    expansion correction at the warp's own time, about origin s.  Nodes
-    past ``field.trust_radius`` are dropped; ``g`` is called once, on the
-    array of kept nodes (P, n), and returns their values (P,).  Nodes
-    where g vanishes are dropped too, and the rest are expanded in one
-    ``expand_batch`` call.  A kept node whose log correction is not
-    finite or reaches 700 raises :class:`ScalingError` naming K, D, t
-    and its |x - y|: the integral would be inf or NaN.
-    Returns the integrals, shape (len(components),), and with
-    ``gradient`` also the x-gradients ``int grad_x p_j g dy``, shape
-    (len(components), n), else None.
-    """
-    sigma = t - s
-    n = field.pc.n
-    x = np.asarray(x, dtype=float)
-    zs, ws, norms = _gh_table(order, n)
-    time = field.mode_time(sigma)
-    root = 2.0 * math.sqrt(sigma)
-    keep = ~(root * norms > field.trust_radius)
-    ys = x + root * zs[keep]
-    gvals = np.asarray(g(ys), dtype=float)
-    live = gvals != 0.0
-    ys, weights, gvals = ys[live], ws[keep][live], gvals[live]
-    comps = list(components)
-    scale = math.pi ** (n / 2.0)
-    if not len(ys):
-        return np.zeros(len(comps)), (np.zeros((len(comps), n))
-                                      if gradient else None)
-    dx = x - ys
-    t_eff = _effective_time(field.warp, time)[0] if gradient else None
-    if field._trivial:
-        corr = np.ones((len(comps), len(ys)))
-        grad = np.broadcast_to(-dx / (2.0 * t_eff), (len(comps),) + dx.shape) \
-            if gradient else None
-    else:
-        batch = expand_batch(field.pc, ys, field.K, field.warp, field.D, s)
-        logc, _, grad, _ = _log_terms(batch.coeffs[comps], dx, field.D, time,
-                                      t_eff)
-        bad = ~((logc > -np.inf) & (logc < 700.0))
-        if bad.any():
-            b = int(np.flatnonzero(bad.any(axis=0))[0])
-            raise ScalingError(
-                f"log correction {float(logc[bad[:, b].argmax(), b]):.3g} "
-                f"at a Gauss-Hermite node with t = {t:.6g}, |x - y| = "
-                f"{float(np.linalg.norm(dx[b])):.3g} is not finite or "
-                f"reaches 700: the K = {field.K}, D = {field.D} expansion "
-                f"does not hold there; lower K and D or the horizon")
-        corr = np.exp(logc)
-    weight = weights * corr * gvals
-    vals = weight.sum(axis=1) / scale
-    if not gradient:
-        return vals, None
-    return vals, (weight[:, :, None] * grad).sum(axis=1) / scale
+    return zs, ws
 
 
 def _live_rows(coeffs: np.ndarray) -> int:
@@ -555,6 +675,6 @@ def delta_property(field: KernelField, f, time: float, x,
     if time <= 0:
         raise ParameterError("time must be positive")
     t_eff, _ = _effective_time(field.warp, time)
-    vals, _ = _gh_integrals(field, t_eff, 0.0, x,
-                            lambda ys: [f(y) for y in ys], (j,), order)
-    return float(vals[0])
+    [(vals, _)] = field.gauss_hermite(
+        order, [(t_eff, 0.0, x, lambda s, ys: [f(y) for y in ys])])
+    return float(vals[j])

@@ -9,6 +9,11 @@
 * :func:`burgers_demo`  -- viscous Burgers with potential initial data
   through the logarithmic substitution onto a heat equation with
   potential term.
+
+Each solve hands all its kernel integrals to one
+:meth:`KernelField.integrate` call (through
+:meth:`KernelField.gauss_hermite` for the convolutions); none loops over
+points.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import numpy as np
 from .errors import (ConditioningError, ParameterError, ScalingError,
                      UnsupportedSpecError)
 from .funcspec import FunctionSpec, ZeroFunc
-from .kernel import KernelField, _gh_integrals
+from .kernel import KernelField, Rows
 from .polyalg import PolyEntry
 from .recursion import ProblemCoefficients, WarpParams
 
@@ -175,12 +180,13 @@ def solve_cauchy(ps: ProblemSpec, fld: KernelField,
     u_i(t, x) = int p_i(t, x; 0, y) phi(y) dy
               + int_0^t int p_i(t, x; s, y) f(s, y) dy ds.
 
-    Spatial integrals use Gauss-Hermite centered at x (the kernel's
-    Gaussian is the weight), one pass over the nodes for all components;
-    the source's time integral uses composite Gauss-Legendre.  System problems share a single scalar phi across
-    components: the vectorial kernel pairs every component with the same
-    delta datum, so genuinely vector-valued initial data has no
-    representation here and is rejected.
+    Spatial integrals use Gauss-Hermite centred at x (the kernel's
+    Gaussian is the weight), the source's time integral composite
+    Gauss-Legendre: one :meth:`KernelField.gauss_hermite` call for all
+    points, sample times, Gauss-Legendre nodes and components.  System
+    problems share a single scalar phi across components: the vectorial
+    kernel pairs every component with the same delta datum, so genuinely
+    vector-valued initial data has no representation here and is rejected.
     """
     if ps.kind not in ("cauchy", "burgers"):
         raise ParameterError("solve_cauchy expects a cauchy problem spec")
@@ -189,26 +195,22 @@ def solve_cauchy(ps: ProblemSpec, fld: KernelField,
             "vector-valued initial data is not representable; share one phi")
     pts = points if points is not None else lattice(ps)
     pts = np.asarray(pts, dtype=float).reshape(-1, ps.dim)
-    times = sorted(sample_times or [ps.horizon])
-    comps = range(ps.coefficients.components)
-    has_source = not isinstance(ps.source, ZeroFunc)
-
-    def phi(ys):
-        return ps.phi.eval(0.0, ys)
-
-    values = np.zeros((len(times), len(pts), len(comps)))
-    for it, t in enumerate(times):
-        if has_source:
-            snodes, sweights = _gl_rule(0.0, t, quad.gl_order, quad.gl_panels)
-        for ip, x in enumerate(pts):
-            u, _ = _gh_integrals(fld, t, 0.0, x, phi, comps, quad.gh_order)
-            if has_source:
-                for s, w in zip(snodes, sweights):
-                    u += w * _gh_integrals(
-                        fld, t, s, x, lambda ys, s=s: ps.source.eval(s, ys),
-                        comps, quad.gh_order)[0]
-            values[it, ip] = u
-    return GridSolution(np.array(times, dtype=float), pts, values,
+    times = np.array(sorted(sample_times or [ps.horizon]), dtype=float)
+    passes = [(times[:, None], 0.0, pts,
+               lambda s, ys: ps.phi.eval(0.0, ys))]
+    if not isinstance(ps.source, ZeroFunc):
+        # (time, GL node) pairs; the source passes add a GL axis
+        snodes, sweights = map(np.array, zip(*(
+            _gl_rule(0.0, t, quad.gl_order, quad.gl_panels) for t in times)))
+        passes.append((times[:, None, None], snodes[:, None, :],
+                       pts[:, None, :], ps.source.eval))
+    (u, _), *source = fld.gauss_hermite(quad.gh_order, passes)
+    if source:
+        # added one GL node at a time: a sequential cumulative sum
+        u = np.cumsum(np.concatenate(
+            [u[..., None], sweights[:, None, :] * source[0][0]], axis=-1),
+            axis=-1)[..., -1]
+    return GridSolution(times, pts, u.transpose(1, 2, 0),
                         {"kind": ps.kind, "K": fld.K, "D": fld.D,
                          "gh_order": quad.gh_order, "gl_order": quad.gl_order})
 
@@ -233,123 +235,39 @@ def _double_sqrt_weights(t_m, edges: np.ndarray) -> np.ndarray:
     return anti[..., 1:] - anti[..., :-1]
 
 
-def _expand(v, shape) -> np.ndarray:
-    """``v`` broadcast to ``shape``, as a new array; for the small arrays
-    of a solve about half the cost of masking ``np.broadcast_to``'s view."""
-    out = np.empty(shape, np.result_type(v))
-    out[...] = v
-    return out
+def _domain_rows(ps: ProblemSpec, quad: QuadratureConfig, ts):
+    """The centres of one Robin solve, (nodes + 2,), and the origins,
+    centre indices and weights of its phi and source terms at every time
+    of ``ts``: shapes (len(ts), nodes), (nodes,) and (len(ts), nodes).
 
-
-class _Ibvp2Machine:
-    """Kernel sums and quadrature of one Robin solve, on arrays.
-
-    Every kernel value is a row (origin s, time t, point x, centre) of a
-    ``KernelField.pair_log_terms`` pass.  The centres are the two
-    endpoints and the domain rules' nodes.  A solve hands all its sums to
-    one :meth:`integrate` call.  For autonomous coefficients the centres'
-    expansions are built in one batch at origin 0.  Time-dependent ones
-    are built once for each distinct (origin, centre) pair of the rows,
-    in batches of no more pairs than there are centres, so each batch
-    peaks like the autonomous one.
+    The centres are the two endpoints and the domain rules' nodes.  phi
+    and the source are each evaluated once; the source's (r, node)
+    columns follow phi's nodes.
     """
-
-    def __init__(self, ps: ProblemSpec, fld: KernelField,
-                 quad: QuadratureConfig):
-        self.ps = ps
-        self.fld = fld
-        a, b = ps.domain_lo[0], ps.domain_hi[0]
-        self.ends = np.array([a, b])
-        self.has_source = not isinstance(ps.source, ZeroFunc)
-        # phi at the domain nodes once per solve; where it vanishes a node
-        # carries nothing
-        ys, ws = _gl_rule(a, b, quad.gl_order, max(quad.gl_panels, 8))
-        fv = ps.phi.eval(0.0, ys[:, None])
-        live = fv != 0.0
-        self.phi_c = 2 + np.arange(live.sum())
-        self.phi_w = ws[live] * fv[live]
-        centres = [self.ends, ys[live]]
-        if self.has_source:
-            # s = t - r^2 flattens the (t-s)^(-1/2) endpoint behavior; the
-            # time integral smooths the spatial one, so coarser rules do
-            self.src_y, self.src_w = _gl_rule(a, b, quad.gl_order, 4)
-            self.src_c = 2 + len(self.phi_c) + np.arange(len(self.src_y))
-            self.r_rule = _gl_nodes(max(8, quad.gl_order // 2))
-            centres.append(self.src_y)
-        self.centres = np.concatenate(centres)
-
-    def domain_rows(self, ts):
-        """Origins, centres and weights of the phi and source terms at
-        every time of ``ts``: shapes (len(ts), nodes), (nodes,) and
-        (len(ts), nodes).  The source's (r, node) columns follow phi's
-        nodes; it is evaluated once, on all of them."""
-        ts = np.asarray(ts, dtype=float)[:, None]
-        s = np.zeros((len(ts), len(self.phi_c)))
-        weight, centre = np.broadcast_to(self.phi_w, s.shape), self.phi_c
-        if self.has_source:
-            # s = t - r^2, r by Gauss-Legendre on [0, sqrt(t)]
-            nodes, wr = self.r_rule
-            root = np.sqrt(ts)
-            r = 0.5 * root * nodes + 0.5 * root
-            sr = ts - r * r
-            fv = self.ps.source.eval(sr[:, :, None], self.src_y[:, None])
-            rw = 2.0 * r * (0.5 * root * wr)
-            s = np.hstack([s, np.repeat(sr, len(self.src_y), axis=1)])
-            weight = np.hstack([weight, (rw[:, :, None] * self.src_w
-                                         * fv).reshape(len(ts), -1)])
-            centre = np.concatenate([centre, np.tile(self.src_c, len(nodes))])
-        return s, centre, weight
-
-    def integrate(self, terms) -> list:
-        """Sums over the last axis of weight * p(t, x; s, y) and of
-        weight * dp/dx, y = ``centres[centre]``, for each term (s, t, x,
-        centre, weight) of ``terms``, whose arguments broadcast together.
-        The rows of all terms are evaluated in one pass; rows of zero
-        weight are skipped.  Returns a (sum, derivative sum) per term."""
-        fld = self.fld
-        terms = [(s, t - s, x - self.centres[centre], centre, weight)
-                 for s, t, x, centre, weight in terms]
-        shapes = [np.broadcast(*term).shape for term in terms]
-        lives = [_expand(term[-1] != 0.0, shape)
-                 for term, shape in zip(terms, shapes)]
-        # (s, t - s, x - y, centre, weight) at the live rows of all terms
-        s, sigma, dx, centre, weight = (
-            np.concatenate([_expand(term[k], shape)[live] for term, shape,
-                            live in zip(terms, shapes, lives)])
-            for k in range(5))
-        dx = dx[:, None]
-        if not fld.pc.time_dependent:
-            logp, g = fld.pair_log_terms(
-                sigma, dx, fld.pair_coeffs(self.centres[:, None]), centre,
-                gradient=True)
-        else:
-            logp, g = np.empty(len(s)), np.empty_like(dx)
-            # distinct (origin, centre) pairs in sorted order, as many per
-            # batch as the autonomous solve's one batch has centres
-            keys, key = np.unique(np.stack([s, centre], axis=1), axis=0,
-                                  return_inverse=True)
-            order = np.argsort(key, kind="stable")
-            step = len(self.centres)
-            cuts = np.searchsorted(key[order],
-                                   range(0, len(keys) + step, step))
-            for lo, a, b in zip(range(0, len(keys), step), cuts, cuts[1:]):
-                rows, chunk = order[a:b], keys[lo:lo + step]
-                coeffs = fld.pair_coeffs(
-                    self.centres[chunk[:, 1].astype(int), None], chunk[:, 0])
-                logp[rows], g[rows] = fld.pair_log_terms(
-                    sigma[rows], dx[rows], coeffs, key[rows] - lo,
-                    gradient=True)
-        val = weight * np.exp(logp)
-        dval = val * g[:, 0]
-        del s, sigma, dx, centre, weight, logp, g   # before the sums' arrays
-        sums, lo = [], 0
-        for shape, live in zip(shapes, lives):
-            hi = lo + np.count_nonzero(live)
-            out = np.zeros((2,) + shape)
-            out[0][live], out[1][live] = val[lo:hi], dval[lo:hi]
-            sums.append(out.sum(axis=-1))
-            lo = hi
-        return sums
+    a, b = ps.domain_lo[0], ps.domain_hi[0]
+    ys, ws = _gl_rule(a, b, quad.gl_order, max(quad.gl_panels, 8))
+    ts = np.asarray(ts, dtype=float)[:, None]
+    s = np.zeros((len(ts), len(ys)))
+    weight = np.broadcast_to(ws * ps.phi.eval(0.0, ys[:, None]), s.shape)
+    centres, centre = [np.array([a, b]), ys], 2 + np.arange(len(ys))
+    if not isinstance(ps.source, ZeroFunc):
+        # s = t - r^2, r by Gauss-Legendre on [0, sqrt(t)], flattens the
+        # (t-s)^(-1/2) endpoint behavior; the time integral smooths the
+        # spatial one, so coarser rules do
+        src_y, src_w = _gl_rule(a, b, quad.gl_order, 4)
+        nodes, wr = _gl_nodes(max(8, quad.gl_order // 2))
+        root = np.sqrt(ts)
+        r = 0.5 * root * nodes + 0.5 * root
+        sr = ts - r * r
+        fv = ps.source.eval(sr[:, :, None], src_y[:, None])
+        rw = 2.0 * r * (0.5 * root * wr)
+        s = np.hstack([s, np.repeat(sr, len(src_y), axis=1)])
+        weight = np.hstack([weight, (rw[:, :, None] * src_w
+                                     * fv).reshape(len(ts), -1)])
+        centre = np.concatenate([centre, np.tile(
+            2 + len(ys) + np.arange(len(src_y)), len(nodes))])
+        centres.append(src_y)
+    return np.concatenate(centres), s, centre, weight
 
 
 def solve_ibvp2(ps: ProblemSpec, fld: KernelField, steps: int = 64,
@@ -383,8 +301,8 @@ def solve_ibvp2(ps: ProblemSpec, fld: KernelField, steps: int = 64,
     if not (0.0 < times[0] and times[-1] <= T):
         raise ParameterError(f"sample times must lie in (0, {T}], where "
                              f"the density is marched; got {times}")
-    mach = _Ibvp2Machine(ps, fld, quad)
-    ends, normals = mach.ends, np.array([-1.0, 1.0])
+    ends, normals = np.array([ps.domain_lo[0], ps.domain_hi[0]]), \
+        np.array([-1.0, 1.0])
     edges = np.linspace(0.0, T, steps + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
     tm = edges[1:]
@@ -395,12 +313,14 @@ def solve_ibvp2(ps: ProblemSpec, fld: KernelField, steps: int = 64,
     # every kernel row of the solve is known before the march, so all are
     # evaluated in one pass: the domain terms at the step times (the
     # forcing, value and normal derivative together) and at the sample
-    # times, the jump kernel, and the layer rows of the reconstruction
-    s, centre, weight = mach.domain_rows(np.concatenate([tm, times]))
-    terms = [(s[:steps, None], tm[:, None, None], ends[:, None], centre,
-              weight[:steps, None]),
-             (s[steps:, None], np.array(times)[:, None, None], points, centre,
-              weight[steps:, None])]
+    # times, the jump kernel, and the layer rows of the reconstruction.
+    # Points carry a trailing axis of length 1, the dimension
+    centres, s, centre, weight = _domain_rows(ps, quad,
+                                              np.concatenate([tm, times]))
+    terms = [Rows(s[:steps, None], tm[:, None, None], ends[:, None, None],
+                  centre, weight[:steps, None], gradient=True),
+             Rows(s[steps:, None], np.array(times)[:, None, None],
+                  points[:, None], centre, weight[steps:, None])]
 
     # jump kernel times sqrt(t_m - s_i) for the endpoint pairs (e, e'): P
     # for p, G for n_e dp/dx.  Step m = 0, 1, ... reaches t_m = tm[m].
@@ -411,8 +331,9 @@ def solve_ibvp2(ps: ProblemSpec, fld: KernelField, steps: int = 64,
     else:
         s_, t_ = np.zeros(steps), mids
     s_, t_ = s_[..., None, None, None], t_[..., None, None, None]
-    terms.append((s_, t_, ends[:, None, None], np.arange(2)[:, None],
-                  np.sqrt(np.maximum(t_ - s_, 0.0))))
+    terms.append(Rows(s_, t_, ends[:, None, None, None],
+                      np.arange(2)[:, None], np.sqrt(np.maximum(t_ - s_, 0.0)),
+                      gradient=True))
 
     # the layer at a sample time t, one row (x, i, e', sub) per subdivision
     # of the intervals up to t; the integrand is resolved on the
@@ -425,10 +346,12 @@ def solve_ibvp2(ps: ProblemSpec, fld: KernelField, steps: int = 64,
                            axis=1)
         wts = _double_sqrt_weights(t, subs)
         sm = np.minimum(0.5 * (subs[:, :-1] + subs[:, 1:]), t - 1e-13)
-        terms.append((sm[:, None, :], t, points[:, :, None, None],
-                      np.arange(2)[:, None],
-                      (wts * np.sqrt(t - sm))[:, None, :]))
-    (val, dx_val), (dom, _), (P, dP), *layers = mach.integrate(terms)
+        terms.append(Rows(sm[:, None, :], t, points[:, None, None, None],
+                          np.arange(2)[:, None],
+                          (wts * np.sqrt(t - sm))[:, None, :]))
+    (val, dx_val), (dom, _), (P, dP), *layers = (
+        (v[0], None if g is None else g[0, ..., 0])
+        for v, g in fld.integrate(centres[:, None], terms))
 
     alpha, psi = (np.broadcast_to(f.eval(tm[:, None], ends[:, None]),
                                   (steps, 2)) for f in (ps.alpha, ps.psi))
@@ -510,7 +433,7 @@ def burgers_demo(ps: ProblemSpec, K: int = 4,
     pts = points if points is not None else lattice(ps)
     pts = np.asarray(pts, dtype=float).reshape(-1, n)
 
-    def psi0(ys):
+    def psi0(s, ys):
         """psi_0 = exp(Phi_0 / (2 nu)) at rows of ``ys``; fails loudly
         where it overflows."""
         phi0 = ps.phi0.eval(0.0, ys)
@@ -525,7 +448,7 @@ def burgers_demo(ps: ProblemSpec, K: int = 4,
     phi0 = ps.phi0.eval(0.0, pts)
     if np.min(phi0 / (2.0 * nu)) < -700.0:
         raise _psi0_scaling("underflows", phi0)
-    psi0(pts)
+    psi0(0.0, pts)
 
     potential = {}
     if not isinstance(ps.source, ZeroFunc):
@@ -539,15 +462,11 @@ def burgers_demo(ps: ProblemSpec, K: int = 4,
                                   bound_C=ps.coefficients.bound_C,
                                   domain_radius_R=ps.coefficients.domain_radius_R)
     fld = KernelField(pc_heat, WarpParams(), K=K)
-    times = sorted(sample_times or [ps.horizon])
-    values = np.zeros((len(times), len(pts), n))
-    for it, t in enumerate(times):
-        s_heat = nu * t
-        for ip, x in enumerate(pts):
-            psi, grad = _gh_integrals(fld, s_heat, 0.0, x, psi0,
-                                      order=quad.gh_order, gradient=True)
-            values[it, ip, :] = -2.0 * nu * grad[0] / psi[0]
-    return GridSolution(np.array(times, dtype=float), pts, values,
+    times = np.array(sorted(sample_times or [ps.horizon]), dtype=float)
+    [(psi, grad)] = fld.gauss_hermite(
+        quad.gh_order, [(nu * times[:, None], 0.0, pts, psi0)], gradient=True)
+    values = -2.0 * nu * grad[0] / psi[0][..., None]
+    return GridSolution(times, pts, values,
                         {"kind": "burgers", "nu": nu, "K": K,
                          "gh_order": quad.gh_order})
 

@@ -33,7 +33,7 @@ from scipy import sparse
 
 from parakern import polyalg
 from parakern.errors import ParameterError, SequencingError, StructureError
-from parakern.kernel import kernel_gradient
+from parakern.kernel import Rows, kernel_gradient
 from parakern.polyalg import (CoefficientEntry, FourierEntry, MultiIndex,
                               PolyEntry, TimeEntry, index_table, taylorize,
                               _monomials, _mul_cols, _overflow_cols,
@@ -197,10 +197,11 @@ def normal_derivative(exp: ExpansionCoeffs, time: float, x, y, nu,
 
 
 def pair_log_value(fld, t: float, s: float, x, y, j: int = 0) -> float:
-    """log p(t, x; s, y) through a one-row ``fld.pair_log_terms`` call."""
+    """log p(t, x; s, y) through a one-row ``fld.integrate`` call."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    return float(fld.pair_log_terms([t - s], (np.asarray(x, float) - y)[None],
-                                    fld.pair_coeffs(y, s), [0], j)[0][0])
+    [(value, _)] = fld.integrate(
+        y[None], [Rows(s, t, np.asarray(x, dtype=float)[None], [0], 1.0)])
+    return math.log(float(value[j]))
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ import pytest
 
 from parakern import kernel, recursion
 from parakern.errors import ParameterError, StructureError
-from parakern.kernel import (KernelField, _gh_integrals, eval_points,
-                             kernel_log_gradient, log_correction)
+from parakern.kernel import (KernelField, eval_points, kernel_log_gradient,
+                             log_correction)
 from parakern.polyalg import (FourierEntry, PolyEntry, TimeEntry, index_table,
                               _rows)
 from parakern.problemfile import load_problem_dict, load_problem_file
@@ -242,8 +242,8 @@ def test_gh_pass_matches_per_centre_sum(mode):
     t, x, order = 0.2, np.array([0.3]), 12
     g = lambda y: math.exp(-float(y[0]) ** 2)
     # the pass evaluates g once, on the array of kept nodes
-    vals, grads = _gh_integrals(fld, t, 0.0, x, lambda ys: [g(y) for y in ys],
-                                (0,), order, gradient=True)
+    [(vals, grads)] = fld.gauss_hermite(
+        order, [(t, 0.0, x, lambda s, ys: [g(y) for y in ys])], gradient=True)
     z, w = np.polynomial.hermite.hermgauss(order)
     time = fld.mode_time(t)
     root = 2.0 * math.sqrt(t)

@@ -314,6 +314,19 @@ def test_solve_rejects_quadrature_flags_below_two(tmp_path, capsys, flag,
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("command", ["solve", "eval", "expand"])
+def test_negative_degree_is_rejected(tmp_path, capsys, command):
+    # -1 used to reach KernelField's trust radius, 1 / (D + 1), and die
+    # with a ZeroDivisionError traceback
+    base = tmp_path / "out"
+    rc = main([command, problem("sin_drift.json"), "--degree", "-1",
+               "--out", str(base)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "problem-file error" in err and "--degree" in err
+    assert os.listdir(tmp_path) == []
+
+
 def test_solve_time_dependent_mixed_kind_drift(tmp_path):
     # time_poly parts mixing poly and fourier, re-anchored at every origin
     # of the march and of the source's time rule

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from parakern import kernel, oracle, solvers
 from parakern.errors import ParameterError, ScalingError, StructureError
-from parakern.kernel import (KernelField, delta_property, eval_kernel,
+from parakern.kernel import (KernelField, Rows, delta_property, eval_kernel,
                              eval_points, kernel_gradient, kernel_log_gradient,
                              log_correction, normalization_check, residual,
                              varadhan_diag)
@@ -451,8 +451,9 @@ def test_eval_points_rejects_misshapen_points():
 
 @pytest.mark.parametrize("mode", ["plain", "beta", "tau"])
 def test_pair_log_terms_rows_equal_one_point_calls(monkeypatch, mode):
-    # rows of several centres, in one pass and in one-row chunks, equal
-    # the one-point pair_* calls bit for bit, time-dependent origin included
+    # rows of several centres through KernelField.integrate, in one pass
+    # and in one-row chunks, equal one-row calls bit for bit,
+    # time-dependent origin included
     entry = TimeEntry(((0, PolyEntry(1, ((0.3, (0,)), (0.2, (1,))))),
                        (1, PolyEntry(1, ((0.5, (0,)),)))))
     pc = ProblemCoefficients(1, 1, {(0, 0, 0): entry})
@@ -462,41 +463,58 @@ def test_pair_log_terms_rows_equal_one_point_calls(monkeypatch, mode):
     t = s + np.array([0.05, 0.2, 0.1, 0.3, 0.01])
     sigma = t - s
     xs = np.array([[0.1], [0.3], [-0.4], [0.0], [0.45]])
-    coeffs = fld.pair_coeffs(ys, s)
-    whole = fld.pair_log_terms(sigma, xs - ys[centre], coeffs, centre,
-                               gradient=True)
+
+    def rows(t, xs, centre):
+        # one segment per row: its sums are p and grad_x p at that row
+        return [Rows(s, t[:, None], xs[:, None, :], centre[:, None], 1.0,
+                     gradient=True)]
+
+    [whole] = fld.integrate(ys, rows(t, xs, centre))
     monkeypatch.setattr(kernel, "_CHUNK_FLOATS", 1)     # one row each
-    split = fld.pair_log_terms(sigma, xs - ys[centre], coeffs, centre,
-                               gradient=True)
+    [split] = fld.integrate(ys, rows(t, xs, centre))
     for a, b in zip(whole, split):
         assert a.tobytes() == b.tobytes()
+    value, grad = whole[0][0], whole[1][0, :, 0]
     for r, c in enumerate(centre):
-        assert pair_log_value(fld, t[r], s, xs[r], ys[c]) == whole[0][r]
-        one = fld.pair_log_terms([t[r] - s], (xs[r] - ys[c])[None],
-                                 fld.pair_coeffs(ys[c], s), [0],
-                                 gradient=True)
-        assert np.array_equal(one[1][0], whole[1][r])
+        assert pair_log_value(fld, t[r], s, xs[r], ys[c]) == \
+            math.log(value[r])
+        [one] = fld.integrate(ys[c:c + 1], rows(t[r:r + 1], xs[r:r + 1],
+                                                np.array([0])))
+        assert one[0].tobytes() == whole[0][:, r:r + 1].tobytes()
+        assert np.array_equal(one[1], whole[1][:, r:r + 1])
         # and the single-center expansion read by the point evaluator
         exp = expand(shifted_origin(pc, s), ys[c], 4, WARPS[mode], 10)
         time, dx = fld.mode_time(sigma[r]), xs[r] - ys[c]
         log_g = -0.5 * math.log(4 * math.pi * sigma[r]) \
             - dx[0] ** 2 / (4 * sigma[r])
-        assert whole[0][r] == pytest.approx(
+        assert math.log(value[r]) == pytest.approx(
             log_g + log_correction(exp, time, xs[r], 0), rel=1e-13)
-        assert whole[1][r] == pytest.approx(
+        assert grad[r] / value[r] == pytest.approx(
             kernel_log_gradient(exp, time, xs[r]), rel=1e-13)
     with pytest.raises(ParameterError, match="need t > s"):
-        fld.pair_log_terms([0.1, 0.0], np.zeros((2, 1)), coeffs, [0, 1])
+        fld.integrate(ys, [Rows(0.0, np.array([[0.1], [0.0]]),
+                                np.zeros((2, 1, 1)), np.array([[0], [1]]),
+                                1.0)])
 
 
-def test_pair_log_terms_of_a_trivial_field_is_the_gaussian():
+def test_pair_log_terms_of_a_trivial_field_is_the_gaussian(monkeypatch):
+    # no expansion is built: the kernel is the Gaussian
+    monkeypatch.setattr(kernel, "expand_batch", None)
     fld = KernelField(PC_ZERO, WarpParams(), K=1)
-    assert fld.pair_coeffs([[0.0]]) is None
     sigma, dx = np.array([0.1, 0.4]), np.array([[0.3], [-0.2]])
-    logp, grad = fld.pair_log_terms(sigma, dx, gradient=True)
-    assert np.allclose(logp, -0.5 * np.log(4 * math.pi * sigma)
+    [(value, grad)] = fld.integrate([[0.0]], [Rows(
+        0.0, sigma[:, None], dx[:, None, :], 0, 1.0, gradient=True)])
+    assert np.allclose(np.log(value[0]), -0.5 * np.log(4 * math.pi * sigma)
                        - dx[:, 0] ** 2 / (4 * sigma), rtol=1e-15, atol=0)
-    assert np.array_equal(grad, -dx / (2 * sigma[:, None]))
+    assert np.array_equal(grad[0],
+                          value[0][:, None] * (-dx / (2 * sigma[:, None])))
+
+
+def test_negative_degree_cap_is_rejected():
+    # the trust radius takes a (D + 1)-st root; D = -1 divided by zero
+    with pytest.raises(ParameterError, match="degree_D must be >= 0"):
+        KernelField(PC_SIN, WarpParams(), K=2, D=-1)
+    assert KernelField(PC_ZERO, WarpParams(), K=0, D=0).D == 0
 
 
 def test_eval_points_over_times_reports_the_first_failure_in_time_order():

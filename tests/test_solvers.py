@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from parakern import solvers
+from parakern import kernel, solvers
 from parakern.errors import (ConditioningError, ParameterError, ScalingError,
                              UnsupportedSpecError)
 from parakern.funcspec import (CallableFunc, ExpTime, GaussianMix,
@@ -15,7 +15,8 @@ from parakern.kernel import KernelField, kernel_log_gradient, log_correction
 from parakern.oracle import FDConfig, fd_solve, fd_solve_burgers
 from parakern.polyalg import FourierEntry, PolyEntry, TimeEntry
 from parakern.problemfile import load_problem_file
-from parakern.recursion import ProblemCoefficients, WarpParams, expand
+from parakern.recursion import (ProblemCoefficients, WarpParams, expand,
+                                expand_batch)
 from parakern.solvers import (BoundaryDensity, GridSolution, ProblemSpec,
                               QuadratureConfig, _double_sqrt_weights,
                               _gl_rule, burgers_demo, solve_cauchy,
@@ -184,21 +185,71 @@ def counted_gaussian(*terms):
     return spec
 
 
-def test_cauchy_evaluates_data_once_per_gauss_hermite_pass():
+def _counted_source_solve(fld):
+    """The 3-point, 2-time sin-drift solve with a source, GH 12 and GL 4;
+    returns its counted phi and source."""
     phi = counted_gaussian((1.0, 1.0, (0.0,)))
     source = counted_gaussian((0.5, 2.0, (0.3,)))
     ps = ProblemSpec("cauchy", (-1.0,), (1.0,), 0.2, PC_SIN, phi=phi,
                      source=source)
-    fld = KernelField(PC_SIN, WarpParams(), K=2)
     quad = QuadratureConfig(gh_order=12, gl_order=4, gl_panels=1)
     pts = np.array([[-0.5], [0.0], [0.5]])
     solve_cauchy(ps, fld, quad, points=pts, sample_times=[0.1, 0.2])
-    # one call per pass, on the array of its kept nodes (nodes past the
-    # trust radius are dropped first)
-    assert len(phi.calls) == 2 * 3
-    assert len(source.calls) == 2 * 3 * 4
-    assert all(len(shape) == 2 and 1 < shape[0] <= 12 and shape[1] == 1
-               for shape in phi.calls + source.calls)
+    return phi, source
+
+
+def test_cauchy_evaluates_data_once_per_solve():
+    # one call for all 2 * 3 passes of phi and one for all 2 * 3 * 4 of
+    # the source (it was one per pass), each on the array of the kept
+    # nodes; nodes past the trust radius are dropped first
+    phi, source = _counted_source_solve(KernelField(PC_SIN, WarpParams(), K=2))
+    assert len(phi.calls) == 1 and len(source.calls) == 1
+    (nphi, dim), (nsource, sdim) = phi.calls[0], source.calls[0]
+    assert dim == sdim == 1
+    assert 2 * 3 < nphi <= 2 * 3 * 12
+    assert 2 * 3 * 4 < nsource <= 2 * 3 * 4 * 12
+
+
+def test_cauchy_source_solve_expands_once_per_chunk_of_centres(monkeypatch):
+    # every kept node of the solve is one centre; they are expanded in
+    # batches of at most _BATCH_CENTRES, not one batch per pass: the
+    # 2 sample times * 3 points * (1 + 4 GL nodes) passes made 30 calls
+    sizes = []
+
+    def recording(pc, ys, *args):
+        sizes.append(len(ys))
+        return expand_batch(pc, ys, *args)
+
+    monkeypatch.setattr(kernel, "expand_batch", recording)
+    phi, source = _counted_source_solve(KernelField(PC_SIN, WarpParams(), K=2))
+    nodes = phi.calls[0][0] + source.calls[0][0]
+    assert sum(sizes) == nodes
+    assert len(sizes) == -(-nodes // kernel._BATCH_CENTRES) < 2 * 3 * 5
+    assert max(sizes) <= kernel._BATCH_CENTRES
+
+
+PC_TIME = ProblemCoefficients(1, 1, {(0, 0, 0): TimeEntry((
+    (0, PolyEntry(1, ((0.3, (0,)),))), (1, PolyEntry(1, ((0.5, (0,)),)))))})
+
+
+@pytest.mark.parametrize("mode", ["plain", "beta", "tau"])
+@pytest.mark.parametrize("with_source", [False, True])
+@pytest.mark.parametrize("pc", [PC_SIN, PC_TIME], ids=["sin", "time"])
+def test_cauchy_points_equal_one_point_solves(mode, with_source, pc):
+    # the passes of all points are rows of one call; each point's values
+    # are those of a solve at that point alone, bit for bit
+    wp = WarpParams() if mode == "plain" else WarpParams(mode=mode, beta=0.5)
+    source = GaussianMix(((0.5, 2.0, (0.3,)),)) if with_source else ZeroFunc()
+    ps = ProblemSpec("cauchy", (-1.0,), (1.0,), 0.2, pc, phi=gauss_phi(),
+                     source=source)
+    fld = KernelField(pc, wp, K=3, D=8)
+    quad = QuadratureConfig(gh_order=12, gl_order=4, gl_panels=2)
+    pts = np.array([[-0.7], [0.0], [0.25], [0.9]])
+    whole = solve_cauchy(ps, fld, quad, points=pts, sample_times=[0.1, 0.2])
+    for p in range(len(pts)):
+        one = solve_cauchy(ps, fld, quad, points=pts[p:p + 1],
+                           sample_times=[0.1, 0.2])
+        assert one.values.tobytes() == whole.values[:, p:p + 1].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -566,20 +617,45 @@ def test_ibvp2_time_dependent_source_evaluated_once_per_kernel_pass():
 
 
 def test_ibvp2_time_dependent_expansions_built_once_per_solve(monkeypatch):
-    # every (origin, centre) row handed to pair_coeffs over the whole
+    # every (origin, centre) row handed to expand_batch over the whole
     # solve: forcing, jump kernel, domain term and layer at the sample time
     built = []
-    pair_coeffs = KernelField.pair_coeffs
 
-    def recording(self, ys, s=0.0):
-        ys = np.asarray(ys, dtype=float).reshape(-1)
-        built.extend(zip(np.broadcast_to(s, ys.shape).tolist(), ys.tolist()))
-        return pair_coeffs(self, ys[:, None], s)
+    def recording(pc, ys, K, wp, D, origins=0.0):
+        built.extend(zip(np.broadcast_to(origins, len(ys)).tolist(),
+                         np.asarray(ys)[:, 0].tolist()))
+        return expand_batch(pc, ys, K, wp, D, origins)
 
-    monkeypatch.setattr(KernelField, "pair_coeffs", recording)
+    monkeypatch.setattr(kernel, "expand_batch", recording)
     _time_drift_source_solve(GaussianMix(((1.0, 2.0, (0.5,)),)))
     assert len(built) > 10_000
     assert len(set(built)) == len(built)
+
+
+def test_ibvp2_value_only_rows_skip_the_gradient(monkeypatch):
+    # the forcing rows (value and x-derivative at the endpoints) and the
+    # jump kernel need d/dx log p; the domain term at the sample time and
+    # the layer rows do not, and never reach the gradient tables
+    rows = {True: 0, False: 0}
+
+    def recording(coeffs, dx, D, time, t_eff=None, *args, **kwargs):
+        rows[t_eff is not None] += len(dx)
+        return log_terms(coeffs, dx, D, time, t_eff, *args, **kwargs)
+
+    log_terms = kernel._log_terms
+    monkeypatch.setattr(kernel, "_log_terms", recording)
+    pc = ProblemCoefficients(1, 1, {(0, 0, 0): PolyEntry(1, ((0.5, (0,)),))})
+    ps = ProblemSpec("ibvp2", (0.0,), (1.0,), 0.5, pc, phi=COS_SPEC,
+                     alpha=SpacePoly(((1.0, (0,)),)))
+    fld = KernelField(pc, WarpParams(), K=2)
+    steps, pts = 16, np.array([[0.25], [0.5], [0.75]])
+    solve_ibvp2(ps, fld, steps=steps, quad=QUAD, points=pts)
+    nodes = np.count_nonzero(
+        COS_SPEC.eval(0.0, _gl_rule(0.0, 1.0, QUAD.gl_order, 8)[0][:, None]))
+    # forcing: (step, endpoint, node); jump: one (lag, endpoint, endpoint')
+    assert rows[True] == steps * 2 * nodes + steps * 2 * 2
+    # domain term: (point, node); layer: (point, interval, endpoint, sub)
+    assert rows[False] == len(pts) * nodes + len(pts) * steps * 2 * 4
 
 
 def test_ibvp2_march_makes_no_per_step_linear_solve(monkeypatch):
