@@ -268,9 +268,8 @@ def varadhan_diag(exp: ExpansionCoeffs, ts: Sequence[float], x, y=None,
 # multi-center evaluation
 # ---------------------------------------------------------------------------
 
-# centres per expand_batch call of KernelField.integrate; in 1D and 2D
-# solves of thousands of centres, larger batches held larger arrays and
-# gained little time
+# centres per expand_batch call of KernelField.integrate; in solves of
+# thousands of centres, larger batches held larger arrays for little time
 _BATCH_CENTRES = 256
 
 
@@ -281,10 +280,8 @@ class Rows(NamedTuple):
     ``x[..., 0]`` (points x have a trailing axis n).  ``data`` is called
     once, on the origins (R,) and centres (R, n) of the rows kept so far.
     ``gradient`` adds the sums of grad_x p_j.  ``hermite`` marks
-    Gauss-Hermite passes: the kernel's Gaussian is the weight, and each
-    element of ``t - s`` before broadcasting (one per pass) takes its
-    mode time and powers as Python floats, as a call for that pass alone
-    would."""
+    Gauss-Hermite nodes: the kernel's Gaussian is the weight, and nodes
+    past the trust radius are dropped."""
 
     s: object
     t: object
@@ -296,32 +293,14 @@ class Rows(NamedTuple):
     hermite: bool = False
 
 
-def _expand(v, shape) -> np.ndarray:
-    """``v`` broadcast to ``shape``, as a new array; for the small arrays
-    of a solve about half the cost of masking ``np.broadcast_to``'s view."""
-    v = np.asarray(v)
-    out = np.empty(shape, v.dtype)
-    out[...] = v
-    return out
-
-
-def _segment_sums(a: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Sums over axis 1 of ``a`` in consecutive segments of ``counts``
-    entries, each by a numpy sum over a contiguous copy of the segment:
-    the bits of a sum over that segment alone."""
-    flat = counts.ravel()
-    if flat.size and (flat == flat[0]).all():
-        # one count: the segments are the rows of a reshape
-        return a.reshape(a.shape[:1] + (flat.size, int(flat[0]))
-                         + a.shape[2:]).sum(axis=2).reshape(
-                             a.shape[:1] + counts.shape + a.shape[2:])
-    out = np.zeros(a.shape[:1] + flat.shape + a.shape[2:])
-    starts = np.cumsum(flat) - flat
-    for c in sorted(set(flat.tolist()) - {0}):
-        segs = np.flatnonzero(flat == c)
-        out[:, segs] = np.take(a, starts[segs, None] + np.arange(c),
-                               axis=1).sum(axis=2)
-    return out.reshape(a.shape[:1] + counts.shape + a.shape[2:])
+def _masked_sums(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Sums over the last axis of ``keep`` of the rows of ``a`` (axis 1)
+    put at its true entries, with 0 at the others."""
+    if not keep.all():
+        full = np.zeros(a.shape[:1] + (keep.size,) + a.shape[2:])
+        full[:, keep.ravel()] = a
+        a = full
+    return a.reshape(a.shape[:1] + keep.shape + a.shape[2:]).sum(keep.ndim)
 
 
 class KernelField:
@@ -383,124 +362,102 @@ class KernelField:
         """Every sum of ``terms`` (see :class:`Rows`), from one pass.
 
         ``centres`` (C, n) is the table the terms' indices read.  A row is
-        dropped where its weight or data is 0 or |x - y| exceeds
-        :attr:`trust_radius`; a kept row needs t > s.  The kept rows'
-        expansions, one per centre (per distinct (origin, centre) pair for
-        time-dependent coefficients), are built by ``expand_batch`` calls
-        of one chunk of centres each; the x-gradient is taken only on rows
-        of terms that ask for it.  Returns per term the sums over each
-        segment of its last axis, one per component, shape (components,)
-        + its leading shape, and the gradient sums (a trailing axis n) or None.
+        dropped where its weight or data is 0, or, on a Gauss-Hermite
+        node, where |x - y| exceeds :attr:`trust_radius`; a kept row needs
+        t > s.  The kept rows' expansions, one per centre (per distinct
+        (origin, centre) pair for time-dependent coefficients), are built
+        by ``expand_batch`` calls of one chunk of centres each; the
+        x-gradient is taken only on rows of terms that ask for it.
+        Returns per term the sums over its last axis, dropped rows adding
+        0, one per component, shape (components,) + its leading shape, and
+        the gradient sums (a trailing axis n) or None.
         """
         n = self.pc.n
         centres = np.asarray(centres, dtype=float).reshape(-1, n)
-        parts = [self._kept_rows(centres, term) for term in terms]
-        sizes = [int(counts.sum()) for _, _, counts in parts]
-        rows = {}
-        for key in list(parts[0][0]):   # each key's pieces dropped once joined
-            pieces = [p.pop(key) for p, _, _ in parts]
-            rows[key] = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-        dx = rows["dx"]
-        sigma = rows["sigma"] = rows["t"] - rows["s"]
+        shapes = [np.broadcast(np.asarray(term.x)[..., 0], term.s, term.t,
+                               term.centre, term.weight).shape
+                  for term in terms]
+        # a row per element of each term's shape: (s, t - s, weight, centre
+        # index, x - y)
+        table = np.empty((sum(map(math.prod, shapes)), 4 + n))
+        keeps, datas, lo, view = [], [], 0, None
+        for term, shape in zip(terms, shapes):
+            rows, lo = table[lo:lo + math.prod(shape)], lo + math.prod(shape)
+            view = rows.reshape(shape + (4 + n,))
+            for col, v in enumerate((term.s, np.subtract(term.t, term.s),
+                                     term.weight, term.centre)):
+                view[..., col] = v
+            view[..., 4:] = np.asarray(term.x, dtype=float) \
+                - centres[np.asarray(term.centre)]
+            keep = rows[:, 2] != 0.0
+            if term.hermite and self.trust_radius < math.inf:
+                keep &= ~((rows[:, 4:] ** 2).sum(axis=1)
+                          > self.trust_radius ** 2)
+            data = None
+            if term.data is not None:
+                # evaluated on the rows kept so far; where it vanishes, dropped
+                origin, centre = np.compress(keep, rows[:, [0, 3]].T, axis=1)
+                data = np.asarray(term.data(origin, centres[
+                    centre.astype(int)]), dtype=float)
+                live = data != 0.0
+                keep[keep], data = live, data[live]
+            keeps.append(keep)
+            datas.append(data)
+        kept = keeps[0] if len(keeps) == 1 else np.concatenate(keeps)
+        rows = table if kept.all() else np.compress(kept, table, axis=0)
+        del table, view     # the dropped rows, before the evaluation's arrays
+        sigma, dx = rows[:, 1], rows[:, 4:]
         if not (sigma > 0).all():
             raise ParameterError("need t > s")
-        # log p less the correction; a Gauss-Hermite weight holds it
-        logp = np.zeros(len(sigma))
-        if not all(t.hermite for t in terms):
-            logp = -0.5 * n * np.log(4.0 * math.pi * sigma) \
-                - (dx * dx).sum(axis=1) / (4.0 * sigma)
-            logp[np.repeat([t.hermite for t in terms], sizes)] = 0.0
-        gradient = any(t.gradient for t in terms)
-        if self._trivial or not len(sigma):
-            grad = np.broadcast_to(-dx / (2.0 * sigma[:, None]), (
-                self.pc.components,) + dx.shape) if gradient else None
-        else:
-            want = np.repeat([t.gradient for t in terms], sizes)
-            logc, grad = self._corrections(centres, rows, want)
-            logp = logp + logc
-        value = rows["weight"] * np.exp(logp)
-        if value.ndim == 1:     # a trivial field: the same for all components
-            value = value[None].repeat(self.pc.components, axis=0)
-        del rows, logp, dx, sigma      # before the sums' arrays
+        counts = [np.count_nonzero(keep) for keep in keeps]
+        gradient, hermite = ([getattr(term, flag) for term in terms]
+                             for flag in ("gradient", "hermite"))
+        logc, grad = self._corrections(centres, rows, np.repeat(
+            gradient, counts) if any(gradient) else None)
+        if not all(hermite):    # a Gauss-Hermite weight holds the Gaussian
+            logc = logc + np.where(np.repeat(hermite, counts), 0.0, -0.5 * n
+                                   * np.log(4.0 * math.pi * sigma)
+                                   - (dx * dx).sum(1) / (4.0 * sigma))
+        value = rows[:, 2] * np.exp(logc)
         out, lo = [], 0
-        for term, (_, data, counts), size in zip(terms, parts, sizes):
-            v = value[:, lo:lo + size]
+        for term, shape, keep, data, count in zip(terms, shapes, keeps, datas,
+                                                  counts):
+            v = value[:, lo:lo + count]
             v = v if data is None else v * data
-            sums = [v, v[..., None] * grad[:, lo:lo + size]] \
-                if term.gradient else [v]
-            sums = [_segment_sums(a, counts) for a in sums]
-            out.append((sums[0], sums[1] if term.gradient else None))
-            lo += size
+            keep = keep.reshape(shape)
+            out.append((_masked_sums(v, keep), _masked_sums(
+                v[..., None] * grad[:, lo:lo + count], keep) if term.gradient
+                else None))
+            lo += count
         return out
 
-    def _kept_rows(self, centres: np.ndarray, term: Rows):
-        """The rows of ``term`` the filters keep, flat and in order, their
-        data (None without), and how many rows each segment of its last
-        axis keeps (segment-shaped)."""
-        x = np.asarray(term.x, dtype=float)
-        n = x.shape[-1]
-        shape = np.broadcast(x[..., 0], term.s, term.t, term.centre,
-                             term.weight).shape
-        rows = {key: _expand(getattr(term, key), shape).ravel()
-                for key in ("s", "t", "centre", "weight")}
-        rows["dx"] = _expand(x - centres[np.asarray(term.centre)],
-                             shape + (n,)).reshape(-1, n)
-        keep = rows["weight"] != 0.0
-        if self.trust_radius < math.inf:
-            keep &= ~((rows["dx"] ** 2).sum(axis=1) > self.trust_radius ** 2)
-        data = None
-        if term.data is not None:
-            # evaluated on the rows kept so far; where it vanishes, dropped
-            data = np.asarray(term.data(rows["s"][keep],
-                                        centres[rows["centre"][keep]]),
-                              dtype=float)
-            live = data != 0.0
-            if not live.all():
-                keep[keep], data = live, data[live]
-        if not keep.all():
-            for key in rows:
-                rows[key] = rows[key][keep]
-        if not self._trivial:
-            ks = range(self.K + 1)
-            if term.hermite:
-                passes = np.asarray(term.t, dtype=float) - term.s
-                table = np.array([[tm] + [tm ** k for k in ks] for tm in map(
-                    self.mode_time, passes.ravel().tolist())])
-                table = np.broadcast_to(table.reshape(passes.shape + (-1,)),
-                                        shape + table.shape[1:])[
-                                            keep.reshape(shape)]
-                rows["time"], rows["powers"] = table[:, 0], table[:, 1:]
-            else:
-                rows["time"] = self.mode_time(rows["t"] - rows["s"])
-                rows["powers"] = np.array([rows["time"] ** k
-                                           for k in ks]).T
-        counts = keep.reshape(-1, shape[-1]).sum(axis=1)
-        return rows, data, counts.reshape(shape[:-1])
-
-    def _corrections(self, centres: np.ndarray, rows: dict,
-                     want: np.ndarray):
-        """The log corrections of all rows and grad_x log p on the rows
-        ``want`` marks, from their expansions, one chunk at a time.  A log
-        correction that is not finite or reaches 700 raises
-        :class:`ScalingError`: the sums would be inf or NaN."""
-        logc = np.zeros((self.pc.components, len(want)))
-        grad = np.zeros(logc.shape + (self.pc.n,)) if want.any() else None
+    def _corrections(self, centres: np.ndarray, rows: np.ndarray,
+                     want: np.ndarray | None):
+        """The log corrections of ``rows`` (s, t - s, _, centre index,
+        x - y), one per component, and grad_x log p on the rows ``want``
+        marks (None: on none), from their expansions, one chunk at a time;
+        a row's mode time and its powers are numpy's.  A log correction
+        that is not finite or reaches 700 raises :class:`ScalingError`:
+        the sums would be inf or NaN."""
+        s, sigma, dx = rows[:, 0], rows[:, 1], rows[:, 4:]
+        centre = rows[:, 3].astype(int)
+        logc = np.zeros((self.pc.components, len(rows)))
+        if self._trivial:
+            return logc, (-dx / (2.0 * sigma[:, None]))[None]
+        grad = None if want is None else np.zeros(logc.shape + dx.shape[1:])
         if self.pc.time_dependent:
-            keys, key = np.unique(np.stack([rows["s"], rows["centre"]], axis=1),
-                                  axis=0, return_inverse=True)
+            keys, key = np.unique(np.stack([s, rows[:, 3]], axis=1), axis=0,
+                                  return_inverse=True)
             origins, cols = keys[:, 0], keys[:, 1].astype(int)
         else:
-            used = np.zeros(len(centres), dtype=bool)
-            used[rows["centre"]] = True
-            cols, origins = np.flatnonzero(used), np.zeros(used.sum())
-            key = (np.cumsum(used) - 1)[rows["centre"]]
+            cols = np.flatnonzero(np.bincount(centre))
+            key, origins = np.searchsorted(cols, centre), np.zeros(len(cols))
         # the rows of each chunk of expansions
         step = _BATCH_CENTRES
         order, cuts = np.arange(len(key)), [0, len(key)]
         if len(cols) > step:
             order = np.argsort(key, kind="stable")
             cuts = np.searchsorted(key[order], range(0, len(cols) + step, step))
-        dx = rows["dx"]
         for lo, a, b in zip(range(0, len(cols), step), cuts, cuts[1:]):
             coeffs = expand_batch(self.pc, centres[cols[lo:lo + step]], self.K,
                                   self.warp, self.D,
@@ -510,25 +467,25 @@ class KernelField:
             per = max(1, min(coeffs.shape[3],
                              _CHUNK_FLOATS // coeffs[:, :, :, 0].size))
             chunk = order[a:b]
-            for grow, sel in ((True, chunk[want[chunk]]),
-                              (False, chunk[~want[chunk]])):
+            groups = [(False, chunk)] if want is None else \
+                [(True, chunk[want[chunk]]), (False, chunk[~want[chunk]])]
+            for grow, sel in groups:
                 for r in (sel[i:i + per] for i in range(0, len(sel), per)):
                     corr, _, g, _ = _log_terms(
-                        coeffs[:, :, :, key[r] - lo], dx[r], self.D,
-                        rows["time"][r], rows["sigma"][r] if grow else None,
-                        powers=list(rows["powers"][r].T))
+                        np.take(coeffs, key[r] - lo, axis=3), dx[r], self.D,
+                        self.mode_time(sigma[r]), sigma[r] if grow else None)
                     logc[:, r] = corr
                     if grow:
                         grad[:, r] = g
-        bad = ~(np.isfinite(logc) & (logc < 700.0))
-        if bad.any():
-            r = int(np.flatnonzero(bad.any(axis=0))[0])
+        if not (np.isfinite(logc) & (logc < 700.0)).all():
+            bad = ~(np.isfinite(logc) & (logc < 700.0))
+            r = int(bad.any(axis=0).argmax())
             raise ScalingError(
                 f"log correction {logc[bad[:, r].argmax(), r]:.3g} at t = "
-                f"{rows['t'][r]:.6g}, |x - y| = {np.linalg.norm(dx[r]):.3g} "
-                f"is not finite or reaches 700: the K = {self.K}, D = "
-                f"{self.D} expansion does not hold there; lower K and D or "
-                f"the horizon")
+                f"{s[r] + sigma[r]:.6g}, |x - y| = "
+                f"{np.linalg.norm(dx[r]):.3g} is not finite or reaches 700: "
+                f"the K = {self.K}, D = {self.D} expansion does not hold "
+                f"there; lower K and D or the horizon")
         return logc, grad
 
     def gauss_hermite(self, order: int, passes,
@@ -545,19 +502,19 @@ class KernelField:
         """
         n = self.pc.n
         zs, ws = _gh_table(order, n)
-        centres, terms = [], []
+        centres, terms, first = [], [], 0
         for t, s, x, g in passes:
-            t, s, x = (np.asarray(a, dtype=float) for a in (t, s, x))
-            ys = x[..., None, :] + 2.0 * np.sqrt(t - s)[..., None, None] * zs
-            first = sum(map(len, centres))
+            x = np.asarray(x, dtype=float)[..., None, :]
+            s, t = np.asarray(s)[..., None], np.asarray(t)[..., None]
+            ys = x + 2.0 * np.sqrt(t - s)[..., None] * zs
             centres.append(ys.reshape(-1, n))
-            terms.append(Rows(
-                s[..., None], t[..., None], x[..., None, :],
-                first + np.arange(len(centres[-1])).reshape(ys.shape[:-1]),
+            terms.append(Rows(s, t, x, np.arange(
+                first, first + len(centres[-1])).reshape(ys.shape[:-1]),
                 ws, g, gradient, hermite=True))
+            first += len(centres[-1])
         scale = math.pi ** (n / 2.0)
-        return [(v / scale, None if g is None else g / scale)
-                for v, g in self.integrate(np.concatenate(centres), terms)]
+        return [(v / scale, None if g is None else g / scale) for v, g in
+                self.integrate(np.concatenate(centres), terms)]
 
 
 @functools.lru_cache(maxsize=None)

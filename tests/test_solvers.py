@@ -658,6 +658,28 @@ def test_ibvp2_value_only_rows_skip_the_gradient(monkeypatch):
     assert rows[False] == len(pts) * nodes + len(pts) * steps * 2 * 4
 
 
+def test_ibvp2_sums_rows_past_the_trust_radius():
+    # the trust radius drops Gauss-Hermite tail nodes only: the Robin
+    # solve's domain, jump-kernel and layer rows are not Gaussian tails,
+    # so a radius below the domain's width must not drop the coupling
+    # between the endpoints; the solve equals one with no radius at all
+    pc = ProblemCoefficients(1, 1, {(0, 0, 0): FourierEntry(
+        1, ((0.3, (5.0,), 0.0),))})
+    ps = ProblemSpec("ibvp2", (0.0,), (1.0,), 0.5, pc, phi=COS_SPEC,
+                     alpha=SpacePoly(((1.0, (0,)),)))
+    fld, unbounded = (KernelField(pc, WarpParams(), K=2) for _ in range(2))
+    unbounded.trust_radius = math.inf
+    assert fld.trust_radius < 0.6
+    pts = np.array([[0.05], [0.5], [0.95]])
+    quad = QuadratureConfig(gh_order=40, gl_order=8, gl_panels=1)
+    sol, dens = solve_ibvp2(ps, fld, steps=16, quad=quad, points=pts)
+    ref_sol, ref_dens = solve_ibvp2(ps, unbounded, steps=16, quad=quad,
+                                    points=pts)
+    assert sol.values.tobytes() == ref_sol.values.tobytes()
+    assert dens.values.tobytes() == ref_dens.values.tobytes()
+    assert np.all(np.isfinite(sol.values)) and np.all(dens.values != 0.0)
+
+
 def test_ibvp2_march_makes_no_per_step_linear_solve(monkeypatch):
     # the step matrices are inverted in one batch before the march, so a
     # solve per step would fail here; every pinned case still marches
