@@ -27,7 +27,7 @@ from .polyalg import PolyEntry, taylorize
 from .problemfile import ProblemFile, load_problem_file
 from .recursion import (WarpParams, expand, expansion_from_dict,
                         expansion_to_dict, mode_ray_weight, pk_gamma,
-                        ray_integrate)
+                        ray_integrate, warp_schedule)
 from .solvers import (QuadratureConfig, burgers_demo, lattice, solve_cauchy,
                       solve_ibvp2)
 
@@ -67,19 +67,25 @@ def _apply_overrides(pf: ProblemFile, args) -> ProblemFile:
         raise SchemaError(f"--degree must be at least 0, got {args.degree}")
     degree = args.degree if args.degree is not None else pf.degree_D
     warp = pf.warp
-    if args.mode:
-        if args.mode == "plain":
-            warp = WarpParams()
-        elif args.c_target is not None and args.mode == "tau":
-            from .recursion import warp_schedule
-            warp = warp_schedule(pf.ps.horizon, args.c_target).params
-        else:
-            beta = args.beta if args.beta is not None else \
-                (warp.beta if warp.mode == args.mode else 1.0)
-            warp = WarpParams(mode=args.mode, beta=beta)
+    mode = args.mode or warp.mode
+    for flag, value in (("--beta", args.beta), ("--c-target", args.c_target)):
+        # the schema's exclusiveMinimum of 0, finite values only
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise SchemaError(f"{flag} must be positive and finite, "
+                              f"got {value}")
+    if args.beta is not None and mode == "plain":
+        raise SchemaError("--beta requires --mode beta or --mode tau")
+    if args.c_target is not None and (mode != "tau" or args.beta is not None):
+        raise SchemaError("--c-target requires --mode tau and sets beta "
+                          "itself, so it cannot be combined with --beta")
+    if args.c_target is not None:
+        warp = warp_schedule(pf.ps.horizon, args.c_target).params
+    elif args.mode:
+        # plain resolves to beta = 1, as --beta is refused there
+        beta = args.beta if args.beta is not None else \
+            (warp.beta if warp.mode == args.mode else 1.0)
+        warp = WarpParams(mode=args.mode, beta=beta)
     elif args.beta is not None:
-        if warp.mode == "plain":
-            raise SchemaError("--beta requires --mode beta or --mode tau")
         warp = WarpParams(mode=warp.mode, beta=args.beta,
                           tau_max=warp.tau_max)
     quad = {}

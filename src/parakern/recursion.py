@@ -5,8 +5,8 @@ module computes the coefficient functions ``c^j_0 ... c^j_K`` for three
 time parameterizations:
 
 * ``plain`` -- physical time t, valid on a short horizon.
-* ``beta``  -- rescaled time tau = t / beta; coefficients pick up a factor
-  beta^k, shrinking them for small beta.
+* ``beta``  -- rescaled time tau = t / beta: the plain expansion with the
+  time^l term of c_k scaled by beta^(k + l), once the recursion is done.
 * ``tau``   -- warped time tau = 1 - exp(-t/beta), mapping any horizon
   into tau < 1.  Coefficients become jets in tau.
 
@@ -136,8 +136,9 @@ class WarpParams:
             raise ParameterError(f"unknown mode {self.mode!r}")
         if self.mode == "plain" and self.beta != 1.0:
             raise ParameterError("plain mode requires beta = 1")
-        if self.beta <= 0:
-            raise ParameterError("beta must be positive")
+        if not (math.isfinite(self.beta) and self.beta > 0):
+            raise ParameterError(f"beta must be positive and finite, "
+                                 f"got {self.beta}")
         if not 0.0 <= self.tau_max < 1.0:
             raise ParameterError("tau_max must lie in [0, 1)")
 
@@ -401,16 +402,12 @@ class _BatchWorkspace:
         return self.cut((terms, flags))
 
     def _entry_jet(self, terms: np.ndarray, flags: np.ndarray):
-        """b's time terms as a jet in the mode's own time variable."""
-        if self.wp.mode == "plain":
+        """b's time terms as a jet in physical time t (plain and beta
+        modes) or in tau."""
+        if self.wp.mode != "tau":
             return terms, flags.any(axis=0)
-        if self.wp.mode == "beta":
-            # t = beta tau: scale jet order l by beta^l
-            for l in range(terms.shape[1]):
-                terms[:, l] *= self.wp.beta ** l
-            return terms, flags.any(axis=0)
-        # tau: substitute t = t(tau); terms that vanish at a centre are
-        # skipped there, so they leave its flag alone
+        # substitute t = t(tau); terms that vanish at a centre are skipped
+        # there, so they leave its flag alone
         cap = self.jet_cap
         inner = _series_t_of_tau(self.wp.beta, cap)
         out = np.zeros((len(terms), cap + 1, self.B))
@@ -627,7 +624,8 @@ def expand_batch(pc: ProblemCoefficients, ys, K: int,
     coefficients, leaves them as they are.  The recursion runs once, on
     arrays with the centres as the last axis; each centre's coefficients,
     jet orders and flags are those the recursion gives at that centre
-    alone.  ``D`` defaults to 2K + 2.
+    alone.  A beta warp runs the plain recursion and scales the time^l term
+    of c_k by beta^(k + l) at the end.  ``D`` defaults to 2K + 2.
     """
     if K < 0:
         raise ParameterError("K must be >= 0")
@@ -660,13 +658,15 @@ def expand_batch(pc: ProblemCoefficients, ys, K: int,
                             K, wp, D, jet_cap)
               for i in range(0, len(ys), step)]
     coeffs, orders, jet_flags, truncated = zip(*chunks)
-    if len(chunks) == 1:
-        # one chunk's arrays are handed over as they are, without a copy
-        return ExpansionBatch(ys, wp, D, coeffs[0], orders[0], jet_flags[0],
-                              truncated[0])
-    return ExpansionBatch(ys, wp, D, np.concatenate(coeffs, axis=3),
-                          orders[0], np.concatenate(jet_flags, axis=2),
-                          np.concatenate(truncated))
+    # one chunk's arrays are handed over as they are, without a copy
+    coeffs, jet_flags, truncated = (
+        a[0] if len(chunks) == 1 else np.concatenate(a, axis=axis)
+        for a, axis in ((coeffs, 3), (jet_flags, 2), (truncated, 0)))
+    if wp.mode == "beta":
+        # t = beta tau: the time^l term of c_k picks up beta^(k + l)
+        k, l = np.ogrid[:K + 1, :coeffs.shape[2]]
+        coeffs *= (wp.beta ** (k + l))[:, :, None, None]
+    return ExpansionBatch(ys, wp, D, coeffs, orders[0], jet_flags, truncated)
 
 
 def _expand_chunk(pc, ys, origins, K, wp, D, jet_cap):
@@ -690,9 +690,8 @@ def _expand_chunk(pc, ys, origins, K, wp, D, jet_cap):
     for k in range(1, K + 1):
         for j in range(pc.components):
             R = _batch_R(ws, pc, k, j, jets, grads)
-            jets[j].append(ws.cut(ws.ray(R, float(k))
-                                  if wp.mode in ("plain", "beta")
-                                  else ws.tau_solve(R, k)))
+            jets[j].append(ws.cut(ws.tau_solve(R, k) if wp.mode == "tau"
+                                  else ws.ray(R, float(k))))
         for j in range(pc.components):
             grads[j].append([ws.partial(jets[j][k], a)
                              for a in range(pc.n)])
@@ -713,9 +712,9 @@ def _batch_R(ws: _BatchWorkspace, pc: ProblemCoefficients, k: int, j: int,
     Assembles  -d/dtime c_{k-1}  +  m(time) [ Lap c_{k-1}
     + sum_l sum_r d_l c_r d_l c_{k-1-r} + sum_lm b^j_lm d_m c^l_{k-1} ]
     plus the potential term of explicit order k - 1, where the spatial
-    multiplier m is 1 (plain), beta (beta mode) or beta/(1-tau) (tau
-    mode, as a jet).  The time-derivative term enters unscaled; it
-    originates on the other side of the graded identity.  The gradient
+    multiplier m is 1 in physical time (plain and beta modes) or
+    beta/(1-tau) in tau (as a jet).  The time-derivative term enters
+    unscaled; it originates on the other side of the graded identity.  The gradient
     sum is a Cauchy square: per axis, each distinct pair r < k-1-r is
     formed once and doubled, in ascending r, then the middle square when
     k is odd.  Lap c_{k-1} is taken from its stored gradients.
@@ -733,24 +732,17 @@ def _batch_R(ws: _BatchWorkspace, pc: ProblemCoefficients, k: int, j: int,
             bjet = ws.drift_jets.get((j, lcomp, m))
             if bjet is not None:
                 spatial = ws.add(spatial, ws.mul(bjet, grads[lcomp][k - 1][m]))
-    if wp.mode == "plain":
-        out = spatial
-    elif wp.mode == "beta":
-        out = ws.scale(spatial, wp.beta)
-    else:
-        out = ws.scale_series(spatial, _series_sigma(wp.beta, ws.jet_cap))
+    tau = wp.mode == "tau"
+    out = ws.scale_series(spatial, _series_sigma(wp.beta, ws.jet_cap)) \
+        if tau else spatial
     out = ws.add(out, ws.scale(ws.dt(prev), -1.0))
     vparts = ws.vpart_polys.get(j)
     if vparts and (k - 1) in vparts:
-        vpoly = vparts[k - 1]
-        if wp.mode == "plain":
-            vjet = vpoly
-        elif wp.mode == "beta":
-            vjet = ws.scale(vpoly, wp.beta ** k)
-        else:
+        vjet = vparts[k - 1]
+        if tau:
             warp_pow = _warp_power(k - 1, wp.beta, ws.jet_cap)
             sigma = _series_sigma(wp.beta, ws.jet_cap)
-            vjet = ws.scale_series(ws.scale_series(vpoly, warp_pow), sigma)
+            vjet = ws.scale_series(ws.scale_series(vjet, warp_pow), sigma)
         out = ws.add(out, vjet)
     return out
 
@@ -868,8 +860,9 @@ def warp_schedule(T: float, c_target: float) -> WarpSchedule:
     constraint (the limiting argument evaluates to zero), so the flag
     reports honestly when T exceeds c/e.
     """
-    if T <= 0 or c_target <= 0:
-        raise ParameterError("T and c_target must be positive")
+    if not all(math.isfinite(v) and v > 0 for v in (T, c_target)):
+        raise ParameterError(f"T and c_target must be positive and finite, "
+                             f"got {T} and {c_target}")
     beta = c_target / math.e
     tau_max = 1.0 - 1.0 / math.e
     max_horizon = c_target / math.e

@@ -327,6 +327,31 @@ def test_negative_degree_is_rejected(tmp_path, capsys, command):
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--mode", "plain", "--beta", "0.5"], "--beta"),
+    (["--c-target", "1.0"], "--c-target"),
+    (["--mode", "beta", "--c-target", "1.0"], "--c-target"),
+    (["--mode", "tau", "--beta", "0.5", "--c-target", "1.0"], "--c-target"),
+    (["--mode", "tau", "--c-target", "nan"], "--c-target"),
+    (["--mode", "beta", "--beta", "0"], "--beta"),
+    (["--mode", "beta", "--beta", "-0.5"], "--beta"),
+    (["--mode", "beta", "--beta", "nan"], "--beta"),
+    (["--mode", "tau", "--beta", "inf"], "--beta"),
+], ids=["plain-beta", "plain-c-target", "beta-c-target", "c-target-and-beta",
+        "c-target-nan", "beta-0", "beta-negative", "beta-nan", "beta-inf"])
+@pytest.mark.parametrize("command", ["solve", "eval", "expand", "validate"])
+def test_dropped_or_invalid_warp_flag_is_rejected(tmp_path, capsys, command,
+                                                  flags, named):
+    # each was ignored, overridden or left to fail as a numeric error
+    base = tmp_path / "out"
+    rc = main([command, problem("sin_drift.json"), *flags,
+               "--out", str(base)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "problem-file error" in err and named in err
+    assert os.listdir(tmp_path) == []
+
+
 def test_solve_time_dependent_mixed_kind_drift(tmp_path):
     # time_poly parts mixing poly and fourier, re-anchored at every origin
     # of the march and of the source's time rule

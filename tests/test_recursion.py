@@ -12,7 +12,8 @@ from parakern.polyalg import FourierEntry, PolyEntry, TimeEntry, taylorize
 from parakern.problemfile import load_problem_file
 from parakern.recursion import (ProblemCoefficients,
                                 WarpParams, beta_from_bound,
-                                beta_upper_bound, expand, expansion_from_dict,
+                                beta_upper_bound, expand, expand_batch,
+                                expansion_from_dict,
                                 expansion_to_dict, mode_ray_weight, pk_gamma,
                                 ray_integrate, select_beta, t_of_tau,
                                 tau_of_t, warp_schedule)
@@ -233,6 +234,33 @@ def test_expand_beta_example_and_scaling():
         a = plain.coeffs[0, k, 0] * beta ** k
         b = scaled.coeffs[0, k, 0]
         assert np.max(np.abs(a - b)) <= 1e-14
+    # every time order: the time^l term of c_k scales by beta^(k + l), for
+    # a time-dependent drift and potential re-anchored at nonzero origins;
+    # a power of two scales exactly
+    pct = scalar_pc(TimeEntry(((0, SIN_DRIFT),
+                               (1, PolyEntry(1, ((0.4, (0,)), (0.2, (1,))))),
+                               (2, FourierEntry(1, ((0.1, (2.0,), 0.3),))))),
+                    TimeEntry(((0, PolyEntry(1, ((0.3, (2,)),))),
+                               (1, FourierEntry(1, ((0.5, (1.0,), 0.0),))))))
+    ys, origins = np.array([[-0.4], [0.1], [0.7]]), np.array([0.0, 0.25, 0.6])
+    plain = expand_batch(pct, ys, 5, WarpParams(), 12, origins=origins)
+    assert plain.coeffs.shape[2] > 1
+    for beta in (0.5, 0.25, 0.3):
+        scaled = expand_batch(pct, ys, 5, WarpParams(mode="beta", beta=beta),
+                              12, origins=origins)
+        assert np.array_equal(scaled.jet_order, plain.jet_order)
+        assert np.array_equal(scaled.jet_truncated, plain.jet_truncated)
+        assert np.array_equal(scaled.truncated, plain.truncated)
+        assert scaled.coeffs.shape == plain.coeffs.shape
+        for k in range(6):
+            top = np.max(np.abs(scaled.coeffs[:, k]))
+            for l in range(plain.coeffs.shape[2]):
+                gap = plain.coeffs[:, k, l] * beta ** (k + l) \
+                    - scaled.coeffs[:, k, l]
+                if beta == 0.3:
+                    assert np.max(np.abs(gap)) <= 2e-15 * top
+                else:
+                    assert not gap.any()
 
 
 def test_plain_operator_identity():
@@ -383,6 +411,17 @@ def test_warp_schedule_examples():
     assert sched.params.tau_max == pytest.approx(1 - 1 / math.e, abs=1e-12)
     assert not warp_schedule(2.0, math.e).achievable
     assert warp_schedule(1e-9, math.e).achievable
+    for T, c in ((math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan),
+                 (1.0, math.inf), (0.0, 1.0), (1.0, -1.0)):
+        with pytest.raises(ParameterError, match="positive and finite"):
+            warp_schedule(T, c)
+    # a non-finite beta would write NaN coefficients or overflow
+    for mode in ("beta", "tau"):
+        for beta in (math.nan, math.inf, -math.inf, 0.0, -0.5):
+            with pytest.raises(ParameterError, match="positive and finite"):
+                WarpParams(mode=mode, beta=beta)
+
+
 
 
 # ---------------------------------------------------------------------------
