@@ -80,14 +80,12 @@ def _apply_overrides(pf: ProblemFile, args) -> ProblemFile:
                           "itself, so it cannot be combined with --beta")
     if args.c_target is not None:
         warp = warp_schedule(pf.ps.horizon, args.c_target).params
-    elif args.mode:
-        # plain resolves to beta = 1, as --beta is refused there
-        beta = args.beta if args.beta is not None else \
-            (warp.beta if warp.mode == args.mode else 1.0)
-        warp = WarpParams(mode=args.mode, beta=beta)
     elif args.beta is not None:
-        warp = WarpParams(mode=warp.mode, beta=args.beta,
-                          tau_max=warp.tau_max)
+        # a beta of one's own sets no tau limit, as in a file that gives one
+        warp = WarpParams(mode=mode, beta=args.beta)
+    elif mode != warp.mode:
+        # beta = 1, as plain mode needs; the file's own mode keeps its warp
+        warp = WarpParams(mode=mode)
     quad = {}
     for name in ("gh_order", "gl_order", "steps"):
         value = getattr(args, name)

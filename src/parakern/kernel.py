@@ -2,15 +2,15 @@
 
 Evaluates the Gaussian-times-exponential-series ansatz in log space, its
 analytic gradient, PDE residuals, normalization and short-time
-(Varadhan-type) diagnostics.  One evaluator, :func:`_log_terms`, reads
-the coefficient arrays back, contracting only the table rows up to their
-last nonzero one.  :func:`eval_points` runs it over the (time, point)
-rows of one expansion (the single-point calls and ``parakern eval`` go
-through it).  :meth:`KernelField.integrate` is the one place that turns
-rows (origin s, time t, point x, centre y, weight) of the two-parameter
-kernel p(t, x; s, y) into sums: Gauss-Hermite convolutions
-(:meth:`KernelField.gauss_hermite`: normalization, the delta property,
-the Cauchy and Burgers solves) and the Robin solve's kernel sums.
+(Varadhan-type) diagnostics.  One row evaluator, :func:`_eval_rows`,
+reads coefficient columns back in chunks of rows, and one check,
+:func:`_check_log`, raises where a log value is not finite or reaches
+700.  Both serve :func:`eval_points`, the (time, point) rows of one
+expansion (the single-point calls and ``parakern eval``), and
+:meth:`KernelField.integrate`, the one place that turns rows (origin s,
+time t, point x, centre y, weight) of the kernel p(t, x; s, y) into
+sums: Gauss-Hermite convolutions (normalization, the delta property, the
+Cauchy and Burgers solves) and the Robin solve's kernel sums.
 """
 
 from __future__ import annotations
@@ -73,30 +73,50 @@ def _check_points(exp: ExpansionCoeffs, xs) -> np.ndarray:
     return xs
 
 
-def _point_terms(exp: ExpansionCoeffs, time, xs, comps, t_eff=None,
-                 second: bool = False, powers=None):
-    """``(x - y, *_log_terms(...))`` for one expansion at rows of ``xs``,
-    in chunks of rows that bound the coefficient-monomial products.
-    ``time``, ``t_eff`` and each of ``powers`` are scalars or hold one
-    value per row."""
-    dx = _check_points(exp, xs) - np.asarray(exp.center)
-    coeffs = exp.coeffs[list(comps)][..., None, :]
-    step = max(1, _CHUNK_FLOATS // coeffs.size)
+def _eval_rows(coeffs: np.ndarray, dx: np.ndarray, D: int, time,
+               t_eff=None, second: bool = False, powers=None, col=None):
+    """:func:`_log_terms` at rows ``dx`` = x - y (R, n), in chunks that
+    gather at most ``_CHUNK_FLOATS`` floats and B columns of ``coeffs``
+    (components, K + 1, T, B, N): row r reads column ``col[r]``, or with
+    ``col`` None the one column, broadcast.  ``time``, ``t_eff`` and each
+    of ``powers`` are scalars or one value per row.  Overflow is silent."""
+    step = max(1, _CHUNK_FLOATS // coeffs[:, :, :, 0].size)
+    if col is not None:
+        step = min(step, coeffs.shape[3])
 
     def rows(v, i):
-        return v[i:i + step] if np.ndim(v) else v
+        return v[i:i + step] if getattr(v, "ndim", 0) else v
 
-    parts = [_log_terms(coeffs, dx[i:i + step], exp.degree_D, rows(time, i),
-                        rows(t_eff, i), second,
-                        powers and [rows(p, i) for p in powers])
-             for i in range(0, max(len(dx), 1), step)]
-    return (dx,) + tuple(np.concatenate(out, axis=1) for out in zip(*parts))
+    with np.errstate(over="ignore", invalid="ignore"):
+        parts = [_log_terms(coeffs if col is None else np.take(
+            coeffs, col[i:i + step], axis=3), dx[i:i + step], D,
+            rows(time, i), rows(t_eff, i), second,
+            powers and [rows(p, i) for p in powers])
+            for i in range(0, max(len(dx), 1), step)]
+    return parts[0] if len(parts) == 1 else \
+        tuple(np.concatenate(out, axis=1) for out in zip(*parts))
+
+
+def _check_log(what: str, logv: np.ndarray, dx: np.ndarray, t_at, K: int,
+               D: int) -> None:
+    """Raise :class:`ScalingError` at the first row r (then component) of
+    ``logv`` not finite or >= 700; row r is at ``dx[r]``, time ``t_at(r)``."""
+    ok = np.isfinite(logv) & (logv < 700.0)
+    if not ok.all():
+        r = int((~ok).any(axis=0).argmax())
+        dist = f"|x - y| = {math.hypot(*dx[r]):.3g}"
+        raise ScalingError(
+            f"{what} {logv[(~ok[:, r]).argmax(), r]:.3g} at {dist} "
+            f"overflows: at t = {t_at(r):.6g}, {dist} the K = {K}, D = {D} "
+            f"expansion does not hold; keep |x - y| within the trust radius "
+            f"(KernelField.trust_radius), or lower K, D or t")
 
 
 def log_correction(exp: ExpansionCoeffs, time: float, x, j: int) -> float:
     """``sum_k c^j_k(time, x) time^k`` summed in ascending k."""
-    return float(_point_terms(exp, time, np.asarray(x, dtype=float)[None],
-                              (j,))[1][0, 0])
+    dx = _check_points(exp, [x]) - np.asarray(exp.center)
+    return float(_eval_rows(exp.coeffs[[j]][..., None, :], dx, exp.degree_D,
+                            time)[0][0, 0])
 
 
 @dataclass(frozen=True)
@@ -121,13 +141,12 @@ def eval_points(exp: ExpansionCoeffs, time, xs,
     ``time`` is one mode time (as in :func:`eval_kernel`), or a 1-D array
     of them, which adds a time axis after the component axis; a scalar is
     the one-time case of the same pass.  The rows are the (time, point)
-    pairs in time-major order, evaluated by one :func:`_log_terms` pass
-    with a time and ``t_eff`` per row; each time's powers are Python
-    float powers, so a row has the bits of a call at its time alone.
-    The times are checked in order: a tau above a nonzero
-    ``warp.tau_max`` raises :class:`ParameterError`; then the first row
-    whose log value reaches 700 raises :class:`ScalingError` for its
-    first such component.
+    pairs in time-major order, read by one :func:`_eval_rows` pass with a
+    time and ``t_eff`` per row; each time's powers are Python float
+    powers, so a row has the bits of a call at its time alone.  The times
+    are checked in order: a tau above a nonzero ``warp.tau_max`` raises
+    :class:`ParameterError`; then :func:`_check_log` raises at the first
+    row and component whose log value is not finite or reaches 700.
     """
     if np.ndim(time) > 1:
         raise StructureError(
@@ -151,21 +170,18 @@ def eval_points(exp: ExpansionCoeffs, time, xs,
     t_eff, dteff = per_row(t_effs), per_row([m for _, m in modes])
     powers = [per_row([t ** k for t in ts])
               for k in range(exp.coeffs.shape[1])]
-    row_xs = np.tile(xs, (len(ts), 1))
-    dx, corr, dtime, grad, lap = _point_terms(
-        exp, per_row(ts), row_xs, components, t_eff, pc is not None, powers)
-    n, r2 = exp.dim, (dx * dx).sum(axis=1)
-    logp = per_row([-0.5 * n * math.log(4.0 * math.pi * te)
-                    for te in t_effs]) \
-        - r2 / per_row([4.0 * te for te in t_effs]) + corr
-    bad = logp >= 700.0
-    if bad.any():
-        p = int(np.flatnonzero(bad.any(axis=0))[0])
-        raise ScalingError(
-            f"log kernel value {float(logp[bad[:, p].argmax(), p]):.3g} at "
-            f"|x - y| = {float(np.linalg.norm(dx[p])):.3g} overflows: the "
-            f"truncated expansion does not hold this far from its center; "
-            f"keep |x - y| within the trust radius (KernelField.trust_radius)")
+    row_ts, row_xs = per_row(ts), np.tile(xs, (len(ts), 1))
+    n, dx = exp.dim, row_xs - np.asarray(exp.center)
+    corr, dtime, grad, lap = _eval_rows(
+        exp.coeffs[list(components)][..., None, :], dx, exp.degree_D, row_ts,
+        t_eff, pc is not None, powers)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r2 = (dx * dx).sum(axis=1)
+        logp = per_row([-0.5 * n * math.log(4.0 * math.pi * te)
+                        for te in t_effs]) \
+            - r2 / per_row([4.0 * te for te in t_effs]) + corr
+    _check_log("log kernel value", logp, dx, row_ts.__getitem__, exp.order_K,
+               exp.degree_D)
     value = np.exp(logp)
     rel = None
     if pc is not None:
@@ -201,7 +217,7 @@ def eval_kernel(exp: ExpansionCoeffs, time: float, x, y=None,
     scaled/warped tau otherwise.  ``y`` must match the expansion center
     when given.  Validity windows are advisory; callers probing beyond
     them get honest values and can consult the residual diagnostics.
-    A log value of 700 or more cannot be a kernel value and raises
+    A log value that is not finite or reaches 700 raises
     :class:`ScalingError`.  The one-point case of :func:`eval_points`.
     """
     if y is not None:
@@ -216,8 +232,9 @@ def kernel_log_gradient(exp: ExpansionCoeffs, time: float, x,
                         j: int = 0) -> np.ndarray:
     """grad_x log p = -dx/(2 t_eff) + sum_k grad c_k * time^k."""
     t_eff, _ = _effective_time(exp.warp, time)
-    return _point_terms(exp, time, np.asarray(x, dtype=float)[None], (j,),
-                        t_eff)[3][0, 0]
+    dx = _check_points(exp, [x]) - np.asarray(exp.center)
+    return _eval_rows(exp.coeffs[[j]][..., None, :], dx, exp.degree_D, time,
+                      t_eff)[2][0, 0]
 
 
 def kernel_gradient(exp: ExpansionCoeffs, time: float, x, y=None,
@@ -435,10 +452,9 @@ class KernelField:
                      want: np.ndarray | None):
         """The log corrections of ``rows`` (s, t - s, _, centre index,
         x - y), one per component, and grad_x log p on the rows ``want``
-        marks (None: on none), from their expansions, one chunk at a time;
-        a row's mode time and its powers are numpy's.  A log correction
-        that is not finite or reaches 700 raises :class:`ScalingError`:
-        the sums would be inf or NaN."""
+        marks (None: on none), read by :func:`_eval_rows` from expansions
+        built ``_BATCH_CENTRES`` centres at a time, with numpy mode times
+        and powers; :func:`_check_log` raises where a sum would be inf."""
         s, sigma, dx = rows[:, 0], rows[:, 1], rows[:, 4:]
         centre = rows[:, 3].astype(int)
         logc = np.zeros((self.pc.components, len(rows)))
@@ -462,30 +478,18 @@ class KernelField:
             coeffs = expand_batch(self.pc, centres[cols[lo:lo + step]], self.K,
                                   self.warp, self.D,
                                   origins[lo:lo + step]).coeffs
-            # a chunk of rows gathers no more columns than there are
-            # centres, nor over _CHUNK_FLOATS floats
-            per = max(1, min(coeffs.shape[3],
-                             _CHUNK_FLOATS // coeffs[:, :, :, 0].size))
             chunk = order[a:b]
             groups = [(False, chunk)] if want is None else \
                 [(True, chunk[want[chunk]]), (False, chunk[~want[chunk]])]
-            for grow, sel in groups:
-                for r in (sel[i:i + per] for i in range(0, len(sel), per)):
-                    corr, _, g, _ = _log_terms(
-                        np.take(coeffs, key[r] - lo, axis=3), dx[r], self.D,
-                        self.mode_time(sigma[r]), sigma[r] if grow else None)
-                    logc[:, r] = corr
+            for grow, r in groups:
+                if len(r):
+                    logc[:, r], _, g, _ = _eval_rows(
+                        coeffs, dx[r], self.D, self.mode_time(sigma[r]),
+                        sigma[r] if grow else None, col=key[r] - lo)
                     if grow:
                         grad[:, r] = g
-        if not (np.isfinite(logc) & (logc < 700.0)).all():
-            bad = ~(np.isfinite(logc) & (logc < 700.0))
-            r = int(bad.any(axis=0).argmax())
-            raise ScalingError(
-                f"log correction {logc[bad[:, r].argmax(), r]:.3g} at t = "
-                f"{s[r] + sigma[r]:.6g}, |x - y| = "
-                f"{np.linalg.norm(dx[r]):.3g} is not finite or reaches 700: "
-                f"the K = {self.K}, D = {self.D} expansion does not hold "
-                f"there; lower K and D or the horizon")
+        _check_log("log correction", logc, dx, lambda r: s[r] + sigma[r],
+                   self.K, self.D)
         return logc, grad
 
     def gauss_hermite(self, order: int, passes,
@@ -557,10 +561,9 @@ def _log_terms(coeffs: np.ndarray, dx: np.ndarray, D: int, time,
                t_eff=None, second: bool = False, powers=None):
     """The correction ``sum_k c_k(time, x) time^k`` and its derivatives.
 
-    ``coeffs`` (components, K + 1, T, B, N) about centers y_b and ``dx``
-    = x - y_b (B, n), or B = 1 and one ``dx`` row per point; ``time``
-    and ``t_eff`` are scalars or hold one value per row.  ``powers``
-    holds ``time ** k`` for each order k (default: that expression).
+    Arguments as in :func:`_eval_rows`, for one chunk whose ``coeffs``
+    hold one column per row of ``dx``, or one for all; ``powers`` holds
+    ``time ** k`` for each order k (default: that expression).
     Only the :func:`_live_rows` leading table rows are contracted, with
     the differentiation maps cut to them; the result equals the
     full-row one bit for bit wherever the monomials of the dropped rows

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import (ConditioningError, ParameterError, ScalingError,
                      UnsupportedSpecError)
-from .funcspec import FunctionSpec, ZeroFunc
+from .funcspec import FunctionSpec, SpacePoly, ZeroFunc
 from .kernel import KernelField, Rows
 from .polyalg import PolyEntry
 from .recursion import ProblemCoefficients, WarpParams
@@ -452,12 +452,11 @@ def burgers_demo(ps: ProblemSpec, K: int = 4,
 
     potential = {}
     if not isinstance(ps.source, ZeroFunc):
-        fparts = getattr(ps.source, "terms", None)
-        if fparts is None:
+        if not isinstance(ps.source, SpacePoly):
             raise UnsupportedSpecError(
                 "burgers forcing must be a spatial polynomial")
         potential[0] = PolyEntry(n, tuple(
-            (c / (2.0 * nu * nu), e) for c, e in fparts))
+            (c / (2.0 * nu * nu), e) for c, e in ps.source.terms))
     pc_heat = ProblemCoefficients(n, 1, {}, potential,
                                   bound_C=ps.coefficients.bound_C,
                                   domain_radius_R=ps.coefficients.domain_radius_R)

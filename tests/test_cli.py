@@ -136,6 +136,20 @@ def test_eval_overflow_exits_numeric(tmp_path, capsys):
     assert out.read_bytes() == b"earlier,output\n1,2\n"
 
 
+def test_eval_far_point_exits_numeric_without_output(tmp_path, capsys):
+    # at 1e300 every monomial and |x - y|^2 overflow; the log value is
+    # NaN, not a value, and the run fails before writing
+    pts = tmp_path / "far.csv"
+    pts.write_text("x1\n0.1\n1e300\n")
+    out = tmp_path / "far_out.csv"
+    rc = main(["eval", problem("sin_drift.json"), "--points", str(pts),
+               "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "numeric error" in err and "|x - y| = 1e+300" in err
+    assert not out.exists()
+
+
 def test_eval_rows_match_a_per_point_loop(tmp_path):
     # one evaluation per time over all points writes the rows a loop of
     # single-point residual and eval_kernel calls would, in that order
@@ -352,6 +366,25 @@ def test_dropped_or_invalid_warp_flag_is_rejected(tmp_path, capsys, command,
     assert os.listdir(tmp_path) == []
 
 
+def test_warp_flags_keep_or_reset_the_files_warp(tmp_path):
+    # a tau file with a schedule: --mode tau names the file's own mode and
+    # keeps its warp; --beta sets no tau limit, as a file's beta does
+    with open(problem("sin_drift.json")) as fh:
+        data = json.load(fh)
+    data["expansion"].update(mode="tau", c_target=1.0)
+    path = write_json(tmp_path, "tau.json", data)
+    warps = []
+    for flags in ([], ["--mode", "tau"], ["--beta", "0.3"]):
+        out = tmp_path / "exp.json"
+        assert main(["expand", path, *flags, "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        warps.append((payload["mode"], payload["beta"], payload["tau_max"]))
+    assert warps[0] == ("tau", pytest.approx(1 / math.e),
+                        pytest.approx(1 - 1 / math.e))
+    assert warps[1] == warps[0]
+    assert warps[2] == ("tau", 0.3, 0.0)
+
+
 def test_solve_time_dependent_mixed_kind_drift(tmp_path):
     # time_poly parts mixing poly and fourier, re-anchored at every origin
     # of the march and of the source's time rule
@@ -466,6 +499,24 @@ def test_burgers_overflow_exits_numeric(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "numeric error: psi0 overflows" in err
     assert "subtract about 400" in err
+
+
+@pytest.mark.parametrize("forcing", [
+    {"kind": "fourier", "terms": [[0.1, [1.0], 0.0]]},
+    {"kind": "polyfourier", "terms": [[0.1, [1], [1.0], 0.0]]},
+    {"kind": "gaussian_mix", "terms": [[0.1, 1.0, [0.0]]]},
+], ids=lambda f: f["kind"])
+def test_burgers_non_polynomial_forcing_exits_numeric(tmp_path, capsys,
+                                                      forcing):
+    with open(problem("burgers_selfsim.json")) as fh:
+        data = json.load(fh)
+    data["problem"]["f"] = forcing
+    rc = main(["solve", write_json(tmp_path, "f.json", data),
+               "--out", str(tmp_path / "x")])
+    assert rc == 3
+    assert "burgers forcing must be a spatial polynomial" in \
+        capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["f.json"]
 
 
 def test_coupled_system_through_cli(tmp_path):

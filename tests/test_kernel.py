@@ -43,6 +43,17 @@ def test_eval_overflow_raises_scaling_error():
     assert math.isfinite(eval_kernel(exp, 0.1, [1.0]).value)
 
 
+def test_far_point_raises_scaling_error_not_nan():
+    # at 1e30 the monomials overflow and the log value is NaN, which no
+    # ">= 700" test catches; numpy's warnings fail the test (pyproject)
+    exp = expand(PC_SIN, [0.0], 6, WarpParams(), 12)
+    for call in (lambda: eval_points(exp, 0.1, [[0.2], [1e30]]),
+                 lambda: eval_kernel(exp, 0.1, [1e30]),
+                 lambda: residual(exp, PC_SIN, 0.1, [1e30])):
+        with pytest.raises(ScalingError, match=r"nan at \|x - y\| = 1e\+30"):
+            call()
+
+
 def test_gaussian_normalization_point():
     exp = expand(PC_ZERO, [0.0], 0)
     t = 1.0 / (4.0 * math.pi)

@@ -795,6 +795,21 @@ def test_burgers_overflow_raises_scaling_error(phi0, shift):
         burgers_demo(ps, K=2, points=np.array([[0.3]]))
 
 
+@pytest.mark.parametrize("source", [
+    SpaceFourier(((0.1, (1.0,), 0.0),)),
+    SpacePolyFourier(((0.1, (1,), (1.0,), 0.0),)),
+    GaussianMix(((0.1, 1.0, (0.0,)),)),
+], ids=["fourier", "polyfourier", "gaussian_mix"])
+def test_burgers_rejects_non_polynomial_forcing(source):
+    # each has terms, but not the (coefficient, exponents) pairs of a
+    # polynomial potential
+    ps = ProblemSpec("burgers", (-1.0,), (1.0,), 0.5, PC_ZERO, nu=0.1,
+                     phi0=SpacePoly(((-0.5, (2,)),)), source=source)
+    with pytest.raises(UnsupportedSpecError,
+                       match="burgers forcing must be a spatial polynomial"):
+        burgers_demo(ps, K=2, points=np.array([[0.3]]))
+
+
 # ---------------------------------------------------------------------------
 # containers
 # ---------------------------------------------------------------------------
