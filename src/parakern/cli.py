@@ -22,8 +22,8 @@ import numpy as np
 
 from . import __version__
 from .errors import ParakernError, SchemaError
+from .funcspec import PolyEntry, taylorize
 from .kernel import KernelField, eval_points
-from .polyalg import PolyEntry, taylorize
 from .problemfile import ProblemFile, load_problem_file
 from .recursion import (WarpParams, expand, expansion_from_dict,
                         expansion_to_dict, mode_ray_weight, pk_gamma,
@@ -95,7 +95,7 @@ def _apply_overrides(pf: ProblemFile, args) -> ProblemFile:
             raise SchemaError(f"{flag} must be at least 2, got {value}")
         quad[name] = getattr(pf.quad, name) if value is None else value
     return ProblemFile(pf.pc, pf.ps, order, degree, warp,
-                       QuadratureConfig(**quad), pf.raw)
+                       QuadratureConfig(**quad))
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +197,8 @@ def cmd_solve(args) -> int:
         sol, dens = solve_ibvp2(pf.ps, fld, pf.quad.steps, pf.quad)
         dens.to_csv(f"{base}_density.csv")
     else:
-        sol = burgers_demo(pf.ps, pf.order_K, pf.quad, points=points)
+        sol = burgers_demo(pf.ps, pf.order_K, pf.quad, points=points,
+                           warp=pf.warp, D=pf.degree_D)
     sol.to_csv(f"{base}.csv")
     sol.to_json(f"{base}.json")
     print(f"wrote {base}.csv and {base}.json"

@@ -408,7 +408,7 @@ def fd_solve(ps, cfg: FDConfig, sample_times: Sequence[float] | None = None):
 
     def in_time(entry):
         # the arithmetic of TimeEntry.eval, so values match it exactly
-        parts = [(l, e.eval(points)) for l, e in entry.parts]
+        parts = [(l, e.eval(0.0, points)) for l, e in entry.parts]
         return lambda t: sum(v * np.power(t, l) for l, v in parts)
 
     drifts = {(i, j): in_time(e) for (i, j, _), e in pc.drift.items()}

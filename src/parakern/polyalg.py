@@ -8,21 +8,22 @@ bare coefficient arrays indexed by one table:
   graded-lexicographic order; row ``i`` of a coefficient array pairs
   with row ``i`` of the table.
 * :class:`TaylorPoly` -- one such array about a center, as a plain
-  record (``taylorize``, ``ray_integrate`` and ``pk_gamma`` return one).
+  record (``funcspec.taylorize``, ``ray_integrate`` and ``pk_gamma``
+  return one).
 
-The private column helpers (``_mul_cols``, ``_overflow_cols``,
-``_partial_tables`` and the entries' ``_taylor_cols``) do the arithmetic
-on coefficient arrays with any number of columns, one per expansion
-centre; ``taylor_coeffs`` is the one-column case of ``_taylor_cols``.
-Because the table is graded, the rows of degree <= d are its first
-``_rows(dim, d)`` rows, so an array may stop at its degree: products
-take their pair table for the operands' degrees (``_mul_tables``, keyed
-by dim, cap and both degrees) and form no pair of rows known to be zero.
+The private column helpers (``_mul_cols``, ``_overflow_cols`` and
+``_partial_tables``) do the arithmetic on coefficient arrays with any
+number of columns, one per expansion centre; the drift and potential
+entries of :mod:`parakern.funcspec` write their Taylor coefficients in
+the same layout.  Because the table is graded, the rows of degree <= d
+are its first ``_rows(dim, d)`` rows, so an array may stop at its
+degree: products take their pair table for the operands' degrees
+(``_mul_tables``, keyed by dim, cap and both degrees) and form no pair
+of rows known to be zero.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -31,7 +32,7 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
-from .errors import ParameterError, StructureError, UnsupportedSpecError
+from .errors import ParameterError, StructureError
 
 # Factorials above this order are rejected rather than silently huge.
 MAX_INDEX_ORDER = 64
@@ -172,16 +173,6 @@ def _partial_tables(dim: int, cap: int):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _factorials(dim: int, cap: int) -> np.ndarray:
-    """gamma! per row of ``index_table(dim, cap)``, as floats."""
-    exps, _, _ = index_table(dim, cap)
-    fact = np.array([math.prod(math.factorial(int(e)) for e in row)
-                     for row in exps], dtype=float)
-    fact.flags.writeable = False
-    return fact
-
-
 def _mul_cols(a: np.ndarray, b: np.ndarray, dim: int, cap: int) -> np.ndarray:
     """Truncated products of coefficient columns.
 
@@ -278,218 +269,6 @@ def _monomials(dx: np.ndarray, cap: int) -> np.ndarray:
     for axis in range(dx.shape[-1]):
         out = out * np.take(powers[..., axis, :], exps[:, axis], axis=-1)
     return out
-
-
-def monomial(x: np.ndarray, exps: Sequence[int]) -> np.ndarray:
-    """``prod_a x[..., a] ** exps[a]`` at every point of ``x`` (..., n).
-
-    The exponents are laid out over the whole array, so every power runs
-    through numpy's general pow loop, as in a one-point call: an exponent
-    broadcast over the points would let an exponent of 2 take the
-    squaring shortcut, which rounds differently, and a point's bits would
-    depend on the shape of its batch.
-    """
-    e = np.broadcast_to(np.asarray(exps), x.shape).copy()
-    return np.prod(x ** e, axis=-1)
-
-
-def zeros_at(x: np.ndarray, t=0.0) -> np.ndarray:
-    """Zeros shaped like a value at the points ``x`` (..., n) and time
-    ``t``, a scalar or broadcasting against the points' leading shape."""
-    return np.zeros(np.broadcast_shapes(np.shape(t), x.shape[:-1]))
-
-
-# ---------------------------------------------------------------------------
-# coefficient-entry specs (admissible b, V and friends)
-# ---------------------------------------------------------------------------
-
-class CoefficientEntry:
-    """A spatial coefficient admitting exact Taylor expansion.
-
-    Supported classes are multivariate polynomials and finite Fourier
-    series; both satisfy a derivative bound ``|d^a f| <= A c^|a|`` which is
-    what the expansion theory requires of drift and potential entries.
-    ``eval`` takes points of shape (..., n) and returns shape (...), a
-    scalar for one point, with the bits of that point's row in a batch.
-    """
-
-    def eval(self, x: np.ndarray):
-        raise NotImplementedError
-
-    def derivative(self, alpha: Sequence[int]) -> "CoefficientEntry":
-        raise NotImplementedError
-
-    def taylor_coeffs(self, y: Sequence[float], cap: int) -> TaylorPoly:
-        y = np.asarray(y, dtype=float)
-        coeffs, truncated = self._taylor_cols(y.reshape(1, -1), cap)
-        return TaylorPoly(self.dim, tuple(y), cap, coeffs[:, 0], truncated)
-
-    def _taylor_cols(self, ys: np.ndarray, cap: int) -> tuple[np.ndarray, bool]:
-        """Taylor coefficients about each row of ``ys`` (shape (B, dim)).
-
-        Returns the coefficients as columns, shape (N, B), and whether
-        the cap cut a term (the same for every centre).
-        """
-        raise NotImplementedError
-
-    def bound_constants(self) -> tuple[float, float]:
-        """(amplitude A, rate c) with |d^a f| <= A * c^|a| everywhere...
-
-        ...for Fourier entries; for polynomials the bound holds on the
-        declared domain only and the rate is degree-dependent, so callers
-        should treat it as advisory there.
-        """
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class PolyEntry(CoefficientEntry):
-    """Sum of monomial terms ``coef * x^exps`` in absolute coordinates."""
-
-    dim: int
-    terms: tuple[tuple[float, tuple[int, ...]], ...]
-
-    def eval(self, x):
-        x = np.asarray(x, dtype=float)
-        total = zeros_at(x)
-        for coef, exps in self.terms:
-            total = total + coef * monomial(x, exps)
-        return total[()]
-
-    def derivative(self, alpha):
-        new_terms = []
-        for coef, exps in self.terms:
-            c = coef
-            e = list(exps)
-            dead = False
-            for axis, a in enumerate(alpha):
-                for _ in range(a):
-                    if e[axis] == 0:
-                        dead = True
-                        break
-                    c *= e[axis]
-                    e[axis] -= 1
-                if dead:
-                    break
-            if not dead:
-                new_terms.append((c, tuple(e)))
-        return PolyEntry(self.dim, tuple(new_terms))
-
-    def _taylor_cols(self, ys, cap):
-        # exact binomial re-centering: x^m = sum_k C(m,k) y^(m-k) dx^k
-        _, pos, _ = index_table(self.dim, cap)
-        out = np.zeros((len(pos), len(ys)))
-        truncated = False
-        for coef, exps in self.terms:
-            for k in itertools.product(*(range(e + 1) for e in exps)):
-                if sum(k) > cap:
-                    truncated = True
-                    continue
-                w = coef
-                for a in range(self.dim):
-                    w = w * (math.comb(exps[a], k[a])
-                             * ys[:, a] ** (exps[a] - k[a]))
-                out[pos[k]] += w
-        return out, truncated
-
-    def max_degree(self) -> int:
-        return max((sum(e) for _, e in self.terms), default=0)
-
-    def bound_constants(self):
-        amp = sum(abs(c) for c, _ in self.terms)
-        return amp, float(max(1, self.max_degree()))
-
-
-@dataclass(frozen=True)
-class FourierEntry(CoefficientEntry):
-    """Finite Fourier series ``sum amp * sin(k . x + phase)``."""
-
-    dim: int
-    terms: tuple[tuple[float, tuple[float, ...], float], ...]
-
-    def eval(self, x):
-        x = np.asarray(x, dtype=float)
-        total = zeros_at(x)
-        for amp, wavevec, phase in self.terms:
-            total = total + amp * np.sin(np.vecdot(x, np.asarray(wavevec))
-                                         + phase)
-        return total[()]
-
-    def derivative(self, alpha):
-        # d^a sin(k.x + p) = (prod k_i^a_i) sin(k.x + p + |a| pi/2)
-        new_terms = []
-        order = sum(alpha)
-        for amp, wavevec, phase in self.terms:
-            scale = 1.0
-            for axis, a in enumerate(alpha):
-                scale *= wavevec[axis] ** a
-            new_terms.append((amp * scale, wavevec, phase + order * math.pi / 2))
-        return FourierEntry(self.dim, tuple(new_terms))
-
-    def _taylor_cols(self, ys, cap):
-        exps, _, orders = index_table(self.dim, cap)
-        fact = _factorials(self.dim, cap)[:, None]
-        out = np.zeros((len(exps), len(ys)))
-        for amp, wavevec, phase in self.terms:
-            ky = wavevec[0] * ys[:, 0]
-            for a in range(1, self.dim):
-                ky = ky + wavevec[a] * ys[:, a]
-            kpow = np.prod(np.asarray(wavevec)[None, :] ** exps, axis=1)
-            out += amp * kpow[:, None] * np.sin(
-                ky[None, :] + phase + (orders * math.pi / 2)[:, None]) / fact
-        # the analytic tail beyond the cap is nonzero by construction
-        return out, True
-
-    def bound_constants(self):
-        amp = sum(abs(a) for a, _, _ in self.terms)
-        rate = max((float(np.linalg.norm(w)) for _, w, _ in self.terms),
-                   default=0.0)
-        return amp, rate
-
-
-@dataclass(frozen=True)
-class TimeEntry:
-    """Polynomial time dependence: ``sum_l entry_l(x) * t^l``.
-
-    ``eval`` takes points (..., n) and a time that is a scalar or
-    broadcasts against their leading shape.
-    """
-
-    parts: tuple[tuple[int, CoefficientEntry], ...]
-
-    @property
-    def max_order(self) -> int:
-        return max((l for l, _ in self.parts), default=0)
-
-    def eval(self, t, x):
-        x = np.asarray(x, dtype=float)
-        total = zeros_at(x, t)
-        for l, e in self.parts:
-            total = total + e.eval(x) * np.power(t, l)
-        return total[()]
-
-
-@dataclass(frozen=True)
-class TaylorExpansion:
-    """taylorize() result: the truncated polynomial plus its tail bound."""
-
-    poly: TaylorPoly
-    amplitude: float
-    rate: float
-
-
-def taylorize(entry: CoefficientEntry, y: Sequence[float],
-              degree: int) -> TaylorExpansion:
-    """Expand an admissible coefficient entry about ``y`` to ``degree``."""
-    if not isinstance(entry, CoefficientEntry):
-        raise UnsupportedSpecError(
-            f"cannot taylorize object of type {type(entry).__name__}")
-    poly = entry.taylor_coeffs(y, degree)
-    if isinstance(entry, PolyEntry) and entry.max_degree() <= degree:
-        amp, rate = 0.0, 0.0
-    else:
-        amp, rate = entry.bound_constants()
-    return TaylorExpansion(poly, amp, rate)
 
 
 # ---------------------------------------------------------------------------

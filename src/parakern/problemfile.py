@@ -11,9 +11,8 @@ from importlib import resources
 import jsonschema
 
 from .errors import ParameterError as ParakernValueError
-from .errors import SchemaError, UnsupportedSpecError
-from .funcspec import spec_from_dict
-from .polyalg import CoefficientEntry, FourierEntry, PolyEntry, TimeEntry
+from .errors import SchemaError
+from .funcspec import FourierEntry, TimeEntry, spec_from_dict
 from .recursion import ProblemCoefficients, WarpParams, select_beta, warp_schedule
 from .solvers import ProblemSpec, QuadratureConfig
 
@@ -28,7 +27,6 @@ class ProblemFile:
     degree_D: int | None
     warp: WarpParams
     quad: QuadratureConfig
-    raw: dict
 
 
 def _schema() -> dict:
@@ -48,25 +46,6 @@ def _validator():
 
 def _reject_nonfinite(value: str):
     raise SchemaError(f"non-finite number {value!r} in problem file")
-
-
-def entry_from_dict(kind: str, terms, dim: int) -> CoefficientEntry | TimeEntry:
-    if kind == "poly":
-        return PolyEntry(dim, tuple(
-            (float(c), tuple(int(v) for v in e)) for c, e in terms))
-    if kind == "fourier":
-        return FourierEntry(dim, tuple(
-            (float(a), tuple(float(v) for v in k), float(p))
-            for a, k, p in terms))
-    if kind == "time_poly":
-        parts = []
-        for l, sub in terms:
-            entry = entry_from_dict(sub["kind"], sub["terms"], dim)
-            if isinstance(entry, TimeEntry):
-                raise UnsupportedSpecError("time_poly cannot nest time_poly")
-            parts.append((int(l), entry))
-        return TimeEntry(tuple(parts))
-    raise UnsupportedSpecError(f"unknown coefficient kind {kind!r}")
 
 
 def _default_bound_c(entries) -> float:
@@ -102,10 +81,9 @@ def load_problem_dict(data: dict) -> ProblemFile:
         key = (rec["i"], rec["j"], rec["k"])
         if key in drift:
             raise SchemaError(f"at drift: duplicate index {key}")
-        drift[key] = entry_from_dict(rec["kind"], rec["terms"], dim)
-    potential = {}
-    for rec in data.get("potential", []):
-        potential[rec["i"]] = entry_from_dict(rec["kind"], rec["terms"], dim)
+        drift[key] = spec_from_dict(rec, dim)
+    potential = {rec["i"]: spec_from_dict(rec, dim)
+                 for rec in data.get("potential", [])}
 
     lo = tuple(float(v) for v in data["domain"]["lower"])
     hi = tuple(float(v) for v in data["domain"]["upper"])
@@ -159,7 +137,7 @@ def load_problem_dict(data: dict) -> ProblemFile:
         steps=int(quad_data.get("steps", 64)))
 
     return ProblemFile(pc, ps, int(expn.get("order_K", 6)),
-                       expn.get("degree_D"), warp, quad, data)
+                       expn.get("degree_D"), warp, quad)
 
 
 def load_problem_file(path: str) -> ProblemFile:

@@ -32,11 +32,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ParameterError, StructureError
-from .polyalg import (CoefficientEntry, MultiIndex, TaylorPoly, TimeEntry,
-                      index_table, series_reciprocal, _degree, _monomials,
-                      _mul_cols, _overflow_cols, _partial_tables, _rows,
-                      _series_mul)
+from .errors import ParameterError, StructureError, UnsupportedSpecError
+from .funcspec import CoefficientEntry, TimeEntry
+from .polyalg import (MultiIndex, TaylorPoly, index_table, series_reciprocal,
+                      _degree, _monomials, _mul_cols, _overflow_cols,
+                      _partial_tables, _rows, _series_mul)
 
 SAMPLE_LATTICE = 17      # points per axis when sampling sup norms
 BETA_FLOOR = 1e-6
@@ -49,11 +49,16 @@ DIAG_TAU_REF = 0.5       # weight tau used in convergence diagnostics
 # ---------------------------------------------------------------------------
 
 def _as_time_entry(entry) -> TimeEntry:
-    if isinstance(entry, TimeEntry):
-        return entry
-    if isinstance(entry, CoefficientEntry):
-        return TimeEntry(((0, entry),))
-    raise ParameterError(f"not a coefficient entry: {type(entry).__name__}")
+    """A drift or potential entry as a :class:`TimeEntry`.  The entry must
+    be a ``poly`` or ``fourier`` entry, or a ``time_poly`` of those
+    without nesting."""
+    parts = entry.parts if isinstance(entry, TimeEntry) else ((0, entry),)
+    for _, part in parts:
+        if not isinstance(part, CoefficientEntry):
+            raise UnsupportedSpecError(
+                "drift and potential entries are poly, fourier or a "
+                f"time_poly of those, not {type(part).__name__}")
+    return entry if isinstance(entry, TimeEntry) else TimeEntry(parts)
 
 
 @dataclass(frozen=True)
@@ -61,9 +66,11 @@ class ProblemCoefficients:
     """Admissible drift/potential data for one parabolic system.
 
     ``drift`` maps (equation i, field j, direction k) to an entry for
-    b^i_{jk}; ``potential`` maps equation i to V_i.  ``bound_C`` is the
-    generic derivative-bound constant and ``domain_radius_R`` the radius
-    of a ball containing the domain.
+    b^i_{jk}; ``potential`` maps equation i to V_i.  Each entry is a
+    ``PolyEntry`` or ``FourierEntry``, or a ``TimeEntry`` of those, and is
+    held as a ``TimeEntry``.  ``bound_C`` is the generic derivative-bound
+    constant and ``domain_radius_R`` the radius of a ball containing the
+    domain.
     """
 
     n: int
@@ -116,10 +123,9 @@ class ProblemCoefficients:
         for entry in list(self.drift.values()) + list(self.potential.values()):
             for _, part in entry.parts:
                 for alpha in alphas:
-                    d = part.derivative(alpha)
+                    d = part.derivative(alpha).eval(0.0, points)
                     bound = self.bound_C ** sum(alpha)
-                    worst = max(worst, float(np.max(np.abs(d.eval(points))))
-                                / bound)
+                    worst = max(worst, float(np.max(np.abs(d))) / bound)
         return worst
 
 

@@ -27,9 +27,8 @@ import numpy as np
 
 from .errors import (ConditioningError, ParameterError, ScalingError,
                      UnsupportedSpecError)
-from .funcspec import FunctionSpec, SpacePoly, ZeroFunc
+from .funcspec import FunctionSpec, PolyEntry, ZeroFunc
 from .kernel import KernelField, Rows
-from .polyalg import PolyEntry
 from .recursion import ProblemCoefficients, WarpParams
 
 
@@ -188,7 +187,7 @@ def solve_cauchy(ps: ProblemSpec, fld: KernelField,
     kernel pairs every component with the same delta datum, so genuinely
     vector-valued initial data has no representation here and is rejected.
     """
-    if ps.kind not in ("cauchy", "burgers"):
+    if ps.kind != "cauchy":
         raise ParameterError("solve_cauchy expects a cauchy problem spec")
     if isinstance(ps.phi, (list, tuple)):
         raise UnsupportedSpecError(
@@ -416,7 +415,9 @@ def solve_ibvp2(ps: ProblemSpec, fld: KernelField, steps: int = 64,
 def burgers_demo(ps: ProblemSpec, K: int = 4,
                  quad: QuadratureConfig = QuadratureConfig(),
                  points: np.ndarray | None = None,
-                 sample_times: Sequence[float] | None = None) -> GridSolution:
+                 sample_times: Sequence[float] | None = None,
+                 warp: WarpParams = WarpParams(),
+                 D: int | None = None) -> GridSolution:
     """Viscous Burgers with potential initial data v(0) = -grad Phi_0.
 
     Writing Phi = 2 nu ln psi turns the potential-form momentum equation
@@ -424,10 +425,17 @@ def burgers_demo(ps: ProblemSpec, K: int = 4,
     A further time rescale s = nu t reduces to unit diffusion with
     potential F/(2 nu^2), which the expansion kernel propagates, and the
     velocity is recovered as v = -2 nu grad psi / psi with the gradient
-    taken analytically under the convolution integral.
+    taken analytically under the convolution integral.  The heat kernel
+    is expanded at order K, degree cap D and warp ``warp``, as in
+    :class:`KernelField`.  The problem's own drift and potential have no
+    place in this substitution and are refused.
     """
     if ps.kind != "burgers":
         raise ParameterError("burgers_demo expects a burgers problem spec")
+    if ps.coefficients.drift or ps.coefficients.potential:
+        raise UnsupportedSpecError(
+            "burgers takes no drift or potential entries; its forcing f "
+            "becomes the heat problem's potential")
     nu = ps.nu
     n = ps.dim
     pts = points if points is not None else lattice(ps)
@@ -452,7 +460,7 @@ def burgers_demo(ps: ProblemSpec, K: int = 4,
 
     potential = {}
     if not isinstance(ps.source, ZeroFunc):
-        if not isinstance(ps.source, SpacePoly):
+        if not isinstance(ps.source, PolyEntry):
             raise UnsupportedSpecError(
                 "burgers forcing must be a spatial polynomial")
         potential[0] = PolyEntry(n, tuple(
@@ -460,7 +468,7 @@ def burgers_demo(ps: ProblemSpec, K: int = 4,
     pc_heat = ProblemCoefficients(n, 1, {}, potential,
                                   bound_C=ps.coefficients.bound_C,
                                   domain_radius_R=ps.coefficients.domain_radius_R)
-    fld = KernelField(pc_heat, WarpParams(), K=K)
+    fld = KernelField(pc_heat, warp, K=K, D=D)
     times = np.array(sorted(sample_times or [ps.horizon]), dtype=float)
     [(psi, grad)] = fld.gauss_hermite(
         quad.gh_order, [(nu * times[:, None], 0.0, pts, psi0)], gradient=True)

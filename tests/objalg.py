@@ -33,11 +33,11 @@ from scipy import sparse
 
 from parakern import polyalg
 from parakern.errors import ParameterError, SequencingError, StructureError
+from parakern.funcspec import (CoefficientEntry, FourierEntry, PolyEntry,
+                               TimeEntry, taylorize)
 from parakern.kernel import Rows, kernel_gradient
-from parakern.polyalg import (CoefficientEntry, FourierEntry, MultiIndex,
-                              PolyEntry, TimeEntry, index_table, taylorize,
-                              _monomials, _mul_cols, _overflow_cols,
-                              _partial_tables, _series_mul)
+from parakern.polyalg import (MultiIndex, index_table, _monomials, _mul_cols,
+                              _overflow_cols, _partial_tables, _series_mul)
 from parakern.recursion import (ExpansionCoeffs, ProblemCoefficients,
                                 WarpParams, ray_integrate, _BatchWorkspace,
                                 _series_sigma, _series_t_of_tau,
@@ -598,8 +598,8 @@ class EntrySum(CoefficientEntry):
     poly: PolyEntry
     fourier: FourierEntry
 
-    def eval(self, x):
-        return self.poly.eval(x) + self.fourier.eval(x)
+    def eval(self, t, x):
+        return self.poly.eval(t, x) + self.fourier.eval(t, x)
 
     def derivative(self, alpha):
         return EntrySum(self.dim, self.poly.derivative(alpha),

@@ -12,17 +12,17 @@ import numpy as np
 import pytest
 
 from parakern import oracle
+from parakern.funcspec import (FourierEntry, GaussianMix, PolyEntry,
+                               TimeEntry, taylorize)
 from parakern.kernel import (KernelField, delta_property, eval_kernel,
                              normalization_check, residual, varadhan_diag)
-from parakern.funcspec import GaussianMix, SpacePoly
 from parakern.oracle import FDConfig, quad_ray
-from parakern.polyalg import FourierEntry, PolyEntry, TimeEntry, taylorize
 from parakern.recursion import (ProblemCoefficients, WarpParams, expand,
                                 mode_ray_weight, pk_gamma, ray_integrate,
                                 select_beta, tau_of_t, warp_schedule)
 from parakern.solvers import ProblemSpec, QuadratureConfig, burgers_demo, \
     solve_cauchy, solve_ibvp2
-from parakern.funcspec import ExpTime, SpaceFourier, SpacePolyFourier
+from parakern.funcspec import ExpTime, SpacePolyFourier
 
 from objalg import jets_of
 
@@ -257,8 +257,8 @@ def test_criterion_09_warp_schedule():
 def _ibvp2_error(steps):
     ps = ProblemSpec(
         "ibvp2", (0.0,), (1.0,), 1.0, PC_ZERO,
-        phi=SpaceFourier(((1.0, (1.0,), math.pi / 2),)),
-        alpha=SpacePoly(((1.0, (0,)),)),
+        phi=FourierEntry(1, ((1.0, (1.0,), math.pi / 2),)),
+        alpha=PolyEntry(1, ((1.0, (0,)),)),
         psi=ExpTime(-1.0, SpacePolyFourier((
             (1.0, (0,), (1.0,), math.pi / 2),
             (-1.0, (1,), (1.0,), 0.0)))))
@@ -284,7 +284,7 @@ def test_criterion_10_ibvp2_manufactured():
 
 def test_criterion_11_burgers_demo():
     ps = ProblemSpec("burgers", (-1.0,), (1.0,), 0.5, PC_ZERO, nu=0.1,
-                     phi0=SpacePoly(((-0.5, (2,)),)))
+                     phi0=PolyEntry(1, ((-0.5, (2,)),)))
     pts = np.linspace(-1, 1, 21)[:, None]
     times = [0.1, 0.2, 0.3, 0.4, 0.5]
     sol = burgers_demo(ps, K=2, points=pts, sample_times=times)

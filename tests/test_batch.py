@@ -17,10 +17,10 @@ import pytest
 
 from parakern import kernel, recursion
 from parakern.errors import ParameterError, StructureError
+from parakern.funcspec import FourierEntry, PolyEntry, TimeEntry
 from parakern.kernel import (KernelField, eval_points, kernel_log_gradient,
                              log_correction)
-from parakern.polyalg import (FourierEntry, PolyEntry, TimeEntry, index_table,
-                              _rows)
+from parakern.polyalg import index_table, _rows
 from parakern.problemfile import load_problem_dict, load_problem_file
 from parakern.recursion import (ProblemCoefficients, WarpParams, _series_nu,
                                 expand, expand_batch)

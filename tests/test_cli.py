@@ -519,6 +519,48 @@ def test_burgers_non_polynomial_forcing_exits_numeric(tmp_path, capsys,
     assert os.listdir(tmp_path) == ["f.json"]
 
 
+def test_burgers_solve_honours_degree_and_warp_flags(tmp_path):
+    # with a poly forcing the heat kernel carries a potential, so the
+    # degree cap and the warp reach the Burgers output; without one the
+    # kernel is the heat kernel and no flag changes a byte
+    with open(problem("burgers_selfsim.json")) as fh:
+        data = json.load(fh)
+    data["problem"]["f"] = {"kind": "poly", "terms": [[0.2, [2]]]}
+    forced = write_json(tmp_path, "forced.json", data)
+    flags = {"default": [], "degree": ["--degree", "1"],
+             "tau": ["--mode", "tau", "--beta", "0.5"]}
+    for path, tag in ((forced, "forced"),
+                      (problem("burgers_selfsim.json"), "free")):
+        for name, extra in flags.items():
+            rc = main(["solve", path, *extra,
+                       "--out", str(tmp_path / f"{tag}_{name}")])
+            assert rc == 0
+
+    def csv_bytes(tag, name):
+        return (tmp_path / f"{tag}_{name}.csv").read_bytes()
+
+    assert csv_bytes("forced", "degree") != csv_bytes("forced", "default")
+    assert csv_bytes("forced", "tau") != csv_bytes("forced", "default")
+    assert csv_bytes("free", "degree") == csv_bytes("free", "default")
+    assert csv_bytes("free", "tau") == csv_bytes("free", "default")
+
+
+@pytest.mark.parametrize("section, record", [
+    ("drift", {"i": 0, "j": 0, "k": 0, "kind": "poly", "terms": [[5.0, [0]]]}),
+    ("potential", {"i": 0, "kind": "poly", "terms": [[3.0, [0]]]}),
+], ids=["drift", "potential"])
+def test_burgers_with_drift_or_potential_exits_numeric(tmp_path, capsys,
+                                                       section, record):
+    with open(problem("burgers_selfsim.json")) as fh:
+        data = json.load(fh)
+    data[section] = [record]
+    rc = main(["solve", write_json(tmp_path, "b.json", data),
+               "--out", str(tmp_path / "x")])
+    assert rc == 3
+    assert "burgers takes no drift or potential" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["b.json"]
+
+
 def test_coupled_system_through_cli(tmp_path):
     out = tmp_path / "sys.json"
     rc = main(["expand", problem("coupled_system.json"), "--order", "4",

@@ -1,6 +1,7 @@
-"""The array contract of problem data: every function-spec kind and every
-coefficient-entry kind evaluates a whole array of points in one call, and
-each row of a batched call has the bits of the one-point call."""
+"""The array contract of problem functions: every kind, drift and
+potential entries included, evaluates a whole array of points in one
+call, and each row of a batched call has the bits of the one-point
+call."""
 
 import math
 
@@ -9,17 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parakern.errors import ScalingError
-from parakern.funcspec import (CallableFunc, ExpTime, GaussianMix,
-                               GridSamples, SpaceFourier, SpacePoly,
-                               SpacePolyFourier, TimePolyFunc, ZeroFunc)
-from parakern.polyalg import FourierEntry, PolyEntry, TimeEntry
+from parakern.errors import ScalingError, UnsupportedSpecError
+from parakern.funcspec import (CallableFunc, ExpTime, FourierEntry,
+                               GaussianMix, GridSamples, PolyEntry,
+                               SpacePolyFourier, TimeEntry, ZeroFunc)
+from parakern.problemfile import load_problem_dict
 
 SEEDED = settings(max_examples=25, deadline=None, derandomize=True)
 
 SPACE_KINDS = ["zero", "poly", "fourier", "polyfourier", "gaussian", "grid"]
-SPEC_KINDS = SPACE_KINDS + ["time_poly", "expt", "callable"]
-ENTRY_KINDS = ["poly", "fourier", "time"]
+# a drift or potential entry is a poly, a fourier, or a drift_time_poly:
+# a time_poly whose parts are poly or fourier
+SPEC_KINDS = SPACE_KINDS + ["time_poly", "drift_time_poly", "expt",
+                            "callable"]
 
 coef = st.floats(-2.0, 2.0, allow_nan=False)
 
@@ -45,10 +48,12 @@ def draw_spec(draw, kind, n):
     if kind == "zero":
         return ZeroFunc()
     if kind == "poly":
-        return SpacePoly(_terms(draw, lambda: (draw(coef), _exps(draw, n))))
+        return PolyEntry(n, _terms(draw, lambda: (draw(coef),
+                                                  _exps(draw, n))))
     if kind == "fourier":
-        return SpaceFourier(_terms(draw, lambda: (draw(coef), _vec(draw, n),
-                                                  draw(coef))))
+        return FourierEntry(n, _terms(draw, lambda: (draw(coef),
+                                                     _vec(draw, n),
+                                                     draw(coef))))
     if kind == "polyfourier":
         return SpacePolyFourier(_terms(draw, lambda: (
             draw(coef), _exps(draw, n), _vec(draw, n), draw(coef))))
@@ -59,27 +64,15 @@ def draw_spec(draw, kind, n):
         m = draw(st.integers(3, 6))
         return GridSamples(tuple(np.linspace(-3.0, 3.0, m).tolist()),
                            tuple(draw(coef) for _ in range(m)))
-    if kind == "time_poly":
-        return TimePolyFunc(_terms(draw, lambda: (
+    if kind in ("time_poly", "drift_time_poly"):
+        parts = SPACE_KINDS if kind == "time_poly" else ["poly", "fourier"]
+        return TimeEntry(_terms(draw, lambda: (
             draw(st.integers(0, 3)),
-            draw_spec(draw, draw(st.sampled_from(SPACE_KINDS)), n))))
+            draw_spec(draw, draw(st.sampled_from(parts)), n))))
     if kind == "expt":
         return ExpTime(draw(coef), draw_spec(
             draw, draw(st.sampled_from(SPACE_KINDS)), n))
     return CallableFunc(_callable)
-
-
-def draw_entry(draw, kind, n):
-    if kind == "poly":
-        return PolyEntry(n, _terms(draw, lambda: (draw(coef),
-                                                  _exps(draw, n))))
-    if kind == "fourier":
-        return FourierEntry(n, _terms(draw, lambda: (draw(coef),
-                                                     _vec(draw, n),
-                                                     draw(coef))))
-    return TimeEntry(_terms(draw, lambda: (
-        draw(st.integers(0, 3)),
-        draw_entry(draw, draw(st.sampled_from(["poly", "fourier"])), n))))
 
 
 def draw_points(draw, n):
@@ -114,18 +107,21 @@ def test_spec_batched_eval_equals_rows_bit_for_bit(kind, data, n):
         assert_rows_match(spec.eval(t, x), spec.eval, x, t)
 
 
-@pytest.mark.parametrize("kind", ENTRY_KINDS)
+@pytest.mark.parametrize("kind", ["poly", "fourier"])
 @SEEDED
-@given(data=st.data(), n=st.sampled_from([1, 2, 3]))
-def test_entry_batched_eval_equals_rows_bit_for_bit(kind, data, n):
-    entry = draw_entry(data.draw, kind, n)
+@given(data=st.data(), n=st.sampled_from([1, 2, 3]),
+       order=st.integers(0, 2))
+def test_entry_batched_eval_equals_rows_bit_for_bit(kind, data, n, order):
+    """A drift or potential entry and its derivatives take no time: a
+    batched call has the same bits at any time, row by row."""
+    entry = draw_spec(data.draw, kind, n)
+    alpha = tuple(data.draw(st.integers(0, order)) for _ in range(n))
     x, times = draw_points(data.draw, n)
-    if kind == "time":
+    for f in (entry, entry.derivative(alpha)):
+        batched = f.eval(0.0, x)
+        assert_rows_match(batched, f.eval, x, 0.0)
         for t in times:
-            assert_rows_match(entry.eval(t, x), entry.eval, x, t)
-    else:
-        assert_rows_match(entry.eval(x), lambda _, xi: entry.eval(xi), x,
-                          0.0)
+            assert np.asarray(f.eval(t, x)).tobytes() == batched.tobytes()
 
 
 def test_space_only_spec_keeps_the_points_shape_under_an_array_time():
@@ -151,7 +147,7 @@ def test_callable_func_is_called_once_per_row():
 
 
 @pytest.mark.parametrize("spec", [
-    ExpTime(800.0, SpacePoly(((1.0, (0,)),))),
+    ExpTime(800.0, PolyEntry(1, ((1.0, (0,)),))),
     GaussianMix(((1.0, -100.0, (0.0,)),)),
 ])
 def test_exp_overflow_is_a_scaling_error_not_inf(spec):
@@ -159,3 +155,50 @@ def test_exp_overflow_is_a_scaling_error_not_inf(spec):
     assert np.all(np.isfinite(spec.eval(0.1, x[:1])))
     with pytest.raises(ScalingError, match="overflows"):
         spec.eval(1.0, x)
+
+
+POLY = {"kind": "poly", "terms": [[0.5, [1]], [0.2, [0]]]}
+FOURIER = {"kind": "fourier", "terms": [[0.3, [1.0], 0.1]]}
+
+
+def _problem(drift, potential):
+    return {
+        "dimension": 1, "components": 1,
+        "drift": [{"i": 0, "j": 0, "k": 0, **drift}],
+        "potential": [{"i": 0, **potential}],
+        "domain": {"lower": [-1.0], "upper": [1.0]},
+        "horizon": 0.1,
+        "problem": {"kind": "cauchy", "phi": POLY,
+                    "f": {"kind": "time_poly",
+                          "parts": [[0, POLY], [1, FOURIER]]}},
+        "expansion": {"order_K": 2},
+        "quadrature": {"gh_order": 20, "gl_order": 16, "steps": 16},
+    }
+
+
+def test_problem_file_reads_coefficients_and_data_of_a_kind_alike():
+    # the same JSON gives the same object as a drift part, as a potential
+    # and as data; a time_poly lists its parts under "terms" as a
+    # coefficient and under "parts" as data
+    pf = load_problem_dict(_problem(
+        {"kind": "time_poly", "terms": [[0, POLY], [1, FOURIER]]}, FOURIER))
+    drift, potential = pf.pc.drift[0, 0, 0], pf.pc.potential[0]
+    assert type(drift) is type(pf.ps.source) is TimeEntry
+    assert drift == pf.ps.source
+    assert type(pf.ps.phi) is type(drift.parts[0][1]) is PolyEntry
+    assert pf.ps.phi == drift.parts[0][1]
+    assert potential.parts == ((0, drift.parts[1][1]),)
+    assert type(potential.parts[0][1]) is FourierEntry
+
+
+@pytest.mark.parametrize("part", [
+    {"kind": "time_poly", "terms": [[0, POLY]]},
+    {"kind": "gaussian_mix", "terms": [[1.0, 1.0, [0.0]]]},
+    {"kind": "zero"},
+], ids=["nested_time_poly", "gaussian_mix", "zero"])
+def test_coefficient_time_poly_takes_poly_and_fourier_parts_only(part):
+    for drift, potential in (
+            ({"kind": "time_poly", "terms": [[1, part]]}, FOURIER),
+            (POLY, {"kind": "time_poly", "terms": [[0, POLY], [1, part]]})):
+        with pytest.raises(UnsupportedSpecError, match="poly, fourier"):
+            load_problem_dict(_problem(drift, potential))

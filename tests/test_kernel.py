@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from parakern import kernel, oracle, solvers
 from parakern.errors import ParameterError, ScalingError, StructureError
+from parakern.funcspec import FourierEntry, PolyEntry, TimeEntry
 from parakern.kernel import (KernelField, Rows, delta_property, eval_kernel,
                              eval_points, kernel_gradient, kernel_log_gradient,
                              log_correction, normalization_check, residual,
                              varadhan_diag)
-from parakern.polyalg import FourierEntry, PolyEntry, TimeEntry, index_table
+from parakern.polyalg import index_table
 from parakern.problemfile import load_problem_file
 from parakern.recursion import (ExpansionCoeffs, ProblemCoefficients,
                                 WarpParams, expand,

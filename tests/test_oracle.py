@@ -155,9 +155,8 @@ def test_fd_explicit_stability_guard():
 
 
 def test_fd_solve_dispatcher_all_kinds():
-    from parakern.funcspec import (ExpTime, GaussianMix, SpaceFourier,
-                                   SpacePoly, SpacePolyFourier)
-    from parakern.polyalg import FourierEntry
+    from parakern.funcspec import (ExpTime, FourierEntry, GaussianMix,
+                                   PolyEntry, SpacePolyFourier)
     from parakern.recursion import ProblemCoefficients
     from parakern.solvers import ProblemSpec
 
@@ -165,7 +164,7 @@ def test_fd_solve_dispatcher_all_kinds():
     pc = ProblemCoefficients(1, 1, {(0, 0, 0):
                                     FourierEntry(1, ((0.3, (1.0,), 0.0),))})
     ps = ProblemSpec("cauchy", (-8.0,), (8.0,), 0.2, pc,
-                     phi=SpacePoly(((1.0, (0,)),)))
+                     phi=PolyEntry(1, ((1.0, (0,)),)))
     sol = fd_solve(ps, FDConfig(h=1 / 64, dt=1e-3))
     mask = np.abs(sol.points[:, 0]) <= 2.0
     assert np.max(np.abs(sol.values[-1][mask, 0] - 1.0)) < 1e-8
@@ -174,8 +173,8 @@ def test_fd_solve_dispatcher_all_kinds():
     pc0 = ProblemCoefficients(1, 1, {})
     ps2 = ProblemSpec(
         "ibvp2", (0.0,), (1.0,), 0.5, pc0,
-        phi=SpaceFourier(((1.0, (1.0,), math.pi / 2),)),
-        alpha=SpacePoly(((1.0, (0,)),)),
+        phi=FourierEntry(1, ((1.0, (1.0,), math.pi / 2),)),
+        alpha=PolyEntry(1, ((1.0, (0,)),)),
         psi=ExpTime(-1.0, SpacePolyFourier((
             (1.0, (0,), (1.0,), math.pi / 2),
             (-1.0, (1,), (1.0,), 0.0)))))
@@ -214,9 +213,8 @@ def test_fd_robin_manufactured():
 # ---------------------------------------------------------------------------
 
 def _pin_specs():
-    from parakern.funcspec import (ExpTime, GaussianMix, SpaceFourier,
-                                   SpacePoly, SpacePolyFourier)
-    from parakern.polyalg import FourierEntry, PolyEntry, TimeEntry
+    from parakern.funcspec import (ExpTime, FourierEntry, GaussianMix,
+                                   PolyEntry, SpacePolyFourier, TimeEntry)
     from parakern.recursion import ProblemCoefficients
     from parakern.solvers import ProblemSpec
 
@@ -248,12 +246,12 @@ def _pin_specs():
             source=GaussianMix(((0.7, 1.5, (-0.4,)),))),
         "exptime_source": ProblemSpec(
             "cauchy", *box, potential, phi=bump,
-            source=ExpTime(-2.0, SpaceFourier(((0.5, (1.0,), 0.1),)))),
+            source=ExpTime(-2.0, FourierEntry(1, ((0.5, (1.0,), 0.1),)))),
         "robin": ProblemSpec(
             "ibvp2", (0.0,), (1.0,), 0.2,
             ProblemCoefficients(1, 1, {(0, 0, 0): time_drift(0.3, 0.5)}),
-            phi=SpaceFourier(((1.0, (1.0,), math.pi / 2),)),
-            alpha=SpacePoly(((1.0, (0,)),)),
+            phi=FourierEntry(1, ((1.0, (1.0,), math.pi / 2),)),
+            alpha=PolyEntry(1, ((1.0, (0,)),)),
             psi=ExpTime(-1.0, SpacePolyFourier((
                 (1.0, (0,), (1.0,), math.pi / 2),
                 (-1.0, (1,), (1.0,), 0.0))))),
@@ -472,8 +470,7 @@ def test_fd_burgers_sample_at_zero_is_the_initial_profile():
 def test_fd_solve_evaluates_coefficients_once_per_solve():
     from dataclasses import dataclass
 
-    from parakern.funcspec import GaussianMix
-    from parakern.polyalg import FourierEntry, TimeEntry
+    from parakern.funcspec import FourierEntry, GaussianMix, TimeEntry
     from parakern.recursion import ProblemCoefficients
     from parakern.solvers import ProblemSpec
 
@@ -482,10 +479,10 @@ def test_fd_solve_evaluates_coefficients_once_per_solve():
 
     @dataclass(frozen=True)
     class CountedEntry(FourierEntry):
-        def eval(self, x):
+        def eval(self, t, x):
             calls["drift"] += 1
             nodes["drift"] += np.shape(x)[0]
-            return super().eval(x)
+            return super().eval(t, x)
 
     @dataclass(frozen=True)
     class CountedSource(GaussianMix):

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parakern.errors import ParameterError, StructureError, UnsupportedSpecError
-from parakern.polyalg import (FourierEntry, MultiIndex, PolyEntry,
-                              index_table, taylorize, _degree, _mul_cols,
+from parakern.funcspec import FourierEntry, PolyEntry, taylorize
+from parakern.polyalg import (MultiIndex, index_table, _degree, _mul_cols,
                               _mul_tables, _overflow_cols, _rows)
 
 from objalg import (TaylorPoly, TimeJet, dense_mul_cols, dense_overflow_cols,
@@ -308,8 +308,9 @@ def test_taylorize_sine_series_and_fd_crosscheck():
     assert res.poly.coeff((0,)) == pytest.approx(0.0, abs=1e-15)
     # third derivative at 0 via central differences
     h = 1e-2
-    fd3 = (entry.eval([2 * h]) - 2 * entry.eval([h]) + 2 * entry.eval([-h])
-           - entry.eval([-2 * h])) / (2 * h ** 3)
+    fd3 = (entry.eval(0.0, [2 * h]) - 2 * entry.eval(0.0, [h])
+           + 2 * entry.eval(0.0, [-h]) - entry.eval(0.0, [-2 * h])) \
+        / (2 * h ** 3)
     assert fd3 / 6 == pytest.approx(res.poly.coeff((3,)), rel=1e-3)
 
 
@@ -335,7 +336,7 @@ def test_remainder_bound_is_a_bound():
     worst = 0.0
     for _ in range(1000):
         x = np.array([0.2 + rng.uniform(-radius, radius)])
-        err = abs(entry.eval(x) - poly_eval(res.poly, x))
+        err = abs(entry.eval(0.0, x) - poly_eval(res.poly, x))
         worst = max(worst, err)
     assert worst <= bound
     assert bound < 1.0  # and not vacuous

@@ -10,10 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parakern import recursion
-from parakern.funcspec import GaussianMix
+from parakern.funcspec import FourierEntry, GaussianMix, PolyEntry
 from parakern.kernel import (KernelField, delta_property, eval_kernel,
                              eval_points, normalization_check, residual)
-from parakern.polyalg import FourierEntry, PolyEntry
 from parakern.recursion import (ProblemCoefficients, WarpParams, expand,
                                 expand_batch, expansion_from_dict,
                                 expansion_to_dict)

@@ -8,7 +8,7 @@ import pytest
 
 from parakern import oracle
 from parakern.errors import ParameterError, SequencingError
-from parakern.polyalg import FourierEntry, PolyEntry, TimeEntry, taylorize
+from parakern.funcspec import FourierEntry, PolyEntry, TimeEntry, taylorize
 from parakern.problemfile import load_problem_file
 from parakern.recursion import (ProblemCoefficients,
                                 WarpParams, beta_from_bound,

@@ -8,12 +8,11 @@ import pytest
 from parakern import kernel, solvers
 from parakern.errors import (ConditioningError, ParameterError, ScalingError,
                              UnsupportedSpecError)
-from parakern.funcspec import (CallableFunc, ExpTime, GaussianMix,
-                               GridSamples, SpaceFourier, SpacePoly,
-                               SpacePolyFourier, TimePolyFunc, ZeroFunc)
+from parakern.funcspec import (CallableFunc, ExpTime, FourierEntry,
+                               GaussianMix, GridSamples, PolyEntry,
+                               SpacePolyFourier, TimeEntry, ZeroFunc)
 from parakern.kernel import KernelField, kernel_log_gradient, log_correction
 from parakern.oracle import FDConfig, fd_solve, fd_solve_burgers
-from parakern.polyalg import FourierEntry, PolyEntry, TimeEntry
 from parakern.problemfile import load_problem_file
 from parakern.recursion import (ProblemCoefficients, WarpParams, expand,
                                 expand_batch)
@@ -30,7 +29,7 @@ SIN_DRIFT = FourierEntry(1, ((0.3, (1.0,), 0.0),))
 PC_SIN = ProblemCoefficients(1, 1, {(0, 0, 0): SIN_DRIFT})
 PC_ZERO = ProblemCoefficients(1, 1, {})
 QUAD = QuadratureConfig(gh_order=40, gl_order=24, gl_panels=3)
-COS_SPEC = SpaceFourier(((1.0, (1.0,), math.pi / 2),))
+COS_SPEC = FourierEntry(1, ((1.0, (1.0,), math.pi / 2),))
 
 
 def gauss_phi():
@@ -43,7 +42,7 @@ def gauss_phi():
 
 def test_cauchy_preserves_constants_under_drift():
     ps = ProblemSpec("cauchy", (-1.0,), (1.0,), 0.2, PC_SIN,
-                     phi=SpacePoly(((1.0, (0,)),)))
+                     phi=PolyEntry(1, ((1.0, (0,)),)))
     fld = KernelField(PC_SIN, WarpParams(), K=6, D=12)
     sol = solve_cauchy(ps, fld, QUAD, points=np.array([[-0.5], [0.0], [0.5]]))
     assert np.max(np.abs(sol.values - 1.0)) <= 1e-4
@@ -284,8 +283,8 @@ def test_ibvp2_singular_step_raises():
     # at the first step A_ee = 0.5/sqrt(t_1) + sqrt(pi) alpha / 2 and the
     # off-diagonal coupling is ~1e-20, so this alpha makes A vanish
     t1 = 0.01
-    alpha = SpacePoly(((-1.0 / math.sqrt(math.pi * t1), (0,)),))
-    ps = make_ibvp(ZeroFunc(), alpha, SpacePoly(((1.0, (0,)),)), T=2 * t1)
+    alpha = PolyEntry(1, ((-1.0 / math.sqrt(math.pi * t1), (0,)),))
+    ps = make_ibvp(ZeroFunc(), alpha, PolyEntry(1, ((1.0, (0,)),)), T=2 * t1)
     fld = KernelField(PC_ZERO, WarpParams(), K=1)
     with pytest.raises(ConditioningError, match="singular marching step"):
         solve_ibvp2(ps, fld, steps=2, quad=QUAD)
@@ -294,15 +293,15 @@ def test_ibvp2_singular_step_raises():
 MANUFACTURED = [
     # u* = e^{-t} cos x, alpha = 1, f = 0
     dict(phi=COS_SPEC,
-         alpha=SpacePoly(((1.0, (0,)),)),
+         alpha=PolyEntry(1, ((1.0, (0,)),)),
          psi=ExpTime(-1.0, SpacePolyFourier((
              (1.0, (0,), (1.0,), math.pi / 2),
              (-1.0, (1,), (1.0,), 0.0)))),
          source=None,
          exact=lambda t, x: math.exp(-t) * math.cos(x)),
     # u* = e^{-t} sin(x + 0.3), alpha = 1, f = 0
-    dict(phi=SpaceFourier(((1.0, (1.0,), 0.3),)),
-         alpha=SpacePoly(((1.0, (0,)),)),
+    dict(phi=FourierEntry(1, ((1.0, (1.0,), 0.3),)),
+         alpha=PolyEntry(1, ((1.0, (0,)),)),
          psi=ExpTime(-1.0, SpacePolyFourier((
              (2.0, (1,), (1.0,), 0.3 + math.pi / 2),
              (-1.0, (0,), (1.0,), 0.3 + math.pi / 2),
@@ -310,14 +309,14 @@ MANUFACTURED = [
          source=None,
          exact=lambda t, x: math.exp(-t) * math.sin(x + 0.3)),
     # u* = (1 + t)(1 + x^2/2), alpha = 1, f = x^2/2 - t
-    dict(phi=SpacePoly(((1.0, (0,)), (0.5, (2,)))),
-         alpha=SpacePoly(((1.0, (0,)),)),
-         psi=TimePolyFunc((
-             (0, SpacePoly(((2.5, (2,)), (-1.0, (1,)), (1.0, (0,))))),
-             (1, SpacePoly(((2.5, (2,)), (-1.0, (1,)), (1.0, (0,))))))),
-         source=TimePolyFunc((
-             (0, SpacePoly(((0.5, (2,)),))),
-             (1, SpacePoly(((-1.0, (0,)),))))),
+    dict(phi=PolyEntry(1, ((1.0, (0,)), (0.5, (2,)))),
+         alpha=PolyEntry(1, ((1.0, (0,)),)),
+         psi=TimeEntry((
+             (0, PolyEntry(1, ((2.5, (2,)), (-1.0, (1,)), (1.0, (0,))))),
+             (1, PolyEntry(1, ((2.5, (2,)), (-1.0, (1,)), (1.0, (0,))))))),
+         source=TimeEntry((
+             (0, PolyEntry(1, ((0.5, (2,)),))),
+             (1, PolyEntry(1, ((-1.0, (0,)),))))),
          exact=lambda t, x: (1 + t) * (1 + x * x / 2)),
 ]
 
@@ -565,8 +564,8 @@ def _pin_case(name):
                 16, QUAD, PIN_POINTS, [0.5, 0.125])
     if name == "alpha_in_time_and_space":
         # alpha = 1 + x + t differs between the ends and the steps
-        alpha = TimePolyFunc(((0, SpacePoly(((1.0, (0,)), (1.0, (1,))))),
-                              (1, SpacePoly(((1.0, (0,)),)))))
+        alpha = TimeEntry(((0, PolyEntry(1, ((1.0, (0,)), (1.0, (1,))))),
+                              (1, PolyEntry(1, ((1.0, (0,)),)))))
         rec = MANUFACTURED[1]
         ps = ProblemSpec("ibvp2", (0.0,), (1.0,), 0.5, CONST_DRIFT,
                          phi=rec["phi"], alpha=alpha, psi=rec["psi"])
@@ -601,7 +600,7 @@ def _time_drift_source_solve(source):
     pc = ProblemCoefficients(1, 1, {(0, 0, 0): TimeEntry((
         (0, PolyEntry(1, ((0.3, (0,)),))), (1, PolyEntry(1, ((0.5, (0,)),)))))})
     ps = ProblemSpec("ibvp2", (0.0,), (1.0,), 0.5, pc, phi=COS_SPEC,
-                     source=source, alpha=SpacePoly(((1.0, (0,)),)))
+                     source=source, alpha=PolyEntry(1, ((1.0, (0,)),)))
     fld = KernelField(pc, WarpParams(), K=4)
     solve_ibvp2(ps, fld, steps=32, quad=QUAD,
                 points=np.array([[0.25], [0.5], [0.75]]))
@@ -646,7 +645,7 @@ def test_ibvp2_value_only_rows_skip_the_gradient(monkeypatch):
     monkeypatch.setattr(kernel, "_log_terms", recording)
     pc = ProblemCoefficients(1, 1, {(0, 0, 0): PolyEntry(1, ((0.5, (0,)),))})
     ps = ProblemSpec("ibvp2", (0.0,), (1.0,), 0.5, pc, phi=COS_SPEC,
-                     alpha=SpacePoly(((1.0, (0,)),)))
+                     alpha=PolyEntry(1, ((1.0, (0,)),)))
     fld = KernelField(pc, WarpParams(), K=2)
     steps, pts = 16, np.array([[0.25], [0.5], [0.75]])
     solve_ibvp2(ps, fld, steps=steps, quad=QUAD, points=pts)
@@ -666,7 +665,7 @@ def test_ibvp2_sums_rows_past_the_trust_radius():
     pc = ProblemCoefficients(1, 1, {(0, 0, 0): FourierEntry(
         1, ((0.3, (5.0,), 0.0),))})
     ps = ProblemSpec("ibvp2", (0.0,), (1.0,), 0.5, pc, phi=COS_SPEC,
-                     alpha=SpacePoly(((1.0, (0,)),)))
+                     alpha=PolyEntry(1, ((1.0, (0,)),)))
     fld, unbounded = (KernelField(pc, WarpParams(), K=2) for _ in range(2))
     unbounded.trust_radius = math.inf
     assert fld.trust_radius < 0.6
@@ -715,7 +714,7 @@ def test_burgers_zero_velocity():
 
 def test_burgers_selfsimilar_solution():
     ps = ProblemSpec("burgers", (-1.0,), (1.0,), 0.5, PC_ZERO, nu=0.1,
-                     phi0=SpacePoly(((-0.5, (2,)),)))
+                     phi0=PolyEntry(1, ((-0.5, (2,)),)))
     pts = np.linspace(-1, 1, 21)[:, None]
     sol = burgers_demo(ps, K=2, points=pts, sample_times=[0.1, 0.3, 0.5])
     worst = 0.0
@@ -773,19 +772,57 @@ def test_burgers_2d_velocity_stays_potential():
     assert abs(curl) / scale <= 1e-6
 
 
+@pytest.mark.parametrize("coefficients", [
+    ProblemCoefficients(1, 1, {(0, 0, 0): PolyEntry(1, ((5.0, (0,)),))}),
+    ProblemCoefficients(1, 1, {}, {0: PolyEntry(1, ((3.0, (0,)),))}),
+], ids=["drift", "potential"])
+def test_burgers_rejects_drift_and_potential(coefficients):
+    # the substitution turns only the forcing into a potential; a drift or
+    # potential of the problem itself would be dropped without a trace
+    ps = ProblemSpec("burgers", (-1.0,), (1.0,), 0.5, coefficients, nu=0.1,
+                     phi0=PolyEntry(1, ((-0.5, (2,)),)))
+    with pytest.raises(UnsupportedSpecError,
+                       match="burgers takes no drift or potential"):
+        burgers_demo(ps, K=2, points=np.array([[0.3]]))
+
+
+def test_burgers_kernel_takes_warp_and_degree():
+    ps = ProblemSpec("burgers", (-1.0,), (1.0,), 0.5, PC_ZERO, nu=0.1,
+                     phi0=PolyEntry(1, ((-0.5, (2,)),)),
+                     source=PolyEntry(1, ((0.2, (2,)),)))
+    pts = np.array([[-0.4], [0.3]])
+    base = burgers_demo(ps, K=2, points=pts).values
+    same = burgers_demo(ps, K=2, points=pts, warp=WarpParams(),
+                        D=6).values
+    assert base.tobytes() == same.tobytes()
+    for kw in ({"D": 1}, {"warp": WarpParams(mode="tau", beta=0.5)}):
+        assert not np.array_equal(
+            burgers_demo(ps, K=2, points=pts, **kw).values, base)
+
+
+def test_solve_cauchy_rejects_a_burgers_spec():
+    # it would integrate the forcing as a heat source and ignore phi0 and nu
+    ps = ProblemSpec("burgers", (-1.0,), (1.0,), 0.5, PC_ZERO, nu=0.1,
+                     phi0=PolyEntry(1, ((-0.5, (2,)),)),
+                     source=PolyEntry(1, ((0.2, (0,)),)))
+    fld = KernelField(PC_ZERO, WarpParams(), K=1)
+    with pytest.raises(ParameterError, match="expects a cauchy problem"):
+        solve_cauchy(ps, fld, QUAD, points=np.array([[0.0]]))
+
+
 def test_burgers_underflow_raises_scaling_error():
     ps = ProblemSpec("burgers", (-1.0,), (1.0,), 0.5, PC_ZERO, nu=1e-4,
-                     phi0=SpacePoly(((-5.0, (2,)),)))
+                     phi0=PolyEntry(1, ((-5.0, (2,)),)))
     with pytest.raises(ScalingError, match="subtract"):
         burgers_demo(ps, K=2, points=np.array([[0.9]]))
 
 
 @pytest.mark.parametrize("phi0, shift", [
     # 400 - x^2: psi0 = exp(2000) already at the lattice point
-    (SpacePoly(((400.0, (0,)), (-1.0, (2,)))), "400"),
+    (PolyEntry(1, ((400.0, (0,)), (-1.0, (2,)))), "400"),
     # 70 x^2: psi0 = exp(31.5) at x = 0.3, but past exp(709) at the far
     # Gauss-Hermite nodes y = x + 2 sqrt(nu t) z
-    (SpacePoly(((70.0, (2,)),)), None),
+    (PolyEntry(1, ((70.0, (2,)),)), None),
 ])
 def test_burgers_overflow_raises_scaling_error(phi0, shift):
     ps = ProblemSpec("burgers", (-1.0,), (1.0,), 0.5, PC_ZERO, nu=0.1,
@@ -796,7 +833,7 @@ def test_burgers_overflow_raises_scaling_error(phi0, shift):
 
 
 @pytest.mark.parametrize("source", [
-    SpaceFourier(((0.1, (1.0,), 0.0),)),
+    FourierEntry(1, ((0.1, (1.0,), 0.0),)),
     SpacePolyFourier(((0.1, (1,), (1.0,), 0.0),)),
     GaussianMix(((0.1, 1.0, (0.0,)),)),
 ], ids=["fourier", "polyfourier", "gaussian_mix"])
@@ -804,7 +841,7 @@ def test_burgers_rejects_non_polynomial_forcing(source):
     # each has terms, but not the (coefficient, exponents) pairs of a
     # polynomial potential
     ps = ProblemSpec("burgers", (-1.0,), (1.0,), 0.5, PC_ZERO, nu=0.1,
-                     phi0=SpacePoly(((-0.5, (2,)),)), source=source)
+                     phi0=PolyEntry(1, ((-0.5, (2,)),)), source=source)
     with pytest.raises(UnsupportedSpecError,
                        match="burgers forcing must be a spatial polynomial"):
         burgers_demo(ps, K=2, points=np.array([[0.3]]))
