@@ -61,10 +61,11 @@ def _parse_center(text: str | None, dim: int) -> np.ndarray:
 
 
 def _apply_overrides(pf: ProblemFile, args) -> ProblemFile:
+    for flag, value in (("--order", args.order), ("--degree", args.degree)):
+        if value is not None and value < 0:
+            # the schema's minimum for the file's order_K and degree_D
+            raise SchemaError(f"{flag} must be at least 0, got {value}")
     order = args.order if args.order is not None else pf.order_K
-    if args.degree is not None and args.degree < 0:
-        # the schema's minimum for the file's degree_D
-        raise SchemaError(f"--degree must be at least 0, got {args.degree}")
     degree = args.degree if args.degree is not None else pf.degree_D
     warp = pf.warp
     mode = args.mode or warp.mode
@@ -120,7 +121,7 @@ def cmd_expand(args) -> int:
     print(f"{'k':>3s} {'c_k_up':>24s} {'c_k_up*tau^k':>24s}")
     for k, (s, w) in enumerate(zip(diag.sup_norms, diag.weighted)):
         print(f"{k:3d} {s:24.15e} {w:24.15e}")
-    if diag.truncated:
+    if exp.truncated:
         print("# note: degree-cap truncation occurred "
               "(inherent for non-polynomial drift)")
     return EXIT_OK

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ScalingError, UnsupportedSpecError
+from .errors import ScalingError, SchemaError, UnsupportedSpecError
 from .polyalg import TaylorPoly, index_table
 
 
@@ -363,29 +363,39 @@ def spec_from_dict(data: dict | None, dim: int) -> FunctionSpec:
     """Build a spec from its problem-file JSON form.
 
     A ``time_poly`` lists its parts under ``"parts"`` as data and under
-    ``"terms"`` as a drift or potential record.
+    ``"terms"`` as a drift or potential record.  Every exponent tuple,
+    wave vector and centre has ``dim`` coordinates, and ``grid`` data is
+    1D; otherwise a :class:`SchemaError` names the kind.
     """
     if data is None:
         return ZeroFunc()
     kind = data.get("kind")
+
+    def coords(values, what: str, cast=float) -> tuple:
+        if len(values) != dim:
+            raise SchemaError(f"{kind}: {what} {list(values)} has "
+                              f"{len(values)} coordinates, not {dim}")
+        return tuple(cast(v) for v in values)
+
     if kind == "zero":
         return ZeroFunc()
     if kind == "poly":
-        return PolyEntry(dim, tuple((float(c), tuple(int(v) for v in e))
+        return PolyEntry(dim, tuple((float(c), coords(e, "exponent", int))
                                     for c, e in data["terms"]))
     if kind == "fourier":
         return FourierEntry(dim, tuple(
-            (float(a), tuple(float(v) for v in k), float(p))
+            (float(a), coords(k, "wave vector"), float(p))
             for a, k, p in data["terms"]))
     if kind == "polyfourier":
         return SpacePolyFourier(tuple(
-            (float(c), tuple(int(v) for v in e), tuple(float(v) for v in k),
+            (float(c), coords(e, "exponent", int), coords(k, "wave vector"),
              float(p)) for c, e, k, p in data["terms"]))
     if kind == "gaussian_mix":
-        return GaussianMix(tuple((float(a), float(b),
-                                  tuple(float(v) for v in c))
+        return GaussianMix(tuple((float(a), float(b), coords(c, "centre"))
                                  for a, b, c in data["terms"]))
     if kind == "grid":
+        if dim != 1:
+            raise SchemaError(f"grid: samples are 1D, the dimension is {dim}")
         return GridSamples(tuple(float(v) for v in data["points"]),
                            tuple(float(v) for v in data["values"]))
     if kind == "time_poly":

@@ -334,6 +334,8 @@ class KernelField:
         self.warp = warp
         self.K = K
         self.D = D if D is not None else 2 * K + 2
+        if K < 0:
+            raise ParameterError(f"K must be >= 0, got {K}")
         if self.D < 0:
             raise ParameterError(f"degree_D must be >= 0, got {self.D}")
         # zero drift and potential: the correction factor is identically 1

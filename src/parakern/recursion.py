@@ -155,12 +155,11 @@ class WarpParams:
 
 @dataclass(frozen=True)
 class ExpansionDiagnostics:
-    """Per-order sup-norm samples and truncation bookkeeping."""
+    """Per-order sup-norm samples."""
 
     sup_norms: tuple[float, ...]           # c_k^up sampled on a lattice
     weighted: tuple[float, ...]            # c_k^up * tau_ref^k
     tau_ref: float
-    truncated: bool
 
     def monotone_from(self, k0: int = 2) -> bool:
         w = self.weighted
@@ -347,23 +346,24 @@ def _series_t_of_tau(beta: float, order: int) -> np.ndarray:
 class _BatchWorkspace:
     """Mode-resolved drift/potential jets about B centres, as arrays.
 
-    A jet is a pair (coefficients of shape (rows, order + 1, B), flags
-    of shape (B,)): table rows, time orders, centres.  A jet's rows stop
-    at its spatial degree d, the first ``_rows(n, d)`` rows of the graded
-    table, so the shape carries the degree; no rows (degree -1) is the
-    zero polynomial, its time orders kept so no jet order depends on
-    which values vanish.  Entry jets and each stored c_k are cut after
-    their last row nonzero at any order and centre of the chunk
-    (:meth:`cut`); every other degree follows from the algebra: a sum
-    takes the larger, a product the sum (capped at D; -1 with a zero
-    factor), a derivative one less, the monomial dx degree 1, and the
-    rest keep theirs.  Only rows of exact zeros are dropped, so the
-    values equal the full-row ones up to the sign of zero.  The methods
-    mirror the one-centre time-jet algebra the tests keep as their
+    A jet is an array of shape (rows, order + 1, B): table rows, time
+    orders, centres.  A jet's rows stop at its spatial degree d, the first
+    ``_rows(n, d)`` rows of the graded table, so the shape carries the
+    degree; no rows (degree -1) is the zero polynomial, its time orders
+    kept so no jet order depends on which values vanish.  Entry jets and
+    each stored c_k are cut after their last row nonzero at any order and
+    centre of the chunk (:meth:`cut`); every other degree follows from the
+    algebra: a sum takes the larger, a product the sum (capped at D; -1
+    with a zero factor), a derivative one less, the monomial dx degree 1,
+    and the rest keep theirs.  Only rows of exact zeros are dropped, so
+    the values equal the full-row ones up to the sign of zero.  The
+    methods mirror the one-centre time-jet algebra the tests keep as their
     reference (``tests/objalg.py``) term for term, in the same order of
-    floating-point operations, and carry the ``truncated`` flag per
-    centre the way the polynomial operations do.  ``origins`` (B,) holds
-    each centre's time origin s, or is None for origin 0 everywhere.
+    floating-point operations.  ``truncated`` (B,) marks the centres where
+    the degree cap cut a nonzero term, of an entry's Taylor expansion or
+    of a product; every product feeds a stored c_k, so it is the
+    expansion's flag.  ``origins`` (B,) holds each centre's time origin s,
+    or is None for origin 0 everywhere.
     """
 
     def __init__(self, pc: ProblemCoefficients, ys: np.ndarray,
@@ -372,115 +372,105 @@ class _BatchWorkspace:
         self.n, self.D, self.wp, self.jet_cap = pc.n, D, wp, jet_cap
         self.orders = index_table(pc.n, D)[2]
         self.N, self.B = len(self.orders), len(ys)
-        self.truncated = False
+        self.truncated = np.zeros(self.B, dtype=bool)
         self.drift_jets = {
-            key: self._entry_jet(*self._entry_terms(entry, ys, origins))
+            key: self._entry_jet(self._entry_terms(entry, ys, origins))
             for key, entry in pc.drift.items()}
         self.vpart_polys = {}
         for i, entry in pc.potential.items():
-            terms, flags = self._entry_terms(entry, ys, origins)
+            terms = self._entry_terms(entry, ys, origins)
             orders = [l for l, _ in entry.parts] if origins is None \
-                else range(len(flags))
-            self.vpart_polys[i] = {l: (terms[:, l:l + 1], flags[l])
-                                   for l in orders}
+                else range(terms.shape[1])
+            self.vpart_polys[i] = {l: terms[:, l:l + 1] for l in orders}
 
     def _entry_terms(self, entry: TimeEntry, ys: np.ndarray,
-                     origins: np.ndarray | None):
+                     origins: np.ndarray | None) -> np.ndarray:
         """An entry's time terms about every centre, re-anchored at its
-        origin: coefficients (rows, order + 1, B), cut after the last row
-        nonzero at any order and centre, and flags (order + 1, B).
+        origin, shape (rows, order + 1, B), cut after the last row nonzero
+        at any order and centre.
 
-        Each part is Taylor-expanded once and flags its own order.  About
-        origin s, t -> s + t makes the order-m term
-        sum_{l >= m} C(l, m) s^(l - m) part_l.
+        Each part is Taylor-expanded once; where the cap cuts it, every
+        centre is marked.  About origin s, t -> s + t makes the order-m
+        term sum_{l >= m} C(l, m) s^(l - m) part_l.
         """
         terms = np.zeros((self.N, entry.max_order + 1, self.B))
-        flags = np.zeros((entry.max_order + 1, self.B), dtype=bool)
         for l, part in entry.parts:
             coeffs, truncated = part._taylor_cols(ys, self.D)
             self.truncated |= truncated
-            flags[l] = truncated
             if origins is None:
                 terms[:, l] = coeffs
                 continue
             for m in range(l + 1):
                 terms[:, m] += math.comb(l, m) * origins ** (l - m) * coeffs
-        return self.cut((terms, flags))
+        return self.cut(terms)
 
-    def _entry_jet(self, terms: np.ndarray, flags: np.ndarray):
+    def _entry_jet(self, terms: np.ndarray) -> np.ndarray:
         """b's time terms as a jet in physical time t (plain and beta
         modes) or in tau."""
         if self.wp.mode != "tau":
-            return terms, flags.any(axis=0)
-        # substitute t = t(tau); terms that vanish at a centre are skipped
-        # there, so they leave its flag alone
+            return terms
+        # substitute t = t(tau)
         cap = self.jet_cap
         inner = _series_t_of_tau(self.wp.beta, cap)
         out = np.zeros((len(terms), cap + 1, self.B))
-        out_flags = np.zeros(self.B, dtype=bool)
         power = np.zeros(cap + 1)
         power[0] = 1.0
         for l in range(terms.shape[1]):
             if l > 0:
                 power = _series_mul(power, inner, cap)
-            p = terms[:, l]
-            out_flags |= flags[l] & np.any(p != 0.0, axis=0)
             ms = np.nonzero(power)[0]
-            out[:, ms] += p[:, None, :] * power[ms][None, :, None]
-        return out, out_flags
+            out[:, ms] += terms[:, l, None, :] * power[ms][None, :, None]
+        return out
 
     # -- the jet algebra -----------------------------------------------------
 
     def zero(self):
-        return np.zeros((0, 1, self.B)), np.zeros(self.B, dtype=bool)
+        return np.zeros((0, 1, self.B))
 
-    def cut(self, a):
-        """``a`` without its rows after the last one nonzero at any time
+    def cut(self, x):
+        """``x`` without its rows after the last one nonzero at any time
         order and centre; NaN and inf count as nonzero.  The top degree's
         rows are tested first, so a jet that fills them costs one ``any``.
         """
-        x, f = a
         d = _degree(len(x), self.n, self.D)
         if d < 0 or x[_rows(self.n, d - 1):].any():
-            return a
+            return x
         nonzero = np.flatnonzero(x.any(axis=(1, 2)))
         top = int(self.orders[nonzero[-1]]) if len(nonzero) else -1
-        return x[:_rows(self.n, top)], f
+        return x[:_rows(self.n, top)]
 
     def delta_x(self, axis: int):
-        """The monomial dx_axis, unflagged."""
+        """The monomial dx_axis."""
         x = np.zeros((_rows(self.n, 1), 1, self.B))
         x[index_table(self.n, self.D)[1][
             tuple(int(a == axis) for a in range(self.n))]] = 1.0
-        return x, np.zeros(self.B, dtype=bool)
+        return x
 
     @staticmethod
-    def add(a, b):
-        (x, fx), (y, fy) = a, b
+    def add(x, y):
         if x.shape == y.shape:
-            return x + y, fx | fy
+            return x + y
         if len(x) < len(y):
             x, y = y, x                 # the sum commutes, bit for bit
         if x.shape[1] >= y.shape[1]:
             if not len(y):
-                return x, fx | fy       # plus the zero polynomial
+                return x                # plus the zero polynomial
             out = x.copy()
         else:
             out = np.zeros((len(x), y.shape[1], x.shape[2]))
             out[:, :x.shape[1]] = x
         out[:len(y), :y.shape[1]] += y
-        return out, fx | fy
+        return out
 
-    def mul(self, a, b):
-        """The jet product, capped at the jet cap, with per-centre overflow
-        flags; a zero factor gives the zero jet at once, flagged fx | fy."""
-        (x, fx), (y, fy) = a, b
-        flags = fx | fy
+    def mul(self, x, y):
+        """The jet product, capped at the jet cap; the centres where it cuts
+        a nonzero term are marked truncated.  A zero factor gives the zero
+        jet at once."""
         if not len(x) or not len(y):
             top = x.shape[1] + y.shape[1] - 2
             if self.jet_cap is not None:
                 top = min(top, self.jet_cap)
-            return np.zeros((0, top + 1, self.B)), flags
+            return np.zeros((0, top + 1, self.B))
         ia, ib, ranks = _pair_plan(x.shape[1] - 1, y.shape[1] - 1,
                                    self.jet_cap)
         xa, yb = x[:, ia], y[:, ib]
@@ -488,24 +478,23 @@ class _BatchWorkspace:
         out = prods[:, :ranks[0][1]]
         for lo, hi, start in ranks[1:]:
             out[:, lo:hi] += prods[:, start:start + hi - lo]
-        need = ~flags
+        need = ~self.truncated
         # below the cap in degree, no column can overflow
         if need.any() and _degree(len(x), self.n, self.D) \
                 + _degree(len(y), self.n, self.D) > self.D:
-            flags[need] = _overflow_cols(xa[..., need], yb[..., need],
-                                         self.n, self.D).any(axis=0)
-        return out, flags
+            self.truncated[need] = _overflow_cols(
+                xa[..., need], yb[..., need], self.n, self.D).any(axis=0)
+        return out
 
-    def partial(self, a, axis: int):
+    def partial(self, x, axis: int):
         """d/dx_axis: the zero jet for a jet of degree <= 0."""
-        x, f = a
         d = _degree(len(x), self.n, self.D)
         if d <= 0:
-            return x[:0], f
+            return x[:0]
         src, dst, scale = _partial_tables(self.n, d)[axis]
         out = np.zeros((_rows(self.n, d - 1),) + x.shape[1:])
         out[dst] = scale[:, None, None] * x[src]
-        return out, f
+        return out
 
     def laplacian(self, grad):
         """The Laplacian of a jet from its gradient ``grad[i]`` = d_i."""
@@ -515,44 +504,36 @@ class _BatchWorkspace:
             out = d2 if out is None else self.add(out, d2)
         return out
 
-    def ray(self, a, s: float):
-        x, f = a
-        return x / (self.orders[:len(x)] + s)[:, None, None], f
+    def ray(self, x, s: float):
+        return x / (self.orders[:len(x)] + s)[:, None, None]
 
-    @staticmethod
-    def scale(a, c: float):
-        return a[0] * c, a[1]
-
-    def scale_series(self, a, series: np.ndarray):
+    def scale_series(self, x, series: np.ndarray):
         """Times a scalar power series in time, capped at the jet cap."""
-        x, f = a
         n = min(x.shape[1] - 1 + len(series) - 1, self.jet_cap)
         out = np.zeros((len(x), n + 1, x.shape[2]))
         if not len(x):
-            return out, f
+            return out
         ms = np.nonzero(series)[0]
         for i in range(min(x.shape[1] - 1, n) + 1):
             mi = ms[ms <= n - i]
             out[:, i + mi] += x[:, i:i + 1] * series[mi][None, :, None]
-        return out, f
+        return out
 
-    def dt(self, a):
-        x, f = a
+    def dt(self, x):
         if x.shape[1] == 1:
             return self.zero()
-        return x[:, 1:] * np.arange(1.0, x.shape[1])[None, :, None], f
+        return x[:, 1:] * np.arange(1.0, x.shape[1])[None, :, None]
 
-    def tau_solve(self, R, k: int):
+    def tau_solve(self, x, k: int):
         """(k + |gamma| nu(tau)) c = R, a triangular jet inversion."""
-        x, f = R
         cap = self.jet_cap
         w = _tau_weights(k, cap, self.n, self.D)[:len(x)]
         out = np.zeros((len(x), cap + 1, x.shape[2]))
         if not len(x):
-            return out, f
+            return out
         for l in range(min(x.shape[1] - 1, cap) + 1):
             out[:, l:] += x[:, l:l + 1] * w[:, :cap + 1 - l, None]
-        return out, f
+        return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -601,8 +582,8 @@ class ExpansionBatch:
 
     ``coeffs[j, k, l, b]`` holds the coefficients of c^j_k's time^l term
     about centre b, one per row of ``index_table(n, degree_D)``, and is
-    zero above ``jet_order[j, k]``.  ``jet_truncated[j, k, b]`` is that
-    jet's ``truncated`` flag and ``truncated[b]`` the expansion's.
+    zero above ``jet_order[j, k]``.  ``truncated[b]`` records whether the
+    degree cap cut a nonzero term about centre b.
     """
 
     centers: np.ndarray          # (B, n)
@@ -610,7 +591,6 @@ class ExpansionBatch:
     degree_D: int
     coeffs: np.ndarray           # (components, K + 1, T, B, N)
     jet_order: np.ndarray        # (components, K + 1)
-    jet_truncated: np.ndarray    # (components, K + 1, B)
     truncated: np.ndarray        # (B,)
 
 
@@ -629,7 +609,7 @@ def expand_batch(pc: ProblemCoefficients, ys, K: int,
     re-anchored by t -> s + t.  Origin 0, and any origin of autonomous
     coefficients, leaves them as they are.  The recursion runs once, on
     arrays with the centres as the last axis; each centre's coefficients,
-    jet orders and flags are those the recursion gives at that centre
+    jet orders and flag are those the recursion gives at that centre
     alone.  A beta warp runs the plain recursion and scales the time^l term
     of c_k by beta^(k + l) at the end.  ``D`` defaults to 2K + 2.
     """
@@ -663,16 +643,16 @@ def expand_batch(pc: ProblemCoefficients, ys, K: int,
                             None if origins is None else origins[i:i + step],
                             K, wp, D, jet_cap)
               for i in range(0, len(ys), step)]
-    coeffs, orders, jet_flags, truncated = zip(*chunks)
+    coeffs, orders, truncated = zip(*chunks)
     # one chunk's arrays are handed over as they are, without a copy
-    coeffs, jet_flags, truncated = (
+    coeffs, truncated = (
         a[0] if len(chunks) == 1 else np.concatenate(a, axis=axis)
-        for a, axis in ((coeffs, 3), (jet_flags, 2), (truncated, 0)))
+        for a, axis in ((coeffs, 3), (truncated, 0)))
     if wp.mode == "beta":
         # t = beta tau: the time^l term of c_k picks up beta^(k + l)
         k, l = np.ogrid[:K + 1, :coeffs.shape[2]]
         coeffs *= (wp.beta ** (k + l))[:, :, None, None]
-    return ExpansionBatch(ys, wp, D, coeffs, orders[0], jet_flags, truncated)
+    return ExpansionBatch(ys, wp, D, coeffs, orders[0], truncated)
 
 
 def _expand_chunk(pc, ys, origins, K, wp, D, jet_cap):
@@ -691,7 +671,7 @@ def _expand_chunk(pc, ys, origins, K, wp, D, jet_cap):
                 row = ws.add(row, jet)
             shifted = ws.mul(ws.ray(row, 1.0), ws.delta_x(m))
             total = ws.add(total, shifted)
-        jets.append([ws.cut(ws.scale(total, -0.5))])
+        jets.append([ws.cut(total * -0.5)])
     grads = [[[ws.partial(cj[0], a) for a in range(pc.n)]] for cj in jets]
     for k in range(1, K + 1):
         for j in range(pc.components):
@@ -701,14 +681,12 @@ def _expand_chunk(pc, ys, origins, K, wp, D, jet_cap):
         for j in range(pc.components):
             grads[j].append([ws.partial(jets[j][k], a)
                              for a in range(pc.n)])
-    orders = np.array([[x.shape[1] - 1 for x, _ in cj] for cj in jets])
+    orders = np.array([[x.shape[1] - 1 for x in cj] for cj in jets])
     coeffs = np.zeros((pc.components, K + 1, orders.max() + 1, ws.B, ws.N))
     for j, cj in enumerate(jets):
-        for k, (x, _) in enumerate(cj):
+        for k, x in enumerate(cj):
             coeffs[j, k, :x.shape[1], :, :len(x)] = x.transpose(1, 2, 0)
-    jet_flags = np.array([[f for _, f in cj] for cj in jets])
-    return (coeffs, orders, jet_flags,
-            ws.truncated | jet_flags.any(axis=(0, 1)))
+    return coeffs, orders, ws.truncated
 
 
 def _batch_R(ws: _BatchWorkspace, pc: ProblemCoefficients, k: int, j: int,
@@ -732,7 +710,7 @@ def _batch_R(ws: _BatchWorkspace, pc: ProblemCoefficients, k: int, j: int,
         for r in range((k + 1) // 2):
             term = ws.mul(grads[j][r][l], grads[j][k - 1 - r][l])
             spatial = ws.add(spatial, term if 2 * r == k - 1
-                             else ws.scale(term, 2.0))
+                             else term * 2.0)
     for lcomp in range(pc.components):
         for m in range(pc.n):
             bjet = ws.drift_jets.get((j, lcomp, m))
@@ -741,7 +719,7 @@ def _batch_R(ws: _BatchWorkspace, pc: ProblemCoefficients, k: int, j: int,
     tau = wp.mode == "tau"
     out = ws.scale_series(spatial, _series_sigma(wp.beta, ws.jet_cap)) \
         if tau else spatial
-    out = ws.add(out, ws.scale(ws.dt(prev), -1.0))
+    out = ws.add(out, ws.dt(prev) * -1.0)
     vparts = ws.vpart_polys.get(j)
     if vparts and (k - 1) in vparts:
         vjet = vparts[k - 1]
@@ -799,7 +777,7 @@ def _diagnostics(exp: ExpansionCoeffs) -> ExpansionDiagnostics:
                       for j in range(exp.components)))
            for k in range(exp.order_K + 1)]
     return ExpansionDiagnostics(tuple(sup), tuple(
-        w * tau_ref ** k for k, w in enumerate(sup)), tau_ref, exp.truncated)
+        w * tau_ref ** k for k, w in enumerate(sup)), tau_ref)
 
 
 # ---------------------------------------------------------------------------
@@ -915,7 +893,7 @@ def expansion_to_dict(exp: ExpansionCoeffs) -> dict:
             "sup_norms": list(exp.diagnostics.sup_norms),
             "weighted": list(exp.diagnostics.weighted),
             "tau_ref": exp.diagnostics.tau_ref,
-            "truncated": exp.diagnostics.truncated,
+            "truncated": exp.truncated,
         },
     }
 
@@ -945,5 +923,5 @@ def expansion_from_dict(data: dict) -> ExpansionCoeffs:
     # the sampled diagnostics travel with the file; seed the lazy value
     vars(exp)["diagnostics"] = ExpansionDiagnostics(
         tuple(diag["sup_norms"]), tuple(diag["weighted"]),
-        float(diag["tau_ref"]), bool(diag["truncated"]))
+        float(diag["tau_ref"]))
     return exp

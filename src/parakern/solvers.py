@@ -210,8 +210,14 @@ def solve_cauchy(ps: ProblemSpec, fld: KernelField,
             [u[..., None], sweights[:, None, :] * source[0][0]], axis=-1),
             axis=-1)[..., -1]
     return GridSolution(times, pts, u.transpose(1, 2, 0),
-                        {"kind": ps.kind, "K": fld.K, "D": fld.D,
+                        {"kind": ps.kind, **_kernel_meta(fld),
                          "gh_order": quad.gh_order, "gl_order": quad.gl_order})
+
+
+def _kernel_meta(fld: KernelField) -> dict:
+    """The kernel settings a solve's metadata records."""
+    return {"K": fld.K, "D": fld.D, "mode": fld.warp.mode,
+            "beta": fld.warp.beta}
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +410,7 @@ def solve_ibvp2(ps: ProblemSpec, fld: KernelField, steps: int = 64,
         values[it, :, 0] = dom[it] + layer.reshape(len(points), -1) \
             @ flat[:2 * mlast]
     sol = GridSolution(np.array(times, dtype=float), points, values,
-                       {"kind": "ibvp2", "steps": steps, "K": fld.K})
+                       {"kind": "ibvp2", "steps": steps, **_kernel_meta(fld)})
     return sol, BoundaryDensity(mids, ends, gvals / np.sqrt(mids)[:, None])
 
 
@@ -474,7 +480,7 @@ def burgers_demo(ps: ProblemSpec, K: int = 4,
         quad.gh_order, [(nu * times[:, None], 0.0, pts, psi0)], gradient=True)
     values = -2.0 * nu * grad[0] / psi[0][..., None]
     return GridSolution(times, pts, values,
-                        {"kind": "burgers", "nu": nu, "K": K,
+                        {"kind": "burgers", "nu": nu, **_kernel_meta(fld),
                          "gh_order": quad.gh_order})
 
 

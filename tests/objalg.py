@@ -692,26 +692,26 @@ class DenseWorkspace(_BatchWorkspace):
 
     ``cut`` keeps every row, so entry jets and stored coefficients keep
     their zero rows, and ``zero``, ``delta_x``, ``mul`` and ``partial``
-    build full-row arrays, ``mul`` over every in-cap pair of the table;
-    the other operations act row by row and need no copy.  Substituted
-    for ``recursion._BatchWorkspace``, it runs the dense recursion the
+    build full-row arrays, ``mul`` over every in-cap pair of the table and
+    with the overflow check at every unmarked centre; the other operations
+    act row by row and need no copy.  Substituted for
+    ``recursion._BatchWorkspace``, it runs the dense recursion the
     degree-trimmed one must equal.
     """
 
-    def cut(self, a):
-        return a
+    def cut(self, x):
+        return x
 
     def zero(self):
-        return np.zeros((self.N, 1, self.B)), np.zeros(self.B, dtype=bool)
+        return np.zeros((self.N, 1, self.B))
 
     def delta_x(self, axis: int):
         x = np.zeros((self.N, 1, self.B))
         x[index_table(self.n, self.D)[1][
             tuple(int(a == axis) for a in range(self.n))]] = 1.0
-        return x, np.zeros(self.B, dtype=bool)
+        return x
 
-    def mul(self, a, b):
-        (x, fx), (y, fy) = a, b
+    def mul(self, x, y):
         La, Lb = x.shape[1] - 1, y.shape[1] - 1
         top = La + Lb if self.jet_cap is None else min(La + Lb, self.jet_cap)
         # every term pair (i, l - i) of the jet product, by l and then i
@@ -727,17 +727,15 @@ class DenseWorkspace(_BatchWorkspace):
             out[:, l] = prods[:, first]
             for p in rest:
                 out[:, l] += prods[:, p]
-        flags = fx | fy
-        need = ~flags
+        need = ~self.truncated
         if need.any():
-            flags[need] = dense_overflow_cols(xa[..., need], yb[..., need],
-                                              self.n, self.D).any(axis=0)
-        return out, flags
+            self.truncated[need] = dense_overflow_cols(
+                xa[..., need], yb[..., need], self.n, self.D).any(axis=0)
+        return out
 
-    def partial(self, a, axis: int):
-        x, f = a
+    def partial(self, x, axis: int):
         src, dst, scale = _partial_tables(self.n, self.D)[axis]
         out = np.zeros_like(x)
         if len(src):
             out[dst] = scale[:, None, None] * x[src]
-        return out, f
+        return out

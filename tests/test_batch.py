@@ -92,8 +92,7 @@ def _jet(batch, j, k, b, center):
     """Row b of the batch's c^j_k as a TimeJet."""
     n = batch.centers.shape[1]
     return TimeJet(batch.warp.time_var, tuple(
-        TaylorPoly(n, center, batch.degree_D, batch.coeffs[j, k, l, b].copy(),
-                   bool(batch.jet_truncated[j, k, b]))
+        TaylorPoly(n, center, batch.degree_D, batch.coeffs[j, k, l, b].copy())
         for l in range(batch.jet_order[j, k] + 1)))
 
 
@@ -130,7 +129,6 @@ def test_batch_matches_object_reference(case, mode):
         for j in range(pc.components):
             c0 = compute_c0(pc, y, j, D, wp, jet_cap, _ws=ws)
             assert batch.jet_order[j, 0] == c0.order
-            assert batch.jet_truncated[j, 0, b] == c0.truncated
             assert np.array_equal(batch.coeffs[j, 0, :c0.order + 1, b],
                                   np.array([p.coeffs for p in c0.terms]))
             flags.append(c0.truncated)
@@ -140,7 +138,6 @@ def test_batch_matches_object_reference(case, mode):
             for j in range(pc.components):
                 R = compute_R(k, prior, pc, j, wp, _ws=ws)
                 assert batch.jet_order[j, k] == R.order
-                assert batch.jet_truncated[j, k, b] == R.truncated
                 flags.append(R.truncated)
                 c = _jet(batch, j, k, b, center)
                 scale = max(1.0, R.max_abs())
@@ -165,14 +162,14 @@ def test_batch_matches_the_ordered_gradient_sum(case, mode):
     for b, y in enumerate(ys):
         center = tuple(float(v) for v in y)
         ws = _Workspace(pc, y, wp, D, jet_cap)
-        flags = list(batch.jet_truncated[:, 0, b])
+        flags = [compute_c0(pc, y, j, D, wp, jet_cap, _ws=ws).truncated
+                 for j in range(pc.components)]
         for k in range(1, K + 1):
             prior = [[_jet(batch, j, r, b, center) for r in range(k)]
                      for j in range(pc.components)]
             for j in range(pc.components):
                 R = compute_R(k, prior, pc, j, wp, _ws=ws, ordered=True)
                 assert batch.jet_order[j, k] == R.order
-                assert batch.jet_truncated[j, k, b] == R.truncated
                 flags.append(R.truncated)
                 c = _jet(batch, j, k, b, center)
                 tol = 1e-14 * R.max_abs()
@@ -194,8 +191,6 @@ def test_batch_rows_do_not_leak(case, mode):
         alone = expand_batch(pc, ys[b:b + 1], K, wp, D)
         assert np.array_equal(alone.jet_order, batch.jet_order)
         assert alone.truncated[0] == batch.truncated[b]
-        assert np.array_equal(alone.jet_truncated[..., 0],
-                              batch.jet_truncated[..., b])
         # bit for bit, signed zeros included
         assert (alone.coeffs[:, :, :, 0].tobytes()
                 == batch.coeffs[:, :, :, b].tobytes())
@@ -285,8 +280,7 @@ def test_per_row_origins_equal_the_shifted_problem(mode):
         if s == 0.0:
             # == compares -0.0 and 0.0 equal: bit for bit up to their sign
             assert np.array_equal(row, free.coeffs[:, :, :, b])
-            assert np.array_equal(batch.jet_truncated[..., b],
-                                  free.jet_truncated[..., b])
+            assert batch.truncated[b] == free.truncated[b]
     with pytest.raises(StructureError, match="origins of shape"):
         expand_batch(pc, ys, K, wp, D, origins[:3])
 
@@ -309,7 +303,6 @@ def test_degree_trimmed_batch_equals_dense_reference(case, mode, monkeypatch):
     # adding +0.0 maps -0.0 to +0.0 and leaves every other value alone
     assert (trimmed.coeffs + 0.0).tobytes() == (dense.coeffs + 0.0).tobytes()
     assert np.array_equal(trimmed.jet_order, dense.jet_order)
-    assert np.array_equal(trimmed.jet_truncated, dense.jet_truncated)
     assert np.array_equal(trimmed.truncated, dense.truncated)
 
 
@@ -329,69 +322,68 @@ def test_a_mixed_chunk_keeps_rows_live_at_any_centre(monkeypatch):
             assert (batch.coeffs[..., b:b + 1, :] + 0.0).tobytes() \
                 == (alone.coeffs + 0.0).tobytes()
             assert np.array_equal(batch.jet_order, alone.jet_order)
-            assert np.array_equal(batch.jet_truncated[..., b:b + 1],
-                                  alone.jet_truncated)
+            assert batch.truncated[b] == alone.truncated[0]
         with monkeypatch.context() as m:
             m.setattr(recursion, "_BatchWorkspace", DenseWorkspace)
             dense = expand_batch(pc, ys, 3, wp, 2)
         assert (batch.coeffs + 0.0).tobytes() == (dense.coeffs + 0.0).tobytes()
-        assert np.array_equal(batch.jet_truncated, dense.jet_truncated)
+        assert np.array_equal(batch.truncated, dense.truncated)
 
 
 def test_cut_drops_only_rows_of_exact_zeros():
     ws = recursion._BatchWorkspace(ProblemCoefficients(2, 1, {}),
                                    np.zeros((3, 2)), None, WarpParams(), 4,
                                    None)
-    flags = np.array([False, True, False])
     x = np.zeros((_rows(2, 3), 2, 3))       # degree 3, two time orders
     x[0] = 1.0
     x[_rows(2, 2) + 1, 1, 2] = 0.5          # one degree-3 entry, one centre
-    assert ws.cut((x, flags))[0] is x
+    assert ws.cut(x) is x
     x[_rows(2, 2) + 1, 1, 2] = 0.0
     x[4, 0, 1] = 2.0                        # a degree-2 entry, one centre
-    cut, f = ws.cut((x, flags))
-    assert cut.shape == (_rows(2, 2), 2, 3) and f is flags
+    cut = ws.cut(x)
+    assert cut.shape == (_rows(2, 2), 2, 3)
     assert np.array_equal(cut, x[:_rows(2, 2)])
     # NaN and inf are never cut: they count as nonzero
     for bad in (np.nan, np.inf, -np.inf):
         y = np.zeros_like(x)
         y[-1, 0, 0] = bad
-        assert ws.cut((y, flags))[0] is y
+        assert ws.cut(y) is y
         y[-1, 0, 0] = 0.0
         y[1, 1, 2] = bad
-        assert np.array_equal(ws.cut((y, flags))[0], y[:_rows(2, 1)],
-                              equal_nan=True)
+        assert np.array_equal(ws.cut(y), y[:_rows(2, 1)], equal_nan=True)
     # all zeros: the zero jet, no rows, the time orders kept
-    assert ws.cut((np.zeros_like(x), flags))[0].shape == (0, 2, 3)
-    assert ws.cut((x[:0], flags))[0].shape == (0, 2, 3)
+    assert ws.cut(np.zeros_like(x)).shape == (0, 2, 3)
+    assert ws.cut(x[:0]).shape == (0, 2, 3)
 
 
 def test_zero_jets_keep_time_orders_and_flags():
+    # a zero factor gives the zero jet and leaves the centres' flags alone
     ws = recursion._BatchWorkspace(ProblemCoefficients(1, 1, {}),
                                    np.zeros((2, 1)), None,
                                    WarpParams(mode="tau", beta=0.5), 4, 3)
-    zero = (np.zeros((0, 2, 2)), np.array([True, False]))
-    dense = (np.full((_rows(1, 2), 3, 2), np.inf), np.array([False, True]))
-    out, f = ws.mul(zero, dense)
-    assert out.shape == (0, 4, 2) and f.tolist() == [True, True]
-    assert ws.mul(dense, zero)[0].shape == (0, 4, 2)
-    const = (np.ones((1, 1, 2)), np.zeros(2, dtype=bool))
-    assert ws.partial(const, 0)[0].shape == (0, 1, 2)
-    assert ws.partial(zero, 0)[0].shape == (0, 2, 2)
-    assert ws.tau_solve(zero, 2)[0].shape == (0, 4, 2)
-    assert ws.scale_series(zero, np.ones(4))[0].shape == (0, 4, 2)
-    out, f = ws.add(const, zero)
-    assert out.shape == (1, 2, 2) and np.array_equal(out[:, 0], const[0][:, 0])
+    ws.truncated[0] = True
+    zero = np.zeros((0, 2, 2))
+    dense = np.full((_rows(1, 2), 3, 2), np.inf)
+    assert ws.mul(zero, dense).shape == (0, 4, 2)
+    assert ws.mul(dense, zero).shape == (0, 4, 2)
+    assert ws.truncated.tolist() == [True, False]
+    const = np.ones((1, 1, 2))
+    assert ws.partial(const, 0).shape == (0, 1, 2)
+    assert ws.partial(zero, 0).shape == (0, 2, 2)
+    assert ws.tau_solve(zero, 2).shape == (0, 4, 2)
+    assert ws.scale_series(zero, np.ones(4)).shape == (0, 4, 2)
+    out = ws.add(const, zero)
+    assert out.shape == (1, 2, 2) and np.array_equal(out[:, 0], const[:, 0])
 
 
 def test_a_zero_product_needs_no_pair_plan(monkeypatch):
     # the zero jet returns before the product's pair plan is looked up,
-    # with time orders min(La + Lb, cap) + 1 and flags fx | fy
+    # with time orders min(La + Lb, cap) + 1, and marks no centre
     def no_plan(*args):
         raise AssertionError("pair plan looked up for a zero product")
     monkeypatch.setattr(recursion, "_pair_plan", no_plan)
-    zero = (np.zeros((0, 2, 2)), np.array([True, False]))       # La = 1
-    dense = (np.ones((_rows(1, 2), 3, 2)), np.array([False, True]))
+    zero = np.zeros((0, 2, 2))                                  # La = 1
+    dense = np.ones((_rows(1, 2), 3, 2))
     # (jet cap, orders of zero x dense, orders of zero x zero)
     for jet_cap, mixed, both in ((None, 4, 3), (2, 3, 3), (0, 1, 1)):
         ws = recursion._BatchWorkspace(ProblemCoefficients(1, 1, {}),
@@ -399,9 +391,8 @@ def test_a_zero_product_needs_no_pair_plan(monkeypatch):
                                        4, jet_cap)
         for a, b, orders in ((zero, dense, mixed), (dense, zero, mixed),
                              (zero, zero, both)):
-            out, f = ws.mul(a, b)
-            assert out.shape == (0, orders, 2)
-            assert f.tolist() == (a[1] | b[1]).tolist()
+            assert ws.mul(a, b).shape == (0, orders, 2)
+        assert not ws.truncated.any()
 
 
 def test_zero_products_skip_the_column_kernel(monkeypatch):
@@ -437,6 +428,21 @@ def test_gradient_square_forms_each_distinct_pair_once(monkeypatch):
     fld = KernelField(pf.pc, WarpParams(), pf.order_K, pf.degree_D)
     solve_cauchy(pf.ps, fld, pf.quad, points=np.array([[0.0]]))
     assert centres == [28] and len(calls) == 19
+
+
+def test_an_entry_cut_alone_marks_the_centres():
+    # without a drift, a potential V t enters c_2 alone, so up to K = 3
+    # every product has a zero factor and only V's own Taylor cut at
+    # D = 4 can mark a centre
+    ys = np.array([[0.1], [-0.4]])
+    for V, cut in ((FourierEntry(1, ((0.2, (1.0,), 0.3),)), True),
+                   (PolyEntry(1, ((0.3, (5,)),)), True),
+                   (PolyEntry(1, ((0.3, (4,)),)), False)):
+        pc = ProblemCoefficients(1, 1, {}, {0: TimeEntry(((1, V),))})
+        for wp in MODES.values():
+            batch = expand_batch(pc, ys, 3, wp, 4)
+            assert batch.coeffs[0, 2].any()
+            assert batch.truncated.tolist() == [cut, cut]
 
 
 def test_degree_zero_rejects_a_drift():
@@ -490,7 +496,6 @@ def test_chunked_batch_equals_one_chunk(monkeypatch):
     split = expand_batch(pc, ys, K, wp, D)
     assert split.coeffs.tobytes() == whole.coeffs.tobytes()
     assert np.array_equal(split.jet_order, whole.jet_order)
-    assert np.array_equal(split.jet_truncated, whole.jet_truncated)
     assert np.array_equal(split.truncated, whole.truncated)
 
 

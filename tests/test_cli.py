@@ -341,6 +341,22 @@ def test_negative_degree_is_rejected(tmp_path, capsys, command):
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("command, name", [
+    ("solve", "zero_drift.json"), ("solve", "manufactured_ibvp2.json"),
+    ("solve", "burgers_selfsim.json"), ("solve", "sin_drift.json"),
+    ("eval", "sin_drift.json"), ("expand", "sin_drift.json"),
+    ("validate", "sin_drift.json")])
+def test_negative_order_is_rejected(tmp_path, capsys, command, name):
+    # the zero-drift, Robin and Burgers solves used to exit 0 with
+    # metadata "K": -1, and the sin-drift one exit 3
+    rc = main([command, problem(name), "--order", "-1",
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "problem-file error" in err and "--order" in err
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("flags, named", [
     (["--mode", "plain", "--beta", "0.5"], "--beta"),
     (["--c-target", "1.0"], "--c-target"),
@@ -463,6 +479,45 @@ def test_schema_out_of_range_drift_index(tmp_path, capsys):
     assert "out of range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, where, spec, kind", [
+    ("sin_drift.json", "phi", {"kind": "poly", "terms": [[1.0, [2, 0]]]},
+     "poly"),
+    ("sin_drift.json", "drift",
+     {"i": 0, "j": 0, "k": 0, "kind": "fourier", "terms": [[0.3, [1.0, 0.0],
+                                                            0.0]]},
+     "fourier"),
+    ("sin_drift.json", "phi",
+     {"kind": "gaussian_mix", "terms": [[1.0, 1.0, [0.0, 0.0]]]},
+     "gaussian_mix"),
+    ("sin_drift.json", "phi",
+     {"kind": "polyfourier", "terms": [[1.0, [1], [1.0, 2.0], 0.0]]},
+     "polyfourier"),
+    ("sin_drift.json", "f", {"kind": "time_poly", "parts": [
+        [1, {"kind": "polyfourier", "terms": [[1.0, [1, 0], [1.0], 0.0]]}]]},
+     "polyfourier"),
+    ("coupled_system.json", "phi",
+     {"kind": "grid", "points": [-1.0, 0.0, 1.0], "values": [0.0, 1.0, 0.0]},
+     "grid"),
+], ids=["poly-exponent", "fourier-wave-vector", "gaussian-centre",
+        "polyfourier-wave-vector", "polyfourier-exponent", "grid-in-2d"])
+def test_coordinate_lengths_must_match_the_dimension(tmp_path, capsys, name,
+                                                     where, spec, kind):
+    # each used to die with a traceback, or to solve reading some
+    # coordinates only
+    with open(problem(name)) as fh:
+        data = json.load(fh)
+    if where == "drift":
+        data["drift"] = [spec]
+    else:
+        data["problem"][where] = spec
+    rc = main(["solve", write_json(tmp_path, "bad.json", data),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "problem-file error" in err and f"{kind}:" in err
+    assert os.listdir(tmp_path) == ["bad.json"]
+
+
 def test_schema_rejects_nonfinite(tmp_path, capsys):
     path = tmp_path / "nan.json"
     path.write_text(json.dumps(MINIMAL).replace("0.5", "NaN"))
@@ -543,6 +598,21 @@ def test_burgers_solve_honours_degree_and_warp_flags(tmp_path):
     assert csv_bytes("forced", "tau") != csv_bytes("forced", "default")
     assert csv_bytes("free", "degree") == csv_bytes("free", "default")
     assert csv_bytes("free", "tau") == csv_bytes("free", "default")
+
+
+@pytest.mark.parametrize("name, kind", [
+    ("sin_drift.json", "cauchy"), ("manufactured_ibvp2.json", "ibvp2"),
+    ("burgers_selfsim.json", "burgers")])
+def test_solve_metadata_names_the_kernel(tmp_path, name, kind):
+    # every kind records the order, degree cap and warp it solved with
+    rc = main(["solve", problem(name), "--order", "2", "--degree", "5",
+               "--mode", "tau", "--beta", "0.5", "--out",
+               str(tmp_path / "sol")])
+    assert rc == 0
+    meta = json.loads((tmp_path / "sol.json").read_text())["metadata"]
+    assert meta["kind"] == kind
+    assert (meta["K"], meta["D"], meta["mode"], meta["beta"]) == \
+        (2, 5, "tau", 0.5)
 
 
 @pytest.mark.parametrize("section, record", [

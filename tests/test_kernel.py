@@ -529,6 +529,13 @@ def test_negative_degree_cap_is_rejected():
     assert KernelField(PC_ZERO, WarpParams(), K=0, D=0).D == 0
 
 
+def test_negative_order_is_rejected():
+    # a zero-drift field never builds an expansion, so K = -1 passed
+    for pc in (PC_ZERO, PC_SIN):
+        with pytest.raises(ParameterError, match="K must be >= 0"):
+            KernelField(pc, WarpParams(), K=-1, D=4)
+
+
 def test_eval_points_over_times_reports_the_first_failure_in_time_order():
     # only component 1 has drift; at t = 0.02 the last point overflows,
     # at t = 0.05 the middle one too: the (time, point) rows run

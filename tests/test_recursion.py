@@ -249,7 +249,6 @@ def test_expand_beta_example_and_scaling():
         scaled = expand_batch(pct, ys, 5, WarpParams(mode="beta", beta=beta),
                               12, origins=origins)
         assert np.array_equal(scaled.jet_order, plain.jet_order)
-        assert np.array_equal(scaled.jet_truncated, plain.jet_truncated)
         assert np.array_equal(scaled.truncated, plain.truncated)
         assert scaled.coeffs.shape == plain.coeffs.shape
         for k in range(6):
