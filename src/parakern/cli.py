@@ -20,14 +20,13 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, recursion
 from .errors import ParakernError, SchemaError
-from .funcspec import PolyEntry, taylorize
+from .funcspec import PolyEntry
 from .kernel import KernelField, eval_points
 from .problemfile import ProblemFile, load_problem_file
-from .recursion import (WarpParams, expand, expansion_from_dict,
-                        expansion_to_dict, mode_ray_weight, pk_gamma,
-                        ray_integrate, warp_schedule)
+from .recursion import (ProblemCoefficients, WarpParams, expand,
+                        expansion_from_dict, expansion_to_dict, warp_schedule)
 from .solvers import (QuadratureConfig, burgers_demo, lattice, solve_cauchy,
                       solve_ibvp2)
 
@@ -217,48 +216,36 @@ def _check(name, deviation, tol):
             "status": "PASS" if deviation <= tol else "FAIL"}
 
 
-def _ray_weight_checks(fault: str | None, tol: float = 1e-13):
-    """Adjudicate the closed-form ray weights against adaptive quadrature.
+def _ray_weight_checks():
+    """Adjudicate the ray weights the recursion applies against adaptive
+    quadrature, on the monomials dx^g of a 1D table, k and g <= 8.
 
-    The s-exponent conventions (plain k, scaled k/beta, warped
-    (1-tau)k/beta) each produce a diagonal weight 1/(a + |gamma|); every
-    one is compared with quad_ray on the monomial of matching order.
+    Plain mode divides row g of R_{k-1} by k + g (``_BatchWorkspace.ray``),
+    int_0^1 s^g s^(k-1) ds.  Tau mode applies the jet series
+    ``_tau_weights`` of 1/(k + g nu(tau)); summed at a frozen tau it is
+    (1/nu) int_0^1 s^(g + (k-1)/nu) s^(1/nu - 1) ds, whose exponent
+    1/nu < 1 gets quad_ray's graded panels.  Both are read from
+    ``recursion`` at call time, so a corrupted weight fails its check.
     """
     from .oracle import quad_ray
-    beta, tau = 0.1, 0.5
-    tol = min(tol, 1e-13)
-    results = []
-    for name, wp, tau_used in (
-            ("ray_weight_E2_plain", WarpParams(), 0.0),
-            ("ray_weight_jbk_beta", WarpParams(mode="beta", beta=beta), 0.0),
-            ("ray_weight_E4", WarpParams(mode="tau", beta=beta, tau_max=0.9),
-             tau)):
-        worst = 0.0
-        for k in range(1, 9):
-            for go in range(0, 9):
-                closed = mode_ray_weight(go, k, wp, tau_used)
-                if fault == name:
-                    closed *= 1.0 + 1e-6
-                a = {"plain": float(k), "beta": k / beta,
-                     "tau": (1 - tau_used) * k / beta}[wp.mode]
-                ref = quad_ray(lambda s, go=go: s ** go, a, tol=tol)
-                worst = max(worst, abs(closed - ref))
-        results.append(_check(name, worst, 1e-12))
-    return results
-
-
-def _pk_gamma_check():
-    worst = 0.0
-    for y0 in (0.0, 0.7):
-        for g in range(0, 9):
-            for k in range(1, 9):
-                closed = pk_gamma((g,), k, [y0], cap=g)
-                mono = PolyEntry(1, ((1.0, (g,)),))
-                recentered = taylorize(mono, [y0], g).poly
-                diag = ray_integrate(recentered, float(k))
-                worst = max(worst,
-                            float(np.max(np.abs(closed.coeffs - diag.coeffs))))
-    return _check("pk_gamma_diagonal", worst, 1e-12)
+    # at tau = 0.5 a series cap of 30 would leave a 1.3e-12 tail
+    D, tau, cap = 8, 0.5, 60
+    nu = tau / ((1.0 - tau) * -math.log1p(-tau))
+    ws = recursion._BatchWorkspace(ProblemCoefficients(1, 1, {}),
+                                   np.zeros((1, 1)), None, WarpParams(), D,
+                                   None)
+    plain = warped = 0.0
+    for k in range(1, 9):
+        applied = ws.ray(np.ones((D + 1, 1, 1)), float(k))[:, 0, 0]
+        frozen = recursion._tau_weights(k, cap, 1, D) \
+            @ tau ** np.arange(cap + 1)
+        for g in range(D + 1):
+            ref = quad_ray(lambda s: s ** g, k)
+            plain = max(plain, abs(applied[g] - ref))
+            ref = quad_ray(lambda s: s ** (g + (k - 1) / nu), 1.0 / nu) / nu
+            warped = max(warped, abs(frozen[g] - ref))
+    return [_check("ray_weight_E2_plain", plain, 1e-12),
+            _check("ray_weight_E4", warped, 1e-12)]
 
 
 def _roundtrip_check(pf: ProblemFile):
@@ -279,10 +266,11 @@ def _roundtrip_check(pf: ProblemFile):
 
 def _const_drift_check(pf: ProblemFile):
     from .oracle import exact_const_drift_kernel
-    entry = pf.pc.drift.get((0, 0, 0))
-    parts = dict(entry.parts)
-    b0 = parts[0].terms[0][0] if 0 in parts else 0.0
-    b1 = parts[1].terms[0][0] if 1 in parts else 0.0
+    # b0 + b1 t: every constant term of the time parts 0 and 1
+    b = [0.0, 0.0]
+    for l, part in pf.pc.drift[(0, 0, 0)].parts:
+        b[l] += sum(c for c, _ in part.terms)
+    b0, b1 = b
     exp = expand(pf.pc, [0.0], max(pf.order_K, 2), WarpParams(), pf.degree_D)
     worst = 0.0
     xs = np.linspace(-1, 1, 9)
@@ -296,14 +284,14 @@ def _const_drift_check(pf: ProblemFile):
 
 
 def _is_const_drift(pf: ProblemFile) -> bool:
-    if pf.pc.n != 1 or pf.pc.components != 1 or not pf.pc.drift:
+    """A 1D scalar drift b0 + b1 t and no potential, whose kernel
+    ``oracle.exact_const_drift_kernel`` gives in closed form."""
+    if pf.pc.n != 1 or pf.pc.components != 1 or not pf.pc.drift \
+            or pf.pc.potential:
         return False
-    entry = pf.pc.drift.get((0, 0, 0))
-    if entry is None:
-        return False
-    return all(isinstance(p, PolyEntry)
+    return all(l <= 1 and isinstance(p, PolyEntry)
                and all(sum(e) == 0 for _, e in p.terms)
-               for _, p in entry.parts)
+               for l, p in pf.pc.drift[(0, 0, 0)].parts)
 
 
 def _zero_drift_check(pf: ProblemFile):
@@ -338,9 +326,7 @@ def _beta_equivalence_check(pf: ProblemFile):
 
 def cmd_validate(args) -> int:
     pf = _apply_overrides(load_problem_file(args.file), args)
-    checks = []
-    checks.extend(_ray_weight_checks(args.inject_fault, args.tol))
-    checks.append(_pk_gamma_check())
+    checks = _ray_weight_checks()
     checks.append(_roundtrip_check(pf))
     if pf.pc.drift or pf.pc.potential:
         checks.append(_check("coefficient_bounds",
@@ -378,11 +364,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--gh-order", dest="gh_order", type=int)
     p.add_argument("--gl-order", dest="gl_order", type=int)
     p.add_argument("--steps", type=int, help="ibvp2 marching steps")
-    p.add_argument("--tol", type=float, default=1e-12,
-                   help="tolerance for adaptive quadratures")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted and ignored; kept so existing command "
-                        "lines still parse")
     p.add_argument("--out", help="output path (or base path for solve)")
 
 
@@ -411,8 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="run the oracle validation suite")
     _add_common(p)
-    p.add_argument("--inject-fault", dest="inject_fault",
-                   help="test fixture: corrupt a named check")
     return ap
 
 

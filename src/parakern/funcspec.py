@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ScalingError, SchemaError, UnsupportedSpecError
-from .polyalg import TaylorPoly, index_table
+from .polyalg import index_table
 
 
 class FunctionSpec:
@@ -225,31 +225,6 @@ class FourierEntry(CoefficientEntry):
         rate = max((float(np.linalg.norm(w)) for _, w, _ in self.terms),
                    default=0.0)
         return amp, rate
-
-
-@dataclass(frozen=True)
-class TaylorExpansion:
-    """taylorize() result: the truncated polynomial plus its tail bound."""
-
-    poly: TaylorPoly
-    amplitude: float
-    rate: float
-
-
-def taylorize(entry: CoefficientEntry, y: Sequence[float],
-              degree: int) -> TaylorExpansion:
-    """Expand an admissible coefficient entry about ``y`` to ``degree``."""
-    if not isinstance(entry, CoefficientEntry):
-        raise UnsupportedSpecError(
-            f"cannot taylorize object of type {type(entry).__name__}")
-    y = np.asarray(y, dtype=float)
-    coeffs, truncated = entry._taylor_cols(y.reshape(1, -1), degree)
-    poly = TaylorPoly(entry.dim, tuple(y), degree, coeffs[:, 0], truncated)
-    if isinstance(entry, PolyEntry) and entry.max_degree() <= degree:
-        amp, rate = 0.0, 0.0
-    else:
-        amp, rate = entry.bound_constants()
-    return TaylorExpansion(poly, amp, rate)
 
 
 # ---------------------------------------------------------------------------

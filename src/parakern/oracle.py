@@ -21,6 +21,7 @@ would, so the factor and the output match ``tests/fdref.py`` bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -88,8 +89,14 @@ def exact_potential_kernel(v0: float, t: float, x: float, y: float) -> float:
 # ray quadrature
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Gauss-Legendre rule on [-1, 1], built once per order."""
+    return np.polynomial.legendre.leggauss(order)
+
+
 def _panel_gl(f, lo: float, hi: float, a: float, order: int) -> float:
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = _gl_rule(order)
     s = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
     w = 0.5 * (hi - lo) * weights
     vals = np.array([f(si) for si in s]) * s ** (a - 1.0)

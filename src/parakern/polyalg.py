@@ -1,15 +1,9 @@
 """Truncated multivariate Taylor-polynomial algebra.
 
 Everything downstream (coefficient recursions, kernel assembly) works on
-bare coefficient arrays indexed by one table:
-
-* :class:`MultiIndex` -- exponent tuples with order and factorial helpers.
-* :func:`index_table` -- every exponent of total degree <= cap, in
-  graded-lexicographic order; row ``i`` of a coefficient array pairs
-  with row ``i`` of the table.
-* :class:`TaylorPoly` -- one such array about a center, as a plain
-  record (``funcspec.taylorize``, ``ray_integrate`` and ``pk_gamma``
-  return one).
+bare coefficient arrays indexed by one table, :func:`index_table`: every
+exponent of total degree <= cap, in graded-lexicographic order; row ``i``
+of a coefficient array pairs with row ``i`` of the table.
 
 The private column helpers (``_mul_cols``, ``_overflow_cols`` and
 ``_partial_tables``) do the arithmetic on coefficient arrays with any
@@ -19,72 +13,24 @@ the same layout.  Because the table is graded, the rows of degree <= d
 are its first ``_rows(dim, d)`` rows, so an array may stop at its
 degree: products take their pair table for the operands' degrees
 (``_mul_tables``, keyed by dim, cap and both degrees) and form no pair
-of rows known to be zero.
+of rows known to be zero.  ``_monomials`` evaluates the table's monomials
+at points, and the scalar power-series helpers serve tau mode's jets.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 from scipy import sparse
 
-from .errors import ParameterError, StructureError
-
-# Factorials above this order are rejected rather than silently huge.
-MAX_INDEX_ORDER = 64
+from .errors import ParameterError
 
 
 # ---------------------------------------------------------------------------
-# multi-indices and the graded-lexicographic index table
+# the graded-lexicographic index table
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MultiIndex:
-    """Non-negative integer exponents, one per coordinate."""
-
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.entries) < 1:
-            raise ParameterError("dimension must be >= 1")
-        if any(e < 0 for e in self.entries):
-            raise ParameterError(f"negative exponent in {self.entries}")
-        if self.order > MAX_INDEX_ORDER:
-            raise ParameterError(
-                f"|gamma|={self.order} exceeds cap {MAX_INDEX_ORDER}")
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
-    @property
-    def order(self) -> int:
-        return sum(self.entries)
-
-    def factorial(self) -> int:
-        out = 1
-        for e in self.entries:
-            out *= math.factorial(e)
-        return out
-
-    def incremented(self, i: int) -> "MultiIndex":
-        """gamma + 1_i."""
-        if not 0 <= i < self.dim:
-            raise ParameterError(f"coordinate {i} out of range")
-        e = list(self.entries)
-        e[i] += 1
-        return MultiIndex(tuple(e))
-
-    def __getitem__(self, i: int) -> int:
-        return self.entries[i]
-
-    def __iter__(self):
-        return iter(self.entries)
-
 
 def _grlex_key(exps: tuple[int, ...]) -> tuple:
     return (sum(exps), exps)
@@ -218,45 +164,6 @@ def _overflow_cols(a: np.ndarray, b: np.ndarray, dim: int,
             flags[maybe] = np.any(a[oi][:, maybe] * b[oj][:, maybe] != 0.0,
                                   axis=0)
     return flags.reshape(shape)
-
-
-# ---------------------------------------------------------------------------
-# TaylorPoly
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TaylorPoly:
-    """Dense truncated polynomial in ``dx = x - center``.
-
-    ``coeffs[i]`` pairs with row ``i`` of ``index_table(dim, cap)``.  The
-    ``truncated`` flag records that the cap cut a nonzero coefficient.
-    """
-
-    dim: int
-    center: tuple[float, ...]
-    cap: int
-    coeffs: np.ndarray
-    truncated: bool = False
-
-    def __post_init__(self):
-        exps, _, _ = index_table(self.dim, self.cap)
-        if len(self.coeffs) != len(exps):
-            raise StructureError(
-                f"coefficient array of length {len(self.coeffs)} does not "
-                f"match table size {len(exps)} for dim={self.dim} cap={self.cap}")
-        if len(self.center) != self.dim:
-            raise StructureError("center length does not match dimension")
-
-    @staticmethod
-    def zero(dim: int, center: Sequence[float], cap: int) -> "TaylorPoly":
-        exps, _, _ = index_table(dim, cap)
-        return TaylorPoly(dim, tuple(float(c) for c in center), cap,
-                          np.zeros(len(exps)))
-
-    def coeff(self, gamma) -> float:
-        entries = gamma.entries if isinstance(gamma, MultiIndex) else tuple(gamma)
-        _, pos, _ = index_table(self.dim, self.cap)
-        return float(self.coeffs[pos[entries]])
 
 
 def _monomials(dx: np.ndarray, cap: int) -> np.ndarray:

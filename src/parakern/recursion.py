@@ -28,15 +28,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from .errors import ParameterError, StructureError, UnsupportedSpecError
 from .funcspec import CoefficientEntry, TimeEntry
-from .polyalg import (MultiIndex, TaylorPoly, index_table, series_reciprocal,
-                      _degree, _monomials, _mul_cols, _overflow_cols,
-                      _partial_tables, _rows, _series_mul)
+from .polyalg import (index_table, series_reciprocal, _degree, _monomials,
+                      _mul_cols, _overflow_cols, _partial_tables, _rows,
+                      _series_mul)
 
 SAMPLE_LATTICE = 17      # points per axis when sampling sup norms
 BETA_FLOOR = 1e-6
@@ -206,78 +205,6 @@ class ExpansionCoeffs:
     def diagnostics(self) -> ExpansionDiagnostics:
         """Sup-norm diagnostics, sampled on first access."""
         return _diagnostics(self)
-
-
-# ---------------------------------------------------------------------------
-# ray integrals and closed-form weights
-# ---------------------------------------------------------------------------
-
-def ray_integrate(p: TaylorPoly, a: float) -> TaylorPoly:
-    """``int_0^1 p(y + s dx) s^(a-1) ds`` as a diagonal coefficient scaling.
-
-    The dx^gamma coefficient picks up the factor 1/(|gamma| + a); this is
-    the closed-form of the s-exponent convention fixed by the identity
-    d/ds[s^k p(y + s dx)] = k s^(k-1) p + s^k dx . grad p.
-    """
-    if a <= 0:
-        raise ParameterError("ray exponent a must be positive")
-    _, _, orders = index_table(p.dim, p.cap)
-    return TaylorPoly(p.dim, p.center, p.cap, p.coeffs / (orders + a),
-                      p.truncated)
-
-
-def mode_ray_exponent(k: int, wp: WarpParams, tau: float = 0.0) -> float:
-    """The s-exponent a_k of the mode's ray integral at a frozen tau."""
-    if k < 1:
-        raise ParameterError("k must be >= 1")
-    if wp.mode == "plain":
-        return float(k)
-    if wp.mode == "beta":
-        return k / wp.beta
-    return (1.0 - tau) * k / wp.beta
-
-
-def mode_ray_weight(gamma_order: int, k: int, wp: WarpParams,
-                    tau: float = 0.0) -> float:
-    """Closed-form diagonal weight 1/(a_k + |gamma|) for a frozen tau.
-
-    plain: 1/(k + |g|); beta: beta/(k + beta |g|);
-    tau:   beta/((1 - tau) k + beta |g|).
-    """
-    return 1.0 / (mode_ray_exponent(k, wp, tau) + gamma_order)
-
-
-def pk_gamma(gamma, k: int, y: Sequence[float], a: float | None = None,
-             cap: int | None = None) -> TaylorPoly:
-    """Closed form of ``int_0^1 (y + s dx)^gamma s^(a-1) ds``.
-
-    Binomial expansion of the shifted monomial: the dx^delta coefficient is
-    ``prod_i C(gamma_i, delta_i) y^(gamma-delta) / (|delta| + a)``.
-    Defaults to a = k, the plain-mode exponent.
-    """
-    if k < 1:
-        raise ParameterError("k must be >= 1")
-    gamma = gamma if isinstance(gamma, MultiIndex) else MultiIndex(tuple(gamma))
-    if a is None:
-        a = float(k)
-    y = np.asarray(y, dtype=float)
-    dim = gamma.dim
-    if cap is None:
-        cap = gamma.order
-    out = TaylorPoly.zero(dim, tuple(y), cap)
-    _, pos, _ = index_table(dim, cap)
-
-    def rec(axis, delta, weight):
-        if axis == dim:
-            out.coeffs[pos[tuple(delta)]] += weight / (sum(delta) + a)
-            return
-        for d in range(gamma[axis] + 1):
-            w = weight * math.comb(gamma[axis], d) * \
-                y[axis] ** (gamma[axis] - d)
-            rec(axis + 1, delta + [d], w)
-
-    rec(0, [], 1.0)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +432,8 @@ class _BatchWorkspace:
         return out
 
     def ray(self, x, s: float):
+        """The ray integral int_0^1 x(y + u dx) u^(s - 1) du, which divides
+        row gamma by s + |gamma|: the plain solve at s = k."""
         return x / (self.orders[:len(x)] + s)[:, None, None]
 
     def scale_series(self, x, series: np.ndarray):

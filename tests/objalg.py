@@ -3,9 +3,9 @@
 ``parakern`` runs the coefficient recursion on arrays only
 (``recursion.expand_batch``, whose ``_BatchWorkspace`` mirrors this
 module term for term).  Here the same recursion runs one centre at a
-time on values: a :class:`TaylorPoly` with constructors and operators,
-a :class:`TimeJet` of them (a truncated polynomial in time), the jet
-arithmetic, and ``compute_c0``/``compute_R``.  ``poly_mul`` calls the
+time on values: a :class:`TaylorPoly` record with constructors and
+operators, a :class:`TimeJet` of them (a truncated polynomial in time),
+the jet arithmetic, and ``compute_c0``/``compute_R``.  ``poly_mul`` calls the
 shipped ``_mul_cols``/``_overflow_cols``, so product tests still exercise
 the kernel the package uses.  :func:`jets_of` reads an expansion's
 coefficient array back as TimeJets; :func:`remainder_bound`,
@@ -31,27 +31,39 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
-from parakern import polyalg
 from parakern.errors import ParameterError, SequencingError, StructureError
 from parakern.funcspec import (CoefficientEntry, FourierEntry, PolyEntry,
-                               TimeEntry, taylorize)
+                               TimeEntry)
 from parakern.kernel import Rows, kernel_gradient
-from parakern.polyalg import (MultiIndex, index_table, _monomials, _mul_cols,
+from parakern.polyalg import (index_table, _monomials, _mul_cols,
                               _overflow_cols, _partial_tables, _series_mul)
 from parakern.recursion import (ExpansionCoeffs, ProblemCoefficients,
-                                WarpParams, ray_integrate, _BatchWorkspace,
-                                _series_sigma, _series_t_of_tau,
-                                _warp_power)
+                                WarpParams, _BatchWorkspace, _series_sigma,
+                                _series_t_of_tau, _warp_power)
 
 
 # ---------------------------------------------------------------------------
-# TaylorPoly with operators
+# TaylorPoly
 # ---------------------------------------------------------------------------
 
-class TaylorPoly(polyalg.TaylorPoly):
-    """``parakern.polyalg.TaylorPoly`` with the algebra's constructors and
-    operators.  The module functions accept either class and return this
-    one."""
+@dataclass(frozen=True)
+class TaylorPoly:
+    """Dense truncated polynomial in ``dx = x - center``, with the
+    algebra's constructors and operators.
+
+    ``coeffs[i]`` pairs with row ``i`` of ``index_table(dim, cap)``.  The
+    ``truncated`` flag records that the cap cut a nonzero coefficient.
+    """
+
+    dim: int
+    center: tuple[float, ...]
+    cap: int
+    coeffs: np.ndarray
+    truncated: bool = False
+
+    def coeff(self, gamma) -> float:
+        return float(self.coeffs[index_table(self.dim, self.cap)[1][
+            tuple(gamma)]])
 
     @staticmethod
     def zero(dim: int, center: Sequence[float], cap: int) -> "TaylorPoly":
@@ -77,7 +89,7 @@ class TaylorPoly(polyalg.TaylorPoly):
         p = TaylorPoly.zero(dim, center, cap)
         _, pos, _ = index_table(dim, cap)
         for key, val in coeffs.items():
-            entries = key.entries if isinstance(key, MultiIndex) else tuple(key)
+            entries = tuple(key)
             if sum(entries) > cap:
                 raise StructureError(f"index {entries} exceeds cap {cap}")
             p.coeffs[pos[entries]] = val
@@ -90,7 +102,7 @@ class TaylorPoly(polyalg.TaylorPoly):
         return poly_add(self, other)
 
     def __mul__(self, other):
-        if isinstance(other, polyalg.TaylorPoly):
+        if isinstance(other, TaylorPoly):
             return poly_mul(self, other)
         return _like(self, self.coeffs * float(other), self.truncated)
 
@@ -105,11 +117,6 @@ class TaylorPoly(polyalg.TaylorPoly):
 
 def _like(p, coeffs: np.ndarray, truncated: bool) -> TaylorPoly:
     return TaylorPoly(p.dim, p.center, p.cap, coeffs, truncated)
-
-
-def _ref(p) -> TaylorPoly:
-    """A package TaylorPoly as this module's class."""
-    return p if isinstance(p, TaylorPoly) else _like(p, p.coeffs, p.truncated)
 
 
 def _max_abs(p) -> float:
@@ -175,16 +182,19 @@ def poly_eval(p, x: Sequence[float]) -> float:
     return float(np.sum(p.coeffs * _monomials(dx, p.cap)))
 
 
-def remainder_bound(res, radius: float) -> float:
-    """Rigorous sup of |f - poly| on the ball of the given radius for a
-    ``taylorize`` result.
+def remainder_bound(entry: CoefficientEntry, cap: int, radius: float) -> float:
+    """Rigorous sup of |f - poly| on the ball of the given radius, for the
+    degree-``cap`` Taylor polynomial of ``entry`` about the ball's centre.
 
-    Directional (D+1)-st derivatives of a Fourier term are bounded by
-    ``amp * |k|^(D+1)``, giving the Lagrange form below.  Polynomial
-    entries inside their degree have zero tail.
+    Directional (cap+1)-st derivatives of a Fourier term are bounded by
+    ``amp * |k|^(cap+1)`` (``bound_constants``), giving the Lagrange form
+    below.  Polynomial entries inside their degree have zero tail.
     """
-    d1 = res.poly.cap + 1
-    return res.amplitude * res.rate ** d1 * radius ** d1 / math.factorial(d1)
+    if isinstance(entry, PolyEntry) and entry.max_degree() <= cap:
+        return 0.0
+    amp, rate = entry.bound_constants()
+    d1 = cap + 1
+    return amp * rate ** d1 * radius ** d1 / math.factorial(d1)
 
 
 def normal_derivative(exp: ExpansionCoeffs, time: float, x, y, nu,
@@ -360,8 +370,10 @@ def jet_compose_time(a: TimeJet, inner: np.ndarray, var: str,
 
 
 def jet_ray(jet: TimeJet, a: float) -> TimeJet:
-    return TimeJet(jet.var, tuple(_ref(ray_integrate(p, a))
-                                  for p in jet.terms))
+    """int_0^1 jet(y + s dx) s^(a-1) ds: row gamma divided by |gamma| + a."""
+    orders = index_table(jet.dim, jet.cap)[2]
+    return TimeJet(jet.var, tuple(_like(p, p.coeffs / (orders + a),
+                                        p.truncated) for p in jet.terms))
 
 
 def jets_of(exp: ExpansionCoeffs) -> tuple[tuple[TimeJet, ...], ...]:
@@ -405,9 +417,9 @@ class _Workspace:
                 l: self._tay(part) for l, part in entry.parts}
 
     def _tay(self, part: CoefficientEntry) -> TaylorPoly:
-        poly = taylorize(part, self.y, self.D).poly
-        self.truncated |= poly.truncated
-        return _ref(poly)
+        coeffs, truncated = part._taylor_cols(np.array([self.y]), self.D)
+        self.truncated |= truncated
+        return TaylorPoly(self.pc.n, self.y, self.D, coeffs[:, 0], truncated)
 
     def _entry_jet(self, entry: TimeEntry) -> TimeJet:
         """b as a jet in the mode's own time variable."""

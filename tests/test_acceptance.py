@@ -12,14 +12,13 @@ import numpy as np
 import pytest
 
 from parakern import oracle
-from parakern.funcspec import (FourierEntry, GaussianMix, PolyEntry,
-                               TimeEntry, taylorize)
+from parakern.funcspec import FourierEntry, GaussianMix, PolyEntry, TimeEntry
 from parakern.kernel import (KernelField, delta_property, eval_kernel,
                              normalization_check, residual, varadhan_diag)
 from parakern.oracle import FDConfig, quad_ray
 from parakern.recursion import (ProblemCoefficients, WarpParams, expand,
-                                mode_ray_weight, pk_gamma, ray_integrate,
-                                select_beta, tau_of_t, warp_schedule)
+                                select_beta, tau_of_t, warp_schedule,
+                                _BatchWorkspace, _tau_weights)
 from parakern.solvers import ProblemSpec, QuadratureConfig, burgers_demo, \
     solve_cauchy, solve_ibvp2
 from parakern.funcspec import ExpTime, SpacePolyFourier
@@ -109,36 +108,28 @@ def test_criterion_03_potential_term():
 
 
 def test_criterion_04_ray_weight_adjudication():
-    beta, tau = 0.1, 0.5
-    modes = [(WarpParams(), 0.0),
-             (WarpParams(mode="beta", beta=beta), 0.0),
-             (WarpParams(mode="tau", beta=beta, tau_max=0.9), tau)]
-    weight_dev = 0.0
-    for wp, tau_used in modes:
-        for k in range(1, 9):
-            a = {"plain": float(k), "beta": k / beta,
-                 "tau": (1 - tau_used) * k / beta}[wp.mode]
-            for g in range(9):
-                closed = mode_ray_weight(g, k, wp, tau_used)
-                weight_dev = max(weight_dev, abs(
-                    closed - quad_ray(lambda s, g=g: s ** g, a)))
-    pk_dev = 0.0
-    for y0 in (0.0, 0.7):
-        for wp, tau_used in modes:
-            for k in range(1, 9):
-                a = {"plain": float(k), "beta": k / beta,
-                     "tau": (1 - tau_used) * k / beta}[wp.mode]
-                for g in range(9):
-                    closed = pk_gamma((g,), k, [y0], a=a, cap=g)
-                    mono = taylorize(PolyEntry(1, ((1.0, (g,)),)), [y0], g).poly
-                    routed = ray_integrate(mono, a)
-                    pk_dev = max(pk_dev, float(np.max(np.abs(
-                        closed.coeffs - routed.coeffs))))
-    ok = weight_dev <= 1e-12 and pk_dev <= 1e-12
+    # the weights the recursion applies to dx^g, against quad_ray: plain
+    # 1/(k + g) from _BatchWorkspace.ray, and tau mode's series
+    # _tau_weights summed at a frozen tau against 1/(k + g nu(tau)),
+    # written with the exponent 1/nu < 1 so quad_ray grades its panels
+    D, tau, cap = 8, 0.5, 60
+    nu = tau / ((1 - tau) * -math.log1p(-tau))
+    ws = _BatchWorkspace(ProblemCoefficients(1, 1, {}), np.zeros((1, 1)),
+                         None, WarpParams(), D, None)
+    plain_dev = tau_dev = 0.0
+    for k in range(1, 9):
+        applied = ws.ray(np.ones((D + 1, 1, 1)), float(k))[:, 0, 0]
+        frozen = _tau_weights(k, cap, 1, D) @ tau ** np.arange(cap + 1)
+        for g in range(D + 1):
+            plain_dev = max(plain_dev, abs(
+                applied[g] - quad_ray(lambda s, g=g: s ** g, k)))
+            ref = quad_ray(lambda s, g=g: s ** (g + (k - 1) / nu), 1 / nu) / nu
+            tau_dev = max(tau_dev, abs(frozen[g] - ref))
+    ok = plain_dev <= 1e-12 and tau_dev <= 1e-12
     report("4", "ray-weight adjudication", ok,
-           f"weight dev {weight_dev:.2e}, pk_gamma dev {pk_dev:.2e}")
-    assert weight_dev <= 1e-12
-    assert pk_dev <= 1e-12
+           f"plain dev {plain_dev:.2e}, tau dev {tau_dev:.2e}")
+    assert plain_dev <= 1e-12
+    assert tau_dev <= 1e-12
 
 
 def test_criterion_05_residual_order():

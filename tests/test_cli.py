@@ -9,7 +9,7 @@ import pytest
 
 from parakern.errors import SchemaError
 
-from parakern import cli, problemfile
+from parakern import cli, problemfile, recursion
 from parakern.cli import main
 from parakern.kernel import eval_kernel, residual
 from parakern.oracle import const_drift_series_coeffs
@@ -276,18 +276,6 @@ def test_solve_exits_numeric_where_a_node_overflows(tmp_path, capsys):
     assert not os.path.exists(f"{base}.csv")
 
 
-def test_solve_threads_flag_is_ignored(tmp_path):
-    # --threads is accepted for old command lines and changes nothing
-    for base, extra in ((tmp_path / "a", []), (tmp_path / "b",
-                                               ["--threads", "4"])):
-        rc = main(["solve", problem("sin_drift.json"), "--gh-order", "10",
-                   "--out", str(base)] + extra)
-        assert rc == 0
-    for suffix in (".csv", ".json"):
-        a = (tmp_path / ("a" + suffix)).read_bytes()
-        assert a == (tmp_path / ("b" + suffix)).read_bytes()
-
-
 def test_solve_writes_outputs(tmp_path):
     base = tmp_path / "sol"
     rc = main(["solve", problem("burgers_selfsim.json"), "--out", str(base)])
@@ -421,10 +409,14 @@ def test_validate_passes_const_drift(tmp_path):
     assert rc == 0
     report = json.loads(out.read_text())
     assert report["status"] == "PASS"
-    names = {c["name"] for c in report["checks"]}
-    assert {"ray_weight_E2_plain", "ray_weight_jbk_beta", "ray_weight_E4",
-            "pk_gamma_diagonal", "roundtrip_serialization",
-            "const_drift_kernel"} <= names
+    assert [c["name"] for c in report["checks"]] == [
+        "ray_weight_E2_plain", "ray_weight_E4", "roundtrip_serialization",
+        "coefficient_bounds", "const_drift_kernel", "const_drift_termination",
+        "normalization_gh40", "mode_equivalence_beta"]
+    for check in report["checks"]:
+        assert set(check) == {"name", "max_deviation", "tolerance", "status"}
+        if check["name"].startswith("ray_weight"):
+            assert check["max_deviation"] <= check["tolerance"] == 1e-12
 
 
 def test_validate_zero_drift_trivial(tmp_path, capsys):
@@ -435,13 +427,67 @@ def test_validate_zero_drift_trivial(tmp_path, capsys):
                for c in report["checks"])
 
 
-def test_validate_detects_injected_fault(tmp_path, capsys):
-    rc = main(["validate", problem("const_drift.json"),
-               "--inject-fault", "ray_weight_E4"])
-    assert rc == 3
+def failing_checks(capsys) -> list[str]:
     report = json.loads(capsys.readouterr().out)
-    failing = [c["name"] for c in report["checks"] if c["status"] == "FAIL"]
-    assert failing == ["ray_weight_E4"]
+    return [c["name"] for c in report["checks"] if c["status"] == "FAIL"]
+
+
+def test_validate_detects_injected_fault(monkeypatch, capsys):
+    # tau mode's applied weights off by one part in a million
+    applied = recursion._tau_weights
+    monkeypatch.setattr(recursion, "_tau_weights",
+                        lambda *args: applied(*args) * (1.0 + 1e-6))
+    assert main(["validate", problem("const_drift.json")]) == 3
+    assert failing_checks(capsys) == ["ray_weight_E4"]
+
+
+def test_validate_detects_a_corrupted_plain_weight(monkeypatch, capsys):
+    # the plain ray solve off by one part in a million; the expansions the
+    # later checks build take the corrupted weights too
+    ray = recursion._BatchWorkspace.ray
+    monkeypatch.setattr(recursion._BatchWorkspace, "ray",
+                        lambda ws, x, s: ray(ws, x, s) * (1.0 + 1e-6))
+    assert main(["validate", problem("const_drift.json")]) == 3
+    failing = failing_checks(capsys)
+    assert failing[0] == "ray_weight_E2_plain"
+    assert "ray_weight_E4" not in failing
+
+
+def constant(c):
+    return {"kind": "poly", "terms": [[c, [0]]]}
+
+
+@pytest.mark.parametrize("drift, potential, closed_form", [
+    ({"kind": "poly", "terms": [[0.3, [0]], [0.2, [0]]]}, [], True),
+    ({"kind": "time_poly", "terms": [[0, constant(0.3)], [2, constant(0.5)]]},
+     [], False),
+    (constant(0.7), [{"i": 0, **constant(0.5)}], False)],
+    ids=["two_constant_terms", "time_order_two", "with_potential"])
+def test_validate_const_drift_check_reads_the_whole_drift(
+        tmp_path, capsys, drift, potential, closed_form):
+    # b0 sums every constant term; a t^2 part or a potential is outside
+    # the closed form, so those files skip the const-drift checks
+    with open(problem("const_drift.json")) as fh:
+        data = json.load(fh)
+    data["drift"] = [{"i": 0, "j": 0, "k": 0, **drift}]
+    data["potential"] = potential
+    rc = main(["validate", write_json(tmp_path, "drift.json", data)])
+    report = json.loads(capsys.readouterr().out)
+    assert rc == 0 and report["status"] == "PASS"
+    names = {c["name"] for c in report["checks"]}
+    assert ({"const_drift_kernel", "const_drift_termination"} <= names) \
+        == closed_form
+    assert closed_form or not any(n.startswith("const_drift") for n in names)
+
+
+@pytest.mark.parametrize("flag", [["--tol", "0"], ["--threads", "4"],
+                                  ["--inject-fault", "ray_weight_E4"]],
+                         ids=["tol", "threads", "inject-fault"])
+def test_removed_flags_are_usage_errors(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", problem("const_drift.json"), *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parakern.errors import ParameterError, StructureError, UnsupportedSpecError
-from parakern.funcspec import FourierEntry, PolyEntry, taylorize
-from parakern.polyalg import (MultiIndex, index_table, _degree, _mul_cols,
-                              _mul_tables, _overflow_cols, _rows)
+from parakern.errors import StructureError, UnsupportedSpecError
+from parakern.funcspec import FourierEntry, GaussianMix, PolyEntry
+from parakern.polyalg import (index_table, _degree, _mul_cols, _mul_tables,
+                              _overflow_cols, _rows)
+from parakern.recursion import ProblemCoefficients
 
 from objalg import (TaylorPoly, TimeJet, dense_mul_cols, dense_overflow_cols,
                     jet_compose_time, jet_dt, jet_eval, jet_mul, pad_rows,
@@ -17,26 +18,6 @@ from objalg import (TaylorPoly, TimeJet, dense_mul_cols, dense_overflow_cols,
 def P(dim, cap, coeffs, center=None):
     center = center or (0.0,) * dim
     return TaylorPoly.from_coeff_dict(coeffs, dim, center, cap)
-
-
-# ---------------------------------------------------------------------------
-# MultiIndex
-# ---------------------------------------------------------------------------
-
-def test_multiindex_basics():
-    g = MultiIndex((2, 0, 3))
-    assert g.order == 5
-    assert g.factorial() == 2 * 6
-    assert g.incremented(1).entries == (2, 1, 3)
-
-
-def test_multiindex_rejects_bad_input():
-    with pytest.raises(ParameterError):
-        MultiIndex(())
-    with pytest.raises(ParameterError):
-        MultiIndex((1, -1))
-    with pytest.raises(ParameterError):
-        MultiIndex((70,))  # beyond the factorial cap
 
 
 # ---------------------------------------------------------------------------
@@ -290,53 +271,63 @@ def test_degree_zero_product_equals_scatter_product(dim, cap, data, seed):
 
 
 # ---------------------------------------------------------------------------
-# taylorize
+# Taylor expansion of the entries (``_taylor_cols``, as the recursion calls
+# it: one column per centre, and whether the cap cut a term)
 # ---------------------------------------------------------------------------
+
+def taylor(entry, y, cap):
+    """The degree-``cap`` Taylor polynomial of ``entry`` about ``y``."""
+    coeffs, truncated = entry._taylor_cols(np.array([y], dtype=float), cap)
+    return TaylorPoly(entry.dim, tuple(y), cap, coeffs[:, 0], truncated)
+
 
 def test_taylorize_constant():
     entry = PolyEntry(1, ((5.0, (0,)),))
-    res = taylorize(entry, [0.3], 4)
-    assert res.poly.coeff((0,)) == 5.0
-    assert remainder_bound(res, 1.0) == 0.0
+    poly = taylor(entry, [0.3], 4)
+    assert poly.coeff((0,)) == 5.0 and not poly.truncated
+    assert remainder_bound(entry, 4, 1.0) == 0.0
 
 
 def test_taylorize_sine_series_and_fd_crosscheck():
     entry = FourierEntry(1, ((1.0, (1.0,), 0.0),))
-    res = taylorize(entry, [0.0], 3)
-    assert res.poly.coeff((1,)) == pytest.approx(1.0, abs=1e-15)
-    assert res.poly.coeff((3,)) == pytest.approx(-1 / 6, abs=1e-15)
-    assert res.poly.coeff((0,)) == pytest.approx(0.0, abs=1e-15)
+    poly = taylor(entry, [0.0], 3)
+    assert poly.truncated
+    assert poly.coeff((1,)) == pytest.approx(1.0, abs=1e-15)
+    assert poly.coeff((3,)) == pytest.approx(-1 / 6, abs=1e-15)
+    assert poly.coeff((0,)) == pytest.approx(0.0, abs=1e-15)
     # third derivative at 0 via central differences
     h = 1e-2
     fd3 = (entry.eval(0.0, [2 * h]) - 2 * entry.eval(0.0, [h])
            + 2 * entry.eval(0.0, [-h]) - entry.eval(0.0, [-2 * h])) \
         / (2 * h ** 3)
-    assert fd3 / 6 == pytest.approx(res.poly.coeff((3,)), rel=1e-3)
+    assert fd3 / 6 == pytest.approx(poly.coeff((3,)), rel=1e-3)
 
 
 def test_taylorize_recenters_polynomial():
     entry = PolyEntry(1, ((1.0, (2,)),))
-    res = taylorize(entry, [1.0], 4)
-    assert res.poly.coeff((0,)) == 1.0
-    assert res.poly.coeff((1,)) == 2.0
-    assert res.poly.coeff((2,)) == 1.0
+    poly = taylor(entry, [1.0], 4)
+    assert poly.coeff((0,)) == 1.0
+    assert poly.coeff((1,)) == 2.0
+    assert poly.coeff((2,)) == 1.0
 
 
 def test_taylorize_rejects_unknown_class():
+    # the recursion expands poly and fourier entries only
     with pytest.raises(UnsupportedSpecError):
-        taylorize(lambda x: x, [0.0], 3)
+        ProblemCoefficients(1, 1, {(0, 0, 0): GaussianMix(
+            ((1.0, 1.0, (0.0,)),))})
 
 
 def test_remainder_bound_is_a_bound():
     entry = FourierEntry(1, ((0.7, (2.0,), 0.4),))
     radius = 0.8
-    res = taylorize(entry, [0.2], 6)
-    bound = remainder_bound(res, radius)
+    poly = taylor(entry, [0.2], 6)
+    bound = remainder_bound(entry, 6, radius)
     rng = np.random.default_rng(8)
     worst = 0.0
     for _ in range(1000):
         x = np.array([0.2 + rng.uniform(-radius, radius)])
-        err = abs(entry.eval(0.0, x) - poly_eval(res.poly, x))
+        err = abs(entry.eval(0.0, x) - poly_eval(poly, x))
         worst = max(worst, err)
     assert worst <= bound
     assert bound < 1.0  # and not vacuous

@@ -8,18 +8,17 @@ import pytest
 
 from parakern import oracle
 from parakern.errors import ParameterError, SequencingError
-from parakern.funcspec import FourierEntry, PolyEntry, TimeEntry, taylorize
+from parakern.funcspec import FourierEntry, PolyEntry, TimeEntry
 from parakern.problemfile import load_problem_file
 from parakern.recursion import (ProblemCoefficients,
                                 WarpParams, beta_from_bound,
                                 beta_upper_bound, expand, expand_batch,
                                 expansion_from_dict,
-                                expansion_to_dict, mode_ray_weight, pk_gamma,
-                                ray_integrate, select_beta, t_of_tau,
+                                expansion_to_dict, select_beta, t_of_tau,
                                 tau_of_t, warp_schedule)
 
-from objalg import (TaylorPoly, compute_R, compute_c0, jet_eval, jets_of,
-                    poly_add, poly_euler, poly_eval)
+from objalg import (compute_R, compute_c0, jet_eval, jets_of, poly_add,
+                    poly_euler)
 
 SIN_DRIFT = FourierEntry(1, ((0.3, (1.0,), 0.0),))
 PROBLEMS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..",
@@ -60,19 +59,8 @@ def test_c0_linear_drift_vs_quadrature():
 
 
 # ---------------------------------------------------------------------------
-# ray_integrate and pk_gamma
+# ray weights
 # ---------------------------------------------------------------------------
-
-def test_ray_integrate_examples():
-    c = TaylorPoly.from_coeff_dict({(0,): 3.0}, 1, (0.0,), 4)
-    assert ray_integrate(c, 1.0).coeff((0,)) == 3.0
-    sq = TaylorPoly.from_coeff_dict({(2,): 1.0}, 1, (0.0,), 4)
-    assert ray_integrate(sq, 1.0).coeff((2,)) == pytest.approx(1 / 3)
-    lin = TaylorPoly.from_coeff_dict({(1,): 1.0}, 1, (0.0,), 4)
-    assert ray_integrate(lin, 2 / 0.5).coeff((1,)) == pytest.approx(1 / 5)
-    with pytest.raises(ParameterError):
-        ray_integrate(c, 0.0)
-
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 7.0, 4.0])
 def test_ray_weights_match_quadrature(a):
@@ -80,38 +68,6 @@ def test_ray_weights_match_quadrature(a):
         weight = 1.0 / (go + a)
         ref = oracle.quad_ray(lambda s, go=go: s ** go, a)
         assert abs(weight - ref) <= 1e-13
-
-
-def test_pk_gamma_examples():
-    assert pk_gamma((0,), 3, [0.0]).coeff((0,)) == pytest.approx(1 / 3)
-    p = pk_gamma((1,), 1, [0.5])
-    assert p.coeff((0,)) == pytest.approx(0.5)
-    assert p.coeff((1,)) == pytest.approx(0.5)
-    q = pk_gamma((2,), 1, [0.5])
-    # y^2 + y dx + dx^2/3 at y = 0.5
-    assert q.coeff((0,)) == pytest.approx(0.25)
-    assert q.coeff((1,)) == pytest.approx(0.5)
-    assert q.coeff((2,)) == pytest.approx(1 / 3)
-    ref = oracle.quad_ray(lambda s: (0.5 + s * 0.3) ** 2, 1.0)
-    assert poly_eval(q, [0.8]) == pytest.approx(ref, abs=1e-13)
-
-
-@pytest.mark.parametrize("y0", [0.0, 0.7])
-def test_pk_gamma_equals_recentered_ray_route(y0):
-    for g in range(9):
-        for k in range(1, 9):
-            closed = pk_gamma((g,), k, [y0], cap=g)
-            mono = taylorize(PolyEntry(1, ((1.0, (g,)),)), [y0], g).poly
-            routed = ray_integrate(mono, float(k))
-            assert np.max(np.abs(closed.coeffs - routed.coeffs)) <= 1e-12
-
-
-def test_pk_gamma_2d():
-    closed = pk_gamma((1, 2), 2, [0.3, -0.4], cap=3)
-    x = np.array([0.5, 0.1])
-    ref = oracle.quad_ray(
-        lambda s: (0.3 + s * 0.2) * (-0.4 + s * 0.5) ** 2, 2.0)
-    assert poly_eval(closed, x) == pytest.approx(ref, abs=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -481,15 +437,6 @@ def test_spot_check_bounds_on_testbed():
     pc = ProblemCoefficients(1, 1, {(0, 0, 0): SIN_DRIFT}, bound_C=1.0,
                              domain_radius_R=1.0)
     assert pc.spot_check_bounds(max_order=4) <= 1.0
-
-
-def test_mode_ray_weight_closed_forms():
-    wp_tau = WarpParams(mode="tau", beta=0.1, tau_max=0.9)
-    assert mode_ray_weight(3, 2, WarpParams()) == pytest.approx(1 / 5)
-    assert mode_ray_weight(0, 2, WarpParams(mode="beta", beta=0.5)) == \
-        pytest.approx(0.25)
-    assert mode_ray_weight(2, 4, wp_tau, tau=0.5) == \
-        pytest.approx(0.1 / ((1 - 0.5) * 4 + 0.1 * 2))
 
 
 def test_expansion_equality_answers_without_raising():
