@@ -21,12 +21,12 @@ import sys
 import numpy as np
 
 from . import __version__, recursion
-from .errors import ParakernError, SchemaError
+from .errors import ParakernError, ParameterError, SchemaError
 from .funcspec import PolyEntry
 from .kernel import KernelField, eval_points
 from .problemfile import ProblemFile, load_problem_file
 from .recursion import (ProblemCoefficients, WarpParams, expand,
-                        expansion_from_dict, expansion_to_dict, warp_schedule)
+                        expansion_from_dict, expansion_to_dict, resolve_warp)
 from .solvers import (QuadratureConfig, burgers_demo, lattice, solve_cauchy,
                       solve_ibvp2)
 
@@ -66,26 +66,18 @@ def _apply_overrides(pf: ProblemFile, args) -> ProblemFile:
             raise SchemaError(f"{flag} must be at least 0, got {value}")
     order = args.order if args.order is not None else pf.order_K
     degree = args.degree if args.degree is not None else pf.degree_D
-    warp = pf.warp
-    mode = args.mode or warp.mode
-    for flag, value in (("--beta", args.beta), ("--c-target", args.c_target)):
-        # the schema's exclusiveMinimum of 0, finite values only
-        if value is not None and not (math.isfinite(value) and value > 0):
-            raise SchemaError(f"{flag} must be positive and finite, "
-                              f"got {value}")
-    if args.beta is not None and mode == "plain":
-        raise SchemaError("--beta requires --mode beta or --mode tau")
-    if args.c_target is not None and (mode != "tau" or args.beta is not None):
-        raise SchemaError("--c-target requires --mode tau and sets beta "
-                          "itself, so it cannot be combined with --beta")
-    if args.c_target is not None:
-        warp = warp_schedule(pf.ps.horizon, args.c_target).params
-    elif args.beta is not None:
-        # a beta of one's own sets no tau limit, as in a file that gives one
-        warp = WarpParams(mode=mode, beta=args.beta)
-    elif mode != warp.mode:
-        # beta = 1, as plain mode needs; the file's own mode keeps its warp
-        warp = WarpParams(mode=mode)
+    warp, mode = pf.warp, args.mode or pf.warp.mode
+    # the file's own mode, named alone, keeps the file's warp
+    if args.beta is not None or args.c_target is not None \
+            or mode != warp.mode:
+        try:
+            warp = resolve_warp(pf.pc, pf.ps.horizon, mode, args.beta,
+                                args.c_target)
+        except ParameterError as exc:
+            given = [f"{flag} {value}" for flag, value in (
+                ("--mode", args.mode), ("--beta", args.beta),
+                ("--c-target", args.c_target)) if value is not None]
+            raise SchemaError(f"{' '.join(given)}: {exc}") from exc
     quad = {}
     for name in ("gh_order", "gl_order", "steps"):
         value = getattr(args, name)

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ParameterError, ScalingError, StructureError
 from .polyalg import _degree, _monomials, _partial_tables
 from .recursion import (ExpansionCoeffs, ProblemCoefficients, WarpParams,
-                        expand_batch, t_of_tau, _CHUNK_FLOATS)
+                        expand_batch, _CHUNK_FLOATS)
 
 
 @dataclass(frozen=True)
@@ -36,23 +36,6 @@ class KernelValue:
     log_value: float
     gradient: np.ndarray
     component: int
-
-
-def _effective_time(warp: WarpParams, time: float) -> tuple[float, float]:
-    """(t_eff, d t_eff / d time) for the Gaussian factor of each mode."""
-    if not math.isfinite(time):
-        raise ParameterError(f"time must be finite, got {time}")
-    if time <= 0:
-        raise ParameterError(
-            "time must be positive; the t -> 0 limit of the kernel is the "
-            "delta distribution at the expansion center, not a function value")
-    if warp.mode == "plain":
-        return time, 1.0
-    if warp.mode == "beta":
-        return warp.beta * time, warp.beta
-    if time >= 1.0:
-        raise ParameterError("tau must lie in (0, 1) in warped mode")
-    return t_of_tau(time, warp.beta), warp.beta / (1.0 - time)
 
 
 def _check_center(exp: ExpansionCoeffs, y) -> np.ndarray:
@@ -144,20 +127,15 @@ def eval_points(exp: ExpansionCoeffs, time, xs,
     pairs in time-major order, read by one :func:`_eval_rows` pass with a
     time and ``t_eff`` per row; each time's powers are Python float
     powers, so a row has the bits of a call at its time alone.  The times
-    are checked in order: a tau above a nonzero ``warp.tau_max`` raises
-    :class:`ParameterError`; then :func:`_check_log` raises at the first
+    are checked in order by :meth:`WarpParams.physical_time` (a tau past
+    ``warp.tau_max`` raises); then :func:`_check_log` raises at the first
     row and component whose log value is not finite or reaches 700.
     """
     if np.ndim(time) > 1:
         raise StructureError(
             f"times of shape {np.shape(time)}, expected a scalar or (T,)")
     ts = [time] if np.ndim(time) == 0 else [float(t) for t in time]
-    modes = []
-    for t in ts:
-        modes.append(_effective_time(exp.warp, t))
-        if exp.warp.mode == "tau" and 0.0 < exp.warp.tau_max < t:
-            raise ParameterError(
-                f"tau = {t} exceeds the warp's tau_max = {exp.warp.tau_max}")
+    modes = [exp.warp.physical_time(t) for t in ts]
     xs = _check_points(exp, xs)
     if components is None or pc is not None:
         components = range(exp.components)
@@ -231,7 +209,7 @@ def eval_kernel(exp: ExpansionCoeffs, time: float, x, y=None,
 def kernel_log_gradient(exp: ExpansionCoeffs, time: float, x,
                         j: int = 0) -> np.ndarray:
     """grad_x log p = -dx/(2 t_eff) + sum_k grad c_k * time^k."""
-    t_eff, _ = _effective_time(exp.warp, time)
+    t_eff, _ = exp.warp.physical_time(time)
     dx = _check_points(exp, [x]) - np.asarray(exp.center)
     return _eval_rows(exp.coeffs[[j]][..., None, :], dx, exp.degree_D, time,
                       t_eff)[2][0, 0]
@@ -366,17 +344,6 @@ class KernelField:
                 r = min(r, r_part)
         return r
 
-    def mode_time(self, t_phys):
-        """Map physical elapsed time to the warp's own time variable
-        (elementwise for an array)."""
-        if self.warp.mode == "plain":
-            return t_phys
-        if self.warp.mode == "beta":
-            return t_phys / self.warp.beta
-        if isinstance(t_phys, np.ndarray):
-            return -np.expm1(-t_phys / self.warp.beta)
-        return -math.expm1(-t_phys / self.warp.beta)
-
     def integrate(self, centres, terms: Sequence[Rows]) -> list:
         """Every sum of ``terms`` (see :class:`Rows`), from one pass.
 
@@ -456,13 +423,15 @@ class KernelField:
         x - y), one per component, and grad_x log p on the rows ``want``
         marks (None: on none), read by :func:`_eval_rows` from expansions
         built ``_BATCH_CENTRES`` centres at a time, with numpy mode times
-        and powers; :func:`_check_log` raises where a sum would be inf."""
+        and powers; ``WarpParams.mode_time`` raises at a tau past tau_max,
+        :func:`_check_log` where a sum would be inf."""
         s, sigma, dx = rows[:, 0], rows[:, 1], rows[:, 4:]
         centre = rows[:, 3].astype(int)
         logc = np.zeros((self.pc.components, len(rows)))
         if self._trivial:
             return logc, (-dx / (2.0 * sigma[:, None]))[None]
         grad = None if want is None else np.zeros(logc.shape + dx.shape[1:])
+        time = self.warp.mode_time(sigma)
         if self.pc.time_dependent:
             keys, key = np.unique(np.stack([s, rows[:, 3]], axis=1), axis=0,
                                   return_inverse=True)
@@ -486,7 +455,7 @@ class KernelField:
             for grow, r in groups:
                 if len(r):
                     logc[:, r], _, g, _ = _eval_rows(
-                        coeffs, dx[r], self.D, self.mode_time(sigma[r]),
+                        coeffs, dx[r], self.D, time[r],
                         sigma[r] if grow else None, col=key[r] - lo)
                     if grow:
                         grad[:, r] = g
@@ -634,9 +603,7 @@ def delta_property(field: KernelField, f, time: float, x,
                    order: int = 40, j: int = 0) -> float:
     """``int p_j(time, x, y) f(y) dy`` by Gauss-Hermite centered at x,
     for ``f`` of one point y."""
-    if time <= 0:
-        raise ParameterError("time must be positive")
-    t_eff, _ = _effective_time(field.warp, time)
+    t_eff, _ = field.warp.physical_time(time)
     [(vals, _)] = field.gauss_hermite(
         order, [(t_eff, 0.0, x, lambda s, ys: [f(y) for y in ys])])
     return float(vals[j])

@@ -107,12 +107,12 @@ def quad_ray(f: Callable[[float], float], a: float,
              tol: float = 1e-13) -> float:
     """Adaptive evaluation of ``int_0^1 f(s) s^(a-1) ds``.
 
-    Gauss-Legendre panels, dyadically graded toward 0 when a < 1 so the
-    integrable endpoint singularity never meets a polynomial rule head on.
+    Gauss-Legendre panels, dyadically graded toward 0 for a non-integer a,
+    so the singularity of s^(a-1) never meets a polynomial rule head on.
     """
-    if a <= 0:
-        raise ParameterError("ray exponent a must be positive")
-    if a >= 1:
+    if not 0 < a < math.inf:
+        raise ParameterError("ray exponent a must be positive and finite")
+    if a == math.floor(a):
         panels = [(0.0, 1.0)]
     else:
         # [2^-M, 1] split dyadically; tail bounded by max|f| 2^-Ma / a
@@ -122,7 +122,7 @@ def quad_ray(f: Callable[[float], float], a: float,
         panels = list(zip(edges[:-1], edges[1:]))
     total = 0.0
     for lo, hi in panels:
-        if lo == 0.0 and a < 1:
+        if lo == 0.0 and len(panels) > 1:
             # analytic tail estimate; panel small enough that f is ~constant
             total += f(hi / 2) * hi ** a / a
             continue

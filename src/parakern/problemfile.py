@@ -13,7 +13,7 @@ import jsonschema
 from .errors import ParameterError as ParakernValueError
 from .errors import SchemaError
 from .funcspec import FourierEntry, TimeEntry, spec_from_dict
-from .recursion import ProblemCoefficients, WarpParams, select_beta, warp_schedule
+from .recursion import ProblemCoefficients, WarpParams, resolve_warp
 from .solvers import ProblemSpec, QuadratureConfig
 
 
@@ -76,14 +76,14 @@ def load_problem_dict(data: dict) -> ProblemFile:
     if len(data["domain"]["lower"]) != dim or len(data["domain"]["upper"]) != dim:
         raise SchemaError("at domain: bounds must have length 'dimension'")
 
-    drift = {}
-    for rec in data["drift"]:
-        key = (rec["i"], rec["j"], rec["k"])
-        if key in drift:
-            raise SchemaError(f"at drift: duplicate index {key}")
-        drift[key] = spec_from_dict(rec, dim)
-    potential = {rec["i"]: spec_from_dict(rec, dim)
-                 for rec in data.get("potential", [])}
+    drift, potential = {}, {}
+    for where, table in (("drift", drift), ("potential", potential)):
+        for rec in data.get(where, []):
+            key = (rec["i"], rec["j"], rec["k"]) if where == "drift" \
+                else rec["i"]
+            if key in table:
+                raise SchemaError(f"at {where}: duplicate index {key}")
+            table[key] = spec_from_dict(rec, dim)
 
     lo = tuple(float(v) for v in data["domain"]["lower"])
     hi = tuple(float(v) for v in data["domain"]["upper"])
@@ -92,9 +92,8 @@ def load_problem_dict(data: dict) -> ProblemFile:
     try:
         pc = ProblemCoefficients(
             dim, components, drift, potential,
-            bound_C=float(data.get("bound_C",
-                                   _default_bound_c(list(drift.values())
-                                                    + list(potential.values())))),
+            bound_C=float(data.get("bound_C", _default_bound_c(
+                [*drift.values(), *potential.values()]))),
             domain_radius_R=radius)
     except ParakernValueError as exc:
         raise SchemaError(f"at drift/potential: {exc}") from exc
@@ -114,21 +113,11 @@ def load_problem_dict(data: dict) -> ProblemFile:
         phi0=spec_from_dict(prob.get("phi0"), dim))
 
     expn = data.get("expansion", {})
-    mode = expn.get("mode", "plain")
-    beta = expn.get("beta")
-    c_target = expn.get("c_target")
-    if mode == "plain":
-        warp = WarpParams()
-    elif mode == "beta":
-        warp = WarpParams(mode="beta", beta=float(beta)) if beta else \
-            select_beta(pc)
-    else:
-        if beta:
-            warp = WarpParams(mode="tau", beta=float(beta))
-        elif c_target:
-            warp = warp_schedule(ps.horizon, float(c_target)).params
-        else:
-            warp = WarpParams(mode="tau", beta=select_beta(pc).beta)
+    try:
+        warp = resolve_warp(pc, ps.horizon, expn.get("mode", "plain"),
+                            expn.get("beta"), expn.get("c_target"))
+    except ParakernValueError as exc:
+        raise SchemaError(f"at expansion: {exc}") from exc
 
     quad_data = data.get("quadrature", {})
     quad = QuadratureConfig(

@@ -151,6 +151,38 @@ class WarpParams:
     def time_var(self) -> str:
         return "t" if self.mode == "plain" else "tau"
 
+    def _check_tau_max(self, tau) -> None:
+        """Raise where a tau, or an array's largest, passes ``tau_max``."""
+        top = float(np.max(tau, initial=0.0))
+        if 0.0 < self.tau_max < top:
+            raise ParameterError(f"tau = {top} exceeds the warp's "
+                                 f"tau_max = {self.tau_max}")
+
+    def mode_time(self, t):
+        """Physical elapsed time t, a float or an array, to the warp's own
+        time variable; a tau past ``tau_max`` raises."""
+        if self.mode == "plain":
+            return t
+        if self.mode == "beta":
+            return t / self.beta
+        tau = -np.expm1(-t / self.beta)
+        self._check_tau_max(tau)
+        return tau
+
+    def physical_time(self, time: float) -> tuple[float, float]:
+        """(t_eff, d t_eff / d time) at a valid mode time (else raises)."""
+        if not (math.isfinite(time) and time > 0):
+            raise ParameterError(f"time must be finite and positive, got "
+                                 f"{time}; as t -> 0 the kernel is a delta")
+        if self.mode == "plain":
+            return time, 1.0
+        if self.mode == "beta":
+            return self.beta * time, self.beta
+        if time >= 1.0:
+            raise ParameterError("tau must lie in (0, 1) in warped mode")
+        self._check_tau_max(time)
+        return t_of_tau(time, self.beta), self.beta / (1.0 - time)
+
 
 @dataclass(frozen=True)
 class ExpansionDiagnostics:
@@ -325,7 +357,7 @@ class _BatchWorkspace:
             coeffs, truncated = part._taylor_cols(ys, self.D)
             self.truncated |= truncated
             if origins is None:
-                terms[:, l] = coeffs
+                terms[:, l] += coeffs
                 continue
             for m in range(l + 1):
                 terms[:, m] += math.comb(l, m) * origins ** (l - m) * coeffs
@@ -728,21 +760,20 @@ def beta_from_bound(n: int, C: float, c0_up: float) -> float:
     return float(min(BETA_CAP, max(BETA_FLOOR, raw)))
 
 
-def select_beta(pc: ProblemCoefficients, K_probe: int = 0) -> WarpParams:
+def select_beta(pc: ProblemCoefficients) -> WarpParams:
     """Estimate c_0^up on a lattice over Omega x Omega and pick beta.
 
     One ``expand_batch`` call builds c_0 about every lattice centre; each
     is evaluated at every lattice point.  The sampled sup is capped at the
     analytic bound n^2 R C (it cannot honestly exceed it when the declared
-    constants hold).  Zero drift
-    returns beta = 1: the expansion terminates anyway.
+    constants hold).  Zero drift returns beta = 1: the expansion terminates.
     """
     if pc.is_zero_drift():
         return WarpParams(mode="beta", beta=1.0)
     R = pc.domain_radius_R
     points = _lattice(pc.n, R, SAMPLE_LATTICE)
     worst = 0.0
-    D = max(6, 2 * K_probe + 2)
+    D = 6
     # c_0 at time 0 about every lattice centre: (components, centres, N)
     c0 = expand_batch(pc, points, 0, WarpParams(), D).coeffs[:, 0, 0]
     for b, y in enumerate(points):
@@ -785,6 +816,26 @@ def warp_schedule(T: float, c_target: float) -> WarpSchedule:
             f"returning the maximizing schedule")
     return WarpSchedule(WarpParams(mode="tau", beta=beta, tau_max=tau_max),
                         achievable, max_horizon, note)
+
+
+def resolve_warp(pc: ProblemCoefficients, horizon: float, mode: str,
+                 beta: float | None = None,
+                 c_target: float | None = None) -> WarpParams:
+    """The warp of a problem file's ``expansion`` block or the warp flags.
+
+    A ``beta`` is taken as given (plain mode accepts only 1); a ``c_target``
+    needs tau mode and no ``beta``, and sets both by :func:`warp_schedule`;
+    with neither, beta and tau mode take :func:`select_beta`'s beta.  Any
+    other case raises :class:`ParameterError`.
+    """
+    if c_target is not None:
+        if mode != "tau" or beta is not None:
+            raise ParameterError("c_target requires tau mode and sets beta "
+                                 "itself, so it cannot be combined with beta")
+        return warp_schedule(horizon, float(c_target)).params
+    if beta is None:
+        beta = 1.0 if mode == "plain" else select_beta(pc).beta
+    return WarpParams(mode=mode, beta=float(beta))
 
 
 # ---------------------------------------------------------------------------

@@ -240,7 +240,7 @@ def test_gh_pass_matches_per_centre_sum(mode):
     [(vals, grads)] = fld.gauss_hermite(
         order, [(t, 0.0, x, lambda s, ys: [g(y) for y in ys])], gradient=True)
     z, w = np.polynomial.hermite.hermgauss(order)
-    time = fld.mode_time(t)
+    time = fld.warp.mode_time(t)
     root = 2.0 * math.sqrt(t)
     ref, ref_grad = 0.0, 0.0
     for zi, wi in zip(z, w):

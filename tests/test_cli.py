@@ -189,6 +189,16 @@ def test_eval_rejects_tau_beyond_tau_max(tmp_path, capsys):
     assert "exceeds the warp's tau_max" in capsys.readouterr().err
 
 
+def test_solve_past_tau_max_exits_numeric(tmp_path, capsys):
+    # a c_target = 0.3 schedule reaches t = 0.110 short of T = 0.25; the
+    # solve read rows up to tau = 0.896, past tau_max = 0.632, and exited 0
+    rc = main(["solve", problem("sin_drift.json"), "--mode", "tau",
+               "--c-target", "0.3", "--out", str(tmp_path / "sol")])
+    assert rc == 3
+    assert "exceeds the warp's tau_max" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("mode", ["plain", "beta", "tau"])
 def test_eval_over_times_writes_the_rows_of_one_run_per_time(tmp_path, mode):
     args = ["eval", problem("coupled_system.json"), "--mode", mode,
@@ -389,6 +399,47 @@ def test_warp_flags_keep_or_reset_the_files_warp(tmp_path):
     assert warps[2] == ("tau", 0.3, 0.0)
 
 
+@pytest.mark.parametrize("name", ["sin_drift.json", "const_drift.json"])
+@pytest.mark.parametrize("mode", ["plain", "beta", "tau"])
+@pytest.mark.parametrize("beta", [None, 0.5])
+@pytest.mark.parametrize("c_target", [None, 2.0])
+def test_file_fields_and_flags_resolve_the_same_warp(tmp_path, name, mode,
+                                                     beta, c_target):
+    # a plain file with the flags, and the file stating the same fields:
+    # the same warp both ways, or exit 2 both ways.  A beta in plain mode
+    # loaded as beta = 1, a c_target beside a beta or outside tau mode was
+    # dropped, and a beta or tau --mode without --beta took beta = 1 where
+    # the file took select_beta's
+    with open(problem(name)) as fh:
+        data = json.load(fh)
+    assert data["expansion"]["mode"] == "plain"
+    flags = ["--mode", mode]
+    data["expansion"]["mode"] = mode
+    for key, flag, value in (("beta", "--beta", beta),
+                             ("c_target", "--c-target", c_target)):
+        if value is not None:
+            flags += [flag, str(value)]
+            data["expansion"][key] = value
+    stated = write_json(tmp_path, "stated.json", data)
+    results = []
+    for args in ([stated], [problem(name), *flags]):
+        out = tmp_path / "exp.json"
+        rc = main(["expand", *args, "--out", str(out)])
+        payload = json.loads(out.read_text()) if rc == 0 else {}
+        results.append((rc, [payload.get(k) for k in
+                             ("mode", "beta", "tau_max")]))
+        if rc == 0:
+            out.unlink()
+    valid = c_target is None and (mode != "plain" or beta is None) \
+        or mode == "tau" and beta is None
+    assert results[0] == results[1]
+    assert results[0][0] == (0 if valid else 2)
+    if valid and beta is None and c_target is None and mode != "plain":
+        beta_selected = recursion.select_beta(
+            problemfile.load_problem_file(problem(name)).pc).beta
+        assert results[0][1] == [mode, beta_selected, 0.0]
+
+
 def test_solve_time_dependent_mixed_kind_drift(tmp_path):
     # time_poly parts mixing poly and fourier, re-anchored at every origin
     # of the march and of the source's time rule
@@ -523,6 +574,20 @@ def test_schema_out_of_range_drift_index(tmp_path, capsys):
     rc = main(["expand", write_json(tmp_path, "bad.json", bad)])
     assert rc == 2
     assert "out of range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, record", [
+    ("drift", {"i": 0, "j": 0, "k": 0, "kind": "poly", "terms": [[0.7, [0]]]}),
+    ("potential", {"i": 0, "kind": "poly", "terms": [[0.7, [0]]]}),
+])
+def test_schema_duplicate_index(tmp_path, capsys, section, record):
+    # a duplicate drift index exits 2; a second potential record for an
+    # index replaced the first
+    bad = json.loads(json.dumps(MINIMAL))
+    bad[section] = [record, dict(record, terms=[[0.2, [1]]])]
+    rc = main(["expand", write_json(tmp_path, "bad.json", bad)])
+    assert rc == 2
+    assert f"at {section}: duplicate index" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name, where, spec, kind", [

@@ -453,6 +453,23 @@ def test_tau_max_is_enforced_by_the_point_evaluator():
         eval_kernel(exp, 1.0, [0.2])
 
 
+def test_tau_max_is_enforced_by_the_kernel_field():
+    # the field's sums read rows at t - s mapped to tau, and the delta
+    # property a tau directly; neither checked tau_max
+    wp = WarpParams(mode="tau", beta=0.5, tau_max=0.6)
+    fld = KernelField(PC_SIN, wp, K=4, D=10)
+    assert math.isfinite(normalization_check(fld, 0.6, [0.0], 20))
+    t_over = 0.5 * -math.log1p(-0.61)       # tau = 0.61
+    for call in (lambda: normalization_check(fld, 0.61, [0.0], 20),
+                 lambda: fld.gauss_hermite(20, [(t_over, 0.0, [0.0], None)])):
+        with pytest.raises(ParameterError, match="tau_max = 0.6"):
+            call()
+    # a zero-drift field reads no expansion and so no tau
+    heat = KernelField(PC_ZERO, wp, K=4, D=10)
+    assert math.isfinite(heat.gauss_hermite(
+        20, [(t_over, 0.0, [0.0], None)])[0][0][0])
+
+
 def test_eval_points_rejects_misshapen_points():
     exp = expand(PC_ZERO, [0.0], 1)
     with pytest.raises(StructureError):
@@ -496,7 +513,7 @@ def test_pair_log_terms_rows_equal_one_point_calls(monkeypatch, mode):
         assert np.array_equal(one[1], whole[1][:, r:r + 1])
         # and the single-center expansion read by the point evaluator
         exp = expand(shifted_origin(pc, s), ys[c], 4, WARPS[mode], 10)
-        time, dx = fld.mode_time(sigma[r]), xs[r] - ys[c]
+        time, dx = fld.warp.mode_time(sigma[r]), xs[r] - ys[c]
         log_g = -0.5 * math.log(4 * math.pi * sigma[r]) \
             - dx[0] ** 2 / (4 * sigma[r])
         assert math.log(value[r]) == pytest.approx(

@@ -69,6 +69,12 @@ def test_quad_ray_examples():
     assert quad_ray(lambda s: 1.0, 0.5) == pytest.approx(2.0, abs=1e-11)
 
 
+@pytest.mark.parametrize("a", [1.5, 2.5, 2.886])
+def test_quad_ray_non_integer_exponent_above_one(a):
+    # s^(a-1) is not smooth at 0: one panel raised AccuracyError
+    assert quad_ray(lambda s: 1.0, a) == pytest.approx(1 / a, abs=1e-13)
+
+
 @pytest.mark.parametrize("a", [0.25, 0.5, 1.0, 2.0, 4.0, 8.0])
 def test_quad_ray_monomials(a):
     for m in range(17):
@@ -77,8 +83,9 @@ def test_quad_ray_monomials(a):
 
 
 def test_quad_ray_rejects_bad_exponent():
-    with pytest.raises(ParameterError):
-        quad_ray(lambda s: 1.0, 0.0)
+    for a in (0.0, math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            quad_ray(lambda s: 1.0, a)
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,31 @@ def test_expand_time_dependent_closed_forms():
     assert jets_of(exp)[0][4].max_abs() <= 1e-15
 
 
+@pytest.mark.parametrize("where", ["drift", "potential"])
+def test_time_parts_of_one_order_add(where):
+    # b = 0.3 + 0.2 sin x written as two order-0 parts of a time_poly: at
+    # origin 0 only the last part of an order reached the recursion
+    def pc(*parts):
+        entry = TimeEntry(parts)
+        return scalar_pc(entry) if where == "drift" else scalar_pc(None, entry)
+
+    ramp = (1, PolyEntry(1, ((0.1, (2,)),)))
+    const = (0, PolyEntry(1, ((0.3, (0,)),)))
+    ys = np.array([[-0.5], [0.0], [0.5]])
+    split = expand_batch(pc(const, (0, PolyEntry(1, ((0.2, (1,)),))), ramp),
+                         ys, 4, WarpParams(), 10)
+    summed = expand_batch(pc((0, PolyEntry(1, ((0.3, (0,)), (0.2, (1,))))),
+                             ramp), ys, 4, WarpParams(), 10)
+    np.testing.assert_allclose(split.coeffs, summed.coeffs, rtol=1e-14,
+                               atol=1e-16)
+    # origin 0 against the re-anchored path at an origin of 1e-300
+    mixed = pc(const, (0, FourierEntry(1, ((0.2, (1.0,), 0.0),))), ramp)
+    at0 = expand_batch(mixed, ys, 4, WarpParams(), 10, origins=0.0)
+    near0 = expand_batch(mixed, ys, 4, WarpParams(), 10, origins=1e-300)
+    np.testing.assert_allclose(at0.coeffs, near0.coeffs, rtol=1e-14,
+                               atol=1e-16)
+
+
 def test_expand_beta_example_and_scaling():
     pc = scalar_pc(PolyEntry(1, ((0.7, (0,)),)))
     beta = 0.5

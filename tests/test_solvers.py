@@ -432,14 +432,14 @@ class _ScalarMarch:
         if self.fld._trivial:
             return log_g
         return log_g + log_correction(self._expansion(y, s),
-                                      self.fld.mode_time(sigma), x, 0)
+                                      self.fld.warp.mode_time(sigma), x, 0)
 
     def log_gradient(self, t, s, x, y):
         sigma = t - s
         if self.fld._trivial:
             return -(x - y) / (2.0 * sigma)
         return kernel_log_gradient(self._expansion(y, s),
-                                   self.fld.mode_time(sigma), x, 0)
+                                   self.fld.warp.mode_time(sigma), x, 0)
 
     def kernel_k(self, t, e, s, eprime):
         xe = np.array([self.ends[e]])
