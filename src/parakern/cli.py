@@ -28,7 +28,7 @@ from .problemfile import ProblemFile, load_problem_file
 from .recursion import (ProblemCoefficients, WarpParams, expand,
                         expansion_from_dict, expansion_to_dict, resolve_warp)
 from .solvers import (QuadratureConfig, burgers_demo, lattice, solve_cauchy,
-                      solve_ibvp2)
+                      solve_ibvp2, _write_csv)
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -155,22 +155,16 @@ def cmd_eval(args) -> int:
     table = np.concatenate(
         [kp.value[..., None], kp.log_value[..., None], kp.gradient,
          kp.residual_rel[..., None]], axis=-1).transpose(1, 2, 0, 3).tolist()
-    rows = [["t"] + [f"x{i+1}" for i in range(pf.pc.n)]
-            + ["component", "value", "log_value"]
-            + [f"grad{i+1}" for i in range(pf.pc.n)] + ["residual_rel"]]
+    xs, grads = ([f"{name}{i + 1}" for i in range(pf.pc.n)]
+                 for name in ("x", "grad"))
+    lines = [",".join(["t", *xs, "component", "value", "log_value", *grads,
+                       "residual_rel"])]
     for t, at_t in zip(times, table):
         for x, at_x in zip(pts.tolist(), at_t):
-            head = [repr(t)] + [repr(v) for v in x]
-            rows.extend(head + [j] + [repr(v) for v in values]
-                        for j, values in enumerate(at_x))
-    out = sys.stdout if not args.out else open(args.out, "w", newline="")
-    try:
-        writer = csv.writer(out)
-        for row in rows:
-            writer.writerow(row)
-    finally:
-        if args.out:
-            out.close()
+            head = ",".join(map(repr, [t, *x]))
+            lines += [f"{head},{j},{','.join(map(repr, values))}"
+                      for j, values in enumerate(at_x)]
+    _write_csv(args.out or None, lines)
     return EXIT_OK
 
 

@@ -5,12 +5,13 @@ analytic gradient, PDE residuals, normalization and short-time
 (Varadhan-type) diagnostics.  One row evaluator, :func:`_eval_rows`,
 reads coefficient columns back in chunks of rows, and one check,
 :func:`_check_log`, raises where a log value is not finite or reaches
-700.  Both serve :func:`eval_points`, the (time, point) rows of one
-expansion (the single-point calls and ``parakern eval``), and
-:meth:`KernelField.integrate`, the one place that turns rows (origin s,
-time t, point x, centre y, weight) of the kernel p(t, x; s, y) into
-sums: Gauss-Hermite convolutions (normalization, the delta property, the
-Cauchy and Burgers solves) and the Robin solve's kernel sums.
+700.  Both serve :func:`eval_points`, the one reader of an expansion's
+(time, point) rows (``eval_kernel``, ``residual``, ``varadhan_diag`` and
+``parakern eval`` read through it), and :meth:`KernelField.integrate`,
+the one place that turns rows (origin s, time t, point x, centre y,
+weight) of the kernel p(t, x; s, y) into sums: Gauss-Hermite
+convolutions (normalization, the delta property, the Cauchy and Burgers
+solves) and the Robin solve's kernel sums.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ParameterError, ScalingError, StructureError
-from .polyalg import _degree, _monomials, _partial_tables
+from .polyalg import _degree, _monomials, _partial_tables, _tensor_grid
 from .recursion import (ExpansionCoeffs, ProblemCoefficients, WarpParams,
                         expand_batch, _CHUNK_FLOATS)
 
@@ -95,29 +96,27 @@ def _check_log(what: str, logv: np.ndarray, dx: np.ndarray, t_at, K: int,
             f"(KernelField.trust_radius), or lower K, D or t")
 
 
-def log_correction(exp: ExpansionCoeffs, time: float, x, j: int) -> float:
-    """``sum_k c^j_k(time, x) time^k`` summed in ascending k."""
-    dx = _check_points(exp, [x]) - np.asarray(exp.center)
-    return float(_eval_rows(exp.coeffs[[j]][..., None, :], dx, exp.degree_D,
-                            time)[0][0, 0])
-
-
 @dataclass(frozen=True)
 class KernelPoints:
     """[component, point] arrays at one time, [component, time, point]
-    over an array of times; ``gradient`` adds the spatial axis,
-    ``residual_rel`` is None unless the problem was given."""
+    over an array of times; ``gradient`` and ``log_gradient`` (grad_x
+    log p) add the spatial axis, ``correction`` is ``sum_k c_k time^k``
+    (log p less its Gaussian), ``residual_rel`` is None unless the problem
+    was given."""
 
     value: np.ndarray
     log_value: np.ndarray
     gradient: np.ndarray
     residual_rel: np.ndarray | None
+    correction: np.ndarray
+    log_gradient: np.ndarray
 
 
 def eval_points(exp: ExpansionCoeffs, time, xs,
                 pc: ProblemCoefficients | None = None,
                 components: Sequence[int] | None = None) -> KernelPoints:
-    """Kernel values, log values and gradients at every row of ``xs``.
+    """Kernel values, log values, gradients, corrections and
+    log-gradients at every row of ``xs``.
 
     One pass over the points, shape (P, n), for the listed components
     (default all; all with ``pc``, which adds the relative residuals).
@@ -179,12 +178,12 @@ def eval_points(exp: ExpansionCoeffs, time, xs,
         rel = (per_row([-0.5 * n / te for te in t_effs])
                + r2 / per_row([4.0 * te ** 2 for te in t_effs])) * dteff \
             + dtime - dteff * lap
-    grad = grad * value[..., None]
     shape = (len(value),) + ((len(xs),) if np.ndim(time) == 0
                              else (len(ts), len(xs)))
     return KernelPoints(value.reshape(shape), logp.reshape(shape),
-                        grad.reshape(shape + (n,)),
-                        None if rel is None else rel.reshape(shape))
+                        (grad * value[..., None]).reshape(shape + (n,)),
+                        None if rel is None else rel.reshape(shape),
+                        corr.reshape(shape), grad.reshape(shape + (n,)))
 
 
 def eval_kernel(exp: ExpansionCoeffs, time: float, x, y=None,
@@ -204,22 +203,6 @@ def eval_kernel(exp: ExpansionCoeffs, time: float, x, y=None,
                      components=(j,))
     return KernelValue(float(kp.value[0, 0]), float(kp.log_value[0, 0]),
                        kp.gradient[0, 0], j)
-
-
-def kernel_log_gradient(exp: ExpansionCoeffs, time: float, x,
-                        j: int = 0) -> np.ndarray:
-    """grad_x log p = -dx/(2 t_eff) + sum_k grad c_k * time^k."""
-    t_eff, _ = exp.warp.physical_time(time)
-    dx = _check_points(exp, [x]) - np.asarray(exp.center)
-    return _eval_rows(exp.coeffs[[j]][..., None, :], dx, exp.degree_D, time,
-                      t_eff)[2][0, 0]
-
-
-def kernel_gradient(exp: ExpansionCoeffs, time: float, x, y=None,
-                    j: int = 0) -> np.ndarray:
-    """Analytic spatial gradient of the kernel value."""
-    kv = eval_kernel(exp, time, x, y, j)
-    return kv.gradient
 
 
 def residual(exp: ExpansionCoeffs, pc: ProblemCoefficients, time: float,
@@ -251,12 +234,12 @@ def varadhan_diag(exp: ExpansionCoeffs, ts: Sequence[float], x, y=None,
     """
     if exp.warp.mode != "plain":
         raise ParameterError("varadhan diagnostic expects a plain-mode expansion")
-    out = []
-    for t in ts:
-        kv = eval_kernel(exp, t, x, y, j)
-        out.append(-4.0 * t * kv.log_value
-                   - 2.0 * exp.dim * t * math.log(4.0 * math.pi * t))
-    return np.array(out)
+    if y is not None:
+        _check_center(exp, y)
+    logp = eval_points(exp, ts, np.asarray(x, dtype=float)[None],
+                       components=(j,)).log_value[0, :, 0]
+    return np.array([-4.0 * t * lp - 2.0 * exp.dim * t
+                     * math.log(4.0 * math.pi * t) for t, lp in zip(ts, logp)])
 
 
 # ---------------------------------------------------------------------------
@@ -496,10 +479,7 @@ class KernelField:
 def _gh_table(order: int, n: int):
     """Tensor Gauss-Hermite nodes and weights, read-only."""
     z, w = np.polynomial.hermite.hermgauss(order)
-    grids = np.meshgrid(*([z] * n), indexing="ij")
-    wgrids = np.meshgrid(*([w] * n), indexing="ij")
-    zs = np.stack([g.ravel() for g in grids], axis=1)
-    ws = np.prod(np.stack([g.ravel() for g in wgrids], axis=1), axis=1)
+    zs, ws = _tensor_grid([z] * n), np.prod(_tensor_grid([w] * n), axis=1)
     for a in (zs, ws):
         a.flags.writeable = False
     return zs, ws

@@ -257,8 +257,11 @@ def fd_solve_linear(lo: float, hi: float, horizon: float, cfg: FDConfig,
     (times, grid, values) with values of shape (ntimes, npoints,
     components); each sample time must lie in [0, horizon].
 
-    Boundary handling: homogeneous Dirichlet on a deliberately oversized
-    box, or Robin rows du/dnu + alpha u = psi via ghost-point elimination.
+    Boundary handling: zero Dirichlet rows at ``lo`` and ``hi``, or Robin
+    rows du/dnu + alpha u = psi via ghost-point elimination.  The march
+    has no box of its own: a whole-line (Cauchy) reference needs ``lo``
+    and ``hi`` the caller chose wide enough that the data and kernel tails
+    vanish there.
     """
     grid = _fd_grid(lo, hi, cfg.h)
     nx = len(grid)
@@ -390,7 +393,11 @@ def fd_solve(ps, cfg: FDConfig, sample_times: Sequence[float] | None = None):
     Dispatches to the Crank-Nicolson march (cauchy/ibvp2, with Robin rows
     in the ibvp2 case) or the explicit nonlinear stepper (burgers).  The
     problem container is consumed duck-typed so this module stays free of
-    expansion-side imports.
+    expansion-side imports.  A cauchy problem is marched on its own
+    ``domain`` with zero Dirichlet rows, which is not the whole-line
+    problem ``solve_cauchy`` solves: as a referee for it, pass a
+    ProblemSpec whose domain the caller has enlarged, as acceptance
+    criterion 6 ([-6, 6]) and ``perfbench``'s workloads do.
     """
     from .solvers import GridSolution
 

@@ -14,7 +14,8 @@ are its first ``_rows(dim, d)`` rows, so an array may stop at its
 degree: products take their pair table for the operands' degrees
 (``_mul_tables``, keyed by dim, cap and both degrees) and form no pair
 of rows known to be zero.  ``_monomials`` evaluates the table's monomials
-at points, and the scalar power-series helpers serve tau mode's jets.
+at points, ``_tensor_grid`` lists the points of a tensor grid, and the
+scalar power-series helpers serve tau mode's jets.
 """
 
 from __future__ import annotations
@@ -176,6 +177,13 @@ def _monomials(dx: np.ndarray, cap: int) -> np.ndarray:
     for axis in range(dx.shape[-1]):
         out = out * np.take(powers[..., axis, :], exps[:, axis], axis=-1)
     return out
+
+
+def _tensor_grid(axes) -> np.ndarray:
+    """Every point of the tensor product of the 1-D ``axes``, the last
+    axis varying fastest: shape (prod of their lengths, len(axes))."""
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
 
 
 # ---------------------------------------------------------------------------

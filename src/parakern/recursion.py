@@ -35,7 +35,7 @@ from .errors import ParameterError, StructureError, UnsupportedSpecError
 from .funcspec import CoefficientEntry, TimeEntry
 from .polyalg import (index_table, series_reciprocal, _degree, _monomials,
                       _mul_cols, _overflow_cols, _partial_tables, _rows,
-                      _series_mul)
+                      _series_mul, _tensor_grid)
 
 SAMPLE_LATTICE = 17      # points per axis when sampling sup norms
 BETA_FLOOR = 1e-6
@@ -116,7 +116,8 @@ class ProblemCoefficients:
 
         A return value <= 1 means the declared bound holds at the probes.
         """
-        points = _lattice(self.n, self.domain_radius_R, samples)
+        R = self.domain_radius_R
+        points = _tensor_grid([np.linspace(-R, R, samples)] * self.n)
         worst = 0.0
         alphas = [tuple(a) for a in index_table(self.n, max_order)[0]]
         for entry in list(self.drift.values()) + list(self.potential.values()):
@@ -146,6 +147,8 @@ class WarpParams:
                                  f"got {self.beta}")
         if not 0.0 <= self.tau_max < 1.0:
             raise ParameterError("tau_max must lie in [0, 1)")
+        if self.tau_max and self.mode != "tau":
+            raise ParameterError(f"{self.mode} mode requires tau_max = 0")
 
     @property
     def time_var(self) -> str:
@@ -719,16 +722,10 @@ def _expansion(center, wp, K, D, coeffs, jet_order, truncated,
                            truncated, domain_radius_R)
 
 
-def _lattice(n: int, R: float, per_axis: int) -> np.ndarray:
-    """Tensor lattice of per_axis^n points on [-R, R]^n."""
-    axis = np.linspace(-R, R, per_axis)
-    grids = np.meshgrid(*([axis] * n), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
-
-
 def _diagnostics(exp: ExpansionCoeffs) -> ExpansionDiagnostics:
     """Sample sup norms of each c_k over a lattice in the domain ball."""
-    points = _lattice(exp.dim, exp.domain_radius_R, SAMPLE_LATTICE)
+    R = exp.domain_radius_R
+    points = _tensor_grid([np.linspace(-R, R, SAMPLE_LATTICE)] * exp.dim)
     mono = _monomials(points - np.asarray(exp.center), exp.degree_D)
     tau_ref = DIAG_TAU_REF
     # every jet at tau_ref, summed in ascending time order
@@ -771,7 +768,7 @@ def select_beta(pc: ProblemCoefficients) -> WarpParams:
     if pc.is_zero_drift():
         return WarpParams(mode="beta", beta=1.0)
     R = pc.domain_radius_R
-    points = _lattice(pc.n, R, SAMPLE_LATTICE)
+    points = _tensor_grid([np.linspace(-R, R, SAMPLE_LATTICE)] * pc.n)
     worst = 0.0
     D = 6
     # c_0 at time 0 about every lattice centre: (components, centres, N)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -29,6 +30,7 @@ from .errors import (ConditioningError, ParameterError, ScalingError,
                      UnsupportedSpecError)
 from .funcspec import FunctionSpec, PolyEntry, ZeroFunc
 from .kernel import KernelField, Rows
+from .polyalg import _tensor_grid
 from .recursion import ProblemCoefficients, WarpParams
 
 
@@ -132,17 +134,20 @@ class BoundaryDensity:
             for t, row in zip(times, values) for x, v in zip(points, row)])
 
 
-def _write_csv(path: str, lines: list[str]):
-    """Write ``lines`` at once, each ended by CRLF as ``csv.writer`` does."""
+def _write_csv(path: str | None, lines: list[str]):
+    """Write ``lines`` at once to ``path`` (None: stdout), each ended by
+    CRLF as ``csv.writer`` does."""
+    text = "\r\n".join(lines) + "\r\n"
+    if path is None:
+        sys.stdout.write(text)
+        return
     with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(lines) + "\r\n")
+        fh.write(text)
 
 
 def lattice(ps: ProblemSpec, per_axis: int = 41) -> np.ndarray:
-    axes = [np.linspace(lo, hi, per_axis)
-            for lo, hi in zip(ps.domain_lo, ps.domain_hi)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+    return _tensor_grid([np.linspace(lo, hi, per_axis)
+                         for lo, hi in zip(ps.domain_lo, ps.domain_hi)])
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from scipy import sparse
 from parakern.errors import ParameterError, SequencingError, StructureError
 from parakern.funcspec import (CoefficientEntry, FourierEntry, PolyEntry,
                                TimeEntry)
-from parakern.kernel import Rows, kernel_gradient
+from parakern.kernel import Rows, eval_kernel
 from parakern.polyalg import (index_table, _monomials, _mul_cols,
                               _overflow_cols, _partial_tables, _series_mul)
 from parakern.recursion import (ExpansionCoeffs, ProblemCoefficients,
@@ -203,7 +203,7 @@ def normal_derivative(exp: ExpansionCoeffs, time: float, x, y, nu,
     nu = np.asarray(nu, dtype=float)
     if abs(float(np.dot(nu, nu)) - 1.0) > 1e-12:
         raise ParameterError("nu must be a unit vector")
-    return float(np.dot(nu, kernel_gradient(exp, time, x, y, j)))
+    return float(np.dot(nu, eval_kernel(exp, time, x, y, j).gradient))
 
 
 def pair_log_value(fld, t: float, s: float, x, y, j: int = 0) -> float:

@@ -18,9 +18,8 @@ import pytest
 from parakern import kernel, recursion
 from parakern.errors import ParameterError, StructureError
 from parakern.funcspec import FourierEntry, PolyEntry, TimeEntry
-from parakern.kernel import (KernelField, eval_points, kernel_log_gradient,
-                             log_correction)
-from parakern.polyalg import index_table, _rows
+from parakern.kernel import KernelField, eval_points
+from parakern.polyalg import index_table, _rows, _tensor_grid
 from parakern.problemfile import load_problem_dict, load_problem_file
 from parakern.recursion import (ProblemCoefficients, WarpParams, _series_nu,
                                 expand, expand_batch)
@@ -248,9 +247,10 @@ def test_gh_pass_matches_per_centre_sum(mode):
             continue
         y = x + root * zi
         exp = expand(pf.pc, y, 4, wp, 10)
-        weight = wi * math.exp(log_correction(exp, time, x, 0)) * g(y)
+        kp = eval_points(exp, time, [x], components=(0,))
+        weight = wi * math.exp(kp.correction[0, 0]) * g(y)
         ref += weight
-        ref_grad += weight * kernel_log_gradient(exp, time, x, 0)[0]
+        ref_grad += weight * kp.log_gradient[0, 0, 0]
     scale = math.sqrt(math.pi)
     assert vals[0] == pytest.approx(ref / scale, rel=1e-13)
     assert grads[0, 0] == pytest.approx(ref_grad / scale, rel=1e-12)
@@ -525,7 +525,8 @@ def test_select_beta_matches_object_reference(case, monkeypatch):
         assert betas == [1.0, 1.0] and not sampled
         return
     R, D = pc.domain_radius_R, 6
-    points = recursion._lattice(pc.n, R, recursion.SAMPLE_LATTICE)
+    points = _tensor_grid([np.linspace(-R, R, recursion.SAMPLE_LATTICE)]
+                          * pc.n)
     exps = index_table(pc.n, D)[0]
     worst = 0.0
     for y in points:

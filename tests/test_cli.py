@@ -187,6 +187,25 @@ def test_eval_rejects_tau_beyond_tau_max(tmp_path, capsys):
     assert main(args + ["--t", "0.6"]) == 0
     assert main(args + ["--t", "0.6,0.7"]) == 3
     assert "exceeds the warp's tau_max" in capsys.readouterr().err
+    # and writes no file
+    out = tmp_path / "short.csv"
+    assert main(args[:-1] + [str(out), "--t", "0.9"]) == 3
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["sin_drift.json", "coupled_system.json"])
+def test_eval_writes_stdout_as_its_out_file(tmp_path, capsys, name):
+    # the same text, CRLF-ended as csv.writer writes it
+    args = ["eval", problem(name), "--t", "0.05,0.1"]
+    out = tmp_path / "k.csv"
+    assert main(args + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(args) == 0
+    text = out.read_bytes().decode()
+    assert capsys.readouterr().out == text
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert text == "".join(",".join(row) + "\r\n" for row in rows)
 
 
 def test_solve_past_tau_max_exits_numeric(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import glob
+import inspect
 import math
 import os
 
@@ -11,14 +12,14 @@ from parakern import kernel, oracle, solvers
 from parakern.errors import ParameterError, ScalingError, StructureError
 from parakern.funcspec import FourierEntry, PolyEntry, TimeEntry
 from parakern.kernel import (KernelField, Rows, delta_property, eval_kernel,
-                             eval_points, kernel_gradient, kernel_log_gradient,
-                             log_correction, normalization_check, residual,
+                             eval_points, normalization_check, residual,
                              varadhan_diag)
 from parakern.polyalg import index_table
 from parakern.problemfile import load_problem_file
 from parakern.recursion import (ExpansionCoeffs, ProblemCoefficients,
                                 WarpParams, expand,
-                                select_beta, t_of_tau, tau_of_t)
+                                select_beta, t_of_tau, tau_of_t,
+                                warp_schedule)
 
 from objalg import (jet_dt, jet_eval, jet_partial, jets_of, normal_derivative,
                     pair_log_value, shifted_origin)
@@ -108,7 +109,7 @@ def test_positivity_on_probes():
 
 def test_gradient_vanishes_at_center_without_drift():
     exp = expand(PC_ZERO, [0.3], 2)
-    g = kernel_gradient(exp, 0.2, [0.3])
+    g = eval_kernel(exp, 0.2, [0.3]).gradient
     assert np.allclose(g, 0.0, atol=1e-15)
 
 
@@ -119,7 +120,7 @@ def test_gradient_matches_finite_differences():
     for _ in range(100):
         t = rng.uniform(0.02, 0.3)
         x = rng.uniform(-0.8, 0.8)
-        g = kernel_gradient(exp, t, [x])[0]
+        g = eval_kernel(exp, t, [x]).gradient[0]
         fd = (eval_kernel(exp, t, [x + h]).value
               - eval_kernel(exp, t, [x - h]).value) / (2 * h)
         assert g == pytest.approx(fd, rel=1e-6)
@@ -128,14 +129,14 @@ def test_gradient_matches_finite_differences():
 def test_const_drift_log_gradient_closed_form():
     exp = expand(PC_CONST, [0.0], 2)
     t, x = 0.4, 0.3
-    lg = kernel_log_gradient(exp, t, [x])[0]
+    lg = eval_points(exp, t, [[x]]).log_gradient[0, 0, 0]
     assert lg == pytest.approx(-x / (2 * t) - 0.7 / 2, rel=1e-13)
 
 
 def test_normal_derivative_definition():
     exp = expand(PC_SIN, [0.4], 4)
     t, x = 0.1, 0.0
-    grad = kernel_gradient(exp, t, [x])
+    grad = eval_kernel(exp, t, [x]).gradient
     assert normal_derivative(exp, t, [x], None, [-1.0]) == \
         pytest.approx(-grad[0], rel=1e-14)
     # unit-normal precondition
@@ -144,7 +145,7 @@ def test_normal_derivative_definition():
     # direction orthogonal to the gradient (2D) gives zero
     pc2 = ProblemCoefficients(2, 1, {})
     exp2 = expand(pc2, [0.0, 0.0], 1)
-    g2 = kernel_gradient(exp2, 0.2, [0.5, 0.0])
+    g2 = eval_kernel(exp2, 0.2, [0.5, 0.0]).gradient
     nu = np.array([0.0, 1.0])
     assert abs(float(np.dot(nu, g2))) <= 1e-15
 
@@ -156,7 +157,7 @@ def test_gradient_fd_agreement_timedep():
     exp = expand(pc, [0.0], 4)
     h = 1e-5
     t, x = 0.25, -0.4
-    g = kernel_gradient(exp, t, [x])[0]
+    g = eval_kernel(exp, t, [x]).gradient[0]
     fd = (eval_kernel(exp, t, [x + h]).value
           - eval_kernel(exp, t, [x - h]).value) / (2 * h)
     assert g == pytest.approx(fd, rel=1e-6)
@@ -360,10 +361,9 @@ def test_eval_points_matches_per_point_reference(path, mode):
                 assert (kv.value, kv.log_value) == \
                     (kp.value[j, p], kp.log_value[j, p])
                 assert np.array_equal(kv.gradient, kp.gradient[j, p])
-                assert abs(log_correction(exp, t, x, j) - logw[j]) <= \
+                assert abs(kp.correction[j, p] - logw[j]) <= \
                     1e-13 * abs(logw[j])
-                assert np.all(np.abs(kernel_log_gradient(exp, t, x, j)
-                                     - log_grad[j])
+                assert np.all(np.abs(kp.log_gradient[j, p] - log_grad[j])
                               <= 1e-13 * np.abs(log_grad[j]))
 
 
@@ -470,6 +470,46 @@ def test_tau_max_is_enforced_by_the_kernel_field():
         20, [(t_over, 0.0, [0.0], None)])[0][0][0])
 
 
+def _fields(exp, t, x):
+    kp = eval_points(exp, t, [x])
+    return kp.correction, kp.log_gradient
+
+
+# every public function of the kernel module that reads an expansion, as
+# a read of (expansion, time, point)
+READERS = {
+    "eval_points": _fields,
+    "eval_kernel": eval_kernel,
+    "residual": lambda exp, t, x: residual(exp, PC_SIN, t, x),
+    "varadhan_diag": lambda exp, t, x: varadhan_diag(exp, [t], x),
+}
+
+
+def test_every_reader_of_an_expansion_checks_time_and_overflow():
+    # the side readers log_correction and kernel_log_gradient returned
+    # numbers past tau_max, at tau >= 1, t <= 0 or NaN, and NaN at 1e300
+    found = {name for name, f in vars(kernel).items()
+             if inspect.isfunction(f) and f.__module__ == kernel.__name__
+             and not name.startswith("_")
+             and list(inspect.signature(f).parameters.values())[0].annotation
+             == "ExpansionCoeffs"}
+    assert found == set(READERS)
+    plain = expand(PC_SIN, [0.0], 6, WarpParams(), 12)
+    tau = expand(PC_SIN, [0.0], 6, warp_schedule(0.25, 0.3).params, 12)
+    assert tau.warp.tau_max == pytest.approx(1.0 - 1.0 / math.e)
+    for name, read in READERS.items():
+        for exp, t in ((tau, 0.9), (tau, 1.0), (tau, 1.5), (tau, -0.2),
+                       (tau, math.nan), (plain, 0.0), (plain, -0.2),
+                       (plain, math.nan), (plain, math.inf)):
+            with pytest.raises(ParameterError):
+                read(exp, t, [0.3])
+        for exp in (plain,) if name == "varadhan_diag" else (plain, tau):
+            with pytest.raises(ScalingError, match="overflows"):
+                read(exp, 0.1, [1e300])
+    correction, log_gradient = _fields(tau, 0.6, [0.3])
+    assert np.isfinite(correction).all() and np.isfinite(log_gradient).all()
+
+
 def test_eval_points_rejects_misshapen_points():
     exp = expand(PC_ZERO, [0.0], 1)
     with pytest.raises(StructureError):
@@ -516,10 +556,11 @@ def test_pair_log_terms_rows_equal_one_point_calls(monkeypatch, mode):
         time, dx = fld.warp.mode_time(sigma[r]), xs[r] - ys[c]
         log_g = -0.5 * math.log(4 * math.pi * sigma[r]) \
             - dx[0] ** 2 / (4 * sigma[r])
+        kp = eval_points(exp, time, xs[r:r + 1], components=(0,))
         assert math.log(value[r]) == pytest.approx(
-            log_g + log_correction(exp, time, xs[r], 0), rel=1e-13)
+            log_g + kp.correction[0, 0], rel=1e-13)
         assert grad[r] / value[r] == pytest.approx(
-            kernel_log_gradient(exp, time, xs[r]), rel=1e-13)
+            kp.log_gradient[0, 0], rel=1e-13)
     with pytest.raises(ParameterError, match="need t > s"):
         fld.integrate(ys, [Rows(0.0, np.array([[0.1], [0.0]]),
                                 np.zeros((2, 1, 1)), np.array([[0], [1]]),

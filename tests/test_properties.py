@@ -1,5 +1,6 @@
-"""Property tests: the Gauss-Hermite pass, the lazy diagnostics and the
-translation covariance of the batched expansion."""
+"""Property tests: the Gauss-Hermite pass, the lazy diagnostics, the
+translation covariance of the batched expansion, parabolic scaling and
+detailed balance for a gradient drift."""
 
 import json
 import math
@@ -161,3 +162,27 @@ def test_kernel_has_parabolic_scaling(lam, c, t, x, y):
     tilde = pair_log_value(field(lam * c[0], lam ** 2 * c[1], lam ** 3 * c[2]),
                            t, 0.0, [x], [y])
     assert abs(scaled + math.log(lam) - tilde) <= 1e-13
+
+
+# worst |log e^U(x) p(t, x; y) - log e^U(y) p(t, y; x)| over the strategy's
+# box, times about 3 to 7: 3.8e-6, 1.3e-8 and 1.5e-10 read at t = 0.25
+BALANCE = {4: 1e-5, 6: 5e-8, 8: 1e-9}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(K=st.sampled_from(sorted(BALANCE)), t=st.floats(0.02, 0.25),
+       y=st.floats(-1.0, 1.0), d=st.floats(-1.5, 1.5))
+def test_gradient_drift_kernel_has_detailed_balance(K, t, y, d):
+    # b = U' with U = -0.3 cos x makes the operator symmetric in
+    # L^2(e^U dx), so e^U(x) p(t, x; y) = e^U(y) p(t, y; x): the expansion
+    # about y read at x against the one about x read at y
+    x = y + d
+
+    def log_p(at, about):
+        exp = expand(PC_SIN, [about], K, WarpParams(), 2 * K + 2)
+        return float(eval_points(exp, t, [[at]]).log_value[0, 0])
+
+    def U(z):
+        return -0.3 * math.cos(z)
+
+    assert abs(U(x) + log_p(x, y) - U(y) - log_p(y, x)) <= BALANCE[K]

@@ -402,6 +402,20 @@ def test_warp_schedule_examples():
                 WarpParams(mode=mode, beta=beta)
 
 
+def test_tau_max_needs_tau_mode():
+    # plain and beta mode have no tau to bound; the bound was ignored
+    assert WarpParams(mode="tau", beta=0.5, tau_max=0.5).tau_max == 0.5
+    for kw in ({"mode": "plain"}, {"mode": "beta", "beta": 0.5}):
+        with pytest.raises(ParameterError, match="requires tau_max = 0"):
+            WarpParams(tau_max=0.5, **kw)
+    # nor does an expansion file carry one
+    data = expansion_to_dict(expand(scalar_pc(SIN_DRIFT), [0.0], 2,
+                                    WarpParams(), 6))
+    expansion_from_dict(dict(data))
+    with pytest.raises(ParameterError, match="requires tau_max = 0"):
+        expansion_from_dict(dict(data, tau_max=0.5))
+
+
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from parakern.errors import (ConditioningError, ParameterError, ScalingError,
 from parakern.funcspec import (CallableFunc, ExpTime, FourierEntry,
                                GaussianMix, GridSamples, PolyEntry,
                                SpacePolyFourier, TimeEntry, ZeroFunc)
-from parakern.kernel import KernelField, kernel_log_gradient, log_correction
+from parakern.kernel import KernelField, eval_points
 from parakern.oracle import FDConfig, fd_solve, fd_solve_burgers
 from parakern.problemfile import load_problem_file
 from parakern.recursion import (ProblemCoefficients, WarpParams, expand,
@@ -402,7 +402,7 @@ class _ScalarMarch:
     Each value is a scalar log p(t, x; s, y) or d/dx log p from a
     single-center ``expand`` about y (re-anchored at s for
     time-dependent coefficients, memoized per center and origin) read by
-    ``log_correction`` and ``kernel_log_gradient``; the Gaussian is
+    ``eval_points``' correction and log-gradient; the Gaussian is
     closed form for a trivial field.  Quadratures, loops and summation
     order are those of the march before it moved onto arrays.
     """
@@ -424,6 +424,12 @@ class _ScalarMarch:
                                     fld.warp, fld.D)
         return self.exps[key]
 
+    def _read(self, t, s, x, y):
+        """The correction and grad_x log p of the expansion about y."""
+        kp = eval_points(self._expansion(y, s),
+                         self.fld.warp.mode_time(t - s), [x], components=(0,))
+        return kp.correction[0, 0], kp.log_gradient[0, 0]
+
     def log_value(self, t, s, x, y):
         sigma = t - s
         dx = x - y
@@ -431,15 +437,12 @@ class _ScalarMarch:
             - float(np.dot(dx, dx)) / (4.0 * sigma)
         if self.fld._trivial:
             return log_g
-        return log_g + log_correction(self._expansion(y, s),
-                                      self.fld.warp.mode_time(sigma), x, 0)
+        return log_g + self._read(t, s, x, y)[0]
 
     def log_gradient(self, t, s, x, y):
-        sigma = t - s
         if self.fld._trivial:
-            return -(x - y) / (2.0 * sigma)
-        return kernel_log_gradient(self._expansion(y, s),
-                                   self.fld.warp.mode_time(sigma), x, 0)
+            return -(x - y) / (2.0 * (t - s))
+        return self._read(t, s, x, y)[1]
 
     def kernel_k(self, t, e, s, eprime):
         xe = np.array([self.ends[e]])
