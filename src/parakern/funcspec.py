@@ -138,21 +138,12 @@ class PolyEntry(CoefficientEntry):
 
     def derivative(self, alpha):
         new_terms = []
-        for coef, exps in self.terms:
-            c = coef
-            e = list(exps)
-            dead = False
-            for axis, a in enumerate(alpha):
-                for _ in range(a):
-                    if e[axis] == 0:
-                        dead = True
-                        break
-                    c *= e[axis]
-                    e[axis] -= 1
-                if dead:
-                    break
-            if not dead:
-                new_terms.append((c, tuple(e)))
+        for c, exps in self.terms:
+            if all(e >= a for e, a in zip(exps, alpha)):
+                for e, a in zip(exps, alpha):
+                    for i in range(a):
+                        c *= e - i
+                new_terms.append((c, tuple(e - a for e, a in zip(exps, alpha))))
         return PolyEntry(self.dim, tuple(new_terms))
 
     def _taylor_cols(self, ys, cap):

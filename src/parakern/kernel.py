@@ -49,6 +49,13 @@ def _check_center(exp: ExpansionCoeffs, y) -> np.ndarray:
     return y
 
 
+def _check_component(j, components: int) -> None:
+    """Raise :class:`StructureError` unless 0 <= j < ``components``."""
+    if not 0 <= j < components:
+        raise StructureError(f"component {j} out of range: the kernel has "
+                             f"{components} component(s)")
+
+
 def _check_points(exp: ExpansionCoeffs, xs) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != exp.dim:
@@ -119,7 +126,8 @@ def eval_points(exp: ExpansionCoeffs, time, xs,
     log-gradients at every row of ``xs``.
 
     One pass over the points, shape (P, n), for the listed components
-    (default all; all with ``pc``, which adds the relative residuals).
+    (default all; all with ``pc``, which adds the relative residuals; a
+    bad index raises :class:`StructureError`).
     ``time`` is one mode time (as in :func:`eval_kernel`), or a 1-D array
     of them, which adds a time axis after the component axis; a scalar is
     the one-time case of the same pass.  The rows are the (time, point)
@@ -136,6 +144,8 @@ def eval_points(exp: ExpansionCoeffs, time, xs,
     ts = [time] if np.ndim(time) == 0 else [float(t) for t in time]
     modes = [exp.warp.physical_time(t) for t in ts]
     xs = _check_points(exp, xs)
+    for j in () if components is None else components:
+        _check_component(j, exp.components)
     if components is None or pc is not None:
         components = range(exp.components)
 
@@ -149,9 +159,10 @@ def eval_points(exp: ExpansionCoeffs, time, xs,
               for k in range(exp.coeffs.shape[1])]
     row_ts, row_xs = per_row(ts), np.tile(xs, (len(ts), 1))
     n, dx = exp.dim, row_xs - np.asarray(exp.center)
-    corr, dtime, grad, lap = _eval_rows(
-        exp.coeffs[list(components)][..., None, :], dx, exp.degree_D, row_ts,
-        t_eff, pc is not None, powers)
+    # every component is read, as with pc, so each has the same bits
+    corr, dtime, grad, lap = (a[list(components)] for a in _eval_rows(
+        exp.coeffs[..., None, :], dx, exp.degree_D, row_ts, t_eff,
+        pc is not None, powers))
     with np.errstate(over="ignore", invalid="ignore"):
         r2 = (dx * dx).sum(axis=1)
         logp = per_row([-0.5 * n * math.log(4.0 * math.pi * te)
@@ -162,6 +173,11 @@ def eval_points(exp: ExpansionCoeffs, time, xs,
     value = np.exp(logp)
     rel = None
     if pc is not None:
+        def at_rows(entry):
+            """An entry per row: an autonomous one once per point, repeated."""
+            return entry.eval(t_eff, row_xs) if entry.max_order \
+                else np.tile(entry.eval(0.0, xs), len(ts))
+
         # Lap p_i / p_i, then the couplings through the ratios p_l / p_i
         # and the potential; the mode's multiplier m is d t_eff / d time
         lap = lap + (per_row([-0.5 / te for te in t_effs])[:, None]
@@ -171,10 +187,9 @@ def eval_points(exp: ExpansionCoeffs, time, xs,
                 ratio = np.exp(corr[l] - corr[i])
             if np.isinf(ratio).any():
                 raise ScalingError(f"kernel ratio p_{l}/p_{i} overflows")
-            lap[i] = lap[i] + entry.eval(t_eff, row_xs) * ratio \
-                * grad[l, :, axis]
+            lap[i] = lap[i] + at_rows(entry) * ratio * grad[l, :, axis]
         for i, entry in pc.potential.items():
-            lap[i] = lap[i] + entry.eval(t_eff, row_xs)
+            lap[i] = lap[i] + at_rows(entry)
         rel = (per_row([-0.5 * n / te for te in t_effs])
                + r2 / per_row([4.0 * te ** 2 for te in t_effs])) * dteff \
             + dtime - dteff * lap
@@ -486,17 +501,12 @@ def _gh_table(order: int, n: int):
 
 
 def _live_rows(coeffs: np.ndarray) -> int:
-    """How many leading table rows a contraction of ``coeffs`` must read.
-
-    The rows up to the last one nonzero anywhere in ``coeffs`` (at least
-    one), rounded up to a multiple of 8 and capped at N.  numpy's pairwise
-    sum gives each of 8 accumulators every eighth term of a block of at
-    most 128, and splits a longer row at a multiple of 8 near its middle;
-    a prefix that keeps those blocks therefore adds the same nonzero
-    terms in the same order, and the sum over it equals the sum over all
-    N rows bit for bit (both start from +0.0, so even the sign of a zero
-    agrees).
-    """
+    """How many leading table rows a contraction of ``coeffs`` must read:
+    those up to the last one nonzero anywhere (at least one), rounded up
+    to a multiple of 8 and capped at N, and past 128 rows the table halved
+    at a multiple of 8 while they fit in the first half.  The prefix is
+    thus the table or whole blocks of 8 rows, which :func:`_log_terms`
+    adds in order: its sum is the full one bit for bit."""
     n = coeffs.shape[-1]
     live = np.flatnonzero(coeffs.any(axis=tuple(range(coeffs.ndim - 1))))
     last = int(live[-1]) if len(live) else 0
@@ -508,65 +518,73 @@ def _live_rows(coeffs: np.ndarray) -> int:
     return min(n, (last + 8) // 8 * 8)
 
 
+@functools.lru_cache(maxsize=None)
+def _field_maps(n: int, D: int, rows: int):
+    """``(index, scale)``, each (blocks, 1 + 2n, 8): over the first ``rows``
+    rows gamma of ``index_table(n, D)`` in blocks of 8 (the last padded),
+    field f of gamma is ``scale * mono[index]``: dx^gamma, then d_a
+    dx^gamma and d_a^2 dx^gamma per axis a (a zero: dx^0 with scale 0)."""
+    index = np.zeros((1 + 2 * n, -(-rows // 8) * 8), dtype=int)
+    scale = np.zeros(index.shape)
+    index[0, :rows], scale[0, :rows] = np.arange(rows), 1.0
+    for a, (src, dst, factor) in enumerate(_partial_tables(n, D)):
+        src, dst, factor = (v[src < rows] for v in (src, dst, factor))
+        index[1 + a, src], scale[1 + a, src] = dst, factor
+        # d_a dx^gamma = gamma_a dx^(gamma - e_a), d_a^2 reads d_a's there
+        index[1 + n + a, src] = index[1 + a, dst]
+        scale[1 + n + a, src] = factor * scale[1 + a, dst]
+    return tuple(m.reshape(1 + 2 * n, -1, 8).swapaxes(0, 1).copy()
+                 for m in (index, scale))
+
+
 def _log_terms(coeffs: np.ndarray, dx: np.ndarray, D: int, time,
                t_eff=None, second: bool = False, powers=None):
     """The correction ``sum_k c_k(time, x) time^k`` and its derivatives.
 
     Arguments as in :func:`_eval_rows`, for one chunk whose ``coeffs``
     hold one column per row of ``dx``, or one for all; ``powers`` holds
-    ``time ** k`` for each order k (default: that expression).
-    Only the :func:`_live_rows` leading table rows are contracted, with
-    the differentiation maps cut to them; the result equals the
-    full-row one bit for bit wherever the monomials of the dropped rows
-    are finite.  Returns (correction, its time derivative,
-    log-gradient, its Laplacian); the log-gradient adds -dx / (2 t_eff)
-    and needs ``t_eff`` (else it has no axes), the time derivative and
-    Laplacian need ``second`` (else 0).
-    """
+    ``time ** k`` per order k (default: that expression).  The fields of
+    :func:`_field_maps` that are asked for meet the columns in one stacked
+    product, the row its stack axis: (8,) by (8, jets) per row, block of
+    the :func:`_live_rows` table rows and field, so no field's bits depend
+    on the pass size or the flags.  One Horner pass in time serves every
+    field; the time derivative weights the value's jets by k + l.
+    Returns (correction, its time derivative, log-gradient, its
+    Laplacian); the log-gradient, plus -dx / (2 t_eff), needs ``t_eff`` (else
+    no axes), the time derivative ``second`` and the Laplacian both (else 0)."""
+    R, n = dx.shape
     rows = _live_rows(coeffs)
-    coeffs = coeffs[..., :rows]
-    mono = _monomials(dx, _degree(rows, dx.shape[1], D))[:, :rows]
-    if powers is None:
-        powers = [time ** k for k in range(coeffs.shape[1])]
-    corr = _sum_terms(coeffs, mono, time, powers, 0.0)
-    tables = _partial_tables(dx.shape[1], D) if t_eff is not None else ()
-    grad = np.empty(corr.shape + (len(tables),))
-    lap = dtime = np.zeros_like(corr)
-    for axis, (src, dst, scale) in enumerate(tables):
-        # the maps run in ascending source row, so the live ones lead
-        cut = np.searchsorted(src, rows)
-        src, dst, scale = src[:cut], dst[:cut], scale[:cut]
-        dcoeffs = np.zeros_like(coeffs)
-        dcoeffs[..., dst] = scale * coeffs[..., src]
-        grad[..., axis] = _sum_terms(dcoeffs, mono, time, powers,
-                                     -dx[:, axis] / (2.0 * t_eff))
-        if second:
-            d2coeffs = np.zeros_like(coeffs)
-            d2coeffs[..., dst] = scale * dcoeffs[..., src]
-            lap = lap + _sum_terms(d2coeffs, mono, time, powers, 0.0)
+    fields = 1 + n + n * second if t_eff is not None else 1
+    index, scale = (m[:, :fields] for m in _field_maps(n, D, rows))
+    reads = _monomials(dx, _degree(rows, n, D))[:, index] * scale
+    jets = math.prod(coeffs.shape[:3])
+    cols = np.zeros((coeffs.shape[3], len(index) * 8, jets))
+    cols[:, :rows] = coeffs[..., :rows].reshape(jets, -1, rows) \
+        .transpose(1, 2, 0)
+    parts = reads[..., None, :] @ cols.reshape(-1, len(index), 1, 8, jets)
+    # sum() starts from 0: a -0.0 block turns +0.0, a zero block adds nothing
+    vals = sum(parts[:, b] for b in range(len(index)))
+    # [field, component, k, l, row]
+    vals = vals.reshape((R, fields) + coeffs.shape[:3]).transpose(1, 2, 3, 4, 0)
     if second:
         # d/dtime sum c_kl time^(k+l) = sum (k + l) c_kl time^(k+l) / time
-        kl = np.add.outer(*map(np.arange, coeffs.shape[1:3]))[:, :, None, None]
-        dtime = _sum_terms(coeffs * kl, mono, time, powers, 0.0) / time
-    return corr, dtime, grad, lap
-
-
-def _sum_terms(coeffs: np.ndarray, mono: np.ndarray, time, powers,
-               start) -> np.ndarray:
-    """``start + sum_k c_k(time, x) time^k`` per component and row.
-
-    ``coeffs`` as in :func:`_log_terms`, ``mono`` the monomials of its
-    ``dx`` and ``powers[k]`` = ``time ** k``.  Each jet is
-    Horner-evaluated in time and the orders are summed in ascending k.
-    """
-    vals = (coeffs * mono).sum(axis=-1)
+        kl = np.add.outer(*map(np.arange, coeffs.shape[1:3]))
+        vals = np.concatenate([vals, vals[:1] * kl[..., None]])
     horner = 0.0
-    for l in reversed(range(vals.shape[2])):
-        horner = horner * time + vals[:, :, l]
-    total = start
-    for k in range(vals.shape[1]):
-        total = total + horner[:, k] * powers[k]
-    return total
+    for l in reversed(range(vals.shape[-2])):
+        horner = horner * time + vals[..., l, :]
+    if powers is None:
+        powers = [time ** k for k in range(coeffs.shape[1])]
+    total = 0.0
+    if t_eff is not None:
+        total = np.zeros(horner[:, :, 0].shape)
+        total[1:1 + n] = (-dx.T / (2.0 * t_eff))[:, None]
+    for k, p in enumerate(powers):
+        total = total + horner[:, :, k] * p
+    zero = np.zeros_like(total[0])
+    return (total[0], total[-1] / time if second else zero,
+            total[1:1 + n].transpose(1, 2, 0),
+            sum(total[1 + n:1 + 2 * n], np.zeros_like(zero)))
 
 
 def normalization_check(field: KernelField, time: float, x,
@@ -583,6 +601,7 @@ def delta_property(field: KernelField, f, time: float, x,
                    order: int = 40, j: int = 0) -> float:
     """``int p_j(time, x, y) f(y) dy`` by Gauss-Hermite centered at x,
     for ``f`` of one point y."""
+    _check_component(j, field.pc.components)
     t_eff, _ = field.warp.physical_time(time)
     [(vals, _)] = field.gauss_hermite(
         order, [(t_eff, 0.0, x, lambda s, ys: [f(y) for y in ys])])

@@ -33,10 +33,6 @@ from .errors import ParameterError
 # the graded-lexicographic index table
 # ---------------------------------------------------------------------------
 
-def _grlex_key(exps: tuple[int, ...]) -> tuple:
-    return (sum(exps), exps)
-
-
 @lru_cache(maxsize=None)
 def index_table(dim: int, cap: int):
     """All exponent tuples with total degree <= cap, graded-lex sorted.
@@ -58,7 +54,7 @@ def index_table(dim: int, cap: int):
             for e in range(cap + 1 - sum(rest)):
                 yield rest + (e,)
 
-    tuples = sorted(gen(dim), key=_grlex_key)
+    tuples = sorted(gen(dim), key=lambda e: (sum(e), e))
     exps = np.array(tuples, dtype=np.int64).reshape(len(tuples), dim)
     pos = {t: i for i, t in enumerate(tuples)}
     orders = exps.sum(axis=1)

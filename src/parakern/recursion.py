@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .errors import ParameterError, StructureError, UnsupportedSpecError
 from .funcspec import CoefficientEntry, TimeEntry
@@ -275,12 +276,8 @@ def _series_sigma(beta: float, order: int) -> np.ndarray:
 
 
 def _series_nu(order: int) -> np.ndarray:
-    """nu(tau) = tau/((1-tau)(-ln(1-tau))), the gradient-term multiplier."""
-    g = _series_g(order)
-    h = np.zeros(order + 1)
-    h[0] = g[0]
-    h[1:] = g[1:] - g[:-1]          # (1-tau) * g
-    return series_reciprocal(h, order)
+    """nu(tau) = 1/((1-tau) g(tau)), the gradient-term multiplier."""
+    return series_reciprocal(np.diff(_series_g(order), prepend=0.0), order)
 
 
 def _warp_power(l: int, beta: float, order: int) -> np.ndarray:
@@ -295,10 +292,7 @@ def _warp_power(l: int, beta: float, order: int) -> np.ndarray:
 
 def _series_t_of_tau(beta: float, order: int) -> np.ndarray:
     """t(tau) = beta(tau + tau^2/2 + ...), no constant term."""
-    out = np.zeros(order + 1)
-    for m in range(1, order + 1):
-        out[m] = beta / m
-    return out
+    return np.concatenate([[0.0], beta / np.arange(1.0, order + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -371,17 +365,12 @@ class _BatchWorkspace:
         modes) or in tau."""
         if self.wp.mode != "tau":
             return terms
-        # substitute t = t(tau)
-        cap = self.jet_cap
-        inner = _series_t_of_tau(self.wp.beta, cap)
-        out = np.zeros((len(terms), cap + 1, self.B))
-        power = np.zeros(cap + 1)
-        power[0] = 1.0
+        # substitute t = t(tau): the t^l term times t(tau)^l
+        inner = _series_t_of_tau(self.wp.beta, self.jet_cap)
+        out, power = 0.0, np.eye(1, self.jet_cap + 1)[0]
         for l in range(terms.shape[1]):
-            if l > 0:
-                power = _series_mul(power, inner, cap)
-            ms = np.nonzero(power)[0]
-            out[:, ms] += terms[:, l, None, :] * power[ms][None, :, None]
+            out = out + self.scale_series(terms[:, l:l + 1], power)
+            power = _series_mul(power, inner, self.jet_cap)
         return out
 
     # -- the jet algebra -----------------------------------------------------
@@ -429,10 +418,7 @@ class _BatchWorkspace:
         a nonzero term are marked truncated.  A zero factor gives the zero
         jet at once."""
         if not len(x) or not len(y):
-            top = x.shape[1] + y.shape[1] - 2
-            if self.jet_cap is not None:
-                top = min(top, self.jet_cap)
-            return np.zeros((0, top + 1, self.B))
+            return np.zeros((0, self._top(x, y) + 1, self.B))
         ia, ib, ranks = _pair_plan(x.shape[1] - 1, y.shape[1] - 1,
                                    self.jet_cap)
         xa, yb = x[:, ia], y[:, ib]
@@ -448,6 +434,19 @@ class _BatchWorkspace:
                 xa[..., need], yb[..., need], self.n, self.D).any(axis=0)
         return out
 
+    def _top(self, x, y) -> int:
+        """The time order of the product of ``x`` and ``y``."""
+        top = x.shape[1] + y.shape[1] - 2
+        return top if self.jet_cap is None else min(top, self.jet_cap)
+
+    def add_product(self, total, x, y, scale: float = 1.0):
+        """``total + scale * x y``.  A zero factor gives the zero jet, which
+        is formed and added only where it lifts the sum's time order."""
+        if len(x) and len(y) or total.shape[1] <= self._top(x, y):
+            term = self.mul(x, y)
+            return self.add(total, term if scale == 1.0 else term * scale)
+        return total
+
     def partial(self, x, axis: int):
         """d/dx_axis: the zero jet for a jet of degree <= 0."""
         d = _degree(len(x), self.n, self.D)
@@ -458,14 +457,6 @@ class _BatchWorkspace:
         out[dst] = scale[:, None, None] * x[src]
         return out
 
-    def laplacian(self, grad):
-        """The Laplacian of a jet from its gradient ``grad[i]`` = d_i."""
-        out = None
-        for i in range(self.n):
-            d2 = self.partial(grad[i], i)
-            out = d2 if out is None else self.add(out, d2)
-        return out
-
     def ray(self, x, s: float):
         """The ray integral int_0^1 x(y + u dx) u^(s - 1) du, which divides
         row gamma by s + |gamma|: the plain solve at s = k."""
@@ -473,15 +464,9 @@ class _BatchWorkspace:
 
     def scale_series(self, x, series: np.ndarray):
         """Times a scalar power series in time, capped at the jet cap."""
-        n = min(x.shape[1] - 1 + len(series) - 1, self.jet_cap)
-        out = np.zeros((len(x), n + 1, x.shape[2]))
-        if not len(x):
-            return out
-        ms = np.nonzero(series)[0]
-        for i in range(min(x.shape[1] - 1, n) + 1):
-            mi = ms[ms <= n - i]
-            out[:, i + mi] += x[:, i:i + 1] * series[mi][None, :, None]
-        return out
+        top = min(x.shape[1] + len(series) - 2, self.jet_cap)
+        S = _series_map(tuple(series), len(x), x.shape[1] - 1, top)
+        return (S @ x.reshape(-1, self.B)).reshape(len(x), top + 1, self.B)
 
     def dt(self, x):
         if x.shape[1] == 1:
@@ -490,14 +475,35 @@ class _BatchWorkspace:
 
     def tau_solve(self, x, k: int):
         """(k + |gamma| nu(tau)) c = R, a triangular jet inversion."""
-        cap = self.jet_cap
-        w = _tau_weights(k, cap, self.n, self.D)[:len(x)]
-        out = np.zeros((len(x), cap + 1, x.shape[2]))
-        if not len(x):
-            return out
-        for l in range(min(x.shape[1] - 1, cap) + 1):
-            out[:, l:] += x[:, l:l + 1] * w[:, :cap + 1 - l, None]
-        return out
+        S = _tau_map(k, self.jet_cap, self.n, self.D, len(x), x.shape[1] - 1)
+        return (S @ x.reshape(-1, self.B)).reshape(len(x), self.jet_cap + 1,
+                                                   self.B)
+
+
+def _lower_map(w: np.ndarray, L: int, top: int) -> sparse.csr_matrix:
+    """Row g of a jet of L + 1 time orders times the power series w[g], up
+    to order ``top``, as a CSR matrix on the (row, order) entries: out[g,
+    m] = sum_l x[g, l] w[g, m - l], each output adding its terms in
+    ascending l, as the one-centre jet algebra does; a product with the
+    centres as its columns applies it to each on its own."""
+    lag = np.subtract.outer(np.arange(top + 1), np.arange(L + 1))
+    g, m, l = np.nonzero(np.broadcast_to(
+        (lag >= 0) & (lag < w.shape[1]), (len(w),) + lag.shape))
+    return sparse.csr_matrix(
+        (w[g, m - l], (g * (top + 1) + m, g * (L + 1) + l)),
+        shape=(len(w) * (top + 1), len(w) * (L + 1)))
+
+
+@functools.lru_cache(maxsize=None)
+def _tau_map(k: int, cap: int, n: int, D: int, rows: int, L: int):
+    """:meth:`_BatchWorkspace.tau_solve`'s :func:`_lower_map`."""
+    return _lower_map(_tau_weights(k, cap, n, D)[:rows], L, cap)
+
+
+@functools.lru_cache(maxsize=256)
+def _series_map(series: tuple, rows: int, L: int, top: int):
+    """The :func:`_lower_map` of ``scale_series``; beta keys it, so bounded."""
+    return _lower_map(np.tile(series, (rows, 1)), L, top)
 
 
 @functools.lru_cache(maxsize=None)
@@ -529,13 +535,8 @@ def _pair_plan(La: int, Lb: int, cap: int | None):
 def _tau_weights(k: int, cap: int, n: int, D: int) -> np.ndarray:
     """Series of 1/(k + |gamma| nu(tau)) per table row, shape (N, cap + 1)."""
     nu = _series_nu(cap)
-    orders = index_table(n, D)[2]
-    per_order = {}
-    for go in sorted(set(int(o) for o in orders)):
-        op = go * nu.copy()
-        op[0] += k
-        per_order[go] = series_reciprocal(op, cap)
-    w = np.array([per_order[int(o)] for o in orders])
+    w = np.array([series_reciprocal(np.r_[k + d * nu[0], d * nu[1:]], cap)
+                  for d in range(D + 1)])[index_table(n, D)[2]]
     w.flags.writeable = False
     return w
 
@@ -628,13 +629,9 @@ def _expand_chunk(pc, ys, origins, K, wp, D, jet_cap):
         for m in range(pc.n):
             rows = [ws.drift_jets[(j, l, m)] for l in range(pc.components)
                     if (j, l, m) in ws.drift_jets]
-            if not rows:
-                continue
-            row = ws.zero()
-            for jet in rows:
-                row = ws.add(row, jet)
-            shifted = ws.mul(ws.ray(row, 1.0), ws.delta_x(m))
-            total = ws.add(total, shifted)
+            if rows:
+                row = functools.reduce(ws.add, rows, ws.zero())
+                total = ws.add_product(total, ws.ray(row, 1.0), ws.delta_x(m))
         jets.append([ws.cut(total * -0.5)])
     grads = [[[ws.partial(cj[0], a) for a in range(pc.n)]] for cj in jets]
     for k in range(1, K + 1):
@@ -669,28 +666,28 @@ def _batch_R(ws: _BatchWorkspace, pc: ProblemCoefficients, k: int, j: int,
     """
     wp = ws.wp
     prev = coeffs[j][k - 1]
-    spatial = ws.laplacian(grads[j][k - 1])
+    spatial = functools.reduce(ws.add, map(ws.partial, grads[j][k - 1],
+                                           range(pc.n)))
     for l in range(pc.n):
         for r in range((k + 1) // 2):
-            term = ws.mul(grads[j][r][l], grads[j][k - 1 - r][l])
-            spatial = ws.add(spatial, term if 2 * r == k - 1
-                             else term * 2.0)
+            spatial = ws.add_product(spatial, grads[j][r][l],
+                                     grads[j][k - 1 - r][l],
+                                     1.0 if 2 * r == k - 1 else 2.0)
     for lcomp in range(pc.components):
         for m in range(pc.n):
             bjet = ws.drift_jets.get((j, lcomp, m))
             if bjet is not None:
-                spatial = ws.add(spatial, ws.mul(bjet, grads[lcomp][k - 1][m]))
-    tau = wp.mode == "tau"
-    out = ws.scale_series(spatial, _series_sigma(wp.beta, ws.jet_cap)) \
-        if tau else spatial
+                spatial = ws.add_product(spatial, bjet, grads[lcomp][k - 1][m])
+    sigma = _series_sigma(wp.beta, ws.jet_cap) if wp.mode == "tau" else None
+    # an empty sum stays empty: the tau solve takes any time order
+    out = spatial if sigma is None or not len(spatial) \
+        else ws.scale_series(spatial, sigma)
     out = ws.add(out, ws.dt(prev) * -1.0)
-    vparts = ws.vpart_polys.get(j)
-    if vparts and (k - 1) in vparts:
-        vjet = vparts[k - 1]
-        if tau:
-            warp_pow = _warp_power(k - 1, wp.beta, ws.jet_cap)
-            sigma = _series_sigma(wp.beta, ws.jet_cap)
-            vjet = ws.scale_series(ws.scale_series(vjet, warp_pow), sigma)
+    vjet = ws.vpart_polys.get(j, {}).get(k - 1)
+    if vjet is not None:
+        if sigma is not None:
+            vjet = ws.scale_series(ws.scale_series(vjet, _warp_power(
+                k - 1, wp.beta, ws.jet_cap)), sigma)
         out = ws.add(out, vjet)
     return out
 

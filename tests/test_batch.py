@@ -18,7 +18,7 @@ import pytest
 from parakern import kernel, recursion
 from parakern.errors import ParameterError, StructureError
 from parakern.funcspec import FourierEntry, PolyEntry, TimeEntry
-from parakern.kernel import KernelField, eval_points
+from parakern.kernel import KernelField, Rows, eval_points
 from parakern.polyalg import index_table, _rows, _tensor_grid
 from parakern.problemfile import load_problem_dict, load_problem_file
 from parakern.recursion import (ProblemCoefficients, WarpParams, _series_nu,
@@ -225,6 +225,70 @@ def test_eval_points_over_times_equals_one_call_per_time(case, mode):
             assert getattr(whole, name)[:, i].tobytes() == \
                 getattr(one, name).tobytes()
         assert some.gradient[:, i].tobytes() == one.gradient[-1:].tobytes()
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 17, 256, 1000])
+def test_rows_equal_their_one_row_calls_at_any_pass_size(size):
+    # eval_points reads one coefficient column for every row,
+    # KernelField.integrate one column per row; either way each row is
+    # its one-row call bit for bit, with and without second derivatives
+    # (the residual) or gradients.  Up to 17 rows every row is checked,
+    # past that the ends and a sample
+    pc, wp, K, D = RICH, MODES["tau"], 3, 6
+    rng = np.random.default_rng(size)
+    xs = rng.uniform(-0.6, 0.6, (size, 2))
+    check = range(size) if size <= 17 else sorted(
+        {0, 1, size // 2, size - 1, *rng.choice(size, 6, replace=False)})
+    exp = expand(pc, [0.1, -0.2], K, wp, D)
+    for with_pc in (None, pc):
+        whole = eval_points(exp, 0.2, xs, with_pc)
+        for p in check:
+            one = eval_points(exp, 0.2, xs[p:p + 1], with_pc)
+            for name in ("value", "log_value", "gradient", "correction",
+                         "log_gradient") + (("residual_rel",) if with_pc
+                                            else ()):
+                assert getattr(one, name).tobytes() == \
+                    getattr(whole, name)[:, p:p + 1].tobytes()
+    fld = KernelField(pc, wp, K, D)
+    ys = rng.uniform(-0.3, 0.3, (size, 2))
+    s, t = 0.05, 0.05 + rng.uniform(0.05, 0.3, size)
+    for gradient in (False, True):
+        [(value, grad)] = fld.integrate(ys, [Rows(
+            s, t[:, None], xs[:, None], np.arange(size)[:, None], 1.0,
+            gradient=gradient)])
+        for p in check:
+            [(one, one_grad)] = fld.integrate(ys[p:p + 1], [Rows(
+                s, t[p:p + 1, None], xs[p:p + 1, None], [[0]], 1.0,
+                gradient=gradient)])
+            assert one.tobytes() == value[:, p:p + 1].tobytes()
+            if gradient:
+                assert one_grad.tobytes() == grad[:, p:p + 1].tobytes()
+
+
+@pytest.mark.parametrize("case", ["const_system_2d", "rich_system"])
+def test_tau_batches_equal_their_single_centres(case, monkeypatch):
+    # B = 1, 2, 7 and one centre past a full chunk: each centre's
+    # coefficients, jet orders and flag are those of its B = 1 batch
+    pc, wp, K, D, _ = _setup(case, "tau")
+    rng = np.random.default_rng(11)
+    sizes, real = [], recursion._expand_chunk
+    monkeypatch.setattr(recursion, "_expand_chunk", lambda pc, ys, *a: sizes
+                        .append(len(ys)) or real(pc, ys, *a))
+    expand_batch(pc, rng.uniform(-0.5, 0.5, (1000, pc.n)), K, wp, D)
+    chunk = sizes[0]
+    assert chunk < 1000
+    for size in (1, 2, 7, chunk + 1):
+        ys = rng.uniform(-0.5, 0.5, (size, pc.n))
+        sizes.clear()
+        batch = expand_batch(pc, ys, K, wp, D)
+        assert sizes == ([size] if size <= chunk else [chunk, 1])
+        check = range(size) if size <= 17 else [0, chunk - 1, chunk]
+        for b in check:
+            alone = expand_batch(pc, ys[b:b + 1], K, wp, D)
+            assert alone.coeffs[:, :, :, 0].tobytes() == \
+                batch.coeffs[:, :, :, b].tobytes()
+            assert np.array_equal(alone.jet_order, batch.jet_order)
+            assert alone.truncated[0] == batch.truncated[b]
 
 
 @pytest.mark.parametrize("mode", sorted(MODES))

@@ -23,6 +23,7 @@ from parakern.recursion import (ExpansionCoeffs, ProblemCoefficients,
 
 from objalg import (jet_dt, jet_eval, jet_partial, jets_of, normal_derivative,
                     pair_log_value, shifted_origin)
+from test_batch import CONST2, RICH
 
 SIN_DRIFT = FourierEntry(1, ((0.3, (1.0,), 0.0),))
 PC_SIN = ProblemCoefficients(1, 1, {(0, 0, 0): SIN_DRIFT})
@@ -335,17 +336,28 @@ def _per_point(exp, pc, time, x):
     return logw, logp, grad, rel
 
 
+# beyond the problem files: the eval benchmark's shape (2D, two
+# components, constant drift, K = 6, D = 14) and a system with Fourier,
+# time-polynomial and potential entries
+SYSTEMS = {"const_system_2d": (CONST2, 6, 14), "rich_system": (RICH, 3, 6)}
+
+
 @pytest.mark.parametrize("mode", sorted(WARPS))
-@pytest.mark.parametrize("path", PROBLEMS, ids=os.path.basename)
+@pytest.mark.parametrize("path", PROBLEMS + sorted(SYSTEMS),
+                         ids=os.path.basename)
 def test_eval_points_matches_per_point_reference(path, mode):
-    pf = load_problem_file(path)
-    center = np.full(pf.pc.n, 0.1)
-    exp = expand(pf.pc, center, pf.order_K, WARPS[mode], pf.degree_D)
-    xs = np.random.default_rng(4).uniform(-0.9, 0.9, (4, pf.pc.n))
+    if path in SYSTEMS:
+        pc, K, D = SYSTEMS[path]
+    else:
+        pf = load_problem_file(path)
+        pc, K, D = pf.pc, pf.order_K, pf.degree_D
+    center = np.full(pc.n, 0.1)
+    exp = expand(pc, center, K, WARPS[mode], D)
+    xs = np.random.default_rng(4).uniform(-0.9, 0.9, (4, pc.n))
     for t in (0.05, 0.1, 0.3):
-        kp = eval_points(exp, t, xs, pf.pc)
+        kp = eval_points(exp, t, xs, pc)
         for p, x in enumerate(xs):
-            logw, logp, log_grad, rel = _per_point(exp, pf.pc, t, x)
+            logw, logp, log_grad, rel = _per_point(exp, pc, t, x)
             value = np.exp(logp)
             for got, ref in ((kp.value[:, p], value),
                              (kp.log_value[:, p], logp),
@@ -353,10 +365,10 @@ def test_eval_points_matches_per_point_reference(path, mode):
                 assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
             assert np.all(np.abs(kp.residual_rel[:, p] - rel) <= 1e-12)
             # the one-point calls give the same rows
-            raw, one_rel = residual(exp, pf.pc, t, x)
+            raw, one_rel = residual(exp, pc, t, x)
             assert np.array_equal(one_rel, kp.residual_rel[:, p])
             assert np.array_equal(raw, one_rel * kp.value[:, p])
-            for j in range(pf.pc.components):
+            for j in range(pc.components):
                 kv = eval_kernel(exp, t, x, j=j)
                 assert (kv.value, kv.log_value) == \
                     (kp.value[j, p], kp.log_value[j, p])
@@ -508,6 +520,61 @@ def test_every_reader_of_an_expansion_checks_time_and_overflow():
                 read(exp, 0.1, [1e300])
     correction, log_gradient = _fields(tau, 0.6, [0.3])
     assert np.isfinite(correction).all() and np.isfinite(log_gradient).all()
+
+
+COUPLED_FILE = os.path.join(os.path.dirname(__file__), "..", "problems",
+                            "coupled_system.json")
+COMPONENT_READERS = {
+    "eval_points": lambda exp, fld, j: eval_points(
+        exp, 0.1, [[0.1, 0.2]], components=(0, j)).value[1, 0],
+    "eval_kernel": lambda exp, fld, j: eval_kernel(
+        exp, 0.1, [0.1, 0.2], j=j).value,
+    "varadhan_diag": lambda exp, fld, j: varadhan_diag(
+        exp, [0.1], [0.1, 0.2], j=j)[0],
+    "normalization_check": lambda exp, fld, j: normalization_check(
+        fld, 0.1, [0.0, 0.0], 10, j),
+    "delta_property": lambda exp, fld, j: delta_property(
+        fld, lambda y: 1.0, 0.1, [0.0, 0.0], 10, j),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(COMPONENT_READERS))
+def test_a_component_index_out_of_range_is_a_structure_error(reader):
+    # coupled_system.json has two components: j = -1 read component 1 and
+    # labelled it -1, j = 2 raised a bare IndexError
+    pc = load_problem_file(COUPLED_FILE).pc
+    exp = expand(pc, [0.0, 0.0], 2, WarpParams(), 6)
+    fld = KernelField(pc, WarpParams(), 2, 6)
+    read = COMPONENT_READERS[reader]
+    for j in (-1, 2):
+        with pytest.raises(StructureError, match=f"component {j} out of "
+                           "range: the kernel has 2 component"):
+            read(exp, fld, j)
+    assert math.isfinite(read(exp, fld, 1))
+    assert eval_kernel(exp, 0.1, [0.1, 0.2], j=1).component == 1
+
+
+def test_autonomous_entries_are_read_once_per_point(monkeypatch):
+    # the residual evaluates an autonomous drift or potential entry on the
+    # P points and repeats it over the T times, a time-dependent one on
+    # all T * P rows; the repeat has the bits of the per-row values
+    seen = []
+    real = TimeEntry.eval
+    monkeypatch.setattr(TimeEntry, "eval", lambda self, t, x: seen.append(
+        (self.max_order, len(x))) or real(self, t, x))
+    exp = expand(RICH, [0.1, -0.2], 3, WARPS["tau"], 6)
+    times = np.array([0.05, 0.1, 0.3])
+    xs = np.random.default_rng(8).uniform(-0.6, 0.6, (5, 2))
+    eval_points(exp, times, xs, RICH)
+    entries = [*RICH.drift.values(), *RICH.potential.values()]
+    assert sorted(seen) == sorted((e.max_order, 5 if e.max_order == 0
+                                   else 15) for e in entries)
+    t_eff = np.repeat([exp.warp.physical_time(t)[0] for t in times], 5)
+    rows = np.tile(xs, (3, 1))
+    for entry in entries:
+        if entry.max_order == 0:
+            assert np.tile(real(entry, 0.0, xs), 3).tobytes() == \
+                real(entry, t_eff, rows).tobytes()
 
 
 def test_eval_points_rejects_misshapen_points():
