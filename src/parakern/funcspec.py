@@ -39,9 +39,6 @@ class FunctionSpec:
     def eval(self, t, x: np.ndarray):
         raise NotImplementedError
 
-    def __call__(self, t, x):
-        return self.eval(t, np.atleast_1d(np.asarray(x, dtype=float)))
-
 
 def _exp(z, what: str):
     """``np.exp(z)``; where it overflows, a :class:`ScalingError` rather

@@ -6,12 +6,11 @@ analytic gradient, PDE residuals, normalization and short-time
 reads coefficient columns back in chunks of rows, and one check,
 :func:`_check_log`, raises where a log value is not finite or reaches
 700.  Both serve :func:`eval_points`, the one reader of an expansion's
-(time, point) rows (``eval_kernel``, ``residual``, ``varadhan_diag`` and
-``parakern eval`` read through it), and :meth:`KernelField.integrate`,
-the one place that turns rows (origin s, time t, point x, centre y,
-weight) of the kernel p(t, x; s, y) into sums: Gauss-Hermite
-convolutions (normalization, the delta property, the Cauchy and Burgers
-solves) and the Robin solve's kernel sums.
+(time, point) rows (``varadhan_diag`` and ``parakern eval`` read through
+it), and :meth:`KernelField.integrate`, the one place that turns rows
+(origin s, time t, point x, centre y, weight) of the kernel p(t, x; s, y)
+into sums: Gauss-Hermite convolutions (normalization, the delta property,
+the Cauchy and Burgers solves) and the Robin solve's kernel sums.
 """
 
 from __future__ import annotations
@@ -27,26 +26,6 @@ from .errors import ParameterError, ScalingError, StructureError
 from .polyalg import _degree, _monomials, _partial_tables, _tensor_grid
 from .recursion import (ExpansionCoeffs, ProblemCoefficients, WarpParams,
                         expand_batch, _CHUNK_FLOATS)
-
-
-@dataclass(frozen=True)
-class KernelValue:
-    """One kernel evaluation: value, log value and spatial gradient."""
-
-    value: float
-    log_value: float
-    gradient: np.ndarray
-    component: int
-
-
-def _check_center(exp: ExpansionCoeffs, y) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
-    if y.shape != (exp.dim,):
-        raise StructureError(f"center of shape {y.shape}, expected ({exp.dim},)")
-    if not np.allclose(y, exp.center, rtol=0, atol=0):
-        raise StructureError(
-            f"expansion is centered at {exp.center}, got y={tuple(y)}")
-    return y
 
 
 def _check_component(j, components: int) -> None:
@@ -120,23 +99,24 @@ class KernelPoints:
 
 
 def eval_points(exp: ExpansionCoeffs, time, xs,
-                pc: ProblemCoefficients | None = None,
-                components: Sequence[int] | None = None) -> KernelPoints:
+                pc: ProblemCoefficients | None = None) -> KernelPoints:
     """Kernel values, log values, gradients, corrections and
     log-gradients at every row of ``xs``.
 
-    One pass over the points, shape (P, n), for the listed components
-    (default all; all with ``pc``, which adds the relative residuals; a
-    bad index raises :class:`StructureError`).
-    ``time`` is one mode time (as in :func:`eval_kernel`), or a 1-D array
-    of them, which adds a time axis after the component axis; a scalar is
-    the one-time case of the same pass.  The rows are the (time, point)
-    pairs in time-major order, read by one :func:`_eval_rows` pass with a
-    time and ``t_eff`` per row; each time's powers are Python float
-    powers, so a row has the bits of a call at its time alone.  The times
-    are checked in order by :meth:`WarpParams.physical_time` (a tau past
-    ``warp.tau_max`` raises); then :func:`_check_log` raises at the first
-    row and component whose log value is not finite or reaches 700.
+    One pass over the points, shape (P, n), for every component; ``pc``
+    adds the relative residuals of the mode's evolution operator
+    ``d/dtime p_i - m(time)[Lap p_i + sum b^i_jk d_k p_j + V_i p_i]``
+    (m = d t_eff / d time), scaled by p_i, the coupling through the ratio
+    p_j / p_i.  ``time`` is one mode time (physical t in plain mode, the
+    scaled or warped tau otherwise), or a 1-D array of them, which adds a
+    time axis after the component axis; a scalar is the one-time case of
+    the same pass.  The rows are the (time, point) pairs in time-major
+    order, read by one :func:`_eval_rows` pass with a time and ``t_eff``
+    per row; each time's powers are Python float powers, so a row has the
+    bits of a call at its time alone.  The times are checked in order by
+    :meth:`WarpParams.physical_time` (a tau past ``warp.tau_max`` raises);
+    then :func:`_check_log` raises at the first row and component whose
+    log value is not finite or reaches 700.
     """
     if np.ndim(time) > 1:
         raise StructureError(
@@ -144,10 +124,6 @@ def eval_points(exp: ExpansionCoeffs, time, xs,
     ts = [time] if np.ndim(time) == 0 else [float(t) for t in time]
     modes = [exp.warp.physical_time(t) for t in ts]
     xs = _check_points(exp, xs)
-    for j in () if components is None else components:
-        _check_component(j, exp.components)
-    if components is None or pc is not None:
-        components = range(exp.components)
 
     def per_row(vals):
         """One value per time, repeated over that time's points."""
@@ -159,10 +135,9 @@ def eval_points(exp: ExpansionCoeffs, time, xs,
               for k in range(exp.coeffs.shape[1])]
     row_ts, row_xs = per_row(ts), np.tile(xs, (len(ts), 1))
     n, dx = exp.dim, row_xs - np.asarray(exp.center)
-    # every component is read, as with pc, so each has the same bits
-    corr, dtime, grad, lap = (a[list(components)] for a in _eval_rows(
+    corr, dtime, grad, lap = _eval_rows(
         exp.coeffs[..., None, :], dx, exp.degree_D, row_ts, t_eff,
-        pc is not None, powers))
+        pc is not None, powers)
     with np.errstate(over="ignore", invalid="ignore"):
         r2 = (dx * dx).sum(axis=1)
         logp = per_row([-0.5 * n * math.log(4.0 * math.pi * te)
@@ -201,45 +176,7 @@ def eval_points(exp: ExpansionCoeffs, time, xs,
                         corr.reshape(shape), grad.reshape(shape + (n,)))
 
 
-def eval_kernel(exp: ExpansionCoeffs, time: float, x, y=None,
-                j: int = 0) -> KernelValue:
-    """Kernel value for component j, assembled in log space.
-
-    ``time`` is the mode's own variable: physical t in plain mode, the
-    scaled/warped tau otherwise.  ``y`` must match the expansion center
-    when given.  Validity windows are advisory; callers probing beyond
-    them get honest values and can consult the residual diagnostics.
-    A log value that is not finite or reaches 700 raises
-    :class:`ScalingError`.  The one-point case of :func:`eval_points`.
-    """
-    if y is not None:
-        _check_center(exp, y)
-    kp = eval_points(exp, time, np.asarray(x, dtype=float)[None],
-                     components=(j,))
-    return KernelValue(float(kp.value[0, 0]), float(kp.log_value[0, 0]),
-                       kp.gradient[0, 0], j)
-
-
-def residual(exp: ExpansionCoeffs, pc: ProblemCoefficients, time: float,
-             x, y=None) -> tuple[np.ndarray, np.ndarray]:
-    """PDE residual of the assembled kernel, per component.
-
-    Re-applies the mode's evolution operator
-    ``d/dtime p_i - m(time)[Lap p_i + sum b^i_jk d_k p_j + V_i p_i]``
-    with m = 1, beta, beta/(1-tau).  Returns (raw, relative) where the
-    relative residual is scaled by p_i; the cross-component coupling uses
-    the honest ratio p_j/p_i, so system-mode defects show up here.
-    An overflowing p_i raises :class:`ScalingError`, as in eval_kernel.
-    The one-point case of :func:`eval_points`.
-    """
-    if y is not None:
-        _check_center(exp, y)
-    kp = eval_points(exp, time, np.asarray(x, dtype=float)[None], pc)
-    rel = kp.residual_rel[:, 0]
-    return rel * kp.value[:, 0], rel
-
-
-def varadhan_diag(exp: ExpansionCoeffs, ts: Sequence[float], x, y=None,
+def varadhan_diag(exp: ExpansionCoeffs, ts: Sequence[float], x,
                   j: int = 0) -> np.ndarray:
     """Short-time distance diagnostic, Gaussian prefactor removed.
 
@@ -249,10 +186,9 @@ def varadhan_diag(exp: ExpansionCoeffs, ts: Sequence[float], x, y=None,
     """
     if exp.warp.mode != "plain":
         raise ParameterError("varadhan diagnostic expects a plain-mode expansion")
-    if y is not None:
-        _check_center(exp, y)
-    logp = eval_points(exp, ts, np.asarray(x, dtype=float)[None],
-                       components=(j,)).log_value[0, :, 0]
+    _check_component(j, exp.components)
+    logp = eval_points(exp, ts, np.asarray(x, dtype=float)[None]
+                       ).log_value[j, :, 0]
     return np.array([-4.0 * t * lp - 2.0 * exp.dim * t
                      * math.log(4.0 * math.pi * t) for t, lp in zip(ts, logp)])
 

@@ -151,10 +151,6 @@ class WarpParams:
         if self.tau_max and self.mode != "tau":
             raise ParameterError(f"{self.mode} mode requires tau_max = 0")
 
-    @property
-    def time_var(self) -> str:
-        return "t" if self.mode == "plain" else "tau"
-
     def _check_tau_max(self, tau) -> None:
         """Raise where a tau, or an array's largest, passes ``tau_max``."""
         top = float(np.max(tau, initial=0.0))
@@ -164,7 +160,8 @@ class WarpParams:
 
     def mode_time(self, t):
         """Physical elapsed time t, a float or an array, to the warp's own
-        time variable; a tau past ``tau_max`` raises."""
+        time variable: t, t / beta, or tau = 1 - exp(-t / beta); a tau
+        past ``tau_max`` raises."""
         if self.mode == "plain":
             return t
         if self.mode == "beta":
@@ -174,7 +171,9 @@ class WarpParams:
         return tau
 
     def physical_time(self, time: float) -> tuple[float, float]:
-        """(t_eff, d t_eff / d time) at a valid mode time (else raises)."""
+        """(t_eff, d t_eff / d time) at a valid mode time (else raises),
+        the inverse of :meth:`mode_time`: t_eff = -beta ln(1 - tau) in tau
+        mode."""
         if not (math.isfinite(time) and time > 0):
             raise ParameterError(f"time must be finite and positive, got "
                                  f"{time}; as t -> 0 the kernel is a delta")
@@ -185,7 +184,7 @@ class WarpParams:
         if time >= 1.0:
             raise ParameterError("tau must lie in (0, 1) in warped mode")
         self._check_tau_max(time)
-        return t_of_tau(time, self.beta), self.beta / (1.0 - time)
+        return -self.beta * math.log1p(-time), self.beta / (1.0 - time)
 
 
 @dataclass(frozen=True)
@@ -246,24 +245,6 @@ class ExpansionCoeffs:
 # ---------------------------------------------------------------------------
 # time warp scalar series
 # ---------------------------------------------------------------------------
-
-def tau_of_t(t: float, beta: float) -> float:
-    """tau = 1 - exp(-t/beta)."""
-    if t < 0:
-        raise ParameterError("t must be >= 0")
-    if beta <= 0:
-        raise ParameterError("beta must be positive")
-    return -math.expm1(-t / beta)
-
-
-def t_of_tau(tau: float, beta: float) -> float:
-    """t = -beta ln(1 - tau)."""
-    if not 0.0 <= tau < 1.0:
-        raise ParameterError("tau must lie in [0, 1)")
-    if beta <= 0:
-        raise ParameterError("beta must be positive")
-    return -beta * math.log1p(-tau)
-
 
 def _series_g(order: int) -> np.ndarray:
     """(-ln(1-tau))/tau = sum tau^m / (m+1)."""
@@ -875,7 +856,9 @@ def expansion_to_dict(exp: ExpansionCoeffs) -> dict:
 def expansion_from_dict(data: dict) -> ExpansionCoeffs:
     """The inverse of :func:`expansion_to_dict`; a jet's order is its
     number of terms less one (an empty list reads as a zero jet), and a
-    file without ``domain_radius_R`` reads as radius 1."""
+    file without ``domain_radius_R`` reads as radius 1.  The file's
+    ``diagnostics`` are not read: they are sampled again from the
+    coefficients, so they cannot disagree with them."""
     center = tuple(float(v) for v in data["center"])
     D = int(data["degree_D"])
     wp = WarpParams(mode=data["mode"], beta=float(data["beta"]),
@@ -890,12 +873,6 @@ def expansion_from_dict(data: dict) -> ExpansionCoeffs:
             for l, tdata in enumerate(rec["terms"]):
                 for exps_list, val in tdata["coeffs"]:
                     coeffs[j, k, l, pos[tuple(exps_list)]] = val
-    diag = data["diagnostics"]
-    exp = _expansion(center, wp, int(data["order_K"]), D, coeffs, jet_order,
-                     bool(diag["truncated"]),
-                     float(data.get("domain_radius_R", 1.0)))
-    # the sampled diagnostics travel with the file; seed the lazy value
-    vars(exp)["diagnostics"] = ExpansionDiagnostics(
-        tuple(diag["sup_norms"]), tuple(diag["weighted"]),
-        float(diag["tau_ref"]))
-    return exp
+    return _expansion(center, wp, int(data["order_K"]), D, coeffs, jet_order,
+                      bool(data["diagnostics"]["truncated"]),
+                      float(data.get("domain_radius_R", 1.0)))

@@ -34,7 +34,7 @@ from scipy import sparse
 from parakern.errors import ParameterError, SequencingError, StructureError
 from parakern.funcspec import (CoefficientEntry, FourierEntry, PolyEntry,
                                TimeEntry)
-from parakern.kernel import Rows, eval_kernel
+from parakern.kernel import Rows, eval_points
 from parakern.polyalg import (index_table, _monomials, _mul_cols,
                               _overflow_cols, _partial_tables, _series_mul)
 from parakern.recursion import (ExpansionCoeffs, ProblemCoefficients,
@@ -197,13 +197,14 @@ def remainder_bound(entry: CoefficientEntry, cap: int, radius: float) -> float:
     return amp * rate ** d1 * radius ** d1 / math.factorial(d1)
 
 
-def normal_derivative(exp: ExpansionCoeffs, time: float, x, y, nu,
+def normal_derivative(exp: ExpansionCoeffs, time: float, x, nu,
                       j: int = 0) -> float:
     """nu . grad_x p for a unit normal nu."""
     nu = np.asarray(nu, dtype=float)
     if abs(float(np.dot(nu, nu)) - 1.0) > 1e-12:
         raise ParameterError("nu must be a unit vector")
-    return float(np.dot(nu, eval_kernel(exp, time, x, y, j).gradient))
+    kp = eval_points(exp, time, np.asarray(x, dtype=float)[None])
+    return float(np.dot(nu, kp.gradient[j, 0]))
 
 
 def pair_log_value(fld, t: float, s: float, x, y, j: int = 0) -> float:
@@ -380,7 +381,7 @@ def jets_of(exp: ExpansionCoeffs) -> tuple[tuple[TimeJet, ...], ...]:
     """``exp.coeffs`` as TimeJets, indexed [component][k], each cut at its
     jet order.  The array keeps one truncation flag for the whole
     expansion (``exp.truncated``), so the terms carry none."""
-    var = exp.warp.time_var
+    var = "t" if exp.warp.mode == "plain" else "tau"
     return tuple(
         tuple(TimeJet(var, tuple(
             TaylorPoly(exp.dim, exp.center, exp.degree_D,
@@ -406,7 +407,7 @@ class _Workspace:
         if wp.mode == "tau" and jet_cap is None:
             jet_cap = max(6, pc.max_time_order)
         self.jet_cap = jet_cap
-        self.var = wp.time_var
+        self.var = "t" if wp.mode == "plain" else "tau"
         self.truncated = False
         self.drift_jets = {}
         for key, entry in pc.drift.items():

@@ -13,11 +13,11 @@ import pytest
 
 from parakern import oracle
 from parakern.funcspec import FourierEntry, GaussianMix, PolyEntry, TimeEntry
-from parakern.kernel import (KernelField, delta_property, eval_kernel,
-                             normalization_check, residual, varadhan_diag)
+from parakern.kernel import (KernelField, delta_property, eval_points,
+                             normalization_check, varadhan_diag)
 from parakern.oracle import FDConfig, quad_ray
 from parakern.recursion import (ProblemCoefficients, WarpParams, expand,
-                                select_beta, tau_of_t, warp_schedule,
+                                select_beta, warp_schedule,
                                 _BatchWorkspace, _tau_weights)
 from parakern.solvers import ProblemSpec, QuadratureConfig, burgers_demo, \
     solve_cauchy, solve_ibvp2
@@ -50,7 +50,7 @@ def test_criterion_01_constant_drift_exactness():
                               for k in range(2, 3)), default=0.0))
         for t in (0.1, 0.5, 1.0):
             for x in xs:
-                val = eval_kernel(exp, t, [x]).value
+                val = eval_points(exp, t, [[x]]).value[0, 0]
                 ref = oracle.exact_const_drift_kernel(b0, 0.0, t, x, y)
                 worst = max(worst, abs(val / ref - 1.0))
     elapsed = time.perf_counter() - start
@@ -77,7 +77,7 @@ def test_criterion_02_time_dependent_drift():
     kernel_dev = 0.0
     for t in np.linspace(0.1, 1.0, 10):
         for x in np.linspace(-1, 1, 9):
-            val = eval_kernel(exp, t, [x]).value
+            val = eval_points(exp, t, [[x]]).value[0, 0]
             kernel_dev = max(kernel_dev, abs(
                 val / oracle.exact_const_drift_kernel(b0, b1, t, x, 0.0) - 1))
     ok = coeff_dev <= 1e-12 and kernel_dev <= 1e-10
@@ -97,7 +97,7 @@ def test_criterion_03_potential_term():
     kernel_dev = 0.0
     for t in (0.1, 0.5, 1.0):
         for x in np.linspace(-1, 1, 9):
-            val = eval_kernel(exp, t, [x]).value
+            val = eval_points(exp, t, [[x]]).value[0, 0]
             ref = oracle.exact_potential_kernel(v0, t, x, 0.0)
             kernel_dev = max(kernel_dev, abs(val / ref - 1.0))
     ok = c1_dev <= 1e-14 and others == 0.0 and kernel_dev <= 1e-12
@@ -137,7 +137,8 @@ def test_criterion_05_residual_order():
     worst = {}
     for K in range(2, 7):
         exp = expand(PC_SIN, [0.0], K, WarpParams(), 12)
-        worst[K] = max(abs(residual(exp, PC_SIN, 0.05, [x])[1][0])
+        worst[K] = max(abs(eval_points(exp, 0.05, [[x]],
+                                       PC_SIN).residual_rel[0, 0])
                        for x in xs)
     ratios = [worst[K + 1] / worst[K] for K in range(2, 6)]
     ok = all(r <= 0.5 for r in ratios)
@@ -206,18 +207,18 @@ def test_criterion_08_warp_equivalences():
     beta_dev = 0.0
     for t in (0.05, 0.1, 0.2):
         for x in np.linspace(-0.5, 0.5, 7):
-            v1 = eval_kernel(plain, t, [x]).log_value
-            v2 = eval_kernel(bexp, t / beta, [x]).log_value
+            v1 = eval_points(plain, t, [[x]]).log_value[0, 0]
+            v2 = eval_points(bexp, t / beta, [[x]]).log_value[0, 0]
             beta_dev = max(beta_dev, abs(math.exp(v2 - v1) - 1.0))
 
     wp = select_beta(PC_SIN)
     texp = expand(PC_SIN, [0.0], 8, WarpParams(mode="tau", beta=wp.beta), 18)
     t = 0.1
-    tau = tau_of_t(t, wp.beta)
+    tau = texp.warp.mode_time(t)
     tau_dev = 0.0
     for x in np.linspace(-0.5, 0.5, 7):
-        v1 = eval_kernel(plain, t, [x]).log_value
-        v2 = eval_kernel(texp, tau, [x]).log_value
+        v1 = eval_points(plain, t, [[x]]).log_value[0, 0]
+        v2 = eval_points(texp, tau, [[x]]).log_value[0, 0]
         tau_dev = max(tau_dev, abs(math.exp(v2 - v1) - 1.0))
     c0_constant = jets_of(texp)[0][0].is_time_constant(tol=0.0)
     ok = beta_dev <= 1e-10 and tau_dev <= 1e-6 and c0_constant
@@ -314,7 +315,9 @@ def test_criterion_12_system_mode():
     finite = True
     for t in (0.05, 0.1):
         for x in ((0.2, 0.1), (-0.3, 0.4)):
-            raw, rel = residual(exp_cpl, pc_cpl, t, x)
+            kp = eval_points(exp_cpl, t, [x], pc_cpl)
+            rel = kp.residual_rel[:, 0]
+            raw = rel * kp.value[:, 0]
             finite &= bool(np.all(np.isfinite(raw)) and
                            np.all(np.isfinite(rel)))
             lines.append(f"    t={t:4.2f} x={x}: rel residual "

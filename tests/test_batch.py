@@ -90,7 +90,7 @@ def _setup(case, mode):
 def _jet(batch, j, k, b, center):
     """Row b of the batch's c^j_k as a TimeJet."""
     n = batch.centers.shape[1]
-    return TimeJet(batch.warp.time_var, tuple(
+    return TimeJet("t" if batch.warp.mode == "plain" else "tau", tuple(
         TaylorPoly(n, center, batch.degree_D, batch.coeffs[j, k, l, b].copy())
         for l in range(batch.jet_order[j, k] + 1)))
 
@@ -218,13 +218,13 @@ def test_eval_points_over_times_equals_one_call_per_time(case, mode):
     times = (0.05, 0.1, 0.3)
     whole = eval_points(exp, np.array(times), ys, pc)
     assert whole.value.shape == (pc.components, len(times), B)
-    some = eval_points(exp, list(times), ys, components=(pc.components - 1,))
+    some = eval_points(exp, list(times), ys)
     for i, t in enumerate(times):
         one = eval_points(exp, t, ys, pc)
         for name in ("value", "log_value", "gradient", "residual_rel"):
             assert getattr(whole, name)[:, i].tobytes() == \
                 getattr(one, name).tobytes()
-        assert some.gradient[:, i].tobytes() == one.gradient[-1:].tobytes()
+        assert some.gradient[:, i].tobytes() == one.gradient.tobytes()
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 17, 256, 1000])
@@ -311,7 +311,7 @@ def test_gh_pass_matches_per_centre_sum(mode):
             continue
         y = x + root * zi
         exp = expand(pf.pc, y, 4, wp, 10)
-        kp = eval_points(exp, time, [x], components=(0,))
+        kp = eval_points(exp, time, [x])
         weight = wi * math.exp(kp.correction[0, 0]) * g(y)
         ref += weight
         ref_grad += weight * kp.log_gradient[0, 0, 0]

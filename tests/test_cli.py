@@ -11,7 +11,7 @@ from parakern.errors import SchemaError
 
 from parakern import cli, problemfile, recursion
 from parakern.cli import main
-from parakern.kernel import eval_kernel, residual
+from parakern.kernel import eval_points
 from parakern.oracle import const_drift_series_coeffs
 from parakern.recursion import WarpParams, expand
 
@@ -151,8 +151,8 @@ def test_eval_far_point_exits_numeric_without_output(tmp_path, capsys):
 
 
 def test_eval_rows_match_a_per_point_loop(tmp_path):
-    # one evaluation per time over all points writes the rows a loop of
-    # single-point residual and eval_kernel calls would, in that order
+    # one evaluation over all times and points writes the rows a loop of
+    # single-time, single-point evaluations would, in that order
     pts = [[0.3, 0.1], [-0.7, 0.2], [0.05, -0.5], [0.9, -0.9]]
     times = (0.05, 0.2, 0.4)
     path = tmp_path / "pts.csv"
@@ -169,13 +169,13 @@ def test_eval_rows_match_a_per_point_loop(tmp_path):
     rows = []
     for t in times:
         for x in pts:
-            _, rel = residual(exp, pf.pc, t, x)
+            kp = eval_points(exp, t, [x], pf.pc)
             for j in range(pf.pc.components):
-                kv = eval_kernel(exp, t, x, j=j)
                 rows.append([repr(t)] + [repr(v) for v in x]
-                            + [str(j), repr(kv.value), repr(kv.log_value)]
-                            + [repr(float(g)) for g in kv.gradient]
-                            + [repr(float(rel[j]))])
+                            + [str(j), repr(float(kp.value[j, 0])),
+                               repr(float(kp.log_value[j, 0]))]
+                            + [repr(float(g)) for g in kp.gradient[j, 0]]
+                            + [repr(float(kp.residual_rel[j, 0]))])
     with open(out, newline="") as fh:
         assert list(csv.reader(fh))[1:] == rows
 
@@ -774,7 +774,6 @@ def test_coupled_system_through_cli(tmp_path):
 
 
 def test_roundtrip_bit_exact_kernel_values(tmp_path):
-    from parakern.kernel import eval_kernel
     from parakern.problemfile import load_problem_file
     from parakern.recursion import (expand, expansion_from_dict,
                                     expansion_to_dict)
@@ -784,5 +783,6 @@ def test_roundtrip_bit_exact_kernel_values(tmp_path):
     rng = np.random.default_rng(21)
     for _ in range(25):
         t = rng.uniform(0.01, 0.3)
-        x = rng.uniform(-1, 1, 1)
-        assert eval_kernel(exp, t, x).value == eval_kernel(clone, t, x).value
+        x = rng.uniform(-1, 1, (1, 1))
+        assert eval_points(exp, t, x).value[0, 0] == \
+            eval_points(clone, t, x).value[0, 0]

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from parakern import recursion
 from parakern.funcspec import FourierEntry, GaussianMix, PolyEntry
-from parakern.kernel import (KernelField, delta_property, eval_kernel,
-                             eval_points, normalization_check, residual)
+from parakern.kernel import (KernelField, delta_property, eval_points,
+                             normalization_check)
 from parakern.recursion import (ProblemCoefficients, WarpParams, expand,
                                 expand_batch, expansion_from_dict,
                                 expansion_to_dict)
@@ -87,7 +87,7 @@ def test_expand_and_solve_never_compute_diagnostics(monkeypatch):
 
     monkeypatch.setattr(recursion, "_diagnostics", forbidden)
     exp = expand(PC_SIN, [0.0], 4, WarpParams(mode="tau", beta=0.5), 10)
-    assert math.isfinite(eval_kernel(exp, 0.2, [0.3]).value)
+    assert math.isfinite(eval_points(exp, 0.2, [[0.3]]).value[0, 0])
     fld = KernelField(PC_SIN, WarpParams(), K=4, D=10)
     assert normalization_check(fld, 0.1, [0.0], GH) == \
         pytest.approx(1.0, abs=1e-4)
@@ -135,14 +135,12 @@ def test_eval_points_rows_equal_single_point_calls(system, mode, t, xs):
     exp = expand(pc, [0.1] * pc.n, 3, wp, 8)
     xs = np.array(xs)[:, :pc.n]
     kp = eval_points(exp, t, xs, pc)
-    for p, x in enumerate(xs):
-        raw, rel = residual(exp, pc, t, x)
-        assert np.array_equal(rel, kp.residual_rel[:, p])
-        for j in range(pc.components):
-            kv = eval_kernel(exp, t, x, j=j)
-            assert (kv.value, kv.log_value) == \
-                (kp.value[j, p], kp.log_value[j, p])
-            assert np.array_equal(kv.gradient, kp.gradient[j, p])
+    for p in range(len(xs)):
+        one = eval_points(exp, t, xs[p:p + 1], pc)
+        for name in ("value", "log_value", "gradient", "residual_rel",
+                     "correction", "log_gradient"):
+            assert getattr(one, name)[:, 0].tobytes() == \
+                getattr(kp, name)[:, p].tobytes()
 
 
 @SEEDED

@@ -14,8 +14,8 @@ from parakern.recursion import (ProblemCoefficients,
                                 WarpParams, beta_from_bound,
                                 beta_upper_bound, expand, expand_batch,
                                 expansion_from_dict,
-                                expansion_to_dict, select_beta, t_of_tau,
-                                tau_of_t, warp_schedule)
+                                expansion_to_dict, select_beta,
+                                warp_schedule)
 
 from objalg import (compute_R, compute_c0, jet_eval, jets_of, poly_add,
                     poly_euler)
@@ -123,7 +123,7 @@ def test_potential_in_warped_modes_matches_plain():
                       for k in range(7))
         w_beta = sum(jet_eval(jets_of(bexp)[0][k], t / beta, [x])
                      * (t / beta) ** k for k in range(7))
-        tau = tau_of_t(t, 1.0)
+        tau = texp.warp.mode_time(t)
         w_tau = sum(jet_eval(jets_of(texp)[0][k], tau, [x]) * tau ** k
                     for k in range(7))
         assert w_beta == pytest.approx(w_plain, abs=1e-12)
@@ -277,15 +277,15 @@ def test_warped_modes_with_time_dependent_drift():
     pc = scalar_pc(entry)
     texp = expand(pc, [0.0], 8, WarpParams(mode="tau", beta=1.0), 18)
     bexp = expand(pc, [0.0], 8, WarpParams(mode="beta", beta=0.5), 18)
-    from parakern.kernel import eval_kernel
+    from parakern.kernel import eval_points
+    xs = np.array([[-0.4], [0.3]])
     for t in (0.05, 0.1):
-        tau = tau_of_t(t, 1.0)
-        for x in (-0.4, 0.3):
-            ref = oracle.exact_const_drift_kernel(0.3, 0.5, t, x, 0.0)
-            assert eval_kernel(bexp, t / 0.5, [x]).value == \
-                pytest.approx(ref, rel=1e-12)
-            assert eval_kernel(texp, tau, [x]).value == \
-                pytest.approx(ref, rel=1e-9)
+        ref = np.array([oracle.exact_const_drift_kernel(0.3, 0.5, t, x, 0.0)
+                        for x in xs[:, 0]])
+        assert eval_points(bexp, t / 0.5, xs).value[0] == \
+            pytest.approx(ref, rel=1e-12)
+        assert eval_points(texp, texp.warp.mode_time(t), xs).value[0] == \
+            pytest.approx(ref, rel=1e-9)
 
 
 def test_c0_has_no_time_dependence_for_homogeneous_drift():
@@ -367,20 +367,20 @@ def test_select_beta_sin_testbed_caps_at_one():
 
 
 def test_tau_transform_examples_and_roundtrip():
-    assert tau_of_t(0.0, 1.0) == 0.0
-    assert t_of_tau(0.5, 1.0) == pytest.approx(math.log(2.0), rel=1e-14)
+    # WarpParams.mode_time and physical_time are the tau map and its inverse
+    wp = WarpParams(mode="tau", beta=1.0)
+    assert wp.mode_time(0.0) == 0.0
+    assert wp.physical_time(0.5)[0] == pytest.approx(math.log(2.0), rel=1e-14)
     rng = np.random.default_rng(9)
     for _ in range(100):
         # keep tau away from its saturation at 1, where float64 cannot
         # represent the inverse map to full precision
-        beta = rng.uniform(0.5, 2.0)
+        wp = WarpParams(mode="tau", beta=rng.uniform(0.5, 2.0))
         t = rng.uniform(0.0, 2.0)
-        assert t_of_tau(tau_of_t(t, beta), beta) == \
+        assert wp.physical_time(wp.mode_time(t))[0] == \
             pytest.approx(t, rel=1e-14, abs=1e-14)
     with pytest.raises(ParameterError):
-        t_of_tau(1.0, 1.0)
-    with pytest.raises(ParameterError):
-        tau_of_t(-0.1, 1.0)
+        WarpParams(mode="tau").physical_time(1.0)
 
 
 def test_warp_schedule_examples():
@@ -437,6 +437,10 @@ def _assert_roundtrip(exp):
     for e in (exp, clone):
         assert not e.coeffs.flags.writeable
     assert clone == exp and exp == clone and not clone != exp
+    # the clone samples its diagnostics again, to the same bits
+    for name in ("sup_norms", "weighted"):
+        assert np.array(getattr(clone.diagnostics, name)).tobytes() == \
+            np.array(getattr(exp.diagnostics, name)).tobytes()
 
 
 def test_expansion_roundtrip_is_exact():
@@ -456,6 +460,15 @@ def test_expansion_roundtrip_is_exact():
                    WarpParams(mode="tau", beta=0.5)):
             _assert_roundtrip(expand(pf.pc, np.zeros(pf.pc.n), pf.order_K,
                                      wp, pf.degree_D))
+
+
+def test_expansion_files_do_not_carry_diagnostics():
+    # a file's diagnostics that disagree with its coefficients are not read
+    exp = expand(scalar_pc(SIN_DRIFT), [0.1], 4, WarpParams(), 10)
+    data = expansion_to_dict(exp)
+    data["diagnostics"] = dict(data["diagnostics"], sup_norms=[9.0] * 5,
+                               weighted=[9.0] * 5, tau_ref=0.25)
+    assert expansion_from_dict(data).diagnostics == exp.diagnostics
 
 
 def test_expansion_files_keep_the_domain_radius():

@@ -427,7 +427,7 @@ class _ScalarMarch:
     def _read(self, t, s, x, y):
         """The correction and grad_x log p of the expansion about y."""
         kp = eval_points(self._expansion(y, s),
-                         self.fld.warp.mode_time(t - s), [x], components=(0,))
+                         self.fld.warp.mode_time(t - s), [x])
         return kp.correction[0, 0], kp.log_gradient[0, 0]
 
     def log_value(self, t, s, x, y):
