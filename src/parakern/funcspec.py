@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -327,14 +328,29 @@ def spec_from_dict(data: dict | None, dim: int) -> FunctionSpec:
 
     A ``time_poly`` lists its parts under ``"parts"`` as data and under
     ``"terms"`` as a drift or potential record.  Every exponent tuple,
-    wave vector and centre has ``dim`` coordinates, and ``grid`` data is
-    1D; otherwise a :class:`SchemaError` names the kind.
+    wave vector and centre has ``dim`` coordinates, every number is a
+    JSON number (not a string or a boolean), every exponent and time
+    order an integer (``2`` or ``2.0``), and ``grid`` data is 1D;
+    otherwise a :class:`SchemaError` names the kind.
     """
     if data is None:
         return ZeroFunc()
+    if not isinstance(data, dict):
+        raise SchemaError(f"a function spec is an object, not {data!r}")
     kind = data.get("kind")
 
-    def coords(values, what: str, cast=float) -> tuple:
+    def num(v) -> float:
+        if type(v) not in (float, int) and (
+                isinstance(v, bool) or not isinstance(v, numbers.Real)):
+            raise SchemaError(f"{kind}: {v!r} is not a number")
+        return float(v)
+
+    def whole(v) -> int:
+        if not num(v).is_integer():
+            raise SchemaError(f"{kind}: {v!r} is not an integer")
+        return int(v)
+
+    def coords(values, what: str, cast=num) -> tuple:
         if len(values) != dim:
             raise SchemaError(f"{kind}: {what} {list(values)} has "
                               f"{len(values)} coordinates, not {dim}")
@@ -343,28 +359,28 @@ def spec_from_dict(data: dict | None, dim: int) -> FunctionSpec:
     if kind == "zero":
         return ZeroFunc()
     if kind == "poly":
-        return PolyEntry(dim, tuple((float(c), coords(e, "exponent", int))
+        return PolyEntry(dim, tuple((num(c), coords(e, "exponent", whole))
                                     for c, e in data["terms"]))
     if kind == "fourier":
         return FourierEntry(dim, tuple(
-            (float(a), coords(k, "wave vector"), float(p))
+            (num(a), coords(k, "wave vector"), num(p))
             for a, k, p in data["terms"]))
     if kind == "polyfourier":
         return SpacePolyFourier(tuple(
-            (float(c), coords(e, "exponent", int), coords(k, "wave vector"),
-             float(p)) for c, e, k, p in data["terms"]))
+            (num(c), coords(e, "exponent", whole), coords(k, "wave vector"),
+             num(p)) for c, e, k, p in data["terms"]))
     if kind == "gaussian_mix":
-        return GaussianMix(tuple((float(a), float(b), coords(c, "centre"))
+        return GaussianMix(tuple((num(a), num(b), coords(c, "centre"))
                                  for a, b, c in data["terms"]))
     if kind == "grid":
         if dim != 1:
             raise SchemaError(f"grid: samples are 1D, the dimension is {dim}")
-        return GridSamples(tuple(float(v) for v in data["points"]),
-                           tuple(float(v) for v in data["values"]))
+        return GridSamples(tuple(num(v) for v in data["points"]),
+                           tuple(num(v) for v in data["values"]))
     if kind == "time_poly":
         parts = data["parts"] if "parts" in data else data["terms"]
-        return TimeEntry(tuple((int(l), spec_from_dict(s, dim))
+        return TimeEntry(tuple((whole(l), spec_from_dict(s, dim))
                                for l, s in parts))
     if kind == "expt":
-        return ExpTime(float(data["rate"]), spec_from_dict(data["space"], dim))
+        return ExpTime(num(data["rate"]), spec_from_dict(data["space"], dim))
     raise UnsupportedSpecError(f"unknown function kind {kind!r}")

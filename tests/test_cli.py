@@ -565,7 +565,8 @@ def test_removed_flags_are_usage_errors(flag, capsys):
 # ---------------------------------------------------------------------------
 
 def test_packaged_schema_is_valid():
-    # loads check it once per process; the suite checks it on every run
+    # the package compiles the schema without jsonschema, so no load
+    # checks it against its metaschema; the suite does, on every run
     schema = problemfile._schema()
     jsonschema.validators.validator_for(schema).check_schema(schema)
 
@@ -648,11 +649,76 @@ def test_coordinate_lengths_must_match_the_dimension(tmp_path, capsys, name,
     assert os.listdir(tmp_path) == ["bad.json"]
 
 
+@pytest.mark.parametrize("where, value, message", [
+    (("drift", 0, "terms"), [[0.3]], "at drift/0: not enough values"),
+    (("problem", "phi", "terms"), [[1.0]], "at problem/phi: not enough"),
+    (("problem", "phi", "terms"), [["abc", 1.0, [0.0]]],
+     "at problem/phi: gaussian_mix: 'abc' is not a number"),
+    (("problem", "phi", "terms"), [["1.0", 1.0, [0.0]]],
+     "at problem/phi: gaussian_mix: '1.0' is not a number"),
+    (("problem", "phi", "terms"), [[True, 1.0, [0.0]]],
+     "at problem/phi: gaussian_mix: True is not a number"),
+    (("drift", 0), {"i": 0, "j": 0, "k": 0, "kind": "poly",
+                    "terms": [[0.3, [1.5]]]},
+     "at drift/0: poly: 1.5 is not an integer"),
+    (("problem", "phi", "kind"), "nope",
+     "at problem/phi: unknown function kind 'nope'"),
+    (("problem", "phi"), {"terms": [[1.0, 1.0, [0.0]]]},
+     "at problem/phi: unknown function kind None"),
+    (("problem", "phi"), {"kind": "gaussian_mix"},
+     "at problem/phi: missing key 'terms'"),
+    (("problem", "phi"), {"kind": "time_poly", "parts": [[0, 1.0]]},
+     "at problem/phi: a function spec is an object, not 1.0"),
+    (("domain",), {"lower": [1.0], "upper": [-1.0]}, "at domain: upper"),
+    (("domain",), {"lower": [0.5], "upper": [0.5]}, "at domain: upper"),
+    (("problem", "phi", "terms"), [[10 ** 400, 1.0, [0.0]]],
+     "at problem/phi: int too large to convert to float"),
+    (("problem", "kind"), "burgers",
+     "at problem: burgers requires positive viscosity"),
+], ids=["short-drift-term", "short-phi-term", "string-coefficient",
+        "numeric-string-coefficient", "boolean-coefficient",
+        "fractional-exponent", "unknown-kind", "missing-kind",
+        "missing-terms", "non-object-part", "swapped-domain", "flat-domain",
+        "integer-past-float-range", "burgers-without-nu"])
+def test_malformed_specs_exit_2_naming_the_field(tmp_path, capsys, where,
+                                                 value, message):
+    # the short terms, the string coefficient and the huge integer used
+    # to exit 1 with a traceback, the unknown or missing kind, the degenerate domain and a
+    # Burgers problem without a viscosity exit 3 as numeric errors
+    with open(problem("sin_drift.json")) as fh:
+        data = json.load(fh)
+    node = data
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    for command in ("validate", "expand", "eval", "solve"):
+        rc = main([command, write_json(tmp_path, "bad.json", data),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"problem-file error: {message}")
+    assert os.listdir(tmp_path) == ["bad.json"]
+
+
 def test_schema_rejects_nonfinite(tmp_path, capsys):
     path = tmp_path / "nan.json"
     path.write_text(json.dumps(MINIMAL).replace("0.5", "NaN"))
     rc = main(["expand", str(path)])
     assert rc == 2
+
+
+@pytest.mark.parametrize("old, new", [
+    ("0.5", "1e400"), ("[[1.0, 1.0,", "[[-1e999, 1.0,")],
+    ids=["horizon", "coefficient"])
+def test_schema_rejects_literals_past_the_float_range(tmp_path, capsys, old,
+                                                      new):
+    # each used to read as inf: the solve wrote inf values and exited 0
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(MINIMAL).replace(old, new))
+    rc = main(["solve", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "non-finite number" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["inf.json"]
 
 
 def test_schema_unknown_file(capsys):
