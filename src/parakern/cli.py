@@ -12,6 +12,7 @@ explicit flags; no environment variables are consulted.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -28,7 +29,7 @@ from .problemfile import ProblemFile, load_problem_file
 from .recursion import (ProblemCoefficients, WarpParams, expand,
                         expansion_from_dict, expansion_to_dict, resolve_warp)
 from .solvers import (QuadratureConfig, burgers_demo, lattice, solve_cauchy,
-                      solve_ibvp2, _write_csv)
+                      solve_ibvp2, _write_csv, _write_text)
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -90,6 +91,17 @@ def _apply_overrides(pf: ProblemFile, args) -> ProblemFile:
                        QuadratureConfig(**quad))
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """An output that cannot be written (a missing directory, a directory
+    named as the file) is a :class:`SchemaError`, as an unreadable
+    ``--points`` file is."""
+    try:
+        yield
+    except OSError as exc:
+        raise SchemaError(f"cannot write {path}: {exc.strerror}") from None
+
+
 # ---------------------------------------------------------------------------
 # expand
 # ---------------------------------------------------------------------------
@@ -98,13 +110,12 @@ def cmd_expand(args) -> int:
     pf = _apply_overrides(load_problem_file(args.file), args)
     y = _parse_center(args.center, pf.pc.n)
     exp = expand(pf.pc, y, pf.order_K, pf.warp, pf.degree_D)
-    payload = expansion_to_dict(exp)
+    text = json.dumps(expansion_to_dict(exp), indent=1)
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=1)
+        with _writing(args.out):
+            _write_text(args.out, text)
     else:
-        json.dump(payload, sys.stdout, indent=1)
-        print()
+        print(text)
     diag = exp.diagnostics
     print(f"# expansion mode={exp.warp.mode} beta={exp.warp.beta:.6g} "
           f"K={exp.order_K} D={exp.degree_D} center={list(exp.center)}")
@@ -164,7 +175,11 @@ def cmd_eval(args) -> int:
             head = ",".join(map(repr, [t, *x]))
             lines += [f"{head},{j},{','.join(map(repr, values))}"
                       for j, values in enumerate(at_x)]
-    _write_csv(args.out or None, lines)
+    if args.out:
+        with _writing(args.out):
+            _write_csv(args.out, lines)
+    else:
+        _write_csv(None, lines)
     return EXIT_OK
 
 
@@ -181,14 +196,16 @@ def cmd_solve(args) -> int:
         sol = solve_cauchy(pf.ps, fld, pf.quad, points=points)
     elif pf.ps.kind == "ibvp2":
         sol, dens = solve_ibvp2(pf.ps, fld, pf.quad.steps, pf.quad)
-        dens.to_csv(f"{base}_density.csv")
     else:
         sol = burgers_demo(pf.ps, pf.order_K, pf.quad, points=points,
                            warp=pf.warp, D=pf.degree_D)
-    sol.to_csv(f"{base}.csv")
-    sol.to_json(f"{base}.json")
-    print(f"wrote {base}.csv and {base}.json"
-          + (f" and {base}_density.csv" if pf.ps.kind == "ibvp2" else ""))
+    outputs = {f"{base}.csv": sol.to_csv, f"{base}.json": sol.to_json}
+    if pf.ps.kind == "ibvp2":
+        outputs[f"{base}_density.csv"] = dens.to_csv
+    for path, write in outputs.items():
+        with _writing(path):
+            write(path)
+    print("wrote " + " and ".join(outputs))
     return EXIT_OK
 
 
@@ -324,8 +341,8 @@ def cmd_validate(args) -> int:
     report = {"file": args.file, "status": status, "checks": checks}
     text = json.dumps(report, indent=1)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        with _writing(args.out):
+            _write_text(args.out, text + "\n")
     print(text)
     return EXIT_OK if status == "PASS" else EXIT_NUMERIC
 

@@ -238,6 +238,15 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _real(value, where: str) -> float:
+    """``float(value)``; an integer literal past the float range (``1``
+    followed by 400 zeros) is a :class:`SchemaError` naming ``where``."""
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise SchemaError(f"at {where}: {exc}") from exc
+
+
 def _default_bound_c(entries) -> float:
     """Smallest admissible generic constant the entries advertise.
 
@@ -273,8 +282,9 @@ def load_problem_dict(data: dict) -> ProblemFile:
     # the schema's integers may be integer-valued floats: read them as int
     dim = int(data["dimension"])
     components = int(data["components"])
-    lo = tuple(float(v) for v in data["domain"]["lower"])
-    hi = tuple(float(v) for v in data["domain"]["upper"])
+    lo, hi = (tuple(_real(v, f"domain/{side}/{i}")
+                    for i, v in enumerate(data["domain"][side]))
+              for side in ("lower", "upper"))
     if len(lo) != dim or len(hi) != dim:
         raise SchemaError("at domain: bounds must have length 'dimension'")
     if any(b <= a for a, b in zip(lo, hi)):
@@ -295,8 +305,8 @@ def load_problem_dict(data: dict) -> ProblemFile:
     try:
         pc = ProblemCoefficients(
             dim, components, drift, potential,
-            bound_C=float(data.get("bound_C", _default_bound_c(
-                [*drift.values(), *potential.values()]))),
+            bound_C=_real(data.get("bound_C", _default_bound_c(
+                [*drift.values(), *potential.values()])), "bound_C"),
             domain_radius_R=radius)
     except ParakernValueError as exc:
         raise SchemaError(f"at drift/potential: {exc}") from exc
@@ -304,20 +314,24 @@ def load_problem_dict(data: dict) -> ProblemFile:
     prob = data["problem"]
     specs = {name: _spec(prob.get(name), dim, f"problem/{name}")
              for name in ("phi", "f", "alpha", "psi", "phi0")}
+    horizon = _real(data["horizon"], "horizon")
+    nu = 0.0 if prob.get("nu") is None else _real(prob["nu"], "problem/nu")
     try:
         ps = ProblemSpec(
-            kind=prob["kind"], domain_lo=lo, domain_hi=hi,
-            horizon=float(data["horizon"]), coefficients=pc,
-            phi=specs["phi"], source=specs["f"], alpha=specs["alpha"],
-            psi=specs["psi"], phi0=specs["phi0"],
-            nu=float(prob["nu"]) if prob.get("nu") is not None else 0.0)
+            kind=prob["kind"], domain_lo=lo, domain_hi=hi, horizon=horizon,
+            coefficients=pc, phi=specs["phi"], source=specs["f"],
+            alpha=specs["alpha"], psi=specs["psi"], phi0=specs["phi0"],
+            nu=nu)
     except ParakernError as exc:
         raise SchemaError(f"at problem: {exc}") from exc
 
     expn = data.get("expansion", {})
+    beta, c_target = (None if expn.get(name) is None
+                      else _real(expn[name], f"expansion/{name}")
+                      for name in ("beta", "c_target"))
     try:
         warp = resolve_warp(pc, ps.horizon, expn.get("mode", "plain"),
-                            expn.get("beta"), expn.get("c_target"))
+                            beta, c_target)
     except ParakernValueError as exc:
         raise SchemaError(f"at expansion: {exc}") from exc
 

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import functools
 import json
+import os
+import stat
 import sys
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -106,14 +108,12 @@ class GridSolution:
         _write_csv(path, lines)
 
     def to_json(self, path: str):
-        with open(path, "w") as fh:
-            json.dump({
-                "times": [float(t) for t in self.times],
-                "points": [[float(v) for v in p] for p in self.points],
-                "values": [[[float(v) for v in comp] for comp in row]
-                           for row in self.values],
-                "metadata": self.metadata,
-            }, fh, indent=1)
+        times, points, values = (np.asarray(a, dtype=float).tolist()
+                                 for a in (self.times, self.points,
+                                           self.values))
+        _write_text(path, json.dumps({
+            "times": times, "points": points, "values": values,
+            "metadata": self.metadata}, indent=1))
 
 
 @dataclass(frozen=True)
@@ -140,9 +140,24 @@ def _write_csv(path: str | None, lines: list[str]):
     text = "\r\n".join(lines) + "\r\n"
     if path is None:
         sys.stdout.write(text)
-        return
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+    else:
+        _write_text(path, text)
+
+
+def _write_text(path: str, text: str):
+    """The one writer of every output file: ``text`` over ``path`` in place.
+    No ``O_TRUNC``, since ext4 flushes a file emptied to length 0 when it
+    is closed; a regular file is cut to the new length (``/dev/null``
+    cannot be).  Not atomic, as ``open(path, "w")`` is not."""
+    data = memoryview(text.encode())
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
 
 
 def lattice(ps: ProblemSpec, per_axis: int = 41) -> np.ndarray:

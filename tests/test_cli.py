@@ -852,3 +852,86 @@ def test_roundtrip_bit_exact_kernel_values(tmp_path):
         x = rng.uniform(-1, 1, (1, 1))
         assert eval_points(exp, t, x).value[0, 0] == \
             eval_points(clone, t, x).value[0, 0]
+
+
+# ---------------------------------------------------------------------------
+# output files
+# ---------------------------------------------------------------------------
+
+# a fast problem file per command, its extra flags and the suffixes of the
+# files it writes after the --out path, in the order it writes them
+OUTPUTS = {
+    "expand": ("sin_drift.json", [], [""]),
+    "eval": ("sin_drift.json", ["--t", "0.05,0.1"], [""]),
+    "validate": ("const_drift.json", [], [""]),
+    "solve": ("manufactured_ibvp2.json", [],
+              [".csv", ".json", "_density.csv"]),
+}
+
+
+@pytest.mark.parametrize("command", OUTPUTS)
+def test_a_rewrite_writes_the_bytes_of_a_fresh_file(tmp_path, capsys,
+                                                    command):
+    # files are written in place, never emptied first: a longer old file
+    # must lose its tail, a shorter one must grow
+    name, extra, suffixes = OUTPUTS[command]
+    args = [command, problem(name), *extra, "--out"]
+    (tmp_path / "fresh").mkdir()
+    assert main(args + [str(tmp_path / "fresh" / "out")]) == 0
+    fresh = {s: (tmp_path / "fresh" / f"out{s}").read_bytes()
+             for s in suffixes}
+    (tmp_path / "old").mkdir()
+    for size in (lambda n: 2 * n + 100, lambda n: n // 2):
+        for s, data in fresh.items():
+            (tmp_path / "old" / f"out{s}").write_bytes(b"x" * size(len(data)))
+        assert main(args + [str(tmp_path / "old" / "out")]) == 0
+        assert {s: (tmp_path / "old" / f"out{s}").read_bytes()
+                for s in suffixes} == fresh
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["eval", "expand", "validate"])
+def test_out_to_dev_null_exits_0(command, capsys):
+    # a device cannot be cut to the output's length, and is not
+    name, extra, _ = OUTPUTS[command]
+    assert main([command, problem(name), *extra, "--out", os.devnull]) == 0
+
+
+@pytest.mark.parametrize("command", OUTPUTS)
+@pytest.mark.parametrize("case", ["missing-directory", "directory"])
+def test_an_unwritable_out_exits_2(tmp_path, capsys, command, case):
+    # each used to exit 1 with a traceback
+    name, extra, suffixes = OUTPUTS[command]
+    if case == "missing-directory":
+        out, reason = tmp_path / "missing" / "out", "No such file or directory"
+    else:
+        out, reason = tmp_path / "out", "Is a directory"
+        (tmp_path / f"out{suffixes[0]}").mkdir()
+    before = sorted(os.listdir(tmp_path))
+    rc = main([command, problem(name), *extra, "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"problem-file error: cannot write "
+                            f"{out}{suffixes[0]}: {reason}\n")
+    assert captured.out == ""
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_a_new_out_file_has_the_mode_open_gives(tmp_path, capsys):
+    umask = os.umask(0o027)
+    try:
+        with open(tmp_path / "reference", "w"):
+            pass
+        assert main(["expand", problem("sin_drift.json"),
+                     "--out", str(tmp_path / "new")]) == 0
+    finally:
+        os.umask(umask)
+    mode = os.stat(tmp_path / "new").st_mode
+    assert mode == os.stat(tmp_path / "reference").st_mode
+    assert mode & 0o777 == 0o640
+    # an existing file keeps its mode, as under open(path, "w")
+    os.chmod(tmp_path / "new", 0o600)
+    assert main(["expand", problem("zero_drift.json"),
+                 "--out", str(tmp_path / "new")]) == 0
+    assert os.stat(tmp_path / "new").st_mode & 0o777 == 0o600
+    capsys.readouterr()

@@ -235,3 +235,45 @@ def _get(doc, path):
     for key in path:
         doc = doc[key]
     return doc
+
+
+# ---------------------------------------------------------------------------
+# integer literals past the float range
+# ---------------------------------------------------------------------------
+
+# each number field read as a float, with the file and mode that read it
+REAL_FIELDS = {
+    "horizon": ("sin_drift.json", None, ("horizon",)),
+    "bound_C": ("sin_drift.json", None, ("bound_C",)),
+    "domain-lower": ("sin_drift.json", None, ("domain", "lower", 0)),
+    "domain-upper": ("sin_drift.json", None, ("domain", "upper", 0)),
+    "beta": ("sin_drift.json", "beta", ("expansion", "beta")),
+    "c_target": ("sin_drift.json", "tau", ("expansion", "c_target")),
+    "nu": ("burgers_selfsim.json", None, ("problem", "nu")),
+}
+
+
+@pytest.mark.parametrize("field", REAL_FIELDS)
+def test_an_integer_past_the_float_range_names_its_field(tmp_path, capsys,
+                                                         field):
+    # each used to raise an uncaught OverflowError (exit 1)
+    name, mode, where = REAL_FIELDS[field]
+    doc = _load(os.path.join(ROOT, "problems", name))
+    if mode is not None:
+        doc["expansion"]["mode"] = mode
+    doc = _replaced(doc, where, 10 ** 400)
+    message = (f"at {'/'.join(map(str, where))}: "
+               "int too large to convert to float")
+    with pytest.raises(SchemaError) as info:
+        problemfile.load_problem_dict(doc)
+    assert str(info.value) == message
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError) as info:
+        problemfile.load_problem_file(str(path))
+    assert str(info.value) == message
+    for command in ("validate", "expand", "eval", "solve"):
+        rc = main([command, str(path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"problem-file error: {message}\n"
+    assert os.listdir(tmp_path) == ["big.json"]

@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 import os
 
@@ -864,9 +865,10 @@ def test_grid_solution_csv_roundtrip(tmp_path):
     assert lines[1].split(",") == ["0.1", "0.0", "0", "1.5"]
 
 
-class _CsvReference:
-    """The ``csv.writer`` emitters the one-write ``to_csv`` methods
-    replaced, row by row, kept as their byte-level reference."""
+class _WriterReference:
+    """The emitters the one-write ``to_csv`` and ``to_json`` methods
+    replaced (``csv.writer`` row by row, a streamed ``json.dump``), kept
+    as their byte-level reference."""
 
     @staticmethod
     def grid(sol, path):
@@ -892,6 +894,19 @@ class _CsvReference:
                     writer.writerow([repr(float(t)), repr(float(x)),
                                      repr(float(dens.values[it, ip]))])
 
+    @staticmethod
+    def json(sol, path):
+        """The per-value ``float`` lists ``to_json`` streamed through
+        ``json.dump`` before it wrote one ``json.dumps``."""
+        with open(path, "w") as fh:
+            json.dump({
+                "times": [float(t) for t in sol.times],
+                "points": [[float(v) for v in p] for p in sol.points],
+                "values": [[[float(v) for v in comp] for comp in row]
+                           for row in sol.values],
+                "metadata": sol.metadata,
+            }, fh, indent=1)
+
 
 ODD_FLOATS = [-0.0, 5e-324, math.inf, -math.inf, math.nan, 0.1, -2.5e300]
 
@@ -904,7 +919,7 @@ def test_grid_solution_csv_bytes_match_csv_writer(tmp_path):
                        np.array([[0.0, -0.0], [math.inf, 1e-310],
                                  [math.nan, -math.inf]]), values)
     sol.to_csv(str(tmp_path / "new.csv"))
-    _CsvReference.grid(sol, str(tmp_path / "ref.csv"))
+    _WriterReference.grid(sol, str(tmp_path / "ref.csv"))
     new = (tmp_path / "new.csv").read_bytes()
     assert new == (tmp_path / "ref.csv").read_bytes()
     assert new.count(b"\r\n") == 1 + 2 * 3 * 2
@@ -915,7 +930,39 @@ def test_boundary_density_csv_bytes_match_csv_writer(tmp_path):
                            np.array([-0.0, 1.0]),
                            np.array(ODD_FLOATS + [1.0]).reshape(4, 2))
     dens.to_csv(str(tmp_path / "new.csv"))
-    _CsvReference.density(dens, str(tmp_path / "ref.csv"))
+    _WriterReference.density(dens, str(tmp_path / "ref.csv"))
     new = (tmp_path / "new.csv").read_bytes()
     assert new == (tmp_path / "ref.csv").read_bytes()
     assert new.count(b"\r\n") == 1 + 4 * 2
+
+
+def test_grid_solution_json_bytes_match_a_streamed_dump(tmp_path):
+    values = np.array(ODD_FLOATS * 2)[:12].reshape(2, 3, 2)
+    sol = GridSolution(np.array([-0.0, 5e-324]),
+                       np.array([[0.0, -0.0], [math.inf, 1e-310],
+                                 [math.nan, -math.inf]]), values,
+                       {"K": 6, "mode": "tau", "beta": 0.5, "D": None})
+    sol.to_json(str(tmp_path / "new.json"))
+    _WriterReference.json(sol, str(tmp_path / "ref.json"))
+    assert (tmp_path / "new.json").read_bytes() == \
+        (tmp_path / "ref.json").read_bytes()
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: GridSolution(np.array([0.1, 0.2]), np.array([[0.0], [1.0]]),
+                              np.arange(4.0).reshape(2, 2, 1)).to_csv(path),
+    lambda path: GridSolution(np.array([0.1, 0.2]), np.array([[0.0], [1.0]]),
+                              np.arange(4.0).reshape(2, 2, 1)).to_json(path),
+    lambda path: BoundaryDensity(np.array([0.1, 0.2]), np.array([0.0, 1.0]),
+                                 np.arange(4.0).reshape(2, 2)).to_csv(path),
+], ids=["grid-csv", "grid-json", "density-csv"])
+def test_a_rewrite_writes_the_bytes_of_a_fresh_file(tmp_path, write):
+    # written in place, never emptied first: an older, longer file loses
+    # its tail and a shorter one grows
+    write(str(tmp_path / "fresh"))
+    fresh = (tmp_path / "fresh").read_bytes()
+    for size in (2 * len(fresh) + 100, len(fresh) // 2):
+        (tmp_path / "old").write_bytes(b"x" * size)
+        write(str(tmp_path / "old"))
+        assert (tmp_path / "old").read_bytes() == fresh
+    write(os.devnull)
