@@ -205,7 +205,14 @@ def _check_explicit_stability(cfg: FDConfig, n: int):
 
 
 def _fd_grid(lo: float, hi: float, h: float) -> np.ndarray:
-    return lo + h * np.arange(int(round((hi - lo) / h)) + 1)
+    """The nodes lo, lo + h, ..., hi.  A step that does not tile [lo, hi]
+    (to a relative 1e-9), or tiles it with fewer than 3 nodes, raises."""
+    steps = (hi - lo) / h
+    n = int(round(steps))
+    if n < 2 or abs(steps - n) > 1e-9 * n:
+        raise ParameterError(f"h = {h} does not tile [{lo}, {hi}] in two or "
+                             f"more steps")
+    return lo + h * np.arange(n + 1)
 
 
 def _sampler(sample_times: Sequence[float] | None, horizon: float):

@@ -7,15 +7,16 @@ of a coefficient array pairs with row ``i`` of the table.
 
 The private column helpers (``_mul_cols``, ``_overflow_cols`` and
 ``_partial_tables``) do the arithmetic on coefficient arrays with any
-number of columns, one per expansion centre; the drift and potential
-entries of :mod:`parakern.funcspec` write their Taylor coefficients in
-the same layout.  Because the table is graded, the rows of degree <= d
-are its first ``_rows(dim, d)`` rows, so an array may stop at its
-degree: products take their pair table for the operands' degrees
-(``_mul_tables``, keyed by dim, cap and both degrees) and form no pair
-of rows known to be zero.  ``_monomials`` evaluates the table's monomials
-at points, ``_tensor_grid`` lists the points of a tensor grid, and the
-scalar power-series helpers serve tau mode's jets.
+number of columns, one per expansion centre, and ``_csr_apply`` applies
+every cached sparse map (a product's scatter, tau mode's jet maps); the
+drift and potential entries of :mod:`parakern.funcspec` write their
+Taylor coefficients in the same layout.  Because the table is graded,
+the rows of degree <= d are its first ``_rows(dim, d)`` rows, so an
+array may stop at its degree: products take their pair table for the
+operands' degrees (``_mul_tables``, keyed by dim, cap and both degrees)
+and form no pair of rows known to be zero.  ``_monomials`` evaluates
+the table's monomials at points, ``_tensor_grid`` lists the points of a
+tensor grid, and the scalar power-series helpers serve tau mode's jets.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
+# private: the kernels ``csr_matrix @ ndarray`` runs
+from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 
 from .errors import ParameterError
 
@@ -100,7 +103,9 @@ def _mul_tables(dim: int, cap: int, da: int, db: int):
 
 @lru_cache(maxsize=None)
 def _partial_tables(dim: int, cap: int):
-    """Per-coordinate (source row, target row, scale) differentiation maps."""
+    """Per-coordinate (source row, target row, scale) differentiation maps,
+    by source row.  Lowering one exponent keeps the graded-lex order, so
+    the targets are the rows of degree < cap, each once, in order."""
     exps, pos, _ = index_table(dim, cap)
     out = []
     for axis in range(dim):
@@ -112,6 +117,7 @@ def _partial_tables(dim: int, cap: int):
                 src.append(i)
                 dst.append(pos[lowered])
                 scale.append(t[axis])
+        assert dst == list(range(len(dst)))
         out.append((np.array(src), np.array(dst), np.array(scale, dtype=float)))
     return tuple(out)
 
@@ -133,8 +139,26 @@ def _mul_cols(a: np.ndarray, b: np.ndarray, dim: int, cap: int) -> np.ndarray:
         return a * b + 0.0
     ii, jj, scatter, _, _ = _mul_tables(dim, cap, _degree(len(a), dim, cap),
                                         _degree(len(b), dim, cap))
-    prod = (a[ii] * b[jj]).reshape(len(ii), -1)
-    return (scatter @ prod).reshape(scatter.shape[:1] + a.shape[1:])
+    prod = (a.take(ii, axis=0) * b.take(jj, axis=0)).reshape(len(ii), -1)
+    return _csr_apply(scatter, prod).reshape((-1,) + a.shape[1:])
+
+
+def _csr_apply(S: sparse.csr_matrix, x: np.ndarray) -> np.ndarray:
+    """``S @ x`` for a CSR matrix ``S`` and a 2-D float array ``x`` of
+    ``S.shape[1]`` rows, bit for bit: the kernel scipy's operator picks
+    (its vector kernel for one column, which may give a NaN another sign),
+    without the operator's dispatch.  Each output row starts at zero and
+    adds its terms ``S[i, j] * x[j]`` in stored order, column by column."""
+    (rows, cols), vecs = S.shape, x.shape[1]
+    assert x.shape == (cols, vecs)      # the kernels read x unchecked
+    out = np.zeros((rows, vecs))
+    if vecs == 1:
+        csr_matvec(rows, cols, S.indptr, S.indices, S.data, x.ravel(),
+                   out.ravel())
+    else:
+        csr_matvecs(rows, cols, vecs, S.indptr, S.indices, S.data,
+                    x.ravel(), out.ravel())
+    return out
 
 
 def _overflow_cols(a: np.ndarray, b: np.ndarray, dim: int,

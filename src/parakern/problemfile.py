@@ -348,13 +348,19 @@ def load_problem_dict(data: dict) -> ProblemFile:
 
 def load_problem_file(path: str) -> ProblemFile:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh, parse_constant=_reject_nonfinite,
                              parse_float=_finite_float)
     except FileNotFoundError as exc:
         raise SchemaError(f"problem file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
+    except OSError as exc:
+        raise SchemaError(f"cannot read problem file {path}: "
+                          f"{exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"cannot decode problem file {path}: {exc}") \
+            from exc
     if not isinstance(data, dict):
         raise SchemaError("problem file must hold a JSON object")
     return load_problem_dict(data)

@@ -34,9 +34,9 @@ from scipy import sparse
 
 from .errors import ParameterError, StructureError, UnsupportedSpecError
 from .funcspec import CoefficientEntry, TimeEntry
-from .polyalg import (index_table, series_reciprocal, _degree, _monomials,
-                      _mul_cols, _overflow_cols, _partial_tables, _rows,
-                      _series_mul, _tensor_grid)
+from .polyalg import (index_table, series_reciprocal, _csr_apply, _degree,
+                      _monomials, _mul_cols, _overflow_cols, _partial_tables,
+                      _rows, _series_mul, _tensor_grid)
 
 SAMPLE_LATTICE = 17      # points per axis when sampling sup norms
 BETA_FLOOR = 1e-6
@@ -310,6 +310,8 @@ class _BatchWorkspace:
         self.orders = index_table(pc.n, D)[2]
         self.N, self.B = len(self.orders), len(ys)
         self.truncated = np.zeros(self.B, dtype=bool)
+        # False once a product has found every centre marked
+        self.unmarked = True
         self.drift_jets = {
             key: self._entry_jet(self._entry_terms(entry, ys, origins))
             for key, entry in pc.drift.items()}
@@ -350,8 +352,9 @@ class _BatchWorkspace:
         inner = _series_t_of_tau(self.wp.beta, self.jet_cap)
         out, power = 0.0, np.eye(1, self.jet_cap + 1)[0]
         for l in range(terms.shape[1]):
+            if l:
+                power = _series_mul(power, inner, self.jet_cap)
             out = out + self.scale_series(terms[:, l:l + 1], power)
-            power = _series_mul(power, inner, self.jet_cap)
         return out
 
     # -- the jet algebra -----------------------------------------------------
@@ -400,19 +403,26 @@ class _BatchWorkspace:
         jet at once."""
         if not len(x) or not len(y):
             return np.zeros((0, self._top(x, y) + 1, self.B))
-        ia, ib, ranks = _pair_plan(x.shape[1] - 1, y.shape[1] - 1,
-                                   self.jet_cap)
-        xa, yb = x[:, ia], y[:, ib]
-        prods = _mul_cols(xa, yb, self.n, self.D)
-        out = prods[:, :ranks[0][1]]
-        for lo, hi, start in ranks[1:]:
-            out[:, lo:hi] += prods[:, start:start + hi - lo]
-        need = ~self.truncated
+        if x.shape[1] == y.shape[1] == 1:
+            # one time order each: the plan's one pair is the operands
+            xa, yb = x, y
+            out = _mul_cols(x, y, self.n, self.D)
+        else:
+            ia, ib, ranks = _pair_plan(x.shape[1] - 1, y.shape[1] - 1,
+                                       self.jet_cap)
+            xa, yb = x[:, ia], y[:, ib]
+            prods = _mul_cols(xa, yb, self.n, self.D)
+            out = prods[:, :ranks[0][1]]
+            for lo, hi, start in ranks[1:]:
+                out[:, lo:hi] += prods[:, start:start + hi - lo]
         # below the cap in degree, no column can overflow
-        if need.any() and _degree(len(x), self.n, self.D) \
+        if self.unmarked and _degree(len(x), self.n, self.D) \
                 + _degree(len(y), self.n, self.D) > self.D:
-            self.truncated[need] = _overflow_cols(
-                xa[..., need], yb[..., need], self.n, self.D).any(axis=0)
+            need = ~self.truncated
+            self.unmarked = bool(need.any())
+            if self.unmarked:
+                self.truncated[need] = _overflow_cols(
+                    xa[..., need], yb[..., need], self.n, self.D).any(axis=0)
         return out
 
     def _top(self, x, y) -> int:
@@ -433,10 +443,9 @@ class _BatchWorkspace:
         d = _degree(len(x), self.n, self.D)
         if d <= 0:
             return x[:0]
-        src, dst, scale = _partial_tables(self.n, d)[axis]
-        out = np.zeros((_rows(self.n, d - 1),) + x.shape[1:])
-        out[dst] = scale[:, None, None] * x[src]
-        return out
+        # the targets are the rows of degree < d, in order
+        src, _, scale = _partial_tables(self.n, d)[axis]
+        return scale[:, None, None] * x[src]
 
     def ray(self, x, s: float):
         """The ray integral int_0^1 x(y + u dx) u^(s - 1) du, which divides
@@ -447,7 +456,8 @@ class _BatchWorkspace:
         """Times a scalar power series in time, capped at the jet cap."""
         top = min(x.shape[1] + len(series) - 2, self.jet_cap)
         S = _series_map(tuple(series), len(x), x.shape[1] - 1, top)
-        return (S @ x.reshape(-1, self.B)).reshape(len(x), top + 1, self.B)
+        return _csr_apply(S, x.reshape(-1, self.B)).reshape(len(x), top + 1,
+                                                            self.B)
 
     def dt(self, x):
         if x.shape[1] == 1:
@@ -457,8 +467,8 @@ class _BatchWorkspace:
     def tau_solve(self, x, k: int):
         """(k + |gamma| nu(tau)) c = R, a triangular jet inversion."""
         S = _tau_map(k, self.jet_cap, self.n, self.D, len(x), x.shape[1] - 1)
-        return (S @ x.reshape(-1, self.B)).reshape(len(x), self.jet_cap + 1,
-                                                   self.B)
+        return _csr_apply(S, x.reshape(-1, self.B)).reshape(
+            len(x), self.jet_cap + 1, self.B)
 
 
 def _lower_map(w: np.ndarray, L: int, top: int) -> sparse.csr_matrix:
@@ -620,6 +630,8 @@ def _expand_chunk(pc, ys, origins, K, wp, D, jet_cap):
             R = _batch_R(ws, pc, k, j, jets, grads)
             jets[j].append(ws.cut(ws.tau_solve(R, k) if wp.mode == "tau"
                                   else ws.ray(R, float(k))))
+        if k == K:
+            break                       # R reads gradients below order K
         for j in range(pc.components):
             grads[j].append([ws.partial(jets[j][k], a)
                              for a in range(pc.n)])

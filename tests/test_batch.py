@@ -15,11 +15,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from parakern import kernel, recursion
+from parakern import kernel, polyalg, recursion
 from parakern.errors import ParameterError, StructureError
 from parakern.funcspec import FourierEntry, PolyEntry, TimeEntry
 from parakern.kernel import KernelField, Rows, eval_points
-from parakern.polyalg import index_table, _rows, _tensor_grid
+from parakern.polyalg import (index_table, _mul_cols, _overflow_cols, _rows,
+                              _tensor_grid)
 from parakern.problemfile import load_problem_dict, load_problem_file
 from parakern.recursion import (ProblemCoefficients, WarpParams, _series_nu,
                                 expand, expand_batch)
@@ -561,6 +562,65 @@ def test_chunked_batch_equals_one_chunk(monkeypatch):
     assert split.coeffs.tobytes() == whole.coeffs.tobytes()
     assert np.array_equal(split.jet_order, whole.jet_order)
     assert np.array_equal(split.truncated, whole.truncated)
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+@pytest.mark.parametrize("name", [os.path.basename(p) for p in PROBLEMS])
+def test_every_map_application_is_the_sparse_product(name, mode,
+                                                     monkeypatch):
+    # a product's scatter and tau mode's jet maps all go through one
+    # helper on scipy's private kernels: every result must be ``M @ x``
+    # to the bit, signed zeros included, at one centre (the operator's
+    # vector kernel) and at three (its matrix kernel)
+    widths = []
+    real = polyalg._csr_apply
+
+    def checked(S, x):
+        out = real(S, x)
+        ref = S @ x
+        assert np.array_equal(out, ref)
+        assert np.array_equal(np.signbit(out), np.signbit(ref))
+        widths.append(x.shape[1])
+        return out
+    monkeypatch.setattr(polyalg, "_csr_apply", checked)
+    monkeypatch.setattr(recursion, "_csr_apply", checked)
+    pf = load_problem_file(CASES[name])
+    wp, K, D = MODES[mode], pf.order_K, pf.degree_D
+    expand(pf.pc, [0.1] * pf.pc.n, K, wp, D)
+    ys = np.linspace(-0.2, 0.3, 3 * pf.pc.n).reshape(3, pf.pc.n)
+    expand_batch(pf.pc, ys, K, wp, D, origins=[0.0, 0.05, 0.1])
+    if name == "sin_drift.json" or mode == "tau" and pf.pc.drift:
+        # the benchmark's file scatters its products, and a tau solve
+        # maps every order; T time orders of B centres are T * B columns
+        assert 1 in widths and 3 in widths
+
+
+@pytest.mark.parametrize("jet_cap", [None, 0, 2])
+@pytest.mark.parametrize("degrees", [(3, 4), (0, 4), (4, 0), (0, 0)])
+def test_a_one_order_product_equals_the_gathered_one(degrees, jet_cap):
+    # with one time order each, the product takes its operands as they
+    # are; it must give the bits and flags of the pair plan's gathered
+    # path, on columns holding -0.0, inf and NaN
+    D, B = 5, 12                # columns 6 to 11 hold plain values
+    rng = np.random.default_rng(20261020)
+    x, y = (rng.standard_normal((_rows(1, d), 1, B)) for d in degrees)
+    for jet, col in ((x, 1), (y, 2), (x, 4)):
+        jet[:, 0, col] = -0.0
+    x[-1, 0, 3], y[0, 0, 3] = np.inf, -0.0
+    x[0, 0, 4], y[-1, 0, 5] = np.nan, np.inf
+    ws = recursion._BatchWorkspace(ProblemCoefficients(1, 1, {}),
+                                   np.zeros((B, 1)), None, MODES["tau"], D,
+                                   jet_cap)
+    ia, ib, ranks = recursion._pair_plan(0, 0, jet_cap)
+    with np.errstate(invalid="ignore"):     # inf * 0
+        got = ws.mul(x, y)
+        xa, yb = x[:, ia], y[:, ib]
+        ref = _mul_cols(xa, yb, 1, D)[:, :ranks[0][1]]
+        flags = _overflow_cols(xa, yb, 1, D).any(axis=0) \
+            if sum(degrees) > D else np.zeros(B, dtype=bool)
+    assert ranks == ((0, 1, 0),)
+    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+    assert np.array_equal(ws.truncated, flags)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

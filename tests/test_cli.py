@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import math
 import os
@@ -913,6 +914,38 @@ def test_an_unwritable_out_exits_2(tmp_path, capsys, command, case):
     captured = capsys.readouterr()
     assert captured.err == (f"problem-file error: cannot write "
                             f"{out}{suffixes[0]}: {reason}\n")
+    assert captured.out == ""
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+@pytest.mark.parametrize("command", OUTPUTS)
+@pytest.mark.parametrize("case", ["directory", "byte-ff", "permission"])
+def test_an_unreadable_problem_file_exits_2(tmp_path, capsys, monkeypatch,
+                                            command, case):
+    # each used to exit 1 with a traceback; root reads every file, so a
+    # refused read is a patched open
+    path = tmp_path / "problem.json"
+    if case == "directory":
+        path.mkdir()
+        reason = f"cannot read problem file {path}: Is a directory"
+    elif case == "byte-ff":
+        path.write_bytes(b"\xff" + json.dumps(MINIMAL).encode())
+        reason = (f"cannot decode problem file {path}: 'utf-8' codec can't "
+                  f"decode byte 0xff in position 0")
+    else:
+        path.write_text(json.dumps(MINIMAL))
+        reason = f"cannot read problem file {path}: Permission denied"
+
+        def refused(file, *args, **kwargs):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES),
+                                  file)
+        monkeypatch.setattr(problemfile, "open", refused, raising=False)
+    before = sorted(os.listdir(tmp_path))
+    rc = main([command, str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("problem-file error: ")
+    assert reason in captured.err
     assert captured.out == ""
     assert sorted(os.listdir(tmp_path)) == before
 

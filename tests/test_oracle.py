@@ -161,6 +161,31 @@ def test_fd_explicit_stability_guard():
                          lambda x: x, nu=0.1)
 
 
+@pytest.mark.parametrize("h", [0.3, 1.0, 2.0])
+def test_a_step_that_does_not_tile_the_box_is_refused(h):
+    # h = 0.3 used to march on [0, 0.9] while reading the Robin data at
+    # x = 1, h = 1 to return zeros on 2 nodes, and h = 2 to raise an
+    # untyped ValueError
+    robin = FDConfig(h=h, dt=0.01, boundary="exact_robin")
+    with pytest.raises(ParameterError, match="does not tile"):
+        fd_solve_linear(0.0, 1.0, 0.05, robin, math.cos,
+                        robin_alpha=lambda t, x: 1.0,
+                        robin_psi=lambda t, x: 0.0)
+    with pytest.raises(ParameterError, match="does not tile"):
+        fd_solve_linear(0.0, 1.0, 0.05, FDConfig(h=h, dt=0.01), math.cos)
+    with pytest.raises(ParameterError, match="does not tile"):
+        fd_solve_burgers(0.0, 1.0, 0.05, FDConfig(h=h, dt=1e-3,
+                                                  scheme="explicit"),
+                         lambda x: x, nu=0.1)
+
+
+def test_a_step_that_tiles_the_box_up_to_rounding_is_kept():
+    # (0.7 - (-0.1)) / 0.1 is 7.999999999999999 in floating point: 8 steps
+    _, grid, _ = fd_solve_linear(-0.1, 0.7, 0.05, FDConfig(h=0.1, dt=0.01),
+                                 math.cos)
+    assert len(grid) == 9 and grid[-1] == pytest.approx(0.7, abs=1e-15)
+
+
 def test_fd_solve_dispatcher_all_kinds():
     from parakern.funcspec import (ExpTime, FourierEntry, GaussianMix,
                                    PolyEntry, SpacePolyFourier)
