@@ -12,11 +12,12 @@ a time-dependent source is evaluated on the grid at every step.
 
 The Crank-Nicolson operator has one sparsity pattern per solve: the
 identity, each component's 3-point stencil, the bands of each coupled
-drift pair and the Robin boundary slots, held as one CSR matrix (for the
-explicit half-step) and one CSC matrix (for the factor).  Each step
-writes ident +- (dt/2) A into them entry by entry; on a step where an
-entry is exactly zero, a pruned copy drops it, as scipy's sparse sums
-would, so the factor and the output match ``tests/fdref.py`` bit for bit.
+drift pair and the Robin boundary slots, sorted once by numpy into one
+CSR matrix (for the explicit half-step) and one CSC matrix (for the
+factor).  Each step gathers ident +- (dt/2) A into their data from one
+array made once per solve; on a step where an entry is exactly zero, a
+pruned copy drops it, as scipy's sparse sums would, so the factor and
+the output match ``tests/fdref.py`` bit for bit.
 """
 
 from __future__ import annotations
@@ -27,9 +28,10 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
+# private: the kernel ``csr_matrix @ ndarray`` runs
+from scipy.sparse._sparsetools import csr_matvec
 
 from .errors import AccuracyError, ParameterError
 
@@ -189,8 +191,8 @@ class FDConfig:
     boundary: str = "large_box_dirichlet"
 
     def __post_init__(self):
-        if self.h <= 0 or self.dt <= 0:
-            raise ParameterError("h and dt must be positive")
+        if not (0 < self.h < math.inf and 0 < self.dt < math.inf):
+            raise ParameterError("h and dt must be positive and finite")
         if self.scheme not in ("crank_nicolson", "explicit"):
             raise ParameterError(f"unknown scheme {self.scheme!r}")
         if self.boundary not in ("large_box_dirichlet", "exact_robin"):
@@ -202,6 +204,12 @@ def _check_explicit_stability(cfg: FDConfig, n: int):
         raise ParameterError(
             f"explicit scheme unstable: dt={cfg.dt} > h^2/(2n)="
             f"{cfg.h * cfg.h / (2 * n)}")
+
+
+def _check_horizon(horizon: float):
+    if not 0 < horizon < math.inf:
+        raise ParameterError(
+            f"horizon must be positive and finite, got {horizon}")
 
 
 def _fd_grid(lo: float, hi: float, h: float) -> np.ndarray:
@@ -232,16 +240,32 @@ def _sampler(sample_times: Sequence[float] | None, horizon: float):
     return take, out_t, out_u
 
 
-def _refreshed(M, values: np.ndarray):
-    """``M`` with ``values`` written into its fixed pattern.  Where a value
-    is exactly zero, a copy with that entry dropped: scipy's sparse sums
-    drop exact zeros, and the pattern decides SuperLU's column order."""
-    M.data[:] = values
-    if values.all():
+def _refreshed(M):
+    """``M``, its data just rewritten in place.  Where a value is exactly
+    zero, a copy with that entry dropped: scipy's sparse sums drop exact
+    zeros, and the pattern decides SuperLU's column order."""
+    if M.data.all():
         return M
     M = M.copy()
     M.eliminate_zeros()
     return M
+
+
+def _compressed(fmt, major, minor, n: int):
+    """The slot s each stored entry holds, and an n x n ``fmt`` matrix
+    (CSR, major = rows, or CSC, major = columns) of the pattern (major[s],
+    minor[s]), free of duplicates, indexed as ``coo_matrix`` converts it."""
+    order = np.lexsort((minor, major))
+    indptr = np.searchsorted(major[order], np.arange(n + 1))
+    return order, fmt((np.empty(len(order)), minor[order], indptr), (n, n))
+
+
+def _csr_matvec(M, x: np.ndarray, out: np.ndarray):
+    """``M @ x`` into ``out`` for a CSR ``M`` and a float vector ``x``, bit
+    for bit: the kernel scipy's operator runs, undispatched."""
+    assert out.shape + x.shape == M.shape   # the kernel reads both unchecked
+    out.fill(0.0)
+    csr_matvec(*M.shape, M.indptr, M.indices, M.data, x, out)
 
 
 def fd_solve_linear(lo: float, hi: float, horizon: float, cfg: FDConfig,
@@ -262,14 +286,18 @@ def fd_solve_linear(lo: float, hi: float, horizon: float, cfg: FDConfig,
     raises ParameterError.  ``potential(i, t, xgrid)`` and
     ``source(i, t, xgrid)`` follow the same convention.  Returns
     (times, grid, values) with values of shape (ntimes, npoints,
-    components); each sample time must lie in [0, horizon].
+    components); the horizon must be positive and finite, and each sample
+    time must lie in [0, horizon].
 
     Boundary handling: zero Dirichlet rows at ``lo`` and ``hi``, or Robin
     rows du/dnu + alpha u = psi via ghost-point elimination.  The march
     has no box of its own: a whole-line (Cauchy) reference needs ``lo``
     and ``hi`` the caller chose wide enough that the data and kernel tails
     vanish there.
+    SuperLU factors once per solve for autonomous coefficients and at
+    every step for time-dependent ones; ``spsolve`` solves a Robin step.
     """
+    _check_horizon(horizon)
     grid = _fd_grid(lo, hi, cfg.h)
     nx = len(grid)
     nsteps = int(round(horizon / cfg.dt))
@@ -292,46 +320,57 @@ def fd_solve_linear(lo: float, hi: float, horizon: float, cfg: FDConfig,
     inv_h2 = 1.0 / (h * h)
     inv_2h = 1.0 / (2.0 * h)
     inner = np.arange(1, nx - 1)
+    n_edge = 2 * m + 2 * robin      # boundary-row slots
     pairs = None    # the coupled (i, j), j != i, fixed by the first assembly
+    a = None        # stencils, bands, then boundary rows at t and at t + dt
     if cfg.scheme != "crank_nicolson":
         raise ParameterError("linear reference solver is Crank-Nicolson only")
 
     def assemble(t_mid):
         """Operator L u = u_xx + sum_j b^i_j du_j/dx + V_i u_i on the inner
-        rows: each component's 3-point stencil, then the -1 and the +1
-        band of every coupled pair."""
-        nonlocal pairs
-        stencil, cross = [], {}
+        rows, written into ``a``: each component's 3-point stencil, then
+        the -1 and the +1 band of every coupled pair."""
+        nonlocal pairs, a
+        terms, cross = [], {}
         for i in range(m):
-            diag = np.full(nx - 2, -2.0 * inv_h2)
-            if potential is not None:
-                v = potential(i, t_mid, grid)
-                diag = diag + (v[1:-1] if np.ndim(v) else v)
-            b_ii = np.zeros(nx - 2)
+            v = None if potential is None else potential(i, t_mid, grid)
+            b_ii = 0.0
             for j in range(m if drift is not None else 0):
                 b = drift(i, j, t_mid, grid)
                 if b is None:
                     continue
-                b = np.broadcast_to(np.asarray(b, dtype=float), (nx,))[1:-1]
+                b = np.asarray(b, dtype=float)
+                b = (b if b.shape == (nx,) else np.broadcast_to(b, (nx,)))[1:-1]
                 if j == i:
                     b_ii = b
                 else:
-                    cross[i, j] = b * inv_2h
-            stencil += [inv_h2 - b_ii * inv_2h, diag, inv_h2 + b_ii * inv_2h]
-        pairs = list(cross) if pairs is None else pairs
+                    cross[i, j] = b
+            terms.append((v, b_ii))
+        if pairs is None:
+            pairs = list(cross)
+            a = np.zeros((3 * m + 2 * len(pairs)) * (nx - 2) + 2 * n_edge)
         if not cross.keys() <= set(pairs):
             raise ParameterError(
                 f"drift pairs {sorted(cross.keys() - set(pairs))} were None "
                 "at the first assembly; the pattern cannot grow")
-        bands = [cross.get(p, np.zeros(nx - 2)) for p in pairs]
-        return np.concatenate(stencil + [-b for b in bands] + bands)
+        body = a[:-2 * n_edge].reshape(-1, nx - 2)
+        stencils = body[:3 * m].reshape(m, 3, nx - 2)
+        for (v, b_ii), (below, diag, above) in zip(terms, stencils):
+            np.multiply(b_ii, inv_2h, out=above)
+            np.subtract(inv_h2, above, out=below)
+            np.add(inv_h2, above, out=above)
+            diag[:] = -2.0 * inv_h2
+            if v is not None:
+                diag += v[1:-1] if np.ndim(v) else v
+        for k, p in enumerate(pairs):
+            band = body[3 * m + len(pairs) + k]
+            np.multiply(cross.get(p, 0.0), inv_2h, out=band)
+            np.negative(band, out=body[3 * m + k])
 
     def edges(t):
-        """Boundary-row entries (zero for Dirichlet) and Robin psi terms.
-        For du/dnu + alpha u = psi, du/dnu = -u_x at lo, the ghost value
-        u_{-1} = u_1 - 2h(a u_0 - psi) closes the 3-point stencil."""
-        if not robin:
-            return np.zeros(2 * m), 0.0
+        """Robin boundary-row entries and psi terms.  For du/dnu + alpha u
+        = psi, du/dnu = -u_x at lo, the ghost value u_{-1} = u_1 - 2h(a u_0
+        - psi) closes the 3-point stencil."""
         al_lo, al_hi = robin_alpha(t, lo), robin_alpha(t, hi)
         g = np.array([2.0 * robin_psi(t, lo) / h, 2.0 * robin_psi(t, hi) / h])
         return np.array([(-2.0 - 2.0 * h * al_lo) * inv_h2,
@@ -339,7 +378,7 @@ def fd_solve_linear(lo: float, hi: float, horizon: float, cfg: FDConfig,
                          2.0 * inv_h2, 2.0 * inv_h2]), g
 
     # the pattern, once per solve: stencils, coupled bands, boundary slots
-    values = assemble(dt / 2.0)
+    assemble(dt / 2.0)
     rows = [i * nx + inner for i in range(m) for _ in range(3)]
     cols = [i * nx + inner + s for i in range(m) for s in (-1, 0, 1)]
     for s in (-1, 1):
@@ -350,32 +389,40 @@ def fd_solve_linear(lo: float, hi: float, horizon: float, cfg: FDConfig,
     if robin:
         rows, cols = rows + [[0, nx - 1]], cols + [[1, nx - 2]]
     rows, cols = np.concatenate(rows), np.concatenate(cols)
-    # CSR for the M2 @ u product, CSC for the factor: number the slots
-    # 1..nnz, and the numbers each form stores say where each value goes
-    slots = scipy.sparse.coo_matrix((np.arange(1.0, len(rows) + 1), (
-        rows, cols)), shape=(nx * m, nx * m))
-    M2_full, M1_full = slots.tocsr(), slots.tocsc()
-    to_csr, to_csc = (M.data.astype(int) - 1 for M in (M2_full, M1_full))
+    # CSR for the explicit half-step, CSC for the factor; to_csr / to_csc
+    # list the slot of ``a`` each stored entry reads, the CSC's boundary
+    # entries reading the t + dt block.  The Dirichlet blocks stay zero.
+    n, n_body = nx * m, len(rows) - n_edge
+    to_csr, M2_full = _compressed(scipy.sparse.csr_matrix, rows, cols, n)
+    to_csc, M1_full = _compressed(scipy.sparse.csc_matrix, cols, rows, n)
     eye = (rows == cols) * 1.0
     eye_csr, eye_csc = eye[to_csr], eye[to_csc]
+    to_csc[to_csc >= n_body] += n_edge
+    at_t, at_next = slice(n_body, n_body + n_edge), slice(n_body + n_edge, None)
+    ca, rhs = np.empty_like(a), np.empty(n)
 
     t = 0.0
     take(t, u, tol=1e-14)
+    u = u.T.ravel()     # component by component, as the matrices order it
     c = dt / 2.0
     for step in range(nsteps):
         t_mid = t + c
         if step and time_dependent:
-            values = assemble(t_mid)
+            assemble(t_mid)
         if robin or step == 0 or time_dependent:
             # ident +- (dt/2) A entry by entry, as scipy's sum would
-            (e0, g0), (e1, g1) = edges(t), edges(t + dt)
-            a0, a1 = (np.concatenate([values, e]) for e in (e0, e1))
-            M2 = _refreshed(M2_full, eye_csr + c * a0[to_csr])
-            M1 = _refreshed(M1_full, eye_csc - c * a1[to_csc])
+            if robin:
+                (a[at_t], g0), (a[at_next], g1) = edges(t), edges(t + dt)
+            np.multiply(c, a, out=ca)
+            np.add(eye_csr, np.take(ca, to_csr, out=M2_full.data),
+                   out=M2_full.data)
+            np.subtract(eye_csc, np.take(ca, to_csc, out=M1_full.data),
+                        out=M1_full.data)
+            M2, M1 = _refreshed(M2_full), _refreshed(M1_full)
             if not robin:
                 lu = scipy.sparse.linalg.splu(M1)
 
-        rhs = M2 @ u.T.ravel()
+        _csr_matvec(M2, u, rhs)
         if robin:
             rhs[[0, -1]] += c * (g0 + g1)
         if source is not None:
@@ -384,13 +431,12 @@ def fd_solve_linear(lo: float, hi: float, horizon: float, cfg: FDConfig,
                     source(i, t_mid, grid), dtype=float)
 
         if robin:
-            new = scipy.sparse.linalg.spsolve(M1, rhs)
+            u = scipy.sparse.linalg.spsolve(M1, rhs)
         else:
             rhs[::nx] = rhs[nx - 1::nx] = 0.0
-            new = lu.solve(rhs)
-        u = new.reshape(m, nx).T
+            u = lu.solve(rhs)
         t += dt
-        take(t, u)
+        take(t, u.reshape(m, nx).T)
     return np.array(out_times), grid, np.array(out_vals)
 
 
@@ -493,10 +539,12 @@ def fd_solve_burgers(lo: float, hi: float, horizon: float, cfg: FDConfig,
 
     Central differences, forward Euler; Dirichlet values pinned to the
     initial profile (adequate for desk-scale comparisons away from the
-    boundary).  Each sample time must lie in [0, horizon].
+    boundary).  The horizon must be positive and finite, and each sample
+    time must lie in [0, horizon].
     """
     if cfg.scheme != "explicit":
         raise ParameterError("Burgers reference uses the explicit scheme")
+    _check_horizon(horizon)
     _check_explicit_stability(cfg, 1)
     grid = _fd_grid(lo, hi, cfg.h)
     nsteps = int(math.ceil(horizon / cfg.dt))

@@ -480,6 +480,157 @@ def test_fd_sparse_matrices_made_do_not_grow_with_steps(boundary, monkeypatch):
     assert made_in(10) == made_in(40) > 0
 
 
+def _pattern_cases():
+    """(args, kwargs) of fd_solve_linear for the 1-component Dirichlet, the
+    2-component coupled and the Robin pattern."""
+    def drift(i, j, t, grid):
+        return 0.3 * np.cos(grid)
+
+    robin = FDConfig(h=1 / 16, dt=0.01, boundary="exact_robin")
+    return {
+        "dirichlet": ((-2.0, 2.0, 0.05, FDConfig(h=1 / 16, dt=0.01),
+                       math.cos), {"drift": drift}),
+        "coupled": _two_component_case(),
+        "robin": ((0.0, 1.0, 0.05, robin, math.cos),
+                  {"drift": drift, "robin_alpha": lambda t, x: 1.0 + t,
+                   "robin_psi": lambda t, x: 0.5 * x - t}),
+    }
+
+
+@pytest.mark.parametrize("case", ["dirichlet", "coupled", "robin"])
+def test_fd_pattern_is_the_one_coo_conversion_gives(case, monkeypatch):
+    import scipy.sparse
+
+    from parakern import oracle
+
+    made = []
+    compressed = oracle._compressed
+
+    def spy(fmt, major, minor, n):
+        slots, M = compressed(fmt, major, minor, n)
+        # a copy: the march points the CSC's boundary slots at the t + dt
+        # block in place
+        made.append((major, minor, n, slots.copy(), M))
+        return slots, M
+
+    monkeypatch.setattr(oracle, "_compressed", spy)
+    args, kwargs = _pattern_cases()[case]
+    fd_solve_linear(*args, **kwargs)
+    assert len(made) == 2
+    for (major, minor, n, slots, M), form in zip(made, ("csr", "csc")):
+        rows, cols = (major, minor) if form == "csr" else (minor, major)
+        coo = scipy.sparse.coo_matrix(
+            (np.arange(1.0, len(rows) + 1), (rows, cols)), shape=(n, n))
+        ref = coo.tocsr() if form == "csr" else coo.tocsc()
+        assert M.format == form and M.shape == ref.shape
+        assert np.array_equal(M.indptr, ref.indptr)
+        assert np.array_equal(M.indices, ref.indices)
+        assert np.array_equal(slots, ref.data.astype(int) - 1)
+    # both forms hold the same entries, and the coupled pattern its bands
+    assert sorted(made[0][3]) == sorted(made[1][3]) == list(range(len(rows)))
+    if case == "coupled":
+        assert len(rows) == 2 * 3 * 95 + 2 * 95 + 4
+
+
+def test_fd_half_step_product_is_bit_identical_to_the_operator():
+    import scipy.sparse
+
+    from parakern.oracle import _csr_matvec
+
+    nan, inf = math.nan, math.inf
+    # rows: mixed signs, -0.0 products only, inf - inf, a NaN entry, empty
+    dense = np.array([[1.5, -0.0, 2.0, 0.0, -3.0],
+                      [-0.0, 0.0, 0.0, 0.0, -0.0],
+                      [inf, 0.0, -inf, 0.0, 0.0],
+                      [0.0, nan, 0.0, 1.0, 0.0],
+                      [0.0, 0.0, 0.0, 0.0, 0.0],
+                      [2.0, -1.0, 0.5, -0.25, 4.0]])
+    rows, cols = np.nonzero(np.ones_like(dense))
+    keep = (dense != 0) | np.signbit(dense) | np.isnan(dense)
+    M = scipy.sparse.csr_matrix((dense[keep], (rows[keep.ravel()],
+                                                cols[keep.ravel()])),
+                                shape=dense.shape)
+    assert (M.data == 0).any() and np.isnan(M.data).any()
+    for x in ([1.0, 2.0, -0.0, 4.0, 5.0], [-0.0, inf, 1.0, -inf, 0.0],
+              [nan, 1.0, -0.0, 0.0, -2.0], [-0.0] * 5):
+        x = np.array(x)
+        out = np.full(M.shape[0], 7.0)
+        _csr_matvec(M, x, out)
+        ref = M @ x
+        assert np.array_equal(out, ref, equal_nan=True)
+        assert np.array_equal(np.signbit(out), np.signbit(ref))
+
+
+@pytest.mark.parametrize("case, factors, solves", [
+    ("autonomous", 1, 0), ("time_dependent", 10, 0), ("robin", 0, 10)])
+def test_fd_factor_runs_once_per_changed_matrix(case, factors, solves,
+                                                monkeypatch):
+    import scipy.sparse.linalg as sl
+
+    calls = {"splu": 0, "spsolve": 0}
+
+    def counted(name):
+        f = getattr(sl, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(sl, name, counted(name))
+
+    def drift(i, j, t, grid):
+        return 0.5 + 0.3 * t
+
+    drift.time_dependent = case != "autonomous"
+    boundary = "exact_robin" if case == "robin" else "large_box_dirichlet"
+    fd_solve_linear(0.0, 1.0, 0.1, FDConfig(h=1 / 16, dt=0.01,
+                                             boundary=boundary),
+                    math.cos, drift=drift, robin_alpha=lambda t, x: 1.0,
+                    robin_psi=lambda t, x: 0.5 * t)
+    assert calls == {"splu": factors, "spsolve": solves}
+
+
+@pytest.mark.parametrize("field", ["h", "dt"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -0.1])
+def test_fd_config_refuses_a_step_that_is_not_positive_and_finite(field,
+                                                                   value):
+    # h = nan used to end in int(nan), dt = inf in a division by zero
+    steps = {"h": 1 / 16, "dt": 0.01, field: value}
+    with pytest.raises(ParameterError, match="positive and finite"):
+        FDConfig(**steps)
+
+
+@pytest.mark.parametrize("horizon", [0.0, -0.1, math.nan, math.inf])
+def test_fd_linear_refuses_a_horizon_that_is_not_positive_and_finite(
+        horizon, monkeypatch):
+    from parakern import oracle
+
+    def no_grid(*args):
+        raise AssertionError("grid work before the horizon check")
+
+    monkeypatch.setattr(oracle, "_fd_grid", no_grid)
+    with pytest.raises(ParameterError, match="horizon must be positive"):
+        fd_solve_linear(-2.0, 2.0, horizon, FDConfig(h=1 / 8, dt=0.01),
+                        lambda x: 1.0)
+
+
+@pytest.mark.parametrize("horizon", [0.0, -0.1, math.nan, math.inf])
+def test_fd_burgers_refuses_a_horizon_that_is_not_positive_and_finite(
+        horizon, monkeypatch):
+    from parakern import oracle
+
+    def no_grid(*args):
+        raise AssertionError("grid work before the horizon check")
+
+    monkeypatch.setattr(oracle, "_fd_grid", no_grid)
+    with pytest.raises(ParameterError, match="horizon must be positive"):
+        fd_solve_burgers(-2.0, 2.0, horizon,
+                         FDConfig(h=1 / 8, dt=0.005, scheme="explicit"),
+                         math.sin, nu=1.0)
+
+
 @pytest.mark.parametrize("times", [[0.05, 0.3], [-0.01, 0.05]])
 def test_fd_sample_times_outside_the_horizon_are_rejected(times):
     with pytest.raises(ParameterError, match="sample times"):
