@@ -17,13 +17,17 @@ CSR matrix (for the explicit half-step) and one CSC matrix (for the
 factor).  Each step gathers ident +- (dt/2) A into their data from one
 array made once per solve; on a step where an entry is exactly zero, a
 pruned copy drops it, as scipy's sparse sums would, so the factor and
-the output match ``tests/fdref.py`` bit for bit.
+the output match ``tests/fdref.py`` bit for bit.  The fixed pattern
+fixes SuperLU's column order too: where the first factor's order is the
+identity, as in every one-component Dirichlet march, later unpruned
+steps skip choosing it and factor in natural order.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -33,7 +37,7 @@ import scipy.sparse.linalg
 # private: the kernel ``csr_matrix @ ndarray`` runs
 from scipy.sparse._sparsetools import csr_matvec
 
-from .errors import AccuracyError, ParameterError
+from .errors import AccuracyError, ConditioningError, ParameterError
 
 # ---------------------------------------------------------------------------
 # exact kernels
@@ -260,6 +264,29 @@ def _compressed(fmt, major, minor, n: int):
     return order, fmt((np.empty(len(order)), minor[order], indptr), (n, n))
 
 
+def _factor(M, t: float, **order):
+    """SuperLU's factor of the step matrix ``M``; ConditioningError, naming
+    the time the step reaches, where it cannot be made."""
+    try:
+        return scipy.sparse.linalg.splu(M, **order)
+    except RuntimeError as exc:     # "Factor is exactly singular"
+        raise ConditioningError(f"the Crank-Nicolson step to t = {t:.6g} "
+                                f"cannot be factored: {exc}") from exc
+
+
+def _robin_solve(M, rhs: np.ndarray, t: float) -> np.ndarray:
+    """``spsolve(M, rhs)``; where ``M`` is exactly singular, which scipy
+    only warns of before returning NaN, ConditioningError naming ``t``."""
+    rank = scipy.sparse.linalg.MatrixRankWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", rank)
+        try:
+            return scipy.sparse.linalg.spsolve(M, rhs)
+        except rank as exc:
+            raise ConditioningError(f"the Crank-Nicolson step to t = {t:.6g} "
+                                    f"cannot be solved: {exc}") from exc
+
+
 def _csr_matvec(M, x: np.ndarray, out: np.ndarray):
     """``M @ x`` into ``out`` for a CSR ``M`` and a float vector ``x``, bit
     for bit: the kernel scipy's operator runs, undispatched."""
@@ -268,8 +295,20 @@ def _csr_matvec(M, x: np.ndarray, out: np.ndarray):
     csr_matvec(*M.shape, M.indptr, M.indices, M.data, x, out)
 
 
+def _on_grid(f, grid: np.ndarray, m: int = 1) -> np.ndarray:
+    """The (npoints, m) initial values: ``f`` itself where it holds them,
+    shape (npoints,) or (npoints, m), else f(x) (f(x, j) for m > 1) read
+    node by node."""
+    if callable(f):
+        return np.array([[f(x, j) if m > 1 else f(x) for j in range(m)]
+                         for x in grid], dtype=float)
+    u = np.empty((len(grid), m))
+    u[:] = np.reshape(f, (len(grid), -1))
+    return u
+
+
 def fd_solve_linear(lo: float, hi: float, horizon: float, cfg: FDConfig,
-                    phi: Callable, drift=None, potential=None, source=None,
+                    phi, drift=None, potential=None, source=None,
                     components: int = 1,
                     robin_alpha: Callable | None = None,
                     robin_psi: Callable | None = None,
@@ -277,17 +316,19 @@ def fd_solve_linear(lo: float, hi: float, horizon: float, cfg: FDConfig,
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Crank-Nicolson march for 1D linear systems with first-order coupling.
 
-    ``drift(i, j, t, xgrid)`` returns the coefficient array of
-    b^i_j d u_j/dx in equation i (components coupling, one spatial
-    direction), or None where u_j does not enter equation i.  Which pairs
-    are None must not change with t: the first assembly fixes the
-    operator's sparsity pattern, a pair that later returns None
-    contributes zeros, and one that was None and later returns an array
-    raises ParameterError.  ``potential(i, t, xgrid)`` and
-    ``source(i, t, xgrid)`` follow the same convention.  Returns
-    (times, grid, values) with values of shape (ntimes, npoints,
-    components); the horizon must be positive and finite, and each sample
-    time must lie in [0, horizon].
+    ``phi`` is the initial data: its values on the grid, of shape
+    (npoints,) (one profile for every component) or (npoints,
+    components), or a per-point callable phi(x) (phi(x, j) for several
+    components), read once.  ``drift(i, j, t, xgrid)`` returns the
+    coefficient array of b^i_j d u_j/dx in equation i (components
+    coupling, one spatial direction), or None where u_j does not enter
+    equation i.  Which pairs are None must not change with t: the first
+    assembly fixes the operator's sparsity pattern, a pair that later
+    returns None contributes zeros, and one that was None and later
+    returns an array raises ParameterError.  ``potential(i, t, xgrid)``
+    and ``source(i, t, xgrid)`` follow the same convention.  Returns (times, grid, values) with values of shape
+    (ntimes, npoints, components); the horizon must be positive and
+    finite, and each sample time must lie in [0, horizon].
 
     Boundary handling: zero Dirichlet rows at ``lo`` and ``hi``, or Robin
     rows du/dnu + alpha u = psi via ghost-point elimination.  The march
@@ -295,7 +336,13 @@ def fd_solve_linear(lo: float, hi: float, horizon: float, cfg: FDConfig,
     and ``hi`` the caller chose wide enough that the data and kernel tails
     vanish there.
     SuperLU factors once per solve for autonomous coefficients and at
-    every step for time-dependent ones; ``spsolve`` solves a Robin step.
+    every step for time-dependent ones.  Where the first unpruned
+    factor's column order is the identity, every later unpruned step
+    factors with ``permc_spec="NATURAL"``: the same order, so the same
+    pivots, ties included, and the same bits; any other order is chosen
+    afresh at each step, as is a pruned step's.  ``spsolve`` solves a
+    Robin step.  A step that cannot be factored or solved, as an exactly
+    singular one, raises ConditioningError naming the time it reaches.
     """
     _check_horizon(horizon)
     grid = _fd_grid(lo, hi, cfg.h)
@@ -306,8 +353,7 @@ def fd_solve_linear(lo: float, hi: float, horizon: float, cfg: FDConfig,
     dt = horizon / nsteps
 
     m = components
-    u = np.array([[phi(xi, j) if m > 1 else phi(xi) for j in range(m)]
-                  for xi in grid], dtype=float)
+    u = _on_grid(phi, grid, m)
 
     take, out_times, out_vals = _sampler(sample_times, horizon)
 
@@ -319,21 +365,21 @@ def fd_solve_linear(lo: float, hi: float, horizon: float, cfg: FDConfig,
     h = cfg.h
     inv_h2 = 1.0 / (h * h)
     inv_2h = 1.0 / (2.0 * h)
+    diag0 = np.float64(-2.0 * inv_h2)     # V added in double precision
     inner = np.arange(1, nx - 1)
     n_edge = 2 * m + 2 * robin      # boundary-row slots
-    pairs = None    # the coupled (i, j), j != i, fixed by the first assembly
-    a = None        # stencils, bands, then boundary rows at t and at t + dt
     if cfg.scheme != "crank_nicolson":
         raise ParameterError("linear reference solver is Crank-Nicolson only")
 
-    def assemble(t_mid):
-        """Operator L u = u_xx + sum_j b^i_j du_j/dx + V_i u_i on the inner
-        rows, written into ``a``: each component's 3-point stencil, then
-        the -1 and the +1 band of every coupled pair."""
-        nonlocal pairs, a
+    def coefficients(t_mid):
+        """(V_i, b^i_i) per component, V_i None without a potential, and
+        {(i, j): b^i_j} for the coupled pairs, all on the inner nodes."""
         terms, cross = [], {}
         for i in range(m):
-            v = None if potential is None else potential(i, t_mid, grid)
+            v = None
+            if potential is not None:
+                v = potential(i, t_mid, grid)     # None adds nothing
+                v = 0.0 if v is None else v[1:-1] if np.ndim(v) else v
             b_ii = 0.0
             for j in range(m if drift is not None else 0):
                 b = drift(i, j, t_mid, grid)
@@ -346,26 +392,39 @@ def fd_solve_linear(lo: float, hi: float, horizon: float, cfg: FDConfig,
                 else:
                     cross[i, j] = b
             terms.append((v, b_ii))
-        if pairs is None:
-            pairs = list(cross)
-            a = np.zeros((3 * m + 2 * len(pairs)) * (nx - 2) + 2 * n_edge)
-        if not cross.keys() <= set(pairs):
+        return terms, cross
+
+    # The first assembly fixes the coupled pairs (i, j), j != i, and so the
+    # layout of ``a``: each component's 3-point stencil, the -1 and the +1
+    # band of every pair, then the boundary rows at t and at t + dt.
+    terms, cross = coefficients(dt / 2.0)
+    pairs = list(cross)
+    n_pairs = len(pairs)
+    a = np.zeros((3 * m + 2 * n_pairs) * (nx - 2) + 2 * n_edge)
+    body = a[:-2 * n_edge].reshape(-1, nx - 2)
+    stencils = body[:3 * m].reshape(m, 3, nx - 2)
+    stencils[:, 1] = diag0      # rewritten at each assembly with a potential
+    bands_of = {p: (body[3 * m + n_pairs + k], body[3 * m + k])
+                for k, p in enumerate(pairs)}
+
+    def assemble(terms, cross):
+        """Operator L u = u_xx + sum_j b^i_j du_j/dx + V_i u_i on the inner
+        rows, written into ``a``."""
+        if not cross.keys() <= bands_of.keys():
             raise ParameterError(
-                f"drift pairs {sorted(cross.keys() - set(pairs))} were None "
-                "at the first assembly; the pattern cannot grow")
-        body = a[:-2 * n_edge].reshape(-1, nx - 2)
-        stencils = body[:3 * m].reshape(m, 3, nx - 2)
+                f"drift pairs {sorted(cross.keys() - bands_of.keys())} were "
+                "None at the first assembly; the pattern cannot grow")
         for (v, b_ii), (below, diag, above) in zip(terms, stencils):
             np.multiply(b_ii, inv_2h, out=above)
             np.subtract(inv_h2, above, out=below)
             np.add(inv_h2, above, out=above)
-            diag[:] = -2.0 * inv_h2
             if v is not None:
-                diag += v[1:-1] if np.ndim(v) else v
-        for k, p in enumerate(pairs):
-            band = body[3 * m + len(pairs) + k]
-            np.multiply(cross.get(p, 0.0), inv_2h, out=band)
-            np.negative(band, out=body[3 * m + k])
+                np.add(diag0, v, out=diag)
+        for p, (plus, minus) in bands_of.items():
+            np.multiply(cross.get(p, 0.0), inv_2h, out=plus)
+            np.negative(plus, out=minus)
+
+    assemble(terms, cross)
 
     def edges(t):
         """Robin boundary-row entries and psi terms.  For du/dnu + alpha u
@@ -378,7 +437,6 @@ def fd_solve_linear(lo: float, hi: float, horizon: float, cfg: FDConfig,
                          2.0 * inv_h2, 2.0 * inv_h2]), g
 
     # the pattern, once per solve: stencils, coupled bands, boundary slots
-    assemble(dt / 2.0)
     rows = [i * nx + inner for i in range(m) for _ in range(3)]
     cols = [i * nx + inner + s for i in range(m) for s in (-1, 0, 1)]
     for s in (-1, 1):
@@ -395,32 +453,41 @@ def fd_solve_linear(lo: float, hi: float, horizon: float, cfg: FDConfig,
     n, n_body = nx * m, len(rows) - n_edge
     to_csr, M2_full = _compressed(scipy.sparse.csr_matrix, rows, cols, n)
     to_csc, M1_full = _compressed(scipy.sparse.csc_matrix, cols, rows, n)
-    eye = (rows == cols) * 1.0
-    eye_csr, eye_csc = eye[to_csr], eye[to_csc]
     to_csc[to_csc >= n_body] += n_edge
     at_t, at_next = slice(n_body, n_body + n_edge), slice(n_body + n_edge, None)
-    ca, rhs = np.empty_like(a), np.empty(n)
+    # ident + (dt/2) a and ident - (dt/2) a slot by slot, as scipy's sums
+    # would form them (x - y is x + (-y) exactly): row 0 feeds the CSR,
+    # row 1 the CSC.  Without an exact zero in either, none is pruned.
+    c = dt / 2.0
+    eye = rows == cols
+    eye = np.concatenate((eye, eye[n_body:])) * 1.0
+    halves, pm = np.array([[c], [-c]]), np.empty((2, len(a)))
+    rhs = np.empty(n)
+    natural = None      # whether the first unpruned factor kept every column
 
     t = 0.0
     take(t, u, tol=1e-14)
     u = u.T.ravel()     # component by component, as the matrices order it
-    c = dt / 2.0
     for step in range(nsteps):
         t_mid = t + c
         if step and time_dependent:
-            assemble(t_mid)
+            assemble(*coefficients(t_mid))
         if robin or step == 0 or time_dependent:
-            # ident +- (dt/2) A entry by entry, as scipy's sum would
             if robin:
                 (a[at_t], g0), (a[at_next], g1) = edges(t), edges(t + dt)
-            np.multiply(c, a, out=ca)
-            np.add(eye_csr, np.take(ca, to_csr, out=M2_full.data),
-                   out=M2_full.data)
-            np.subtract(eye_csc, np.take(ca, to_csc, out=M1_full.data),
-                        out=M1_full.data)
-            M2, M1 = _refreshed(M2_full), _refreshed(M1_full)
+            np.add(eye, np.multiply(halves, a, out=pm), out=pm)
+            whole = pm.all()
+            np.take(pm[0], to_csr, out=M2_full.data)
+            M2 = M2_full if whole else _refreshed(M2_full)
+            np.take(pm[1], to_csc, out=M1_full.data)
+            M1 = M1_full if whole else _refreshed(M1_full)
             if not robin:
-                lu = scipy.sparse.linalg.splu(M1)
+                if whole and natural:
+                    lu = _factor(M1, t + dt, permc_spec="NATURAL")
+                else:
+                    lu = _factor(M1, t + dt)
+                    if whole and natural is None:
+                        natural = (lu.perm_c == np.arange(n)).all()
 
         _csr_matvec(M2, u, rhs)
         if robin:
@@ -431,7 +498,7 @@ def fd_solve_linear(lo: float, hi: float, horizon: float, cfg: FDConfig,
                     source(i, t_mid, grid), dtype=float)
 
         if robin:
-            u = scipy.sparse.linalg.spsolve(M1, rhs)
+            u = _robin_solve(M1, rhs, t + dt)
         else:
             rhs[::nx] = rhs[nx - 1::nx] = 0.0
             u = lu.solve(rhs)
@@ -463,9 +530,8 @@ def fd_solve(ps, cfg: FDConfig, sample_times: Sequence[float] | None = None):
 
     if ps.kind == "burgers":
         h = 1e-5
-        v0 = _grid_lookup(grid, -(ps.phi0.eval(0.0, (grid + h)[:, None])
-                                  - ps.phi0.eval(0.0, (grid - h)[:, None]))
-                          / (2 * h))
+        v0 = -(ps.phi0.eval(0.0, (grid + h)[:, None])
+               - ps.phi0.eval(0.0, (grid - h)[:, None])) / (2 * h)
         ts, grid, vals = fd_solve_burgers(lo, hi, ps.horizon, cfg, v0, ps.nu,
                                           sample_times)
         return GridSolution(ts, grid[:, None], vals[:, :, None],
@@ -474,9 +540,19 @@ def fd_solve(ps, cfg: FDConfig, sample_times: Sequence[float] | None = None):
     m = pc.components
 
     def in_time(entry):
-        # the arithmetic of TimeEntry.eval, so values match it exactly
+        # the arithmetic of TimeEntry.eval, 0 + v_0 t^l_0 + v_1 t^l_1 + ...,
+        # so values match it exactly; a leading l_0 = 0 adds 0 + v_0 always
         parts = [(l, e.eval(0.0, points)) for l, e in entry.parts]
-        return lambda t: sum(v * np.power(t, l) for l, v in parts)
+        start = np.zeros(len(grid))
+        if parts and parts[0][0] == 0:
+            start += parts.pop(0)[1]
+
+        def at(t):
+            total = start
+            for l, v in parts:
+                total = total + v * np.power(t, l)
+            return total
+        return at
 
     drifts = {(i, j): in_time(e) for (i, j, _), e in pc.drift.items()}
 
@@ -504,7 +580,6 @@ def fd_solve(ps, cfg: FDConfig, sample_times: Sequence[float] | None = None):
             def source(i, t, grid):
                 return fixed
 
-    phi = _grid_lookup(grid, ps.phi.eval(0.0, points))
     kwargs = {}
     if ps.kind == "ibvp2":
         cfg = FDConfig(cfg.h, cfg.dt, cfg.scheme, "exact_robin")
@@ -512,7 +587,8 @@ def fd_solve(ps, cfg: FDConfig, sample_times: Sequence[float] | None = None):
             "robin_alpha": lambda t, x: ps.alpha.eval(t, np.array([x])),
             "robin_psi": lambda t, x: ps.psi.eval(t, np.array([x])),
         }
-    ts, grid, vals = fd_solve_linear(lo, hi, ps.horizon, cfg, phi,
+    ts, grid, vals = fd_solve_linear(lo, hi, ps.horizon, cfg,
+                                     ps.phi.eval(0.0, points),
                                      drift=drift, potential=potential,
                                      source=source, components=m,
                                      sample_times=sample_times, **kwargs)
@@ -521,25 +597,19 @@ def fd_solve(ps, cfg: FDConfig, sample_times: Sequence[float] | None = None):
                          "boundary": cfg.boundary})
 
 
-def _grid_lookup(grid: np.ndarray, values: np.ndarray) -> Callable:
-    """The per-point callable f(x) (or f(x, j)) that reads ``values`` at
-    the nodes of ``grid``, evaluated there in one call."""
-    table = dict(zip(grid.tolist(), values.tolist()))
-    return lambda x, j=0: table[x]
-
-
 def _is_zero_spec(spec) -> bool:
     return spec is None or type(spec).__name__ == "ZeroFunc"
 
 
 def fd_solve_burgers(lo: float, hi: float, horizon: float, cfg: FDConfig,
-                     v0: Callable[[float], float], nu: float,
+                     v0, nu: float,
                      sample_times: Sequence[float] | None = None):
     """Explicit reference for 1D viscous Burgers v_t + v v_x = nu v_xx.
 
-    Central differences, forward Euler; Dirichlet values pinned to the
-    initial profile (adequate for desk-scale comparisons away from the
-    boundary).  The horizon must be positive and finite, and each sample
+    ``v0`` is the initial profile: its values on the grid or a per-point
+    callable.  Central differences, forward Euler; Dirichlet values pinned
+    to the initial profile (adequate for desk-scale comparisons away from
+    the boundary).  The horizon must be positive and finite, and each sample
     time must lie in [0, horizon].
     """
     if cfg.scheme != "explicit":
@@ -549,8 +619,8 @@ def fd_solve_burgers(lo: float, hi: float, horizon: float, cfg: FDConfig,
     grid = _fd_grid(lo, hi, cfg.h)
     nsteps = int(math.ceil(horizon / cfg.dt))
     dt = horizon / nsteps
-    v = np.array([v0(xi) for xi in grid], dtype=float)
-    ends = v0(grid[0]), v0(grid[-1])
+    v = _on_grid(v0, grid)[:, 0]
+    ends = v[[0, -1]]
     take, out_t, out_v = _sampler(sample_times, horizon)
     t = 0.0
     take(t, v, tol=1e-14)

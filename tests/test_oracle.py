@@ -420,6 +420,103 @@ def test_fd_exact_zero_entries_are_bit_identical_to_reference(robin):
         assert np.array_equal(a, b)
 
 
+def _unpruned_case(m, tie):
+    # every coupling b^i_j = 0.4 sin(x + 0.3 (1 + i + j)) (1 + t) misses the
+    # nodes where it vanishes, so no step prunes an entry.  With ``tie``,
+    # dt = 2 h^2 and a self-drift of component 0 that is exactly 0 next to
+    # each boundary make the Dirichlet row's 1 and the stencil's
+    # -(dt/2)/h^2 = -1 tie for the largest magnitude of a boundary column
+    h = 1 / 16
+    dt = 2 * h * h if tie else 0.01
+
+    def drift(i, j, t, grid):
+        if i == j == 0 and tie:
+            return (grid - grid[1]) * (grid - grid[-2]) * (1 + t)
+        if i == j:
+            return 0.3 - 0.1 * i + 0.2 * t
+        return 0.4 * np.sin(grid + 0.3 * (1 + i + j)) * (1 + t)
+
+    def potential(i, t, grid):
+        return -0.2 * (i + 1) * np.cos(grid) * (1 - t)
+
+    def phi(x, j=0):
+        return math.exp(-(x - 0.3 * j) ** 2 * (2 + j))
+
+    for f in (drift, potential):
+        f.time_dependent = True
+    return (-3.0, 3.0, 10 * dt, FDConfig(h=h, dt=dt), phi), \
+        {"drift": drift, "potential": potential, "components": m,
+         "sample_times": [k * dt for k in range(11)]}
+
+
+@pytest.mark.parametrize("m, tie", [(1, False), (1, True), (2, False),
+                                    (2, True), (3, False)])
+def test_fd_unpruned_time_dependent_march_is_bit_identical_to_reference(
+        m, tie, monkeypatch):
+    import scipy.sparse.linalg as sl
+
+    orders = []
+    splu = sl.splu
+
+    def spy(M, **kwargs):
+        lu = splu(M, **kwargs)
+        identity = (lu.perm_c == np.arange(M.shape[0])).all()
+        orders.append((kwargs.get("permc_spec"), identity))
+        return lu
+
+    args, kwargs = _unpruned_case(m, tie)
+    monkeypatch.setattr(sl, "splu", spy)
+    new = fd_solve_linear(*args, **kwargs)
+    monkeypatch.setattr(sl, "splu", splu)
+    ref = fdref.fd_solve_linear(*args, **kwargs)
+    assert new[2].shape == (11, 97, m)
+    for a, b in zip(new, ref):
+        assert np.array_equal(a, b)
+    # one component keeps every column in place, so 9 steps factor in
+    # natural order; a coupled system's order is chosen at every step
+    if m == 1:
+        assert orders == [(None, True)] + [("NATURAL", True)] * 9
+    else:
+        assert orders == [(None, False)] * 10
+
+
+def test_fd_potential_that_turns_none_contributes_zeros():
+    args, kwargs = _unpruned_case(1, False)
+    potential = kwargs["potential"]
+
+    def fading(zero):
+        def f(i, t, grid):
+            return zero if t > 0.05 else potential(i, t, grid)
+        f.time_dependent = True
+        return f
+
+    new = fd_solve_linear(*args, **{**kwargs, "potential": fading(None)})
+    ref = fdref.fd_solve_linear(*args, **{**kwargs, "potential": fading(0.0)})
+    for a, b in zip(new, ref):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("boundary, potential", [
+    ("large_box_dirichlet", 12.0), ("exact_robin", 8.0)])
+def test_fd_a_singular_step_raises_conditioning_error(boundary, potential):
+    # 3 nodes, h = dt = 1/2: potential 12 makes the middle pivot of
+    # ident - (dt/2) A exactly 0; under Robin rows with alpha = 1, 8 makes
+    # the matrix exactly singular, where spsolve used to return NaN
+    import warnings
+
+    from parakern.errors import ConditioningError
+
+    # scipy's warnings pass silently outside this suite's filters
+    with warnings.catch_warnings(), \
+            pytest.raises(ConditioningError, match=r"step to t = 0\.5 "):
+        warnings.simplefilter("ignore")
+        fd_solve_linear(0.0, 1.0, 0.5,
+                        FDConfig(h=0.5, dt=0.5, boundary=boundary),
+                        lambda x: 1.0, potential=lambda i, t, g: potential,
+                        robin_alpha=lambda t, x: 1.0,
+                        robin_psi=lambda t, x: 0.0)
+
+
 def test_fd_drift_pair_that_turns_none_contributes_zeros():
     args, kwargs = _two_component_case()
     coupled = kwargs["drift"]
@@ -567,17 +664,18 @@ def test_fd_factor_runs_once_per_changed_matrix(case, factors, solves,
                                                 monkeypatch):
     import scipy.sparse.linalg as sl
 
-    calls = {"splu": 0, "spsolve": 0}
+    calls = {"splu": 0, "natural": 0, "spsolve": 0}
 
     def counted(name):
         f = getattr(sl, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            natural = kwargs.get("permc_spec") == "NATURAL"
+            calls["natural" if natural else name] += 1
             return f(*args, **kwargs)
         return wrapper
 
-    for name in calls:
+    for name in ("splu", "spsolve"):
         monkeypatch.setattr(sl, name, counted(name))
 
     def drift(i, j, t, grid):
@@ -589,7 +687,10 @@ def test_fd_factor_runs_once_per_changed_matrix(case, factors, solves,
                                              boundary=boundary),
                     math.cos, drift=drift, robin_alpha=lambda t, x: 1.0,
                     robin_psi=lambda t, x: 0.5 * t)
-    assert calls == {"splu": factors, "spsolve": solves}
+    # a time-dependent march orders its columns once, at the first factor
+    reused = factors - 1 if case == "time_dependent" else 0
+    assert calls == {"splu": factors - reused, "natural": reused,
+                     "spsolve": solves}
 
 
 @pytest.mark.parametrize("field", ["h", "dt"])
@@ -657,8 +758,8 @@ def test_fd_solve_evaluates_coefficients_once_per_solve():
     from parakern.recursion import ProblemCoefficients
     from parakern.solvers import ProblemSpec
 
-    calls = {"drift": 0, "source": 0}
-    nodes = {"drift": 0, "source": 0}
+    calls = {"drift": 0, "source": 0, "phi": 0}
+    nodes = {"drift": 0, "source": 0, "phi": 0}
 
     @dataclass(frozen=True)
     class CountedEntry(FourierEntry):
@@ -674,18 +775,25 @@ def test_fd_solve_evaluates_coefficients_once_per_solve():
             nodes["source"] += np.shape(x)[0]
             return super().eval(t, x)
 
+    @dataclass(frozen=True)
+    class CountedPhi(GaussianMix):
+        def eval(self, t, x):
+            calls["phi"] += 1
+            nodes["phi"] += np.shape(x)[0]
+            return super().eval(t, x)
+
     part = CountedEntry(1, ((0.3, (1.0,), 0.0),))
     pc = ProblemCoefficients(1, 1, {(0, 0, 0): TimeEntry(((0, part),
                                                           (1, part)))})
     ps = ProblemSpec("cauchy", (-2.0,), (2.0,), 0.1, pc,
-                     phi=GaussianMix(((1.0, 2.0, (0.0,)),)),
+                     phi=CountedPhi(((1.0, 2.0, (0.0,)),)),
                      source=CountedSource(((0.5, 1.0, (0.0,)),)))
     sol = fd_solve(ps, FDConfig(h=1 / 8, dt=0.01))
     nx = len(sol.points)
-    # ten time-dependent steps, yet each part and the source once per node,
-    # in one call on the whole grid
-    assert nodes == {"drift": 2 * nx, "source": nx}
-    assert calls == {"drift": 2, "source": 1}
+    # ten time-dependent steps, yet each part, the source and the initial
+    # data once per node, in one call on the whole grid
+    assert nodes == {"drift": 2 * nx, "source": nx, "phi": nx}
+    assert calls == {"drift": 2, "source": 1, "phi": 1}
 
 
 @pytest.mark.parametrize("case", ["time_drift", "time_potential",
