@@ -18,6 +18,7 @@ import functools
 import json
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -219,36 +220,40 @@ def _check(name, deviation, tol):
             "status": "PASS" if deviation <= tol else "FAIL"}
 
 
-def _ray_weight_checks():
-    """Adjudicate the ray weights the recursion applies against adaptive
-    quadrature, on the monomials dx^g of a 1D table, k and g <= 8.
-
-    Plain mode divides row g of R_{k-1} by k + g (``_BatchWorkspace.ray``),
-    int_0^1 s^g s^(k-1) ds.  Tau mode applies the jet series
-    ``_tau_weights`` of 1/(k + g nu(tau)); summed at a frozen tau it is
-    (1/nu) int_0^1 s^(g + (k-1)/nu) s^(1/nu - 1) ds, whose exponent
-    1/nu < 1 gets quad_ray's graded panels.  Both are read from
-    ``recursion`` at call time, so a corrupted weight fails its check.
-    """
+def _ray_weight_check():
+    """Adjudicate the plain solve's ray weights against adaptive
+    quadrature, on the monomials dx^g of a 1D table, k and g <= 8: row g
+    of R_{k-1} is divided by k + g (``_BatchWorkspace.ray``),
+    int_0^1 s^g s^(k-1) ds.  Read from ``recursion`` at call time, so a
+    corrupted weight fails the check."""
     from .oracle import quad_ray
-    # at tau = 0.5 a series cap of 30 would leave a 1.3e-12 tail
-    D, tau, cap = 8, 0.5, 60
-    nu = tau / ((1.0 - tau) * -math.log1p(-tau))
+    D = 8
     ws = recursion._BatchWorkspace(ProblemCoefficients(1, 1, {}),
-                                   np.zeros((1, 1)), None, WarpParams(), D,
-                                   None)
-    plain = warped = 0.0
+                                   np.zeros((1, 1)), None, D)
+    plain = 0.0
     for k in range(1, 9):
         applied = ws.ray(np.ones((D + 1, 1, 1)), float(k))[:, 0, 0]
-        frozen = recursion._tau_weights(k, cap, 1, D) \
-            @ tau ** np.arange(cap + 1)
         for g in range(D + 1):
-            ref = quad_ray(lambda s: s ** g, k)
-            plain = max(plain, abs(applied[g] - ref))
-            ref = quad_ray(lambda s: s ** (g + (k - 1) / nu), 1.0 / nu) / nu
-            warped = max(warped, abs(frozen[g] - ref))
-    return [_check("ray_weight_E2_plain", plain, 1e-12),
-            _check("ray_weight_E4", warped, 1e-12)]
+            plain = max(plain, abs(applied[g] - quad_ray(lambda s: s ** g, k)))
+    return _check("ray_weight_E2_plain", plain, 1e-12)
+
+
+def _tau_reexpansion_check():
+    """Tau mode's re-expansion map [tau^q] t(tau)^m, q and m <= 8, of
+    t(tau) = -beta ln(1 - tau) = beta sum_j tau^j / j, against exact
+    rational arithmetic at beta = 1/2 and 2.  Read from ``recursion`` at
+    call time, so a corrupted entry fails the check."""
+    K, worst = 8, 0.0
+    for beta in (Fraction(1, 2), Fraction(2)):
+        t = [Fraction(0)] + [beta / j for j in range(1, K + 1)]
+        power = [Fraction(1)] + [Fraction(0)] * K           # t(tau)^0
+        M = recursion._tau_reexpansion(float(beta), K)
+        for m in range(K + 1):
+            worst = max(worst, *(abs(Fraction(M[q, m]) - power[q])
+                                 for q in range(K + 1)))
+            power = [sum(power[i] * t[q - i] for i in range(q + 1))
+                     for q in range(K + 1)]
+    return _check("tau_reexpansion_E4", worst, 1e-12)
 
 
 def _roundtrip_check(pf: ProblemFile):
@@ -324,8 +329,8 @@ def _beta_equivalence_check(pf: ProblemFile):
 
 def cmd_validate(args) -> int:
     pf = _apply_overrides(load_problem_file(args.file), args)
-    checks = _ray_weight_checks()
-    checks.append(_roundtrip_check(pf))
+    checks = [_ray_weight_check(), _tau_reexpansion_check(),
+              _roundtrip_check(pf)]
     if pf.pc.drift or pf.pc.potential:
         checks.append(_check("coefficient_bounds",
                              pf.pc.spot_check_bounds(), 1.0 + 1e-12))

@@ -468,13 +468,17 @@ def fd_solve_linear(lo: float, hi: float, horizon: float, cfg: FDConfig,
     t = 0.0
     take(t, u, tol=1e-14)
     u = u.T.ravel()     # component by component, as the matrices order it
+    # the boundary rows at t + dt serve the next step as its rows at t:
+    # t += dt makes the one float the other
+    nxt = edges(t) if robin else None
     for step in range(nsteps):
         t_mid = t + c
         if step and time_dependent:
             assemble(*coefficients(t_mid))
         if robin or step == 0 or time_dependent:
             if robin:
-                (a[at_t], g0), (a[at_next], g1) = edges(t), edges(t + dt)
+                now, nxt = nxt, edges(t + dt)
+                (a[at_t], g0), (a[at_next], g1) = now, nxt
             np.add(eye, np.multiply(halves, a, out=pm), out=pm)
             whole = pm.all()
             np.take(pm[0], to_csr, out=M2_full.data)

@@ -8,15 +8,15 @@ of a coefficient array pairs with row ``i`` of the table.
 The private column helpers (``_mul_cols``, ``_overflow_cols`` and
 ``_partial_tables``) do the arithmetic on coefficient arrays with any
 number of columns, one per expansion centre, and ``_csr_apply`` applies
-every cached sparse map (a product's scatter, tau mode's jet maps); the
-drift and potential entries of :mod:`parakern.funcspec` write their
-Taylor coefficients in the same layout.  Because the table is graded,
-the rows of degree <= d are its first ``_rows(dim, d)`` rows, so an
-array may stop at its degree: products take their pair table for the
-operands' degrees (``_mul_tables``, keyed by dim, cap and both degrees)
-and form no pair of rows known to be zero.  ``_monomials`` evaluates
-the table's monomials at points, ``_tensor_grid`` lists the points of a
-tensor grid, and the scalar power-series helpers serve tau mode's jets.
+a product's cached sparse scatter; the drift and potential entries of
+:mod:`parakern.funcspec` write their Taylor coefficients in the same
+layout.  Because the table is graded, the rows of degree <= d are its
+first ``_rows(dim, d)`` rows, so an array may stop at its degree:
+products take their pair table for the operands' degrees
+(``_mul_tables``, keyed by dim, cap and both degrees) and form no pair
+of rows known to be zero.  ``_monomials`` evaluates the table's
+monomials at points and ``_tensor_grid`` lists the points of a tensor
+grid.
 """
 
 from __future__ import annotations
@@ -204,31 +204,3 @@ def _tensor_grid(axes) -> np.ndarray:
     axis varying fastest: shape (prod of their lengths, len(axes))."""
     grids = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
-
-
-# ---------------------------------------------------------------------------
-# scalar power-series helpers (used by the recursion module)
-# ---------------------------------------------------------------------------
-
-def _series_mul(a: np.ndarray, b: np.ndarray, max_order: int) -> np.ndarray:
-    out = np.zeros(max_order + 1)
-    for i, ai in enumerate(a[:max_order + 1]):
-        if ai == 0.0:
-            continue
-        top = min(len(b), max_order + 1 - i)
-        out[i:i + top] += ai * b[:top]
-    return out
-
-
-def series_reciprocal(a: np.ndarray, max_order: int) -> np.ndarray:
-    """Power-series inverse of a series with nonzero constant term."""
-    if a[0] == 0.0:
-        raise ParameterError("series has no reciprocal: zero constant term")
-    out = np.zeros(max_order + 1)
-    out[0] = 1.0 / a[0]
-    for m in range(1, max_order + 1):
-        s = 0.0
-        for i in range(1, min(m, len(a) - 1) + 1):
-            s += a[i] * out[m - i]
-        out[m] = -s / a[0]
-    return out

@@ -8,14 +8,15 @@ time parameterizations:
 * ``beta``  -- rescaled time tau = t / beta: the plain expansion with the
   time^l term of c_k scaled by beta^(k + l), once the recursion is done.
 * ``tau``   -- warped time tau = 1 - exp(-t/beta), mapping any horizon
-  into tau < 1.  Coefficients become jets in tau.
+  into tau < 1: the plain series re-expanded in tau once the recursion is
+  done.  Its total orders m = k + l <= K are summed, a_m, and
+  sum_m a_m t(tau)^m with t(tau) = -beta ln(1 - tau) is cut at tau^K:
+  coefficient q is sum_m [tau^q] t(tau)^m a_m, one time order each.
 
 Each c_k solves the first-order equation  k c_k + dx . grad c_k = R_{k-1}
 along rays from the expansion center, which on monomials acts diagonally:
 the dx^gamma coefficient of c_k is the matching coefficient of R_{k-1}
-scaled by 1/(k + |gamma|).  In tau mode the gradient term carries the
-analytic multiplier nu(tau) = tau / ((1 - tau)(-ln(1 - tau))) and the
-solve becomes a triangular jet inversion.
+scaled by 1/(k + |gamma|).
 
 ``expand_batch`` runs the recursion for many centres at once on arrays,
 each centre with its own time origin s for the kernel p(s + t, x; s, y);
@@ -30,13 +31,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ParameterError, StructureError, UnsupportedSpecError
 from .funcspec import CoefficientEntry, TimeEntry
-from .polyalg import (index_table, series_reciprocal, _csr_apply, _degree,
-                      _monomials, _mul_cols, _overflow_cols, _partial_tables,
-                      _rows, _series_mul, _tensor_grid)
+from .polyalg import (index_table, _degree, _monomials, _mul_cols,
+                      _overflow_cols, _partial_tables, _rows, _tensor_grid)
 
 SAMPLE_LATTICE = 17      # points per axis when sampling sup norms
 BETA_FLOOR = 1e-6
@@ -243,45 +242,11 @@ class ExpansionCoeffs:
 
 
 # ---------------------------------------------------------------------------
-# time warp scalar series
-# ---------------------------------------------------------------------------
-
-def _series_g(order: int) -> np.ndarray:
-    """(-ln(1-tau))/tau = sum tau^m / (m+1)."""
-    return np.array([1.0 / (m + 1) for m in range(order + 1)])
-
-
-def _series_sigma(beta: float, order: int) -> np.ndarray:
-    """beta/(1-tau) = beta sum tau^m."""
-    return beta * np.ones(order + 1)
-
-
-def _series_nu(order: int) -> np.ndarray:
-    """nu(tau) = 1/((1-tau) g(tau)), the gradient-term multiplier."""
-    return series_reciprocal(np.diff(_series_g(order), prepend=0.0), order)
-
-
-def _warp_power(l: int, beta: float, order: int) -> np.ndarray:
-    """(t(tau)/tau)^l = (beta g(tau))^l, the grade-l factor of V_l t^l."""
-    g = _series_g(order) * beta
-    out = np.zeros(order + 1)
-    out[0] = 1.0
-    for _ in range(l):
-        out = _series_mul(out, g, order)
-    return out
-
-
-def _series_t_of_tau(beta: float, order: int) -> np.ndarray:
-    """t(tau) = beta(tau + tau^2/2 + ...), no constant term."""
-    return np.concatenate([[0.0], beta / np.arange(1.0, order + 1)])
-
-
-# ---------------------------------------------------------------------------
 # the recursion proper
 # ---------------------------------------------------------------------------
 
 class _BatchWorkspace:
-    """Mode-resolved drift/potential jets about B centres, as arrays.
+    """Drift/potential jets about B centres, as arrays.
 
     A jet is an array of shape (rows, order + 1, B): table rows, time
     orders, centres.  A jet's rows stop at its spatial degree d, the first
@@ -304,17 +269,15 @@ class _BatchWorkspace:
     """
 
     def __init__(self, pc: ProblemCoefficients, ys: np.ndarray,
-                 origins: np.ndarray | None, wp: WarpParams, D: int,
-                 jet_cap: int | None):
-        self.n, self.D, self.wp, self.jet_cap = pc.n, D, wp, jet_cap
+                 origins: np.ndarray | None, D: int):
+        self.n, self.D = pc.n, D
         self.orders = index_table(pc.n, D)[2]
         self.N, self.B = len(self.orders), len(ys)
         self.truncated = np.zeros(self.B, dtype=bool)
         # False once a product has found every centre marked
         self.unmarked = True
-        self.drift_jets = {
-            key: self._entry_jet(self._entry_terms(entry, ys, origins))
-            for key, entry in pc.drift.items()}
+        self.drift_jets = {key: self._entry_terms(entry, ys, origins)
+                           for key, entry in pc.drift.items()}
         self.vpart_polys = {}
         for i, entry in pc.potential.items():
             terms = self._entry_terms(entry, ys, origins)
@@ -342,20 +305,6 @@ class _BatchWorkspace:
             for m in range(l + 1):
                 terms[:, m] += math.comb(l, m) * origins ** (l - m) * coeffs
         return self.cut(terms)
-
-    def _entry_jet(self, terms: np.ndarray) -> np.ndarray:
-        """b's time terms as a jet in physical time t (plain and beta
-        modes) or in tau."""
-        if self.wp.mode != "tau":
-            return terms
-        # substitute t = t(tau): the t^l term times t(tau)^l
-        inner = _series_t_of_tau(self.wp.beta, self.jet_cap)
-        out, power = 0.0, np.eye(1, self.jet_cap + 1)[0]
-        for l in range(terms.shape[1]):
-            if l:
-                power = _series_mul(power, inner, self.jet_cap)
-            out = out + self.scale_series(terms[:, l:l + 1], power)
-        return out
 
     # -- the jet algebra -----------------------------------------------------
 
@@ -398,18 +347,16 @@ class _BatchWorkspace:
         return out
 
     def mul(self, x, y):
-        """The jet product, capped at the jet cap; the centres where it cuts
-        a nonzero term are marked truncated.  A zero factor gives the zero
-        jet at once."""
+        """The jet product; the centres where it cuts a nonzero term are
+        marked truncated.  A zero factor gives the zero jet at once."""
         if not len(x) or not len(y):
-            return np.zeros((0, self._top(x, y) + 1, self.B))
+            return np.zeros((0, x.shape[1] + y.shape[1] - 1, self.B))
         if x.shape[1] == y.shape[1] == 1:
             # one time order each: the plan's one pair is the operands
             xa, yb = x, y
             out = _mul_cols(x, y, self.n, self.D)
         else:
-            ia, ib, ranks = _pair_plan(x.shape[1] - 1, y.shape[1] - 1,
-                                       self.jet_cap)
+            ia, ib, ranks = _pair_plan(x.shape[1] - 1, y.shape[1] - 1)
             xa, yb = x[:, ia], y[:, ib]
             prods = _mul_cols(xa, yb, self.n, self.D)
             out = prods[:, :ranks[0][1]]
@@ -425,15 +372,10 @@ class _BatchWorkspace:
                     xa[..., need], yb[..., need], self.n, self.D).any(axis=0)
         return out
 
-    def _top(self, x, y) -> int:
-        """The time order of the product of ``x`` and ``y``."""
-        top = x.shape[1] + y.shape[1] - 2
-        return top if self.jet_cap is None else min(top, self.jet_cap)
-
     def add_product(self, total, x, y, scale: float = 1.0):
         """``total + scale * x y``.  A zero factor gives the zero jet, which
         is formed and added only where it lifts the sum's time order."""
-        if len(x) and len(y) or total.shape[1] <= self._top(x, y):
+        if len(x) and len(y) or total.shape[1] < x.shape[1] + y.shape[1] - 1:
             term = self.mul(x, y)
             return self.add(total, term if scale == 1.0 else term * scale)
         return total
@@ -452,53 +394,14 @@ class _BatchWorkspace:
         row gamma by s + |gamma|: the plain solve at s = k."""
         return x / (self.orders[:len(x)] + s)[:, None, None]
 
-    def scale_series(self, x, series: np.ndarray):
-        """Times a scalar power series in time, capped at the jet cap."""
-        top = min(x.shape[1] + len(series) - 2, self.jet_cap)
-        S = _series_map(tuple(series), len(x), x.shape[1] - 1, top)
-        return _csr_apply(S, x.reshape(-1, self.B)).reshape(len(x), top + 1,
-                                                            self.B)
-
     def dt(self, x):
         if x.shape[1] == 1:
             return self.zero()
         return x[:, 1:] * np.arange(1.0, x.shape[1])[None, :, None]
 
-    def tau_solve(self, x, k: int):
-        """(k + |gamma| nu(tau)) c = R, a triangular jet inversion."""
-        S = _tau_map(k, self.jet_cap, self.n, self.D, len(x), x.shape[1] - 1)
-        return _csr_apply(S, x.reshape(-1, self.B)).reshape(
-            len(x), self.jet_cap + 1, self.B)
-
-
-def _lower_map(w: np.ndarray, L: int, top: int) -> sparse.csr_matrix:
-    """Row g of a jet of L + 1 time orders times the power series w[g], up
-    to order ``top``, as a CSR matrix on the (row, order) entries: out[g,
-    m] = sum_l x[g, l] w[g, m - l], each output adding its terms in
-    ascending l, as the one-centre jet algebra does; a product with the
-    centres as its columns applies it to each on its own."""
-    lag = np.subtract.outer(np.arange(top + 1), np.arange(L + 1))
-    g, m, l = np.nonzero(np.broadcast_to(
-        (lag >= 0) & (lag < w.shape[1]), (len(w),) + lag.shape))
-    return sparse.csr_matrix(
-        (w[g, m - l], (g * (top + 1) + m, g * (L + 1) + l)),
-        shape=(len(w) * (top + 1), len(w) * (L + 1)))
-
 
 @functools.lru_cache(maxsize=None)
-def _tau_map(k: int, cap: int, n: int, D: int, rows: int, L: int):
-    """:meth:`_BatchWorkspace.tau_solve`'s :func:`_lower_map`."""
-    return _lower_map(_tau_weights(k, cap, n, D)[:rows], L, cap)
-
-
-@functools.lru_cache(maxsize=256)
-def _series_map(series: tuple, rows: int, L: int, top: int):
-    """The :func:`_lower_map` of ``scale_series``; beta keys it, so bounded."""
-    return _lower_map(np.tile(series, (rows, 1)), L, top)
-
-
-@functools.lru_cache(maxsize=None)
-def _pair_plan(La: int, Lb: int, cap: int | None):
+def _pair_plan(La: int, Lb: int):
     """Term pairs (i, l - i) of a jet product, grouped by rank.
 
     Rank r collects the r-th pair, in ascending i, of every output order
@@ -508,7 +411,7 @@ def _pair_plan(La: int, Lb: int, cap: int | None):
     order the one-centre jet product does.  Returns (ia, ib, ranks), a
     rank as (lo, hi, start); rank 0 holds every order.
     """
-    n = La + Lb if cap is None else min(La + Lb, cap)
+    n = La + Lb
     per_l = [range(max(0, l - Lb), min(l, La) + 1) for l in range(n + 1)]
     ia, ib, ranks = [], [], []
     for r in range(max(map(len, per_l))):
@@ -522,14 +425,18 @@ def _pair_plan(La: int, Lb: int, cap: int | None):
     return ia, ib, tuple(ranks)
 
 
-@functools.lru_cache(maxsize=None)
-def _tau_weights(k: int, cap: int, n: int, D: int) -> np.ndarray:
-    """Series of 1/(k + |gamma| nu(tau)) per table row, shape (N, cap + 1)."""
-    nu = _series_nu(cap)
-    w = np.array([series_reciprocal(np.r_[k + d * nu[0], d * nu[1:]], cap)
-                  for d in range(D + 1)])[index_table(n, D)[2]]
-    w.flags.writeable = False
-    return w
+@functools.lru_cache(maxsize=256)
+def _tau_reexpansion(beta: float, K: int) -> np.ndarray:
+    """The lower-triangular map M[q, m] = [tau^q] t(tau)^m, q and m <= K,
+    of t(tau) = -beta ln(1 - tau) = beta (tau + tau^2/2 + ...), read-only;
+    beta keys it, so bounded."""
+    t = np.r_[0.0, beta / np.arange(1.0, K + 1)]
+    M = np.zeros((K + 1, K + 1))
+    M[0, 0] = 1.0
+    for m in range(1, K + 1):
+        M[:, m] = np.convolve(M[:, m - 1], t)[:K + 1]
+    M.flags.writeable = False
+    return M
 
 
 @dataclass(frozen=True)
@@ -566,8 +473,12 @@ def expand_batch(pc: ProblemCoefficients, ys, K: int,
     coefficients, leaves them as they are.  The recursion runs once, on
     arrays with the centres as the last axis; each centre's coefficients,
     jet orders and flag are those the recursion gives at that centre
-    alone.  A beta warp runs the plain recursion and scales the time^l term
-    of c_k by beta^(k + l) at the end.  ``D`` defaults to 2K + 2.
+    alone.  Every warp runs the plain recursion.  A beta warp then scales
+    the time^l term of c_k by beta^(k + l); a tau warp sums each total
+    order m = k + l <= K and re-expands the sum in tau, cut at tau^K, by
+    :func:`_tau_reexpansion`: its coefficients are (components, K + 1, 1,
+    B, N), the q-th tau order at k = q, and every jet order is 0.  ``D``
+    defaults to 2K + 2.
     """
     if K < 0:
         raise ParameterError("K must be >= 0")
@@ -586,10 +497,8 @@ def expand_batch(pc: ProblemCoefficients, ys, K: int,
             f"origins of shape {origins.shape}, expected () or ({len(ys)},)")
     origins = np.broadcast_to(origins, (len(ys),)) \
         if pc.time_dependent and origins.any() else None
-    jet_cap = max(K, pc.max_time_order) if wp.mode == "tau" else None
     # c_k has time order at most (k + 1) times the coefficients' order
-    T = jet_cap + 1 if jet_cap is not None else \
-        (K + 1) * pc.max_time_order + 1
+    T = (K + 1) * pc.max_time_order + 1
     # a dense product's temporaries: both gathered operands and their
     # product, per pair of time orders and in-cap pair of rows (as many as
     # the exponents of degree <= D in 2n variables)
@@ -597,23 +506,33 @@ def expand_batch(pc: ProblemCoefficients, ys, K: int,
     step = max(1, _CHUNK_FLOATS // per_centre)
     chunks = [_expand_chunk(pc, ys[i:i + step],
                             None if origins is None else origins[i:i + step],
-                            K, wp, D, jet_cap)
+                            K, D)
               for i in range(0, len(ys), step)]
     coeffs, orders, truncated = zip(*chunks)
     # one chunk's arrays are handed over as they are, without a copy
     coeffs, truncated = (
         a[0] if len(chunks) == 1 else np.concatenate(a, axis=axis)
         for a, axis in ((coeffs, 3), (truncated, 0)))
+    orders = orders[0]
     if wp.mode == "beta":
         # t = beta tau: the time^l term of c_k picks up beta^(k + l)
         k, l = np.ogrid[:K + 1, :coeffs.shape[2]]
         coeffs *= (wp.beta ** (k + l))[:, :, None, None]
-    return ExpansionBatch(ys, wp, D, coeffs, orders[0], truncated)
+    elif wp.mode == "tau":
+        # a_m = sum_{k + l = m} c_kl; tau order q sums M[q, m] a_m over m
+        M = _tau_reexpansion(wp.beta, K)
+        out = np.zeros((len(coeffs), K + 1, 1) + coeffs.shape[3:])
+        for m in range(K + 1):
+            a_m = sum(coeffs[:, k, m - k] for k in range(m + 1)
+                      if m - k < coeffs.shape[2])
+            out[:, m:, 0] += M[m:, m, None, None] * a_m[:, None]
+        coeffs, orders = out, np.zeros_like(orders)
+    return ExpansionBatch(ys, wp, D, coeffs, orders, truncated)
 
 
-def _expand_chunk(pc, ys, origins, K, wp, D, jet_cap):
+def _expand_chunk(pc, ys, origins, K, D):
     """``expand_batch``'s arrays for one chunk of centres."""
-    ws = _BatchWorkspace(pc, ys, origins, wp, D, jet_cap)
+    ws = _BatchWorkspace(pc, ys, origins, D)
     jets = []
     for j in range(pc.components):
         total = ws.zero()
@@ -628,8 +547,7 @@ def _expand_chunk(pc, ys, origins, K, wp, D, jet_cap):
     for k in range(1, K + 1):
         for j in range(pc.components):
             R = _batch_R(ws, pc, k, j, jets, grads)
-            jets[j].append(ws.cut(ws.tau_solve(R, k) if wp.mode == "tau"
-                                  else ws.ray(R, float(k))))
+            jets[j].append(ws.cut(ws.ray(R, float(k))))
         if k == K:
             break                       # R reads gradients below order K
         for j in range(pc.components):
@@ -647,17 +565,14 @@ def _batch_R(ws: _BatchWorkspace, pc: ProblemCoefficients, k: int, j: int,
              coeffs, grads):
     """R_{k-1} feeding the order-k ray solve; ``grads[j][r][l]`` is d_l c^j_r.
 
-    Assembles  -d/dtime c_{k-1}  +  m(time) [ Lap c_{k-1}
-    + sum_l sum_r d_l c_r d_l c_{k-1-r} + sum_lm b^j_lm d_m c^l_{k-1} ]
-    plus the potential term of explicit order k - 1, where the spatial
-    multiplier m is 1 in physical time (plain and beta modes) or
-    beta/(1-tau) in tau (as a jet).  The time-derivative term enters
-    unscaled; it originates on the other side of the graded identity.  The gradient
-    sum is a Cauchy square: per axis, each distinct pair r < k-1-r is
-    formed once and doubled, in ascending r, then the middle square when
-    k is odd.  Lap c_{k-1} is taken from its stored gradients.
+    Assembles  -d/dt c_{k-1}  +  Lap c_{k-1}
+    + sum_l sum_r d_l c_r d_l c_{k-1-r} + sum_lm b^j_lm d_m c^l_{k-1}
+    plus the potential term of explicit order k - 1, all in physical time
+    t whatever the warp.  The gradient sum is a Cauchy square: per axis,
+    each distinct pair r < k-1-r is formed once and doubled, in ascending
+    r, then the middle square when k is odd.  Lap c_{k-1} is taken from
+    its stored gradients.
     """
-    wp = ws.wp
     prev = coeffs[j][k - 1]
     spatial = functools.reduce(ws.add, map(ws.partial, grads[j][k - 1],
                                            range(pc.n)))
@@ -671,16 +586,9 @@ def _batch_R(ws: _BatchWorkspace, pc: ProblemCoefficients, k: int, j: int,
             bjet = ws.drift_jets.get((j, lcomp, m))
             if bjet is not None:
                 spatial = ws.add_product(spatial, bjet, grads[lcomp][k - 1][m])
-    sigma = _series_sigma(wp.beta, ws.jet_cap) if wp.mode == "tau" else None
-    # an empty sum stays empty: the tau solve takes any time order
-    out = spatial if sigma is None or not len(spatial) \
-        else ws.scale_series(spatial, sigma)
-    out = ws.add(out, ws.dt(prev) * -1.0)
+    out = ws.add(spatial, ws.dt(prev) * -1.0)
     vjet = ws.vpart_polys.get(j, {}).get(k - 1)
     if vjet is not None:
-        if sigma is not None:
-            vjet = ws.scale_series(ws.scale_series(vjet, _warp_power(
-                k - 1, wp.beta, ws.jet_cap)), sigma)
         out = ws.add(out, vjet)
     return out
 

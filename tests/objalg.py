@@ -5,7 +5,9 @@
 module term for term).  Here the same recursion runs one centre at a
 time on values: a :class:`TaylorPoly` record with constructors and
 operators, a :class:`TimeJet` of them (a truncated polynomial in time),
-the jet arithmetic, and ``compute_c0``/``compute_R``.  ``poly_mul`` calls the
+the jet arithmetic, and ``compute_c0``/``compute_R`` in plain and beta
+mode; :func:`tau_reexpanded` re-expands their plain series in tau, as
+tau mode's reference.  ``poly_mul`` calls the
 shipped ``_mul_cols``/``_overflow_cols``, so product tests still exercise
 the kernel the package uses.  :func:`jets_of` reads an expansion's
 coefficient array back as TimeJets; :func:`remainder_bound`,
@@ -36,10 +38,9 @@ from parakern.funcspec import (CoefficientEntry, FourierEntry, PolyEntry,
                                TimeEntry)
 from parakern.kernel import Rows, eval_points
 from parakern.polyalg import (index_table, _monomials, _mul_cols,
-                              _overflow_cols, _partial_tables, _series_mul)
+                              _overflow_cols, _partial_tables)
 from parakern.recursion import (ExpansionCoeffs, ProblemCoefficients,
-                                WarpParams, _BatchWorkspace, _series_sigma,
-                                _series_t_of_tau, _warp_power)
+                                WarpParams, _BatchWorkspace)
 
 
 # ---------------------------------------------------------------------------
@@ -305,22 +306,6 @@ def jet_scale(a: TimeJet, s: float) -> TimeJet:
     return TimeJet(a.var, tuple(p * s for p in a.terms))
 
 
-def jet_scale_series(a: TimeJet, series: np.ndarray,
-                     max_order: int | None = None) -> TimeJet:
-    """Multiply by a scalar power series in the jet's time variable."""
-    n = a.order + len(series) - 1
-    if max_order is not None:
-        n = min(n, max_order)
-    terms = []
-    for l in range(n + 1):
-        acc = TaylorPoly.zero(a.dim, a.center, a.cap)
-        for i in range(max(0, l - len(series) + 1), min(l, a.order) + 1):
-            if series[l - i] != 0.0:
-                acc = poly_add(acc, a.terms[i] * float(series[l - i]))
-        terms.append(acc)
-    return TimeJet(a.var, tuple(terms))
-
-
 def jet_dt(a: TimeJet) -> TimeJet:
     """Time derivative: lowers the jet order by one, scales by l."""
     if a.order == 0:
@@ -350,7 +335,8 @@ def jet_compose_time(a: TimeJet, inner: np.ndarray, var: str,
                      max_order: int) -> TimeJet:
     """Substitute ``time = inner(s)`` where ``inner`` has no constant term.
 
-    Used to re-express t-jets in the warped variable, e.g. b(t(tau)).
+    Used to re-express t-jets in the warped variable, e.g. the plain
+    series at t(tau).
     """
     if len(inner) and inner[0] != 0.0:
         raise ParameterError("inner series must vanish at 0")
@@ -361,7 +347,7 @@ def jet_compose_time(a: TimeJet, inner: np.ndarray, var: str,
     power[0] = 1.0
     for l, p in enumerate(a.terms):
         if l > 0:
-            power = _series_mul(power, inner, max_order)
+            power = np.convolve(power, inner)[:max_order + 1]
         if _max_abs(p) == 0.0:
             continue
         for m in range(max_order + 1):
@@ -398,15 +384,14 @@ def jets_of(exp: ExpansionCoeffs) -> tuple[tuple[TimeJet, ...], ...]:
 class _Workspace:
     """Mode-resolved drift/potential jets about one center."""
 
-    def __init__(self, pc: ProblemCoefficients, y, wp: WarpParams,
-                 D: int, jet_cap: int | None):
+    def __init__(self, pc: ProblemCoefficients, y, wp: WarpParams, D: int):
+        if wp.mode == "tau":
+            raise ParameterError("tau mode re-expands the plain series: "
+                                 "see tau_reexpanded")
         self.pc = pc
         self.y = tuple(float(v) for v in y)
         self.wp = wp
         self.D = D
-        if wp.mode == "tau" and jet_cap is None:
-            jet_cap = max(6, pc.max_time_order)
-        self.jet_cap = jet_cap
         self.var = "t" if wp.mode == "plain" else "tau"
         self.truncated = False
         self.drift_jets = {}
@@ -423,7 +408,7 @@ class _Workspace:
         return TaylorPoly(self.pc.n, self.y, self.D, coeffs[:, 0], truncated)
 
     def _entry_jet(self, entry: TimeEntry) -> TimeJet:
-        """b as a jet in the mode's own time variable."""
+        """b as a jet in the mode's own time variable (t or beta tau)."""
         zero = TaylorPoly.zero(self.pc.n, self.y, self.D)
         terms = [zero] * (entry.max_order + 1)
         for l, part in entry.parts:
@@ -431,26 +416,17 @@ class _Workspace:
         tjet = TimeJet("t", tuple(terms))
         if self.wp.mode == "plain":
             return tjet
-        if self.wp.mode == "beta":
-            # t = beta tau: scale jet order l by beta^l
-            scaled = tuple(p * (self.wp.beta ** l)
-                           for l, p in enumerate(tjet.terms))
-            return TimeJet("tau", scaled)
-        inner = _series_t_of_tau(self.wp.beta, self.jet_cap)
-        return jet_compose_time(tjet, inner, "tau", self.jet_cap)
+        # t = beta tau: scale jet order l by beta^l
+        scaled = tuple(p * (self.wp.beta ** l)
+                       for l, p in enumerate(tjet.terms))
+        return TimeJet("tau", scaled)
 
     def zero_jet(self) -> TimeJet:
         return TimeJet.zero(self.pc.n, self.y, self.D, self.var)
 
-    def clip(self, jet: TimeJet) -> TimeJet:
-        if self.jet_cap is None or jet.order <= self.jet_cap:
-            return jet
-        return TimeJet(jet.var, jet.terms[:self.jet_cap + 1])
-
 
 def compute_c0(pc: ProblemCoefficients, y, j: int,
                D: int, wp: WarpParams = WarpParams(),
-               jet_cap: int | None = None,
                _ws: _Workspace | None = None) -> TimeJet:
     """Order-zero coefficient of component j about center y.
 
@@ -460,7 +436,7 @@ def compute_c0(pc: ProblemCoefficients, y, j: int,
     coefficient one) and is confirmed by the constant-drift kernel, whose
     exponent carries -b0 dx / 2.
     """
-    ws = _ws or _Workspace(pc, y, wp, D, jet_cap)
+    ws = _ws or _Workspace(pc, y, wp, D)
     if not 0 <= j < pc.components:
         raise ParameterError(f"component {j} out of range")
     total = ws.zero_jet()
@@ -478,21 +454,20 @@ def compute_c0(pc: ProblemCoefficients, y, j: int,
         shifted = TimeJet(row.var,
                           tuple(poly_shift_up(p, m) for p in integrated.terms))
         total = jet_add(total, shifted)
-    return ws.clip(jet_scale(total, -0.5))
+    return jet_scale(total, -0.5)
 
 
 def compute_R(k: int, prior: Sequence[Sequence[TimeJet]],
               pc: ProblemCoefficients, j: int, wp: WarpParams,
               _ws: _Workspace | None = None,
               y=None, D: int | None = None,
-              jet_cap: int | None = None, ordered: bool = False) -> TimeJet:
+              ordered: bool = False) -> TimeJet:
     """Right-hand side R_{k-1} feeding the order-k ray solve.
 
     Assembles  -d/dtime c_{k-1}  +  m(time) [ Lap c_{k-1}
     + sum_l sum_r d_l c_r d_l c_{k-1-r} + sum_lm b^j_lm d_m c^l_{k-1} ]
     plus the potential jet term of matching explicit order, where the
-    spatial multiplier m is 1 (plain), beta (beta mode) or beta/(1-tau)
-    (tau mode, as a jet).  The time-derivative term enters unscaled; it
+    spatial multiplier m is 1 (plain) or beta (beta mode).  The time-derivative term enters unscaled; it
     originates on the other side of the graded identity.  The gradient
     sum is summed as ``expand_batch`` sums it: per axis, each distinct
     pair r < k-1-r once and doubled, in ascending r, then the middle
@@ -508,7 +483,7 @@ def compute_R(k: int, prior: Sequence[Sequence[TimeJet]],
         if y is None or D is None:
             head = prior[j][0]
             y, D = head.center, head.cap
-        _ws = _Workspace(pc, y, wp, D, jet_cap)
+        _ws = _Workspace(pc, y, wp, D)
     ws = _ws
     prev = prior[j][k - 1]
 
@@ -516,8 +491,7 @@ def compute_R(k: int, prior: Sequence[Sequence[TimeJet]],
     for l in range(pc.n):
         for r in range(k if ordered else (k + 1) // 2):
             term = jet_mul(jet_partial(prior[j][r], l),
-                           jet_partial(prior[j][k - 1 - r], l),
-                           max_order=ws.jet_cap)
+                           jet_partial(prior[j][k - 1 - r], l))
             if not ordered and 2 * r != k - 1:
                 term = jet_scale(term, 2.0)
             spatial = jet_add(spatial, term)
@@ -527,16 +501,9 @@ def compute_R(k: int, prior: Sequence[Sequence[TimeJet]],
             if bjet is None:
                 continue
             spatial = jet_add(spatial,
-                              jet_mul(bjet, jet_partial(prior[lcomp][k - 1], m),
-                                      max_order=ws.jet_cap))
+                              jet_mul(bjet, jet_partial(prior[lcomp][k - 1], m)))
 
-    if wp.mode == "plain":
-        out = spatial
-    elif wp.mode == "beta":
-        out = jet_scale(spatial, wp.beta)
-    else:
-        sigma = _series_sigma(wp.beta, ws.jet_cap)
-        out = jet_scale_series(spatial, sigma, max_order=ws.jet_cap)
+    out = spatial if wp.mode == "plain" else jet_scale(spatial, wp.beta)
 
     out = jet_add(out, jet_scale(jet_dt(prev), -1.0))
 
@@ -544,21 +511,30 @@ def compute_R(k: int, prior: Sequence[Sequence[TimeJet]],
     vparts = ws.vpart_polys.get(j)
     if vparts and (k - 1) in vparts:
         vpoly = vparts[k - 1]
-        if wp.mode == "plain":
-            vjet = TimeJet.of_poly(vpoly, ws.var)
-        elif wp.mode == "beta":
-            vjet = TimeJet.of_poly(vpoly * (wp.beta ** k), ws.var)
-        else:
-            # V_l t^l sits at explicit grade l = k-1 with the jet factor
-            # sigma(tau) (t(tau)/tau)^l carried along.
-            warp_pow = _warp_power(k - 1, wp.beta, ws.jet_cap)
-            sigma = _series_sigma(wp.beta, ws.jet_cap)
-            vjet = jet_scale_series(
-                jet_scale_series(TimeJet.of_poly(vpoly, ws.var), warp_pow,
-                                 max_order=ws.jet_cap),
-                sigma, max_order=ws.jet_cap)
-        out = jet_add(out, vjet)
-    return ws.clip(out)
+        if wp.mode == "beta":
+            vpoly = vpoly * (wp.beta ** k)
+        out = jet_add(out, TimeJet.of_poly(vpoly, ws.var))
+    return out
+
+
+def tau_reexpanded(plain: Sequence[Sequence[TimeJet]], beta: float,
+                   K: int) -> tuple[tuple[TimeJet, ...], ...]:
+    """Plain-mode coefficients [component][k] as tau mode's: the total
+    orders m = k + l <= K summed into the t-jet sum_m a_m t^m, then
+    t = -beta ln(1 - tau) = beta sum_j tau^j / j substituted and cut at
+    tau^K; the tau^q term is returned as [component][q], a jet of order 0.
+    """
+    inner = np.array([0.0] + [beta / j for j in range(1, K + 1)])
+    out = []
+    for cj in plain:
+        head = cj[0]
+        sums = [TaylorPoly.zero(head.dim, head.center, head.cap)] * (K + 1)
+        for k, jet in enumerate(cj[:K + 1]):
+            for l, p in enumerate(jet.terms[:K + 1 - k]):
+                sums[k + l] = poly_add(sums[k + l], p)
+        tjet = jet_compose_time(TimeJet("t", tuple(sums)), inner, "tau", K)
+        out.append(tuple(TimeJet("tau", (p,)) for p in tjet.terms))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -726,7 +702,7 @@ class DenseWorkspace(_BatchWorkspace):
 
     def mul(self, x, y):
         La, Lb = x.shape[1] - 1, y.shape[1] - 1
-        top = La + Lb if self.jet_cap is None else min(La + Lb, self.jet_cap)
+        top = La + Lb
         # every term pair (i, l - i) of the jet product, by l and then i
         pairs = [(i, l - i) for l in range(top + 1)
                  for i in range(max(0, l - Lb), min(l, La) + 1)]

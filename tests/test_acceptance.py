@@ -7,6 +7,7 @@ is expected to fail; see the analysis next to that test.
 
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,9 +17,9 @@ from parakern.funcspec import FourierEntry, GaussianMix, PolyEntry, TimeEntry
 from parakern.kernel import (KernelField, delta_property, eval_points,
                              normalization_check, varadhan_diag)
 from parakern.oracle import FDConfig, quad_ray
+from parakern import recursion
 from parakern.recursion import (ProblemCoefficients, WarpParams, expand,
-                                select_beta, warp_schedule,
-                                _BatchWorkspace, _tau_weights)
+                                select_beta, warp_schedule, _BatchWorkspace)
 from parakern.solvers import ProblemSpec, QuadratureConfig, burgers_demo, \
     solve_cauchy, solve_ibvp2
 from parakern.funcspec import ExpTime, SpacePolyFourier
@@ -109,25 +110,35 @@ def test_criterion_03_potential_term():
 
 def test_criterion_04_ray_weight_adjudication():
     # the weights the recursion applies to dx^g, against quad_ray: plain
-    # 1/(k + g) from _BatchWorkspace.ray, and tau mode's series
-    # _tau_weights summed at a frozen tau against 1/(k + g nu(tau)),
-    # written with the exponent 1/nu < 1 so quad_ray grades its panels
-    D, tau, cap = 8, 0.5, 60
-    nu = tau / ((1 - tau) * -math.log1p(-tau))
+    # 1/(k + g) from _BatchWorkspace.ray; tau mode applies no weight of
+    # its own but re-expands the plain series by [tau^q] t(tau)^m, checked
+    # against exact rationals: (-ln(1 - tau))^m = m! sum_q c(q, m) tau^q / q!
+    # with c the unsigned Stirling numbers of the first kind
+    D, K = 8, 8
     ws = _BatchWorkspace(ProblemCoefficients(1, 1, {}), np.zeros((1, 1)),
-                         None, WarpParams(), D, None)
+                         None, D)
     plain_dev = tau_dev = 0.0
     for k in range(1, 9):
         applied = ws.ray(np.ones((D + 1, 1, 1)), float(k))[:, 0, 0]
-        frozen = _tau_weights(k, cap, 1, D) @ tau ** np.arange(cap + 1)
         for g in range(D + 1):
             plain_dev = max(plain_dev, abs(
                 applied[g] - quad_ray(lambda s, g=g: s ** g, k)))
-            ref = quad_ray(lambda s, g=g: s ** (g + (k - 1) / nu), 1 / nu) / nu
-            tau_dev = max(tau_dev, abs(frozen[g] - ref))
+    stirling = [[1] + [0] * K]
+    for q in range(K):
+        stirling.append([(q * stirling[q][m] if m <= q else 0)
+                         + (stirling[q][m - 1] if m else 0)
+                         for m in range(K + 1)])
+    for beta in (Fraction(1, 2), Fraction(2)):
+        M = recursion._tau_reexpansion(float(beta), K)
+        for q in range(K + 1):
+            for m in range(K + 1):
+                exact = beta ** m * Fraction(math.factorial(m)
+                                             * stirling[q][m],
+                                             math.factorial(q))
+                tau_dev = max(tau_dev, abs(Fraction(M[q, m]) - exact))
     ok = plain_dev <= 1e-12 and tau_dev <= 1e-12
     report("4", "ray-weight adjudication", ok,
-           f"plain dev {plain_dev:.2e}, tau dev {tau_dev:.2e}")
+           f"plain dev {plain_dev:.2e}, tau dev {float(tau_dev):.2e}")
     assert plain_dev <= 1e-12
     assert tau_dev <= 1e-12
 

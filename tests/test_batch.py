@@ -22,12 +22,13 @@ from parakern.kernel import KernelField, Rows, eval_points
 from parakern.polyalg import (index_table, _mul_cols, _overflow_cols, _rows,
                               _tensor_grid)
 from parakern.problemfile import load_problem_dict, load_problem_file
-from parakern.recursion import (ProblemCoefficients, WarpParams, _series_nu,
-                                expand, expand_batch)
+from parakern.recursion import (ProblemCoefficients, WarpParams, expand,
+                                expand_batch)
 from parakern.solvers import solve_cauchy
 
 from objalg import (DenseWorkspace, TaylorPoly, TimeJet, _Workspace,
-                    compute_c0, compute_R, jet_ray, shifted_origin)
+                    compute_c0, compute_R, jet_ray, shifted_origin,
+                    tau_reexpanded)
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 PROBLEMS = sorted(glob.glob(os.path.join(HERE, "..", "problems", "*.json")))
@@ -96,38 +97,57 @@ def _jet(batch, j, k, b, center):
         for l in range(batch.jet_order[j, k] + 1)))
 
 
-def _solve_residual(c: TimeJet, R: TimeJet, k: int, wp: WarpParams,
-                    jet_cap) -> float:
-    """Largest |(k + dx . grad) c - R| coefficient (tau: as jets in tau)."""
+def _solve_residual(c: TimeJet, R: TimeJet, k: int) -> float:
+    """Largest |(k + dx . grad) c - R| coefficient."""
     orders = index_table(c.dim, c.cap)[2]
-    if wp.mode in ("plain", "beta"):
-        assert c.order == R.order
-        return max(float(np.max(np.abs((k + orders) * c.terms[l].coeffs
-                                       - R.terms[l].coeffs)))
-                   for l in range(c.order + 1))
-    nu = _series_nu(jet_cap)
-    worst = 0.0
-    for l in range(jet_cap + 1):
-        lhs = sum((k * (m == 0) + orders * nu[m]) * c.terms[l - m].coeffs
-                  for m in range(l + 1))
-        worst = max(worst, float(np.max(np.abs(lhs - R.term(l).coeffs))))
-    return worst
+    assert c.order == R.order
+    return max(float(np.max(np.abs((k + orders) * c.terms[l].coeffs
+                                   - R.terms[l].coeffs)))
+               for l in range(c.order + 1))
+
+
+def _tau_deviation(batch, b, pc, K, D, ordered=False) -> tuple:
+    """Tau mode about centre b against its reference: the object recursion
+    run alone in plain mode, c_k the ray solve of its own R_{k-1}, then
+    re-expanded by ``tau_reexpanded``.  Returns the largest coefficient
+    deviation over the largest reference coefficient, and the reference
+    flag."""
+    y = batch.centers[b]
+    ws = _Workspace(pc, y, WarpParams(), D)
+    jets = [[compute_c0(pc, y, j, D, _ws=ws)] for j in range(pc.components)]
+    flags = [cj[0].truncated for cj in jets]
+    for k in range(1, K + 1):
+        Rs = [compute_R(k, jets, pc, j, WarpParams(), _ws=ws, ordered=ordered)
+              for j in range(pc.components)]
+        for cj, R in zip(jets, Rs):
+            flags.append(R.truncated)
+            cj.append(jet_ray(R, float(k)))
+    ref = np.array([[q.terms[0].coeffs for q in cj]
+                    for cj in tau_reexpanded(jets, batch.warp.beta, K)])
+    assert batch.coeffs.shape[2] == 1 and not batch.jet_order.any()
+    dev = float(np.max(np.abs(batch.coeffs[:, :, 0, b] - ref)))
+    return dev, float(np.max(np.abs(ref))), ws.truncated or any(flags)
 
 
 @pytest.mark.parametrize("mode", sorted(MODES))
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_batch_matches_object_reference(case, mode):
     pc, wp, K, D, ys = _setup(case, mode)
-    jet_cap = max(K, pc.max_time_order) if mode == "tau" else None
     batch = expand_batch(pc, ys, K, wp, D)
     assert batch.coeffs.shape[:2] == (pc.components, K + 1)
     assert batch.coeffs.shape[3:] == (B, len(index_table(pc.n, D)[0]))
+    if mode == "tau":
+        for b in range(B):
+            dev, scale, flag = _tau_deviation(batch, b, pc, K, D)
+            assert dev <= 1e-13 * max(1.0, scale)
+            assert batch.truncated[b] == flag
+        return
     for b, y in enumerate(ys):
         center = tuple(float(v) for v in y)
-        ws = _Workspace(pc, y, wp, D, jet_cap)
+        ws = _Workspace(pc, y, wp, D)
         flags = []
         for j in range(pc.components):
-            c0 = compute_c0(pc, y, j, D, wp, jet_cap, _ws=ws)
+            c0 = compute_c0(pc, y, j, D, wp, _ws=ws)
             assert batch.jet_order[j, 0] == c0.order
             assert np.array_equal(batch.coeffs[j, 0, :c0.order + 1, b],
                                   np.array([p.coeffs for p in c0.terms]))
@@ -141,12 +161,11 @@ def test_batch_matches_object_reference(case, mode):
                 flags.append(R.truncated)
                 c = _jet(batch, j, k, b, center)
                 scale = max(1.0, R.max_abs())
-                assert _solve_residual(c, R, k, wp, jet_cap) <= 1e-13 * scale
-                if mode != "tau":
-                    # same operations in the same order: equal values
-                    ref = jet_ray(R, float(k))
-                    assert all(np.array_equal(p.coeffs, q.coeffs)
-                               for p, q in zip(c.terms, ref.terms))
+                assert _solve_residual(c, R, k) <= 1e-13 * scale
+                # same operations in the same order: equal values
+                ref = jet_ray(R, float(k))
+                assert all(np.array_equal(p.coeffs, q.coeffs)
+                           for p, q in zip(c.terms, ref.terms))
         assert batch.truncated[b] == (ws.truncated or any(flags))
 
 
@@ -157,12 +176,17 @@ def test_batch_matches_the_ordered_gradient_sum(case, mode):
     # full ordered double sum, each of its k pairs a product of its own,
     # gives the same c_k up to rounding and the same flags
     pc, wp, K, D, ys = _setup(case, mode)
-    jet_cap = max(K, pc.max_time_order) if mode == "tau" else None
     batch = expand_batch(pc, ys, K, wp, D)
+    if mode == "tau":
+        for b in range(B):
+            dev, scale, flag = _tau_deviation(batch, b, pc, K, D, True)
+            assert dev <= 1e-14 * scale
+            assert batch.truncated[b] == flag
+        return
     for b, y in enumerate(ys):
         center = tuple(float(v) for v in y)
-        ws = _Workspace(pc, y, wp, D, jet_cap)
-        flags = [compute_c0(pc, y, j, D, wp, jet_cap, _ws=ws).truncated
+        ws = _Workspace(pc, y, wp, D)
+        flags = [compute_c0(pc, y, j, D, wp, _ws=ws).truncated
                  for j in range(pc.components)]
         for k in range(1, K + 1):
             prior = [[_jet(batch, j, r, b, center) for r in range(k)]
@@ -173,12 +197,9 @@ def test_batch_matches_the_ordered_gradient_sum(case, mode):
                 flags.append(R.truncated)
                 c = _jet(batch, j, k, b, center)
                 tol = 1e-14 * R.max_abs()
-                if mode == "tau":
-                    assert _solve_residual(c, R, k, wp, jet_cap) <= tol
-                else:
-                    ref = jet_ray(R, float(k))
-                    assert all(np.max(np.abs(p.coeffs - q.coeffs)) <= tol
-                               for p, q in zip(c.terms, ref.terms))
+                ref = jet_ray(R, float(k))
+                assert all(np.max(np.abs(p.coeffs - q.coeffs)) <= tol
+                           for p, q in zip(c.terms, ref.terms))
         assert batch.truncated[b] == (ws.truncated or any(flags))
 
 
@@ -397,8 +418,7 @@ def test_a_mixed_chunk_keeps_rows_live_at_any_centre(monkeypatch):
 
 def test_cut_drops_only_rows_of_exact_zeros():
     ws = recursion._BatchWorkspace(ProblemCoefficients(2, 1, {}),
-                                   np.zeros((3, 2)), None, WarpParams(), 4,
-                                   None)
+                                   np.zeros((3, 2)), None, 4)
     x = np.zeros((_rows(2, 3), 2, 3))       # degree 3, two time orders
     x[0] = 1.0
     x[_rows(2, 2) + 1, 1, 2] = 0.5          # one degree-3 entry, one centre
@@ -424,8 +444,7 @@ def test_cut_drops_only_rows_of_exact_zeros():
 def test_zero_jets_keep_time_orders_and_flags():
     # a zero factor gives the zero jet and leaves the centres' flags alone
     ws = recursion._BatchWorkspace(ProblemCoefficients(1, 1, {}),
-                                   np.zeros((2, 1)), None,
-                                   WarpParams(mode="tau", beta=0.5), 4, 3)
+                                   np.zeros((2, 1)), None, 4)
     ws.truncated[0] = True
     zero = np.zeros((0, 2, 2))
     dense = np.full((_rows(1, 2), 3, 2), np.inf)
@@ -435,29 +454,23 @@ def test_zero_jets_keep_time_orders_and_flags():
     const = np.ones((1, 1, 2))
     assert ws.partial(const, 0).shape == (0, 1, 2)
     assert ws.partial(zero, 0).shape == (0, 2, 2)
-    assert ws.tau_solve(zero, 2).shape == (0, 4, 2)
-    assert ws.scale_series(zero, np.ones(4)).shape == (0, 4, 2)
     out = ws.add(const, zero)
     assert out.shape == (1, 2, 2) and np.array_equal(out[:, 0], const[:, 0])
 
 
 def test_a_zero_product_needs_no_pair_plan(monkeypatch):
     # the zero jet returns before the product's pair plan is looked up,
-    # with time orders min(La + Lb, cap) + 1, and marks no centre
+    # with time orders La + Lb + 1, and marks no centre
     def no_plan(*args):
         raise AssertionError("pair plan looked up for a zero product")
     monkeypatch.setattr(recursion, "_pair_plan", no_plan)
     zero = np.zeros((0, 2, 2))                                  # La = 1
     dense = np.ones((_rows(1, 2), 3, 2))
-    # (jet cap, orders of zero x dense, orders of zero x zero)
-    for jet_cap, mixed, both in ((None, 4, 3), (2, 3, 3), (0, 1, 1)):
-        ws = recursion._BatchWorkspace(ProblemCoefficients(1, 1, {}),
-                                       np.zeros((2, 1)), None, MODES["tau"],
-                                       4, jet_cap)
-        for a, b, orders in ((zero, dense, mixed), (dense, zero, mixed),
-                             (zero, zero, both)):
-            assert ws.mul(a, b).shape == (0, orders, 2)
-        assert not ws.truncated.any()
+    ws = recursion._BatchWorkspace(ProblemCoefficients(1, 1, {}),
+                                   np.zeros((2, 1)), None, 4)
+    for a, b, orders in ((zero, dense, 4), (dense, zero, 4), (zero, zero, 3)):
+        assert ws.mul(a, b).shape == (0, orders, 2)
+    assert not ws.truncated.any()
 
 
 def test_zero_products_skip_the_column_kernel(monkeypatch):
@@ -527,7 +540,7 @@ def test_degree_zero_rejects_a_drift():
 def test_one_chunk_peaks_within_the_chunk_bound(monkeypatch):
     # a dense 1D problem with time-dependent drift and potential: its
     # Fourier entries fill every row, so each product takes the full pair
-    # table, and tau mode has the most time pairs per order
+    # table, and its time terms give c_k up to k + 1 time orders
     pc = ProblemCoefficients(1, 1, {(0, 0, 0): TimeEntry((
         (0, FourierEntry(1, ((0.3, (1.0,), 0.0),))),
         (1, FourierEntry(1, ((0.5, (2.0,), 0.1),)))))},
@@ -568,8 +581,8 @@ def test_chunked_batch_equals_one_chunk(monkeypatch):
 @pytest.mark.parametrize("name", [os.path.basename(p) for p in PROBLEMS])
 def test_every_map_application_is_the_sparse_product(name, mode,
                                                      monkeypatch):
-    # a product's scatter and tau mode's jet maps all go through one
-    # helper on scipy's private kernels: every result must be ``M @ x``
+    # a product's scatter goes through one helper on scipy's private
+    # kernels, in every mode: every result must be ``M @ x``
     # to the bit, signed zeros included, at one centre (the operator's
     # vector kernel) and at three (its matrix kernel)
     widths = []
@@ -583,24 +596,24 @@ def test_every_map_application_is_the_sparse_product(name, mode,
         widths.append(x.shape[1])
         return out
     monkeypatch.setattr(polyalg, "_csr_apply", checked)
-    monkeypatch.setattr(recursion, "_csr_apply", checked)
     pf = load_problem_file(CASES[name])
     wp, K, D = MODES[mode], pf.order_K, pf.degree_D
     expand(pf.pc, [0.1] * pf.pc.n, K, wp, D)
     ys = np.linspace(-0.2, 0.3, 3 * pf.pc.n).reshape(3, pf.pc.n)
     expand_batch(pf.pc, ys, K, wp, D, origins=[0.0, 0.05, 0.1])
-    if name == "sin_drift.json" or mode == "tau" and pf.pc.drift:
-        # the benchmark's file scatters its products, and a tau solve
-        # maps every order; T time orders of B centres are T * B columns
+    if name == "sin_drift.json":
+        # the benchmark's file scatters its products; T time orders of B
+        # centres are T * B columns
         assert 1 in widths and 3 in widths
 
 
-@pytest.mark.parametrize("jet_cap", [None, 0, 2])
+@pytest.mark.parametrize("marked", [None, 0, 2])
 @pytest.mark.parametrize("degrees", [(3, 4), (0, 4), (4, 0), (0, 0)])
-def test_a_one_order_product_equals_the_gathered_one(degrees, jet_cap):
+def test_a_one_order_product_equals_the_gathered_one(degrees, marked):
     # with one time order each, the product takes its operands as they
     # are; it must give the bits and flags of the pair plan's gathered
-    # path, on columns holding -0.0, inf and NaN
+    # path, on columns holding -0.0, inf and NaN; a centre ``marked``
+    # truncated before the product stays marked
     D, B = 5, 12                # columns 6 to 11 hold plain values
     rng = np.random.default_rng(20261020)
     x, y = (rng.standard_normal((_rows(1, d), 1, B)) for d in degrees)
@@ -609,15 +622,18 @@ def test_a_one_order_product_equals_the_gathered_one(degrees, jet_cap):
     x[-1, 0, 3], y[0, 0, 3] = np.inf, -0.0
     x[0, 0, 4], y[-1, 0, 5] = np.nan, np.inf
     ws = recursion._BatchWorkspace(ProblemCoefficients(1, 1, {}),
-                                   np.zeros((B, 1)), None, MODES["tau"], D,
-                                   jet_cap)
-    ia, ib, ranks = recursion._pair_plan(0, 0, jet_cap)
+                                   np.zeros((B, 1)), None, D)
+    if marked is not None:
+        ws.truncated[marked] = True
+    ia, ib, ranks = recursion._pair_plan(0, 0)
     with np.errstate(invalid="ignore"):     # inf * 0
         got = ws.mul(x, y)
         xa, yb = x[:, ia], y[:, ib]
         ref = _mul_cols(xa, yb, 1, D)[:, :ranks[0][1]]
         flags = _overflow_cols(xa, yb, 1, D).any(axis=0) \
             if sum(degrees) > D else np.zeros(B, dtype=bool)
+    if marked is not None:
+        flags[marked] = True
     assert ranks == ((0, 1, 0),)
     assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
     assert np.array_equal(ws.truncated, flags)
@@ -654,7 +670,7 @@ def test_select_beta_matches_object_reference(case, monkeypatch):
     exps = index_table(pc.n, D)[0]
     worst = 0.0
     for y in points:
-        ws = _Workspace(pc, y, WarpParams(), D, None)
+        ws = _Workspace(pc, y, WarpParams(), D)
         mono = np.prod((points - y)[:, None, :] ** exps[None], axis=2)
         for j in range(pc.components):
             c0 = compute_c0(pc, y, j, D, _ws=ws).terms[0].coeffs

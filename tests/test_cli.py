@@ -481,12 +481,12 @@ def test_validate_passes_const_drift(tmp_path):
     report = json.loads(out.read_text())
     assert report["status"] == "PASS"
     assert [c["name"] for c in report["checks"]] == [
-        "ray_weight_E2_plain", "ray_weight_E4", "roundtrip_serialization",
+        "ray_weight_E2_plain", "tau_reexpansion_E4", "roundtrip_serialization",
         "coefficient_bounds", "const_drift_kernel", "const_drift_termination",
         "normalization_gh40", "mode_equivalence_beta"]
     for check in report["checks"]:
         assert set(check) == {"name", "max_deviation", "tolerance", "status"}
-        if check["name"].startswith("ray_weight"):
+        if check["name"] in ("ray_weight_E2_plain", "tau_reexpansion_E4"):
             assert check["max_deviation"] <= check["tolerance"] == 1e-12
 
 
@@ -504,12 +504,12 @@ def failing_checks(capsys) -> list[str]:
 
 
 def test_validate_detects_injected_fault(monkeypatch, capsys):
-    # tau mode's applied weights off by one part in a million
-    applied = recursion._tau_weights
-    monkeypatch.setattr(recursion, "_tau_weights",
+    # tau mode's re-expansion map off by one part in a million
+    applied = recursion._tau_reexpansion
+    monkeypatch.setattr(recursion, "_tau_reexpansion",
                         lambda *args: applied(*args) * (1.0 + 1e-6))
     assert main(["validate", problem("const_drift.json")]) == 3
-    assert failing_checks(capsys) == ["ray_weight_E4"]
+    assert failing_checks(capsys) == ["tau_reexpansion_E4"]
 
 
 def test_validate_detects_a_corrupted_plain_weight(monkeypatch, capsys):
@@ -521,7 +521,7 @@ def test_validate_detects_a_corrupted_plain_weight(monkeypatch, capsys):
     assert main(["validate", problem("const_drift.json")]) == 3
     failing = failing_checks(capsys)
     assert failing[0] == "ray_weight_E2_plain"
-    assert "ray_weight_E4" not in failing
+    assert "tau_reexpansion_E4" not in failing
 
 
 def constant(c):

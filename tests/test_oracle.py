@@ -354,6 +354,37 @@ def test_fd_two_component_coupling_is_bit_identical_to_reference():
                            new[2][..., 0])
 
 
+def test_fd_robin_reads_its_boundary_data_once_per_time(monkeypatch):
+    # each step's boundary rows at t + dt are the next step's rows at t:
+    # 50 steps read alpha and psi at 51 times per end, once each
+    import os
+    from collections import Counter
+
+    from parakern import oracle
+    from parakern.problemfile import load_problem_file
+
+    reads = {"alpha": Counter(), "psi": Counter()}
+
+    def counted(name, f):
+        def read(t, x):
+            reads[name][t, x] += 1
+            return f(t, x)
+        return read
+
+    def spy(*args, robin_alpha, robin_psi, **kwargs):
+        return fd_solve_linear(*args, robin_alpha=counted("alpha", robin_alpha),
+                               robin_psi=counted("psi", robin_psi), **kwargs)
+
+    monkeypatch.setattr(oracle, "fd_solve_linear", spy)
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
+                        "problems", "time_drift_ibvp2.json")
+    oracle.fd_solve(load_problem_file(path).ps, FDConfig(h=1 / 32, dt=0.01))
+    for name, seen in reads.items():
+        assert set(seen.values()) == {1}, name
+        for end in (0.0, 1.0):
+            assert sum(x == end for _, x in seen) == 51, (name, end)
+
+
 def test_fd_robin_manufactured_is_bit_identical_to_reference():
     def alpha(t, x):
         return 1.0 + 0.5 * t

@@ -7,7 +7,7 @@ from parakern.errors import StructureError, UnsupportedSpecError
 from parakern.funcspec import FourierEntry, GaussianMix, PolyEntry
 from parakern.polyalg import (index_table, _csr_apply, _degree, _mul_cols,
                               _mul_tables, _overflow_cols, _rows)
-from parakern.recursion import ProblemCoefficients, _series_map, _tau_map
+from parakern.recursion import ProblemCoefficients
 
 from objalg import (TaylorPoly, TimeJet, dense_mul_cols, dense_overflow_cols,
                     jet_compose_time, jet_dt, jet_eval, jet_mul, pad_rows,
@@ -272,22 +272,14 @@ def test_degree_zero_product_equals_scatter_product(dim, cap, data, seed):
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(dim=st.integers(1, 3), cap=st.integers(1, 8), cols=st.sampled_from(
-    [1, 2, 7]), kind=st.sampled_from(["scatter", "tau", "series"]),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_csr_apply_is_the_sparse_product_bit_for_bit(dim, cap, cols, kind,
-                                                     seed):
+    [1, 2, 7]), seed=st.integers(0, 2 ** 32 - 1))
+def test_csr_apply_is_the_sparse_product_bit_for_bit(dim, cap, cols, seed):
     # the helper calls scipy's private kernel; it must give ``S @ x``'s
     # bytes, signed zeros, infinities and NaNs included, on one column
     # (where ``@`` takes its vector kernel) and on several, so a scipy
     # whose kernel differs fails here instead of moving outputs
     rng = np.random.default_rng(seed)
-    if kind == "scatter":
-        S = _mul_tables(dim, cap, cap, int(rng.integers(1, cap + 1)))[2]
-    elif kind == "tau":
-        S = _tau_map(int(rng.integers(1, 5)), 3, dim, cap,
-                     _rows(dim, cap), 2)
-    else:
-        S = _series_map(tuple(rng.standard_normal(4)), _rows(dim, cap), 1, 3)
+    S = _mul_tables(dim, cap, cap, int(rng.integers(1, cap + 1)))[2]
     special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -2.5])
     x = rng.standard_normal((S.shape[1], cols))
     pick = rng.random(x.shape) < 0.3

@@ -1,6 +1,7 @@
 """Property tests: the Gauss-Hermite pass, the lazy diagnostics, the
-translation covariance of the batched expansion, parabolic scaling and
-detailed balance for a gradient drift."""
+translation covariance of the batched expansion, parabolic scaling,
+detailed balance for a gradient drift and tau mode as the plain series
+re-expanded in tau."""
 
 import json
 import math
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parakern import recursion
-from parakern.funcspec import FourierEntry, GaussianMix, PolyEntry
+from parakern.funcspec import FourierEntry, GaussianMix, PolyEntry, TimeEntry
 from parakern.kernel import (KernelField, delta_property, eval_points,
                              normalization_check)
 from parakern.recursion import (ProblemCoefficients, WarpParams, expand,
@@ -184,3 +185,34 @@ def test_gradient_drift_kernel_has_detailed_balance(K, t, y, d):
         return -0.3 * math.cos(z)
 
     assert abs(U(x) + log_p(x, y) - U(y) - log_p(y, x)) <= BALANCE[K]
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(n=st.sampled_from([1, 2]), K=st.integers(1, 3),
+       beta=st.sampled_from([0.5, 1.0, 2.0, 4.0]), tau=st.floats(0.02, 0.08),
+       k=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+       amps=st.tuples(*[st.floats(-0.5, 0.5)] * 3), y=st.tuples(coords, coords),
+       d=st.tuples(*[st.floats(-0.3, 0.3)] * 2))
+def test_tau_kernel_is_the_plain_one_to_order_K(n, K, beta, tau, k, amps, y,
+                                                 d):
+    # tau mode is the plain series re-expanded in tau and cut at tau^K, so
+    # at small tau its log value is the plain one at t(tau) = -beta ln(1 -
+    # tau) up to O(tau^(K + 1)); t(tau) ~ beta tau sets the scale.  Worst
+    # |difference| / (beta tau)^(K + 1) over a 400-case sample: 2.1
+    k, y = k[:n], np.array(y[:n])
+    pc = ProblemCoefficients(n, 1, {
+        (0, 0, m): TimeEntry(((0, FourierEntry(n, ((amps[0], k, 0.3 + m),))),
+                              (1, FourierEntry(n, ((amps[1], k[::-1],
+                                                    -0.2),)))))
+        for m in range(n)}, {0: FourierEntry(n, ((amps[2], k, 0.5),))})
+    x = [y + np.array(d[:n])]
+    t = -beta * math.log1p(-tau)
+    dev = {}
+    for order in (K, K + 2):
+        D = 2 * order + 2
+        p = expand(pc, y, order, WarpParams(), D)
+        q = expand(pc, y, order, WarpParams(mode="tau", beta=beta), D)
+        dev[order] = abs(eval_points(q, tau, x).log_value[0, 0]
+                         - eval_points(p, t, x).log_value[0, 0])
+        assert dev[order] <= 10.0 * (beta * tau) ** (order + 1)
+    assert dev[K + 2] <= dev[K]

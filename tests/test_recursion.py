@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from parakern import oracle
+from parakern import oracle, recursion
 from parakern.errors import ParameterError, SequencingError
 from parakern.funcspec import FourierEntry, PolyEntry, TimeEntry
 from parakern.problemfile import load_problem_file
@@ -328,11 +328,12 @@ def test_sin_testbed_weighted_sup_norms_decay():
 
 
 def test_diagnostics_sample_every_time_order():
-    # tau-mode jets with time-dependent drift have terms above time order
-    # 0; the sampled sup of c_k at tau_ref against one jet_eval per point
+    # with a time-dependent drift, c_k has terms above time order 0 (tau
+    # mode re-expands them into one each); the sampled sup of c_k at
+    # tau_ref against one jet_eval per point
     entry = TimeEntry(((0, SIN_DRIFT), (1, PolyEntry(1, ((0.5, (1,)),)))))
     pc = ProblemCoefficients(1, 1, {(0, 0, 0): entry}, domain_radius_R=0.8)
-    exp = expand(pc, [0.1], 4, WarpParams(mode="tau", beta=0.5), 10)
+    exp = expand(pc, [0.1], 4, WarpParams(), 10)
     diag = exp.diagnostics
     xs = np.linspace(-0.8, 0.8, 17)
     for k, jet in enumerate(jets_of(exp)[0]):
@@ -503,3 +504,19 @@ def test_expansion_equality_answers_without_raising():
     assert expand(scalar_pc(PolyEntry(1, ((0.7, (0,)),))), [0.1], 4, wp,
                   10) != exp
     assert exp != "not an expansion"
+
+
+def test_recursion_imports_nothing_from_scipy():
+    # scipy.sparse enters the expansion side only through polyalg's
+    # scatter; the recursion module itself, function bodies included,
+    # imports no scipy
+    import ast
+
+    with open(recursion.__file__) as fh:
+        tree = ast.parse(fh.read())
+    modules = [a.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for a in node.names]
+    modules += [node.module or "" for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and not node.level]
+    assert modules
+    assert not [m for m in modules if m.split(".")[0] == "scipy"], modules
