@@ -20,22 +20,25 @@ pruned copy drops it, as scipy's sparse sums would, so the factor and
 the output match ``tests/fdref.py`` bit for bit.  The fixed pattern
 fixes SuperLU's column order too: where the first factor's order is the
 identity, as in every one-component Dirichlet march, later unpruned
-steps skip choosing it and factor in natural order.
+steps skip choosing it and factor in natural order.  Robin steps factor
+as Dirichlet ones do, so an autonomous march with a constant alpha
+factors once.
+
+scipy loads with the first Crank-Nicolson solve, not with this module:
+``fd_solve_linear`` imports ``scipy.sparse.linalg`` once per solve and
+the half-step's CSR kernel binds at its first call.  The exact kernels,
+the ray quadrature, the Gauss-Hermite convolution and the Burgers
+stepper need numpy alone.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
-# private: the kernel ``csr_matrix @ ndarray`` runs
-from scipy.sparse._sparsetools import csr_matvec
 
 from .errors import AccuracyError, ConditioningError, ParameterError
 
@@ -264,27 +267,25 @@ def _compressed(fmt, major, minor, n: int):
     return order, fmt((np.empty(len(order)), minor[order], indptr), (n, n))
 
 
-def _factor(M, t: float, **order):
-    """SuperLU's factor of the step matrix ``M``; ConditioningError, naming
-    the time the step reaches, where it cannot be made."""
+def _factor(linalg, M, t: float, **order):
+    """SuperLU's factor of the step matrix ``M``, read as ``linalg.splu``
+    (``linalg`` is ``scipy.sparse.linalg``) at each factor; ConditioningError,
+    naming the time the step reaches, where it cannot be made."""
     try:
-        return scipy.sparse.linalg.splu(M, **order)
+        return linalg.splu(M, **order)
     except RuntimeError as exc:     # "Factor is exactly singular"
         raise ConditioningError(f"the Crank-Nicolson step to t = {t:.6g} "
                                 f"cannot be factored: {exc}") from exc
 
 
-def _robin_solve(M, rhs: np.ndarray, t: float) -> np.ndarray:
-    """``spsolve(M, rhs)``; where ``M`` is exactly singular, which scipy
-    only warns of before returning NaN, ConditioningError naming ``t``."""
-    rank = scipy.sparse.linalg.MatrixRankWarning
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", rank)
-        try:
-            return scipy.sparse.linalg.spsolve(M, rhs)
-        except rank as exc:
-            raise ConditioningError(f"the Crank-Nicolson step to t = {t:.6g} "
-                                    f"cannot be solved: {exc}") from exc
+def csr_matvec(*args):
+    """scipy's private kernel, the one ``csr_matrix @ ndarray`` runs.  This
+    stand-in imports it at its first call and binds it in its own place,
+    so importing this module loads no scipy and a later call runs the
+    kernel itself."""
+    global csr_matvec
+    from scipy.sparse._sparsetools import csr_matvec
+    csr_matvec(*args)
 
 
 def _csr_matvec(M, x: np.ndarray, out: np.ndarray):
@@ -340,10 +341,16 @@ def fd_solve_linear(lo: float, hi: float, horizon: float, cfg: FDConfig,
     factor's column order is the identity, every later unpruned step
     factors with ``permc_spec="NATURAL"``: the same order, so the same
     pivots, ties included, and the same bits; any other order is chosen
-    afresh at each step, as is a pruned step's.  ``spsolve`` solves a
-    Robin step.  A step that cannot be factored or solved, as an exactly
-    singular one, raises ConditioningError naming the time it reaches.
+    afresh at each step, as is a pruned step's.  A Robin step factors as
+    a Dirichlet one does; in an autonomous march it refactors only where
+    its matrix's data differ from the last factored step's, so a
+    constant alpha factors once.  A step that cannot be factored, as an
+    exactly singular one, raises ConditioningError naming the time it
+    reaches.  scipy is imported here, once per solve, not with the
+    module.
     """
+    import scipy.sparse.linalg      # loads scipy.sparse as well
+
     _check_horizon(horizon)
     grid = _fd_grid(lo, hi, cfg.h)
     nx = len(grid)
@@ -464,6 +471,7 @@ def fd_solve_linear(lo: float, hi: float, horizon: float, cfg: FDConfig,
     halves, pm = np.array([[c], [-c]]), np.empty((2, len(a)))
     rhs = np.empty(n)
     natural = None      # whether the first unpruned factor kept every column
+    factored = None     # the CSC data of the last factor, if autonomous
 
     t = 0.0
     take(t, u, tol=1e-14)
@@ -484,12 +492,17 @@ def fd_solve_linear(lo: float, hi: float, horizon: float, cfg: FDConfig,
             np.take(pm[0], to_csr, out=M2_full.data)
             M2 = M2_full if whole else _refreshed(M2_full)
             np.take(pm[1], to_csc, out=M1_full.data)
-            M1 = M1_full if whole else _refreshed(M1_full)
-            if not robin:
+            # a Robin step of an autonomous march changes its matrix only
+            # where the boundary rows do
+            if step == 0 or time_dependent or \
+                    not np.array_equal(M1_full.data, factored):
+                factored = None if time_dependent else M1_full.data.copy()
+                M1 = M1_full if whole else _refreshed(M1_full)
                 if whole and natural:
-                    lu = _factor(M1, t + dt, permc_spec="NATURAL")
+                    lu = _factor(scipy.sparse.linalg, M1, t + dt,
+                                 permc_spec="NATURAL")
                 else:
-                    lu = _factor(M1, t + dt)
+                    lu = _factor(scipy.sparse.linalg, M1, t + dt)
                     if whole and natural is None:
                         natural = (lu.perm_c == np.arange(n)).all()
 
@@ -501,11 +514,9 @@ def fd_solve_linear(lo: float, hi: float, horizon: float, cfg: FDConfig,
                 rhs[i * nx:(i + 1) * nx] += dt * np.asarray(
                     source(i, t_mid, grid), dtype=float)
 
-        if robin:
-            u = _robin_solve(M1, rhs, t + dt)
-        else:
+        if not robin:
             rhs[::nx] = rhs[nx - 1::nx] = 0.0
-            u = lu.solve(rhs)
+        u = lu.solve(rhs)
         t += dt
         take(t, u.reshape(m, nx).T)
     return np.array(out_times), grid, np.array(out_vals)

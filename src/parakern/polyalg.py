@@ -17,6 +17,10 @@ products take their pair table for the operands' degrees
 of rows known to be zero.  ``_monomials`` evaluates the table's
 monomials at points and ``_tensor_grid`` lists the points of a tensor
 grid.
+
+scipy loads with the first scatter ``_mul_tables`` builds, not with this
+module: a process that never multiplies two columns of degree >= 1, as
+under constant drifts and potentials, never imports it.
 """
 
 from __future__ import annotations
@@ -25,11 +29,12 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy import sparse
-# private: the kernels ``csr_matrix @ ndarray`` runs
-from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 
 from .errors import ParameterError
+
+# scipy's private kernels, the ones ``csr_matrix @ ndarray`` runs, bound
+# by the first scatter ``_mul_tables`` builds
+csr_matvec = csr_matvecs = None
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +95,10 @@ def _mul_tables(dim: int, cap: int, da: int, db: int):
     reproduces the sequential sum bit for bit.  ``(oi, oj)`` are the pairs
     that would exceed the cap (used for the truncation flag).
     """
+    global csr_matvec, csr_matvecs
+    from scipy import sparse
+    from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
+
     exps, pos, orders = index_table(dim, cap)
     i, j = np.divmod(np.arange(_rows(dim, da) * _rows(dim, db)), _rows(dim, db))
     inside = orders[i] + orders[j] <= cap
@@ -143,12 +152,13 @@ def _mul_cols(a: np.ndarray, b: np.ndarray, dim: int, cap: int) -> np.ndarray:
     return _csr_apply(scatter, prod).reshape((-1,) + a.shape[1:])
 
 
-def _csr_apply(S: sparse.csr_matrix, x: np.ndarray) -> np.ndarray:
+def _csr_apply(S, x: np.ndarray) -> np.ndarray:
     """``S @ x`` for a CSR matrix ``S`` and a 2-D float array ``x`` of
     ``S.shape[1]`` rows, bit for bit: the kernel scipy's operator picks
     (its vector kernel for one column, which may give a NaN another sign),
     without the operator's dispatch.  Each output row starts at zero and
-    adds its terms ``S[i, j] * x[j]`` in stored order, column by column."""
+    adds its terms ``S[i, j] * x[j]`` in stored order, column by column.
+    ``S`` is a scatter of ``_mul_tables``, which binds the kernels."""
     (rows, cols), vecs = S.shape, x.shape[1]
     assert x.shape == (cols, vecs)      # the kernels read x unchecked
     out = np.zeros((rows, vecs))

@@ -3,6 +3,8 @@ import errno
 import json
 import math
 import os
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
@@ -968,3 +970,35 @@ def test_a_new_out_file_has_the_mode_open_gives(tmp_path, capsys):
                  "--out", str(tmp_path / "new")]) == 0
     assert os.stat(tmp_path / "new").st_mode & 0o777 == 0o600
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# scipy loads on first use
+# ---------------------------------------------------------------------------
+
+def test_a_command_that_forms_no_sparse_product_loads_no_scipy(tmp_path):
+    # in a fresh process: the suite's own filters load scipy before any test
+    # runs.  Constant drifts and potentials multiply no two jets of degree
+    # >= 1, and validate runs no FD referee, so none of these builds a
+    # scatter or factors a step; sin_drift.json's products do
+    code = (
+        "import contextlib, io, sys\n"
+        "import parakern.cli as cli\n"
+        "def run(*args):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(list(args)) == 0, args\n"
+        "def loaded():\n"
+        "    return [m for m in ('scipy.sparse', 'scipy.linalg')\n"
+        "            if m in sys.modules]\n"
+        f"run('solve', {problem('zero_drift.json')!r},\n"
+        f"    '--out', {str(tmp_path / 'solution')!r})\n"
+        f"run('eval', {problem('const_drift.json')!r})\n"
+        f"run('validate', {problem('manufactured_ibvp2.json')!r})\n"
+        "assert loaded() == [], loaded()\n"
+        f"run('solve', {problem('sin_drift.json')!r},\n"
+        f"    '--out', {str(tmp_path / 'solution')!r})\n"
+        "assert 'scipy.sparse' in loaded(), loaded()\n")
+    env = {**os.environ, "PYTHONPATH": os.path.join(PROBLEMS, "..", "src")}
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr

@@ -690,9 +690,12 @@ def test_fd_half_step_product_is_bit_identical_to_the_operator():
 
 
 @pytest.mark.parametrize("case, factors, solves", [
-    ("autonomous", 1, 0), ("time_dependent", 10, 0), ("robin", 0, 10)])
+    ("autonomous", 1, 0), ("time_dependent", 10, 0), ("robin", 10, 0),
+    ("robin_autonomous", 1, 0)])
 def test_fd_factor_runs_once_per_changed_matrix(case, factors, solves,
                                                 monkeypatch):
+    # a Robin step factors as a Dirichlet one does, and runs no spsolve;
+    # with a constant alpha an autonomous march's matrix never changes
     import scipy.sparse.linalg as sl
 
     calls = {"splu": 0, "natural": 0, "spsolve": 0}
@@ -712,13 +715,16 @@ def test_fd_factor_runs_once_per_changed_matrix(case, factors, solves,
     def drift(i, j, t, grid):
         return 0.5 + 0.3 * t
 
-    drift.time_dependent = case != "autonomous"
-    boundary = "exact_robin" if case == "robin" else "large_box_dirichlet"
+    drift.time_dependent = not case.endswith("autonomous")
+    boundary = "exact_robin" if case.startswith("robin") else \
+        "large_box_dirichlet"
     fd_solve_linear(0.0, 1.0, 0.1, FDConfig(h=1 / 16, dt=0.01,
                                              boundary=boundary),
                     math.cos, drift=drift, robin_alpha=lambda t, x: 1.0,
                     robin_psi=lambda t, x: 0.5 * t)
-    # a time-dependent march orders its columns once, at the first factor
+    # a time-dependent Dirichlet march orders its columns once, at the
+    # first factor; the Robin rows' order is not the identity, so a
+    # time-dependent Robin march orders them at every factor
     reused = factors - 1 if case == "time_dependent" else 0
     assert calls == {"splu": factors - reused, "natural": reused,
                      "spsolve": solves}

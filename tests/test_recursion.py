@@ -508,8 +508,8 @@ def test_expansion_equality_answers_without_raising():
 
 def test_recursion_imports_nothing_from_scipy():
     # scipy.sparse enters the expansion side only through polyalg's
-    # scatter; the recursion module itself, function bodies included,
-    # imports no scipy
+    # scatter, loaded when the first one is built; the recursion module
+    # itself, function bodies included, imports no scipy
     import ast
 
     with open(recursion.__file__) as fh:
